@@ -8,7 +8,7 @@ identities and inequalities behind those theorems in rational arithmetic,
 where failure is a counterexample rather than a residual.
 """
 
-from .accumulation import compensated_cumsum, exact_sum
+from .accumulation import compensated_cumsum
 from .cesaro import (CesaroTransforms, cesaro_coefficients, cesaro_sigma,
                      cesaro_t, compute_transforms, w_sequence)
 from .checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS, ConditionRecord,
@@ -44,7 +44,7 @@ __all__ = [
     "RealSequence", "SequenceSpec", "CesaroParams", "FAMILIES",
     "materialize", "forward_difference",
     # accumulation / rendering
-    "compensated_cumsum", "exact_sum", "render_number",
+    "compensated_cumsum", "render_number",
     # transforms
     "cesaro_coefficients", "cesaro_sigma", "cesaro_t", "w_sequence",
     "CesaroTransforms", "compute_transforms",

@@ -54,9 +54,11 @@ def _cmd_run(args) -> int:
             raise ConfigError("--tolerance-slope",
                               f"does not apply to mode {config.mode!r}")
         base = config.tolerances or Tolerances()
-        config = dataclasses.replace(
-            config, tolerances=dataclasses.replace(
-                base, slope=args.tolerance_slope))
+        try:
+            tolerances = dataclasses.replace(base, slope=args.tolerance_slope)
+        except ValueError as e:
+            raise ConfigError("--tolerance-slope", str(e)) from e
+        config = dataclasses.replace(config, tolerances=tolerances)
     report = run(config, out_dir=args.out, quiet=args.quiet)
     return report.exit_status
 

@@ -518,8 +518,8 @@ def _run_oracle(config: ExperimentConfig) -> RunReport:
 
 def _run_transform_dump(config: ExperimentConfig, out: Path) -> RunReport:
     params = config.params or CesaroParams()
-    seq = materialize(config.sequence)
     try:
+        seq = materialize(config.sequence)
         transforms = compute_transforms(seq, params.alpha)
     except ValueError as e:
         raise ConfigError("sequence", str(e)) from e

@@ -419,15 +419,13 @@ def run_power_inequality_suite(seed: int,
 
 
 def run_all_suites(seed: int, trials: int | None = None) -> list[OracleSuiteReport]:
-    """All four suites with per-suite derived seeds.
+    """All four suites; suite i runs at seed + 1000003*i modulo 2**64.
 
     ``trials`` overrides every suite's trial count when given (handy for
     smoke runs); None keeps the per-suite defaults.
     """
     kw = {} if trials is None else {"trials": int(trials)}
-    return [
-        run_abel_suite(seed, **kw),
-        run_lemma1_suite(seed + 1000003, **kw),
-        run_decomposition_suite(seed + 2000006, **kw),
-        run_power_inequality_suite(seed + 3000009, **kw),
-    ]
+    suites = (run_abel_suite, run_lemma1_suite, run_decomposition_suite,
+              run_power_inequality_suite)
+    return [suite((seed + 1000003 * i) % 2 ** 64, **kw)
+            for i, suite in enumerate(suites)]

@@ -385,6 +385,28 @@ class TestCli:
                      "--tolerance-slope", "0.2"])
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_bad_slope_tolerance_is_config_error(self, tmp_path, capsys,
+                                                 value):
+        code = main(["run", str(CONFIG_DIR / "f1_main.json"),
+                     "--out", str(tmp_path), "--quiet",
+                     "--tolerance-slope", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tolerance-slope:")
+        assert "Traceback" not in err
+
+    def test_bad_dump_sequence_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "dump.json"
+        cfg.write_text(json.dumps({
+            "mode": "transform_dump",
+            "sequence": {"family": "power_weight", "n": 8,
+                         "params": {"q": -1.0}, "start": 0}}))
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sequence:")
+        assert "q < 0" in err
+
     def test_slope_tolerance_rejected_for_oracle(self, tmp_path, capsys):
         code = main(["run", str(CONFIG_DIR / "oracle_default.json"),
                      "--out", str(tmp_path), "--quiet",

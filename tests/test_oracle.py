@@ -174,6 +174,15 @@ class TestSuitePlumbing:
         assert names == ["abel_identity", "lemma1_bound",
                          "decomposition_bound", "power_inequality"]
 
+    def test_derived_seeds_stay_in_u64(self):
+        seeds = [r.seed for r in run_all_suites(2 ** 64 - 1, trials=1)]
+        assert seeds == [2 ** 64 - 1, 1000002, 2000005, 3000008]
+        assert all(0 <= s < 2 ** 64 for s in seeds)
+
+    def test_derived_seeds_below_wrap_unchanged(self):
+        seeds = [r.seed for r in run_all_suites(42, trials=1)]
+        assert seeds == [42, 1000045, 2000048, 3000051]
+
     def test_report_json_fields(self):
         rep = run_abel_suite(5, trials=3).to_json()
         assert set(rep) == {"check", "trials", "violations",
