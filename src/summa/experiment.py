@@ -455,7 +455,7 @@ def _environment_stamp(seed: int | None) -> dict:
     return {"version": __version__, "seed": seed}
 
 
-def _run_check(config: ExperimentConfig, out: Path) -> RunReport:
+def _run_check(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
     if config.family is not None:
         bundle = builtin_family(config.family, config.n, config.overrides)
     else:
@@ -476,60 +476,56 @@ def _run_check(config: ExperimentConfig, out: Path) -> RunReport:
         raise ConfigError("bundle", str(e)) from e
     trace, conclusion = conclusion_diagnostic(bundle, cps, tol)
 
-    artifacts = {"trace_cond11": "trace_cond11.csv",
-                 "trace_conclusion": "trace_conclusion.csv"}
     cond11 = report.traces["cond11"]
     x_ref = [bundle.X.value_at(c) for c in cond11.checkpoints]
-    (out / "trace_cond11.csv").write_text(
-        _trace_csv(cond11.checkpoints, cond11.partial_sums, x_ref),
-        encoding="utf-8")
-    (out / "trace_conclusion.csv").write_text(
-        _trace_csv(trace.checkpoints, trace.partial_sums), encoding="utf-8")
+    files = {
+        "trace_cond11.csv": _trace_csv(cond11.checkpoints,
+                                       cond11.partial_sums, x_ref),
+        "trace_conclusion.csv": _trace_csv(trace.checkpoints,
+                                           trace.partial_sums),
+    }
     if config.mode == "check_main":
-        artifacts["trace_series_nqx"] = "trace_series_nqx.csv"
-        (out / "trace_series_nqx.csv").write_text(
-            _trace_csv(cps, report.traces["series_nQX"]), encoding="utf-8")
+        files["trace_series_nqx.csv"] = _trace_csv(
+            cps, report.traces["series_nQX"])
     else:
-        artifacts["trace_cond8"] = "trace_cond8.csv"
-        (out / "trace_cond8.csv").write_text(
-            _trace_csv(report.traces["cond8_checkpoints"],
-                       report.traces["cond8"]), encoding="utf-8")
+        files["trace_cond8.csv"] = _trace_csv(
+            report.traces["cond8_checkpoints"], report.traces["cond8"])
 
     passed = (report.all_passed
               and conclusion.verdict is GrowthVerdict.BOUNDED_CONSISTENT)
     results = {
         "report": report.to_json(),
         "conclusion": conclusion.to_json(),
-        "artifacts": artifacts,
+        "artifacts": {Path(name).stem: name for name in files},
     }
     return RunReport(config=config,
                      environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0 if passed else 1)
+                     results=results, exit_status=0 if passed else 1), files
 
 
-def _run_oracle(config: ExperimentConfig) -> RunReport:
+def _run_oracle(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
     suites = run_all_suites(config.seed, config.trials)
     clean = all(s.violations == 0 for s in suites)
     results = {"suites": [s.to_json() for s in suites]}
     return RunReport(config=config,
                      environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0 if clean else 1)
+                     results=results, exit_status=0 if clean else 1), {}
 
 
-def _run_transform_dump(config: ExperimentConfig, out: Path) -> RunReport:
+def _run_transform_dump(config: ExperimentConfig
+                        ) -> tuple[RunReport, dict[str, str]]:
     params = config.params or CesaroParams()
     try:
         seq = materialize(config.sequence)
         transforms = compute_transforms(seq, params.alpha)
     except ValueError as e:
         raise ConfigError("sequence", str(e)) from e
-    (out / "transforms.csv").write_text(_transforms_csv(seq, transforms),
-                                        encoding="utf-8")
-    results = {"artifacts": {"transforms": "transforms.csv"},
+    files = {"transforms.csv": _transforms_csv(seq, transforms)}
+    results = {"artifacts": {Path(name).stem: name for name in files},
                "rows": len(seq), "alpha": params.alpha}
     return RunReport(config=config,
                      environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0)
+                     results=results, exit_status=0), files
 
 
 def _summary_lines(report: RunReport) -> list[str]:
@@ -559,20 +555,24 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     """Execute one config; write artifacts; return the report.
 
     ``out_dir`` beats the config's own ``out`` field; default is the
-    current directory.  Summary goes to standard output unless ``quiet``.
+    current directory, created only once the run has computed everything
+    it writes, so a run that fails leaves no directory behind.  Summary goes
+    to standard output unless ``quiet``.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
-    out.mkdir(parents=True, exist_ok=True)
 
     if config.mode in ("check_main", "check_theorem_a"):
-        report = _run_check(config, out)
+        report, files = _run_check(config)
     elif config.mode == "oracle":
-        report = _run_oracle(config)
+        report, files = _run_oracle(config)
     else:
-        report = _run_transform_dump(config, out)
+        report, files = _run_transform_dump(config)
 
-    payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    (out / "report.json").write_text(payload, encoding="utf-8")
+    files["report.json"] = (json.dumps(report.to_json(), indent=2,
+                                       sort_keys=True) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
 
     if not quiet:
         print("\n".join(_summary_lines(report)))

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (RealSequence, cesaro_coefficients, cesaro_sigma, cesaro_t,
-                   compute_transforms, w_sequence)
+from summa import (ExperimentConfig, RealSequence, cesaro_coefficients,
+                   cesaro_sigma, cesaro_t, compute_transforms, run,
+                   w_sequence)
+from summa import cesaro
+from summa.cesaro import _binomial_weights, _kernel_dot_prefixes
 
 
 def product_form_coefficients(alpha: float, n_max: int) -> np.ndarray:
@@ -196,3 +199,135 @@ class TestComputeTransforms:
     def test_w_absent_outside_unit_interval(self):
         a = RealSequence(0, np.array([1.0, -1.0, 1.0]))
         assert compute_transforms(a, 2.0).w is None
+
+
+def fsum_rows(kernel, x):
+    """One ``math.fsum`` per output index: the reference the blocked kernel
+    must reproduce bit for bit, and exception for exception."""
+    out = np.empty(x.size, dtype=np.float64)
+    for n in range(x.size):
+        out[n] = math.fsum((kernel[n::-1] * x[: n + 1]).tolist())
+    return out
+
+
+def outcome(fn, kernel, x):
+    """Output bits, or the type and message of what ``fn`` raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(kernel, x).view(np.int64).tolist()
+        except (OverflowError, ValueError) as e:
+            return type(e), str(e)
+
+
+def dot_prefix_input(size, kind, seed):
+    rng = np.random.default_rng(seed)
+    signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+    scale = math.ldexp(1.0, int(rng.integers(-200, 201)))
+    if kind == "spread":  # +-200 binades
+        return (rng.standard_normal(size)
+                * np.ldexp(1.0, rng.integers(-200, 201, size)))
+    if kind == "alternating":  # near-equal terms that cancel pairwise
+        return signs * (1.0 + rng.random(size) * 2.0 ** -20) * scale
+    if kind == "ties":
+        # with the all-ones kernel (alpha = 1) row n sums to
+        # scale * (1 + k * 2**-53), |k| <= n: an exact midpoint for odd k > 0
+        x = rng.choice([-1.0, 1.0], size) * scale * 2.0 ** -53
+        x[0] = scale
+        return x
+    if kind == "absorbed":
+        # +-2**52 * scale swallow the low bits of the normal terms between
+        # them, then cancel: with the all-ones kernel the later rows are
+        # small, and the TwoSum errors they carry no longer sum exactly
+        x = rng.standard_normal(size) * scale
+        first, last = np.sort(rng.integers(0, size, 2))
+        x[first], x[last] = 2.0 ** 52 * scale, -(2.0 ** 52) * scale
+        return x
+    if kind == "zeros":  # rows summing to +0.0 and -0.0
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size)
+    return signs * np.arange(1.0, size + 1.0)  # n * a_n of alternating_unit
+
+
+SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308,
+            5e-324, math.ldexp(1.0, 1000)]
+
+
+@st.composite
+def dot_prefix_cases(draw):
+    # sizes past 180 rows span more than one block
+    size = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(
+        ["spread", "alternating", "ties", "absorbed", "zeros", "unit"]))
+    alpha = 1.0 if kind in ("ties", "absorbed") else draw(st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+        st.floats(-1.0, 2.0, exclude_min=True)))
+    x = dot_prefix_input(size, kind, draw(st.integers(0, 2 ** 32)))
+    for pos, value in draw(st.lists(
+            st.tuples(st.integers(0, 599), st.sampled_from(SPECIALS)),
+            max_size=3)):
+        x[pos % size] = value
+    return _binomial_weights(alpha - 1.0, size - 1), x
+
+
+class TestKernelDotPrefixes:
+    @settings(max_examples=150, deadline=None)
+    @given(dot_prefix_cases())
+    def test_bit_identical_to_fsum_rows(self, case):
+        kernel, x = case
+        assert outcome(_kernel_dot_prefixes, kernel, x) == \
+            outcome(fsum_rows, kernel, x)
+
+    @pytest.mark.parametrize("x, error", [
+        ([1e308, 1e308, -1e308, 1.0], OverflowError),
+        ([1.0, math.inf, -math.inf], ValueError),
+    ])
+    def test_raises_like_fsum(self, x, error):
+        # row 1 of the first case is finite but its sum overflows
+        kernel, x = np.ones(len(x)), np.array(x)
+        with pytest.raises(error) as ref:
+            fsum_rows(kernel, x)
+        with pytest.raises(error) as got:
+            _kernel_dot_prefixes(kernel, x)
+        assert str(got.value) == str(ref.value)
+
+    def test_numpy_2d_accumulate_is_left_to_right(self):
+        # the kernel's running sums: axis 1, written past a leading zero
+        # column; 1 + 2**-53 rounds back to 1 at every step only when each
+        # row is added strictly left to right
+        p = np.full((8, 1024), 2.0 ** -53)
+        p[:, 0] = 1.0
+        run_sums = np.zeros((8, 1025))
+        np.add.accumulate(p, axis=1, out=run_sums[:, 1:])
+        assert (run_sums[:, 1:] == 1.0).all()
+
+
+def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
+    configs = {
+        "f1_half": {"mode": "check_main", "family": "F1", "n": 512,
+                    "overrides": {"alpha": 0.5}},
+        "f1_quarter": {"mode": "check_main", "family": "F1", "n": 512,
+                       "overrides": {"alpha": 0.25}},
+        "dump": {"mode": "transform_dump",
+                 "sequence": {"family": "alternating_unit", "n": 513,
+                              "start": 0},
+                 "params": {"alpha": 0.5, "k": 1.5}},
+    }
+    calls = []
+
+    def reference(kernel, x):
+        calls.append(x.size)
+        return fsum_rows(kernel, x)
+
+    for side in ("shipped", "reference"):
+        if side == "reference":
+            monkeypatch.setattr(cesaro, "_kernel_dot_prefixes", reference)
+        for name, obj in configs.items():
+            run(ExperimentConfig.from_json(obj), out_dir=tmp_path / side / name,
+                quiet=True)
+    assert calls  # the reference really ran
+    for name in configs:
+        shipped = sorted((tmp_path / "shipped" / name).iterdir())
+        assert [p.name for p in shipped] == sorted(
+            p.name for p in (tmp_path / "reference" / name).iterdir())
+        for path in shipped:
+            assert path.read_bytes() == (
+                tmp_path / "reference" / name / path.name).read_bytes()

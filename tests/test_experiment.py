@@ -402,10 +402,12 @@ class TestCli:
             "mode": "transform_dump",
             "sequence": {"family": "power_weight", "n": 8,
                          "params": {"q": -1.0}, "start": 0}}))
-        assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: sequence:")
         assert "q < 0" in err
+        assert not out.exists()
 
     def test_slope_tolerance_rejected_for_oracle(self, tmp_path, capsys):
         code = main(["run", str(CONFIG_DIR / "oracle_default.json"),

@@ -39,11 +39,17 @@ class TestRationalT:
     def test_matches_float_engine(self):
         import random
         rng = random.Random(77)
+        cases = []
         for _ in range(30):
             n = rng.randint(1, 15)
             vals = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            alpha = rng.choice([F(1, 2), F(1)])
-            exact = rational_cesaro_t(_rat(vals), alpha, n)
+            cases.append((vals, rng.choice([F(1, 2), F(1)])))
+        # long enough to span several blocks of the fractional kernel
+        for alpha, n in ((F(1, 4), 301), (F(1, 2), 296), (F(1), 300)):
+            cases.append(([F(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(n)], alpha))
+        for vals, alpha in cases:
+            exact = rational_cesaro_t(_rat(vals), alpha, len(vals))
             floats = cesaro_t(RealSequence(1, np.array([float(v) for v in vals])),
                               float(alpha))
             for e, f in zip(exact, floats.values):
