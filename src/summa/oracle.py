@@ -16,15 +16,27 @@ bit-for-bit or is refuted by a concrete counterexample:
 
 Randomized suites hammer each statement over seeded input distributions
 and report violation counts; a correct implementation reports zero.
+
+Exactness contract: the API takes and returns ``Fraction`` values, but the
+inner sums run over Python integers.  Each kernel table A_j^(alpha-1) is
+kept as integer numerators K_j over the lcm L of its denominators, each
+input sequence as integer numerators over the lcm of its denominators, so
+an inner sum is one integer dot product and every returned rational is
+built once, by ``Fraction(numerator, denominator)``.  It is the same
+rational that step-by-step ``Fraction`` arithmetic gives, and every
+comparison is made between integers over one positive common denominator,
+so every verdict is the same as well.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 __all__ = [
     "RationalSequence",
@@ -61,7 +73,8 @@ class RationalSequence:
     def __post_init__(self) -> None:
         if not isinstance(self.start_index, int) or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple([v if type(v) is Fraction else Fraction(v)
+                      for v in self.values])
         if len(vals) == 0:
             raise ValueError("values must be non-empty")
         object.__setattr__(self, "values", vals)
@@ -88,6 +101,29 @@ def _weights_cached(order: Fraction, n_max: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_integers(order: Fraction, n_max: int) -> tuple[tuple[int, ...], int]:
+    """Integers K_j and a scale L with A_j^order = K_j / L for j <= n_max."""
+    weights = _weights_cached(order, n_max)
+    scale = math.lcm(*[w.denominator for w in weights])
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+
+
+def _scaled_integers(values) -> tuple[list[int], int]:
+    """Integers X_i and a scale D with values[i] = X_i / D."""
+    # lists rather than generators here and in the hot tuples below: CPython
+    # allocates a tuple built from a generator at a guessed size and resizes
+    # it, so every such tuple freed stays on a free list of its final size,
+    # which over an oracle run adds up to half a MiB of peak memory
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _covering(seq: RationalSequence, n: int) -> tuple[Fraction, ...]:
+    """Values at indices 1..n of a sequence starting at index 0 or 1."""
+    return seq.values[1 - seq.start_index:n + 1 - seq.start_index]
+
+
 def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction, ...]:
     """Exact A_0^alpha .. A_n_max^alpha; alpha must be a rational > -1."""
     alpha = Fraction(alpha)
@@ -107,15 +143,16 @@ def rational_cesaro_t(a: RationalSequence, alpha: Fraction, n: int) -> tuple[Fra
         raise ValueError("n must be at least 1")
     if a.start_index > 1 or a.end_index < n:
         raise ValueError(f"a must cover indices 1..{n}")
-    kernel = _weights_cached(alpha - 1, n - 1)
-    denom = rational_cesaro_coefficients(alpha, n)
-    out = []
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for v in range(1, m + 1):
-            acc += kernel[m - v] * v * a.value_at(v)
-        out.append(acc / denom[m])
-    return tuple(out)
+    kernel, scale = _kernel_integers(alpha - 1, n - 1)
+    xs, x_scale = _scaled_integers(_covering(a, n))
+    terms = [v * x for v, x in enumerate(xs, start=1)]
+    scale *= x_scale
+    # t_m = (acc_m / scale) / (p_m / q_m) with A_m^alpha = p_m / q_m > 0
+    coeffs = rational_cesaro_coefficients(alpha, n)
+    return tuple([Fraction(sum(map(mul, kernel[m - 1::-1], terms))
+                           * coeffs[m].denominator,
+                           scale * coeffs[m].numerator)
+                  for m in range(1, n + 1)])
 
 
 def _w_exact(t: tuple[Fraction, ...], alpha: Fraction) -> tuple[Fraction, ...]:
@@ -156,24 +193,18 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
         raise ValueError(f"a must cover indices 1..{n}")
     if lam.start_index > 1 or lam.end_index < n:
         raise ValueError(f"lambda must cover indices 1..{n}")
-    kernel = _weights_cached(alpha - 1, n - 1)
-
-    lhs = Fraction(0)
-    for v in range(1, n + 1):
-        lhs += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
-
-    prefix = Fraction(0)
-    rhs = Fraction(0)
-    u_last = Fraction(0)
-    for v in range(1, n + 1):
-        prefix += kernel[n - v] * v * a.value_at(v)
-        if v < n:
-            rhs += (lam.value_at(v) - lam.value_at(v + 1)) * prefix
-        else:
-            u_last = prefix
-    rhs += lam.value_at(n) * u_last
-
-    return AbelIdentityResult(equal=(lhs == rhs), lhs=lhs, rhs=rhs)
+    kernel, scale = _kernel_integers(alpha - 1, n - 1)
+    xs, x_scale = _scaled_integers(_covering(a, n))
+    ys, y_scale = _scaled_integers(_covering(lam, n))
+    # everything below is scaled by L * Dx * Dy; U_v by L * Dx only
+    weighted = list(map(mul, kernel[n - 1::-1],
+                        [v * x for v, x in enumerate(xs, start=1)]))
+    lhs = sum(map(mul, weighted, ys))
+    u = list(itertools.accumulate(weighted))
+    rhs = sum(map(mul, map(sub, ys, ys[1:]), u)) + ys[-1] * u[-1]
+    scale *= x_scale * y_scale
+    return AbelIdentityResult(equal=(lhs == rhs), lhs=Fraction(lhs, scale),
+                              rhs=Fraction(rhs, scale))
 
 
 @dataclass(frozen=True)
@@ -197,16 +228,14 @@ def lemma1_check(a: RationalSequence, alpha: Fraction, n: int,
         raise ValueError("need 1 <= v <= n")
     if a.start_index > 0 or a.end_index < v:
         raise ValueError(f"a must cover indices 0..{v}")
-    kernel = _weights_cached(alpha - 1, n)
-
-    lhs = abs(sum((kernel[n - p] * a.value_at(p) for p in range(v + 1)),
-                  Fraction(0)))
-    rhs = Fraction(0)
-    for m in range(1, v + 1):
-        inner = sum((kernel[m - p] * a.value_at(p) for p in range(m + 1)),
-                    Fraction(0))
-        rhs = max(rhs, abs(inner))
-    return LemmaBoundResult(holds=(lhs <= rhs), lhs=lhs, rhs=rhs)
+    kernel, scale = _kernel_integers(alpha - 1, n)
+    xs, x_scale = _scaled_integers(a.values[:v + 1])
+    # both sides over the positive scale L * Dx: compare the numerators
+    lhs = abs(sum(map(mul, kernel[n - v:n + 1][::-1], xs)))
+    rhs = max(abs(sum(map(mul, kernel[m::-1], xs))) for m in range(1, v + 1))
+    scale *= x_scale
+    return LemmaBoundResult(holds=(lhs <= rhs), lhs=Fraction(lhs, scale),
+                            rhs=Fraction(rhs, scale))
 
 
 @dataclass(frozen=True)
@@ -250,31 +279,40 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
         raise ValueError("k must be at least 1")
 
     coeffs = rational_cesaro_coefficients(alpha, n)
-    kernel = _weights_cached(alpha - 1, n - 1)
+    kernel, scale = _kernel_integers(alpha - 1, n - 1)
     t = rational_cesaro_t(a, alpha, n)
     w = _w_exact(t, alpha)
+    xs, x_scale = _scaled_integers(_covering(a, n))
+    ys, y_scale = _scaled_integers(_covering(lam, n))
+    a_n = coeffs[n]
 
-    T = Fraction(0)
-    for v in range(1, n + 1):
-        T += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
-    T /= coeffs[n]
+    T = Fraction(sum(map(mul, kernel[n - 1::-1],
+                         [v * x * y for v, (x, y)
+                          in enumerate(zip(xs, ys), start=1)]))
+                 * a_n.denominator,
+                 scale * x_scale * y_scale * a_n.numerator)
 
-    dlam = [lam.value_at(v) - lam.value_at(v + 1) for v in range(1, n)]
-    T1 = sum((coeffs[v] * w[v - 1] * abs(dlam[v - 1]) for v in range(1, n)),
-             Fraction(0)) / coeffs[n]
+    # |D lambda_v| * Dy and A_v w_v over one scale M: T1 * A_n = S / (M * Dy)
+    dlam = [abs(d) for d in map(sub, ys, ys[1:])]
+    aw = [coeffs[v] * w[v - 1] for v in range(1, n)]
+    aw_ints, aw_scale = _scaled_integers(aw)
+    s_num, s_den = sum(map(mul, aw_ints, dlam)), aw_scale * y_scale
+    T1 = Fraction(s_num * a_n.denominator, s_den * a_n.numerator)
     T2 = abs(lam.value_at(n)) * w[n - 1]
     holds = abs(T) <= T1 + T2
 
+    # int / int is correctly rounded, so each float equals float() of the
+    # same rational
     if k > 1.0 and n > 1:
         kp = k / (k - 1.0)
-        u = [float(coeffs[v] * w[v - 1]) * float(abs(dlam[v - 1])) ** (1.0 / k)
-             for v in range(1, n)]
-        g = [float(abs(dlam[v - 1])) ** (1.0 / kp) for v in range(1, n)]
+        dl = [d / y_scale for d in dlam]
+        u = [float(c) * x ** (1.0 / k) for c, x in zip(aw, dl)]
+        g = [x ** (1.0 / kp) for x in dl]
         holder_lhs = math.fsum(ui * gi for ui, gi in zip(u, g))
         holder_rhs = (math.fsum(ui ** k for ui in u) ** (1.0 / k)
                       * math.fsum(gi ** kp for gi in g) ** (1.0 / kp))
     else:
-        holder_lhs = float(T1 * coeffs[n])
+        holder_lhs = s_num / s_den
         holder_rhs = holder_lhs
     holder_holds = holder_lhs <= holder_rhs * (1.0 + 1e-12)
 

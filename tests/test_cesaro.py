@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +248,8 @@ def dot_prefix_input(size, kind, seed):
     return signs * np.arange(1.0, size + 1.0)  # n * a_n of alternating_unit
 
 
+MAX = sys.float_info.max
+DELTA = math.ldexp(1.0, 969)
 SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308,
             5e-324, math.ldexp(1.0, 1000)]
 
@@ -288,6 +291,31 @@ class TestKernelDotPrefixes:
         with pytest.raises(error) as got:
             _kernel_dot_prefixes(kernel, x)
         assert str(got.value) == str(ref.value)
+
+    # Row 3 of each case is (kernel[3], kernel[2], kernel[1], kernel[0]) with
+    # x all ones, so the shorter rows before it leave out its leading terms.
+    # M is the largest float, DELTA a quarter of its ulp: M + DELTA rounds
+    # back to M, M + 2 DELTA is a tie that rounds to inf.
+    @pytest.mark.parametrize("kernel, overflows", [
+        # the running sums stay finite (M, M, M, 2**1000) and the compensated
+        # result 2**1000 + 2 DELTA passes the rounding certificate, but fsum's
+        # partials overflow at M + 2 DELTA: only the per-row bound on
+        # max |product| * width sends the row to fsum
+        ([-(MAX - 2.0 ** 1000), DELTA, DELTA, MAX], True),
+        # the compensated result is M itself, certified since M has no finite
+        # upper neighbour; fsum overflows on the way, as above
+        ([-2 * DELTA, DELTA, DELTA, MAX], True),
+        # finite results within a few ulps of M
+        ([-4 * DELTA, MAX / 2, MAX / 2], False),
+        ([-8 * DELTA, MAX / 4, MAX / 2, MAX / 4], False),
+    ])
+    def test_rows_near_overflow_match_fsum(self, kernel, overflows):
+        kernel = np.array(kernel)
+        x = np.ones(kernel.size)
+        ref = outcome(fsum_rows, kernel, x)
+        assert (ref == (OverflowError, "intermediate overflow in fsum")) \
+            == overflows
+        assert outcome(_kernel_dot_prefixes, kernel, x) == ref
 
     def test_numpy_2d_accumulate_is_left_to_right(self):
         # the kernel's running sums: axis 1, written past a leading zero

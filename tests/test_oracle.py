@@ -1,14 +1,23 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from summa import (RationalSequence, RealSequence, abel_identity_check,
-                   cesaro_t, decomposition_bound_check, lemma1_check,
-                   power_inequality_check, rational_cesaro_coefficients,
-                   rational_cesaro_t, run_abel_suite, run_all_suites,
+from summa import (ExperimentConfig, RationalSequence, RealSequence,
+                   abel_identity_check, cesaro_t, decomposition_bound_check,
+                   lemma1_check, power_inequality_check,
+                   rational_cesaro_coefficients, rational_cesaro_t,
+                   run, run_abel_suite, run_all_suites,
                    run_decomposition_suite, run_lemma1_suite,
                    run_power_inequality_suite)
+from summa import oracle
+from summa.oracle import (_ALPHA_POOL, AbelIdentityResult,
+                          DecompositionResult, LemmaBoundResult,
+                          _w_exact, _weights_cached)
 
 F = Fraction
 
@@ -193,3 +202,268 @@ class TestSuitePlumbing:
         rep = run_abel_suite(5, trials=3).to_json()
         assert set(rep) == {"check", "trials", "violations",
                             "first_violation_input", "seed"}
+
+
+# Step-by-step Fraction loops: the references the integer kernels of
+# summa.oracle must reproduce, field for field and error for error.
+
+def ref_rational_cesaro_t(a, alpha, n):
+    alpha = Fraction(alpha)
+    if alpha <= -1:
+        raise ValueError("alpha must exceed -1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if a.start_index > 1 or a.end_index < n:
+        raise ValueError(f"a must cover indices 1..{n}")
+    kernel = _weights_cached(alpha - 1, n - 1)
+    denom = rational_cesaro_coefficients(alpha, n)
+    out = []
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for v in range(1, m + 1):
+            acc += kernel[m - v] * v * a.value_at(v)
+        out.append(acc / denom[m])
+    return tuple(out)
+
+
+def ref_abel_identity_check(a, lam, alpha, n):
+    alpha = Fraction(alpha)
+    if alpha <= -1:
+        raise ValueError("alpha must exceed -1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if a.start_index > 1 or a.end_index < n:
+        raise ValueError(f"a must cover indices 1..{n}")
+    if lam.start_index > 1 or lam.end_index < n:
+        raise ValueError(f"lambda must cover indices 1..{n}")
+    kernel = _weights_cached(alpha - 1, n - 1)
+
+    lhs = Fraction(0)
+    for v in range(1, n + 1):
+        lhs += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
+
+    prefix = Fraction(0)
+    rhs = Fraction(0)
+    u_last = Fraction(0)
+    for v in range(1, n + 1):
+        prefix += kernel[n - v] * v * a.value_at(v)
+        if v < n:
+            rhs += (lam.value_at(v) - lam.value_at(v + 1)) * prefix
+        else:
+            u_last = prefix
+    rhs += lam.value_at(n) * u_last
+
+    return AbelIdentityResult(equal=(lhs == rhs), lhs=lhs, rhs=rhs)
+
+
+def ref_lemma1_check(a, alpha, n, v):
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= 1):
+        raise ValueError("the bound requires 0 < alpha <= 1")
+    if not (1 <= v <= n):
+        raise ValueError("need 1 <= v <= n")
+    if a.start_index > 0 or a.end_index < v:
+        raise ValueError(f"a must cover indices 0..{v}")
+    kernel = _weights_cached(alpha - 1, n)
+
+    lhs = abs(sum((kernel[n - p] * a.value_at(p) for p in range(v + 1)),
+                  Fraction(0)))
+    rhs = Fraction(0)
+    for m in range(1, v + 1):
+        inner = sum((kernel[m - p] * a.value_at(p) for p in range(m + 1)),
+                    Fraction(0))
+        rhs = max(rhs, abs(inner))
+    return LemmaBoundResult(holds=(lhs <= rhs), lhs=lhs, rhs=rhs)
+
+
+def ref_decomposition_bound_check(a, lam, alpha, n, k=2.0):
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= 1):
+        raise ValueError("the decomposition requires 0 < alpha <= 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if a.start_index > 1 or a.end_index < n:
+        raise ValueError(f"a must cover indices 1..{n}")
+    if lam.start_index > 1 or lam.end_index < n:
+        raise ValueError(f"lambda must cover indices 1..{n}")
+    if k < 1.0:
+        raise ValueError("k must be at least 1")
+
+    coeffs = rational_cesaro_coefficients(alpha, n)
+    kernel = _weights_cached(alpha - 1, n - 1)
+    t = ref_rational_cesaro_t(a, alpha, n)
+    w = _w_exact(t, alpha)
+
+    T = Fraction(0)
+    for v in range(1, n + 1):
+        T += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
+    T /= coeffs[n]
+
+    dlam = [lam.value_at(v) - lam.value_at(v + 1) for v in range(1, n)]
+    T1 = sum((coeffs[v] * w[v - 1] * abs(dlam[v - 1]) for v in range(1, n)),
+             Fraction(0)) / coeffs[n]
+    T2 = abs(lam.value_at(n)) * w[n - 1]
+    holds = abs(T) <= T1 + T2
+
+    if k > 1.0 and n > 1:
+        kp = k / (k - 1.0)
+        u = [float(coeffs[v] * w[v - 1]) * float(abs(dlam[v - 1])) ** (1.0 / k)
+             for v in range(1, n)]
+        g = [float(abs(dlam[v - 1])) ** (1.0 / kp) for v in range(1, n)]
+        holder_lhs = math.fsum(ui * gi for ui, gi in zip(u, g))
+        holder_rhs = (math.fsum(ui ** k for ui in u) ** (1.0 / k)
+                      * math.fsum(gi ** kp for gi in g) ** (1.0 / kp))
+    else:
+        holder_lhs = float(T1 * coeffs[n])
+        holder_rhs = holder_lhs
+    holder_holds = holder_lhs <= holder_rhs * (1.0 + 1e-12)
+
+    return DecompositionResult(T=T, T1=T1, T2=T2, holds=holds,
+                               holder_lhs=holder_lhs, holder_rhs=holder_rhs,
+                               holder_holds=holder_holds)
+
+
+REFERENCES = {
+    "rational_cesaro_t": ref_rational_cesaro_t,
+    "abel_identity_check": ref_abel_identity_check,
+    "lemma1_check": ref_lemma1_check,
+    "decomposition_bound_check": ref_decomposition_bound_check,
+}
+
+
+def fields(result):
+    """Every field with its type; floats by their exact hex form."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in result]
+
+
+def outcome(fn, *args):
+    try:
+        return fields(fn(*args))
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+LARGE_PRIMES = (1_000_003, 2_147_483_647, 2 ** 61 - 1)
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.sampled_from(LARGE_PRIMES)),
+)
+# rational_cesaro_t is defined for every alpha > -1, not only (0, 1]
+T_ALPHAS = _ALPHA_POOL + (Fraction(-1, 2), Fraction(3, 2), Fraction(7, 5),
+                          Fraction(0), Fraction(-9, 10), Fraction(2))
+
+
+@st.composite
+def rational_seq(draw, start, length):
+    if draw(st.integers(0, 5)) == 0:  # an all-zero row
+        return RationalSequence(start, (Fraction(0),) * length)
+    return RationalSequence(start, tuple(draw(st.lists(
+        RATIONALS, min_size=length, max_size=length))))
+
+
+@st.composite
+def covering_seq(draw, n):
+    """A sequence starting at index 0 or 1 that covers indices 1..n."""
+    start = draw(st.sampled_from([0, 1]))
+    return draw(rational_seq(start, n + 1 - start + draw(st.integers(0, 2))))
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(1, 40))
+    v = draw(st.integers(1, n))
+    return {
+        "rational_cesaro_t": (draw(covering_seq(n)),
+                              draw(st.sampled_from(T_ALPHAS)), n),
+        "abel_identity_check": (draw(covering_seq(n)), draw(covering_seq(n)),
+                                draw(st.sampled_from(T_ALPHAS)), n),
+        "lemma1_check": (draw(rational_seq(0, v + 1 + draw(st.integers(0, 2)))),
+                         draw(st.sampled_from(_ALPHA_POOL)), n, v),
+        "decomposition_bound_check": (
+            draw(covering_seq(n)), draw(covering_seq(n)),
+            draw(st.sampled_from(_ALPHA_POOL)), n,
+            draw(st.sampled_from([1.0, 1.5, 2.0, 3.7]))),
+    }
+
+
+class TestIntegerKernelsMatchFractionLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_cases())
+    def test_every_field_equal(self, cases):
+        for name, args in cases.items():
+            assert outcome(getattr(oracle, name), *args) == \
+                outcome(REFERENCES[name], *args), name
+
+    @pytest.mark.parametrize("name, args", [
+        ("rational_cesaro_t", (_rat([1, 2]), F(-1), 2)),
+        ("rational_cesaro_t", (_rat([1, 2]), F(1, 2), 0)),
+        ("rational_cesaro_t", (_rat([1, 2]), F(1, 2), 3)),
+        ("rational_cesaro_t", (_rat([1, 2], start=2), F(1, 2), 2)),
+        ("abel_identity_check", (_rat([1]), _rat([1]), F(-3, 2), 1)),
+        ("abel_identity_check", (_rat([1]), _rat([1]), F(1, 2), 0)),
+        ("abel_identity_check", (_rat([1]), _rat([1, 2]), F(1, 2), 2)),
+        ("abel_identity_check", (_rat([1, 2]), _rat([1]), F(1, 2), 2)),
+        ("lemma1_check", (_rat([0, 1], start=0), F(0), 2, 1)),
+        ("lemma1_check", (_rat([0, 1], start=0), F(1, 2), 2, 0)),
+        ("lemma1_check", (_rat([0, 1], start=0), F(1, 2), 2, 2)),
+        ("lemma1_check", (_rat([0, 1]), F(1, 2), 2, 1)),
+        ("decomposition_bound_check", (_rat([1]), _rat([1]), F(5, 4), 1)),
+        ("decomposition_bound_check", (_rat([1]), _rat([1]), F(1, 2), 0)),
+        ("decomposition_bound_check", (_rat([1]), _rat([1]), F(1, 2), 2)),
+        ("decomposition_bound_check", (_rat([1, 2]), _rat([1]), F(1, 2), 2)),
+        ("decomposition_bound_check",
+         (_rat([1, 2]), _rat([1, 2]), F(1, 2), 2, 0.5)),
+    ])
+    def test_same_errors(self, name, args):
+        with pytest.raises(ValueError) as ref:
+            REFERENCES[name](*args)
+        with pytest.raises(ValueError) as got:
+            getattr(oracle, name)(*args)
+        assert str(got.value) == str(ref.value)
+
+    def test_sequence_keeps_fraction_values(self):
+        values = (F(1, 3), F(-2, 5))
+        seq = RationalSequence(1, values)
+        assert all(x is y for x, y in zip(seq.values, values))
+        assert RationalSequence(1, (2, 0.5)).values == (F(2), F(1, 2))
+
+
+def test_oracle_reports_byte_identical_with_fraction_loops(tmp_path,
+                                                           monkeypatch):
+    runs = {"s0": (0, 50), "s42": (42, None), "s20260815": (20260815, 50),
+            "smax": (2 ** 64 - 1, 50)}
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    exits = {}
+    for side in ("shipped", "reference"):
+        if side == "reference":
+            for name, fn in REFERENCES.items():
+                monkeypatch.setattr(oracle, name, counted(name, fn))
+        for label, (seed, trials) in runs.items():
+            obj = {"mode": "oracle", "seed": seed}
+            if trials is not None:
+                obj["trials"] = trials
+            exits[side, label] = run(ExperimentConfig.from_json(obj),
+                                     out_dir=tmp_path / side / label,
+                                     quiet=True).exit_status
+    # the suites call all but rational_cesaro_t, which the reference
+    # decomposition check calls itself
+    assert set(calls) == set(REFERENCES) - {"rational_cesaro_t"}
+    for label in runs:
+        assert exits["shipped", label] == exits["reference", label]
+        shipped = sorted((tmp_path / "shipped" / label).iterdir())
+        assert [p.name for p in shipped] == sorted(
+            p.name for p in (tmp_path / "reference" / label).iterdir())
+        for path in shipped:
+            assert path.read_bytes() == (
+                tmp_path / "reference" / label / path.name).read_bytes()
