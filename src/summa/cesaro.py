@@ -19,15 +19,23 @@ take the direct O(N^2) sums, and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exactly rounded sum of its IEEE
 products: bit-identical to ``math.fsum`` over those products, including
 the exceptions fsum raises.  A blocked numpy kernel gets there without a
-per-index Python loop.  Rows of the Toeplitz product are summed in blocks
-with ``np.add.accumulate``; the exact rounding error of every addition
-(Knuth's TwoSum) gives sum = hi + sum(errors) exactly, and a rounding
-certificate (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM
-J. Sci. Comput. 26, 2005) accepts hi + lo only when the error bound on lo
-keeps the exact sum strictly inside the rounding interval of the result.
-Rows it cannot certify (ties or near-ties, zero sums, non-finite values,
-magnitudes near overflow) fall back to ``math.fsum``, in ascending row
-order.
+per-index Python loop.  Each row of the Toeplitz product gets one
+error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
+floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
+31, 2008): with sigma a power of two well above the row's largest
+product, the high parts q = (p + sigma) - sigma sum exactly in any order,
+and the residuals p - q are exact and tiny, so their floating-point sum has
+an a-priori error bound.  A rounding certificate (Ogita, Rump and Oishi,
+"Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005) accepts the
+rounded sum of the two parts only when that bound keeps the exact sum
+strictly inside the rounding interval of the result.  The bound grows like
+width**3 times the largest product, so from widths of about 2**16 on it
+fails rows whose sum is not far above their largest product; those rows
+get a second extraction, of their residuals, and a second certificate.
+Correct rounding is unique, so a certified row equals fsum's result
+whatever order numpy sums in.  Rows neither certificate accepts (ties or
+near-ties, zero or subnormal sums, non-finite values, magnitudes near
+overflow) fall back to ``math.fsum``, in ascending row order.
 """
 
 from __future__ import annotations
@@ -78,18 +86,103 @@ def cesaro_coefficients(alpha: float, n_max: int) -> np.ndarray:
     return _binomial_weights(float(alpha), n_max)
 
 
-# Elements per block temporary (256 KiB of float64): small enough that the
-# block's working set stays in cache, large enough that numpy call overhead
-# is a few per cent of the time.
-_BLOCK_ELEMENTS = 1 << 15
-# w * 2**-51 is four times gamma_w = w*u/(1 - w*u) with u = 2**-53 for any
-# practical w: a factor two covers the rounding of the computed sum of
-# |errors|, a factor two the rounding of the acceptance comparison.
-_BOUND_PER_TERM = math.ldexp(1.0, -51)
-# Rows whose sum of |products| stays below this never overflow in the
-# running sums, in TwoSum or in fsum's partials, and their result has finite
-# neighbours on both sides.
-_MAGNITUDE_LIMIT = math.ldexp(1.0, 1020)
+# Elements per block buffer (512 KiB of float64, two buffers): large enough
+# that numpy call overhead is a few per cent of the time, small enough that
+# both buffers stay in a 2 MiB L2 cache.  At n = 4096 on a 2-core Xeon host,
+# 2**15 and 2**17 were each about 10 % slower.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the error e with s + e = a + b exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _extract(p: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One error-free extraction per row of p: (tau, lo, bound).
+
+    tau is the exact sum of the row's high parts, lo the floating-point sum
+    of its residuals, which overwrite p, and bound is at least twice the
+    error of lo.  buf (the shape of p) holds the high parts.
+    """
+    width = p.shape[1]
+    # sigma = 2**s per row with max|p| < 2**(s - extra) (frexp gives
+    # max|p| < 2**e, subnormals and powers of two included) and
+    # 2**extra >= width + 2
+    pmax = np.maximum(p.max(axis=1), -p.min(axis=1))
+    s = np.frexp(pmax)[1] + (width + 1).bit_length()
+    sigma = np.ldexp(1.0, s)[:, None]
+    # |p| <= sigma/4, so q = fl(sigma + p) - sigma is exact (Sterbenz) and a
+    # multiple of ulp(sigma)/2, and sum|q| < sigma: every partial sum of q
+    # is a float, so tau is exact in any order.  p - q is the rounding
+    # error of sigma + p: exact, and at most ulp(sigma)/2
+    q = np.add(p, sigma, out=buf)
+    q -= sigma
+    tau = q.sum(axis=1)
+    lo = np.subtract(p, q, out=p).sum(axis=1)
+    # any-order float sum of width terms of at most ulp(sigma)/2:
+    # |error of lo| <= gamma_(width-1) * width * 2**(s - 53)
+    # < width**2 * 2**(s - 106) for width < 2**26, and the error is a
+    # multiple of 2**-1074.  bound is four times that; ldexp rounding below
+    # the normal range takes at most half of it, and a bound below 2**-1074
+    # means lo is exact
+    return tau, lo, np.ldexp(float(width * width), s - 104)
+
+
+def _round(tau: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = fl(tau + lo), and the margin of the rounding certificate.
+
+    Where the exact sum lies within bound / 2 of tau + lo and
+    bound < margin, r is the exactly rounded sum: margin is how far tau + lo
+    lies inside the rounding interval of r, and the factor two covers its
+    rounding.
+    """
+    r, res = _two_sum(tau, lo)
+    # half the gap to each neighbour of r
+    up = np.nextafter(r, np.inf) - r
+    up *= 0.5
+    down = r - np.nextafter(r, -np.inf)
+    down *= 0.5
+    # No other test is needed.  A sum of zero, or below 2**-1021, has
+    # half-gaps that round to 0, and so margin 0, and fsum decides the sign
+    # of zero.  A non-finite product makes q or p - q NaN, and so r.  Where
+    # sigma overflows (s >= 1024) every q is NaN; where it does not,
+    # sum|p| < 2**1023, so neither fsum's partials nor r and its neighbours
+    # overflow.
+    return r, np.minimum(up - res, down + res)
+
+
+def _row_sums(p: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of p, and where they are exactly rounded for certain.
+
+    p is overwritten; buf (the shape of p) is scratch.  Call under
+    ``np.errstate(all="ignore")``.
+    """
+    tau, lo, bound = _extract(p, buf)
+    r, margin = _round(tau, lo)
+    ok = bound < margin
+    # The bound of one extraction grows like width**3 * max|p|: from a width
+    # of about 2**16 on it fails rows whose sum is not far above their
+    # largest product.  Those rows get a second extraction, of their
+    # residuals (each at most 2**-53 * sigma).  Its own bound is at most
+    # about width * 2**-51 times the first, and the rounding error e of
+    # rho = fl(tau2 + lo2) is at most ulp(rho) / 2, with
+    # |rho| <= width * 2**-53 * sigma.  Rows with margin 0 (parts that add
+    # to a midpoint, mostly exact ties, which no certificate accepts, and
+    # sums below 2**-1021) and non-finite rows go straight to fsum.
+    bad = np.flatnonzero(~ok & (margin > 0))
+    if bad.size:
+        # the exact sum is tau + tau2 + the exact sum of the new residuals,
+        # and rho + e = tau2 + lo2
+        tau2, lo2, bound2 = _extract(p[bad], buf[:bad.size])
+        rho, e = _two_sum(tau2, lo2)
+        # so it lies within bound2 / 2 + |e| of tau + rho; the certificate
+        # wants twice that, and twice again covers the rounding here
+        r[bad], margin = _round(tau[bad], rho)
+        ok[bad] = 2.0 * bound2 + 4.0 * np.abs(e) < margin
+    return r, ok
 
 
 def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,51 +198,19 @@ def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     padded = np.zeros(2 * size - 1)
     padded[:size] = kernel[size - 1::-1]
     toeplitz = sliding_window_view(padded, size)[::-1]
-    cap = max(_BLOCK_ELEMENTS, size + 1)
-    prod_buf, run_buf, tmp_buf, err_buf = (np.empty(cap) for _ in range(4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one bound for every row, per row only when it fails
-        all_small = (float(np.max(np.abs(kernel[:size])))
-                     * float(np.max(np.abs(x))) * size) < _MAGNITUDE_LIMIT
+    cap = max(_BLOCK_ELEMENTS, size)
+    prod_buf, high_buf = np.empty(cap), np.empty(cap)
     n0 = 0
     while n0 < size:
-        # rows n0..n1-1, each padded to width n1, with a leading zero
-        # column for the running sums: rows * (n1 + 1) <= cap
-        rows = (math.isqrt((n0 + 1) ** 2 + 4 * cap) - (n0 + 1)) // 2
+        # rows n0..n1-1, each padded to width n1: rows * n1 <= cap
+        rows = (math.isqrt(n0 * n0 + 4 * cap) - n0) // 2
         rows = max(1, min(size - n0, rows))
         n1 = width = n0 + rows
         m = rows * width
         with np.errstate(all="ignore"):
             p = np.multiply(toeplitz[n0:n1, :width], x[:width],
                             out=prod_buf[:m].reshape(rows, width))
-            run = run_buf[: rows * (width + 1)].reshape(rows, width + 1)
-            run[:, 0] = 0.0
-            np.add.accumulate(p, axis=1, out=run[:, 1:])
-            prev, s = run[:, :-1], run[:, 1:]
-            # TwoSum: err = (prev + p) - s exactly, since s = fl(prev + p)
-            b = np.subtract(s, prev, out=tmp_buf[:m].reshape(rows, width))
-            err = np.subtract(s, b, out=err_buf[:m].reshape(rows, width))
-            np.subtract(prev, err, out=err)
-            err += np.subtract(p, b, out=b)
-            # the row sum is hi + sum(err) exactly; lo is that sum rounded
-            hi = run[:, -1]
-            lo = err.sum(axis=1)
-            bound = np.abs(err, out=err).sum(axis=1)
-            bound *= width * _BOUND_PER_TERM
-            # r + res = hi + lo exactly
-            r = hi + lo
-            z = r - hi
-            res = (hi - (r - z)) + (lo - z)
-            # half the gap to each neighbour of r
-            up = np.nextafter(r, np.inf) - r
-            up *= 0.5
-            down = r - np.nextafter(r, -np.inf)
-            down *= 0.5
-            # zero sums go to fsum, which decides the sign of zero
-            ok = ((bound < up - res) & (bound < down + res) & (r != 0.0)
-                  & (np.abs(r) < _MAGNITUDE_LIMIT))
-            if not all_small:
-                ok &= np.max(np.abs(p), axis=1) * width < _MAGNITUDE_LIMIT
+            r, ok = _row_sums(p, high_buf[:m].reshape(rows, width))
         out[n0:n1] = r
         for n in (n0 + np.flatnonzero(~ok)).tolist():
             out[n] = math.fsum((kernel[n::-1] * x[: n + 1]).tolist())

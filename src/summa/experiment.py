@@ -14,6 +14,7 @@ Artifacts per run directory:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -438,15 +439,18 @@ def _trace_csv(checkpoints, partials, reference=None) -> str:
 
 def _transforms_csv(seq, transforms) -> str:
     lines = ["n,a,sigma,t,w"]
-    t = transforms.t
-    w = transforms.w
-    for n in range(seq.start_index, seq.end_index + 1):
-        a_cell = render_number(seq.value_at(n))
-        s_cell = render_number(transforms.sigma.value_at(n))
-        t_cell = render_number(t.value_at(n)) if n >= t.start_index else ""
-        w_cell = (render_number(w.value_at(n))
-                  if w is not None and n >= w.start_index else "")
-        lines.append(f"{n},{a_cell},{s_cell},{t_cell},{w_cell}")
+    # every column ends at seq's last index; t and w start at index 1, and w
+    # is None outside 0 < alpha <= 1, so their leading cells are empty.  A
+    # memoryview yields the values as floats one at a time, where .tolist()
+    # would hold all of them at once
+    columns = []
+    for col in (seq, transforms.sigma, transforms.t, transforms.w):
+        values = () if col is None else memoryview(col.values)
+        columns.append(itertools.chain([None] * (len(seq) - len(values)),
+                                       values))
+    for n, *row in zip(range(seq.start_index, seq.end_index + 1), *columns):
+        lines.append(f"{n}," + ",".join(
+            "" if v is None else render_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

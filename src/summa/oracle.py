@@ -111,10 +111,11 @@ def _kernel_integers(order: Fraction, n_max: int) -> tuple[tuple[int, ...], int]
 
 def _scaled_integers(values) -> tuple[list[int], int]:
     """Integers X_i and a scale D with values[i] = X_i / D."""
-    # lists rather than generators here and in the hot tuples below: CPython
-    # allocates a tuple built from a generator at a guessed size and resizes
-    # it, so every such tuple freed stays on a free list of its final size,
-    # which over an oracle run adds up to half a MiB of peak memory
+    # lists rather than generators here, in the hot tuples below and in the
+    # suites' random inputs: CPython allocates a tuple built from a generator
+    # at a guessed size and resizes it, so every such tuple freed stays on a
+    # free list of its final size, which over an oracle run adds up to half a
+    # MiB of peak memory
     scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -367,10 +368,10 @@ def run_abel_suite(seed: int, trials: int = 200,
     first_input = None
     for _ in range(trials):
         n = rng.randint(1, max_n)
-        a = RationalSequence(1, tuple(Fraction(rng.randint(-9, 9))
-                                      for _ in range(n)))
-        lam = RationalSequence(1, tuple(Fraction(rng.randint(-9, 9))
-                                        for _ in range(n)))
+        a = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
+                                       for _ in range(n)]))
+        lam = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
+                                         for _ in range(n)]))
         alpha = rng.choice(alphas)
         result = abel_identity_check(a, lam, alpha, n)
         if not result.equal:
@@ -399,9 +400,9 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     for _ in range(trials):
         n = rng.randint(1, max_n)
         v = rng.randint(1, n)
-        a = RationalSequence(0, (Fraction(0),)
-                             + tuple(_random_rational(rng)
-                                     for _ in range(v)))
+        a = RationalSequence(0, tuple([Fraction(0)]
+                                      + [_random_rational(rng)
+                                         for _ in range(v)]))
         alpha = rng.choice(_ALPHA_POOL)
         result = lemma1_check(a, alpha, n, v)
         if not result.holds:
@@ -422,9 +423,10 @@ def run_decomposition_suite(seed: int, trials: int = 1000,
     first_input = None
     for _ in range(trials):
         n = rng.randint(1, max_n)
-        a = RationalSequence(1, tuple(_random_rational(rng) for _ in range(n)))
-        lam = RationalSequence(1, tuple(_random_rational(rng)
-                                        for _ in range(n)))
+        a = RationalSequence(1, tuple([_random_rational(rng)
+                                       for _ in range(n)]))
+        lam = RationalSequence(1, tuple([_random_rational(rng)
+                                         for _ in range(n)]))
         alpha = rng.choice(_ALPHA_POOL)
         result = decomposition_bound_check(a, lam, alpha, n)
         if not (result.holds and result.holder_holds):

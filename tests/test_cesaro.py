@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from summa import (ExperimentConfig, RealSequence, cesaro_coefficients,
                    cesaro_sigma, cesaro_t, compute_transforms, run,
                    w_sequence)
 from summa import cesaro
-from summa.cesaro import _binomial_weights, _kernel_dot_prefixes
+from summa.cesaro import (_binomial_weights, _extract, _kernel_dot_prefixes,
+                          _round, _row_sums)
+from summa.experiment import builtin_family
 
 
 def product_form_coefficients(alpha: float, n_max: int) -> np.ndarray:
@@ -237,8 +240,9 @@ def dot_prefix_input(size, kind, seed):
         return x
     if kind == "absorbed":
         # +-2**52 * scale swallow the low bits of the normal terms between
-        # them, then cancel: with the all-ones kernel the later rows are
-        # small, and the TwoSum errors they carry no longer sum exactly
+        # them, then cancel: with the all-ones kernel the later rows sum to
+        # far less than their largest product, which sets sigma, so their
+        # value lies in the rounded sum of the residuals
         x = rng.standard_normal(size) * scale
         first, last = np.sort(rng.integers(0, size, 2))
         x[first], x[last] = 2.0 ** 52 * scale, -(2.0 ** 52) * scale
@@ -256,7 +260,7 @@ SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308,
 
 @st.composite
 def dot_prefix_cases(draw):
-    # sizes past 180 rows span more than one block
+    # sizes past 256 rows span more than one block
     size = draw(st.integers(1, 600))
     kind = draw(st.sampled_from(
         ["spread", "alternating", "ties", "absorbed", "zeros", "unit"]))
@@ -297,13 +301,12 @@ class TestKernelDotPrefixes:
     # M is the largest float, DELTA a quarter of its ulp: M + DELTA rounds
     # back to M, M + 2 DELTA is a tie that rounds to inf.
     @pytest.mark.parametrize("kernel, overflows", [
-        # the running sums stay finite (M, M, M, 2**1000) and the compensated
-        # result 2**1000 + 2 DELTA passes the rounding certificate, but fsum's
-        # partials overflow at M + 2 DELTA: only the per-row bound on
-        # max |product| * width sends the row to fsum
+        # the exact sum 2**1000 + 2 DELTA is finite, but fsum's partials
+        # overflow at M + 2 DELTA; with a product of M, sigma overflows and
+        # the row goes to fsum, which raises
         ([-(MAX - 2.0 ** 1000), DELTA, DELTA, MAX], True),
-        # the compensated result is M itself, certified since M has no finite
-        # upper neighbour; fsum overflows on the way, as above
+        # the exact sum rounds to M itself, and fsum overflows on the way, as
+        # above
         ([-2 * DELTA, DELTA, DELTA, MAX], True),
         # finite results within a few ulps of M
         ([-4 * DELTA, MAX / 2, MAX / 2], False),
@@ -317,15 +320,114 @@ class TestKernelDotPrefixes:
             == overflows
         assert outcome(_kernel_dot_prefixes, kernel, x) == ref
 
-    def test_numpy_2d_accumulate_is_left_to_right(self):
-        # the kernel's running sums: axis 1, written past a leading zero
-        # column; 1 + 2**-53 rounds back to 1 at every step only when each
-        # row is added strictly left to right
-        p = np.full((8, 1024), 2.0 ** -53)
-        p[:, 0] = 1.0
-        run_sums = np.zeros((8, 1025))
-        np.add.accumulate(p, axis=1, out=run_sums[:, 1:])
-        assert (run_sums[:, 1:] == 1.0).all()
+    # Rows 0..n-1 of each case have the all-ones kernel, so row n is
+    # x[0] + .. + x[n].
+    @pytest.mark.parametrize("x", [
+        # 1 + 2**-53 is a tie; the 2**-200 that breaks it upwards (downwards)
+        # is lost in the float sum of the residuals, so the rounded sum of
+        # the two parts is 1 (-1) and only the test against the upper (lower)
+        # half-gap sends the row to fsum
+        [1.0, 2.0 ** -53, 2.0 ** -200],
+        [-1.0, -(2.0 ** -53), -(2.0 ** -200)],
+        # five products in [1, 2) summing past 8 (row 5 has sigma = 16): a
+        # sigma below the sum of the high parts no longer keeps it exact
+        [float.fromhex(h) for h in (
+            "0x1.34de2dd319029p+0", "0x1.e2d1ae225715ep+0",
+            "0x1.926eeace23894p+0", "0x1.b26a722e7f062p+0",
+            "0x1.e5c421a31a4f9p+0", "0x1.c3d5ba1f5c4d4p-30")],
+        # row 4 sums to about 2**-70, its residuals after the first
+        # extraction to about 2**-49: the rounding error of the residuals'
+        # sum after the second extraction is many ulps of the row's sum, and
+        # only the second certificate's |e| term sends the row to fsum
+        [float.fromhex(h) for h in (
+            "0x1.0000000000000p+0", "-0x1.fffffffffffffp-1",
+            "0x1.59f4c43343f80p-48", "-0x1.61f4c74732dc6p-48",
+            "0x1.82f1082e6221cp-106")],
+        # both extractions leave 2**-111, 2**-164 and 2**-200 as residuals
+        # (the pairs 1, -1 and 2**-60, -2**-60 set sigma for each); their
+        # float sum loses the 2**-200 that breaks the tie, so only the
+        # second certificate's bound sends row 6 to fsum
+        [1.0, -1.0, 2.0 ** -60, -(2.0 ** -60), 2.0 ** -111, 2.0 ** -164,
+         2.0 ** -200],
+        # tiny and subnormal largest products; sums with a subnormal part
+        [5e-324, 5e-324, -1e-323, 5e-324],
+        [1.5 * 2.0 ** -1022, 5e-324, 1.5e-323, -1e-323],
+        [2.0 ** -1000, 2.0 ** -1060, -(2.0 ** -1070), 3 * 2.0 ** -1074],
+        # all products +-0.0: fsum decides the sign of zero
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, -0.0, -0.0],
+        # sigma at the overflow edge: 2**1023 for row 3 of the first case
+        # (largest product just below 2**1020, width 4), overflowing for
+        # the rows of the second
+        [MAX / 2.0 ** 4] * 4,
+        [2.0 ** 1020, 2.0 ** 1020, 2.0 ** 1020, -(2.0 ** 1020)],
+        # width-1 rows: sigma = 2**1023, then overflowing sigma
+        [1.5 * 2.0 ** 1020], [2.0 ** 1021], [MAX],
+        [3.0], [-0.0], [5e-324], [math.inf], [math.nan],
+    ])
+    def test_edge_rows_match_fsum(self, x):
+        kernel, x = np.ones(len(x)), np.array(x)
+        assert outcome(_kernel_dot_prefixes, kernel, x) == \
+            outcome(fsum_rows, kernel, x)
+
+    def test_benchmark_ties_match_fsum(self):
+        # t of a_n * lambda_n for F1 at alpha = 1/2 (the conclusion
+        # diagnostic of the fractional benchmark runs): rows 2, 6 and 7
+        # sum exactly to midpoints between two floats
+        bundle = builtin_family("F1", 4096, {"alpha": 0.5})
+        factored = bundle.a.values * bundle.lam.values
+        x = factored * np.arange(1.0, factored.size + 1.0)
+        kernel = _binomial_weights(-0.5, x.size - 1)
+        for n in (2, 6, 7):
+            terms = (kernel[n::-1] * x[: n + 1]).tolist()
+            r = math.fsum(terms)
+            assert 2 * sum(map(Fraction, terms)) in (
+                Fraction(r) + Fraction(math.nextafter(r, d))
+                for d in (math.inf, -math.inf))
+        assert outcome(_kernel_dot_prefixes, kernel[:8], x[:8]) == \
+            outcome(fsum_rows, kernel[:8], x[:8])
+
+    @pytest.mark.parametrize("width", [2 ** 16 + 1, 2 ** 17])
+    def test_wide_rows_certified(self, width):
+        # the last rows of t for alternating_unit at alpha = 1/2 (the input
+        # of the benchmark's dump), padded to the block width as the kernel
+        # pads them: their sums are about 0.7 times their largest product,
+        # so one extraction's a-priori bound is too wide to certify all of
+        # them, and the second extraction must certify every row, with none
+        # left to fsum
+        x = dot_prefix_input(width, "unit", 0)
+        kernel = _binomial_weights(-0.5, width - 1)
+        block = np.zeros((4, width))
+        for row, n in enumerate(range(width - 4, width)):
+            block[row, : n + 1] = kernel[n::-1] * x[: n + 1]
+        expect = [math.fsum(row) for row in block.tolist()]
+        with np.errstate(all="ignore"):
+            tau, lo, bound = _extract(block.copy(), np.empty_like(block))
+            assert not (bound < _round(tau, lo)[1]).all()
+            r, ok = _row_sums(block, np.empty_like(block))
+        assert ok.all()
+        assert r.tolist() == expect
+
+    def test_numpy_facts_the_kernel_relies_on(self):
+        # frexp: |v| < 2**e, for subnormals and exact powers of two too
+        values = [5e-324, 3 * 5e-324, 2.0 ** -1022, 0.5, 1.0, 3.0, 2.0 ** 1023,
+                  MAX]
+        exps = np.frexp(np.array(values))[1]
+        assert exps.tolist() == [-1073, -1072, -1021, 0, 1, 2, 1024, 1024]
+        for v, e in zip(values, exps.tolist()):
+            assert Fraction(2) ** (e - 1) <= v < Fraction(2) ** e
+        assert np.frexp(np.array([0.0, -0.0]))[1].tolist() == [0, 0]
+        with np.errstate(all="ignore"):
+            # sigma overflows to inf, and then every high part is NaN
+            sigma = np.ldexp(1.0, np.array([1023, 1024]))
+            assert sigma.tolist() == [2.0 ** 1023, math.inf]
+            assert np.isnan((np.float64(MAX) + sigma[1]) - sigma[1])
+            # bounds below the normal range round, then vanish
+            assert np.ldexp(9.0, np.array([-1076, -1078, -1200])).tolist() \
+                == [2 * 5e-324, 5e-324, 0.0]
+            # half the gap above any value below 2**-1021 rounds to 0
+            r = np.array([0.0, -0.0, 5e-324, 2.0 ** -1022])
+            assert ((np.nextafter(r, np.inf) - r) * 0.5 == 0.0).all()
 
 
 def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
