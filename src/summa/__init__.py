@@ -20,8 +20,8 @@ from .experiment import (BUILTIN_FAMILY_NAMES, ConfigError, ExperimentConfig,
                          RunReport, builtin_family, default_majorant,
                          load_config, run)
 from .functionals import (FunctionalTrace, ReductionIdentityReport,
-                          WeightKind, WeightSpec, functional_partial_sums,
-                          reduction_identity_check, weighted_power_trace)
+                          WeightKind, WeightSpec, reduction_identity_check,
+                          weighted_power_trace)
 from .monotonicity import (AlmostIncreasingWitness, QuasiMonotoneVerdict,
                            almost_increasing_diagnostic,
                            power_weight_monotonicity_check,
@@ -50,8 +50,7 @@ __all__ = [
     "CesaroTransforms", "compute_transforms",
     # functionals
     "WeightKind", "WeightSpec", "FunctionalTrace", "weighted_power_trace",
-    "functional_partial_sums", "ReductionIdentityReport",
-    "reduction_identity_check",
+    "ReductionIdentityReport", "reduction_identity_check",
     # sequence classes
     "QuasiMonotoneVerdict", "AlmostIncreasingWitness",
     "quasi_monotone_check", "almost_increasing_diagnostic",

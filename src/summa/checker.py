@@ -16,24 +16,34 @@ t-trace by the maximal-sequence trace
 
     sum_(n<=m) n^(-k) (w_n^alpha |phi_n|)^k = O(X_m).
 
+Each theorem is one ordered table of (condition, record builder) pairs;
+MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  The
+builders share one context (bundle, checkpoints, tolerances, phi and w
+computed at most once, the traces kept so far); any other large array
+lives only as long as the builder that made it.
+
 Every O(.) statement is judged at scale by a log-log slope fit over the
 tail of a geometric checkpoint grid; every pointwise statement is checked
-element-wise with the first violating index reported.  Verdicts say what
-holds on the computed range, nothing more.
+element-wise with the first violating index reported (the majorant and
+weight records count a non-finite value as a violation).  Verdicts say
+what holds on the computed range, nothing more.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .accumulation import compensated_cumsum
 from .cesaro import cesaro_t, w_sequence
-from .functionals import FunctionalTrace, WeightSpec, weighted_power_trace
+from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
+                          validate_checkpoints, weighted_power_trace)
 from .monotonicity import (almost_increasing_diagnostic,
                            power_weight_monotonicity_check,
                            quasi_monotone_check)
@@ -55,10 +65,6 @@ __all__ = [
     "conclusion_diagnostic",
 ]
 
-MAIN_CONDITIONS = ("X_class", "cond7", "majorant", "quasi_monotone",
-                   "series_nQX", "weight_monotone", "param_gate", "cond11")
-THEOREM_A_CONDITIONS = ("X_class", "cond7", "cond8", "weight_monotone", "cond11")
-
 
 class GrowthVerdict(str, enum.Enum):
     BOUNDED_CONSISTENT = "bounded_consistent"
@@ -76,20 +82,18 @@ class Tolerances:
     weight_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("slope", "ratio", "inf_ratio_floor", "weight_rel_tol"):
-            v = float(getattr(self, name))
+        for f in dataclasses.fields(self):
+            v = float(getattr(self, f.name))
             if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} tolerance must be positive and finite")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"{f.name} tolerance must be positive and finite")
+            object.__setattr__(self, f.name, v)
 
     def to_json(self) -> dict:
-        return {"slope": self.slope, "ratio": self.ratio,
-                "inf_ratio_floor": self.inf_ratio_floor,
-                "weight_rel_tol": self.weight_rel_tol}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tolerances":
-        extra = set(obj) - {"slope", "ratio", "inf_ratio_floor", "weight_rel_tol"}
+        extra = set(obj) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown tolerance fields: {sorted(extra)}")
         return cls(**{k: float(v) for k, v in obj.items()})
@@ -144,27 +148,25 @@ def growth_diagnostic(values, checkpoints: Sequence[int] | None = None,
                       ratio_tolerance: float = 1.5) -> GrowthDiagnostic:
     """Judge boundedness-at-scale of checkpointed values.
 
-    ``values`` may be a FunctionalTrace (checkpoints implied) or a plain
-    array paired with ``checkpoints``.  ``reference`` divides the values
-    first: pass X to test values = O(X); it may be a RealSequence covering
-    the checkpoints or an array aligned with them.
+    ``values`` may be a CheckpointTrace (checkpoints implied, and its own
+    reference used when none is passed) or a plain array paired with
+    ``checkpoints``.  ``reference`` divides the values first: pass X to test
+    values = O(X); it may be a RealSequence covering the checkpoints or an
+    array aligned with them.
 
     bounded_consistent requires both a tail slope below ``slope_tolerance``
     and a last/mid ratio below ``ratio_tolerance``; a slope at or above the
     tolerance is growth_detected; anything else is inconclusive.
     """
-    if isinstance(values, FunctionalTrace):
-        cps = values.checkpoints
-        vals = np.asarray(values.partial_sums, dtype=np.float64)
+    if isinstance(values, CheckpointTrace):
+        checkpoints, vals = values.checkpoints, values.partial_sums
+        if reference is None:
+            reference = values.reference
+    elif checkpoints is None:
+        raise ValueError("raw values need an explicit checkpoint list")
     else:
-        if checkpoints is None:
-            raise ValueError("raw values need an explicit checkpoint list")
-        cps = tuple(int(c) for c in checkpoints)
         vals = np.asarray(values, dtype=np.float64)
-    if len(cps) < 4:
-        raise ValueError("at least 4 checkpoints required")
-    if any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    cps = validate_checkpoints(checkpoints, at_least=4)
     if vals.shape != (len(cps),):
         raise ValueError("one value per checkpoint required")
 
@@ -264,14 +266,7 @@ class ConditionRecord:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "passed": self.passed,
-            "first_violation": self.first_violation,
-            "slope": self.slope,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -300,69 +295,209 @@ class HypothesisReport:
         }
 
 
-def _growth_record(condition: str, diag: GrowthDiagnostic,
-                   notes: str = "") -> ConditionRecord:
-    passed = diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT
-    extra = (f"slope={_fmt(diag.slope)} "
-             f"last_mid_ratio={_fmt(diag.last_mid_ratio)}")
-    return ConditionRecord(condition=condition, verdict=diag.verdict.value,
-                           passed=passed, slope=diag.slope,
-                           notes=(notes + " " + extra).strip())
-
-
 def _fmt(x: float | None) -> str:
     return "none" if x is None else f"{x:.6g}"
 
 
-def _first_violation_record(condition: str, first_violation: int | None,
-                            notes: str = "") -> ConditionRecord:
-    ok = first_violation is None
+def _first_true(mask: np.ndarray) -> int | None:
+    """1-based index of the first True entry, None when there is none."""
+    return 1 + int(np.argmax(mask)) if np.any(mask) else None
+
+
+def _at(values: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
+    """values[n - 1] for every checkpoint n."""
+    return values[np.asarray(checkpoints, dtype=np.int64) - 1]
+
+
+def _pass_fail(condition: str, passed: bool, notes: str,
+               first_violation: int | None = None) -> ConditionRecord:
     return ConditionRecord(condition=condition,
-                           verdict="pass" if ok else "fail", passed=ok,
+                           verdict="pass" if passed else "fail", passed=passed,
                            first_violation=first_violation, notes=notes)
 
 
-def _x_class_almost_increasing(X: RealSequence, tol: Tolerances) -> ConditionRecord:
-    nonpos = X.values <= 0.0
-    if np.any(nonpos):
-        idx = X.start_index + int(np.argmax(nonpos))
-        return ConditionRecord(condition="X_class", verdict="fail",
-                               passed=False, first_violation=idx,
-                               notes="X must be positive")
-    witness = almost_increasing_diagnostic(X, floor=tol.inf_ratio_floor)
-    return ConditionRecord(
-        condition="X_class",
-        verdict="pass" if witness.almost_increasing_at_scale else "fail",
-        passed=witness.almost_increasing_at_scale,
-        notes=f"inf_ratio={witness.inf_ratio:.6g} floor={witness.floor:.6g}")
+@dataclass
+class _Context:
+    """What every record builder of one check reads, and the traces it adds."""
+
+    bundle: FamilyBundle
+    checkpoints: tuple[int, ...]
+    tol: Tolerances
+    traces: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, bundle: FamilyBundle, checkpoints: Sequence[int] | None,
+           tolerances: Tolerances | None) -> "_Context":
+        """Defaults filled in: the dyadic grid over 1..n, default knobs."""
+        cps = checkpoints or dyadic_checkpoints(bundle.n)
+        return cls(bundle=bundle,
+                   checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
+                   tol=tolerances or Tolerances())
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        params = self.bundle.params
+        return self.bundle.weight.phi_values(self.bundle.n, params.k,
+                                             beta_default=params.beta)
+
+    @cached_property
+    def w(self) -> RealSequence:
+        alpha = self.bundle.params.alpha
+        return w_sequence(cesaro_t(self.bundle.a, alpha), alpha)
+
+    def growth_record(self, condition: str, values, checkpoints=None,
+                      notes: str = "") -> ConditionRecord:
+        diag = growth_diagnostic(values, checkpoints,
+                                 slope_tolerance=self.tol.slope,
+                                 ratio_tolerance=self.tol.ratio)
+        extra = (f"slope={_fmt(diag.slope)} "
+                 f"last_mid_ratio={_fmt(diag.last_mid_ratio)}")
+        return ConditionRecord(
+            condition=condition, verdict=diag.verdict.value,
+            passed=diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT,
+            slope=diag.slope, notes=(notes + " " + extra).strip())
+
+    def partial_sum_record(self, condition: str, terms: np.ndarray,
+                           checkpoints: tuple[int, ...],
+                           notes: str) -> ConditionRecord:
+        """Growth record of the partial sums of ``terms`` on a checkpoint
+        grid; the sampled sums become the condition's trace."""
+        trace = CheckpointTrace(checkpoints,
+                                _at(compensated_cumsum(terms), checkpoints))
+        self.traces[condition] = trace
+        return self.growth_record(condition, trace, notes=notes)
 
 
-def _cond7_record(bundle: FamilyBundle, cps: tuple[int, ...],
-                  tol: Tolerances) -> ConditionRecord:
-    vals = np.array([abs(bundle.lam.value_at(m)) * bundle.X.value_at(m)
-                     for m in cps])
-    diag = growth_diagnostic(vals, cps, slope_tolerance=tol.slope,
-                             ratio_tolerance=tol.ratio)
-    return _growth_record("cond7", diag)
+def _x_almost_increasing(ctx: _Context, name: str) -> ConditionRecord:
+    X = ctx.bundle.X
+    first = _first_true(X.values <= 0.0)
+    if first is not None:
+        return _pass_fail(name, False, "X must be positive", first)
+    witness = almost_increasing_diagnostic(X, floor=ctx.tol.inf_ratio_floor)
+    return _pass_fail(
+        name, witness.almost_increasing_at_scale,
+        f"inf_ratio={witness.inf_ratio:.6g} floor={witness.floor:.6g}")
 
 
-def _weight_record(phi: np.ndarray, params: CesaroParams,
-                   tol: Tolerances) -> ConditionRecord:
-    first = power_weight_monotonicity_check(phi, params.epsilon, params.k,
-                                            rel_tol=tol.weight_rel_tol)
-    return _first_violation_record("weight_monotone", first,
-                                   notes=f"epsilon={params.epsilon:.6g}")
+def _x_non_decreasing(ctx: _Context, name: str) -> ConditionRecord:
+    X = ctx.bundle.X.values
+    drop = np.concatenate(([False], X[1:] < X[:-1]))
+    first = _first_true((X <= 0.0) | drop)
+    return _pass_fail(name, first is None, "X positive and non-decreasing",
+                      first)
 
 
-def _cond11_record(bundle: FamilyBundle, phi: np.ndarray, seq: RealSequence,
-                   cps: tuple[int, ...], tol: Tolerances,
-                   traces: dict) -> ConditionRecord:
-    trace = weighted_power_trace(seq.values, bundle.params.k, phi, cps)
-    traces["cond11"] = trace
-    diag = growth_diagnostic(trace, reference=bundle.X,
-                             slope_tolerance=tol.slope,
-                             ratio_tolerance=tol.ratio)
-    return _growth_record("cond11", diag, notes="trace relative to X")
+def _cond7(ctx: _Context, name: str) -> ConditionRecord:
+    # (i) |lambda_n| X_n = O(1), sampled at the checkpoints
+    cps = ctx.checkpoints
+    vals = np.abs(_at(ctx.bundle.lam.values, cps)) * _at(ctx.bundle.X.values, cps)
+    return ctx.growth_record(name, vals, cps)
+
+
+def _majorant(ctx: _Context, name: str) -> ConditionRecord:
+    # |D lambda| <= |Q| on every index where the difference exists
+    lam, Q = ctx.bundle.lam.values, ctx.bundle.Q.values
+    with np.errstate(over="ignore"):
+        dlam = np.abs(lam[:-1] - lam[1:])
+    qhead = np.abs(Q[:-1])
+    non_finite = ~(np.isfinite(dlam) & np.isfinite(qhead))
+    first = _first_true((dlam > qhead) | non_finite)
+    notes = f"checked indices 1..{ctx.bundle.n - 1}"
+    if first is not None and non_finite[first - 1]:
+        notes += " non-finite value at first_violation"
+    return _pass_fail(name, first is None, notes, first)
+
+
+def _quasi_monotone(ctx: _Context, name: str) -> ConditionRecord:
+    qm = quasi_monotone_check(ctx.bundle.Q, ctx.bundle.delta)
+    return _pass_fail(
+        name, qm.holds_on_range and qm.positivity_from is not None,
+        f"positivity_from={qm.positivity_from} "
+        f"trend_ratio={_fmt(qm.trend_ratio)}", qm.first_violation)
+
+
+def _series_nqx(ctx: _Context, name: str) -> ConditionRecord:
+    # partial sums of n * Q_n * X_n, judged on their tail; the
+    # absolute-value variant is reported alongside for signed majorants
+    b = ctx.bundle
+    terms = np.arange(1.0, b.n + 1.0) * b.Q.values * b.X.values
+    return ctx.partial_sum_record(
+        name, terms, ctx.checkpoints,
+        notes=f"abs_variant_total={float(np.abs(terms).sum()):.9g}")
+
+
+def _cond8(ctx: _Context, name: str) -> ConditionRecord:
+    # (ii) sum of v * X_v * |D^2 lambda_v| over v = 1..N-2, own dyadic grid
+    lam = ctx.bundle.lam.values
+    d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
+    terms = (np.arange(1.0, d2.size + 1.0) * ctx.bundle.X.values[:d2.size]
+             * np.abs(d2))
+    return ctx.partial_sum_record(
+        name, terms, dyadic_checkpoints(d2.size),
+        notes=f"second differences over 1..{d2.size}")
+
+
+def _weight_monotone(ctx: _Context, name: str) -> ConditionRecord:
+    # (iii) n^(epsilon-k) |phi_n|^k non-increasing
+    params = ctx.bundle.params
+    eps, k = params.epsilon, params.k
+    first = power_weight_monotonicity_check(ctx.phi, eps, k,
+                                            rel_tol=ctx.tol.weight_rel_tol)
+    notes = f"epsilon={eps:.6g}"
+    if first is not None:
+        with np.errstate(all="ignore"):
+            term = (np.power(float(first), eps - k)
+                    * np.power(ctx.phi[first - 1], k))
+        if not np.isfinite(term):
+            notes += " non-finite value at first_violation"
+    return _pass_fail(name, first is None, notes, first)
+
+
+def _param_gate(ctx: _Context, name: str) -> ConditionRecord:
+    params = ctx.bundle.params
+    gate = params.k * params.alpha + params.epsilon
+    return _pass_fail(name, gate > 1.0, f"k*alpha+epsilon={gate:.6g}")
+
+
+def _cond11(ctx: _Context, name: str) -> ConditionRecord:
+    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m)
+    trace = weighted_power_trace(ctx.w.values, ctx.bundle.params.k, ctx.phi,
+                                 ctx.checkpoints)
+    trace = dataclasses.replace(
+        trace, reference=_at(ctx.bundle.X.values, ctx.checkpoints))
+    ctx.traces[name] = trace
+    return ctx.growth_record(name, trace, notes="trace relative to X")
+
+
+_MAIN_TABLE = (
+    ("X_class", _x_almost_increasing),
+    ("cond7", _cond7),
+    ("majorant", _majorant),
+    ("quasi_monotone", _quasi_monotone),
+    ("series_nQX", _series_nqx),
+    ("weight_monotone", _weight_monotone),
+    ("param_gate", _param_gate),
+    ("cond11", _cond11),
+)
+_THEOREM_A_TABLE = (
+    ("X_class", _x_non_decreasing),
+    ("cond7", _cond7),
+    ("cond8", _cond8),
+    ("weight_monotone", _weight_monotone),
+    ("cond11", _cond11),
+)
+MAIN_CONDITIONS = tuple(name for name, _ in _MAIN_TABLE)
+THEOREM_A_CONDITIONS = tuple(name for name, _ in _THEOREM_A_TABLE)
+
+
+def _run_table(theorem: str, table: tuple, bundle: FamilyBundle,
+               checkpoints: Sequence[int] | None,
+               tolerances: Tolerances | None) -> HypothesisReport:
+    ctx = _Context.of(bundle, checkpoints, tolerances)
+    records = tuple(build(ctx, name) for name, build in table)
+    return HypothesisReport(theorem=theorem, label=bundle.label, n=bundle.n,
+                            records=records, tolerances=ctx.tol,
+                            checkpoints=ctx.checkpoints, traces=ctx.traces)
 
 
 def check_main_theorem(bundle: FamilyBundle,
@@ -376,64 +511,9 @@ def check_main_theorem(bundle: FamilyBundle,
     """
     if bundle.Q is None or bundle.delta is None:
         raise ValueError("main-theorem bundle requires Q and delta")
-    alpha = bundle.params.alpha
-    if not (0.0 < alpha <= 1.0):
+    if not (0.0 < bundle.params.alpha <= 1.0):
         raise ValueError("main theorem requires 0 < alpha <= 1")
-    tol = tolerances or Tolerances()
-    cps = tuple(int(c) for c in (checkpoints or dyadic_checkpoints(bundle.n)))
-    n = bundle.n
-    k, eps = bundle.params.k, bundle.params.epsilon
-    traces: dict = {}
-    records: list[ConditionRecord] = []
-
-    records.append(_x_class_almost_increasing(bundle.X, tol))
-    records.append(_cond7_record(bundle, cps, tol))
-
-    # (iii) |D lambda| <= |Q| on every index where the difference exists
-    dlam = bundle.lam.values[:-1] - bundle.lam.values[1:]
-    qhead = np.abs(bundle.Q.values[:-1])
-    bad = np.abs(dlam) > qhead
-    first = 1 + int(np.argmax(bad)) if np.any(bad) else None
-    records.append(_first_violation_record(
-        "majorant", first, notes=f"checked indices 1..{n - 1}"))
-
-    qm = quasi_monotone_check(bundle.Q, bundle.delta)
-    qm_pass = qm.holds_on_range and qm.positivity_from is not None
-    records.append(ConditionRecord(
-        condition="quasi_monotone",
-        verdict="pass" if qm_pass else "fail", passed=qm_pass,
-        first_violation=qm.first_violation,
-        notes=(f"positivity_from={qm.positivity_from} "
-               f"trend_ratio={_fmt(qm.trend_ratio)}")))
-
-    # (v) partial sums of n * Q_n * X_n, judged on their tail; the
-    # absolute-value variant is reported alongside for signed majorants
-    idx = np.arange(1.0, n + 1.0)
-    terms = idx * bundle.Q.values * bundle.X.values
-    partials = compensated_cumsum(terms)
-    sel = np.asarray(cps, dtype=np.int64) - 1
-    diag = growth_diagnostic(partials[sel], cps, slope_tolerance=tol.slope,
-                             ratio_tolerance=tol.ratio)
-    abs_final = float(np.abs(terms).sum())
-    records.append(_growth_record("series_nQX", diag,
-                                  notes=f"abs_variant_total={abs_final:.9g}"))
-    traces["series_nQX"] = partials[sel]
-
-    phi = bundle.weight.phi_values(n, k, beta_default=bundle.params.beta)
-    records.append(_weight_record(phi, bundle.params, tol))
-
-    gate = k * alpha + eps
-    records.append(ConditionRecord(
-        condition="param_gate", verdict="pass" if gate > 1.0 else "fail",
-        passed=gate > 1.0, notes=f"k*alpha+epsilon={gate:.6g}"))
-
-    t = cesaro_t(bundle.a, alpha)
-    w = w_sequence(t, alpha)
-    records.append(_cond11_record(bundle, phi, w, cps, tol, traces))
-
-    return HypothesisReport(theorem="main", label=bundle.label, n=n,
-                            records=tuple(records), tolerances=tol,
-                            checkpoints=cps, traces=traces)
+    return _run_table("main", _MAIN_TABLE, bundle, checkpoints, tolerances)
 
 
 def check_theorem_a(bundle: FamilyBundle,
@@ -448,48 +528,8 @@ def check_theorem_a(bundle: FamilyBundle,
         raise ValueError("theorem-A bundle must not carry Q or delta")
     if bundle.params.alpha != 1.0:
         raise ValueError("theorem A operates at alpha = 1")
-    tol = tolerances or Tolerances()
-    cps = tuple(int(c) for c in (checkpoints or dyadic_checkpoints(bundle.n)))
-    n = bundle.n
-    k = bundle.params.k
-    traces: dict = {}
-    records: list[ConditionRecord] = []
-
-    X = bundle.X.values
-    nonpos = X <= 0.0
-    drop = np.concatenate(([False], X[1:] < X[:-1]))
-    bad = nonpos | drop
-    first = bundle.X.start_index + int(np.argmax(bad)) if np.any(bad) else None
-    records.append(_first_violation_record(
-        "X_class", first, notes="X positive and non-decreasing"))
-
-    records.append(_cond7_record(bundle, cps, tol))
-
-    # (ii) sum of v * X_v * |D^2 lambda_v| over v = 1..N-2, own dyadic grid
-    lam = bundle.lam.values
-    d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
-    v = np.arange(1.0, d2.size + 1.0)
-    terms = v * X[: d2.size] * np.abs(d2)
-    partials = compensated_cumsum(terms)
-    cps8 = dyadic_checkpoints(d2.size)
-    sel = np.asarray(cps8, dtype=np.int64) - 1
-    diag8 = growth_diagnostic(partials[sel], cps8, slope_tolerance=tol.slope,
-                              ratio_tolerance=tol.ratio)
-    records.append(_growth_record("cond8", diag8,
-                                  notes=f"second differences over 1..{d2.size}"))
-    traces["cond8"] = partials[sel]
-    traces["cond8_checkpoints"] = cps8
-
-    phi = bundle.weight.phi_values(n, k, beta_default=bundle.params.beta)
-    records.append(_weight_record(phi, bundle.params, tol))
-
-    t = cesaro_t(bundle.a, 1.0)
-    w = w_sequence(t, 1.0)
-    records.append(_cond11_record(bundle, phi, w, cps, tol, traces))
-
-    return HypothesisReport(theorem="theorem_a", label=bundle.label, n=n,
-                            records=tuple(records), tolerances=tol,
-                            checkpoints=cps, traces=traces)
+    return _run_table("theorem_a", _THEOREM_A_TABLE, bundle, checkpoints,
+                      tolerances)
 
 
 def conclusion_diagnostic(bundle: FamilyBundle,
@@ -502,14 +542,11 @@ def conclusion_diagnostic(bundle: FamilyBundle,
     of the t-transform of (a_n lambda_n).  Bounded partial sums at scale
     are the finite evidence for that conclusion.
     """
-    tol = tolerances or Tolerances()
-    cps = tuple(int(c) for c in (checkpoints or dyadic_checkpoints(bundle.n)))
+    ctx = _Context.of(bundle, checkpoints, tolerances)
     factored = RealSequence(start_index=1,
                             values=bundle.a.values * bundle.lam.values)
     t = cesaro_t(factored, bundle.params.alpha)
-    phi = bundle.weight.phi_values(bundle.n, bundle.params.k,
-                                   beta_default=bundle.params.beta)
-    trace = weighted_power_trace(t.values, bundle.params.k, phi, cps)
-    diag = growth_diagnostic(trace, slope_tolerance=tol.slope,
-                             ratio_tolerance=tol.ratio)
-    return trace, diag
+    trace = weighted_power_trace(t.values, bundle.params.k, ctx.phi,
+                                 ctx.checkpoints)
+    return trace, growth_diagnostic(trace, slope_tolerance=ctx.tol.slope,
+                                    ratio_tolerance=ctx.tol.ratio)

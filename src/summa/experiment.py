@@ -24,8 +24,8 @@ import numpy as np
 from .cesaro import compute_transforms
 from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
                       check_main_theorem, check_theorem_a,
-                      conclusion_diagnostic, dyadic_checkpoints)
-from .functionals import WeightKind, WeightSpec
+                      conclusion_diagnostic)
+from .functionals import WeightKind, WeightSpec, validate_checkpoints
 from .oracle import run_all_suites
 from .rendering import render_number
 from .sequences import (CesaroParams, RealSequence, SequenceSpec,
@@ -64,23 +64,6 @@ def _forbid(obj: dict, mode: str, *keys: str) -> None:
     for key in keys:
         if key in obj:
             raise ConfigError(key, f"not allowed in mode {mode!r}")
-
-
-def _dyadic_within(checkpoints, n: int) -> tuple[int, ...]:
-    if (not isinstance(checkpoints, (list, tuple))
-            or any(not isinstance(c, int) or isinstance(c, bool)
-                   for c in checkpoints)):
-        raise ConfigError("checkpoints", "must be a list of integers")
-    cps = tuple(int(c) for c in checkpoints)
-    if len(cps) < 4:
-        raise ConfigError("checkpoints", "at least 4 checkpoints required")
-    if cps[0] < 1 or cps[-1] > n:
-        raise ConfigError("checkpoints", f"must lie within 1..{n}")
-    for a, b in zip(cps, cps[1:]):
-        if a != b // 2:
-            raise ConfigError("checkpoints",
-                              f"not dyadic: {a} is not {b} // 2")
-    return cps
 
 
 @dataclass(frozen=True)
@@ -154,9 +137,12 @@ class ExperimentConfig:
 
         if mode in ("check_main", "check_theorem_a"):
             _forbid(obj, mode, "trials", "sequence")
+            # cond8's own grid over the n - 2 second differences needs four
+            # checkpoints, hence a larger minimum for theorem A
+            n_min = 10 if mode == "check_theorem_a" else 8
             n = obj.get("n")
-            if not isinstance(n, int) or isinstance(n, bool) or n < 8:
-                raise ConfigError("n", "must be an integer >= 8")
+            if not isinstance(n, int) or isinstance(n, bool) or n < n_min:
+                raise ConfigError("n", f"must be an integer >= {n_min}")
             kw["n"] = n
 
             family = obj.get("family")
@@ -196,7 +182,16 @@ class ExperimentConfig:
                     raise ConfigError("params", str(e)) from e
 
             if "checkpoints" in obj:
-                kw["checkpoints"] = _dyadic_within(obj["checkpoints"], n)
+                cps = obj["checkpoints"]
+                if (not isinstance(cps, (list, tuple))
+                        or any(not isinstance(c, int) or isinstance(c, bool)
+                               for c in cps)):
+                    raise ConfigError("checkpoints", "must be a list of integers")
+                try:
+                    kw["checkpoints"] = validate_checkpoints(
+                        cps, n, at_least=4, dyadic=True)
+                except ValueError as e:
+                    raise ConfigError("checkpoints", str(e)) from e
             if "tolerances" in obj:
                 try:
                     kw["tolerances"] = Tolerances.from_json(obj["tolerances"])
@@ -422,16 +417,16 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_json(obj)
 
 
-def _trace_csv(checkpoints, partials, reference=None) -> str:
-    # fixed 4-column format; reference and ratio stay empty for plain O(1)
-    # traces
+def _trace_csv(trace) -> str:
+    # fixed 4-column format; reference and ratio stay empty for traces
+    # without a reference
     lines = ["checkpoint,partial_sum,reference,ratio"]
-    for i, c in enumerate(checkpoints):
-        p = float(partials[i])
-        if reference is None:
+    for i, c in enumerate(trace.checkpoints):
+        p = float(trace.partial_sums[i])
+        if trace.reference is None:
             lines.append(f"{c},{render_number(p)},,")
         else:
-            r = float(reference[i])
+            r = float(trace.reference[i])
             lines.append(f"{c},{render_number(p)},{render_number(r)},"
                          f"{render_number(p / r)}")
     return "\n".join(lines) + "\n"
@@ -468,32 +463,18 @@ def _run_check(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
                                              or bundle.delta is not None):
         bundle = dataclasses.replace(bundle, Q=None, delta=None)
 
-    tol = config.tolerances or Tolerances()
-    cps = config.checkpoints or dyadic_checkpoints(config.n)
-
+    check = (check_main_theorem if config.mode == "check_main"
+             else check_theorem_a)
     try:
-        if config.mode == "check_main":
-            report = check_main_theorem(bundle, cps, tol)
-        else:
-            report = check_theorem_a(bundle, cps, tol)
+        report = check(bundle, config.checkpoints, config.tolerances)
     except ValueError as e:
         raise ConfigError("bundle", str(e)) from e
-    trace, conclusion = conclusion_diagnostic(bundle, cps, tol)
+    trace, conclusion = conclusion_diagnostic(bundle, config.checkpoints,
+                                              config.tolerances)
 
-    cond11 = report.traces["cond11"]
-    x_ref = [bundle.X.value_at(c) for c in cond11.checkpoints]
-    files = {
-        "trace_cond11.csv": _trace_csv(cond11.checkpoints,
-                                       cond11.partial_sums, x_ref),
-        "trace_conclusion.csv": _trace_csv(trace.checkpoints,
-                                           trace.partial_sums),
-    }
-    if config.mode == "check_main":
-        files["trace_series_nqx.csv"] = _trace_csv(
-            cps, report.traces["series_nQX"])
-    else:
-        files["trace_cond8.csv"] = _trace_csv(
-            report.traces["cond8_checkpoints"], report.traces["cond8"])
+    traces = {**report.traces, "conclusion": trace}
+    files = {f"trace_{name.lower()}.csv": _trace_csv(t)
+             for name, t in traces.items()}
 
     passed = (report.all_passed
               and conclusion.verdict is GrowthVerdict.BOUNDED_CONSISTENT)

@@ -12,7 +12,8 @@ Two named weight choices recover the classical absolute-summability series
     indexed:  phi_n = n^(beta + 1 - 1/k) ->  sum n^(beta*k-1) * |t_n|^k
 
 Traces never materialize infinite series; they report compensated partial
-sums at caller-chosen checkpoints.
+sums at caller-chosen checkpoints.  Every checkpoint list in the package,
+config grids included, goes through ``validate_checkpoints``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ import numpy as np
 
 from .accumulation import compensated_cumsum
 from .cesaro import cesaro_t
-from .rendering import render_number
 from .sequences import CesaroParams, RealSequence
 
 __all__ = [
     "WeightKind",
     "WeightSpec",
+    "CheckpointTrace",
     "FunctionalTrace",
     "weighted_power_trace",
-    "functional_partial_sums",
     "ReductionIdentityReport",
     "reduction_identity_check",
 ]
@@ -93,49 +93,75 @@ class WeightSpec:
         return np.abs(self.phi.range_view(1, n_max))
 
 
+def validate_checkpoints(checkpoints: Sequence[int], limit: int | None = None,
+                         *, at_least: int = 1,
+                         dyadic: bool = False) -> tuple[int, ...]:
+    """The checkpoints as a tuple of ints, or ValueError saying what is wrong.
+
+    Checkpoints are strictly increasing indices >= 1, at least ``at_least``
+    of them and none above ``limit`` when one is given.  ``dyadic`` grids
+    (the ``checkpoints`` field of a config) must lie within 1..limit and
+    halve exactly: each checkpoint is the next one // 2.
+    """
+    cps = tuple(int(c) for c in checkpoints)
+    if len(cps) < at_least:
+        raise ValueError("at least one checkpoint required" if at_least == 1
+                         else f"at least {at_least} checkpoints required")
+    if dyadic:
+        if cps[0] < 1 or cps[-1] > limit:
+            raise ValueError(f"must lie within 1..{limit}")
+        for a, b in zip(cps, cps[1:]):
+            if a != b // 2:
+                raise ValueError(f"not dyadic: {a} is not {b} // 2")
+    elif cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    elif limit is not None and cps[-1] > limit:
+        raise ValueError(f"checkpoint {cps[-1]} exceeds available prefix "
+                         f"length {limit}")
+    return cps
+
+
 @dataclass(frozen=True)
-class FunctionalTrace:
-    """Partial sums of a non-negative term series, sampled at checkpoints."""
+class CheckpointTrace:
+    """Partial sums of a term series sampled at checkpoints.
+
+    ``reference``, when present, is what the sums are judged against (one
+    value per checkpoint): growth diagnostics divide by it and trace files
+    print it next to the ratio.
+    """
 
     checkpoints: tuple[int, ...]
     partial_sums: np.ndarray
+    reference: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        cps = tuple(int(c) for c in self.checkpoints)
-        if len(cps) == 0:
-            raise ValueError("trace needs at least one checkpoint")
-        if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing and >= 1")
+        cps = validate_checkpoints(self.checkpoints)
         sums = np.asarray(self.partial_sums, dtype=np.float64).copy()
         if sums.shape != (len(cps),):
             raise ValueError("one partial sum per checkpoint required")
-        if np.any(sums < 0.0) or np.any(np.diff(sums) < 0.0):
-            raise ValueError("partial sums of non-negative terms must be "
-                             "non-negative and non-decreasing")
         sums.setflags(write=False)
         object.__setattr__(self, "checkpoints", cps)
         object.__setattr__(self, "partial_sums", sums)
+        if self.reference is not None:
+            ref = np.asarray(self.reference, dtype=np.float64)
+            if ref.shape != sums.shape:
+                raise ValueError("reference must align with the checkpoints")
+            object.__setattr__(self, "reference", ref)
 
     def __len__(self) -> int:
         return len(self.checkpoints)
 
-    def to_csv(self) -> str:
-        lines = ["checkpoint,partial_sum"]
-        for cp, ps in zip(self.checkpoints, self.partial_sums.tolist()):
-            lines.append(f"{cp},{render_number(ps)}")
-        return "\n".join(lines) + "\n"
 
+@dataclass(frozen=True)
+class FunctionalTrace(CheckpointTrace):
+    """Partial sums of a non-negative term series, sampled at checkpoints."""
 
-def _validate_checkpoints(checkpoints: Sequence[int], limit: int) -> tuple[int, ...]:
-    cps = tuple(int(c) for c in checkpoints)
-    if len(cps) == 0:
-        raise ValueError("at least one checkpoint required")
-    if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
-    if cps[-1] > limit:
-        raise ValueError(f"checkpoint {cps[-1]} exceeds available prefix "
-                         f"length {limit}")
-    return cps
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        sums = self.partial_sums
+        if np.any(sums < 0.0) or np.any(np.diff(sums) < 0.0):
+            raise ValueError("partial sums of non-negative terms must be "
+                             "non-negative and non-decreasing")
 
 
 def weighted_power_trace(values: np.ndarray, k: float, phi: np.ndarray,
@@ -151,7 +177,7 @@ def weighted_power_trace(values: np.ndarray, k: float, phi: np.ndarray,
         raise ValueError("values and phi must align")
     if k < 1.0:
         raise ValueError("k must be at least 1")
-    cps = _validate_checkpoints(checkpoints, values.size)
+    cps = validate_checkpoints(checkpoints, values.size)
     n = np.arange(1.0, values.size + 1.0)
     terms = np.power(np.abs(phi * values) / n, k)
     # compensated prefixes of non-negative terms can dip by one ulp; the
@@ -160,16 +186,6 @@ def weighted_power_trace(values: np.ndarray, k: float, phi: np.ndarray,
     partials = np.maximum.accumulate(compensated_cumsum(terms))
     idx = np.asarray(cps, dtype=np.int64) - 1
     return FunctionalTrace(checkpoints=cps, partial_sums=partials[idx])
-
-
-def functional_partial_sums(a: RealSequence, params: CesaroParams,
-                            weight: WeightSpec,
-                            checkpoints: Sequence[int]) -> FunctionalTrace:
-    """Checkpointed partial sums of the weighted functional of t^alpha(a)."""
-    t = cesaro_t(a, params.alpha)
-    cps = _validate_checkpoints(checkpoints, len(t))
-    phi = weight.phi_values(len(t), params.k, beta_default=params.beta)
-    return weighted_power_trace(t.values, params.k, phi, cps)
 
 
 @dataclass(frozen=True)

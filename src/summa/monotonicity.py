@@ -168,6 +168,8 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
     ``phi`` holds |phi_n| for n = 1..len(phi).  The comparison allows a
     relative slack ``rel_tol`` so that analytically constant sequences
     (classic weights with epsilon = 1) are not failed on rounding noise.
+    An entry that is not finite (a power overflowed) is a violation at its
+    own index, found without floating-point warnings.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 1 or phi.size < 2:
@@ -177,10 +179,14 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
     if k < 1.0:
         raise ValueError("k must be at least 1")
     n = np.arange(1.0, phi.size + 1.0)
-    seq = np.power(n, epsilon - k) * np.power(np.abs(phi), k)
-    rise = seq[1:] - seq[:-1]
-    slack = rel_tol * np.maximum(np.abs(seq[1:]), np.abs(seq[:-1]))
-    bad = rise > slack
+    with np.errstate(all="ignore"):
+        seq = np.power(n, epsilon - k) * np.power(np.abs(phi), k)
+        rise = seq[1:] - seq[:-1]
+        slack = rel_tol * np.maximum(np.abs(seq[1:]), np.abs(seq[:-1]))
+    # comparisons with NaN are False, so non-finite entries are flagged
+    # on their own
+    bad = ~np.isfinite(seq)
+    bad[:-1] |= rise > slack
     if np.any(bad):
         return int(np.argmax(bad)) + 1
     return None

@@ -5,6 +5,7 @@ reads as a checklist.  Tolerances and runtime budgets are asserted, not
 aspirational.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -168,9 +169,48 @@ def test_slope_calibration_on_exact_powers():
     _announce("growth-diagnostic slope recovers exact powers to 1e-6")
 
 
+# sha256 of every artifact each shipped config writes (numpy 2.4, x86-64).
+# A change that alters report bytes on purpose updates these digests and
+# says why; any other change must leave them as they are.
+SHIPPED_DIGESTS = {
+    "alternating_dump": {
+        "report.json": "cd80e5653690058f7b460544b2ac661989927ca6495cf6087cf698b42f96ebc8",
+        "transforms.csv": "60200f0fc276a57ce23cebd974335998a7fc9eb273f210f35f0d20593cf013da",
+    },
+    "custom_bundle": {
+        "report.json": "9c57b20e81b6257414fef144b72818c5273e52544a4e1407554f436c9dd5eb82",
+        "trace_conclusion.csv": "ac8530999b68ad6a75d36b28ea316a9b78a114249f9168062cc23a5a48ce603b",
+        "trace_cond11.csv": "b620198e32f7a588621ebb4c3d9fc914b8bfa3df27ab552c947fe64095daa382",
+        "trace_series_nqx.csv": "c521a4d0461b66eb33cdcb24ca9839e1fb7be68e4f08cff2b6733827546c97b0",
+    },
+    "f1_main": {
+        "report.json": "95db3721c9bbc8c875a3a806c8eced83949950d2a14cac443197e391c6f80722",
+        "trace_conclusion.csv": "daf747070e63d0dfe474011666b6a19d9161da6e366ce38b8183d2f1aef0b545",
+        "trace_cond11.csv": "be7690f7839caa2e9db56e1203fd7ce8aa274cbf21101861a0e879577dd47501",
+        "trace_series_nqx.csv": "f01c616a8eda5537293d395badaa0805afcfd19b5f5293487a62eddc24fd2e9d",
+    },
+    "f2_theorem_a": {
+        "report.json": "a6480fe8347f6910b19ac66753c4f1f6131fa645f6771af6c32c228257a8b79b",
+        "trace_conclusion.csv": "67b933be682cc602f1835ad9eaa67c0528e1fe2d67ca2ebcada16a484eabec9f",
+        "trace_cond11.csv": "be7690f7839caa2e9db56e1203fd7ce8aa274cbf21101861a0e879577dd47501",
+        "trace_cond8.csv": "23dd2c586788484ffce25dfcb5558a74610dfd22aa59290a1e4b6f0401b96a12",
+    },
+    "f3_negative": {
+        "report.json": "7e9c8846d2539c9dd0536513963de1072454483d956738c08b80ebed8a42716a",
+        "trace_conclusion.csv": "a12d0e9c1a74e00521619ce0a31b7f8e6086e6066d78864f6f84eedaac9f07db",
+        "trace_cond11.csv": "be7690f7839caa2e9db56e1203fd7ce8aa274cbf21101861a0e879577dd47501",
+        "trace_series_nqx.csv": "e9cf41eb8015066b73b4ee6054b4e2d18940fe72c20829c247641cf739c7c9df",
+    },
+    "oracle_default": {
+        "report.json": "0330b3d3b1a3042132ebe4c035016ceaade5bf7fe3f68474fb4993e3d69c56ac",
+    },
+}
+
+
 def test_shipped_configs_are_byte_deterministic(tmp_path):
     paths = sorted(CONFIG_DIR.glob("*.json"))
     assert paths, "no bundled configs found"
+    assert [p.stem for p in paths] == sorted(SHIPPED_DIGESTS)
     for path in paths:
         dirs = []
         for tag in ("one", "two"):
@@ -179,9 +219,13 @@ def test_shipped_configs_are_byte_deterministic(tmp_path):
             dirs.append(out)
         names = sorted(p.name for p in dirs[0].iterdir())
         assert names == sorted(p.name for p in dirs[1].iterdir())
+        assert names == sorted(SHIPPED_DIGESTS[path.stem]), path.name
         for name in names:
-            assert ((dirs[0] / name).read_bytes()
-                    == (dirs[1] / name).read_bytes()), (path.name, name)
+            data = (dirs[0] / name).read_bytes()
+            assert data == (dirs[1] / name).read_bytes(), (path.name, name)
+            assert (hashlib.sha256(data).hexdigest()
+                    == SHIPPED_DIGESTS[path.stem][name]), (path.name, name)
         body = json.loads((dirs[0] / "report.json").read_text())
         assert body["config"]["mode"] == load_config(path).mode
-    _announce("bundled configs byte-identical across repeated runs")
+    _announce("bundled configs byte-identical across repeated runs and "
+              "to their pinned digests")

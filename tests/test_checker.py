@@ -6,7 +6,7 @@ from summa import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS, CesaroParams,
                    Tolerances, WeightKind, WeightSpec, builtin_family,
                    check_main_theorem, check_theorem_a, conclusion_diagnostic,
                    dyadic_checkpoints, growth_diagnostic, materialize)
-from summa.functionals import FunctionalTrace
+from summa.functionals import CheckpointTrace, FunctionalTrace
 
 
 class TestDyadicCheckpoints:
@@ -58,6 +58,14 @@ class TestGrowthDiagnostic:
         with pytest.raises(ValueError):
             growth_diagnostic(np.ones(4), (1, 2, 4, 8),
                               reference=np.array([1.0, 0.0, 1.0, 1.0]))
+
+    def test_uses_trace_reference(self):
+        cps = (1, 2, 4, 8)
+        trace = CheckpointTrace(cps, np.array([2.0, 4.0, 8.0, 16.0]),
+                                reference=np.array([1.0, 2.0, 4.0, 8.0]))
+        d = growth_diagnostic(trace)
+        assert np.array_equal(d.values, np.full(4, 2.0))
+        assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_accepts_functional_trace(self):
         trace = FunctionalTrace(checkpoints=(1, 2, 4, 8),
@@ -138,6 +146,28 @@ class TestCheckMainTheorem:
         assert not rec.passed
         assert rec.first_violation == 1
 
+    def test_majorant_overflow_reported(self):
+        # lambda_1 - lambda_2 overflows to inf: a violation, without warnings
+        import dataclasses
+        base = builtin_family("F1", 256)
+        lam = base.lam.values.copy()
+        lam[:2] = (1.7e308, -1.7e308)
+        bundle = dataclasses.replace(base, lam=RealSequence(1, lam))
+        report = check_main_theorem(bundle)
+        rec = next(r for r in report.records if r.condition == "majorant")
+        assert not rec.passed
+        assert rec.first_violation == 1
+        assert "non-finite" in rec.notes
+
+    def test_traces_per_growth_record(self):
+        report = check_main_theorem(builtin_family("F1", 256))
+        assert set(report.traces) == {"series_nQX", "cond11"}
+        cond11 = report.traces["cond11"]
+        assert cond11.checkpoints == dyadic_checkpoints(256)
+        assert np.array_equal(cond11.reference,
+                              np.log(np.asarray(cond11.checkpoints) + 2.0))
+        assert report.traces["series_nQX"].reference is None
+
     def test_requires_majorant_data(self):
         bundle = builtin_family("F2", 64)
         with pytest.raises(ValueError, match="requires Q and delta"):
@@ -190,6 +220,11 @@ class TestCheckTheoremA:
         rec = next(r for r in report.records if r.condition == "X_class")
         assert not rec.passed
         assert rec.first_violation == 2
+
+    def test_cond8_trace_on_its_own_grid(self):
+        report = check_theorem_a(builtin_family("F2", 100))
+        assert set(report.traces) == {"cond8", "cond11"}
+        assert report.traces["cond8"].checkpoints == dyadic_checkpoints(98)
 
     def test_constant_lambda_zero_conditions(self):
         # lambda = 0 everywhere: cond7 and cond8 see identically zero input

@@ -40,6 +40,12 @@ class TestConfigValidation:
         assert _err({"mode": "check_main", "family": "F1", "n": 4}).pointer == "n"
         assert _err({"mode": "check_main", "family": "F1",
                      "n": True}).pointer == "n"
+        # theorem A's cond8 grid over n - 2 indices needs n >= 10
+        for n in (8, 9):
+            assert _err({"mode": "check_theorem_a", "family": "F2",
+                         "n": n}).pointer == "n"
+        assert _cfg({"mode": "check_theorem_a", "family": "F2",
+                     "n": 10}).n == 10
 
     def test_family_bundle_exclusive(self):
         assert _err({"mode": "check_main", "n": 64}).pointer == "family"
@@ -408,6 +414,21 @@ class TestCli:
         assert err.startswith("config error: sequence:")
         assert "q < 0" in err
         assert not out.exists()
+
+    def test_overflowing_weight_fails_quietly(self, tmp_path, capsys):
+        # k = 1e308 overflows n^(epsilon-k) |phi_n|^k to nan from n = 2 on
+        cfg = tmp_path / "k_huge.json"
+        cfg.write_text(json.dumps({"mode": "check_main", "family": "F1",
+                                   "n": 1024, "overrides": {"k": 1e308}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == ""
+        body = json.loads((out / "report.json").read_text())
+        rec = next(r for r in body["results"]["report"]["records"]
+                   if r["condition"] == "weight_monotone")
+        assert rec["verdict"] == "fail"
+        assert rec["first_violation"] == 2
+        assert "non-finite" in rec["notes"]
 
     def test_slope_tolerance_rejected_for_oracle(self, tmp_path, capsys):
         code = main(["run", str(CONFIG_DIR / "oracle_default.json"),

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summa import (CesaroParams, FunctionalTrace, RealSequence, WeightKind,
-                   WeightSpec, functional_partial_sums,
-                   reduction_identity_check, weighted_power_trace)
+                   WeightSpec, reduction_identity_check, weighted_power_trace)
 
 
 class TestWeightSpec:
@@ -60,13 +59,6 @@ class TestFunctionalTrace:
         with pytest.raises(ValueError):
             FunctionalTrace(checkpoints=(2, 1), partial_sums=np.array([1.0, 1.0]))
 
-    def test_csv_format(self):
-        trace = FunctionalTrace(checkpoints=(1, 4), partial_sums=np.array([0.0, 0.25]))
-        lines = trace.to_csv().strip().split("\n")
-        assert lines[0] == "checkpoint,partial_sum"
-        assert lines[1] == "1,0"
-        assert lines[2].startswith("4,0.25")
-
 
 class TestWeightedPowerTrace:
     def test_hand_value(self):
@@ -106,16 +98,6 @@ class TestWeightedPowerTrace:
         base = weighted_power_trace(vals, k, phi, cps).partial_sums
         scaled = weighted_power_trace(c * vals, k, phi, cps).partial_sums
         assert np.allclose(scaled, (c ** k) * base, rtol=1e-9, atol=1e-12)
-
-
-class TestFunctionalPartialSums:
-    def test_alternating_classic(self):
-        a = RealSequence(1, np.array([-1.0, 1.0]))
-        params = CesaroParams(alpha=1.0, k=2.0)
-        trace = functional_partial_sums(a, params,
-                                        WeightSpec(kind=WeightKind.CLASSIC),
-                                        (1, 2))
-        assert trace.partial_sums[1] == pytest.approx(11 / 36, rel=1e-14)
 
 
 class TestReductionIdentity:

@@ -126,6 +126,14 @@ class TestPowerWeightMonotonicity:
         phi[30:] *= 1.1  # bump |phi| from index 31 on
         assert power_weight_monotonicity_check(phi, eps, k) == 30
 
+    def test_non_finite_entry_is_a_violation(self):
+        phi = np.ones(6)
+        phi[3] = np.nan
+        assert power_weight_monotonicity_check(phi, 1.0, 1.0) == 4
+        # n^(1-k) underflows to 0 and n^k overflows from n = 2 on: 0 * inf
+        n = np.arange(1.0, 7.0)
+        assert power_weight_monotonicity_check(n, 1.0, 1e308) == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             power_weight_monotonicity_check(np.ones(1), 1.0, 1.5)
