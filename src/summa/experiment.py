@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .cesaro import compute_transforms
 from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
                       check_main_theorem, check_theorem_a,
@@ -84,30 +85,18 @@ class ExperimentConfig:
     out: str | None = None
 
     def to_json(self) -> dict:
-        obj: dict = {"mode": self.mode}
-        if self.n is not None:
-            obj["n"] = self.n
-        if self.family is not None:
-            obj["family"] = self.family
-        if self.overrides:
-            obj["overrides"] = {k: float(v)
-                                for k, v in sorted(self.overrides.items())}
-        if self.bundle is not None:
-            obj["bundle"] = self.bundle
-        if self.params is not None:
-            obj["params"] = self.params.to_json()
-        if self.checkpoints is not None:
-            obj["checkpoints"] = list(self.checkpoints)
-        if self.tolerances is not None:
-            obj["tolerances"] = self.tolerances.to_json()
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        if self.trials is not None:
-            obj["trials"] = self.trials
-        if self.sequence is not None:
-            obj["sequence"] = self.sequence.to_json()
-        if self.out is not None:
-            obj["out"] = self.out
+        obj: dict = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None or (f.name == "overrides" and not value):
+                continue
+            if hasattr(value, "to_json"):
+                value = value.to_json()
+            elif f.name == "overrides":
+                value = {k: float(v) for k, v in sorted(value.items())}
+            elif f.name == "checkpoints":
+                value = list(value)
+            obj[f.name] = value
         return obj
 
     @classmethod
@@ -449,12 +438,7 @@ def _transforms_csv(seq, transforms) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _environment_stamp(seed: int | None) -> dict:
-    from . import __version__
-    return {"version": __version__, "seed": seed}
-
-
-def _run_check(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
+def _run_check(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
     if config.family is not None:
         bundle = builtin_family(config.family, config.n, config.overrides)
     else:
@@ -465,12 +449,15 @@ def _run_check(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
 
     check = (check_main_theorem if config.mode == "check_main"
              else check_theorem_a)
+    # arithmetic that overflows surfaces as a non-finite trace (ValueError)
+    # or from math.fsum (OverflowError): the bundle cannot be judged
     try:
-        report = check(bundle, config.checkpoints, config.tolerances)
-    except ValueError as e:
+        with np.errstate(all="ignore"):
+            report = check(bundle, config.checkpoints, config.tolerances)
+            trace, conclusion = conclusion_diagnostic(
+                bundle, config.checkpoints, config.tolerances)
+    except (ValueError, OverflowError) as e:
         raise ConfigError("bundle", str(e)) from e
-    trace, conclusion = conclusion_diagnostic(bundle, config.checkpoints,
-                                              config.tolerances)
 
     traces = {**report.traces, "conclusion": trace}
     files = {f"trace_{name.lower()}.csv": _trace_csv(t)
@@ -483,34 +470,31 @@ def _run_check(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
         "conclusion": conclusion.to_json(),
         "artifacts": {Path(name).stem: name for name in files},
     }
-    return RunReport(config=config,
-                     environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0 if passed else 1), files
+    return results, 0 if passed else 1, files
 
 
-def _run_oracle(config: ExperimentConfig) -> tuple[RunReport, dict[str, str]]:
+def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
     suites = run_all_suites(config.seed, config.trials)
     clean = all(s.violations == 0 for s in suites)
-    results = {"suites": [s.to_json() for s in suites]}
-    return RunReport(config=config,
-                     environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0 if clean else 1), {}
+    return {"suites": [s.to_json() for s in suites]}, 0 if clean else 1, {}
 
 
 def _run_transform_dump(config: ExperimentConfig
-                        ) -> tuple[RunReport, dict[str, str]]:
+                        ) -> tuple[dict, int, dict[str, str]]:
     params = config.params or CesaroParams()
     try:
         seq = materialize(config.sequence)
         transforms = compute_transforms(seq, params.alpha)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError("sequence", str(e)) from e
     files = {"transforms.csv": _transforms_csv(seq, transforms)}
     results = {"artifacts": {Path(name).stem: name for name in files},
                "rows": len(seq), "alpha": params.alpha}
-    return RunReport(config=config,
-                     environment=_environment_stamp(config.seed),
-                     results=results, exit_status=0), files
+    return results, 0, files
+
+
+_RUNNERS = {"check_main": _run_check, "check_theorem_a": _run_check,
+            "oracle": _run_oracle, "transform_dump": _run_transform_dump}
 
 
 def _summary_lines(report: RunReport) -> list[str]:
@@ -546,13 +530,11 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
 
-    if config.mode in ("check_main", "check_theorem_a"):
-        report, files = _run_check(config)
-    elif config.mode == "oracle":
-        report, files = _run_oracle(config)
-    else:
-        report, files = _run_transform_dump(config)
-
+    results, exit_status, files = _RUNNERS[config.mode](config)
+    report = RunReport(config=config,
+                       environment={"version": __version__,
+                                    "seed": config.seed},
+                       results=results, exit_status=exit_status)
     files["report.json"] = (json.dumps(report.to_json(), indent=2,
                                        sort_keys=True) + "\n")
     out.mkdir(parents=True, exist_ok=True)

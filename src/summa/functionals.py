@@ -127,7 +127,8 @@ class CheckpointTrace:
 
     ``reference``, when present, is what the sums are judged against (one
     value per checkpoint): growth diagnostics divide by it and trace files
-    print it next to the ratio.
+    print it next to the ratio.  Sums and ratios must be finite, so a series
+    whose arithmetic overflowed is refused here rather than written.
     """
 
     checkpoints: tuple[int, ...]
@@ -139,6 +140,8 @@ class CheckpointTrace:
         sums = np.asarray(self.partial_sums, dtype=np.float64).copy()
         if sums.shape != (len(cps),):
             raise ValueError("one partial sum per checkpoint required")
+        if not np.all(np.isfinite(sums)):
+            raise ValueError("partial sums must be finite")
         sums.setflags(write=False)
         object.__setattr__(self, "checkpoints", cps)
         object.__setattr__(self, "partial_sums", sums)
@@ -146,6 +149,11 @@ class CheckpointTrace:
             ref = np.asarray(self.reference, dtype=np.float64)
             if ref.shape != sums.shape:
                 raise ValueError("reference must align with the checkpoints")
+            if np.any(ref == 0.0):
+                raise ValueError("reference entries must be non-zero")
+            with np.errstate(all="ignore"):
+                if not np.all(np.isfinite(sums / ref)):
+                    raise ValueError("sum/reference ratios must be finite")
             object.__setattr__(self, "reference", ref)
 
     def __len__(self) -> int:

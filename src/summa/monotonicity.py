@@ -43,14 +43,6 @@ class QuasiMonotoneVerdict:
     positivity_from: int | None
     trend_ratio: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "holds_on_range": self.holds_on_range,
-            "first_violation": self.first_violation,
-            "positivity_from": self.positivity_from,
-            "trend_ratio": self.trend_ratio,
-        }
-
 
 def quasi_monotone_check(b: RealSequence, delta: RealSequence) -> QuasiMonotoneVerdict:
     """Check (D b)_n >= -delta_n wherever both sides are stored.
@@ -118,15 +110,6 @@ class AlmostIncreasingWitness:
     B: float
     floor: float
     almost_increasing_at_scale: bool
-
-    def to_json(self) -> dict:
-        return {
-            "inf_ratio": self.inf_ratio,
-            "A": self.A,
-            "B": self.B,
-            "floor": self.floor,
-            "almost_increasing_at_scale": self.almost_increasing_at_scale,
-        }
 
 
 def almost_increasing_diagnostic(b: RealSequence,

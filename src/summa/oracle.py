@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul, sub
 
@@ -338,51 +338,54 @@ class OracleSuiteReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "trials": self.trials,
-            "violations": self.violations,
-            "first_violation_input": self.first_violation_input,
-            "seed": self.seed,
-        }
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _seq_json(values) -> list[str]:
-    return [_frac_str(v) for v in values]
+        return asdict(self)
 
 
 def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def run_abel_suite(seed: int, trials: int = 200,
-                   max_n: int = 20) -> OracleSuiteReport:
-    """Random integer sequences; the rearrangement must hold exactly."""
+def _run_suite(check: str, seed: int, trials: int,
+               trial) -> OracleSuiteReport:
+    """Run ``trial`` ``trials`` times on one generator seeded with ``seed``.
+
+    A trial draws its input from the generator and returns None when the
+    statement holds, else the input as JSON: Fractions as ``str``, floats as
+    drawn.  The report keeps the first such input.
+    """
     rng = random.Random(seed)
-    alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
     violations = 0
     first_input = None
     for _ in range(trials):
+        failed = trial(rng)
+        if failed is not None:
+            violations += 1
+            if first_input is None:
+                first_input = failed
+    return OracleSuiteReport(check=check, trials=trials,
+                             violations=violations,
+                             first_violation_input=first_input, seed=seed)
+
+
+def run_abel_suite(seed: int, trials: int = 200,
+                   max_n: int = 20) -> OracleSuiteReport:
+    """Random integer sequences; the rearrangement must hold exactly."""
+    alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+    def trial(rng):
         n = rng.randint(1, max_n)
         a = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
                                        for _ in range(n)]))
         lam = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
                                          for _ in range(n)]))
         alpha = rng.choice(alphas)
-        result = abel_identity_check(a, lam, alpha, n)
-        if not result.equal:
-            violations += 1
-            if first_input is None:
-                first_input = {"a": _seq_json(a.values),
-                               "lambda": _seq_json(lam.values),
-                               "alpha": _frac_str(alpha), "n": n}
-    return OracleSuiteReport(check="abel_identity", trials=trials,
-                             violations=violations,
-                             first_violation_input=first_input, seed=seed)
+        if abel_identity_check(a, lam, alpha, n).equal:
+            return None
+        return {"a": list(map(str, a.values)),
+                "lambda": list(map(str, lam.values)),
+                "alpha": str(alpha), "n": n}
+
+    return _run_suite("abel_identity", seed, trials, trial)
 
 
 def run_lemma1_suite(seed: int, trials: int = 10_000,
@@ -394,34 +397,25 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     with a free a_0 the inequality is simply false (a_0 = -8/3, a_1 = 1,
     alpha = 1/2, n = 2, v = 1 gives 1/2 on the left, 1/3 on the right).
     """
-    rng = random.Random(seed)
-    violations = 0
-    first_input = None
-    for _ in range(trials):
+    def trial(rng):
         n = rng.randint(1, max_n)
         v = rng.randint(1, n)
         a = RationalSequence(0, tuple([Fraction(0)]
                                       + [_random_rational(rng)
                                          for _ in range(v)]))
         alpha = rng.choice(_ALPHA_POOL)
-        result = lemma1_check(a, alpha, n, v)
-        if not result.holds:
-            violations += 1
-            if first_input is None:
-                first_input = {"a": _seq_json(a.values),
-                               "alpha": _frac_str(alpha), "n": n, "v": v}
-    return OracleSuiteReport(check="lemma1_bound", trials=trials,
-                             violations=violations,
-                             first_violation_input=first_input, seed=seed)
+        if lemma1_check(a, alpha, n, v).holds:
+            return None
+        return {"a": list(map(str, a.values)), "alpha": str(alpha),
+                "n": n, "v": v}
+
+    return _run_suite("lemma1_bound", seed, trials, trial)
 
 
 def run_decomposition_suite(seed: int, trials: int = 1000,
                             max_n: int = 15) -> OracleSuiteReport:
     """Random rational inputs against the exact two-term bound."""
-    rng = random.Random(seed)
-    violations = 0
-    first_input = None
-    for _ in range(trials):
+    def trial(rng):
         n = rng.randint(1, max_n)
         a = RationalSequence(1, tuple([_random_rational(rng)
                                        for _ in range(n)]))
@@ -429,33 +423,26 @@ def run_decomposition_suite(seed: int, trials: int = 1000,
                                          for _ in range(n)]))
         alpha = rng.choice(_ALPHA_POOL)
         result = decomposition_bound_check(a, lam, alpha, n)
-        if not (result.holds and result.holder_holds):
-            violations += 1
-            if first_input is None:
-                first_input = {"a": _seq_json(a.values),
-                               "lambda": _seq_json(lam.values),
-                               "alpha": _frac_str(alpha), "n": n}
-    return OracleSuiteReport(check="decomposition_bound", trials=trials,
-                             violations=violations,
-                             first_violation_input=first_input, seed=seed)
+        if result.holds and result.holder_holds:
+            return None
+        return {"a": list(map(str, a.values)),
+                "lambda": list(map(str, lam.values)),
+                "alpha": str(alpha), "n": n}
+
+    return _run_suite("decomposition_bound", seed, trials, trial)
 
 
 def run_power_inequality_suite(seed: int,
                                trials: int = 10_000) -> OracleSuiteReport:
-    rng = random.Random(seed)
-    violations = 0
-    first_input = None
-    for _ in range(trials):
+    def trial(rng):
         x = rng.uniform(-10.0, 10.0)
         y = rng.uniform(-10.0, 10.0)
         k = rng.uniform(1.0, 4.0)
-        if not power_inequality_check(x, y, k):
-            violations += 1
-            if first_input is None:
-                first_input = {"x": x, "y": y, "k": k}
-    return OracleSuiteReport(check="power_inequality", trials=trials,
-                             violations=violations,
-                             first_violation_input=first_input, seed=seed)
+        if power_inequality_check(x, y, k):
+            return None
+        return {"x": x, "y": y, "k": k}
+
+    return _run_suite("power_inequality", seed, trials, trial)
 
 
 def run_all_suites(seed: int, trials: int | None = None) -> list[OracleSuiteReport]:

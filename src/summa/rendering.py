@@ -18,14 +18,7 @@ def render_number(x: float) -> str:
         raise ValueError(f"cannot render non-finite value {x!r}")
     if x == 0.0:
         return "0"
-    mag = abs(x)
-    if mag < 1e-4 or mag >= 1e16:
-        return f"{x:.16e}"
-    exponent = math.floor(math.log10(mag))
-    # log10 can land one off right at a power-of-ten boundary
-    if 10.0 ** exponent > mag:
-        exponent -= 1
-    elif 10.0 ** (exponent + 1) <= mag:
-        exponent += 1
-    decimals = max(0, 16 - exponent)
-    return f"{x:.{decimals}f}"
+    if 1e-4 <= abs(x) < 1e16:
+        # '#' keeps trailing zeros: 17 significant digits, fixed point
+        return f"{x:#.17g}"
+    return f"{x:.16e}"

@@ -184,7 +184,9 @@ def materialize(spec: SequenceSpec) -> RealSequence:
     """
     gen, _ = FAMILIES[spec.family]
     idx = np.arange(spec.start, spec.start + spec.n, dtype=np.int64)
-    vals = gen(idx, spec.resolved_params())
+    # an overflowing value is refused by RealSequence, not warned about
+    with np.errstate(all="ignore"):
+        vals = gen(idx, spec.resolved_params())
     return RealSequence(start_index=spec.start, values=vals)
 
 

@@ -14,14 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from summa import (MAIN_CONDITIONS, CesaroParams, ExperimentConfig,
-                   GrowthVerdict, SequenceSpec,
-                   almost_increasing_diagnostic, builtin_family,
-                   cesaro_coefficients, cesaro_sigma, cesaro_t,
-                   check_main_theorem, conclusion_diagnostic,
-                   dyadic_checkpoints, growth_diagnostic, load_config,
-                   materialize, rational_cesaro_coefficients,
-                   reduction_identity_check, run, run_all_suites)
+from summa.cesaro import cesaro_coefficients, cesaro_sigma, cesaro_t
+from summa.checker import (MAIN_CONDITIONS, GrowthVerdict, check_main_theorem,
+                           conclusion_diagnostic, dyadic_checkpoints,
+                           growth_diagnostic)
+from summa.experiment import (ExperimentConfig, builtin_family, load_config,
+                              run)
+from summa.functionals import reduction_identity_check
+from summa.monotonicity import almost_increasing_diagnostic
+from summa.oracle import rational_cesaro_coefficients, run_all_suites
+from summa.sequences import CesaroParams, SequenceSpec, materialize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

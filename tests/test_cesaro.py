@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (ExperimentConfig, RealSequence, cesaro_coefficients,
-                   cesaro_sigma, cesaro_t, compute_transforms, run,
-                   w_sequence)
 from summa import cesaro
 from summa.cesaro import (_binomial_weights, _extract, _kernel_dot_prefixes,
-                          _round, _row_sums)
-from summa.experiment import builtin_family
+                          _round, _row_sums, cesaro_coefficients,
+                          cesaro_sigma, cesaro_t, compute_transforms,
+                          w_sequence)
+from summa.experiment import ExperimentConfig, builtin_family, run
+from summa.sequences import RealSequence
 
 
 def product_form_coefficients(alpha: float, n_max: int) -> np.ndarray:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from summa import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS, CesaroParams,
-                   FamilyBundle, GrowthVerdict, RealSequence, SequenceSpec,
-                   Tolerances, WeightKind, WeightSpec, builtin_family,
-                   check_main_theorem, check_theorem_a, conclusion_diagnostic,
-                   dyadic_checkpoints, growth_diagnostic, materialize)
-from summa.functionals import CheckpointTrace, FunctionalTrace
+from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
+                           FamilyBundle, GrowthVerdict, Tolerances,
+                           check_main_theorem, check_theorem_a,
+                           conclusion_diagnostic, dyadic_checkpoints,
+                           growth_diagnostic)
+from summa.experiment import builtin_family
+from summa.functionals import (CheckpointTrace, FunctionalTrace, WeightKind,
+                               WeightSpec)
+from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
+                             materialize)
 
 
 class TestDyadicCheckpoints:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (CesaroParams, FunctionalTrace, RealSequence, WeightKind,
-                   WeightSpec, reduction_identity_check, weighted_power_trace)
+from summa.functionals import (FunctionalTrace, WeightKind, WeightSpec,
+                               reduction_identity_check, weighted_power_trace)
+from summa.sequences import CesaroParams, RealSequence
 
 
 class TestWeightSpec:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (RealSequence, SequenceSpec, almost_increasing_diagnostic,
-                   materialize, power_weight_monotonicity_check,
-                   quasi_monotone_check)
+from summa.monotonicity import (almost_increasing_diagnostic,
+                                power_weight_monotonicity_check,
+                                quasi_monotone_check)
+from summa.sequences import RealSequence, SequenceSpec, materialize
 
 
 def _seq(values, start=1):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -7,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (ExperimentConfig, RationalSequence, RealSequence,
-                   abel_identity_check, cesaro_t, decomposition_bound_check,
-                   lemma1_check, power_inequality_check,
-                   rational_cesaro_coefficients, rational_cesaro_t,
-                   run, run_abel_suite, run_all_suites,
-                   run_decomposition_suite, run_lemma1_suite,
-                   run_power_inequality_suite)
 from summa import oracle
+from summa.cesaro import cesaro_t
+from summa.experiment import ExperimentConfig, run
 from summa.oracle import (_ALPHA_POOL, AbelIdentityResult,
                           DecompositionResult, LemmaBoundResult,
-                          _w_exact, _weights_cached)
+                          RationalSequence, _w_exact, _weights_cached,
+                          abel_identity_check, decomposition_bound_check,
+                          lemma1_check, power_inequality_check,
+                          rational_cesaro_coefficients, rational_cesaro_t,
+                          run_abel_suite, run_all_suites,
+                          run_decomposition_suite, run_lemma1_suite,
+                          run_power_inequality_suite)
+from summa.sequences import RealSequence
 
 F = Fraction
 
@@ -202,6 +205,39 @@ class TestSuitePlumbing:
         rep = run_abel_suite(5, trials=3).to_json()
         assert set(rep) == {"check", "trials", "violations",
                             "first_violation_input", "seed"}
+
+    @pytest.mark.parametrize("check, failing, suite, kw, first", [
+        ("abel_identity_check",
+         lambda *args: AbelIdentityResult(False, F(0), F(1)),
+         run_abel_suite, {"max_n": 4},
+         {"a": ["9", "8"], "lambda": ["-5", "2"], "alpha": "1", "n": 2}),
+        ("lemma1_check",
+         lambda *args: LemmaBoundResult(False, F(1), F(0)),
+         run_lemma1_suite, {"max_n": 3},
+         {"a": ["0", "1/4"], "alpha": "1", "n": 1, "v": 1}),
+        ("decomposition_bound_check",
+         lambda *args: DecompositionResult(F(1), F(0), F(0), False,
+                                           0.0, 0.0, True),
+         run_decomposition_suite, {"max_n": 3},
+         {"a": ["1"], "lambda": ["-5/6"], "alpha": "3/4", "n": 1}),
+        ("power_inequality_check", lambda *args: False,
+         run_power_inequality_suite, {},
+         {"x": -5.240707458162173, "y": 0.8845845059190367,
+          "k": 2.1098654996442376}),
+    ], ids=["abel", "lemma1", "decomposition", "power_inequality"])
+    def test_violations_counted_and_first_input_kept(self, monkeypatch, check,
+                                                     failing, suite, kw,
+                                                     first):
+        # a check that fails on every input: every trial is a violation and
+        # the report keeps the first trial's input, Fractions as str and
+        # floats as drawn
+        monkeypatch.setattr(oracle, check, failing)
+        rep = suite(3, trials=4, **kw)
+        assert rep.violations == rep.trials == 4
+        assert rep.first_violation_input == first
+        assert json.loads(json.dumps(rep.to_json())) == {
+            "check": rep.check, "trials": 4, "violations": 4,
+            "first_violation_input": first, "seed": 3}
 
 
 # Step-by-step Fraction loops: the references the integer kernels of

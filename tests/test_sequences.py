@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa import (CesaroParams, RealSequence, SequenceSpec,
-                   forward_difference, materialize)
+from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
+                             forward_difference, materialize)
 
 
 class TestRealSequence:
