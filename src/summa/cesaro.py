@@ -14,28 +14,21 @@ partial sums, t the order-alpha mean of the sequence (n * a_n).  For
 the running maximum of |t_v^alpha| over v <= n for fractional alpha.
 
 Everything here is double precision; alpha = 1 collapses to O(N) compensated
-cumulative sums since the kernel A^0 is identically 1.  Fractional orders
-take the direct O(N^2) sums, and each inner sum
-sum_(i=0..n) kernel[n-i] * x[i] is the exactly rounded sum of its IEEE
-products: bit-identical to ``math.fsum`` over those products, including
-the exceptions fsum raises.  A blocked numpy kernel gets there without a
-per-index Python loop.  Each row of the Toeplitz product gets one
-error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
-floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
-31, 2008): with sigma a power of two well above the row's largest
-product, the high parts q = (p + sigma) - sigma sum exactly in any order,
-and the residuals p - q are exact and tiny, so their floating-point sum has
-an a-priori error bound.  A rounding certificate (Ogita, Rump and Oishi,
-"Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005) accepts the
-rounded sum of the two parts only when that bound keeps the exact sum
-strictly inside the rounding interval of the result.  The bound grows like
-width**3 times the largest product, so from widths of about 2**16 on it
-fails rows whose sum is not far above their largest product; those rows
-get a second extraction, of their residuals, and a second certificate.
-Correct rounding is unique, so a certified row equals fsum's result
-whatever order numpy sums in.  Rows neither certificate accepts (ties or
-near-ties, zero or subnormal sums, non-finite values, magnitudes near
-overflow) fall back to ``math.fsum``, in ascending row order.
+cumulative sums since the kernel A^0 is identically 1.  The coefficients are
+a compensated product, within about half an ulp of the exact one.
+
+Fractional orders convolve in O(N log N), and each inner sum
+sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
+float operands, rounded once.  Each operand is split exactly into signed
+b-bit integer slices, each slice is transformed once (``rfft``), the slice
+pairs of equal weight are multiplied and added in frequency space, and each
+such group, transformed back and rounded to the nearest integer, is its
+exact integer convolution (float-FFT integer multiplication: C. Percival,
+"Rapid multiplication modulo the sum and difference of highly composite
+numbers", Math. Comp. 72, 2003).  A row's groups form one Python integer,
+which int division rounds once, ties to even, so the output does not depend
+on how the FFT rounds.  A non-finite operand raises ``ValueError``, and a
+row whose exact sum lies beyond the float range raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .accumulation import compensated_cumsum
 from .sequences import RealSequence
@@ -58,9 +50,24 @@ __all__ = [
     "compute_transforms",
 ]
 
+_EPS = 2.0 ** -53
+# rows rounded per batch of Python ints, which bounds the memory they take
+_ROW_CHUNK = 1 << 16
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(a * b) and e with p + e = a * b exactly (Dekker, with each
+    factor split into halves of 26 bits by Veltkamp's 2**27 + 1); exact
+    while |a|, |b| stay below about 2**996 and nothing underflows."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
 
 def _binomial_weights(order: float, n_max: int) -> np.ndarray:
-    """A_0^order .. A_n_max^order by the defining recurrence, any real order.
+    """A_0^order .. A_n_max^order by the defining product, any real order.
 
     Orders <= -1 are only ever used internally for the sigma/t kernels of
     public orders in (-1, 0]; order -1 is the degenerate kernel (1, 0, 0, ...).
@@ -70,8 +77,26 @@ def _binomial_weights(order: float, n_max: int) -> np.ndarray:
     out = np.empty(n_max + 1, dtype=np.float64)
     out[0] = 1.0
     if n_max >= 1:
-        j = np.arange(1, n_max + 1, dtype=np.float64)
-        out[1:] = np.cumprod((order + j) / j)
+        j = np.arange(1.0, n_max + 1.0)
+        with np.errstate(all="ignore"):
+            # the factor (order + j) / j is f * (1 + d): s + es = order + j
+            # (TwoSum), and s - f * j is exact, the remainder of the division
+            s = order + j
+            z = s - order
+            es = (order - (s - z)) + (j - z)
+            f = s / j
+            hi, lo = _two_product(f, j)
+            d = ((s - hi) - lo + es) / (f * j)
+            # step j rounds p_(j-1) * f_j = p_j + e_j, so the exact product
+            # is p_n * prod(1 + e_j / p_j) * prod(1 + d_j); the products of
+            # the small terms are their sums to far below an ulp
+            p = np.cumprod(f)
+            e = _two_product(np.concatenate(([1.0], p[:-1])), f)[1]
+            rel = e / p + d
+            # a zero factor (order -1) leaves exact zeros, and an overflowing
+            # product stays non-finite
+            rel[~np.isfinite(rel)] = 0.0
+            out[1:] = np.where(np.isfinite(p), p + p * np.cumsum(rel), p)
     return out
 
 
@@ -86,136 +111,108 @@ def cesaro_coefficients(alpha: float, n_max: int) -> np.ndarray:
     return _binomial_weights(float(alpha), n_max)
 
 
-# Elements per block buffer (512 KiB of float64, two buffers): large enough
-# that numpy call overhead is a few per cent of the time, small enough that
-# both buffers stay in a 2 MiB L2 cache.  At n = 4096 on a 2-core Xeon host,
-# 2**15 and 2**17 were each about 10 % slower.
-_BLOCK_ELEMENTS = 1 << 16
+def _slices(v: np.ndarray, b: int) -> tuple[int, list[np.ndarray]]:
+    """e and integer-valued slices c_1, c_2, .. with |c_j| < 2**b and
+    v = sum_j c_j * 2**(e - b*j) exactly; trailing zero slices are dropped.
 
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = fl(a + b) and the error e with s + e = a + b exactly (Knuth)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _extract(p: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One error-free extraction per row of p: (tau, lo, bound).
-
-    tau is the exact sum of the row's high parts, lo the floating-point sum
-    of its residuals, which overwrite p, and bound is at least twice the
-    error of lo.  buf (the shape of p) holds the high parts.
+    v must be finite.  Before step j every |rem| < 2**(e - b*(j-1)), so the
+    scaled rem is below 2**b, and it is exact wherever it reaches 1; c_j is
+    rem truncated to multiples of 2**(e - b*j), which is a float (fewer bits
+    of rem, or rem itself), and so is what it leaves in rem.
     """
-    width = p.shape[1]
-    # sigma = 2**s per row with max|p| < 2**(s - extra) (frexp gives
-    # max|p| < 2**e, subnormals and powers of two included) and
-    # 2**extra >= width + 2
-    pmax = np.maximum(p.max(axis=1), -p.min(axis=1))
-    s = np.frexp(pmax)[1] + (width + 1).bit_length()
-    sigma = np.ldexp(1.0, s)[:, None]
-    # |p| <= sigma/4, so q = fl(sigma + p) - sigma is exact (Sterbenz) and a
-    # multiple of ulp(sigma)/2, and sum|q| < sigma: every partial sum of q
-    # is a float, so tau is exact in any order.  p - q is the rounding
-    # error of sigma + p: exact, and at most ulp(sigma)/2
-    q = np.add(p, sigma, out=buf)
-    q -= sigma
-    tau = q.sum(axis=1)
-    lo = np.subtract(p, q, out=p).sum(axis=1)
-    # any-order float sum of width terms of at most ulp(sigma)/2:
-    # |error of lo| <= gamma_(width-1) * width * 2**(s - 53)
-    # < width**2 * 2**(s - 106) for width < 2**26, and the error is a
-    # multiple of 2**-1074.  bound is four times that; ldexp rounding below
-    # the normal range takes at most half of it, and a bound below 2**-1074
-    # means lo is exact
-    return tau, lo, np.ldexp(float(width * width), s - 104)
+    e = int(np.frexp(np.abs(v).max())[1])
+    rem = v.copy()
+    out = []
+    while rem.any():
+        shift = b * (len(out) + 1) - e
+        c = np.trunc(np.ldexp(rem, shift))
+        rem -= np.ldexp(c, -shift)
+        out.append(c)
+    return e, out
 
 
-def _round(tau: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = fl(tau + lo), and the margin of the rounding certificate.
-
-    Where the exact sum lies within bound / 2 of tau + lo and
-    bound < margin, r is the exactly rounded sum: margin is how far tau + lo
-    lies inside the rounding interval of r, and the factor two covers its
-    rounding.
-    """
-    r, res = _two_sum(tau, lo)
-    # half the gap to each neighbour of r
-    up = np.nextafter(r, np.inf) - r
-    up *= 0.5
-    down = r - np.nextafter(r, -np.inf)
-    down *= 0.5
-    # No other test is needed.  A sum of zero, or below 2**-1021, has
-    # half-gaps that round to 0, and so margin 0, and fsum decides the sign
-    # of zero.  A non-finite product makes q or p - q NaN, and so r.  Where
-    # sigma overflows (s >= 1024) every q is NaN; where it does not,
-    # sum|p| < 2**1023, so neither fsum's partials nor r and its neighbours
-    # overflow.
-    return r, np.minimum(up - res, down + res)
-
-
-def _row_sums(p: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of p, and where they are exactly rounded for certain.
-
-    p is overwritten; buf (the shape of p) is scratch.  Call under
-    ``np.errstate(all="ignore")``.
-    """
-    tau, lo, bound = _extract(p, buf)
-    r, margin = _round(tau, lo)
-    ok = bound < margin
-    # The bound of one extraction grows like width**3 * max|p|: from a width
-    # of about 2**16 on it fails rows whose sum is not far above their
-    # largest product.  Those rows get a second extraction, of their
-    # residuals (each at most 2**-53 * sigma).  Its own bound is at most
-    # about width * 2**-51 times the first, and the rounding error e of
-    # rho = fl(tau2 + lo2) is at most ulp(rho) / 2, with
-    # |rho| <= width * 2**-53 * sigma.  Rows with margin 0 (parts that add
-    # to a midpoint, mostly exact ties, which no certificate accepts, and
-    # sums below 2**-1021) and non-finite rows go straight to fsum.
-    bad = np.flatnonzero(~ok & (margin > 0))
-    if bad.size:
-        # the exact sum is tau + tau2 + the exact sum of the new residuals,
-        # and rho + e = tau2 + lo2
-        tau2, lo2, bound2 = _extract(p[bad], buf[:bad.size])
-        rho, e = _two_sum(tau2, lo2)
-        # so it lies within bound2 / 2 + |e| of tau + rho; the certificate
-        # wants twice that, and twice again covers the rounding here
-        r[bad], margin = _round(tau[bad], rho)
-        ok[bad] = 2.0 * bound2 + 4.0 * np.abs(e) < margin
-    return r, ok
+def _round_rows(values: list[np.ndarray], b: int, s: int) -> np.ndarray:
+    """Each row's sum_g values[g] * 2**(s + b * (G - 1 - g)), a Python int
+    times 2**s, rounded once by int division (to nearest, ties to even)."""
+    size = values[0].size
+    out = np.empty(size)
+    for r in range(0, size, _ROW_CHUNK):
+        total = 0
+        for v in values:
+            total = (total << b) + v[r:r + _ROW_CHUNK].astype(object)
+        try:
+            out[r:r + _ROW_CHUNK] = np.true_divide(total << max(s, 0),
+                                                   1 << max(-s, 0))
+        except OverflowError:
+            raise OverflowError("a Cesaro sum overflows the float range"
+                                ) from None
+    return out
 
 
 def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[n] = sum_(i=0..n) kernel[n-i] * x[i], each exactly rounded.
+    """out[n] = sum_(i=0..n) kernel[n-i] * x[i]: the exact sum, rounded once.
 
-    Bit-identical to ``math.fsum`` over the products of each row, and raises
-    what the first raising row's fsum raises.
+    Raises ValueError for a non-finite operand and OverflowError for a row
+    whose exact sum lies beyond the float range.  An exactly zero row is +0.
     """
     size = x.size
-    out = np.empty(size, dtype=np.float64)
-    # toeplitz[n, i] = kernel[n - i] for i <= n and 0 beyond: a strided view
-    # of the reversed kernel followed by zeros
-    padded = np.zeros(2 * size - 1)
-    padded[:size] = kernel[size - 1::-1]
-    toeplitz = sliding_window_view(padded, size)[::-1]
-    cap = max(_BLOCK_ELEMENTS, size)
-    prod_buf, high_buf = np.empty(cap), np.empty(cap)
-    n0 = 0
-    while n0 < size:
-        # rows n0..n1-1, each padded to width n1: rows * n1 <= cap
-        rows = (math.isqrt(n0 * n0 + 4 * cap) - n0) // 2
-        rows = max(1, min(size - n0, rows))
-        n1 = width = n0 + rows
-        m = rows * width
-        with np.errstate(all="ignore"):
-            p = np.multiply(toeplitz[n0:n1, :width], x[:width],
-                            out=prod_buf[:m].reshape(rows, width))
-            r, ok = _row_sums(p, high_buf[:m].reshape(rows, width))
-        out[n0:n1] = r
-        for n in (n0 + np.flatnonzero(~ok)).tolist():
-            out[n] = math.fsum((kernel[n::-1] * x[: n + 1]).tolist())
-        n0 = n1
-    return out
+    if not (np.isfinite(kernel).all() and np.isfinite(x).all()):
+        raise ValueError("Cesaro sums need finite terms")
+    if not (kernel.any() and x.any()):
+        return np.zeros(size)
+    fft = np.fft
+    # a cyclic length of 2**a or 3 * 2**a, at least 2 * size - 1, wraps no
+    # product into rows 0..size-1
+    length = 1 << (2 * size - 2).bit_length()
+    if 3 * length >= 4 * (2 * size - 1):
+        length = 3 * length // 4
+    # Percival's bound (Math. Comp. 72, 2003, Theorem 5.1; Brent and
+    # Zimmermann, Theorem 3.3.2): transforming u and v of length 2**k,
+    # multiplying and transforming back, with roots of unity accurate to
+    # eps, misses each entry of the convolution by less than
+    # |u| |v| ((1 + eps)**(3k) (1 + eps sqrt5)**(3k + 1) (1 + eps)**(3k) - 1)
+    # < |u| |v| eps (13 k + 3) (Euclidean norms).  Adding a group's P
+    # products in frequency space adds at most (P - 1) eps |u| |v| per pair
+    # (the l1 norm of that error over the length bounds its effect on each
+    # entry).  So a group is off by less than sum |u_i| |v_j| eps
+    # (13 k + 3 + P), and b is chosen to keep that below 1/4: rounding to
+    # the nearest integer is then exact, and the group values, at most
+    # sum |u_i| |v_j|, stay below 2**51.  The bound is proved for radix-2
+    # complex transforms, and numpy's pocketfft takes radix 2, 3 and 4
+    # steps, so every call also measures the largest distance to the
+    # nearest integer and retries with narrower slices at 1/4 or more.
+    # Slices below 2**b have |u| < 2**b sqrt(size): the first b tried is
+    # the largest that one pair of such slices allows.
+    growth = _EPS * (13 * (length - 1).bit_length() + 3)
+    for b in range(int(math.log2(0.25 / (size * growth))) // 2, 0, -1):
+        (ek, ks), (ex, xs) = _slices(kernel, b), _slices(x, b)
+        norm_k = [math.sqrt(np.dot(c, c)) for c in ks]
+        norm_x = [math.sqrt(np.dot(c, c)) for c in xs]
+        groups = [[(i, g - i) for i in range(max(0, g - len(xs) + 1),
+                                             min(len(ks), g + 1))
+                   if norm_k[i] and norm_x[g - i]]
+                  for g in range(len(ks) + len(xs) - 1)]
+        if max(sum(norm_k[i] * norm_x[j] for i, j in pairs)
+               * (growth + _EPS * len(pairs)) for pairs in groups) >= 0.25:
+            continue
+        spec_k = [fft.rfft(c, length) if n else None
+                  for c, n in zip(ks, norm_k)]
+        spec_x = [fft.rfft(c, length) if n else None
+                  for c, n in zip(xs, norm_x)]
+        del ks, xs
+        values, worst = [], 0.0
+        for pairs in groups:
+            if not pairs:  # no pair of non-zero slices has this weight
+                values.append(np.zeros(size, dtype=np.int64))
+                continue
+            c = fft.irfft(sum(spec_k[i] * spec_x[j] for i, j in pairs),
+                          length)[:size]
+            v = np.rint(c)
+            worst = max(worst, float(np.abs(c - v).max()))
+            values.append(v.astype(np.int64))
+        if worst < 0.25:
+            return _round_rows(values, b, ek + ex - b * (len(groups) + 1))
+    raise FloatingPointError("FFT error of 1/4 or more at every slice width")
 
 
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:

@@ -193,9 +193,12 @@ class ExperimentConfig:
             if seed is None:
                 raise ConfigError("seed", "required in oracle mode")
             trials = obj.get("trials")
+            # a million trials per suite already take minutes; a larger
+            # count is a typo more likely than a plan
             if trials is not None and (not isinstance(trials, int)
-                                       or isinstance(trials, bool) or trials < 1):
-                raise ConfigError("trials", "must be a positive integer")
+                                       or isinstance(trials, bool)
+                                       or not 1 <= trials <= 1_000_000):
+                raise ConfigError("trials", "must be an integer in 1..1000000")
             kw["trials"] = trials
 
         else:  # transform_dump

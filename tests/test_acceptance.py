@@ -177,7 +177,7 @@ def test_slope_calibration_on_exact_powers():
 SHIPPED_DIGESTS = {
     "alternating_dump": {
         "report.json": "cd80e5653690058f7b460544b2ac661989927ca6495cf6087cf698b42f96ebc8",
-        "transforms.csv": "60200f0fc276a57ce23cebd974335998a7fc9eb273f210f35f0d20593cf013da",
+        "transforms.csv": "b434504318592589bd9f2558e82b3d33903422e77c73d75f984fb11851fbeb06",
     },
     "custom_bundle": {
         "report.json": "9c57b20e81b6257414fef144b72818c5273e52544a4e1407554f436c9dd5eb82",

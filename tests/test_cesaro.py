@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summa import cesaro
-from summa.cesaro import (_binomial_weights, _extract, _kernel_dot_prefixes,
-                          _round, _row_sums, cesaro_coefficients,
-                          cesaro_sigma, cesaro_t, compute_transforms,
-                          w_sequence)
+from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
+                          cesaro_coefficients, cesaro_sigma, cesaro_t,
+                          compute_transforms, w_sequence)
 from summa.experiment import ExperimentConfig, builtin_family, run
+from summa.oracle import rational_cesaro_coefficients
 from summa.sequences import RealSequence
 
 
@@ -53,6 +54,17 @@ class TestCoefficients:
         rec = cesaro_coefficients(alpha, 2000)
         ref = product_form_coefficients(alpha, 2000)
         assert np.max(np.abs(rec - ref) / ref) < 1e-13
+
+    @pytest.mark.parametrize("alpha, n_max", [
+        (-0.75, 4096), (-0.5, 4096), (-0.25, 4096), (0.25, 4096),
+        (0.5, 4096), (1.0, 4096), (1.5, 4096), (1 / 3, 1000)])
+    def test_within_one_ulp_of_exact(self, alpha, n_max):
+        # the compensated product against the exact rational one, entry by
+        # entry (np.cumprod alone is up to 69 ulp off at alpha = 1/2)
+        exact = rational_cesaro_coefficients(Fraction(alpha), n_max)
+        got = cesaro_coefficients(alpha, n_max)
+        for v, e in zip(got.tolist(), exact):
+            assert abs(Fraction(v) - e) < Fraction(math.ulp(float(e)))
 
     def test_kernel_sums_to_coefficient(self):
         # sum_(v=0..n) A_(n-v)^(alpha-1) = A_n^alpha
@@ -205,29 +217,41 @@ class TestComputeTransforms:
         assert compute_transforms(a, 2.0).w is None
 
 
-def fsum_rows(kernel, x):
-    """One ``math.fsum`` per output index: the reference the blocked kernel
-    must reproduce bit for bit, and exception for exception."""
-    out = np.empty(x.size, dtype=np.float64)
-    for n in range(x.size):
-        out[n] = math.fsum((kernel[n::-1] * x[: n + 1]).tolist())
-    return out
+def _scaled(v):
+    """Integers V and a shift d with v = V / 2**d exactly, for finite v."""
+    ratios = [f.as_integer_ratio() for f in v.tolist()]
+    d = max(den for _, den in ratios).bit_length() - 1
+    return [num << (d + 1 - den.bit_length()) for num, den in ratios], d
+
+
+def exact_rows(kernel, x, rows=None):
+    """Each row's exact sum of kernel[n-i] * x[i] over the float operands, in
+    scaled Python ints, rounded once by int division (ties to even): the
+    reference the kernel must reproduce bit for bit, and its documented
+    exceptions (ValueError for a non-finite operand, OverflowError for an
+    exact sum beyond the float range)."""
+    if not (np.isfinite(kernel).all() and np.isfinite(x).all()):
+        raise ValueError("non-finite operand")
+    (ks, dk), (xs, dx) = _scaled(kernel), _scaled(x)
+    rows = range(x.size) if rows is None else rows
+    return np.array([sum(map(mul, ks[n::-1], xs[: n + 1])) / (1 << (dk + dx))
+                     for n in rows])
 
 
 def outcome(fn, kernel, x):
-    """Output bits, or the type and message of what ``fn`` raised."""
+    """Output bits, or the type of what ``fn`` raised."""
     with np.errstate(all="ignore"):
         try:
             return fn(kernel, x).view(np.int64).tolist()
         except (OverflowError, ValueError) as e:
-            return type(e), str(e)
+            return type(e)
 
 
 def dot_prefix_input(size, kind, seed):
     rng = np.random.default_rng(seed)
     signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
     scale = math.ldexp(1.0, int(rng.integers(-200, 201)))
-    if kind == "spread":  # +-200 binades
+    if kind == "spread":  # +-200 binades: many slices per element
         return (rng.standard_normal(size)
                 * np.ldexp(1.0, rng.integers(-200, 201, size)))
     if kind == "alternating":  # near-equal terms that cancel pairwise
@@ -241,13 +265,12 @@ def dot_prefix_input(size, kind, seed):
     if kind == "absorbed":
         # +-2**52 * scale swallow the low bits of the normal terms between
         # them, then cancel: with the all-ones kernel the later rows sum to
-        # far less than their largest product, which sets sigma, so their
-        # value lies in the rounded sum of the residuals
+        # far less than their largest product
         x = rng.standard_normal(size) * scale
         first, last = np.sort(rng.integers(0, size, 2))
         x[first], x[last] = 2.0 ** 52 * scale, -(2.0 ** 52) * scale
         return x
-    if kind == "zeros":  # rows summing to +0.0 and -0.0
+    if kind == "zeros":  # rows summing to exactly zero
         return rng.choice([0.0, -0.0, 1.0, -1.0], size)
     return signs * np.arange(1.0, size + 1.0)  # n * a_n of alternating_unit
 
@@ -260,7 +283,7 @@ SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308,
 
 @st.composite
 def dot_prefix_cases(draw):
-    # sizes past 256 rows span more than one block
+    # sizes up to 600 take transform lengths of both kinds, 2**a and 3 * 2**a
     size = draw(st.integers(1, 600))
     kind = draw(st.sampled_from(
         ["spread", "alternating", "ties", "absorbed", "zeros", "unit"]))
@@ -275,138 +298,140 @@ def dot_prefix_cases(draw):
     return _binomial_weights(alpha - 1.0, size - 1), x
 
 
+# The "fsum" in some test names is the kernel's earlier reference, fsum of
+# the rounded products; every test here compares with exact_rows.
 class TestKernelDotPrefixes:
     @settings(max_examples=150, deadline=None)
     @given(dot_prefix_cases())
     def test_bit_identical_to_fsum_rows(self, case):
         kernel, x = case
         assert outcome(_kernel_dot_prefixes, kernel, x) == \
-            outcome(fsum_rows, kernel, x)
+            outcome(exact_rows, kernel, x)
 
     @pytest.mark.parametrize("x, error", [
         ([1e308, 1e308, -1e308, 1.0], OverflowError),
         ([1.0, math.inf, -math.inf], ValueError),
     ])
     def test_raises_like_fsum(self, x, error):
-        # row 1 of the first case is finite but its sum overflows
+        # the exact sum of row 1 of the first case overflows
         kernel, x = np.ones(len(x)), np.array(x)
-        with pytest.raises(error) as ref:
-            fsum_rows(kernel, x)
-        with pytest.raises(error) as got:
+        with pytest.raises(error):
+            exact_rows(kernel, x)
+        with pytest.raises(error):
             _kernel_dot_prefixes(kernel, x)
-        assert str(got.value) == str(ref.value)
 
     # Row 3 of each case is (kernel[3], kernel[2], kernel[1], kernel[0]) with
     # x all ones, so the shorter rows before it leave out its leading terms.
     # M is the largest float, DELTA a quarter of its ulp: M + DELTA rounds
-    # back to M, M + 2 DELTA is a tie that rounds to inf.
-    @pytest.mark.parametrize("kernel, overflows", [
-        # the exact sum 2**1000 + 2 DELTA is finite, but fsum's partials
-        # overflow at M + 2 DELTA; with a product of M, sigma overflows and
-        # the row goes to fsum, which raises
+    # back to M, M + 2 DELTA is a tie that rounds to inf.  Every exact row
+    # sum is finite; fsum over the rounded products overflows on the first
+    # two (``fsum_overflows``), and the kernel must not.
+    @pytest.mark.parametrize("kernel, fsum_overflows", [
+        # the exact sum 2**1000 + 2 DELTA
         ([-(MAX - 2.0 ** 1000), DELTA, DELTA, MAX], True),
-        # the exact sum rounds to M itself, and fsum overflows on the way, as
-        # above
+        # the exact sum M itself
         ([-2 * DELTA, DELTA, DELTA, MAX], True),
         # finite results within a few ulps of M
         ([-4 * DELTA, MAX / 2, MAX / 2], False),
         ([-8 * DELTA, MAX / 4, MAX / 2, MAX / 4], False),
     ])
-    def test_rows_near_overflow_match_fsum(self, kernel, overflows):
+    def test_rows_near_overflow_match_fsum(self, kernel, fsum_overflows):
         kernel = np.array(kernel)
         x = np.ones(kernel.size)
-        ref = outcome(fsum_rows, kernel, x)
-        assert (ref == (OverflowError, "intermediate overflow in fsum")) \
-            == overflows
+        try:
+            math.fsum(kernel[::-1].tolist())
+        except OverflowError:
+            assert fsum_overflows
+        else:
+            assert not fsum_overflows
+        ref = outcome(exact_rows, kernel, x)
+        assert isinstance(ref, list)
         assert outcome(_kernel_dot_prefixes, kernel, x) == ref
 
     # Rows 0..n-1 of each case have the all-ones kernel, so row n is
     # x[0] + .. + x[n].
     @pytest.mark.parametrize("x", [
-        # 1 + 2**-53 is a tie; the 2**-200 that breaks it upwards (downwards)
-        # is lost in the float sum of the residuals, so the rounded sum of
-        # the two parts is 1 (-1) and only the test against the upper (lower)
-        # half-gap sends the row to fsum
+        # 1 + 2**-53 is a tie; the 2**-200 breaks it upwards (downwards)
         [1.0, 2.0 ** -53, 2.0 ** -200],
         [-1.0, -(2.0 ** -53), -(2.0 ** -200)],
-        # five products in [1, 2) summing past 8 (row 5 has sigma = 16): a
-        # sigma below the sum of the high parts no longer keeps it exact
+        # five terms in [1, 2) summing past 8, then a term 2**-30 below them
         [float.fromhex(h) for h in (
             "0x1.34de2dd319029p+0", "0x1.e2d1ae225715ep+0",
             "0x1.926eeace23894p+0", "0x1.b26a722e7f062p+0",
             "0x1.e5c421a31a4f9p+0", "0x1.c3d5ba1f5c4d4p-30")],
-        # row 4 sums to about 2**-70, its residuals after the first
-        # extraction to about 2**-49: the rounding error of the residuals'
-        # sum after the second extraction is many ulps of the row's sum, and
-        # only the second certificate's |e| term sends the row to fsum
+        # row 4 sums to about 2**-70 after cancelling terms near 1 and 2**-48
         [float.fromhex(h) for h in (
             "0x1.0000000000000p+0", "-0x1.fffffffffffffp-1",
             "0x1.59f4c43343f80p-48", "-0x1.61f4c74732dc6p-48",
             "0x1.82f1082e6221cp-106")],
-        # both extractions leave 2**-111, 2**-164 and 2**-200 as residuals
-        # (the pairs 1, -1 and 2**-60, -2**-60 set sigma for each); their
-        # float sum loses the 2**-200 that breaks the tie, so only the
-        # second certificate's bound sends row 6 to fsum
+        # the pairs 1, -1 and 2**-60, -2**-60 cancel, and 2**-200 decides
+        # the rounding of 2**-111 + 2**-164 at row 6
         [1.0, -1.0, 2.0 ** -60, -(2.0 ** -60), 2.0 ** -111, 2.0 ** -164,
          2.0 ** -200],
-        # tiny and subnormal largest products; sums with a subnormal part
+        # tiny and subnormal terms; sums with a subnormal part
         [5e-324, 5e-324, -1e-323, 5e-324],
         [1.5 * 2.0 ** -1022, 5e-324, 1.5e-323, -1e-323],
         [2.0 ** -1000, 2.0 ** -1060, -(2.0 ** -1070), 3 * 2.0 ** -1074],
-        # all products +-0.0: fsum decides the sign of zero
+        # all terms +-0.0: an exactly zero row is +0.0
         [0.0, -0.0, 0.0, -0.0],
         [-0.0, -0.0, -0.0],
-        # sigma at the overflow edge: 2**1023 for row 3 of the first case
-        # (largest product just below 2**1020, width 4), overflowing for
-        # the rows of the second
+        # sums near the overflow edge, finite and overflowing
         [MAX / 2.0 ** 4] * 4,
         [2.0 ** 1020, 2.0 ** 1020, 2.0 ** 1020, -(2.0 ** 1020)],
-        # width-1 rows: sigma = 2**1023, then overflowing sigma
+        # width-1 rows, the largest float and non-finite operands included
         [1.5 * 2.0 ** 1020], [2.0 ** 1021], [MAX],
         [3.0], [-0.0], [5e-324], [math.inf], [math.nan],
     ])
     def test_edge_rows_match_fsum(self, x):
         kernel, x = np.ones(len(x)), np.array(x)
         assert outcome(_kernel_dot_prefixes, kernel, x) == \
-            outcome(fsum_rows, kernel, x)
+            outcome(exact_rows, kernel, x)
 
     def test_benchmark_ties_match_fsum(self):
         # t of a_n * lambda_n for F1 at alpha = 1/2 (the conclusion
-        # diagnostic of the fractional benchmark runs): rows 2, 6 and 7
-        # sum exactly to midpoints between two floats
+        # diagnostic of the fractional benchmark runs): its first rows,
+        # where fsum of the rounded products met exact midpoints
         bundle = builtin_family("F1", 4096, {"alpha": 0.5})
         factored = bundle.a.values * bundle.lam.values
         x = factored * np.arange(1.0, factored.size + 1.0)
         kernel = _binomial_weights(-0.5, x.size - 1)
-        for n in (2, 6, 7):
-            terms = (kernel[n::-1] * x[: n + 1]).tolist()
-            r = math.fsum(terms)
-            assert 2 * sum(map(Fraction, terms)) in (
-                Fraction(r) + Fraction(math.nextafter(r, d))
-                for d in (math.inf, -math.inf))
         assert outcome(_kernel_dot_prefixes, kernel[:8], x[:8]) == \
-            outcome(fsum_rows, kernel[:8], x[:8])
+            outcome(exact_rows, kernel[:8], x[:8])
 
-    @pytest.mark.parametrize("width", [2 ** 16 + 1, 2 ** 17])
-    def test_wide_rows_certified(self, width):
-        # the last rows of t for alternating_unit at alpha = 1/2 (the input
-        # of the benchmark's dump), padded to the block width as the kernel
-        # pads them: their sums are about 0.7 times their largest product,
-        # so one extraction's a-priori bound is too wide to certify all of
-        # them, and the second extraction must certify every row, with none
-        # left to fsum
-        x = dot_prefix_input(width, "unit", 0)
-        kernel = _binomial_weights(-0.5, width - 1)
-        block = np.zeros((4, width))
-        for row, n in enumerate(range(width - 4, width)):
-            block[row, : n + 1] = kernel[n::-1] * x[: n + 1]
-        expect = [math.fsum(row) for row in block.tolist()]
-        with np.errstate(all="ignore"):
-            tau, lo, bound = _extract(block.copy(), np.empty_like(block))
-            assert not (bound < _round(tau, lo)[1]).all()
-            r, ok = _row_sums(block, np.empty_like(block))
-        assert ok.all()
-        assert r.tolist() == expect
+    @pytest.mark.parametrize("row_chunk", [cesaro._ROW_CHUNK, 1000])
+    def test_wide_alternating_rows_exact(self, monkeypatch, row_chunk):
+        # t of alternating_unit at alpha = 1/2 (the input of the benchmark's
+        # dump) at a width that takes two slices of x, with rows rounded in
+        # one batch and in many
+        monkeypatch.setattr(cesaro, "_ROW_CHUNK", row_chunk)
+        x = dot_prefix_input(65536, "unit", 0)
+        kernel = _binomial_weights(-0.5, x.size - 1)
+        rows = [0, 1, 2, 999, 1000, 4095, 32768, 65533, 65534, 65535]
+        assert _kernel_dot_prefixes(kernel, x)[rows].tolist() == \
+            exact_rows(kernel, x, rows).tolist()
+
+    @pytest.mark.parametrize("noisy_calls", [1, None])
+    def test_fft_error_never_returned(self, monkeypatch, noisy_calls):
+        # an inverse transform 0.3 off an integer fails the check: the
+        # kernel retries with narrower slices, and raises if every width fails
+        irfft, calls = np.fft.irfft, []
+
+        def noisy(*args, **kwargs):
+            calls.append(1)
+            out = irfft(*args, **kwargs)
+            if noisy_calls is None or len(calls) <= noisy_calls:
+                out[0] += 0.3
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", noisy)
+        x = dot_prefix_input(300, "unit", 0)
+        kernel = _binomial_weights(-0.5, x.size - 1)
+        if noisy_calls is None:
+            with pytest.raises(FloatingPointError):
+                _kernel_dot_prefixes(kernel, x)
+        else:
+            assert _kernel_dot_prefixes(kernel, x).tolist() == \
+                exact_rows(kernel, x).tolist()
 
     def test_numpy_facts_the_kernel_relies_on(self):
         # frexp: |v| < 2**e, for subnormals and exact powers of two too
@@ -416,18 +441,18 @@ class TestKernelDotPrefixes:
         assert exps.tolist() == [-1073, -1072, -1021, 0, 1, 2, 1024, 1024]
         for v, e in zip(values, exps.tolist()):
             assert Fraction(2) ** (e - 1) <= v < Fraction(2) ** e
-        assert np.frexp(np.array([0.0, -0.0]))[1].tolist() == [0, 0]
-        with np.errstate(all="ignore"):
-            # sigma overflows to inf, and then every high part is NaN
-            sigma = np.ldexp(1.0, np.array([1023, 1024]))
-            assert sigma.tolist() == [2.0 ** 1023, math.inf]
-            assert np.isnan((np.float64(MAX) + sigma[1]) - sigma[1])
-            # bounds below the normal range round, then vanish
-            assert np.ldexp(9.0, np.array([-1076, -1078, -1200])).tolist() \
-                == [2 * 5e-324, 5e-324, 0.0]
-            # half the gap above any value below 2**-1021 rounds to 0
-            r = np.array([0.0, -0.0, 5e-324, 2.0 ** -1022])
-            assert ((np.nextafter(r, np.inf) - r) * 0.5 == 0.0).all()
+        # int division of object arrays rounds once, ties to even, into the
+        # subnormal range, keeps the sign of a negative sum that rounds to
+        # zero, and raises OverflowError past the float range
+        num = np.array([(1 << 53) + 1, (1 << 53) + 3, 3, 1, -1, 3, 0],
+                       dtype=object)
+        den = np.array([1, 1, 1 << 1076, 1 << 1075, 1 << 1075, 1 << 1075, 7],
+                       dtype=object)
+        assert np.true_divide(num, den).astype(np.float64).tolist() == [
+            2.0 ** 53, 2.0 ** 53 + 4, 5e-324, 0.0, -0.0, 1e-323, 0.0]
+        assert math.copysign(1.0, (-1) / (1 << 1075)) == -1.0
+        with pytest.raises(OverflowError):
+            np.true_divide(np.array([1 << 1024], dtype=object), 1)
 
 
 def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
@@ -445,7 +470,7 @@ def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
 
     def reference(kernel, x):
         calls.append(x.size)
-        return fsum_rows(kernel, x)
+        return exact_rows(kernel, x)
 
     for side in ("shipped", "reference"):
         if side == "reference":

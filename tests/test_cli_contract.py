@@ -3,7 +3,11 @@
 Whatever the config, ``summa run`` returns 0 (every verdict passed), 1 (a
 verdict failed) or 2 (the config cannot be run), and never raises or warns.
 Exit 2 prints exactly one ``config error:`` line and writes no report;
-exits 0 and 1 print nothing to stderr and write ``report.json``.
+exits 0 and 1 print nothing to stderr and write ``report.json``.  The same
+holds for the flags: ``--tolerance-slope`` on ``summa run`` and ``--seed``
+and ``--trials`` on ``summa oracle``, negative, zero and huge values
+included.  Flag values are passed as ``--flag=VALUE``, so that argparse
+reads a negative value such as ``-1e-05`` as a value, not as an option.
 """
 
 import io
@@ -81,6 +85,14 @@ _DUMP = st.fixed_dictionaries(
              "start": st.sampled_from([0, 0, 1])}))},
     optional={"params": st.fixed_dictionaries({"alpha": _ALPHA})})
 
+_SLOPE = st.one_of(
+    st.none(), st.floats(),
+    st.sampled_from([-1.0, 0.0, 5e-324, 1e-300, 0.05, 0.3, 1e308]))
+
+# valid trial counts stay small so that the suites run quickly
+_TRIALS = st.one_of(st.integers(-(2 ** 70), 0), st.integers(1, 3),
+                    st.integers(1_000_001, 2 ** 70))
+
 _ORACLE = st.fixed_dictionaries({
     "mode": st.just("oracle"),
     "seed": st.integers(0, 2 ** 64 - 1),
@@ -100,34 +112,55 @@ def _bundle(**roles):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE))
+@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE)
 # Q_n X_n n overflows, so the series_nQX partial sums are nan
-@example(config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
+@example(slope=None,
+         config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(Q={"family": "power_decay",
                                       "params": {"p": 0, "c": 1e306}})})
 # the factored mean a_n lambda_n overflows inside the conclusion's trace
-@example(config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
+@example(slope=None,
+         config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_decay",
                      "params": {"p": 0, "c": 1e306}}})})
-# a row of the fractional kernel overflows math.fsum
-@example(config={"mode": "check_main", "n": 16,
+# v * a_v overflows: the fractional kernel refuses a non-finite term
+@example(slope=None,
+         config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
 # n^150 overflows while the sequence is generated
-@example(config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
+@example(slope=None,
+         config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_weight", "params": {"q": 150}}})})
-def test_exit_status_stderr_and_report(config):
+def test_exit_status_stderr_and_report(config, slope):
+    flags = [] if slope is None else [f"--tolerance-slope={slope!r}"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main(["run", str(path), "--out", str(out)])
-        wrote_report = (out / "report.json").is_file()
+        _assert_contract(["run", str(path), f"--out={out}", *flags], out)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(-(2 ** 70), 2 ** 70), trials=_TRIALS)
+# the first refused trial count, which would otherwise run for hours
+@example(seed=2 ** 64 - 1, trials=1_000_001)
+def test_oracle_flags(seed, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        _assert_contract(["oracle", f"--seed={seed}", f"--trials={trials}",
+                          f"--out={out}"], out)
+
+
+def _assert_contract(argv, out):
+    """Run ``summa`` on argv and check the exit status, stderr and the
+    report in ``out``."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main(argv)
     err = stderr.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
@@ -135,4 +168,4 @@ def test_exit_status_stderr_and_report(config):
         assert err.endswith("\n") and err.count("\n") == 1
     else:
         assert err == ""
-    assert wrote_report == (code in (0, 1))
+    assert (out / "report.json").is_file() == (code in (0, 1))
