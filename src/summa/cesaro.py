@@ -25,10 +25,12 @@ pairs of equal weight are multiplied and added in frequency space, and each
 such group, transformed back and rounded to the nearest integer, is its
 exact integer convolution (float-FFT integer multiplication: C. Percival,
 "Rapid multiplication modulo the sum and difference of highly composite
-numbers", Math. Comp. 72, 2003).  A row's groups form one Python integer,
-which int division rounds once, ties to even, so the output does not depend
-on how the FFT rounds.  A non-finite operand raises ``ValueError``, and a
-row whose exact sum lies beyond the float range raises ``OverflowError``.
+numbers", Math. Comp. 72, 2003).  A row's groups, int64 values below
+2**51, are carried into base-2**b digits and rounded once in int64
+arithmetic, to nearest with ties to even, subnormal results included, so
+the output does not depend on how the FFT rounds.  A non-finite operand
+raises ``ValueError``, and a row whose exact sum lies beyond the float
+range raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 _EPS = 2.0 ** -53
-# rows rounded per batch of Python ints, which bounds the memory they take
+# rows rounded per batch, which bounds the memory of the digit temporaries
 _ROW_CHUNK = 1 << 16
 
 
@@ -131,21 +133,77 @@ def _slices(v: np.ndarray, b: int) -> tuple[int, list[np.ndarray]]:
     return e, out
 
 
+def _carry(groups: list[np.ndarray], b: int) -> list[np.ndarray]:
+    """Base-2**b digits with the same row sums as the int64 groups (most
+    significant first): every digit below the top one in [0, 2**b), the top
+    one signed.  ``>>`` floors, so each carry is exact."""
+    digits = groups[:]
+    carry = 0
+    for g in range(len(groups) - 1, 0, -1):
+        t = groups[g] + carry
+        carry = t >> b
+        t &= (1 << b) - 1
+        digits[g] = t
+    digits[0] = groups[0] + carry
+    return digits
+
+
 def _round_rows(values: list[np.ndarray], b: int, s: int) -> np.ndarray:
-    """Each row's sum_g values[g] * 2**(s + b * (G - 1 - g)), a Python int
-    times 2**s, rounded once by int division (to nearest, ties to even)."""
+    """Each row's sum_g values[g] * 2**(s + b * (G - 1 - g)) of int64 groups
+    with |values[g]| < 2**51, rounded once (to nearest, ties to even).
+
+    The groups are carried into digits (``_carry``), and a row whose top
+    digit is negative is negated and carried again, so that its digits give
+    the magnitude.  The magnitude's top bits, at most 62 of them, fill an
+    int64 window, the last digit to reach it only in part; what falls below
+    the window only counts as zero or not (a sticky bit).  The window is
+    rounded by hand to 53 bits, or to the 2**-1074 grid where that is
+    coarser, and ``ldexp`` of the rounded integer, at most 2**53, is exact.
+    """
     size = values[0].size
     out = np.empty(size)
-    for r in range(0, size, _ROW_CHUNK):
-        total = 0
-        for v in values:
-            total = (total << b) + v[r:r + _ROW_CHUNK].astype(object)
-        try:
-            out[r:r + _ROW_CHUNK] = np.true_divide(total << max(s, 0),
-                                                   1 << max(-s, 0))
-        except OverflowError:
-            raise OverflowError("a Cesaro sum overflows the float range"
-                                ) from None
+    for lo in range(0, size, _ROW_CHUNK):
+        digits = _carry([v[lo:lo + _ROW_CHUNK] for v in values], b)
+        neg = digits[0] < 0
+        if neg.any():
+            sign = 1 - 2 * neg.astype(np.int64)
+            for d in digits:  # new arrays, not the caller's groups
+                d *= sign
+            digits = _carry(digits, b)
+        win = np.zeros_like(digits[0])
+        dropped = np.zeros_like(win)  # the row's bits below the window
+        lost = np.zeros_like(win)  # nonzero where any of them is set
+        for d in digits:
+            # the top digit, below 2**53, always fits whole.  win < 2**62
+            # converts to at most 2**62, so frexp gives 63 at most.  It
+            # overstates the bit length by one where the conversion rounds
+            # up to a power of two: win is then at least 1 - 2**-54 times
+            # it, and stays so as bits are appended.  So a row takes fewer
+            # bits, never too many, and none after a digit taken in part
+            e = np.frexp(win.astype(np.float64))[1]
+            drop = np.clip(e - (62 - b), 0, b)
+            top = d >> drop
+            win = (win << (b - drop)) | top
+            lost |= d - (top << drop)
+            dropped += drop
+        # the window's last bit is worth 2**exp.  Rounding off r bits keeps
+        # 53, or the bits down to 2**-1074 where that grid is coarser.  A
+        # row with r of 63 or more lies below half a step of its grid and
+        # rounds to zero, so r stops at 63 and the shifts stay in range.
+        # Where frexp overstates the bit length, one bit fewer is kept, and
+        # the nearest float is that power of two either way.
+        exp = s + dropped
+        e = np.frexp(win.astype(np.float64))[1]
+        r = np.clip(np.maximum(e - 53, -1074 - exp), 0, 63)
+        q = win >> r
+        rem = win - (q << r)
+        half = 1 << np.maximum(r - 1, 0)
+        q += (rem > half) | ((rem == half) & ((lost != 0) | (q & 1 == 1)))
+        with np.errstate(over="ignore"):
+            mag = np.ldexp(q.astype(np.float64), exp + r)
+        if np.isinf(mag).any():
+            raise OverflowError("a Cesaro sum overflows the float range")
+        out[lo:lo + _ROW_CHUNK] = np.where(neg, -mag, mag)
     return out
 
 
@@ -211,6 +269,7 @@ def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
             worst = max(worst, float(np.abs(c - v).max()))
             values.append(v.astype(np.int64))
         if worst < 0.25:
+            del spec_k, spec_x  # freed before the rounding's temporaries
             return _round_rows(values, b, ek + ex - b * (len(groups) + 1))
     raise FloatingPointError("FFT error of 1/4 or more at every slice width")
 

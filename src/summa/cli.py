@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .checker import Tolerances
@@ -13,8 +14,25 @@ from .experiment import (ConfigError, ExperimentConfig, family_catalog_lines,
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as ``ConfigError``, and with
+    every negative number, exponent form and -inf included, read as a value.
+    argparse reads a token that starts with "-" as a value only where its
+    ``_negative_number_matcher`` matches, and its own pattern misses -1e-05;
+    ``tests/test_cli_contract.py`` checks the replacement takes effect."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="summa",
         description="Finite-scale checks for absolute Cesaro summability "
                     "factor theorems")
@@ -81,9 +99,9 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "family": _cmd_family, "oracle": _cmd_oracle}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,13 +5,13 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summa import cesaro
 from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
-                          cesaro_coefficients, cesaro_sigma, cesaro_t,
-                          compute_transforms, w_sequence)
+                          _round_rows, cesaro_coefficients, cesaro_sigma,
+                          cesaro_t, compute_transforms, w_sequence)
 from summa.experiment import ExperimentConfig, builtin_family, run
 from summa.oracle import rational_cesaro_coefficients
 from summa.sequences import RealSequence
@@ -238,11 +238,11 @@ def exact_rows(kernel, x, rows=None):
                      for n in rows])
 
 
-def outcome(fn, kernel, x):
+def outcome(fn, *args):
     """Output bits, or the type of what ``fn`` raised."""
     with np.errstate(all="ignore"):
         try:
-            return fn(kernel, x).view(np.int64).tolist()
+            return fn(*args).view(np.int64).tolist()
         except (OverflowError, ValueError) as e:
             return type(e)
 
@@ -296,6 +296,73 @@ def dot_prefix_cases(draw):
             max_size=3)):
         x[pos % size] = value
     return _binomial_weights(alpha - 1.0, size - 1), x
+
+
+def round_rows_reference(values, b, s):
+    """Each row's sum_g values[g] * 2**(s + b * (G - 1 - g)) as one Python
+    int, rounded once by int division (to nearest, ties to even): the
+    kernel's earlier row rounding, the reference for the int64 one."""
+    total = 0
+    for v in values:
+        total = (total << b) + v.astype(object)
+    try:
+        return np.true_divide(total << max(s, 0),
+                              1 << max(-s, 0)).astype(np.float64)
+    except OverflowError:
+        raise OverflowError("a Cesaro sum overflows the float range"
+                            ) from None
+
+
+def split_rows(rows, b, groups, seed=None):
+    """int64 groups, most significant first, whose rows sum with weights
+    2**(b * (groups - 1 - g)) to the given ints, each |row| <= 2**(50 + b *
+    (groups - 1)).  The rows' base-2**b digits are the groups; with a seed,
+    random carries up to 2**(50 - b) move between neighbouring groups, so
+    that groups are signed and up to about 2**50, below the kernel's 2**51."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    mask = (1 << b) - 1
+    table = []
+    for t in rows:
+        digits = []
+        for _ in range(groups - 1):
+            digits.append(t & mask)
+            t >>= b
+        digits.append(t)
+        digits.reverse()
+        if rng is not None:
+            for g in range(1, groups):
+                c = int(rng.integers(-1, 2)) << int(rng.integers(0, 51 - b))
+                digits[g] += c << b
+                digits[g - 1] -= c
+        table.append(digits)
+    return [np.array(col, dtype=np.int64) for col in zip(*table)]
+
+
+@st.composite
+def row_stacks(draw):
+    """(values, b, s) for ``_round_rows``: rows of the kinds its rounding
+    must get right (53-bit ties and their neighbours, 2**k - 1 where the
+    float conversion overstates the bit length, odd multiples of powers of
+    two, zeros, any) at scales from underflow to overflow."""
+    b, groups = draw(st.integers(1, 26)), draw(st.integers(1, 13))
+    top = 50 + b * (groups - 1)  # the largest row bit length
+    bits = st.integers(0, top)
+    kinds = [bits.map(lambda k: (1 << k) - 1),
+             bits.flatmap(lambda k: st.integers(0, 1 << k)),
+             st.builds(lambda m, k: (2 * m + 1) << k, st.integers(0, 7),
+                       st.integers(0, top - 4)),
+             st.just(0)]
+    if top >= 54:
+        kinds.append(st.builds(lambda q, j, d: ((2 * q + 1) << j) + d,
+                               st.integers(1 << 52, (1 << 53) - 1),
+                               st.integers(0, top - 54),
+                               st.sampled_from([-1, 0, 0, 1])))
+    row = st.tuples(st.one_of(kinds), st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    s = draw(st.one_of(st.integers(-1075 - top, -1020),
+                       st.integers(970 - top, 1030), st.integers(-80, 80)))
+    return split_rows(rows, b, groups, draw(st.integers(0, 2 ** 32))), b, s
 
 
 # The "fsum" in some test names is the kernel's earlier reference, fsum of
@@ -410,6 +477,34 @@ class TestKernelDotPrefixes:
         assert _kernel_dot_prefixes(kernel, x)[rows].tolist() == \
             exact_rows(kernel, x, rows).tolist()
 
+    # One example per edge: 53-bit ties either way and just above, 2**62 - 1
+    # and a full-width row; rows of 2**-1075 and 3 * 2**-1075 (ties on the
+    # subnormal grid), rows rounding to -0.0, and zero rows of cancelling
+    # groups; 2**-1075 + 2**-1135, which rounding to 53 bits first would
+    # turn into a tie; the largest float and its negative; a tie above it
+    # that rounds to inf; a width-1 row stack.
+    @pytest.mark.parametrize("row_chunk", [cesaro._ROW_CHUNK, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(row_stacks())
+    @example((split_rows([2 ** 53 + 1, 2 ** 53 + 3, -(2 ** 53 + 1),
+                          ((2 ** 53 + 1) << 40) + 1, 2 ** 62 - 1,
+                          -(2 ** 115 - 1), 0], 13, 6, seed=1), 13, 6))
+    @example((split_rows([1, -1, 3, -3, 2, -5, 2 ** 60 + 1, 0, 0], 7, 3,
+                         seed=2), 7, -1075))
+    @example((split_rows([2 ** 60 + 1, -(2 ** 60 + 1), 2 ** 60], 7, 10,
+                         seed=4), 7, -1135))
+    @example((split_rows([2 ** 54 - 2, -(2 ** 54 - 2), 2 ** 53 + 1], 20, 2,
+                         seed=3), 20, 970))
+    @example((split_rows([1, 2 ** 54 - 1], 20, 2), 20, 970))
+    @example((split_rows([-1, 1, 0, 2 ** 50], 1, 1), 1, -1074))
+    def test_round_rows_match_python_ints(self, row_chunk, stack):
+        # the int64 rounding against the Python-int one it replaced: the
+        # same bits, or the same exception, at any batch size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cesaro, "_ROW_CHUNK", row_chunk)
+            assert outcome(_round_rows, *stack) == \
+                outcome(round_rows_reference, *stack)
+
     @pytest.mark.parametrize("noisy_calls", [1, None])
     def test_fft_error_never_returned(self, monkeypatch, noisy_calls):
         # an inverse transform 0.3 off an integer fails the check: the
@@ -441,18 +536,33 @@ class TestKernelDotPrefixes:
         assert exps.tolist() == [-1073, -1072, -1021, 0, 1, 2, 1024, 1024]
         for v, e in zip(values, exps.tolist()):
             assert Fraction(2) ** (e - 1) <= v < Fraction(2) ** e
-        # int division of object arrays rounds once, ties to even, into the
-        # subnormal range, keeps the sign of a negative sum that rounds to
-        # zero, and raises OverflowError past the float range
-        num = np.array([(1 << 53) + 1, (1 << 53) + 3, 3, 1, -1, 3, 0],
-                       dtype=object)
-        den = np.array([1, 1, 1 << 1076, 1 << 1075, 1 << 1075, 1 << 1075, 7],
-                       dtype=object)
-        assert np.true_divide(num, den).astype(np.float64).tolist() == [
-            2.0 ** 53, 2.0 ** 53 + 4, 5e-324, 0.0, -0.0, 1e-323, 0.0]
-        assert math.copysign(1.0, (-1) / (1 << 1075)) == -1.0
-        with pytest.raises(OverflowError):
-            np.true_divide(np.array([1 << 1024], dtype=object), 1)
+        # >> on a negative int64 floors, and & leaves the remainder in
+        # [0, 2**b): the carries of _carry are exact
+        x = np.array([-1, -5, -(2 ** 51) + 3, 2 ** 51 - 1, 0])
+        assert (x >> 3).tolist() == [v >> 3 for v in x.tolist()]
+        assert ((x >> 3) * 8 + (x & 7)).tolist() == x.tolist()
+        # astype(float64) of an int64 rounds to nearest, ties to even: below
+        # 2**53 it is exact, and frexp overstates the bit length by one
+        # where it rounds up to a power of two (2**k - 1 from k = 54 on)
+        w = np.array([2 ** 53 - 1, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 54 - 1,
+                      2 ** 62 - 1, 2 ** 62 - 2 ** 9, 2 ** 62 - 2 ** 8])
+        assert w.astype(np.float64).tolist() == [
+            2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 4, 2.0 ** 54, 2.0 ** 62,
+            2.0 ** 62 - 2 ** 9, 2.0 ** 62]
+        assert np.frexp(w.astype(np.float64))[1].tolist() == [
+            53, 54, 54, 55, 63, 62, 63]
+        # shifts by an array of counts up to 63 stay defined
+        assert (w >> np.full(7, 63)).tolist() == [0] * 7
+        assert (np.zeros(2, dtype=np.int64) << np.array([62, 63])).tolist() \
+            == [0, 0]
+        # ldexp of an integer up to 2**53 is exact down to 2**-1074, and
+        # gives inf past the float range
+        q = np.array([1.0, 3.0, 2.0 ** 53 - 1, 2.0 ** 53] * 2)
+        e = np.array([-1074] * 4 + [971] * 4)
+        with np.errstate(over="ignore"):
+            got = np.ldexp(q, e).tolist()
+        assert got == [5e-324, 1.5e-323, (2 ** 53 - 1) * 5e-324, 2.0 ** -1021,
+                       2.0 ** 971, 3 * 2.0 ** 971, MAX, math.inf]
 
 
 def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):

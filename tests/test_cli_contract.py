@@ -6,8 +6,9 @@ Exit 2 prints exactly one ``config error:`` line and writes no report;
 exits 0 and 1 print nothing to stderr and write ``report.json``.  The same
 holds for the flags: ``--tolerance-slope`` on ``summa run`` and ``--seed``
 and ``--trials`` on ``summa oracle``, negative, zero and huge values
-included.  Flag values are passed as ``--flag=VALUE``, so that argparse
-reads a negative value such as ``-1e-05`` as a value, not as an option.
+included, each passed either as ``--flag=VALUE`` or as two argv tokens, so
+that a negative value such as ``-1e-05`` must be read as a value, not as an
+option.  Malformed flags and values are config errors too.
 """
 
 import io
@@ -16,6 +17,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +102,11 @@ _ORACLE = st.fixed_dictionaries({
 })
 
 
+def _flag(name, value, joined):
+    """``name`` with its value as one argv token or as two."""
+    return [f"{name}={value}"] if joined else [name, str(value)]
+
+
 def _bundle(**roles):
     base = {"a": {"family": "alternating_unit"},
             "lambda": {"family": "power_decay",
@@ -112,31 +119,36 @@ def _bundle(**roles):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE)
+@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
+       joined=st.booleans())
+# a negative slope in exponent form, as its own token, reaches the validator
+@example(slope=-1e-05, joined=False,
+         config={"mode": "check_main", "family": "F1", "n": 16})
 # Q_n X_n n overflows, so the series_nQX partial sums are nan
-@example(slope=None,
+@example(slope=None, joined=True,
          config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(Q={"family": "power_decay",
                                       "params": {"p": 0, "c": 1e306}})})
 # the factored mean a_n lambda_n overflows inside the conclusion's trace
-@example(slope=None,
+@example(slope=None, joined=True,
          config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_decay",
                      "params": {"p": 0, "c": 1e306}}})})
 # v * a_v overflows: the fractional kernel refuses a non-finite term
-@example(slope=None,
+@example(slope=None, joined=True,
          config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
 # n^150 overflows while the sequence is generated
-@example(slope=None,
+@example(slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_weight", "params": {"q": 150}}})})
-def test_exit_status_stderr_and_report(config, slope):
-    flags = [] if slope is None else [f"--tolerance-slope={slope!r}"]
+def test_exit_status_stderr_and_report(config, slope, joined):
+    flags = [] if slope is None else _flag("--tolerance-slope", repr(slope),
+                                           joined)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -145,14 +157,49 @@ def test_exit_status_stderr_and_report(config, slope):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(seed=st.integers(-(2 ** 70), 2 ** 70), trials=_TRIALS)
+@given(seed=st.integers(-(2 ** 70), 2 ** 70), trials=_TRIALS,
+       joined=st.booleans())
 # the first refused trial count, which would otherwise run for hours
-@example(seed=2 ** 64 - 1, trials=1_000_001)
-def test_oracle_flags(seed, trials):
+@example(seed=2 ** 64 - 1, trials=1_000_001, joined=False)
+def test_oracle_flags(seed, trials, joined):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        _assert_contract(["oracle", f"--seed={seed}", f"--trials={trials}",
+        _assert_contract(["oracle", *_flag("--seed", seed, joined),
+                          *_flag("--trials", trials, joined),
                           f"--out={out}"], out)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "{config}", "--tolerance-slope", "-1e-05", "--out={out}"],
+     "--tolerance-slope: slope tolerance must be positive"),
+    (["run", "{config}", "--tolerance-slope", "-inf", "--out={out}"],
+     "--tolerance-slope: slope tolerance must be positive"),
+    (["run", "{config}", "--tolerance-slope", "abc", "--out={out}"],
+     "summa run: argument --tolerance-slope: invalid float value"),
+    (["run", "{config}", "--out={out}", "--tolerance-slope"],
+     "summa run: argument --tolerance-slope: expected one argument"),
+    (["oracle", "--seed", "abc", "--out={out}"],
+     "summa oracle: argument --seed: invalid int value"),
+    (["oracle", "--seed", "-1e-05", "--out={out}"],
+     "summa oracle: argument --seed: invalid int value"),
+    (["oracle", "--seed", "1", "--out={out}", "--bogus"],
+     "summa: unrecognized arguments"),
+    ([], "summa: the following arguments are required"),
+])
+def test_malformed_flags(args, message):
+    # argparse's own usage errors exit 2 with one config error line too
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(
+            {"mode": "check_main", "family": "F1", "n": 16}))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main([a.format(config=config, out=out) for a in args])
+        assert code == 2
+        assert stderr.getvalue().startswith(f"config error: {message}")
+        assert stderr.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 def _assert_contract(argv, out):
