@@ -161,11 +161,17 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
         raise ValueError("epsilon must be positive")
     if k < 1.0:
         raise ValueError("k must be at least 1")
-    n = np.arange(1.0, phi.size + 1.0)
+    # three float arrays of the input's length, reused in place
     with np.errstate(all="ignore"):
-        seq = np.power(n, epsilon - k) * np.power(np.abs(phi), k)
-        rise = seq[1:] - seq[:-1]
-        slack = rel_tol * np.maximum(np.abs(seq[1:]), np.abs(seq[:-1]))
+        seq = np.arange(1.0, phi.size + 1.0)
+        np.power(seq, epsilon - k, out=seq)
+        tmp = np.abs(phi)
+        np.power(tmp, k, out=tmp)
+        seq *= tmp
+        np.abs(seq, out=tmp)
+        slack = np.maximum(tmp[1:], tmp[:-1])
+        slack *= rel_tol
+        rise = np.subtract(seq[1:], seq[:-1], out=tmp[:-1])
     # comparisons with NaN are False, so non-finite entries are flagged
     # on their own
     bad = ~np.isfinite(seq)

@@ -18,14 +18,25 @@ Randomized suites hammer each statement over seeded input distributions
 and report violation counts; a correct implementation reports zero.
 
 Exactness contract: the API takes and returns ``Fraction`` values, but the
-inner sums run over Python integers.  Each kernel table A_j^(alpha-1) is
-kept as integer numerators K_j over the lcm L of its denominators, each
-input sequence as integer numerators over the lcm of its denominators, so
-an inner sum is one integer dot product and every returned rational is
-built once, by ``Fraction(numerator, denominator)``.  It is the same
-rational that step-by-step ``Fraction`` arithmetic gives, and every
-comparison is made between integers over one positive common denominator,
-so every verdict is the same as well.
+inner sums run over Python integers.  alpha enters as its numerator and
+denominator; each kernel table A_j^(alpha-1) is kept, cached by those two
+ints and the length, as integer numerators K_j over the lcm L of its
+denominators, each input sequence as integer numerators over the lcm of
+its denominators, so an inner sum is one integer dot product, and
+A_m^alpha = sum_(j<=m) A_j^(alpha-1) is a prefix sum of the K_j.  The
+means t_m and the maximal sequence w_m of the decomposition are integer
+pairs (numerator, positive denominator) over one common scale, their
+running maximum taken by cross-multiplication, and its Hoelder floats are
+int / int divisions, correctly rounded like ``float()`` of the same
+rational.  Every
+returned rational is built once, by ``Fraction(numerator, denominator)``.
+It is the same rational that step-by-step ``Fraction`` arithmetic gives,
+and every comparison is made between integers over one positive common
+denominator, so every verdict is the same as well.  The suites draw each
+random rational as an index into a table of the 171 values Fraction(p, q),
+p in -9..9 and q in 1..9, from the two calls rng.randint(-9, 9) and
+rng.randint(1, 9): a seed gives the inputs that building Fraction(p, q)
+from those draws would.
 """
 
 from __future__ import annotations
@@ -101,12 +112,25 @@ def _weights_cached(order: Fraction, n_max: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _ratio(alpha) -> tuple[int, int]:
+    """alpha's numerator and positive denominator, in lowest terms."""
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    return alpha.as_integer_ratio()
+
+
+# keyed by alpha = num/den as two ints, which hash and compare far faster
+# than the Fraction alpha - 1 the table is built from
 @functools.lru_cache(maxsize=None)
-def _kernel_integers(order: Fraction, n_max: int) -> tuple[tuple[int, ...], int]:
-    """Integers K_j and a scale L with A_j^order = K_j / L for j <= n_max."""
-    weights = _weights_cached(order, n_max)
+def _kernel_integers(num: int, den: int,
+                     n_max: int) -> tuple[tuple[int, ...], int]:
+    """Integers K_j and a scale L with A_j^(alpha-1) = K_j / L, alpha =
+    num/den, listed from j = n_max down to j = 0: the order in which every
+    sum below walks them."""
+    weights = _weights_cached(Fraction(num - den, den), n_max)
     scale = math.lcm(*[w.denominator for w in weights])
-    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+    return tuple([w.numerator * (scale // w.denominator)
+                  for w in reversed(weights)]), scale
 
 
 def _scaled_integers(values) -> tuple[list[int], int]:
@@ -116,13 +140,30 @@ def _scaled_integers(values) -> tuple[list[int], int]:
     # at a guessed size and resizes it, so every such tuple freed stays on a
     # free list of its final size, which over an oracle run adds up to half a
     # MiB of peak memory
-    scale = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _covering(seq: RationalSequence, n: int) -> tuple[Fraction, ...]:
     """Values at indices 1..n of a sequence starting at index 0 or 1."""
     return seq.values[1 - seq.start_index:n + 1 - seq.start_index]
+
+
+def _t_ratios(kernel: tuple[int, ...], terms: list[int]) -> list[tuple[int, int]]:
+    """Pairs (r_m, s_m), s_m > 0, with t_m^alpha = r_m / (s_m D) for
+    m = 1..n, from the kernel of ``_kernel_integers(num, den, n)`` and the
+    integers v X_v, v = 1..n, of a_v = X_v / D.
+
+    s_m = sum_(j<=m) K_j is L A_m^alpha, since A_m^alpha is the sum of
+    A_j^(alpha-1) over j <= m; so t_m, the kernel sum over L D divided by
+    A_m^alpha, is r_m / (s_m D).
+    """
+    n = len(terms)
+    sums = list(itertools.accumulate(reversed(kernel)))
+    # kernel[n + 1 - m:] starts at K_(m-1)
+    return [(sum(map(mul, kernel[n + 1 - m:], terms)), sums[m])
+            for m in range(1, n + 1)]
 
 
 def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction, ...]:
@@ -137,36 +178,17 @@ def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction,
 
 def rational_cesaro_t(a: RationalSequence, alpha: Fraction, n: int) -> tuple[Fraction, ...]:
     """Exact t_1^alpha .. t_n^alpha of a; a must cover indices 1..n."""
-    alpha = Fraction(alpha)
-    if alpha <= -1:
+    num, den = _ratio(alpha)
+    if num <= -den:
         raise ValueError("alpha must exceed -1")
     if n < 1:
         raise ValueError("n must be at least 1")
     if a.start_index > 1 or a.end_index < n:
         raise ValueError(f"a must cover indices 1..{n}")
-    kernel, scale = _kernel_integers(alpha - 1, n - 1)
+    kernel, _ = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(_covering(a, n))
-    terms = [v * x for v, x in enumerate(xs, start=1)]
-    scale *= x_scale
-    # t_m = (acc_m / scale) / (p_m / q_m) with A_m^alpha = p_m / q_m > 0
-    coeffs = rational_cesaro_coefficients(alpha, n)
-    return tuple([Fraction(sum(map(mul, kernel[m - 1::-1], terms))
-                           * coeffs[m].denominator,
-                           scale * coeffs[m].numerator)
-                  for m in range(1, n + 1)])
-
-
-def _w_exact(t: tuple[Fraction, ...], alpha: Fraction) -> tuple[Fraction, ...]:
-    if not (0 < alpha <= 1):
-        raise ValueError("w is defined for 0 < alpha <= 1 only")
-    if alpha == 1:
-        return tuple(abs(x) for x in t)
-    out = []
-    best = Fraction(0)
-    for x in t:
-        best = max(best, abs(x))
-        out.append(best)
-    return tuple(out)
+    t = _t_ratios(kernel, [v * x for v, x in enumerate(xs, start=1)])
+    return tuple([Fraction(r, s * x_scale) for r, s in t])
 
 
 @dataclass(frozen=True)
@@ -185,8 +207,8 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
     with U_v = sum_(p=1..v) A_(n-p)^(alpha-1) p a_p.  The two are equal for
     every choice of inputs; any inequality is an implementation bug.
     """
-    alpha = Fraction(alpha)
-    if alpha <= -1:
+    num, den = _ratio(alpha)
+    if num <= -den:
         raise ValueError("alpha must exceed -1")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -194,11 +216,11 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
         raise ValueError(f"a must cover indices 1..{n}")
     if lam.start_index > 1 or lam.end_index < n:
         raise ValueError(f"lambda must cover indices 1..{n}")
-    kernel, scale = _kernel_integers(alpha - 1, n - 1)
+    kernel, scale = _kernel_integers(num, den, n - 1)
     xs, x_scale = _scaled_integers(_covering(a, n))
     ys, y_scale = _scaled_integers(_covering(lam, n))
     # everything below is scaled by L * Dx * Dy; U_v by L * Dx only
-    weighted = list(map(mul, kernel[n - 1::-1],
+    weighted = list(map(mul, kernel,
                         [v * x for v, x in enumerate(xs, start=1)]))
     lhs = sum(map(mul, weighted, ys))
     u = list(itertools.accumulate(weighted))
@@ -222,18 +244,20 @@ def lemma1_check(a: RationalSequence, alpha: Fraction, n: int,
     lhs = |sum_(p=0..v) A_(n-p)^(alpha-1) a_p|
     rhs = max over 1 <= m <= v of |sum_(p=0..m) A_(m-p)^(alpha-1) a_p|
     """
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
+    num, den = _ratio(alpha)
+    if not (0 < num <= den):
         raise ValueError("the bound requires 0 < alpha <= 1")
     if not (1 <= v <= n):
         raise ValueError("need 1 <= v <= n")
     if a.start_index > 0 or a.end_index < v:
         raise ValueError(f"a must cover indices 0..{v}")
-    kernel, scale = _kernel_integers(alpha - 1, n)
+    kernel, scale = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(a.values[:v + 1])
-    # both sides over the positive scale L * Dx: compare the numerators
-    lhs = abs(sum(map(mul, kernel[n - v:n + 1][::-1], xs)))
-    rhs = max(abs(sum(map(mul, kernel[m::-1], xs))) for m in range(1, v + 1))
+    # both sides over the positive scale L * Dx: compare the numerators.
+    # kernel runs K_n, K_(n-1), ..; kernel[n - m:] starts at K_m
+    lhs = abs(sum(map(mul, kernel, xs)))
+    rhs = max([abs(sum(map(mul, kernel[n - m:], xs)))
+               for m in range(1, v + 1)])
     scale *= x_scale
     return LemmaBoundResult(holds=(lhs <= rhs), lhs=Fraction(lhs, scale),
                             rhs=Fraction(rhs, scale))
@@ -267,8 +291,8 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
     T_n1 = (1/A_n^alpha) sum_(v=1..n-1) A_v^alpha w_v^alpha |D lambda_v|,
     T_n2 = |lambda_n| w_n^alpha.
     """
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
+    num, den = _ratio(alpha)
+    if not (0 < num <= den):
         raise ValueError("the decomposition requires 0 < alpha <= 1")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -279,41 +303,56 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
     if k < 1.0:
         raise ValueError("k must be at least 1")
 
-    coeffs = rational_cesaro_coefficients(alpha, n)
-    kernel, scale = _kernel_integers(alpha - 1, n - 1)
-    t = rational_cesaro_t(a, alpha, n)
-    w = _w_exact(t, alpha)
+    kernel, k_scale = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(_covering(a, n))
     ys, y_scale = _scaled_integers(_covering(lam, n))
-    a_n = coeffs[n]
+    terms = [v * x for v, x in enumerate(xs, start=1)]
+    t = _t_ratios(kernel, terms)
+    # w_m as pairs (r, s) worth r / (s Dx) like t_m: the running maximum of
+    # |t_m| by cross-multiplication, or |t_m| itself at alpha = 1
+    w = []
+    best_r, best_s = 0, 1
+    for r, s in t:
+        r = abs(r)
+        if num == den or r * best_s > best_r * s:
+            best_r, best_s = r, s
+        w.append((best_r, best_s))
+    # A_v^alpha = c_v / L with c_v the s of t_v (see _t_ratios); T, T1 and
+    # T2 are over Dx Dy
+    c_n = t[-1][1]
+    scale = x_scale * y_scale
 
-    T = Fraction(sum(map(mul, kernel[n - 1::-1],
-                         [v * x * y for v, (x, y)
-                          in enumerate(zip(xs, ys), start=1)]))
-                 * a_n.denominator,
-                 scale * x_scale * y_scale * a_n.numerator)
+    # T = sum_v K_(n-v) v X_v Y_v / (c_n Dx Dy)
+    s_t = sum(map(mul, kernel[1:], map(mul, terms, ys)))
+    T = Fraction(s_t, c_n * scale)
 
-    # |D lambda_v| * Dy and A_v w_v over one scale M: T1 * A_n = S / (M * Dy)
+    # |D lambda_v| Dy, and L A_v w_v = e_v / (f_v Dx) summed over the lcm M
+    # of the f_v: T1 = s_num / (M c_n Dx Dy)
     dlam = [abs(d) for d in map(sub, ys, ys[1:])]
-    aw = [coeffs[v] * w[v - 1] for v in range(1, n)]
-    aw_ints, aw_scale = _scaled_integers(aw)
-    s_num, s_den = sum(map(mul, aw_ints, dlam)), aw_scale * y_scale
-    T1 = Fraction(s_num * a_n.denominator, s_den * a_n.numerator)
-    T2 = abs(lam.value_at(n)) * w[n - 1]
-    holds = abs(T) <= T1 + T2
+    aw = [(c * r, s) for (_, c), (r, s) in zip(t[:-1], w)]
+    m_scale = math.lcm(*[f for _, f in aw])
+    s_num = sum([e * (m_scale // f) * d for (e, f), d in zip(aw, dlam)])
+    T1 = Fraction(s_num, m_scale * c_n * scale)
+    # T2 = |lambda_n| w_n
+    w_r, w_s = w[-1]
+    lam_w = abs(ys[-1]) * w_r
+    T2 = Fraction(lam_w, w_s * scale)
+    # |T| <= T1 + T2, both sides times c_n M w_s Dx Dy > 0
+    holds = abs(s_t) * m_scale * w_s <= s_num * w_s + lam_w * c_n * m_scale
 
     # int / int is correctly rounded, so each float equals float() of the
     # same rational
     if k > 1.0 and n > 1:
         kp = k / (k - 1.0)
         dl = [d / y_scale for d in dlam]
-        u = [float(c) * x ** (1.0 / k) for c, x in zip(aw, dl)]
+        aw_scale = k_scale * x_scale
+        u = [e / (f * aw_scale) * x ** (1.0 / k) for (e, f), x in zip(aw, dl)]
         g = [x ** (1.0 / kp) for x in dl]
         holder_lhs = math.fsum(ui * gi for ui, gi in zip(u, g))
         holder_rhs = (math.fsum(ui ** k for ui in u) ** (1.0 / k)
                       * math.fsum(gi ** kp for gi in g) ** (1.0 / kp))
     else:
-        holder_lhs = s_num / s_den
+        holder_lhs = s_num / (m_scale * k_scale * scale)  # T1 A_n
         holder_rhs = holder_lhs
     holder_holds = holder_lhs <= holder_rhs * (1.0 + 1e-12)
 
@@ -341,8 +380,14 @@ class OracleSuiteReport:
         return asdict(self)
 
 
+# every value _random_rational draws: Fraction(p, q) at index 9 p + q + 80
+# for p in -9..9 and q in 1..9, so Fraction(p) sits at 9 p + 81
+_DRAWS = tuple([Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)])
+
+
 def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), from the table."""
+    return _DRAWS[9 * rng.randint(-9, 9) + rng.randint(1, 9) + 80]
 
 
 def _run_suite(check: str, seed: int, trials: int,
@@ -374,9 +419,9 @@ def run_abel_suite(seed: int, trials: int = 200,
 
     def trial(rng):
         n = rng.randint(1, max_n)
-        a = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
+        a = RationalSequence(1, tuple([_DRAWS[9 * rng.randint(-9, 9) + 81]
                                        for _ in range(n)]))
-        lam = RationalSequence(1, tuple([Fraction(rng.randint(-9, 9))
+        lam = RationalSequence(1, tuple([_DRAWS[9 * rng.randint(-9, 9) + 81]
                                          for _ in range(n)]))
         alpha = rng.choice(alphas)
         if abel_identity_check(a, lam, alpha, n).equal:
@@ -397,12 +442,13 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     with a free a_0 the inequality is simply false (a_0 = -8/3, a_1 = 1,
     alpha = 1/2, n = 2, v = 1 gives 1/2 on the left, 1/3 on the right).
     """
+    zero = [Fraction(0)]
+
     def trial(rng):
         n = rng.randint(1, max_n)
         v = rng.randint(1, n)
-        a = RationalSequence(0, tuple([Fraction(0)]
-                                      + [_random_rational(rng)
-                                         for _ in range(v)]))
+        a = RationalSequence(0, tuple(zero + [_random_rational(rng)
+                                              for _ in range(v)]))
         alpha = rng.choice(_ALPHA_POOL)
         if lemma1_check(a, alpha, n, v).holds:
             return None

@@ -465,11 +465,11 @@ class TestKernelDotPrefixes:
         assert outcome(_kernel_dot_prefixes, kernel[:8], x[:8]) == \
             outcome(exact_rows, kernel[:8], x[:8])
 
-    @pytest.mark.parametrize("row_chunk", [cesaro._ROW_CHUNK, 1000])
+    @pytest.mark.parametrize("row_chunk", [cesaro._ROW_CHUNK, 65536, 1000])
     def test_wide_alternating_rows_exact(self, monkeypatch, row_chunk):
         # t of alternating_unit at alpha = 1/2 (the input of the benchmark's
         # dump) at a width that takes two slices of x, with rows rounded in
-        # one batch and in many
+        # the default batches, in one batch and in many
         monkeypatch.setattr(cesaro, "_ROW_CHUNK", row_chunk)
         x = dot_prefix_input(65536, "unit", 0)
         kernel = _binomial_weights(-0.5, x.size - 1)

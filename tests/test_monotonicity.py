@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from summa.monotonicity import (almost_increasing_diagnostic,
                                 power_weight_monotonicity_check,
@@ -142,3 +143,59 @@ class TestPowerWeightMonotonicity:
             power_weight_monotonicity_check(np.ones(5), 0.0, 1.5)
         with pytest.raises(ValueError):
             power_weight_monotonicity_check(np.ones(5), 1.0, 0.5)
+
+
+def reference_power_weight_monotonicity_check(phi, epsilon, k, rel_tol=1e-12):
+    """The check as first written, one fresh array per step: the reference
+    its in-place form must match on every input."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.ndim != 1 or phi.size < 2:
+        raise ValueError("need at least two weight values")
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if k < 1.0:
+        raise ValueError("k must be at least 1")
+    n = np.arange(1.0, phi.size + 1.0)
+    with np.errstate(all="ignore"):
+        seq = np.power(n, epsilon - k) * np.power(np.abs(phi), k)
+        rise = seq[1:] - seq[:-1]
+        slack = rel_tol * np.maximum(np.abs(seq[1:]), np.abs(seq[:-1]))
+    bad = ~np.isfinite(seq)
+    bad[:-1] |= rise > slack
+    if np.any(bad):
+        return int(np.argmax(bad)) + 1
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+# weights near the constant classic ones, where the slack decides, and any
+# float, non-finite ones included
+WEIGHTS = st.one_of(
+    st.builds(lambda n, k, d: np.power(np.arange(1.0, n + 1.0), 1.0 - 1.0 / k)
+              * (1.0 + d), st.integers(2, 40), st.floats(1.0, 4.0),
+              hnp.arrays(np.float64, 1, elements=st.floats(-1e-12, 1e-12))),
+    hnp.arrays(np.float64, st.integers(1, 40),
+               elements=st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTS,
+       st.one_of(st.floats(0.01, 5.0), st.floats(allow_nan=True,
+                                                 allow_infinity=True)),
+       st.one_of(st.floats(1.0, 4.0), st.floats(1.0, 1e308),
+                 st.floats(allow_nan=True, allow_infinity=True)),
+       st.one_of(st.just(1e-12), st.floats(0.0, 1.0)))
+@example(np.arange(1.0, 7.0), 1.0, 1e308, 1e-12)  # 0 * inf from n = 2
+@example(np.array([1.0, np.nan, 1.0]), 1.0, 1.0, 1e-12)
+@example(np.array([1e300, 1e300, 1e-300]), 1.0, 2.0, 1e-12)
+def test_power_weight_check_matches_reference(phi, epsilon, k, rel_tol):
+    assert outcome(power_weight_monotonicity_check, phi, epsilon, k,
+                   rel_tol) == outcome(reference_power_weight_monotonicity_check,
+                                       phi, epsilon, k, rel_tol)

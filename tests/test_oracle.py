@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from summa.cesaro import cesaro_t
 from summa.experiment import ExperimentConfig, run
 from summa.oracle import (_ALPHA_POOL, AbelIdentityResult,
                           DecompositionResult, LemmaBoundResult,
-                          RationalSequence, _w_exact, _weights_cached,
+                          RationalSequence, _weights_cached,
                           abel_identity_check, decomposition_bound_check,
                           lemma1_check, power_inequality_check,
                           rational_cesaro_coefficients, rational_cesaro_t,
@@ -243,6 +244,19 @@ class TestSuitePlumbing:
 # Step-by-step Fraction loops: the references the integer kernels of
 # summa.oracle must reproduce, field for field and error for error.
 
+def _w_exact(t, alpha):
+    if not (0 < alpha <= 1):
+        raise ValueError("w is defined for 0 < alpha <= 1 only")
+    if alpha == 1:
+        return tuple(abs(x) for x in t)
+    out = []
+    best = Fraction(0)
+    for x in t:
+        best = max(best, abs(x))
+        out.append(best)
+    return tuple(out)
+
+
 def ref_rational_cesaro_t(a, alpha, n):
     alpha = Fraction(alpha)
     if alpha <= -1:
@@ -466,6 +480,62 @@ class TestIntegerKernelsMatchFractionLoops:
         seq = RationalSequence(1, values)
         assert all(x is y for x, y in zip(seq.values, values))
         assert RationalSequence(1, (2, 0.5)).values == (F(2), F(1, 2))
+
+
+class TestIntegerFirstPaths:
+    def test_draw_table(self):
+        for p in range(-9, 10):
+            assert oracle._DRAWS[9 * p + 81] == F(p)
+            for q in range(1, 10):
+                got = oracle._DRAWS[9 * p + q + 80]
+                assert type(got) is F and got == F(p, q)
+
+    def test_draws_follow_the_fraction_stream(self):
+        # the table draw makes the generator calls that building the
+        # Fraction makes, so every seed keeps its inputs
+        for seed in range(1000):
+            table, built = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert oracle._random_rational(table) == F(
+                    built.randint(-9, 9), built.randint(1, 9))
+            assert table.getstate() == built.getstate()
+
+    # inputs whose |t_m| falls at alpha < 1, so that w_m > |t_m| somewhere
+    FALLING_T = [
+        (_rat([4, -3, 0, 1]), _rat([1, -2, 3, F(1, 2)]), F(1, 2), 4),
+        (_rat([F(9, 7), F(-8, 3), F(1, 9), 0, F(-5, 2)]),
+         _rat([F(2, 3), 0, F(-7, 4), 1, 1]), F(1, 4), 5),
+        (_rat([1, -1, 1, -1, 1, -1]), _rat([6, 5, 4, 3, 2, 1]), F(3, 4), 6),
+    ]
+    ZERO_ROWS = [
+        (_rat([0, 0, 0]), _rat([1, -2, 3]), F(1, 2), 3),
+        (_rat([1, -2, 3]), _rat([0, 0, 0]), F(1, 2), 3),
+        (_rat([0, 0, 0, 0]), _rat([0, 0, 0, 0]), F(1, 3), 4),
+        (_rat([F(2, 5), 7]), _rat([0, 0]), F(1), 2),
+        (_rat([0]), _rat([0]), F(2, 3), 1),
+    ]
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("args", FALLING_T + ZERO_ROWS)
+    def test_decomposition_cases(self, args, k):
+        a, lam, alpha, n = args
+        if args in self.FALLING_T:
+            t = ref_rational_cesaro_t(a, alpha, n)
+            assert _w_exact(t, alpha) != tuple(abs(x) for x in t)
+        assert outcome(decomposition_bound_check, *args, k) == \
+            outcome(ref_decomposition_bound_check, *args, k)
+
+    @pytest.mark.parametrize("alpha", [1, 0.5, "1/3", F(3, 4)])
+    def test_alpha_of_any_rational_type(self, alpha):
+        a, lam = _rat([F(1, 3), -2, F(5, 7)]), _rat([2, F(-1, 6), 1])
+        cases = {"rational_cesaro_t": (a, alpha, 3),
+                 "abel_identity_check": (a, lam, alpha, 3),
+                 "lemma1_check": (_rat([0, F(1, 3), -2], start=0), alpha,
+                                  3, 2),
+                 "decomposition_bound_check": (a, lam, alpha, 3)}
+        for name, args in cases.items():
+            assert outcome(getattr(oracle, name), *args) == \
+                outcome(REFERENCES[name], *args), name
 
 
 def test_oracle_reports_byte_identical_with_fraction_loops(tmp_path,
