@@ -360,19 +360,16 @@ class CesaroTransforms:
     """
 
     alpha: float
-    coefficients: np.ndarray
     sigma: RealSequence
     t: RealSequence
     w: RealSequence | None
 
 
 def compute_transforms(a: RealSequence, alpha: float) -> CesaroTransforms:
-    """sigma, t, w (where defined) and the coefficient table for one input."""
+    """sigma, t and w (where defined) for one input."""
     if a.start_index != 0:
         raise ValueError("compute_transforms requires a sequence starting at index 0")
-    coeffs = cesaro_coefficients(alpha, a.end_index)
     sigma = cesaro_sigma(a, alpha)
     t = cesaro_t(a, alpha)
     w = w_sequence(t, alpha) if 0.0 < alpha <= 1.0 else None
-    return CesaroTransforms(alpha=float(alpha), coefficients=coeffs,
-                            sigma=sigma, t=t, w=w)
+    return CesaroTransforms(alpha=float(alpha), sigma=sigma, t=t, w=w)

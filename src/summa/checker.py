@@ -18,15 +18,17 @@ t-trace by the maximal-sequence trace
 
 Each theorem is one ordered table of (condition, record builder) pairs;
 MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  The
-builders share one context (bundle, checkpoints, tolerances, phi and w
-computed at most once, the traces kept so far); any other large array
-lives only as long as the builder that made it.
+builders share one context (bundle, checkpoints, tolerances, w computed
+at most once, the traces kept so far); phi is made once per bundle and
+shared with the conclusion; any other large array lives only as long as
+the builder that made it.
 
-Every O(.) statement is judged at scale by a log-log slope fit over the
-tail of a geometric checkpoint grid; every pointwise statement is checked
-element-wise with the first violating index reported (the majorant and
-weight records count a non-finite value as a violation).  Verdicts say
-what holds on the computed range, nothing more.
+Every O(.) statement, the conclusion included, is judged at scale from a
+CheckpointTrace by a log-log slope fit over the tail of a geometric
+checkpoint grid; every pointwise statement is checked element-wise with
+the first violating index reported (the majorant and weight records count
+a non-finite value as a violation).  Verdicts say what holds on the
+computed range, nothing more.
 """
 
 from __future__ import annotations
@@ -99,15 +101,16 @@ class Tolerances:
         return cls(**{k: float(v) for k, v in obj.items()})
 
 
-def dyadic_checkpoints(n: int, span: int = 64) -> tuple[int, ...]:
-    """Halving grid from n down to about n/span: n, n/2, n/4, ...
+# seven checkpoints: enough for a stable tail fit while keeping trace files
+# small
+_DYADIC_SPAN = 64
 
-    The default span of 64 yields seven checkpoints, enough for a stable
-    tail fit while keeping trace files small.
-    """
+
+def dyadic_checkpoints(n: int) -> tuple[int, ...]:
+    """Halving grid from n down to about n/64: n, n/2, n/4, ..."""
     if n < 1:
         raise ValueError("n must be positive")
-    floor = max(1, n // span)
+    floor = max(1, n // _DYADIC_SPAN)
     cps = []
     m = n
     while m >= floor:
@@ -120,8 +123,8 @@ def dyadic_checkpoints(n: int, span: int = 64) -> tuple[int, ...]:
 class GrowthDiagnostic:
     """Log-log tail slope of checkpointed values, with its verdict.
 
-    ``values`` are the diagnosed quantities (after division by the
-    reference, when one was supplied).  ``slope`` is fitted on the upper
+    ``values`` are the trace's partial sums, divided by the trace's
+    reference when it has one.  ``slope`` is fitted on the upper
     half of the checkpoints; None when too few positive values remain to
     fit.  ``last_mid_ratio`` is values[-1]/values[mid]; None when the mid
     value is zero but the last is not.
@@ -143,43 +146,22 @@ class GrowthDiagnostic:
         }
 
 
-def growth_diagnostic(values, checkpoints: Sequence[int] | None = None,
-                      reference=None, *, slope_tolerance: float = 0.1,
-                      ratio_tolerance: float = 1.5) -> GrowthDiagnostic:
-    """Judge boundedness-at-scale of checkpointed values.
+def growth_diagnostic(trace: CheckpointTrace,
+                      tolerances: Tolerances | None = None) -> GrowthDiagnostic:
+    """Judge boundedness-at-scale of a checkpointed trace.
 
-    ``values`` may be a CheckpointTrace (checkpoints implied, and its own
-    reference used when none is passed) or a plain array paired with
-    ``checkpoints``.  ``reference`` divides the values first: pass X to test
-    values = O(X); it may be a RealSequence covering the checkpoints or an
-    array aligned with them.
+    The trace's partial sums are divided by its reference when it has one:
+    a trace whose reference is X at the checkpoints tests sums = O(X).
 
-    bounded_consistent requires both a tail slope below ``slope_tolerance``
-    and a last/mid ratio below ``ratio_tolerance``; a slope at or above the
+    bounded_consistent requires both a tail slope below the slope tolerance
+    and a last/mid ratio below the ratio tolerance; a slope at or above the
     tolerance is growth_detected; anything else is inconclusive.
     """
-    if isinstance(values, CheckpointTrace):
-        checkpoints, vals = values.checkpoints, values.partial_sums
-        if reference is None:
-            reference = values.reference
-    elif checkpoints is None:
-        raise ValueError("raw values need an explicit checkpoint list")
-    else:
-        vals = np.asarray(values, dtype=np.float64)
-    cps = validate_checkpoints(checkpoints, at_least=4)
-    if vals.shape != (len(cps),):
-        raise ValueError("one value per checkpoint required")
-
-    if reference is not None:
-        if isinstance(reference, RealSequence):
-            ref = np.array([reference.value_at(c) for c in cps])
-        else:
-            ref = np.asarray(reference, dtype=np.float64)
-            if ref.shape != (len(cps),):
-                raise ValueError("reference must align with the checkpoints")
-        if np.any(ref == 0.0):
-            raise ValueError("reference entries must be non-zero")
-        vals = vals / ref
+    tol = tolerances or Tolerances()
+    cps = validate_checkpoints(trace.checkpoints, at_least=4)
+    vals = trace.partial_sums
+    if trace.reference is not None:
+        vals = vals / trace.reference
 
     mags = np.abs(vals)
     mid = len(cps) // 2
@@ -202,10 +184,10 @@ def growth_diagnostic(values, checkpoints: Sequence[int] | None = None,
     else:
         ratio = None
 
-    if slope is not None and slope >= slope_tolerance:
+    if slope is not None and slope >= tol.slope:
         verdict = GrowthVerdict.GROWTH_DETECTED
-    elif (slope is not None and slope < slope_tolerance
-          and ratio is not None and ratio < ratio_tolerance):
+    elif (slope is not None and slope < tol.slope
+          and ratio is not None and ratio < tol.ratio):
         verdict = GrowthVerdict.BOUNDED_CONSISTENT
     else:
         verdict = GrowthVerdict.INCONCLUSIVE
@@ -249,6 +231,13 @@ class FamilyBundle:
     @property
     def n(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """|phi_n| for n = 1..N, made at first use and shared by the check
+        records and the conclusion."""
+        return self.weight.phi_values(self.n, self.params.k,
+                                      beta_default=self.params.beta)
 
 
 @dataclass(frozen=True)
@@ -335,21 +324,13 @@ class _Context:
                    tol=tolerances or Tolerances())
 
     @cached_property
-    def phi(self) -> np.ndarray:
-        params = self.bundle.params
-        return self.bundle.weight.phi_values(self.bundle.n, params.k,
-                                             beta_default=params.beta)
-
-    @cached_property
     def w(self) -> RealSequence:
         alpha = self.bundle.params.alpha
         return w_sequence(cesaro_t(self.bundle.a, alpha), alpha)
 
-    def growth_record(self, condition: str, values, checkpoints=None,
+    def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
-        diag = growth_diagnostic(values, checkpoints,
-                                 slope_tolerance=self.tol.slope,
-                                 ratio_tolerance=self.tol.ratio)
+        diag = growth_diagnostic(trace, self.tol)
         extra = (f"slope={_fmt(diag.slope)} "
                  f"last_mid_ratio={_fmt(diag.last_mid_ratio)}")
         return ConditionRecord(
@@ -391,7 +372,7 @@ def _cond7(ctx: _Context, name: str) -> ConditionRecord:
     # (i) |lambda_n| X_n = O(1), sampled at the checkpoints
     cps = ctx.checkpoints
     vals = np.abs(_at(ctx.bundle.lam.values, cps)) * _at(ctx.bundle.X.values, cps)
-    return ctx.growth_record(name, vals, cps)
+    return ctx.growth_record(name, CheckpointTrace(cps, vals))
 
 
 def _majorant(ctx: _Context, name: str) -> ConditionRecord:
@@ -441,13 +422,14 @@ def _weight_monotone(ctx: _Context, name: str) -> ConditionRecord:
     # (iii) n^(epsilon-k) |phi_n|^k non-increasing
     params = ctx.bundle.params
     eps, k = params.epsilon, params.k
-    first = power_weight_monotonicity_check(ctx.phi, eps, k,
+    phi = ctx.bundle.phi
+    first = power_weight_monotonicity_check(phi, eps, k,
                                             rel_tol=ctx.tol.weight_rel_tol)
     notes = f"epsilon={eps:.6g}"
     if first is not None:
         with np.errstate(all="ignore"):
             term = (np.power(float(first), eps - k)
-                    * np.power(ctx.phi[first - 1], k))
+                    * np.power(phi[first - 1], k))
         if not np.isfinite(term):
             notes += " non-finite value at first_violation"
     return _pass_fail(name, first is None, notes, first)
@@ -461,8 +443,8 @@ def _param_gate(ctx: _Context, name: str) -> ConditionRecord:
 
 def _cond11(ctx: _Context, name: str) -> ConditionRecord:
     # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m)
-    trace = weighted_power_trace(ctx.w.values, ctx.bundle.params.k, ctx.phi,
-                                 ctx.checkpoints)
+    trace = weighted_power_trace(ctx.w.values, ctx.bundle.params.k,
+                                 ctx.bundle.phi, ctx.checkpoints)
     trace = dataclasses.replace(
         trace, reference=_at(ctx.bundle.X.values, ctx.checkpoints))
     ctx.traces[name] = trace
@@ -543,10 +525,9 @@ def conclusion_diagnostic(bundle: FamilyBundle,
     are the finite evidence for that conclusion.
     """
     ctx = _Context.of(bundle, checkpoints, tolerances)
-    factored = RealSequence(start_index=1,
-                            values=bundle.a.values * bundle.lam.values)
-    t = cesaro_t(factored, bundle.params.alpha)
-    trace = weighted_power_trace(t.values, bundle.params.k, ctx.phi,
+    t = cesaro_t(RealSequence(start_index=1,
+                              values=bundle.a.values * bundle.lam.values),
+                 bundle.params.alpha).values
+    trace = weighted_power_trace(t, bundle.params.k, bundle.phi,
                                  ctx.checkpoints)
-    return trace, growth_diagnostic(trace, slope_tolerance=ctx.tol.slope,
-                                    ratio_tolerance=ctx.tol.ratio)
+    return trace, growth_diagnostic(trace, ctx.tol)

@@ -20,7 +20,7 @@ from summa.checker import (MAIN_CONDITIONS, GrowthVerdict, check_main_theorem,
                            growth_diagnostic)
 from summa.experiment import (ExperimentConfig, builtin_family, load_config,
                               run)
-from summa.functionals import reduction_identity_check
+from summa.functionals import CheckpointTrace, reduction_identity_check
 from summa.monotonicity import almost_increasing_diagnostic
 from summa.oracle import rational_cesaro_coefficients, run_all_suites
 from summa.sequences import CesaroParams, SequenceSpec, materialize
@@ -165,7 +165,7 @@ def test_slope_calibration_on_exact_powers():
     cps = dyadic_checkpoints(10000)
     for p in (0.0, 0.25, 0.5, 1.0):
         vals = np.power(np.asarray(cps, dtype=np.float64), p)
-        diag = growth_diagnostic(vals, cps)
+        diag = growth_diagnostic(CheckpointTrace(cps, vals))
         assert diag.slope is not None
         assert abs(diag.slope - p) <= 1e-6, (p, diag.slope)
     _announce("growth-diagnostic slope recovers exact powers to 1e-6")

@@ -210,7 +210,6 @@ class TestComputeTransforms:
         assert tr.sigma.start_index == 0
         assert tr.t.start_index == 1
         assert tr.w is not None
-        assert len(tr.coefficients) == len(a)
 
     def test_w_absent_outside_unit_interval(self):
         a = RealSequence(0, np.array([1.0, -1.0, 1.0]))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
                            check_main_theorem, check_theorem_a,
                            conclusion_diagnostic, dyadic_checkpoints,
                            growth_diagnostic)
-from summa.experiment import builtin_family
+from summa.experiment import builtin_family, load_config, run
 from summa.functionals import (CheckpointTrace, FunctionalTrace, WeightKind,
                                WeightSpec)
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
@@ -29,39 +31,40 @@ class TestDyadicCheckpoints:
 class TestGrowthDiagnostic:
     def test_constant_is_bounded(self):
         cps = (10, 20, 40, 80)
-        d = growth_diagnostic(np.full(4, 3.0), cps)
+        d = growth_diagnostic(CheckpointTrace(cps, np.full(4, 3.0)))
         assert d.slope == pytest.approx(0.0, abs=1e-12)
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_log_against_log_reference_cancels(self):
         cps = dyadic_checkpoints(4096)
         vals = np.log(np.asarray(cps, dtype=float))
-        d = growth_diagnostic(vals, cps, reference=vals.copy())
+        d = growth_diagnostic(CheckpointTrace(cps, vals,
+                                              reference=vals.copy()))
         assert d.slope == pytest.approx(0.0, abs=1e-12)
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_sqrt_growth_detected(self):
         cps = dyadic_checkpoints(4096)
         vals = np.sqrt(np.asarray(cps, dtype=float))
-        d = growth_diagnostic(vals, cps)
+        d = growth_diagnostic(CheckpointTrace(cps, vals))
         assert d.slope == pytest.approx(0.5, abs=1e-9)
         assert d.verdict is GrowthVerdict.GROWTH_DETECTED
 
     def test_all_zero_is_bounded(self):
         cps = (1, 2, 4, 8)
-        d = growth_diagnostic(np.zeros(4), cps)
+        d = growth_diagnostic(CheckpointTrace(cps, np.zeros(4)))
         assert d.slope == 0.0
         assert d.last_mid_ratio == 1.0
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_requires_four_checkpoints(self):
         with pytest.raises(ValueError):
-            growth_diagnostic(np.ones(3), (1, 2, 4))
+            growth_diagnostic(CheckpointTrace((1, 2, 4), np.ones(3)))
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
-            growth_diagnostic(np.ones(4), (1, 2, 4, 8),
-                              reference=np.array([1.0, 0.0, 1.0, 1.0]))
+            CheckpointTrace((1, 2, 4, 8), np.ones(4),
+                            reference=np.array([1.0, 0.0, 1.0, 1.0]))
 
     def test_uses_trace_reference(self):
         cps = (1, 2, 4, 8)
@@ -77,19 +80,13 @@ class TestGrowthDiagnostic:
         d = growth_diagnostic(trace)
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
-    def test_reference_sequence_sampling(self):
-        cps = (2, 4, 8, 16)
-        ref = RealSequence(1, np.arange(1.0, 17.0))
-        d = growth_diagnostic(np.asarray(cps, dtype=float), cps, reference=ref)
-        assert np.allclose(d.values, 1.0)
-
     def test_tolerance_knobs(self):
         cps = dyadic_checkpoints(4096)
-        vals = np.power(np.asarray(cps, dtype=float), 0.3)
-        assert (growth_diagnostic(vals, cps).verdict
+        trace = CheckpointTrace(cps, np.power(np.asarray(cps, dtype=float),
+                                              0.3))
+        assert (growth_diagnostic(trace).verdict
                 is GrowthVerdict.GROWTH_DETECTED)
-        relaxed = growth_diagnostic(vals, cps, slope_tolerance=0.5,
-                                    ratio_tolerance=10.0)
+        relaxed = growth_diagnostic(trace, Tolerances(slope=0.5, ratio=10.0))
         assert relaxed.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
 
@@ -261,6 +258,34 @@ class TestConclusionDiagnostic:
         assert np.array_equal(trace.partial_sums,
                               np.zeros(len(trace.checkpoints)))
         assert diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT
+
+
+class TestPhiOncePerRun:
+    """The check records and the conclusion share the bundle's phi."""
+
+    @pytest.fixture
+    def phi_calls(self, monkeypatch):
+        calls = []
+        original = WeightSpec.phi_values
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeightSpec, "phi_values", counted)
+        return calls
+
+    def test_check_and_conclusion(self, phi_calls):
+        bundle = builtin_family("F1", 256)
+        check_main_theorem(bundle)
+        conclusion_diagnostic(bundle)
+        assert len(phi_calls) == 1
+
+    def test_experiment_run(self, phi_calls, tmp_path):
+        config = load_config(Path(__file__).resolve().parents[1]
+                             / "configs" / "f1_main.json")
+        run(config, out_dir=tmp_path, quiet=True)
+        assert len(phi_calls) == 1
 
 
 class TestFamilyBundle:

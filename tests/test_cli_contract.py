@@ -2,8 +2,9 @@
 
 Whatever the config, ``summa run`` returns 0 (every verdict passed), 1 (a
 verdict failed) or 2 (the config cannot be run), and never raises or warns.
-Exit 2 prints exactly one ``config error:`` line and writes no report;
-exits 0 and 1 print nothing to stderr and write ``report.json``.  The same
+Exit 2 prints exactly one ``config error:`` line and leaves no output
+directory; exits 0 and 1 print nothing to stderr and write a
+``report.json`` that is valid JSON (no ``NaN`` or ``Infinity``).  The same
 holds for the flags: ``--tolerance-slope`` on ``summa run`` and ``--seed``
 and ``--trials`` on ``summa oracle``, negative, zero and huge values
 included, each passed either as ``--flag=VALUE`` or as two argv tokens, so
@@ -141,6 +142,16 @@ def _bundle(**roles):
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
+# |lambda_n| X_n overflows, so cond7 samples inf: a config error, no NaN
+@example(slope=None, joined=True,
+         config={"mode": "check_theorem_a", "n": 64, "params": {"k": 1.5},
+                 "bundle": {"a": {"family": "power_decay",
+                                  "params": {"p": 2, "c": 1e-300}},
+                            "lambda": {"family": "power_decay",
+                                       "params": {"p": 0, "c": 1e306}},
+                            "X": {"family": "power_weight",
+                                  "params": {"q": 3}},
+                            "weight": {"kind": "classic"}}})
 # n^150 overflows while the sequence is generated
 @example(slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -215,4 +226,13 @@ def _assert_contract(argv, out):
         assert err.endswith("\n") and err.count("\n") == 1
     else:
         assert err == ""
+    assert out.exists() == (code in (0, 1))
     assert (out / "report.json").is_file() == (code in (0, 1))
+    if code != 2:
+        json.loads((out / "report.json").read_text(),
+                   parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    # json.dumps writes NaN and Infinity, which are not JSON
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
