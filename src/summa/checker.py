@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accumulation import compensated_cumsum
+from .accumulation import compensated_sums_at
 from .cesaro import cesaro_t, w_sequence
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           validate_checkpoints, weighted_power_trace)
@@ -344,7 +344,7 @@ class _Context:
         """Growth record of the partial sums of ``terms`` on a checkpoint
         grid; the sampled sums become the condition's trace."""
         trace = CheckpointTrace(checkpoints,
-                                _at(compensated_cumsum(terms), checkpoints))
+                                compensated_sums_at(terms, checkpoints))
         self.traces[condition] = trace
         return self.growth_record(condition, trace, notes=notes)
 
@@ -372,6 +372,8 @@ def _cond7(ctx: _Context, name: str) -> ConditionRecord:
     # (i) |lambda_n| X_n = O(1), sampled at the checkpoints
     cps = ctx.checkpoints
     vals = np.abs(_at(ctx.bundle.lam.values, cps)) * _at(ctx.bundle.X.values, cps)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name}: sampled values must be finite")
     return ctx.growth_record(name, CheckpointTrace(cps, vals))
 
 

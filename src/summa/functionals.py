@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accumulation import compensated_cumsum
+from .accumulation import compensated_sums_at
 from .cesaro import cesaro_t
 from .sequences import CesaroParams, RealSequence
 
@@ -186,14 +186,18 @@ def weighted_power_trace(values: np.ndarray, k: float, phi: np.ndarray,
     if k < 1.0:
         raise ValueError("k must be at least 1")
     cps = validate_checkpoints(checkpoints, values.size)
-    n = np.arange(1.0, values.size + 1.0)
-    terms = np.power(np.abs(phi * values) / n, k)
+
+    def terms(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        np.multiply(phi[lo:hi], values[lo:hi], out=out)
+        np.abs(out, out=out)
+        out /= np.arange(lo + 1.0, hi + 1.0)
+        return np.power(out, k, out=out)
+
     # compensated prefixes of non-negative terms can dip by one ulp; the
     # running max restores exact monotonicity without moving any value
     # beyond that ulp
-    partials = np.maximum.accumulate(compensated_cumsum(terms))
-    idx = np.asarray(cps, dtype=np.int64) - 1
-    return FunctionalTrace(checkpoints=cps, partial_sums=partials[idx])
+    sums = compensated_sums_at(terms, cps, running_max=True)
+    return FunctionalTrace(checkpoints=cps, partial_sums=sums)
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ def reduction_identity_check(a: RealSequence, params: CesaroParams,
     cps = tuple(range(1, m + 1))
 
     def trace(terms: np.ndarray) -> FunctionalTrace:
-        partials = np.maximum.accumulate(compensated_cumsum(terms))
-        return FunctionalTrace(checkpoints=cps, partial_sums=partials)
+        sums = compensated_sums_at(terms, cps, running_max=True)
+        return FunctionalTrace(checkpoints=cps, partial_sums=sums)
 
     return ReductionIdentityReport(
         m=m, k=k, beta=beta,

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summa.accumulation import compensated_cumsum
+from summa import accumulation
+from summa.accumulation import compensated_cumsum, compensated_sums_at
+
+B = accumulation._BLOCK
 
 
 def neumaier_loop(values):
@@ -46,7 +49,28 @@ def assert_matches_reference(values):
         got = compensated_cumsum(values)
     assert got.dtype == np.float64
     assert got.shape == (values.size,)
-    np.testing.assert_array_equal(bits(got), bits(neumaier_loop(values)))
+    ref = neumaier_loop(values)
+    np.testing.assert_array_equal(bits(got), bits(ref))
+    assert_sampled_matches(values, ref)
+
+
+def assert_sampled_matches(values, ref):
+    """``compensated_sums_at`` against the loop's sums at a spread of
+    checkpoints: the first, the last, and every block edge in between."""
+    if not ref.size:
+        return
+    block = accumulation._BLOCK
+    edges = np.arange(0, ref.size + block, block)
+    idx = np.unique(np.clip(np.concatenate(
+        ([0, ref.size - 1], edges - 1, edges, edges + 1)), 0, ref.size - 1))
+    # np.maximum, unlike Python's max, propagates NaN
+    peak = np.maximum.accumulate(ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = compensated_sums_at(values, idx + 1)
+        at_max = compensated_sums_at(values, idx + 1, running_max=True)
+    np.testing.assert_array_equal(bits(at), bits(ref[idx]))
+    np.testing.assert_array_equal(bits(at_max), bits(peak[idx]))
 
 
 spread = st.builds(math.ldexp,
@@ -91,3 +115,105 @@ def test_numpy_accumulate_is_left_to_right():
     x[0] = 1.0
     assert np.add.accumulate(x).tolist() == [1.0] * x.size
 
+
+
+def specials_at_edges(x):
+    """A copy of x with -0.0, ±inf and NaN placed on and next to the block
+    edges."""
+    x = x.copy()
+    n = x.size
+    for edge, special in zip(range(B, n + 2, B), (-0.0, math.inf, math.nan)):
+        at = np.arange(edge - 2, edge + 2)
+        x[at[at < n]] = np.array([special, -0.0, special, -special])[at < n]
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_bit_identical_across_block_edges(k, offset):
+    n = k * B + offset
+    # finite terms of mixed scale carry a running total and compensation
+    # over every edge; the specials then poison them on, before and after
+    # an edge
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-60, 61, n))
+    assert_matches_reference(x)
+    assert_matches_reference(specials_at_edges(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.one_of(
+    st.lists(spread, max_size=40),
+    alternating(),
+    st.lists(st.one_of(spread, specials), max_size=40),
+))
+def test_bit_identical_at_any_block_size(block, values):
+    # every short input then crosses several block edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulation, "_BLOCK", block)
+        assert_matches_reference(values)
+
+
+class TestSampledSums:
+    N = 2 * B + 4097
+
+    def terms(self):
+        rng = np.random.default_rng(7)
+        return np.abs(rng.standard_normal(self.N)) * 1e-3
+
+    def test_matches_full_array_formulas(self):
+        x = self.terms()
+        idx = np.array([0, 1, B - 2, B - 1, B, B + 1, 2 * B, self.N - 1])
+        full = compensated_cumsum(x)
+        np.testing.assert_array_equal(bits(compensated_sums_at(x, idx + 1)),
+                                      bits(full[idx]))
+        np.testing.assert_array_equal(
+            bits(compensated_sums_at(x, idx + 1, running_max=True)),
+            bits(np.maximum.accumulate(full)[idx]))
+
+    def test_callable_terms_match_array_terms(self):
+        x = self.terms()
+        idx = np.array([3, B + 5, self.N - 1])
+        seen = []
+
+        def fill(lo, hi, out):
+            seen.append((lo, hi))
+            out[:] = x[lo:hi]
+            return out
+
+        got = compensated_sums_at(fill, idx + 1, running_max=True)
+        np.testing.assert_array_equal(
+            bits(got), bits(np.maximum.accumulate(compensated_cumsum(x))[idx]))
+        assert seen == [(0, B), (B, 2 * B), (2 * B, self.N)]
+
+    def test_stops_at_last_index(self):
+        def fill(lo, hi, out):
+            assert hi <= B + 1
+            out[:] = 1.0
+            return out
+
+        assert compensated_sums_at(fill, [B + 1]).tolist() == [B + 1.0]
+
+    def test_overflow_mid_block(self):
+        # the sums overflow in the middle of the second block and stay
+        # non-finite; the running max follows the reference's np.maximum,
+        # not Python's max, which would drop a NaN
+        x = self.terms()
+        x[B + 100:B + 102] = 1.7e308
+        idx = np.array([B - 1, B + 99, B + 100, B + 101, self.N - 1])
+        full = compensated_cumsum(x)
+        assert np.isfinite(full[B + 100])
+        assert not np.any(np.isfinite(full[B + 101:]))
+        np.testing.assert_array_equal(bits(compensated_sums_at(x, idx + 1)),
+                                      bits(full[idx]))
+        np.testing.assert_array_equal(
+            bits(compensated_sums_at(x, idx + 1, running_max=True)),
+            bits(np.maximum.accumulate(full)[idx]))
+
+    def test_no_checkpoints(self):
+        assert compensated_sums_at(np.ones(3), []).shape == (0,)
+
+    @pytest.mark.parametrize("cps", [[0], [2, 2], [3, 1], [4]])
+    def test_bad_checkpoints(self, cps):
+        with pytest.raises(ValueError):
+            compensated_sums_at(np.ones(3), cps)

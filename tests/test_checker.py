@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from summa.accumulation import _BLOCK, compensated_cumsum
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
                            FamilyBundle, GrowthVerdict, Tolerances,
                            check_main_theorem, check_theorem_a,
@@ -240,6 +241,37 @@ class TestCheckTheoremA:
         by_id = {r.condition: r for r in report.records}
         assert by_id["cond7"].passed
         assert by_id["cond8"].passed
+
+
+class TestPartialSumRecords:
+    """The series_nQX and cond8 traces are sampled block by block; they
+    must equal the full-array compensated sums at their checkpoints."""
+
+    N = 2 * _BLOCK + 1001
+
+    @staticmethod
+    def assert_sampled(trace, terms):
+        idx = np.asarray(trace.checkpoints) - 1
+        assert trace.partial_sums.tobytes() == compensated_cumsum(
+            terms)[idx].tobytes()
+
+    def test_series_nqx(self):
+        b = builtin_family("F1", self.N)
+        cps = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, self.N)
+        report = check_main_theorem(b, checkpoints=cps)
+        trace = report.traces["series_nQX"]
+        assert trace.checkpoints == cps
+        self.assert_sampled(trace, np.arange(1.0, self.N + 1.0)
+                            * b.Q.values * b.X.values)
+
+    def test_cond8(self):
+        b = builtin_family("F2", self.N)
+        lam = b.lam.values
+        d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
+        trace = check_theorem_a(b).traces["cond8"]
+        assert trace.checkpoints[0] < _BLOCK < 2 * _BLOCK < self.N - 2
+        self.assert_sampled(trace, np.arange(1.0, d2.size + 1.0)
+                            * b.X.values[:d2.size] * np.abs(d2))
 
 
 class TestConclusionDiagnostic:

@@ -119,6 +119,16 @@ def _bundle(**roles):
     return {**base, **roles}
 
 
+_COND7_OVERFLOW = {
+    "mode": "check_theorem_a", "n": 64, "params": {"k": 1.5},
+    "bundle": {"a": {"family": "power_decay",
+                     "params": {"p": 2, "c": 1e-300}},
+               "lambda": {"family": "power_decay",
+                          "params": {"p": 0, "c": 1e306}},
+               "X": {"family": "power_weight", "params": {"q": 3}},
+               "weight": {"kind": "classic"}}}
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
        joined=st.booleans())
@@ -142,16 +152,9 @@ def _bundle(**roles):
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
-# |lambda_n| X_n overflows, so cond7 samples inf: a config error, no NaN
-@example(slope=None, joined=True,
-         config={"mode": "check_theorem_a", "n": 64, "params": {"k": 1.5},
-                 "bundle": {"a": {"family": "power_decay",
-                                  "params": {"p": 2, "c": 1e-300}},
-                            "lambda": {"family": "power_decay",
-                                       "params": {"p": 0, "c": 1e306}},
-                            "X": {"family": "power_weight",
-                                  "params": {"q": 3}},
-                            "weight": {"kind": "classic"}}})
+# |lambda_n| X_n overflows, so cond7 samples inf: a config error that
+# names cond7, no NaN
+@example(slope=None, joined=True, config=_COND7_OVERFLOW)
 # n^150 overflows while the sequence is generated
 @example(slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -164,7 +167,10 @@ def test_exit_status_stderr_and_report(config, slope, joined):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
-        _assert_contract(["run", str(path), f"--out={out}", *flags], out)
+        err = _assert_contract(["run", str(path), f"--out={out}", *flags],
+                               out)
+    if config == _COND7_OVERFLOW:
+        assert err.startswith("config error: ") and "cond7" in err
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -214,8 +220,8 @@ def test_malformed_flags(args, message):
 
 
 def _assert_contract(argv, out):
-    """Run ``summa`` on argv and check the exit status, stderr and the
-    report in ``out``."""
+    """Run ``summa`` on argv, check the exit status, stderr and the report
+    in ``out``, and return stderr."""
     stderr = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
         code = main(argv)
@@ -231,6 +237,7 @@ def _assert_contract(argv, out):
     if code != 2:
         json.loads((out / "report.json").read_text(),
                    parse_constant=_refuse_constant)
+    return err
 
 
 def _refuse_constant(name):

@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summa.accumulation import _BLOCK, compensated_cumsum
+from summa.cesaro import cesaro_t
 from summa.functionals import (FunctionalTrace, WeightKind, WeightSpec,
                                reduction_identity_check, weighted_power_trace)
 from summa.sequences import CesaroParams, RealSequence
+
+
+def monotone_partials(terms):
+    """The full-array running max of compensated prefix sums: what a
+    sampled trace must reproduce bit for bit."""
+    return np.maximum.accumulate(compensated_cumsum(terms))
 
 
 class TestWeightSpec:
@@ -99,6 +107,53 @@ class TestWeightedPowerTrace:
         base = weighted_power_trace(vals, k, phi, cps).partial_sums
         scaled = weighted_power_trace(c * vals, k, phi, cps).partial_sums
         assert np.allclose(scaled, (c ** k) * base, rtol=1e-9, atol=1e-12)
+
+
+class TestSampledTrace:
+    # more than two blocks, with checkpoints on and beside the block edges
+    N = 2 * _BLOCK + 1001
+    CPS = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+           N)
+
+    def inputs(self):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal(self.N) * 3.0
+        phi = np.power(np.arange(1.0, self.N + 1.0), 1.0 - 1.0 / 1.5)
+        return values, phi
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, 3.7])
+    def test_matches_full_array_trace(self, k):
+        values, phi = self.inputs()
+        n = np.arange(1.0, self.N + 1.0)
+        ref = monotone_partials(np.power(np.abs(phi * values) / n, k))
+        got = weighted_power_trace(values, k, phi, self.CPS).partial_sums
+        idx = np.asarray(self.CPS) - 1
+        assert got.tobytes() == ref[idx].tobytes()
+
+    def test_overflow_mid_block_is_refused(self):
+        # one term overflows inside the second block: the full-array sums
+        # turn non-finite there, and the sampled trace refuses them too
+        values, phi = self.inputs()
+        values[_BLOCK + 300] = 1e306
+        n = np.arange(1.0, self.N + 1.0)
+        with np.errstate(over="ignore"):
+            ref = monotone_partials(np.power(np.abs(phi * values) / n, 1.5))
+            assert not np.isfinite(ref[-1])
+            assert np.isfinite(ref[_BLOCK + 299])
+            with pytest.raises(ValueError, match="must be finite"):
+                weighted_power_trace(values, 1.5, phi, self.CPS)
+
+    def test_reduction_traces_match_full_array(self):
+        rng = np.random.default_rng(3)
+        a = RealSequence(1, rng.standard_normal(self.N))
+        k = 1.5
+        rep = reduction_identity_check(a, CesaroParams(alpha=1.0, k=k),
+                                       self.N)
+        tm = np.abs(cesaro_t(a, 1.0).values)
+        n = np.arange(1.0, self.N + 1.0)
+        ref = monotone_partials(np.power(tm, k) / n)
+        assert (rep.classic_direct_trace.partial_sums.tobytes()
+                == ref.tobytes())
 
 
 class TestReductionIdentity:
