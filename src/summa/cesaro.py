@@ -36,7 +36,6 @@ range raises ``OverflowError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +47,6 @@ __all__ = [
     "cesaro_sigma",
     "cesaro_t",
     "w_sequence",
-    "CesaroTransforms",
-    "compute_transforms",
 ]
 
 _EPS = 2.0 ** -53
@@ -287,6 +284,24 @@ def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise FloatingPointError("FFT error of 1/4 or more at every slice width")
 
 
+def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
+    """Order-alpha means of the terms x_0, x_1, .. of indices first,
+    first + 1, ..:
+
+        out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
+
+    At alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so the
+    numerator is a compensated cumulative sum; every other alpha is
+    checked by ``cesaro_coefficients`` before the kernel runs.
+    """
+    if alpha == 1.0:
+        return compensated_cumsum(x) / np.arange(first + 1.0,
+                                                 first + x.size + 1.0)
+    denom = cesaro_coefficients(alpha, first + x.size - 1)[first:]
+    kernel = _binomial_weights(alpha - 1.0, x.size - 1)
+    return _kernel_dot_prefixes(kernel, x) / denom
+
+
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """Order-alpha Cesaro means sigma_0^alpha .. sigma_N^alpha of the partial sums.
 
@@ -294,18 +309,8 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ValueError("alpha must be a finite number greater than -1")
-    s = compensated_cumsum(a.values)
-    if alpha == 1.0:
-        # Kernel A^0 is all ones: sigma is the arithmetic mean of s_0..s_n.
-        numer = compensated_cumsum(s)
-        sigma = numer / np.arange(1.0, s.size + 1.0)
-    else:
-        kernel = _binomial_weights(alpha - 1.0, s.size - 1)
-        denom = cesaro_coefficients(alpha, s.size - 1)
-        sigma = _kernel_dot_prefixes(kernel, s) / denom
-    return RealSequence(start_index=0, values=sigma)
+    return RealSequence(start_index=0,
+                        values=_mean(compensated_cumsum(a.values), alpha, 0))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
@@ -316,21 +321,11 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index not in (0, 1):
         raise ValueError("cesaro_t requires a sequence starting at index 0 or 1")
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ValueError("alpha must be a finite number greater than -1")
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    tail = a.range_view(1, n_last)
-    x = tail * np.arange(1.0, n_last + 1.0)
-    if alpha == 1.0:
-        numer = compensated_cumsum(x)
-        t = numer / np.arange(2.0, n_last + 2.0)
-    else:
-        kernel = _binomial_weights(alpha - 1.0, n_last - 1)
-        denom = cesaro_coefficients(alpha, n_last)[1:]
-        t = _kernel_dot_prefixes(kernel, x) / denom
-    return RealSequence(start_index=1, values=t)
+    x = a.range_view(1, n_last) * np.arange(1.0, n_last + 1.0)
+    return RealSequence(start_index=1, values=_mean(x, alpha, 1))
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:
@@ -349,27 +344,3 @@ def w_sequence(t: RealSequence, alpha: float) -> RealSequence:
     else:
         w = np.maximum.accumulate(mags)
     return RealSequence(start_index=1, values=w)
-
-
-@dataclass(frozen=True)
-class CesaroTransforms:
-    """Bundle of all order-alpha transforms of one input prefix.
-
-    ``w`` is None outside 0 < alpha <= 1, where the maximal sequence is not
-    defined.
-    """
-
-    alpha: float
-    sigma: RealSequence
-    t: RealSequence
-    w: RealSequence | None
-
-
-def compute_transforms(a: RealSequence, alpha: float) -> CesaroTransforms:
-    """sigma, t and w (where defined) for one input."""
-    if a.start_index != 0:
-        raise ValueError("compute_transforms requires a sequence starting at index 0")
-    sigma = cesaro_sigma(a, alpha)
-    t = cesaro_t(a, alpha)
-    w = w_sequence(t, alpha) if 0.0 < alpha <= 1.0 else None
-    return CesaroTransforms(alpha=float(alpha), sigma=sigma, t=t, w=w)

@@ -5,7 +5,8 @@ no hostnames, and render numbers through one formatter, so identical
 configs produce byte-identical report files; that property is load-bearing
 (tests diff report bytes) and worth protecting when editing here.
 
-Artifacts per run directory:
+Artifacts per run directory (one writer, ``_csv``, renders both CSV kinds
+from the float columns of the traces and the transforms):
   report.json            full machine-readable result, sorted keys
   trace_*.csv            checkpointed partial-sum traces (4-column format)
   transforms.csv         per-index transform dump (transform_dump mode)
@@ -14,7 +15,6 @@ Artifacts per run directory:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cesaro import compute_transforms
+from .cesaro import cesaro_sigma, cesaro_t, w_sequence
 from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
                       check_main_theorem, check_theorem_a,
                       conclusion_diagnostic)
@@ -59,6 +59,20 @@ class ConfigError(ValueError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
+
+
+def _refuse_bools(obj: dict) -> None:
+    """Refuse true and false anywhere in a config: no field takes them, and
+    Python reads them as the numbers 1 and 0.  (A stack, not recursion.)"""
+    stack = list(obj.items())
+    while stack:
+        pointer, value = stack.pop()
+        if isinstance(value, bool):
+            raise ConfigError(pointer, "must not be a boolean")
+        if isinstance(value, dict):
+            stack.extend((f"{pointer}.{k}", v) for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((pointer, v) for v in value)
 
 
 def _forbid(obj: dict, mode: str, *keys: str) -> None:
@@ -106,6 +120,7 @@ class ExperimentConfig:
         for key in obj:
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(key, "unknown field")
+        _refuse_bools(obj)
 
         mode = obj.get("mode")
         if mode not in MODES:
@@ -117,7 +132,7 @@ class ExperimentConfig:
 
         seed = obj.get("seed")
         if seed is not None:
-            if not isinstance(seed, int) or isinstance(seed, bool):
+            if not isinstance(seed, int):
                 raise ConfigError("seed", "must be an integer")
             if not (0 <= seed < 2 ** 64):
                 raise ConfigError("seed", "must fit in an unsigned 64-bit int")
@@ -130,7 +145,7 @@ class ExperimentConfig:
             # checkpoints, hence a larger minimum for theorem A
             n_min = 10 if mode == "check_theorem_a" else 8
             n = obj.get("n")
-            if not isinstance(n, int) or isinstance(n, bool) or n < n_min:
+            if not isinstance(n, int) or n < n_min:
                 raise ConfigError("n", f"must be an integer >= {n_min}")
             kw["n"] = n
 
@@ -153,7 +168,7 @@ class ExperimentConfig:
                         raise ConfigError(
                             f"overrides.{key}",
                             f"unknown; choices: {', '.join(sorted(_OVERRIDE_KEYS))}")
-                    if not isinstance(val, (int, float)) or isinstance(val, bool):
+                    if not isinstance(val, (int, float)):
                         raise ConfigError(f"overrides.{key}", "must be a number")
                 kw["family"] = family
                 kw["overrides"] = {k: float(v) for k, v in overrides.items()}
@@ -173,8 +188,7 @@ class ExperimentConfig:
             if "checkpoints" in obj:
                 cps = obj["checkpoints"]
                 if (not isinstance(cps, (list, tuple))
-                        or any(not isinstance(c, int) or isinstance(c, bool)
-                               for c in cps)):
+                        or any(not isinstance(c, int) for c in cps)):
                     raise ConfigError("checkpoints", "must be a list of integers")
                 try:
                     kw["checkpoints"] = validate_checkpoints(
@@ -196,7 +210,6 @@ class ExperimentConfig:
             # a million trials per suite already take minutes; a larger
             # count is a typo more likely than a plan
             if trials is not None and (not isinstance(trials, int)
-                                       or isinstance(trials, bool)
                                        or not 1 <= trials <= 1_000_000):
                 raise ConfigError("trials", "must be an integer in 1..1000000")
             kw["trials"] = trials
@@ -302,9 +315,12 @@ def _bundle_from_spec(spec: dict, n: int, params: CesaroParams) -> FamilyBundle:
                         params=params, Q=Q, delta=delta)
 
 
-def default_majorant(lam_extended: RealSequence,
-                     pad_power: float = 3.0) -> RealSequence:
-    """Q_n = |D lambda_n| + (n+1)^(-pad_power) over the differenced range.
+# exponent p of the majorant's padding (n+1)^(-p)
+_PAD_POWER = 3.0
+
+
+def default_majorant(lam_extended: RealSequence) -> RealSequence:
+    """Q_n = |D lambda_n| + (n+1)^(-3) over the differenced range.
 
     The padding keeps Q strictly positive (so quasi-monotonicity is
     checkable) while decaying fast enough that sum n Q_n X_n still
@@ -312,7 +328,7 @@ def default_majorant(lam_extended: RealSequence,
     convenience, not the best majorant for a given lambda.
     """
     dlam = forward_difference(lam_extended)
-    pad = np.power(dlam.indices() + 1.0, -float(pad_power))
+    pad = np.power(dlam.indices() + 1.0, -_PAD_POWER)
     return RealSequence(start_index=dlam.start_index,
                         values=np.abs(dlam.values) + pad)
 
@@ -409,36 +425,33 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_json(obj)
 
 
-def _trace_csv(trace) -> str:
-    # fixed 4-column format; reference and ratio stay empty for traces
-    # without a reference
-    lines = ["checkpoint,partial_sum,reference,ratio"]
-    for i, c in enumerate(trace.checkpoints):
-        p = float(trace.partial_sums[i])
-        if trace.reference is None:
-            lines.append(f"{c},{render_number(p)},,")
-        else:
-            r = float(trace.reference[i])
-            lines.append(f"{c},{render_number(p)},{render_number(r)},"
-                         f"{render_number(p / r)}")
-    return "\n".join(lines) + "\n"
+# rows rendered and joined per block, so that no more than a block's cell
+# strings are alive at once: the fractional_4k configs in one process peak
+# at 32.9 MiB in blocks of 2**8 rows, 33.3 MiB in blocks of 2**10 and
+# 34.7 MiB with whole columns
+_CSV_ROWS = 1 << 8
 
 
-def _transforms_csv(seq, transforms) -> str:
-    lines = ["n,a,sigma,t,w"]
-    # every column ends at seq's last index; t and w start at index 1, and w
-    # is None outside 0 < alpha <= 1, so their leading cells are empty.  A
-    # memoryview yields the values as floats one at a time, where .tolist()
-    # would hold all of them at once
-    columns = []
-    for col in (seq, transforms.sigma, transforms.t, transforms.w):
-        values = () if col is None else memoryview(col.values)
-        columns.append(itertools.chain([None] * (len(seq) - len(values)),
-                                       values))
-    for n, *row in zip(range(seq.start_index, seq.end_index + 1), *columns):
-        lines.append(f"{n}," + ",".join(
-            "" if v is None else render_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, index, columns) -> str:
+    """CSV text: the header line, then one row per entry of ``index``.
+
+    Each column is a float array that ends at the last row, its leading
+    cells left blank, or None for an all-blank column.  Numbers go through
+    ``render_number`` a block of rows at a time.
+    """
+    rows = len(index)
+    blocks = [header + "\n"]
+    for lo in range(0, rows, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, rows)
+        cells = [map(str, index[lo:hi])]
+        for col in columns:
+            # the column's first value sits in row skip
+            skip = rows - (0 if col is None else len(col))
+            first = min(max(lo, skip), hi)
+            values = col[first - skip:hi - skip].tolist() if first < hi else []
+            cells.append([""] * (first - lo) + list(map(render_number, values)))
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)
 
 
 def _run_check(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
@@ -463,8 +476,12 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
         raise ConfigError("bundle", str(e)) from e
 
     traces = {**report.traces, "conclusion": trace}
-    files = {f"trace_{name.lower()}.csv": _trace_csv(t)
-             for name, t in traces.items()}
+    # reference and ratio stay blank for traces without a reference
+    files = {f"trace_{name.lower()}.csv": _csv(
+        "checkpoint,partial_sum,reference,ratio", t.checkpoints,
+        [t.partial_sums, t.reference,
+         None if t.reference is None else t.partial_sums / t.reference])
+        for name, t in traces.items()}
 
     passed = (report.all_passed
               and conclusion.verdict is GrowthVerdict.BOUNDED_CONSISTENT)
@@ -484,15 +501,20 @@ def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
 
 def _run_transform_dump(config: ExperimentConfig
                         ) -> tuple[dict, int, dict[str, str]]:
-    params = config.params or CesaroParams()
+    alpha = (config.params or CesaroParams()).alpha
     try:
         seq = materialize(config.sequence)
-        transforms = compute_transforms(seq, params.alpha)
+        sigma = cesaro_sigma(seq, alpha).values
+        t = cesaro_t(seq, alpha)
+        # w is defined for 0 < alpha <= 1 only
+        w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
     except (ValueError, OverflowError) as e:
         raise ConfigError("sequence", str(e)) from e
-    files = {"transforms.csv": _transforms_csv(seq, transforms)}
+    files = {"transforms.csv": _csv(
+        "n,a,sigma,t,w", range(seq.start_index, seq.end_index + 1),
+        [seq.values, sigma, t.values, w])}
     results = {"artifacts": {Path(name).stem: name for name in files},
-               "rows": len(seq), "alpha": params.alpha}
+               "rows": len(seq), "alpha": alpha}
     return results, 0, files
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from summa import cesaro
 from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
                           _round_rows, cesaro_coefficients, cesaro_sigma,
-                          cesaro_t, compute_transforms, w_sequence)
+                          cesaro_t, w_sequence)
 from summa.experiment import ExperimentConfig, builtin_family, run
 from summa.oracle import rational_cesaro_coefficients
 from summa.sequences import RealSequence
@@ -200,20 +200,6 @@ class TestW:
     def test_requires_start_one(self):
         with pytest.raises(ValueError):
             w_sequence(RealSequence(0, np.array([1.0])), 1.0)
-
-
-class TestComputeTransforms:
-    def test_bundles_all_pieces(self):
-        a = RealSequence(0, np.array([1.0, -1.0, 1.0, -1.0]))
-        tr = compute_transforms(a, 0.5)
-        assert tr.alpha == 0.5
-        assert tr.sigma.start_index == 0
-        assert tr.t.start_index == 1
-        assert tr.w is not None
-
-    def test_w_absent_outside_unit_interval(self):
-        a = RealSequence(0, np.array([1.0, -1.0, 1.0]))
-        assert compute_transforms(a, 2.0).w is None
 
 
 def _scaled(v):

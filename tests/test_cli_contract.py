@@ -9,9 +9,12 @@ holds for the flags: ``--tolerance-slope`` on ``summa run`` and ``--seed``
 and ``--trials`` on ``summa oracle``, negative, zero and huge values
 included, each passed either as ``--flag=VALUE`` or as two argv tokens, so
 that a negative value such as ``-1e-05`` must be read as a value, not as an
-option.  Malformed flags and values are config errors too.
+option.  Malformed flags and values are config errors too.  No config field
+takes JSON ``true`` or ``false``, which Python reads as 1 and 0: setting any
+number field to one is a config error that points at the field.
 """
 
+import copy
 import io
 import json
 import tempfile
@@ -129,48 +132,76 @@ _COND7_OVERFLOW = {
                "weight": {"kind": "classic"}}}
 
 
+def _number_paths(obj, path=()):
+    """Paths to the number fields of a config, in document order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
-       joined=st.booleans())
+       joined=st.booleans(),
+       flip=st.one_of(st.none(), st.tuples(st.integers(0, 63),
+                                           st.booleans())))
 # a negative slope in exponent form, as its own token, reaches the validator
-@example(slope=-1e-05, joined=False,
+@example(flip=None, slope=-1e-05, joined=False,
          config={"mode": "check_main", "family": "F1", "n": 16})
 # Q_n X_n n overflows, so the series_nQX partial sums are nan
-@example(slope=None, joined=True,
+@example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(Q={"family": "power_decay",
                                       "params": {"p": 0, "c": 1e306}})})
 # the factored mean a_n lambda_n overflows inside the conclusion's trace
-@example(slope=None, joined=True,
+@example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_decay",
                      "params": {"p": 0, "c": 1e306}}})})
 # v * a_v overflows: the fractional kernel refuses a non-finite term
-@example(slope=None, joined=True,
+@example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
 # |lambda_n| X_n overflows, so cond7 samples inf: a config error that
 # names cond7, no NaN
-@example(slope=None, joined=True, config=_COND7_OVERFLOW)
+@example(flip=None, slope=None, joined=True, config=_COND7_OVERFLOW)
 # n^150 overflows while the sequence is generated
-@example(slope=None, joined=True,
+@example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_weight", "params": {"q": 150}}})})
-def test_exit_status_stderr_and_report(config, slope, joined):
+def test_exit_status_stderr_and_report(config, slope, joined, flip):
     flags = [] if slope is None else _flag("--tolerance-slope", repr(slope),
                                            joined)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
-        out = Path(tmp) / "out"
-        err = _assert_contract(["run", str(path), f"--out={out}", *flags],
-                               out)
+
+    def run(config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            return _assert_contract(["run", str(path), f"--out={out}",
+                                     *flags], out)
+
+    err = run(config)
     if config == _COND7_OVERFLOW:
         assert err.startswith("config error: ") and "cond7" in err
+    # one number field set to true or false: the config exits 2 on that field
+    paths = list(_number_paths(config))
+    if flip is not None and paths:
+        index, value = flip
+        *parents, key = paths[index % len(paths)]
+        flipped = copy.deepcopy(config)
+        node = flipped
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        pointer = ".".join([*parents, key])
+        assert run(flipped) == (f"config error: {pointer}: "
+                                "must not be a boolean\n")
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,21 +1,33 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from summa import experiment
+from summa.cesaro import cesaro_sigma, cesaro_t, w_sequence
+from summa.checker import check_theorem_a, conclusion_diagnostic
 from summa.cli import main
 from summa.experiment import (BUILTIN_FAMILY_NAMES, ConfigError,
                               ExperimentConfig, builtin_family,
                               default_majorant, family_catalog_lines,
                               load_config, run)
-from summa.sequences import RealSequence, SequenceSpec, materialize
+from summa.functionals import CheckpointTrace
+from summa.rendering import render_number
+from summa.sequences import SequenceSpec, materialize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cfg(obj):
     return ExperimentConfig.from_json(obj)
+
+
+_BUNDLE = {"a": {"family": "alternating_unit"},
+           "lambda": {"family": "unit_tail"},
+           "X": {"family": "log_shift"},
+           "weight": {"kind": "classic"}}
 
 
 def _err(obj):
@@ -147,6 +159,56 @@ class TestConfigValidation:
                                "start": 0}})
         assert e.pointer == "n"
 
+    @pytest.mark.parametrize("obj, pointer", [
+        ({"mode": "check_main", "n": 64, "bundle": _BUNDLE,
+          "params": {"alpha": True}}, "params.alpha"),
+        ({"mode": "check_main", "n": 64, "family": "F1",
+          "tolerances": {"slope": True}}, "tolerances.slope"),
+        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+          "bundle": {**_BUNDLE, "lambda": {"family": "power_decay",
+                                           "params": {"p": True}}}},
+         "bundle.lambda.params.p"),
+        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+          "bundle": {**_BUNDLE, "weight": {"kind": "indexed",
+                                           "beta": False}}},
+         "bundle.weight.beta"),
+        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+          "bundle": {**_BUNDLE, "weight": {
+              "kind": "explicit_phi",
+              "phi": {"family": "power_weight", "params": {"q": True}}}}},
+         "bundle.weight.phi.params.q"),
+        ({"mode": "transform_dump", "sequence": {
+            "family": "alternating_unit", "n": True, "start": 0}},
+         "sequence.n"),
+        ({"mode": "transform_dump", "sequence": {
+            "family": "alternating_unit", "n": 8, "start": False}},
+         "sequence.start"),
+        ({"mode": "transform_dump", "sequence": {
+            "family": "power_decay", "n": 8, "params": {"p": True}}},
+         "sequence.params.p"),
+        ({"mode": "transform_dump", "params": {"alpha": False},
+          "sequence": {"family": "alternating_unit", "n": 8}},
+         "params.alpha"),
+        ({"mode": "check_main", "n": 64, "family": "F1",
+          "checkpoints": [8, 16, True, 64]}, "checkpoints"),
+        ({"mode": "oracle", "seed": 1, "trials": True}, "trials"),
+    ])
+    def test_booleans_are_not_numbers(self, obj, pointer):
+        # Python reads JSON true and false as 1 and 0
+        e = _err(obj)
+        assert e.pointer == pointer
+        assert str(e) == f"{pointer}: must not be a boolean"
+
+    def test_boolean_tolerance_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "f1.json"
+        cfg.write_text(json.dumps({"mode": "check_main", "family": "F1",
+                                   "n": 64, "tolerances": {"slope": True}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: tolerances.slope: must not be a boolean\n")
+        assert not out.exists()
+
     def test_out_must_be_string(self):
         assert _err({"mode": "oracle", "seed": 1, "out": 3}).pointer == "out"
 
@@ -225,11 +287,6 @@ class TestDefaultMajorant:
         expect = np.abs(lam_ext.values[:-1] - lam_ext.values[1:]) \
             + np.power(n + 1.0, -3.0)
         assert np.array_equal(q.values, expect)
-
-    def test_pad_power(self):
-        lam_ext = RealSequence(1, np.ones(5))
-        q = default_majorant(lam_ext, pad_power=1.0)
-        assert np.array_equal(q.values, 1.0 / np.arange(2.0, 6.0))
 
 
 class TestRunCheckModes:
@@ -313,6 +370,105 @@ class TestRunTransformDump:
                                  "start": 0}})
         report = run(cfg, out_dir=tmp_path, quiet=True)
         assert report.results["rows"] == 16
+
+
+def ref_trace_csv(trace):
+    """The per-row trace writer that the block writer replaced."""
+    lines = ["checkpoint,partial_sum,reference,ratio"]
+    for i, c in enumerate(trace.checkpoints):
+        p = float(trace.partial_sums[i])
+        if trace.reference is None:
+            lines.append(f"{c},{render_number(p)},,")
+        else:
+            r = float(trace.reference[i])
+            lines.append(f"{c},{render_number(p)},{render_number(r)},"
+                         f"{render_number(p / r)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_transforms_csv(seq, sigma, t, w):
+    """The per-row dump writer that the block writer replaced."""
+    lines = ["n,a,sigma,t,w"]
+    columns = []
+    for col in (seq, sigma, t, w):
+        values = () if col is None else memoryview(col.values)
+        columns.append(itertools.chain([None] * (len(seq) - len(values)),
+                                       values))
+    for n, *row in zip(range(seq.start_index, seq.end_index + 1), *columns):
+        lines.append(f"{n}," + ",".join(
+            "" if v is None else render_number(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _dump(tmp_path, family, rows, alpha, params=None):
+    """transforms.csv of a dump run and the reference writer's text."""
+    spec = {"family": family, "n": rows, "start": 0, "params": params or {}}
+    run(_cfg({"mode": "transform_dump", "sequence": spec,
+              "params": {"alpha": alpha}}), out_dir=tmp_path, quiet=True)
+    seq = materialize(SequenceSpec.from_json(spec))
+    t = cesaro_t(seq, alpha)
+    w = w_sequence(t, alpha) if 0.0 < alpha <= 1.0 else None
+    return ((tmp_path / "transforms.csv").read_text(),
+            ref_transforms_csv(seq, cesaro_sigma(seq, alpha), t, w))
+
+
+def _edge_rows(block):
+    """Row counts at the block edges: k * block - 1, k * block and
+    k * block + 1 for k = 1 and 3; a dump needs two rows at least."""
+    return sorted({k * block + d for k in (1, 3) for d in (-1, 0, 1)
+                   if k * block + d >= 2})
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("block", [1, 2, 3, experiment._CSV_ROWS])
+    def test_trace_bytes_at_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(experiment, "_CSV_ROWS", block)
+        rng = np.random.default_rng(block)
+        for rows in _edge_rows(block):
+            cps = tuple(range(1, rows + 1))
+            sums = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 18, rows)
+            ref = rng.uniform(0.5, 2.0, rows) * rng.choice([-1.0, 1.0], rows)
+            for trace in (CheckpointTrace(cps, sums, ref),
+                          CheckpointTrace(cps, sums),
+                          CheckpointTrace(cps, np.zeros(rows))):
+                text = experiment._csv(
+                    "checkpoint,partial_sum,reference,ratio", cps,
+                    [trace.partial_sums, trace.reference,
+                     None if trace.reference is None
+                     else trace.partial_sums / trace.reference])
+                assert text == ref_trace_csv(trace)
+        assert text.splitlines()[1] == "1,0,,"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, experiment._CSV_ROWS])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 0.0])
+    def test_dump_bytes_at_block_edges(self, tmp_path, monkeypatch, block,
+                                       alpha):
+        monkeypatch.setattr(experiment, "_CSV_ROWS", block)
+        for rows in _edge_rows(block):
+            text, ref = _dump(tmp_path, "alternating_unit", rows, alpha)
+            assert text == ref
+            # w is defined for 0 < alpha <= 1 only
+            w_blank = all(row.endswith(",") for row in text.splitlines()[1:])
+            assert w_blank == (alpha in (0.0, 2.0))
+
+    def test_zero_dump_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_CSV_ROWS", 2)
+        text, ref = _dump(tmp_path, "power_decay", 7, 0.5,
+                          {"p": 1.0, "c": 0.0})
+        assert text == ref
+        assert text.splitlines()[1:3] == ["0,0,0,,", "1,0,0,0,0"]
+
+    def test_check_traces_match_reference(self, tmp_path):
+        cfg = _cfg({"mode": "check_theorem_a", "n": 512, "family": "F2"})
+        run(cfg, out_dir=tmp_path, quiet=True)
+        bundle = builtin_family("F2", 512)
+        traces = dict(check_theorem_a(bundle).traces)
+        traces["conclusion"] = conclusion_diagnostic(bundle)[0]
+        assert any(t.reference is None for t in traces.values())
+        assert any(t.reference is not None for t in traces.values())
+        for name, trace in traces.items():
+            path = tmp_path / f"trace_{name.lower()}.csv"
+            assert path.read_text() == ref_trace_csv(trace)
 
 
 class TestDeterminism:
