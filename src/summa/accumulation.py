@@ -16,17 +16,31 @@ which adds strictly left to right as the textbook per-element loop does
 correction is an elementwise function of the previous running sum, the term
 and the new running sum; and the loop's compensation is itself a plain
 left-to-right sum of those corrections, seeded with the compensation
-carried from the block before.  The outputs are therefore bit-identical to
-the loop's at every block size.  NaN outputs sit at the same indices as the
-loop's; their sign bit is not part of the contract, since which operand's
-NaN an addition propagates varies even within one numpy call.
+carried from the block before.
+
+The loop's correction is Neumaier's branch: (big - total) + small, with big
+the larger in magnitude of the previous sum and the term.  The block loop
+computes Knuth's branch-free TwoSum instead, five flops with no compare or
+select.  Where the new total is finite and no TwoSum step overflows, both
+are the exact rounding error of the addition, so they are the same number.
+TwoSum can overflow spuriously in ``total - prev`` near the largest double
+(Boldo, Graillat and Muller, ACM TOMS 44, 2017), and at an inf or NaN it
+gives NaN where Neumaier's branch may give an infinity.  Either way the step
+is non-finite, and a non-finite term keeps every later left-to-right sum of
+the compensation non-finite.  So a block whose carried compensation comes
+out non-finite is redone with Neumaier's branch, and only such a block.
+The outputs are therefore bit-identical to the loop's at every block size.
+NaN outputs sit at the same indices as the loop's; their sign bit is not
+part of the contract, since which operand's NaN an addition propagates
+varies even within one numpy call.
 
 ``compensated_cumsum`` writes every prefix sum.  ``compensated_sums_at``
 keeps only the sums at the requested checkpoints (and, on request, their
 running maximum, carried from block to block as a per-block maximum),
 stops at the last checkpoint, and can take its terms block by block from a
 callable, so a checkpoint trace never holds an n-long array of terms or
-sums.
+sums.  Block sources take their indices from one reusable buffer
+(``_indices``) rather than from a fresh ``np.arange`` per block.
 """
 
 from __future__ import annotations
@@ -59,35 +73,56 @@ def _neumaier_blocks(source: _Source, stop: int
     running = np.empty(size + 1)
     comp = np.empty(size + 1)
     terms = np.empty(size)
-    mag = np.empty(size)
-    small = np.empty(size)
-    prev_big = np.empty(size, dtype=bool)
+    spare = np.empty(size)
     running[0] = comp[0] = 0.0
     for lo in range(0, stop, size):
         m = min(size, stop - lo)
         x = source(lo, lo + m, terms[:m])
-        run, err, big = running[:m + 1], comp[1:m + 1], prev_big[:m]
+        run, err, back = running[:m + 1], comp[1:m + 1], spare[:m]
         with np.errstate(invalid="ignore", over="ignore"):
             # run[0] is the total before this block and run[j + 1] the
             # loop's `total` after term lo + j
             run[1:] = x
             np.add.accumulate(run, out=run)
             prev, total = run[:-1], run[1:]
-
-            # Neumaier's correction (big - total) + small, where big is the
-            # larger in magnitude of prev and x (prev on ties, NaN -> x)
-            np.abs(prev, out=small[:m])
-            np.abs(x, out=mag[:m])
-            np.greater_equal(small[:m], mag[:m], out=big)
-            np.copyto(err, x)
-            np.copyto(err, prev, where=big)
-            err -= total
-            np.copyto(small[:m], prev)
-            np.copyto(small[:m], x, where=big)
-            err += small[:m]
+            # TwoSum: back = total - prev, err = (prev - (total - back))
+            # + (x - back)
+            np.subtract(total, prev, out=back)
+            np.subtract(total, back, out=err)
+            np.subtract(prev, err, out=err)
+            np.subtract(x, back, out=back)
+            err += back
             np.add.accumulate(comp[:m + 1], out=comp[:m + 1])
+            if not np.isfinite(comp[m]):
+                # a step met an overflow, an inf or a NaN: redo the block
+                # with the loop's own correction
+                _neumaier_corrections(prev, x, total, err)
+                np.add.accumulate(comp[:m + 1], out=comp[:m + 1])
         yield lo, total, err
         running[0], comp[0] = running[m], comp[m]
+
+
+def _neumaier_corrections(prev: np.ndarray, x: np.ndarray, total: np.ndarray,
+                          out: np.ndarray) -> None:
+    """Neumaier's corrections (big - total) + small into ``out``, big the
+    larger in magnitude of prev and x (prev on ties, NaN -> x)."""
+    big = np.abs(prev) >= np.abs(x)
+    np.subtract(np.where(big, prev, x), total, out=out)
+    out += np.where(big, x, prev)
+
+
+def _indices(stop: int) -> Callable[[int, int], np.ndarray]:
+    """indices(lo, hi): the floats lo + 1 .. hi that ``np.arange(lo + 1.0,
+    hi + 1.0)`` gives (exact below 2**53), for the blocks of a loop over
+    0..stop.  They are written into one buffer that each call overwrites,
+    as ``iota + (lo + 1.0)``."""
+    size = max(1, min(_BLOCK, stop))
+    iota = np.arange(float(size))
+    out = np.empty(size)
+
+    def indices(lo: int, hi: int) -> np.ndarray:
+        return np.add(iota[:hi - lo], lo + 1.0, out=out[:hi - lo])
+    return indices
 
 
 def _array_source(values) -> tuple[_Source, int]:

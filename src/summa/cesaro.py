@@ -36,11 +36,13 @@ range raises ``OverflowError``.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
+from . import accumulation
 from .accumulation import compensated_cumsum
-from .sequences import RealSequence
+from .sequences import _NON_FINITE, RealSequence, _adopt
 
 __all__ = [
     "cesaro_coefficients",
@@ -302,6 +304,78 @@ def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
     return _kernel_dot_prefixes(kernel, x) / denom
 
 
+def _t_blocks(a: np.ndarray, alpha: float,
+              lam: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """t_1^alpha .. t_N^alpha of the terms a_1..a_N, or of a_v * lam_v when
+    ``lam`` is given, as consecutive blocks of at most ``_BLOCK`` values.
+
+    Every t is computed this way, so each has one set of bits.  At alpha =
+    1 the means are streamed (``_running_means``), so no n-long array is
+    ever held.  Other orders run the kernel over all N terms now, before
+    the caller allocates its own block buffers, and yield slices of its t.
+    A block is a view that the next one may overwrite.  A non-finite t
+    raises ``ValueError``, and so does a non-finite a_v * lam_v, with the
+    message ``RealSequence`` gives.
+    """
+    if alpha == 1.0:
+        return _running_means(a, lam)
+    terms = a if lam is None else a * lam
+    if not np.isfinite(terms).all():
+        raise ValueError(_NON_FINITE)
+    t = _mean(terms * np.arange(1.0, a.size + 1.0), alpha, 1)
+    if not np.isfinite(t).all():
+        raise ValueError(_NON_FINITE)
+    size = accumulation._BLOCK
+    return (t[lo:lo + size] for lo in range(0, t.size, size))
+
+
+def _running_means(a: np.ndarray, lam: np.ndarray | None
+                   ) -> Iterator[np.ndarray]:
+    """t_n^1, the compensated sum of v * a_v (v * (a_v * lam_v)) over
+    v <= n, divided by n + 1, a block at a time.  The terms are formed per
+    block, outside any ``np.errstate`` as ``_neumaier_blocks`` calls its
+    source; any non-finite term leaves t non-finite from there on, so
+    checking t checks the terms too."""
+    n = a.size
+    v = accumulation._indices(n)
+
+    def source(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        if lam is None:
+            return np.multiply(a[lo:hi], v(lo, hi), out=out)
+        np.multiply(a[lo:hi], lam[lo:hi], out=out)
+        return np.multiply(out, v(lo, hi), out=out)
+
+    t = np.empty(max(1, min(accumulation._BLOCK, n)))
+    for lo, total, comp in accumulation._neumaier_blocks(source, n):
+        block = t[:total.size]
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.add(total, comp, out=block)
+        # A_n^1 = n + 1
+        np.divide(block, v(lo + 1, lo + block.size + 1), out=block)
+        if not np.isfinite(block).all():
+            raise ValueError(_NON_FINITE)
+        yield block
+
+
+def _w_blocks(a: np.ndarray, alpha: float) -> Iterator[np.ndarray]:
+    """w_1^alpha .. w_N^alpha of the terms a_1..a_N, block by block as
+    ``_t_blocks`` yields t, for a trace that takes the abs of its values:
+    at alpha = 1 the blocks are t itself, whose abs is w, and below 1 the
+    running max of |t| is carried from block to block."""
+    blocks = _t_blocks(a, alpha)
+    if alpha == 1.0:
+        return blocks
+
+    def running_max() -> Iterator[np.ndarray]:
+        peak = 0.0
+        for t in blocks:
+            w = np.maximum.accumulate(np.abs(t))
+            np.maximum(w, peak, out=w)
+            peak = w[-1]
+            yield w
+    return running_max()
+
+
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """Order-alpha Cesaro means sigma_0^alpha .. sigma_N^alpha of the partial sums.
 
@@ -309,8 +383,7 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
-    return RealSequence(start_index=0,
-                        values=_mean(compensated_cumsum(a.values), alpha, 0))
+    return _adopt(0, _mean(compensated_cumsum(a.values), alpha, 0))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
@@ -324,8 +397,13 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    x = a.range_view(1, n_last) * np.arange(1.0, n_last + 1.0)
-    return RealSequence(start_index=1, values=_mean(x, alpha, 1))
+    blocks = _t_blocks(a.range_view(1, n_last), alpha)
+    t = np.empty(n_last)  # after the fractional kernel has run
+    lo = 0
+    for block in blocks:
+        t[lo:lo + block.size] = block
+        lo += block.size
+    return _adopt(1, t)
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:
@@ -338,9 +416,7 @@ def w_sequence(t: RealSequence, alpha: float) -> RealSequence:
         raise ValueError("w is defined for 0 < alpha <= 1 only")
     if t.start_index != 1:
         raise ValueError("w expects a t-sequence starting at index 1")
-    mags = np.abs(t.values)
-    if alpha == 1.0:
-        w = mags
-    else:
-        w = np.maximum.accumulate(mags)
-    return RealSequence(start_index=1, values=w)
+    w = np.abs(t.values)
+    if alpha != 1.0:
+        np.maximum.accumulate(w, out=w)
+    return _adopt(1, w)

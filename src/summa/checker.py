@@ -18,10 +18,12 @@ t-trace by the maximal-sequence trace
 
 Each theorem is one ordered table of (condition, record builder) pairs;
 MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  The
-builders share one context (bundle, checkpoints, tolerances, w computed
-at most once, the traces kept so far); phi is made once per bundle and
-shared with the conclusion; any other large array lives only as long as
-the builder that made it.
+builders share one context (bundle, checkpoints, tolerances, the traces
+kept so far); phi is made once per bundle and shared with the conclusion;
+any other large array lives only as long as the builder that made it.  The
+two t-traces, cond11's of w and the conclusion's of t for a_n * lambda_n,
+take the Cesaro means block by block as they are made (at alpha = 1 no
+n-long array of them, or of a_n * lambda_n, is ever held).
 
 Every O(.) statement, the conclusion included, is judged at scale from a
 CheckpointTrace by a log-log slope fit over the tail of a geometric
@@ -43,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .accumulation import compensated_sums_at
-from .cesaro import cesaro_t, w_sequence
+from .cesaro import _t_blocks, _w_blocks
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           validate_checkpoints, weighted_power_trace)
 from .monotonicity import (almost_increasing_diagnostic,
@@ -323,11 +325,6 @@ class _Context:
                    checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
                    tol=tolerances or Tolerances())
 
-    @cached_property
-    def w(self) -> RealSequence:
-        alpha = self.bundle.params.alpha
-        return w_sequence(cesaro_t(self.bundle.a, alpha), alpha)
-
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
         diag = growth_diagnostic(trace, self.tol)
@@ -444,9 +441,10 @@ def _param_gate(ctx: _Context, name: str) -> ConditionRecord:
 
 
 def _cond11(ctx: _Context, name: str) -> ConditionRecord:
-    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m)
-    trace = weighted_power_trace(ctx.w.values, ctx.bundle.params.k,
-                                 ctx.bundle.phi, ctx.checkpoints)
+    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w streamed block by block
+    params = ctx.bundle.params
+    trace = weighted_power_trace(_w_blocks(ctx.bundle.a.values, params.alpha),
+                                 params.k, ctx.bundle.phi, ctx.checkpoints)
     trace = dataclasses.replace(
         trace, reference=_at(ctx.bundle.X.values, ctx.checkpoints))
     ctx.traces[name] = trace
@@ -527,9 +525,7 @@ def conclusion_diagnostic(bundle: FamilyBundle,
     are the finite evidence for that conclusion.
     """
     ctx = _Context.of(bundle, checkpoints, tolerances)
-    t = cesaro_t(RealSequence(start_index=1,
-                              values=bundle.a.values * bundle.lam.values),
-                 bundle.params.alpha).values
+    t = _t_blocks(bundle.a.values, bundle.params.alpha, bundle.lam.values)
     trace = weighted_power_trace(t, bundle.params.k, bundle.phi,
                                  ctx.checkpoints)
     return trace, growth_diagnostic(trace, ctx.tol)

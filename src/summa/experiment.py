@@ -29,7 +29,7 @@ from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
 from .functionals import WeightKind, WeightSpec, validate_checkpoints
 from .oracle import run_all_suites
 from .rendering import render_number
-from .sequences import (CesaroParams, RealSequence, SequenceSpec,
+from .sequences import (CesaroParams, RealSequence, SequenceSpec, _adopt,
                         forward_difference, materialize)
 
 __all__ = [
@@ -61,18 +61,28 @@ class ConfigError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-def _refuse_bools(obj: dict) -> None:
-    """Refuse true and false anywhere in a config: no field takes them, and
-    Python reads them as the numbers 1 and 0.  (A stack, not recursion.)"""
-    stack = list(obj.items())
+# fields that hold numbers: these keys, and every key of these objects
+_NUMBER_KEYS = {"n", "start", "seed", "trials", "beta"}
+_NUMBER_OBJECTS = {"params", "overrides", "tolerances"}
+
+
+def _refuse_non_numbers(obj: dict) -> None:
+    """Refuse true and false anywhere in a config, and strings in number
+    fields: no field takes a boolean, Python reads them as the numbers 1
+    and 0, and ``float`` reads "0.5" as 0.5.  (A stack, not recursion.)"""
+    stack = [(key, key in _NUMBER_KEYS, value) for key, value in obj.items()]
     while stack:
-        pointer, value = stack.pop()
+        pointer, number, value = stack.pop()
         if isinstance(value, bool):
             raise ConfigError(pointer, "must not be a boolean")
+        if number and isinstance(value, str):
+            raise ConfigError(pointer, "must be a number")
         if isinstance(value, dict):
-            stack.extend((f"{pointer}.{k}", v) for k, v in value.items())
+            numbers = pointer.rsplit(".", 1)[-1] in _NUMBER_OBJECTS
+            stack.extend((f"{pointer}.{k}", numbers or k in _NUMBER_KEYS, v)
+                         for k, v in value.items())
         elif isinstance(value, list):
-            stack.extend((pointer, v) for v in value)
+            stack.extend((pointer, False, v) for v in value)
 
 
 def _forbid(obj: dict, mode: str, *keys: str) -> None:
@@ -120,7 +130,7 @@ class ExperimentConfig:
         for key in obj:
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(key, "unknown field")
-        _refuse_bools(obj)
+        _refuse_non_numbers(obj)
 
         mode = obj.get("mode")
         if mode not in MODES:
@@ -254,14 +264,8 @@ def _validate_bundle_spec(bundle: dict, mode: str) -> None:
                 raise ConfigError(f"bundle.{role}",
                                   "not allowed in mode 'check_theorem_a'")
     for role in ("a", "lambda", "X", "Q", "delta"):
-        spec = bundle.get(role)
-        if spec is None:
-            continue
-        if not isinstance(spec, dict) or set(spec) - _ROLE_FIELDS:
-            raise ConfigError(f"bundle.{role}",
-                              "must be an object with fields family, params")
-        if "family" not in spec:
-            raise ConfigError(f"bundle.{role}.family", "required")
+        if role in bundle:
+            _validate_role(bundle[role], f"bundle.{role}")
     weight = bundle.get("weight")
     if not isinstance(weight, dict):
         raise ConfigError("bundle.weight", "required object")
@@ -273,8 +277,18 @@ def _validate_bundle_spec(bundle: dict, mode: str) -> None:
     for key in weight:
         if key not in wallowed:
             raise ConfigError(f"bundle.weight.{key}", "unknown field")
-    if weight["kind"] == WeightKind.EXPLICIT_PHI.value and "phi" not in weight:
+    if "phi" in weight:
+        _validate_role(weight["phi"], "bundle.weight.phi")
+    elif weight["kind"] == WeightKind.EXPLICIT_PHI.value:
         raise ConfigError("bundle.weight.phi", "required for explicit_phi")
+
+
+def _validate_role(spec, pointer: str) -> None:
+    if not isinstance(spec, dict) or set(spec) - _ROLE_FIELDS:
+        raise ConfigError(pointer,
+                          "must be an object with fields family, params")
+    if "family" not in spec:
+        raise ConfigError(f"{pointer}.family", "required")
 
 
 def _materialize_role(spec: dict, n: int, pointer: str) -> RealSequence:
@@ -329,8 +343,7 @@ def default_majorant(lam_extended: RealSequence) -> RealSequence:
     """
     dlam = forward_difference(lam_extended)
     pad = np.power(dlam.indices() + 1.0, -_PAD_POWER)
-    return RealSequence(start_index=dlam.start_index,
-                        values=np.abs(dlam.values) + pad)
+    return _adopt(dlam.start_index, np.abs(dlam.values) + pad)
 
 
 def _seq(family: str, n: int, params: dict | None = None) -> RealSequence:
@@ -379,7 +392,7 @@ def builtin_family(name: str, N: int, overrides: dict | None = None) -> FamilyBu
         lam_ext = _seq("power_decay", N + 1, {"p": 2.0, "c0": 2.0})
     else:
         lam_ext = _seq("unit_tail", N + 1)
-    lam = RealSequence(start_index=1, values=lam_ext.values[:N])
+    lam = _adopt(1, lam_ext.values[:N])  # a view of read-only values
     Q = default_majorant(lam_ext)
     delta = _seq("power_decay", N, {"p": 1.5, "c0": 1.0})
     return FamilyBundle(label=name, a=a, lam=lam, X=X, weight=weight,

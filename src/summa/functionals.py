@@ -21,11 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accumulation import compensated_sums_at
+from .accumulation import _indices, compensated_sums_at
 from .cesaro import cesaro_t
 from .sequences import CesaroParams, RealSequence
 
@@ -172,31 +172,72 @@ class FunctionalTrace(CheckpointTrace):
                              "non-negative and non-decreasing")
 
 
-def weighted_power_trace(values: np.ndarray, k: float, phi: np.ndarray,
+def weighted_power_trace(values, k: float, phi: np.ndarray,
                          checkpoints: Sequence[int]) -> FunctionalTrace:
     """Trace of sum_n n^(-k) |phi_n * values_n|^k, values indexed from 1.
 
     Shared workhorse: the functional proper feeds it t, the hypothesis
-    checks feed it the maximal sequence w.
+    checks feed it the maximal sequence w.  ``values`` is an array aligned
+    with phi, or an iterator of consecutive blocks that together hold
+    values_1 .. values_N, N = len(phi), such as the Cesaro streams yield.
+    Each block is read before the next is drawn, and every block is drawn,
+    those past the last checkpoint included, so that whatever checks the
+    source makes on its blocks all run.
     """
-    values = np.asarray(values, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    if values.shape != phi.shape:
-        raise ValueError("values and phi must align")
+    if isinstance(values, Iterator):
+        blocks = values
+    else:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != phi.shape:
+            raise ValueError("values and phi must align")
+        blocks = iter((values,))
     if k < 1.0:
         raise ValueError("k must be at least 1")
-    cps = validate_checkpoints(checkpoints, values.size)
+    cps = validate_checkpoints(checkpoints, phi.size)
+    n = _indices(cps[-1])
+    head, drawn = np.empty(0), 0
+
+    def draw() -> np.ndarray:
+        nonlocal drawn
+        block = next(blocks, None)
+        if block is None:
+            raise ValueError("values and phi must align")
+        drawn += block.size
+        return block
+
+    def read(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """values[lo:hi]: requests come in order and cover the values in
+        turn, so they are read off the blocks as they come."""
+        nonlocal head
+        m = hi - lo
+        if not head.size:
+            head = draw()
+        if head.size >= m:  # one block holds them: a view, no copy
+            view, head = head[:m], head[m:]
+            return view
+        filled = 0
+        while filled < m:  # each piece is copied before the next block
+            if not head.size:
+                head = draw()
+            take = min(m - filled, head.size)
+            out[filled:filled + take] = head[:take]
+            head, filled = head[take:], filled + take
+        return out
 
     def terms(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        np.multiply(phi[lo:hi], values[lo:hi], out=out)
+        np.multiply(phi[lo:hi], read(lo, hi, out), out=out)
         np.abs(out, out=out)
-        out /= np.arange(lo + 1.0, hi + 1.0)
+        out /= n(lo, hi)
         return np.power(out, k, out=out)
 
     # compensated prefixes of non-negative terms can dip by one ulp; the
     # running max restores exact monotonicity without moving any value
     # beyond that ulp
     sums = compensated_sums_at(terms, cps, running_max=True)
+    drawn += sum(block.size for block in blocks)
+    if drawn != phi.size:
+        raise ValueError("values and phi must align")
     return FunctionalTrace(checkpoints=cps, partial_sums=sums)
 
 

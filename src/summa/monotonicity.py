@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import RealSequence
+from .sequences import RealSequence, _adopt
 
 __all__ = [
     "QuasiMonotoneVerdict",
@@ -135,7 +135,7 @@ def almost_increasing_diagnostic(b: RealSequence,
     assert np.all(b.values <= cvals)
     assert np.all(inf_ratio * cvals <= b.values * (1.0 + 4.0 * np.finfo(float).eps))
     return AlmostIncreasingWitness(
-        c=RealSequence(start_index=b.start_index, values=cvals),
+        c=_adopt(b.start_index, cvals),
         inf_ratio=inf_ratio,
         A=inf_ratio,
         B=1.0,

@@ -37,13 +37,16 @@ class RealSequence:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._settle(np.asarray(self.values, dtype=np.float64).copy())
+
+    def _settle(self, arr: np.ndarray) -> None:
+        """Check start_index and ``arr``, then store ``arr`` read-only."""
         if not isinstance(self.start_index, int) or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
-        arr = np.asarray(self.values, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a non-empty one-dimensional array")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("sequence values must be finite")
+            raise ValueError(_NON_FINITE)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -72,12 +75,26 @@ class RealSequence:
         return self.values[lo - self.start_index: hi - self.start_index + 1]
 
 
+_NON_FINITE = "sequence values must be finite"
+
+
+def _adopt(start_index: int, values: np.ndarray) -> RealSequence:
+    """A RealSequence that takes over ``values``, a float64 array that no
+    one else will write to (a fresh result, or a view of read-only values),
+    without the copy the constructor makes; the checks are the
+    constructor's."""
+    seq = object.__new__(RealSequence)
+    object.__setattr__(seq, "start_index", start_index)
+    seq._settle(values)
+    return seq
+
+
 # Family generators.  Each takes the absolute index array and the validated
 # parameter map and returns float64 values.  Domains are checked up front so a
 # bad parameter fails loudly instead of minting NaNs.
 
 def _alternating_unit(n: np.ndarray, p: dict) -> np.ndarray:
-    return np.where(n % 2 == 0, 1.0, -1.0)
+    return 1.0 - 2.0 * (n & 1)
 
 
 def _unit_tail(n: np.ndarray, p: dict) -> np.ndarray:
@@ -101,7 +118,7 @@ def _reciprocal_log(n: np.ndarray, p: dict) -> np.ndarray:
 
 def _almost_inc_example(n: np.ndarray, p: dict) -> np.ndarray:
     # n * e^((-1)^n): dips below its running max at every odd index.
-    return n * np.exp(np.where(n % 2 == 0, 1.0, -1.0))
+    return n * np.exp(1.0 - 2.0 * (n & 1))
 
 
 def _power_weight(n: np.ndarray, p: dict) -> np.ndarray:
@@ -187,7 +204,7 @@ def materialize(spec: SequenceSpec) -> RealSequence:
     # an overflowing value is refused by RealSequence, not warned about
     with np.errstate(all="ignore"):
         vals = gen(idx, spec.resolved_params())
-    return RealSequence(start_index=spec.start, values=vals)
+    return _adopt(spec.start, np.asarray(vals, dtype=np.float64))
 
 
 def forward_difference(seq: RealSequence, order: int = 1) -> RealSequence:
@@ -204,7 +221,7 @@ def forward_difference(seq: RealSequence, order: int = 1) -> RealSequence:
     vals = seq.values
     for _ in range(order):
         vals = vals[:-1] - vals[1:]
-    return RealSequence(start_index=seq.start_index, values=vals)
+    return _adopt(seq.start_index, vals)
 
 
 @dataclass(frozen=True)

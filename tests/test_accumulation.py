@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summa import accumulation
@@ -117,6 +117,18 @@ def test_numpy_accumulate_is_left_to_right():
 
 
 
+@pytest.mark.parametrize("stop", [1, 5, B, 3 * B + 7])
+def test_indices_match_arange(stop):
+    # one reused buffer gives the floats np.arange gives, block by block,
+    # and in the last block whose arange bounds are exact, up to 2**53 - 1
+    indices = accumulation._indices(stop)
+    size = min(B, stop)
+    for lo in [*range(0, stop, size), 2 ** 53 - size - 1]:
+        hi = min(lo + size, max(stop, lo + size))
+        assert (indices(lo, hi).tobytes()
+                == np.arange(lo + 1.0, hi + 1.0).tobytes())
+
+
 def specials_at_edges(x):
     """A copy of x with -0.0, ±inf and NaN placed on and next to the block
     edges."""
@@ -149,6 +161,38 @@ def test_bit_identical_across_block_edges(k, offset):
 ))
 def test_bit_identical_at_any_block_size(block, values):
     # every short input then crosses several block edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulation, "_BLOCK", block)
+        assert_matches_reference(values)
+
+
+# values where a TwoSum step can overflow although the loop's sum does not
+# (Boldo, Graillat and Muller, ACM TOMS 44, 2017), or meets an inf or NaN.
+# Odd multiples of 2**970, half an ulp of DBL_MAX, added to +-DBL_MAX make
+# the rounding ties after which total - prev overflows; ``ties`` draws
+# only those, since few lists of the other values hit one
+_DBL_MAX = np.finfo(np.float64).max
+near_overflow = st.sampled_from([
+    s * v for s in (1.0, -1.0)
+    for v in (_DBL_MAX, _DBL_MAX / 2, 1.7e308,
+              *(c * math.ldexp(1.0, 970) for c in (1, 2, 3, 5, 7)),
+              math.inf, 5e-324, math.ldexp(1.0, -1060), 0.0)] + [math.nan])
+ties = st.sampled_from([s * v for s in (1.0, -1.0) for v in (
+    _DBL_MAX, *(c * math.ldexp(1.0, 970) for c in (1, 3, 5, 7)))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.one_of(
+    st.lists(near_overflow, max_size=12),
+    st.lists(ties, max_size=8),
+    st.lists(st.one_of(near_overflow, spread), max_size=24),
+))
+# -3 * 2**970 + DBL_MAX is a tie that rounds up, and then so does
+# total - prev: TwoSum overflows where the loop's correction is -2**970
+@example(2, [-(2.0 ** 970)] * 3 + [_DBL_MAX])
+def test_guarded_two_sum_near_overflow(block, values):
+    # the guard redoes exactly the blocks whose TwoSum steps went
+    # non-finite; without it the sums differ from the loop's
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulation, "_BLOCK", block)
         assert_matches_reference(values)

@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from summa.accumulation import _BLOCK, compensated_cumsum
+from summa import accumulation, cesaro
+from summa.accumulation import _BLOCK, compensated_cumsum, compensated_sums_at
+from summa.cesaro import cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
                            FamilyBundle, GrowthVerdict, Tolerances,
                            check_main_theorem, check_theorem_a,
@@ -338,3 +340,53 @@ class TestFamilyBundle:
             FamilyBundle(label="x", a=a, lam=lam, X=X,
                          weight=WeightSpec(kind=WeightKind.CLASSIC),
                          params=CesaroParams())
+
+
+def full_array_t(a, alpha):
+    """t_1^alpha .. t_N^alpha of the terms a_1..a_N by the full-array
+    formula that ``cesaro_t`` used before the means were streamed: x =
+    v * a_v whole, then the order-alpha mean of all of x."""
+    return cesaro._mean(a * np.arange(1.0, a.size + 1.0), alpha, 1)
+
+
+def full_array_trace(values, k, phi, checkpoints):
+    """The weighted power trace with every n-long array held whole."""
+    n = np.arange(1.0, phi.size + 1.0)
+    terms = np.power(np.abs(phi * values) / n, k)
+    return compensated_sums_at(terms, checkpoints, running_max=True)
+
+
+class TestStreamedTraces:
+    """cond11 and the conclusion take t block by block; their traces match
+    the full-array formula (t, then w = |t| or its running max, then the
+    trace) bit for bit at every block size."""
+
+    @staticmethod
+    def assert_traces_match(n, alpha):
+        bundle = builtin_family("F1", n, {"alpha": alpha})
+        phi, k = bundle.phi, bundle.params.k
+        for cps in (None, (1, 2, 3, n // 2 + 1)):
+            grid = cps or dyadic_checkpoints(n)
+            t = full_array_t(bundle.a.values, alpha)
+            assert cesaro_t(bundle.a, alpha).values.tobytes() == t.tobytes()
+            w = w_sequence(RealSequence(1, t), alpha).values
+            got = check_main_theorem(bundle, cps).traces["cond11"]
+            assert (got.partial_sums.tobytes()
+                    == full_array_trace(w, k, phi, grid).tobytes())
+            t = full_array_t(bundle.a.values * bundle.lam.values, alpha)
+            got, _ = conclusion_diagnostic(bundle, cps)
+            assert (got.partial_sums.tobytes()
+                    == full_array_trace(t, k, phi, grid).tobytes())
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("block", range(1, 9))
+    def test_small_blocks(self, monkeypatch, alpha, block):
+        monkeypatch.setattr(accumulation, "_BLOCK", block)
+        k = 8 // block + 2  # n >= 8 for the builtin family
+        for n in (k * block - 1, k * block, k * block + 1):
+            self.assert_traces_match(n, alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_real_block(self, alpha, offset):
+        self.assert_traces_match(_BLOCK + offset, alpha)

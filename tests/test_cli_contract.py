@@ -10,8 +10,10 @@ and ``--trials`` on ``summa oracle``, negative, zero and huge values
 included, each passed either as ``--flag=VALUE`` or as two argv tokens, so
 that a negative value such as ``-1e-05`` must be read as a value, not as an
 option.  Malformed flags and values are config errors too.  No config field
-takes JSON ``true`` or ``false``, which Python reads as 1 and 0: setting any
-number field to one is a config error that points at the field.
+takes JSON ``true`` or ``false``, which Python reads as 1 and 0, and no
+number field takes a string such as ``"0.5"``, which ``float`` reads as a
+number: setting any number field to either is a config error that points
+at the field.
 """
 
 import copy
@@ -132,6 +134,11 @@ _COND7_OVERFLOW = {
                "weight": {"kind": "classic"}}}
 
 
+_PHI_WITHOUT_FAMILY = {
+    "mode": "check_main", "n": 64, "params": {"k": 1.5},
+    "bundle": _bundle(weight={"kind": "explicit_phi", "phi": {}})}
+
+
 def _number_paths(obj, path=()):
     """Paths to the number fields of a config, in document order."""
     if isinstance(obj, dict):
@@ -144,8 +151,9 @@ def _number_paths(obj, path=()):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
        joined=st.booleans(),
-       flip=st.one_of(st.none(), st.tuples(st.integers(0, 63),
-                                           st.booleans())))
+       flip=st.one_of(st.none(), st.tuples(
+           st.integers(0, 63),
+           st.one_of(st.booleans(), st.sampled_from(["1", "0.5", "-2e3"])))))
 # a negative slope in exponent form, as its own token, reaches the validator
 @example(flip=None, slope=-1e-05, joined=False,
          config={"mode": "check_main", "family": "F1", "n": 16})
@@ -169,6 +177,8 @@ def _number_paths(obj, path=()):
 # |lambda_n| X_n overflows, so cond7 samples inf: a config error that
 # names cond7, no NaN
 @example(flip=None, slope=None, joined=True, config=_COND7_OVERFLOW)
+# phi without a family is refused like a role without one
+@example(flip=None, slope=None, joined=True, config=_PHI_WITHOUT_FAMILY)
 # n^150 overflows while the sequence is generated
 @example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -189,7 +199,10 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
     err = run(config)
     if config == _COND7_OVERFLOW:
         assert err.startswith("config error: ") and "cond7" in err
-    # one number field set to true or false: the config exits 2 on that field
+    if config == _PHI_WITHOUT_FAMILY:
+        assert err == "config error: bundle.weight.phi.family: required\n"
+    # one number field set to true, false or a numeric string: the config
+    # exits 2 on that field
     paths = list(_number_paths(config))
     if flip is not None and paths:
         index, value = flip
@@ -200,8 +213,9 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
             node = node[name]
         node[key] = value
         pointer = ".".join([*parents, key])
-        assert run(flipped) == (f"config error: {pointer}: "
-                                "must not be a boolean\n")
+        message = ("must be a number" if isinstance(value, str)
+                   else "must not be a boolean")
+        assert run(flipped) == f"config error: {pointer}: {message}\n"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -274,3 +288,38 @@ def _assert_contract(argv, out):
 def _refuse_constant(name):
     # json.dumps writes NaN and Infinity, which are not JSON
     raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+# a_v = v^170 is finite up to v = 64, but 64 * a_64 = 2^1026 is not, so t
+# overflows at its last index, past the last checkpoint
+_T_OVERFLOWS_LATE = {
+    "mode": "check_theorem_a", "n": 64, "checkpoints": [4, 8, 16, 32],
+    "params": {"k": 1.5},
+    "bundle": {"a": {"family": "power_weight", "params": {"q": 170}},
+               "lambda": {"family": "power_decay",
+                          "params": {"p": 2, "c0": 2}},
+               "X": {"family": "log_shift"}, "weight": {"kind": "classic"}}}
+
+
+@pytest.mark.parametrize("block", [None, 1, 8, 40])
+@pytest.mark.parametrize("config", [
+    _T_OVERFLOWS_LATE,
+    {**_T_OVERFLOWS_LATE, "mode": "check_main",
+     "bundle": _bundle(a={"family": "power_weight", "params": {"q": 170}})},
+    # the conclusion's t of a_v lambda_v overflows late
+    {**_T_OVERFLOWS_LATE, "mode": "check_main",
+     "bundle": _bundle(**{"lambda": {"family": "power_weight",
+                                     "params": {"q": 170}}})},
+])
+def test_t_overflow_past_the_last_checkpoint(monkeypatch, config, block):
+    # the traces stop at checkpoint 32, and every t up to n is still
+    # checked: the message is the one a refused t sequence gives
+    from summa import accumulation
+    if block is not None:
+        monkeypatch.setattr(accumulation, "_BLOCK", block)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = _assert_contract(["run", str(path), f"--out={tmp}/out"],
+                               Path(tmp) / "out")
+    assert err == "config error: bundle: sequence values must be finite\n"

@@ -36,6 +36,43 @@ def _err(obj):
     return info.value
 
 
+# one number field of each kind set to a boolean, with its pointer
+_BOOLEAN_FIELDS = [
+    ({"mode": "check_main", "n": 64, "bundle": _BUNDLE,
+      "params": {"alpha": True}}, "params.alpha"),
+    ({"mode": "check_main", "n": 64, "family": "F1",
+      "tolerances": {"slope": True}}, "tolerances.slope"),
+    ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+      "bundle": {**_BUNDLE, "lambda": {"family": "power_decay",
+                                       "params": {"p": True}}}},
+     "bundle.lambda.params.p"),
+    ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+      "bundle": {**_BUNDLE, "weight": {"kind": "indexed",
+                                       "beta": False}}},
+     "bundle.weight.beta"),
+    ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+      "bundle": {**_BUNDLE, "weight": {
+          "kind": "explicit_phi",
+          "phi": {"family": "power_weight", "params": {"q": True}}}}},
+     "bundle.weight.phi.params.q"),
+    ({"mode": "transform_dump", "sequence": {
+        "family": "alternating_unit", "n": True, "start": 0}},
+     "sequence.n"),
+    ({"mode": "transform_dump", "sequence": {
+        "family": "alternating_unit", "n": 8, "start": False}},
+     "sequence.start"),
+    ({"mode": "transform_dump", "sequence": {
+        "family": "power_decay", "n": 8, "params": {"p": True}}},
+     "sequence.params.p"),
+    ({"mode": "transform_dump", "params": {"alpha": False},
+      "sequence": {"family": "alternating_unit", "n": 8}},
+     "params.alpha"),
+    ({"mode": "check_main", "n": 64, "family": "F1",
+      "checkpoints": [8, 16, True, 64]}, "checkpoints"),
+    ({"mode": "oracle", "seed": 1, "trials": True}, "trials"),
+]
+
+
 class TestConfigValidation:
     def test_non_object(self):
         assert _err([1, 2]).pointer == "$"
@@ -159,45 +196,23 @@ class TestConfigValidation:
                                "start": 0}})
         assert e.pointer == "n"
 
-    @pytest.mark.parametrize("obj, pointer", [
-        ({"mode": "check_main", "n": 64, "bundle": _BUNDLE,
-          "params": {"alpha": True}}, "params.alpha"),
-        ({"mode": "check_main", "n": 64, "family": "F1",
-          "tolerances": {"slope": True}}, "tolerances.slope"),
-        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
-          "bundle": {**_BUNDLE, "lambda": {"family": "power_decay",
-                                           "params": {"p": True}}}},
-         "bundle.lambda.params.p"),
-        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
-          "bundle": {**_BUNDLE, "weight": {"kind": "indexed",
-                                           "beta": False}}},
-         "bundle.weight.beta"),
-        ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
-          "bundle": {**_BUNDLE, "weight": {
-              "kind": "explicit_phi",
-              "phi": {"family": "power_weight", "params": {"q": True}}}}},
-         "bundle.weight.phi.params.q"),
-        ({"mode": "transform_dump", "sequence": {
-            "family": "alternating_unit", "n": True, "start": 0}},
-         "sequence.n"),
-        ({"mode": "transform_dump", "sequence": {
-            "family": "alternating_unit", "n": 8, "start": False}},
-         "sequence.start"),
-        ({"mode": "transform_dump", "sequence": {
-            "family": "power_decay", "n": 8, "params": {"p": True}}},
-         "sequence.params.p"),
-        ({"mode": "transform_dump", "params": {"alpha": False},
-          "sequence": {"family": "alternating_unit", "n": 8}},
-         "params.alpha"),
-        ({"mode": "check_main", "n": 64, "family": "F1",
-          "checkpoints": [8, 16, True, 64]}, "checkpoints"),
-        ({"mode": "oracle", "seed": 1, "trials": True}, "trials"),
-    ])
+    @pytest.mark.parametrize("obj, pointer", _BOOLEAN_FIELDS)
     def test_booleans_are_not_numbers(self, obj, pointer):
         # Python reads JSON true and false as 1 and 0
         e = _err(obj)
         assert e.pointer == pointer
         assert str(e) == f"{pointer}: must not be a boolean"
+
+    @pytest.mark.parametrize("obj, pointer", [
+        case for case in _BOOLEAN_FIELDS if case[1] != "checkpoints"])
+    def test_strings_are_not_numbers(self, obj, pointer):
+        # float() reads "0.5" as 0.5; a string in a checkpoint list was
+        # already refused as not a list of integers
+        text = json.dumps(obj).replace("true", '"1"').replace("false",
+                                                              '"0.5"')
+        e = _err(json.loads(text))
+        assert e.pointer == pointer
+        assert str(e) == f"{pointer}: must be a number"
 
     def test_boolean_tolerance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "f1.json"

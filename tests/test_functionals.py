@@ -89,6 +89,14 @@ class TestWeightedPowerTrace:
         with pytest.raises(ValueError):
             weighted_power_trace(np.ones(3), 1.5, np.ones(4), (1,))
 
+    @pytest.mark.parametrize("blocks", [
+        # blocks that stop short of phi, within or past the checkpoints,
+        # or run on beyond it
+        [np.ones(2), np.ones(1)], [np.ones(1)], [np.ones(4), np.ones(1)]])
+    def test_blocks_misaligned(self, blocks):
+        with pytest.raises(ValueError, match="align"):
+            weighted_power_trace(iter(blocks), 1.5, np.ones(4), (1, 2))
+
     def test_k_domain(self):
         with pytest.raises(ValueError):
             weighted_power_trace(np.ones(3), 0.5, np.ones(3), (1,))
@@ -154,6 +162,16 @@ class TestSampledTrace:
         ref = monotone_partials(np.power(tm, k) / n)
         assert (rep.classic_direct_trace.partial_sums.tobytes()
                 == ref.tobytes())
+
+
+    def test_blocks_of_any_length(self):
+        # an iterator's blocks need not match the trace's own blocks
+        values, phi = self.inputs()
+        cuts = [0, 3, 4, 999, _BLOCK + 2, _BLOCK + 3, 2 * _BLOCK + 3, self.N]
+        blocks = iter([values[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+        got = weighted_power_trace(blocks, 1.5, phi, self.CPS).partial_sums
+        assert got.tobytes() == weighted_power_trace(
+            values, 1.5, phi, self.CPS).partial_sums.tobytes()
 
 
 class TestReductionIdentity:

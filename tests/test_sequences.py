@@ -29,6 +29,26 @@ class TestRealSequence:
         with pytest.raises(ValueError):
             seq.values[0] = 5.0
 
+    def test_constructor_copies(self):
+        # the public constructor never takes over the caller's array
+        values = np.array([1.0, 2.0])
+        seq = RealSequence(0, values)
+        values[0] = 5.0
+        assert list(seq.values) == [1.0, 2.0]
+        assert values.flags.writeable
+
+    def test_adopted_values_checked_and_read_only(self):
+        # generated and differenced values are taken over without a copy,
+        # with the constructor's checks
+        seq = materialize(SequenceSpec("power_decay", n=4, params={"p": 1.0},
+                                       start=1))
+        for s in (seq, forward_difference(seq)):
+            assert not s.values.flags.writeable
+        big = RealSequence(0, np.array([1e308, -1e308]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            forward_difference(big)
+
     def test_indexing(self):
         seq = RealSequence(3, np.array([10.0, 20.0, 30.0]))
         assert seq.end_index == 5
@@ -45,6 +65,16 @@ class TestFamilies:
     def test_alternating_unit(self):
         seq = materialize(SequenceSpec("alternating_unit", n=4, start=0))
         assert list(seq.values) == [1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("start", [0, 1, 2 ** 40])
+    def test_signs_match_where_form(self, start):
+        # the parity form of (-1)^n gives the same bits as np.where
+        n = np.arange(start, start + 1001, dtype=np.int64)
+        sign = np.where(n % 2 == 0, 1.0, -1.0)
+        for family, want in (("alternating_unit", sign),
+                             ("almost_inc_example", n * np.exp(sign))):
+            got = materialize(SequenceSpec(family, n=1001, start=start))
+            assert got.values.tobytes() == want.tobytes()
 
     def test_unit_tail_zero_at_origin(self):
         seq = materialize(SequenceSpec("unit_tail", n=4, start=0))
