@@ -10,6 +10,10 @@ from the float columns of the traces and the transforms):
   report.json            full machine-readable result, sorted keys
   trace_*.csv            checkpointed partial-sum traces (4-column format)
   transforms.csv         per-index transform dump (transform_dump mode)
+
+``_csv`` yields a file's bytes a block of ``_CSV_ROWS`` rows at a time,
+each block one ``rendering.render_rows`` call, and ``run`` writes each
+block as it comes: no CSV file's whole text is ever held.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
                       conclusion_diagnostic)
 from .functionals import WeightKind, WeightSpec, validate_checkpoints
 from .oracle import run_all_suites
-from .rendering import render_number
+from .rendering import render_rows
 from .sequences import (CesaroParams, RealSequence, SequenceSpec, _adopt,
                         forward_difference, materialize)
 
@@ -438,36 +443,38 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_json(obj)
 
 
-# rows rendered and joined per block, so that no more than a block's cell
-# strings are alive at once: the fractional_4k configs in one process peak
-# at 32.9 MiB in blocks of 2**8 rows, 33.3 MiB in blocks of 2**10 and
-# 34.7 MiB with whole columns
+# rows rendered per block, which bounds the block's temporaries: about
+# 400 KiB at 2**8 rows of a dump's five columns
 _CSV_ROWS = 1 << 8
 
 
-def _csv(header: str, index, columns) -> str:
-    """CSV text: the header line, then one row per entry of ``index``.
+def _csv(header: str, index, columns) -> Iterator[bytes]:
+    """CSV bytes a block at a time: the header line, then one row per entry
+    of ``index``.
 
     Each column is a float array that ends at the last row, its leading
-    cells left blank, or None for an all-blank column.  Numbers go through
-    ``render_number`` a block of rows at a time.
+    cells left blank, or None for an all-blank column.  Each block of
+    ``_CSV_ROWS`` rows is one ``render_rows`` call.
     """
     rows = len(index)
-    blocks = [header + "\n"]
+    index = np.asarray(index)
+    yield header.encode() + b"\n"
     for lo in range(0, rows, _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, rows)
-        cells = [map(str, index[lo:hi])]
+        block = []
         for col in columns:
             # the column's first value sits in row skip
             skip = rows - (0 if col is None else len(col))
-            first = min(max(lo, skip), hi)
-            values = col[first - skip:hi - skip].tolist() if first < hi else []
-            cells.append([""] * (first - lo) + list(map(render_number, values)))
-        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(blocks)
+            block.append(None if skip >= hi
+                         else col[max(lo - skip, 0):hi - skip])
+        yield render_rows(index[lo:hi], block)
 
 
-def _run_check(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
+# artifact name -> its bytes, a block at a time
+_Files = dict[str, Iterable[bytes]]
+
+
+def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     if config.family is not None:
         bundle = builtin_family(config.family, config.n, config.overrides)
     else:
@@ -506,25 +513,28 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
     return results, 0 if passed else 1, files
 
 
-def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, dict[str, str]]:
+def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     suites = run_all_suites(config.seed, config.trials)
     clean = all(s.violations == 0 for s in suites)
     return {"suites": [s.to_json() for s in suites]}, 0 if clean else 1, {}
 
 
 def _run_transform_dump(config: ExperimentConfig
-                        ) -> tuple[dict, int, dict[str, str]]:
+                        ) -> tuple[dict, int, _Files]:
     alpha = (config.params or CesaroParams()).alpha
+    # as in a check, arithmetic that overflows surfaces as a non-finite
+    # transform (ValueError) or from math.fsum (OverflowError)
     try:
-        seq = materialize(config.sequence)
-        sigma = cesaro_sigma(seq, alpha).values
-        t = cesaro_t(seq, alpha)
-        # w is defined for 0 < alpha <= 1 only
-        w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
+        with np.errstate(all="ignore"):
+            seq = materialize(config.sequence)
+            sigma = cesaro_sigma(seq, alpha).values
+            t = cesaro_t(seq, alpha)
+            # w is defined for 0 < alpha <= 1 only
+            w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
     except (ValueError, OverflowError) as e:
         raise ConfigError("sequence", str(e)) from e
     files = {"transforms.csv": _csv(
-        "n,a,sigma,t,w", range(seq.start_index, seq.end_index + 1),
+        "n,a,sigma,t,w", np.arange(seq.start_index, seq.end_index + 1),
         [seq.values, sigma, t.values, w])}
     results = {"artifacts": {Path(name).stem: name for name in files},
                "rows": len(seq), "alpha": alpha}
@@ -563,8 +573,9 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
 
     ``out_dir`` beats the config's own ``out`` field; default is the
     current directory, created only once the run has computed everything
-    it writes, so a run that fails leaves no directory behind.  Summary goes
-    to standard output unless ``quiet``.
+    that can fail, so a run that fails leaves no directory behind.  The
+    CSV files render block by block as they are written.  Summary goes to
+    standard output unless ``quiet``.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
 
@@ -573,11 +584,14 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
                        environment={"version": __version__,
                                     "seed": config.seed},
                        results=results, exit_status=exit_status)
-    files["report.json"] = (json.dumps(report.to_json(), indent=2,
-                                       sort_keys=True) + "\n")
+    files["report.json"] = [json.dumps(report.to_json(), indent=2,
+                                       sort_keys=True).encode() + b"\n"]
+    # the CSV blocks render as they are written: their columns are finite,
+    # so nothing past this point can fail on the config
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
+    for name, blocks in files.items():
+        with open(out / name, "wb") as f:
+            f.writelines(blocks)
 
     if not quiet:
         print("\n".join(_summary_lines(report)))

@@ -134,6 +134,13 @@ _COND7_OVERFLOW = {
                "weight": {"kind": "classic"}}}
 
 
+# n * a_n overflows while a_n does not: the dump's transforms overflow
+_DUMP_OVERFLOW = {
+    "mode": "transform_dump",
+    "sequence": {"family": "power_weight", "params": {"q": 127}, "n": 258,
+                 "start": 0}}
+
+
 _PHI_WITHOUT_FAMILY = {
     "mode": "check_main", "n": 64, "params": {"k": 1.5},
     "bundle": _bundle(weight={"kind": "explicit_phi", "phi": {}})}
@@ -179,6 +186,8 @@ def _number_paths(obj, path=()):
 @example(flip=None, slope=None, joined=True, config=_COND7_OVERFLOW)
 # phi without a family is refused like a role without one
 @example(flip=None, slope=None, joined=True, config=_PHI_WITHOUT_FAMILY)
+# a dump whose transforms overflow warns nothing before its config error
+@example(flip=None, slope=None, joined=True, config=_DUMP_OVERFLOW)
 # n^150 overflows while the sequence is generated
 @example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -201,6 +210,9 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
         assert err.startswith("config error: ") and "cond7" in err
     if config == _PHI_WITHOUT_FAMILY:
         assert err == "config error: bundle.weight.phi.family: required\n"
+    if config == _DUMP_OVERFLOW:
+        assert err == ("config error: sequence: sequence values must be "
+                       "finite\n")
     # one number field set to true, false or a numeric string: the config
     # exits 2 on that field
     paths = list(_number_paths(config))

@@ -446,11 +446,11 @@ class TestCsvWriter:
             for trace in (CheckpointTrace(cps, sums, ref),
                           CheckpointTrace(cps, sums),
                           CheckpointTrace(cps, np.zeros(rows))):
-                text = experiment._csv(
+                text = b"".join(experiment._csv(
                     "checkpoint,partial_sum,reference,ratio", cps,
                     [trace.partial_sums, trace.reference,
                      None if trace.reference is None
-                     else trace.partial_sums / trace.reference])
+                     else trace.partial_sums / trace.reference])).decode()
                 assert text == ref_trace_csv(trace)
         assert text.splitlines()[1] == "1,0,,"
 
@@ -465,6 +465,22 @@ class TestCsvWriter:
             # w is defined for 0 < alpha <= 1 only
             w_blank = all(row.endswith(",") for row in text.splitlines()[1:])
             assert w_blank == (alpha in (0.0, 2.0))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, experiment._CSV_ROWS])
+    @pytest.mark.parametrize("params", [{"p": 3.0}, {"p": 3.0, "c": 1e20}])
+    def test_scientific_cells_inside_blocks(self, tmp_path, monkeypatch,
+                                            block, params):
+        # a_n = c (n + 1)**-3 crosses 1e-4 (or 1e16) at n = 21, so
+        # render_number's cells and the kernel's share blocks and rows
+        monkeypatch.setattr(experiment, "_CSV_ROWS", block)
+        for rows in _edge_rows(block) + [64]:
+            for alpha in (0.5, 1.0):
+                text, ref = _dump(tmp_path, "power_decay", rows, alpha,
+                                  params)
+                assert text == ref
+        cells = text.replace("\n", ",").split(",")
+        assert any("e" in cell for cell in cells)
+        assert any("." in cell and "e" not in cell for cell in cells)
 
     def test_zero_dump_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "_CSV_ROWS", 2)
