@@ -331,30 +331,48 @@ def _t_blocks(a: np.ndarray, alpha: float,
 
 def _running_means(a: np.ndarray, lam: np.ndarray | None
                    ) -> Iterator[np.ndarray]:
+    """``_RunningMeans`` over the blocks of a (and lam)."""
+    means = _RunningMeans(a.size)
+    size = max(1, min(accumulation._BLOCK, a.size))
+    for lo in range(0, a.size, size):
+        yield means.push(a[lo:lo + size],
+                         None if lam is None else lam[lo:lo + size])
+
+
+class _RunningMeans:
     """t_n^1, the compensated sum of v * a_v (v * (a_v * lam_v)) over
-    v <= n, divided by n + 1, a block at a time.  The terms are formed per
-    block, outside any ``np.errstate`` as ``_neumaier_blocks`` calls its
-    source; any non-finite term leaves t non-finite from there on, so
-    checking t checks the terms too."""
-    n = a.size
-    v = accumulation._indices(n)
+    v <= n, divided by n + 1, for the blocks of a (and lam) pushed in order,
+    each at most ``_BLOCK`` long.  The terms are formed per block, outside
+    any ``np.errstate``; any non-finite term leaves t non-finite from there
+    on, so checking t checks the terms too."""
 
-    def source(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    def __init__(self, n: int) -> None:
+        size = max(1, min(accumulation._BLOCK, n))
+        self._acc = accumulation._Neumaier(size)
+        self._v = accumulation._indices(n)
+        self._x, self._t = np.empty(size), np.empty(size)
+        self._lo = 0
+
+    def push(self, a: np.ndarray, lam: np.ndarray | None = None
+             ) -> np.ndarray:
+        """The block of t for this block of a: a view that the next push
+        overwrites.  A non-finite t raises ``ValueError``."""
+        lo, m = self._lo, a.size
+        hi = self._lo = lo + m
+        x, t = self._x[:m], self._t[:m]
         if lam is None:
-            return np.multiply(a[lo:hi], v(lo, hi), out=out)
-        np.multiply(a[lo:hi], lam[lo:hi], out=out)
-        return np.multiply(out, v(lo, hi), out=out)
-
-    t = np.empty(max(1, min(accumulation._BLOCK, n)))
-    for lo, total, comp in accumulation._neumaier_blocks(source, n):
-        block = t[:total.size]
+            np.multiply(a, self._v(lo, hi), out=x)
+        else:
+            np.multiply(a, lam, out=x)
+            np.multiply(x, self._v(lo, hi), out=x)
+        total, comp = self._acc.push(x)
         with np.errstate(invalid="ignore", over="ignore"):
-            np.add(total, comp, out=block)
+            np.add(total, comp, out=t)
         # A_n^1 = n + 1
-        np.divide(block, v(lo + 1, lo + block.size + 1), out=block)
-        if not np.isfinite(block).all():
+        np.divide(t, self._v(lo + 1, hi + 1), out=t)
+        if not np.isfinite(t).all():
             raise ValueError(_NON_FINITE)
-        yield block
+        return t
 
 
 def _w_blocks(a: np.ndarray, alpha: float) -> Iterator[np.ndarray]:

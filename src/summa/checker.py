@@ -17,13 +17,21 @@ t-trace by the maximal-sequence trace
     sum_(n<=m) n^(-k) (w_n^alpha |phi_n|)^k = O(X_m).
 
 Each theorem is one ordered table of (condition, record builder) pairs;
-MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  The
-builders share one context (bundle, checkpoints, tolerances, the traces
-kept so far); phi is made once per bundle and shared with the conclusion;
-any other large array lives only as long as the builder that made it.  The
-two t-traces, cond11's of w and the conclusion's of t for a_n * lambda_n,
-take the Cesaro means block by block as they are made (at alpha = 1 no
-n-long array of them, or of a_n * lambda_n, is ever held).
+MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  A check
+is one pass over the bundle in blocks of ``accumulation._BLOCK`` indices
+(``_Context.run``): each block of a, lambda, X, Q, delta and phi is made
+once, from the role's own block source, and sent to every builder, a
+generator that carries what the next block needs (the last value or two, a
+running maximum, compensated sums sampled at the checkpoints, the first
+violation) and returns its record when the blocks end.  The conclusion's
+trace rides in the same pass and is kept on the bundle for
+``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
+fractional orders gather a and a_n * lambda_n whole for the kernel.
+
+Errors keep the order of a bundle whose roles were made whole before the
+check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
+in that order) is raised first, after the pass has read every block; then
+the first record error in table order.
 
 Every O(.) statement, the conclusion included, is judged at scale from a
 CheckpointTrace by a log-log slope fit over the tail of a geometric
@@ -40,18 +48,18 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .accumulation import compensated_sums_at
-from .cesaro import _t_blocks, _w_blocks
+from . import accumulation
+from .accumulation import _PairwiseSum, _SampledSums
+from .cesaro import _RunningMeans, _t_blocks, _w_blocks
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
-                          validate_checkpoints, weighted_power_trace)
-from .monotonicity import (almost_increasing_diagnostic,
-                           power_weight_monotonicity_check,
-                           quasi_monotone_check)
-from .sequences import CesaroParams, RealSequence
+                          _PowerTrace, validate_checkpoints)
+from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
+                           _weight_steps)
+from .sequences import CesaroParams, RealSequence, _verify
 
 __all__ = [
     "GrowthVerdict",
@@ -204,7 +212,9 @@ class FamilyBundle:
 
     ``lam`` is the factor sequence (serialized under the key "lambda"; the
     Python name avoids the keyword).  Q and delta are only present for the
-    eight-hypothesis theorem.
+    eight-hypothesis theorem.  The checks read every sequence, phi included,
+    a block at a time, so a bundle of generated sequences is never made
+    whole by them; ``values`` and ``phi`` make it whole on first read.
     """
 
     label: str
@@ -236,10 +246,14 @@ class FamilyBundle:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """|phi_n| for n = 1..N, made at first use and shared by the check
-        records and the conclusion."""
+        """|phi_n| for n = 1..N, made at first use."""
         return self.weight.phi_values(self.n, self.params.k,
                                       beta_default=self.params.beta)
+
+    def _roles(self) -> list[RealSequence | None]:
+        """The sequences whose non-finite values are errors, in the order
+        they are reported: a, lambda, X, Q, delta and an explicit phi."""
+        return [self.a, self.lam, self.X, self.Q, self.delta, self.weight.phi]
 
 
 @dataclass(frozen=True)
@@ -290,21 +304,57 @@ def _fmt(x: float | None) -> str:
     return "none" if x is None else f"{x:.6g}"
 
 
-def _first_true(mask: np.ndarray) -> int | None:
-    """1-based index of the first True entry, None when there is none."""
-    return 1 + int(np.argmax(mask)) if np.any(mask) else None
-
-
-def _at(values: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
-    """values[n - 1] for every checkpoint n."""
-    return values[np.asarray(checkpoints, dtype=np.int64) - 1]
-
-
 def _pass_fail(condition: str, passed: bool, notes: str,
                first_violation: int | None = None) -> ConditionRecord:
     return ConditionRecord(condition=condition,
                            verdict="pass" if passed else "fail", passed=passed,
                            first_violation=first_violation, notes=notes)
+
+
+class _Block(NamedTuple):
+    """One block of a pass: indices lo + 1..hi of every role (Q and delta
+    None when the bundle has none), phi as |phi_n|."""
+
+    lo: int
+    hi: int
+    a: np.ndarray
+    lam: np.ndarray
+    X: np.ndarray
+    Q: np.ndarray | None
+    delta: np.ndarray | None
+    phi: np.ndarray
+
+
+# a record builder: sent the pass's blocks, then None; returns the record
+_Step = Generator[None, "_Block | None", object]
+_LIVE = object()
+_EMPTY = np.empty(0)
+
+
+def _advance(step: _Step, block: _Block | None) -> object:
+    """Send ``block`` (None: the blocks have ended) to a builder: _LIVE
+    while it runs, else what it returned or the exception it raised."""
+    try:
+        step.send(block)
+    except StopIteration as done:
+        return done.value
+    except Exception as e:  # reported after the role errors, in table order
+        return e
+    return _LIVE
+
+
+def _settled(result: object):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _sample(idx: np.ndarray, block: _Block, values: np.ndarray,
+            out: np.ndarray) -> None:
+    """out[i] = the value at 0-based position idx[i], for the positions
+    that fall in this block; idx is increasing."""
+    first, last = np.searchsorted(idx, (block.lo, block.hi))
+    out[first:last] = values[idx[first:last] - block.lo]
 
 
 @dataclass
@@ -325,6 +375,40 @@ class _Context:
                    checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
                    tol=tolerances or Tolerances())
 
+    def run(self, table) -> list:
+        """One pass over the bundle: each builder's record, or the exception
+        it raised.  Each role block is made once, checked and sent to every
+        builder still running; a role's non-finite value is raised once
+        every block has been read."""
+        b = self.bundle
+        roles = b._roles()
+        steps = [build(self, name) for name, build in table]
+        # started last to first: at fractional orders cond11 and the
+        # conclusion run the kernel as they start, before the other
+        # builders hold their block buffers
+        results = [_advance(step, None) for step in steps[::-1]][::-1]
+        failed = len(roles)  # the first role, in order, found non-finite
+        k, beta = b.params.k, b.params.beta
+        size = accumulation._BLOCK
+        for lo in range(0, b.n, size):
+            hi = min(lo + size, b.n)
+            block = _Block(lo, hi,
+                           *(None if seq is None else seq._block(lo, hi)
+                             for seq in roles[:-1]),
+                           b.weight._phi_block(lo, hi, k, beta))
+            for r, seq in enumerate(roles[:failed]):
+                if seq is not None and not np.isfinite(block[2 + r]).all():
+                    failed = r
+                    break
+            for i, step in enumerate(steps):
+                if results[i] is _LIVE:
+                    results[i] = _advance(step, block)
+        results = [_advance(step, None) if result is _LIVE else result
+                   for step, result in zip(steps, results)]
+        if failed < len(roles):
+            raise roles[failed]._failure()
+        return results
+
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
         diag = growth_diagnostic(trace, self.tol)
@@ -335,120 +419,191 @@ class _Context:
             passed=diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT,
             slope=diag.slope, notes=(notes + " " + extra).strip())
 
-    def partial_sum_record(self, condition: str, terms: np.ndarray,
+    def partial_sum_record(self, condition: str, sums: np.ndarray,
                            checkpoints: tuple[int, ...],
                            notes: str) -> ConditionRecord:
-        """Growth record of the partial sums of ``terms`` on a checkpoint
-        grid; the sampled sums become the condition's trace."""
-        trace = CheckpointTrace(checkpoints,
-                                compensated_sums_at(terms, checkpoints))
+        """Growth record of partial sums sampled on a checkpoint grid; the
+        sums become the condition's trace."""
+        trace = CheckpointTrace(checkpoints, sums)
         self.traces[condition] = trace
         return self.growth_record(condition, trace, notes=notes)
 
 
-def _x_almost_increasing(ctx: _Context, name: str) -> ConditionRecord:
-    X = ctx.bundle.X
-    first = _first_true(X.values <= 0.0)
-    if first is not None:
-        return _pass_fail(name, False, "X must be positive", first)
-    witness = almost_increasing_diagnostic(X, floor=ctx.tol.inf_ratio_floor)
-    return _pass_fail(
-        name, witness.almost_increasing_at_scale,
-        f"inf_ratio={witness.inf_ratio:.6g} floor={witness.floor:.6g}")
+def _relay(steps: Generator, *roles: str):
+    """Send a monotonicity block step the named roles of each block (one
+    array, or a tuple of them); return its verdict."""
+    next(steps)
+    while (block := (yield)) is not None:
+        parts = tuple(getattr(block, role) for role in roles)
+        steps.send(parts if len(parts) > 1 else parts[0])
+    try:
+        steps.send(None)
+    except StopIteration as done:
+        return done.value
 
 
-def _x_non_decreasing(ctx: _Context, name: str) -> ConditionRecord:
-    X = ctx.bundle.X.values
-    drop = np.concatenate(([False], X[1:] < X[:-1]))
-    first = _first_true((X <= 0.0) | drop)
+def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
+    bad, inf_ratio = yield from _relay(_inf_ratio_steps(), "X")
+    if bad is not None:
+        return _pass_fail(name, False, "X must be positive", bad + 1)
+    floor = ctx.tol.inf_ratio_floor
+    return _pass_fail(name, inf_ratio > floor,
+                      f"inf_ratio={inf_ratio:.6g} floor={floor:.6g}")
+
+
+def _x_non_decreasing(ctx: _Context, name: str) -> _Step:
+    first, prev = None, _EMPTY
+    while (block := (yield)) is not None:
+        if first is None:
+            X = np.concatenate((prev, block.X))
+            bad = block.X <= 0.0
+            bad[bad.size - (X.size - 1):] |= X[1:] < X[:-1]
+            if np.any(bad):
+                first = block.lo + 1 + int(np.argmax(bad))
+            prev = X[-1:]
     return _pass_fail(name, first is None, "X positive and non-decreasing",
                       first)
 
 
-def _cond7(ctx: _Context, name: str) -> ConditionRecord:
+def _cond7(ctx: _Context, name: str) -> _Step:
     # (i) |lambda_n| X_n = O(1), sampled at the checkpoints
-    cps = ctx.checkpoints
-    vals = np.abs(_at(ctx.bundle.lam.values, cps)) * _at(ctx.bundle.X.values, cps)
+    idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
+    lam, X = np.empty(idx.size), np.empty(idx.size)
+    while (block := (yield)) is not None:
+        _sample(idx, block, block.lam, lam)
+        _sample(idx, block, block.X, X)
+    vals = np.abs(lam) * X
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name}: sampled values must be finite")
-    return ctx.growth_record(name, CheckpointTrace(cps, vals))
+    return ctx.growth_record(name, CheckpointTrace(ctx.checkpoints, vals))
 
 
-def _majorant(ctx: _Context, name: str) -> ConditionRecord:
+def _majorant(ctx: _Context, name: str) -> _Step:
     # |D lambda| <= |Q| on every index where the difference exists
-    lam, Q = ctx.bundle.lam.values, ctx.bundle.Q.values
-    with np.errstate(over="ignore"):
-        dlam = np.abs(lam[:-1] - lam[1:])
-    qhead = np.abs(Q[:-1])
-    non_finite = ~(np.isfinite(dlam) & np.isfinite(qhead))
-    first = _first_true((dlam > qhead) | non_finite)
+    first, non_finite, lam, Q = None, False, _EMPTY, _EMPTY
+    while (block := (yield)) is not None:
+        if first is not None:
+            continue
+        base = block.lo - lam.size  # offset of the first value below
+        lam = np.concatenate((lam, block.lam))
+        Q = np.concatenate((Q, block.Q))
+        with np.errstate(over="ignore"):
+            dlam = np.abs(lam[:-1] - lam[1:])
+        qhead = np.abs(Q[:-1])
+        bad = ~(np.isfinite(dlam) & np.isfinite(qhead))
+        mask = (dlam > qhead) | bad
+        if np.any(mask):
+            j = int(np.argmax(mask))
+            first, non_finite = base + j + 1, bool(bad[j])
+        lam, Q = lam[-1:], Q[-1:]
     notes = f"checked indices 1..{ctx.bundle.n - 1}"
-    if first is not None and non_finite[first - 1]:
+    if non_finite:
         notes += " non-finite value at first_violation"
     return _pass_fail(name, first is None, notes, first)
 
 
-def _quasi_monotone(ctx: _Context, name: str) -> ConditionRecord:
-    qm = quasi_monotone_check(ctx.bundle.Q, ctx.bundle.delta)
+def _quasi_monotone(ctx: _Context, name: str) -> _Step:
+    qm = yield from _relay(_quasi_monotone_steps(ctx.bundle.n, 1),
+                           "Q", "delta")
     return _pass_fail(
         name, qm.holds_on_range and qm.positivity_from is not None,
         f"positivity_from={qm.positivity_from} "
         f"trend_ratio={_fmt(qm.trend_ratio)}", qm.first_violation)
 
 
-def _series_nqx(ctx: _Context, name: str) -> ConditionRecord:
+def _series_nqx(ctx: _Context, name: str) -> _Step:
     # partial sums of n * Q_n * X_n, judged on their tail; the
-    # absolute-value variant is reported alongside for signed majorants
-    b = ctx.bundle
-    terms = np.arange(1.0, b.n + 1.0) * b.Q.values * b.X.values
+    # absolute-value variant (np.sum's bits) is reported alongside for
+    # signed majorants
+    sums = _SampledSums(ctx.checkpoints)
+    total = _PairwiseSum(0, ctx.bundle.n)
+    while (block := (yield)) is not None:
+        terms = np.arange(block.lo + 1.0, block.hi + 1.0) * block.Q * block.X
+        sums.push(terms)
+        total.push(block.lo, np.abs(terms))
     return ctx.partial_sum_record(
-        name, terms, ctx.checkpoints,
-        notes=f"abs_variant_total={float(np.abs(terms).sum()):.9g}")
+        name, sums.sums, ctx.checkpoints,
+        notes=f"abs_variant_total={float(total.total):.9g}")
 
 
-def _cond8(ctx: _Context, name: str) -> ConditionRecord:
+def _cond8(ctx: _Context, name: str) -> _Step:
     # (ii) sum of v * X_v * |D^2 lambda_v| over v = 1..N-2, own dyadic grid
-    lam = ctx.bundle.lam.values
-    d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
-    terms = (np.arange(1.0, d2.size + 1.0) * ctx.bundle.X.values[:d2.size]
-             * np.abs(d2))
+    size = ctx.bundle.n - 2
+    cps = dyadic_checkpoints(size)
+    sums, lam, X = _SampledSums(cps), _EMPTY, _EMPTY
+    while (block := (yield)) is not None:
+        base = block.lo - lam.size  # offset of the first value below
+        lam = np.concatenate((lam, block.lam))
+        X = np.concatenate((X, block.X))
+        d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
+        sums.push(np.arange(base + 1.0, base + 1.0 + d2.size)
+                  * X[:d2.size] * np.abs(d2))
+        lam, X = lam[-2:], X[-2:]
     return ctx.partial_sum_record(
-        name, terms, dyadic_checkpoints(d2.size),
-        notes=f"second differences over 1..{d2.size}")
+        name, sums.sums, cps, notes=f"second differences over 1..{size}")
 
 
-def _weight_monotone(ctx: _Context, name: str) -> ConditionRecord:
+def _weight_monotone(ctx: _Context, name: str) -> _Step:
     # (iii) n^(epsilon-k) |phi_n|^k non-increasing
     params = ctx.bundle.params
     eps, k = params.epsilon, params.k
-    phi = ctx.bundle.phi
-    first = power_weight_monotonicity_check(phi, eps, k,
-                                            rel_tol=ctx.tol.weight_rel_tol)
+    first, phi = yield from _relay(
+        _weight_steps(eps, k, ctx.tol.weight_rel_tol), "phi")
     notes = f"epsilon={eps:.6g}"
     if first is not None:
         with np.errstate(all="ignore"):
-            term = (np.power(float(first), eps - k)
-                    * np.power(phi[first - 1], k))
+            term = np.power(float(first), eps - k) * np.power(phi, k)
         if not np.isfinite(term):
             notes += " non-finite value at first_violation"
     return _pass_fail(name, first is None, notes, first)
 
 
-def _param_gate(ctx: _Context, name: str) -> ConditionRecord:
+def _param_gate(ctx: _Context, name: str) -> _Step:
+    yield from ()  # reads no block
     params = ctx.bundle.params
     gate = params.k * params.alpha + params.epsilon
     return _pass_fail(name, gate > 1.0, f"k*alpha+epsilon={gate:.6g}")
 
 
-def _cond11(ctx: _Context, name: str) -> ConditionRecord:
-    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w streamed block by block
-    params = ctx.bundle.params
-    trace = weighted_power_trace(_w_blocks(ctx.bundle.a.values, params.alpha),
-                                 params.k, ctx.bundle.phi, ctx.checkpoints)
-    trace = dataclasses.replace(
-        trace, reference=_at(ctx.bundle.X.values, ctx.checkpoints))
+def _means(bundle: FamilyBundle, maximal: bool
+           ) -> Callable[[_Block], np.ndarray]:
+    """The block of t of a_n * lambda_n for each pass block, or of w of a_n
+    when ``maximal`` (w is |t| at alpha = 1, and the trace takes the abs).
+    At alpha = 1 the means are pushed block by block; other orders gather
+    a (and lambda) whole for the kernel now, and hand out its blocks."""
+    alpha, n = bundle.params.alpha, bundle.n
+    if alpha == 1.0:
+        means = _RunningMeans(n)
+        if maximal:
+            return lambda block: means.push(block.a)
+        return lambda block: means.push(block.a, block.lam)
+    a = bundle.a._block(0, n)
+    blocks = (_w_blocks(a, alpha) if maximal
+              else _t_blocks(a, alpha, bundle.lam._block(0, n)))
+    return lambda block: next(blocks)
+
+
+def _cond11(ctx: _Context, name: str) -> _Step:
+    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w made block by block
+    w = _means(ctx.bundle, maximal=True)
+    trace = _PowerTrace(ctx.bundle.params.k, ctx.checkpoints)
+    idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
+    X = np.empty(idx.size)
+    while (block := (yield)) is not None:
+        trace.push(block.phi, w(block))
+        _sample(idx, block, block.X, X)
+    trace = dataclasses.replace(trace.trace(), reference=X)
     ctx.traces[name] = trace
     return ctx.growth_record(name, trace, notes="trace relative to X")
+
+
+def _conclusion(ctx: _Context, name: str) -> _Step:
+    # the weighted functional of t for a_n * lambda_n
+    t = _means(ctx.bundle, maximal=False)
+    trace = _PowerTrace(ctx.bundle.params.k, ctx.checkpoints)
+    while (block := (yield)) is not None:
+        trace.push(block.phi, t(block))
+    return trace.trace()
 
 
 _MAIN_TABLE = (
@@ -476,7 +631,10 @@ def _run_table(theorem: str, table: tuple, bundle: FamilyBundle,
                checkpoints: Sequence[int] | None,
                tolerances: Tolerances | None) -> HypothesisReport:
     ctx = _Context.of(bundle, checkpoints, tolerances)
-    records = tuple(build(ctx, name) for name, build in table)
+    *results, conclusion = ctx.run((*table, ("conclusion", _conclusion)))
+    # the conclusion's trace (or its error), for conclusion_diagnostic
+    object.__setattr__(bundle, "_conclusion", (ctx.checkpoints, conclusion))
+    records = tuple(_settled(result) for result in results)
     return HypothesisReport(theorem=theorem, label=bundle.label, n=bundle.n,
                             records=records, tolerances=ctx.tol,
                             checkpoints=ctx.checkpoints, traces=ctx.traces)
@@ -492,8 +650,10 @@ def check_main_theorem(bundle: FamilyBundle,
     not they pass.
     """
     if bundle.Q is None or bundle.delta is None:
+        _verify(bundle._roles())  # a role's error comes first
         raise ValueError("main-theorem bundle requires Q and delta")
     if not (0.0 < bundle.params.alpha <= 1.0):
+        _verify(bundle._roles())
         raise ValueError("main theorem requires 0 < alpha <= 1")
     return _run_table("main", _MAIN_TABLE, bundle, checkpoints, tolerances)
 
@@ -507,8 +667,10 @@ def check_theorem_a(bundle: FamilyBundle,
     must run at alpha = 1.
     """
     if bundle.Q is not None or bundle.delta is not None:
+        _verify(bundle._roles())  # a role's error comes first
         raise ValueError("theorem-A bundle must not carry Q or delta")
     if bundle.params.alpha != 1.0:
+        _verify(bundle._roles())
         raise ValueError("theorem A operates at alpha = 1")
     return _run_table("theorem_a", _THEOREM_A_TABLE, bundle, checkpoints,
                       tolerances)
@@ -522,10 +684,15 @@ def conclusion_diagnostic(bundle: FamilyBundle,
 
     This is what the theorems conclude is summable: the weighted functional
     of the t-transform of (a_n lambda_n).  Bounded partial sums at scale
-    are the finite evidence for that conclusion.
+    are the finite evidence for that conclusion.  A check of the bundle on
+    the same checkpoints has already taken the trace in its pass; otherwise
+    a pass of its own takes it.
     """
     ctx = _Context.of(bundle, checkpoints, tolerances)
-    t = _t_blocks(bundle.a.values, bundle.params.alpha, bundle.lam.values)
-    trace = weighted_power_trace(t, bundle.params.k, bundle.phi,
-                                 ctx.checkpoints)
+    done = getattr(bundle, "_conclusion", None)
+    if done is not None and done[0] == ctx.checkpoints:
+        result = done[1]
+    else:
+        [result] = ctx.run((("conclusion", _conclusion),))
+    trace = _settled(result)
     return trace, growth_diagnostic(trace, ctx.tol)

@@ -14,6 +14,15 @@ from the float columns of the traces and the transforms):
 ``_csv`` yields a file's bytes a block of ``_CSV_ROWS`` rows at a time,
 each block one ``rendering.render_rows`` call, and ``run`` writes each
 block as it comes: no CSV file's whole text is ever held.
+
+Bundles, builtin or from a config, are made of generated sequences: each
+role (and ``default_majorant``'s Q) makes its values a block at a time,
+and a check reads them so, so no n-long array of the bundle is held.  A
+config role's errors are ``ConfigError``s that name the role.  Its
+parameter and domain errors are raised as the bundle is made, and its
+non-finite values by the check's pass, each after any non-finite value of
+an earlier role: the order in which making each role whole, in turn,
+would have raised them.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
 from .functionals import WeightKind, WeightSpec, validate_checkpoints
 from .oracle import run_all_suites
 from .rendering import render_rows
-from .sequences import (CesaroParams, RealSequence, SequenceSpec, _adopt,
-                        forward_difference, materialize)
+from .sequences import (CesaroParams, RealSequence, SequenceSpec,
+                        _BlockSequence, _generated, _verify, materialize)
 
 __all__ = [
     "ConfigError",
@@ -296,20 +305,21 @@ def _validate_role(spec, pointer: str) -> None:
         raise ConfigError(f"{pointer}.family", "required")
 
 
-def _materialize_role(spec: dict, n: int, pointer: str) -> RealSequence:
+def _role(spec: dict, n: int, pointer: str) -> RealSequence:
     try:
-        return materialize(SequenceSpec(family=spec["family"], n=n,
-                                        params=dict(spec.get("params", {})),
-                                        start=1))
+        return _generated(
+            SequenceSpec(family=spec["family"], n=n,
+                         params=dict(spec.get("params", {})), start=1),
+            error=lambda message: ConfigError(pointer, message))
     except (TypeError, ValueError) as e:
         raise ConfigError(pointer, str(e)) from e
 
 
-def _weight_from_spec(spec: dict, n: int) -> WeightSpec:
+def _weight_from_spec(spec: dict, role) -> WeightSpec:
     kind = WeightKind(spec["kind"])
     if kind is WeightKind.EXPLICIT_PHI:
-        phi = _materialize_role(spec["phi"], n, "bundle.weight.phi")
-        return WeightSpec(kind=kind, phi=phi)
+        return WeightSpec(kind=kind,
+                          phi=role(spec["phi"], "bundle.weight.phi"))
     beta = spec.get("beta")
     try:
         return WeightSpec(kind=kind,
@@ -319,17 +329,26 @@ def _weight_from_spec(spec: dict, n: int) -> WeightSpec:
 
 
 def _bundle_from_spec(spec: dict, n: int, params: CesaroParams) -> FamilyBundle:
-    a = _materialize_role(spec["a"], n, "bundle.a")
-    lam = _materialize_role(spec["lambda"], n, "bundle.lambda")
-    X = _materialize_role(spec["X"], n, "bundle.X")
-    Q = (_materialize_role(spec["Q"], n, "bundle.Q")
-         if "Q" in spec else None)
-    delta = (_materialize_role(spec["delta"], n, "bundle.delta")
-             if "delta" in spec else None)
-    weight = _weight_from_spec(spec["weight"], n)
-    label = spec.get("label", "custom")
-    if not isinstance(label, str):
-        raise ConfigError("bundle.label", "must be a string")
+    made: list[RealSequence] = []
+
+    def role(role_spec: dict, pointer: str) -> RealSequence:
+        made.append(_role(role_spec, n, pointer))
+        return made[-1]
+
+    try:
+        a = role(spec["a"], "bundle.a")
+        lam = role(spec["lambda"], "bundle.lambda")
+        X = role(spec["X"], "bundle.X")
+        Q = role(spec["Q"], "bundle.Q") if "Q" in spec else None
+        delta = (role(spec["delta"], "bundle.delta") if "delta" in spec
+                 else None)
+        weight = _weight_from_spec(spec["weight"], role)
+        label = spec.get("label", "custom")
+        if not isinstance(label, str):
+            raise ConfigError("bundle.label", "must be a string")
+    except ConfigError:
+        _verify(made)  # an earlier role's non-finite value comes first
+        raise
     return FamilyBundle(label=label, a=a, lam=lam, X=X, weight=weight,
                         params=params, Q=Q, delta=delta)
 
@@ -344,16 +363,23 @@ def default_majorant(lam_extended: RealSequence) -> RealSequence:
     The padding keeps Q strictly positive (so quasi-monotonicity is
     checkable) while decaying fast enough that sum n Q_n X_n still
     converges for slowly varying X.  No optimality claimed: this is a
-    convenience, not the best majorant for a given lambda.
+    convenience, not the best majorant for a given lambda.  Q is made a
+    block at a time, each from lambda's block and the value after it.
     """
-    dlam = forward_difference(lam_extended)
-    pad = np.power(dlam.indices() + 1.0, -_PAD_POWER)
-    return _adopt(dlam.start_index, np.abs(dlam.values) + pad)
+    if len(lam_extended) <= 1:
+        raise ValueError("sequence too short for order-1 difference")
+    start = lam_extended.start_index
+
+    def make(lo: int, hi: int) -> np.ndarray:
+        lam = lam_extended._block(lo, hi + 1)
+        pad = np.power(np.arange(start + lo, start + hi) + 1.0, -_PAD_POWER)
+        return np.abs(lam[:-1] - lam[1:]) + pad
+    return _BlockSequence(start, len(lam_extended) - 1, make)
 
 
 def _seq(family: str, n: int, params: dict | None = None) -> RealSequence:
-    return materialize(SequenceSpec(family=family, n=n,
-                                    params=params or {}, start=1))
+    return _generated(SequenceSpec(family=family, n=n, params=params or {},
+                                   start=1))
 
 
 def builtin_family(name: str, N: int, overrides: dict | None = None) -> FamilyBundle:
@@ -392,12 +418,14 @@ def builtin_family(name: str, N: int, overrides: dict | None = None) -> FamilyBu
                             weight=weight, params=params)
 
     # F1 and F3 carry majorant data; lambda is extended one index past N so
-    # Q covers all of 1..N through the forward difference
+    # Q covers all of 1..N through the forward difference.  lambda's block
+    # is read with the value after it, so that Q's block of the same
+    # indices is the block lam_ext keeps, not a second one
     if name == "F1":
         lam_ext = _seq("power_decay", N + 1, {"p": 2.0, "c0": 2.0})
     else:
         lam_ext = _seq("unit_tail", N + 1)
-    lam = _adopt(1, lam_ext.values[:N])  # a view of read-only values
+    lam = _BlockSequence(1, N, lambda lo, hi: lam_ext._block(lo, hi + 1)[:-1])
     Q = default_majorant(lam_ext)
     delta = _seq("power_decay", N, {"p": 1.5, "c0": 1.0})
     return FamilyBundle(label=name, a=a, lam=lam, X=X, weight=weight,
@@ -486,12 +514,15 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     check = (check_main_theorem if config.mode == "check_main"
              else check_theorem_a)
     # arithmetic that overflows surfaces as a non-finite trace (ValueError)
-    # or from math.fsum (OverflowError): the bundle cannot be judged
+    # or from math.fsum (OverflowError): the bundle cannot be judged.  A
+    # role's non-finite values are a ConfigError that names the role
     try:
         with np.errstate(all="ignore"):
             report = check(bundle, config.checkpoints, config.tolerances)
             trace, conclusion = conclusion_diagnostic(
                 bundle, config.checkpoints, config.tolerances)
+    except ConfigError:
+        raise
     except (ValueError, OverflowError) as e:
         raise ConfigError("bundle", str(e)) from e
 

@@ -13,7 +13,10 @@ Two named weight choices recover the classical absolute-summability series
 
 Traces never materialize infinite series; they report compensated partial
 sums at caller-chosen checkpoints.  Every checkpoint list in the package,
-config grids included, goes through ``validate_checkpoints``.
+config grids included, goes through ``validate_checkpoints``.  For the
+checker's pass over a bundle, a weight also gives |phi_n| a block at a time
+(``WeightSpec._phi_block``), and ``_PowerTrace`` takes a trace's values
+block by block.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accumulation import _indices, compensated_sums_at
+from . import accumulation
+from .accumulation import _indices, _SampledSums, compensated_sums_at
 from .cesaro import cesaro_t
 from .sequences import CesaroParams, RealSequence
 
@@ -80,17 +84,23 @@ class WeightSpec:
         """
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        n = np.arange(1.0, n_max + 1.0)
-        if self.kind is WeightKind.CLASSIC:
-            return np.power(n, 1.0 - 1.0 / k)
-        if self.kind is WeightKind.INDEXED:
-            beta = self.beta if self.beta is not None else float(beta_default)
-            return np.power(n, beta + 1.0 - 1.0 / k)
-        assert self.phi is not None
-        if self.phi.end_index < n_max:
+        if self.phi is not None and self.phi.end_index < n_max:
             raise ValueError(f"explicit phi covers only indices up to "
                              f"{self.phi.end_index}, need {n_max}")
-        return np.abs(self.phi.range_view(1, n_max))
+        return self._phi_block(0, n_max, k, beta_default)
+
+    def _phi_block(self, lo: int, hi: int, k: float,
+                   beta_default: float = 0.0) -> np.ndarray:
+        """|phi_n| for n = lo + 1..hi, the same bits as those entries of
+        ``phi_values``; an explicit phi is not checked for finiteness."""
+        if self.phi is not None:
+            first = self.phi.start_index
+            return np.abs(self.phi._block(lo + 1 - first, hi + 1 - first))
+        n = np.arange(lo + 1.0, hi + 1.0)
+        if self.kind is WeightKind.CLASSIC:
+            return np.power(n, 1.0 - 1.0 / k)
+        beta = self.beta if self.beta is not None else float(beta_default)
+        return np.power(n, beta + 1.0 - 1.0 / k)
 
 
 def validate_checkpoints(checkpoints: Sequence[int], limit: int | None = None,
@@ -172,6 +182,39 @@ class FunctionalTrace(CheckpointTrace):
                              "non-negative and non-decreasing")
 
 
+class _PowerTrace:
+    """The sums of ``weighted_power_trace``, fed phi and the values a block
+    at a time (``push``, blocks in order, each at most ``_BLOCK`` long);
+    blocks past the last checkpoint are ignored."""
+
+    def __init__(self, k: float, checkpoints: tuple[int, ...]) -> None:
+        self._k, self._cps = k, checkpoints
+        self._sums = _SampledSums(checkpoints, running_max=True)
+        self._n = _indices(self._sums.stop)
+        self._terms = np.empty(max(1, min(accumulation._BLOCK,
+                                          self._sums.stop)))
+        self._lo = 0
+
+    def push(self, phi: np.ndarray, values: np.ndarray) -> None:
+        lo = self._lo
+        hi = self._lo = lo + values.size
+        if lo >= self._sums.stop:
+            return
+        hi = min(hi, self._sums.stop)
+        out = self._terms[:hi - lo]
+        np.multiply(phi[:hi - lo], values[:hi - lo], out=out)
+        np.abs(out, out=out)
+        out /= self._n(lo, hi)
+        self._sums.push(np.power(out, self._k, out=out))
+
+    def trace(self) -> FunctionalTrace:
+        # compensated prefixes of non-negative terms can dip by one ulp;
+        # the running max restores exact monotonicity without moving any
+        # value beyond that ulp
+        return FunctionalTrace(checkpoints=self._cps,
+                               partial_sums=self._sums.sums)
+
+
 def weighted_power_trace(values, k: float, phi: np.ndarray,
                          checkpoints: Sequence[int]) -> FunctionalTrace:
     """Trace of sum_n n^(-k) |phi_n * values_n|^k, values indexed from 1.
@@ -195,7 +238,9 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
     if k < 1.0:
         raise ValueError("k must be at least 1")
     cps = validate_checkpoints(checkpoints, phi.size)
-    n = _indices(cps[-1])
+    trace = _PowerTrace(k, cps)
+    size = max(1, min(accumulation._BLOCK, cps[-1]))
+    out = np.empty(size)
     head, drawn = np.empty(0), 0
 
     def draw() -> np.ndarray:
@@ -206,11 +251,10 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
         drawn += block.size
         return block
 
-    def read(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """values[lo:hi]: requests come in order and cover the values in
-        turn, so they are read off the blocks as they come."""
+    def read(m: int) -> np.ndarray:
+        """The next m values: requests come in order and cover the values
+        in turn, so they are read off the blocks as they come."""
         nonlocal head
-        m = hi - lo
         if not head.size:
             head = draw()
         if head.size >= m:  # one block holds them: a view, no copy
@@ -223,22 +267,15 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
             take = min(m - filled, head.size)
             out[filled:filled + take] = head[:take]
             head, filled = head[take:], filled + take
-        return out
+        return out[:m]
 
-    def terms(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        np.multiply(phi[lo:hi], read(lo, hi, out), out=out)
-        np.abs(out, out=out)
-        out /= n(lo, hi)
-        return np.power(out, k, out=out)
-
-    # compensated prefixes of non-negative terms can dip by one ulp; the
-    # running max restores exact monotonicity without moving any value
-    # beyond that ulp
-    sums = compensated_sums_at(terms, cps, running_max=True)
+    for lo in range(0, cps[-1], size):
+        hi = min(lo + size, cps[-1])
+        trace.push(phi[lo:hi], read(hi - lo))
     drawn += sum(block.size for block in blocks)
     if drawn != phi.size:
         raise ValueError("values and phi must align")
-    return FunctionalTrace(checkpoints=cps, partial_sums=sums)
+    return trace.trace()
 
 
 @dataclass(frozen=True)

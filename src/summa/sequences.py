@@ -5,15 +5,27 @@ sequences.  A ``RealSequence`` pins the absolute index of its first element so
 that a prefix generated from index 1 is never silently confused with one
 generated from index 0; all transform and check code asks the sequence where
 it starts instead of assuming.
+
+Every sequence also hands out its values a block at a time (``_block``): an
+array-backed one slices its array, and one made by ``_generated`` (or any
+other ``_BlockSequence``) computes the block, so a check can read a bundle
+of n values in O(block) memory.  Every family generator is elementwise in
+the index, and numpy gives the same bits for a block as for the same entries
+of the whole array, so a block equals the slice of what ``materialize``
+makes; ``values`` of a block sequence is that whole array, made at first
+read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
+
+from . import accumulation
 
 __all__ = [
     "RealSequence",
@@ -74,8 +86,64 @@ class RealSequence:
                              f"[{self.start_index}, {self.end_index}]")
         return self.values[lo - self.start_index: hi - self.start_index + 1]
 
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """values[lo:hi] (offsets into the prefix, not indices); not checked
+        for finiteness, which ``_failure`` reports."""
+        return self.values[lo:hi]
+
+    def _failure(self) -> Exception:
+        """What a non-finite value of this sequence raises."""
+        return ValueError(_NON_FINITE)
+
 
 _NON_FINITE = "sequence values must be finite"
+
+
+class _BlockSequence(RealSequence):
+    """A RealSequence of ``length`` values whose blocks ``make(lo, hi)``
+    computes; ``values`` is ``make(0, length)``, made (and checked) at first
+    read.  The last block made is kept, and a request inside it is a view of
+    it.  ``error(message)`` is the exception non-finite values raise."""
+
+    def __init__(self, start_index: int, length: int,
+                 make: Callable[[int, int], np.ndarray],
+                 error: Callable[[str], Exception] = ValueError) -> None:
+        for name, value in (("start_index", start_index), ("_length", length),
+                            ("_make", make), ("_error", error),
+                            ("_last", (0, 0, None))):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self._length
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        arr = self._block(0, self._length)
+        if not np.all(np.isfinite(arr)):
+            raise self._failure()
+        arr.setflags(write=False)
+        return arr
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        first, last, arr = self._last
+        if arr is None or lo < first or hi > last:
+            first, last, arr = lo, hi, self._make(lo, hi)
+            object.__setattr__(self, "_last", (first, last, arr))
+        return arr[lo - first:hi - first]
+
+    def _failure(self) -> Exception:
+        return self._error(_NON_FINITE)
+
+
+def _verify(seqs: Iterable[RealSequence | None]) -> None:
+    """Raise the failure of the first sequence, in order, that holds a
+    non-finite value, reading each one block by block."""
+    for seq in seqs:
+        n = 0 if seq is None else len(seq)
+        for lo in range(0, n, accumulation._BLOCK):
+            block = seq._block(lo, min(lo + accumulation._BLOCK, n))
+            if not np.isfinite(block).all():
+                raise seq._failure()
 
 
 def _adopt(start_index: int, values: np.ndarray) -> RealSequence:
@@ -194,17 +262,38 @@ class SequenceSpec:
         )
 
 
+def _family_blocks(spec: SequenceSpec) -> Callable[[int, int], np.ndarray]:
+    """make(lo, hi): the spec's terms at offsets lo..hi-1 from spec.start,
+    generated under ``np.errstate``: an overflowing value is refused as
+    non-finite, not warned about."""
+    gen, _ = FAMILIES[spec.family]
+    params = spec.resolved_params()
+
+    def make(lo: int, hi: int) -> np.ndarray:
+        idx = np.arange(spec.start + lo, spec.start + hi, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            return np.asarray(gen(idx, params), dtype=np.float64)
+    return make
+
+
 def materialize(spec: SequenceSpec) -> RealSequence:
     """Generate the first ``spec.n`` terms of the family from ``spec.start``.
 
     Deterministic: the same spec always yields bit-identical values.
     """
-    gen, _ = FAMILIES[spec.family]
-    idx = np.arange(spec.start, spec.start + spec.n, dtype=np.int64)
-    # an overflowing value is refused by RealSequence, not warned about
-    with np.errstate(all="ignore"):
-        vals = gen(idx, spec.resolved_params())
-    return _adopt(spec.start, np.asarray(vals, dtype=np.float64))
+    return _adopt(spec.start, _family_blocks(spec)(0, spec.n))
+
+
+def _generated(spec: SequenceSpec,
+               error: Callable[[str], Exception] = ValueError) -> RealSequence:
+    """The sequence ``materialize`` makes, generated a block at a time.
+
+    Parameter and domain errors are raised now: every family's domain is
+    a lower bound on the index, so the first index shows them.
+    """
+    make = _family_blocks(spec)
+    make(0, 1)
+    return _BlockSequence(spec.start, spec.n, make, error)
 
 
 def forward_difference(seq: RealSequence, order: int = 1) -> RealSequence:

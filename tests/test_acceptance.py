@@ -231,3 +231,161 @@ def test_shipped_configs_are_byte_deterministic(tmp_path):
         assert body["config"]["mode"] == load_config(path).mode
     _announce("bundled configs byte-identical across repeated runs and "
               "to their pinned digests")
+
+
+# sha256 of every artifact of the builtin runs on either side of the block
+# edges of a check's pass (2**14 indices), pinned when every bundle was
+# still made whole before its check: a block pass must give the same bytes
+_EDGE = 1 << 14
+BLOCK_EDGE_CONFIGS = {
+    **{f"{family}_{n}": {"mode": mode, "family": family, "n": n}
+       for family, mode in (("F1", "check_main"), ("F2", "check_theorem_a"),
+                            ("F3", "check_main"))
+       for n in (_EDGE - 1, _EDGE, _EDGE + 1, 3 * _EDGE + 1)},
+    "F1_alpha_0.5_16385": {"mode": "check_main", "family": "F1",
+                           "n": _EDGE + 1, "overrides": {"alpha": 0.5}},
+}
+BLOCK_EDGE_DIGESTS = {
+    "F1_16383": {
+        "report.json":
+            "a125f1c96df19efad7689f39ada6e6048f67df391ed2795c613399c4bc97b97e",
+        "trace_conclusion.csv":
+            "db6595e43cd04b1ab50984b6e6071d081aa8770028455a8aea68fe116d36354d",
+        "trace_cond11.csv":
+            "bd635c37e27d75b160c26782b6145252adb19009a43de1243db0179c3f309885",
+        "trace_series_nqx.csv":
+            "a2edeabf6d2589fc9842e7aacfed5fd1919fddbb7f2d9fc2aada7c6cfed969ef",
+    },
+    "F1_16384": {
+        "report.json":
+            "99b2c21837e5e2d94f08ef04dc82cbbd823f8801d543841f6e287660efda355a",
+        "trace_conclusion.csv":
+            "273a5549c737882e69d169720a8b478c38dacb5bb8e292b7b727127d033fd8c5",
+        "trace_cond11.csv":
+            "a061c0f13e9bb05e13a0d47448cfd2dca8010807b23ec0e0f9d2b1df745d1101",
+        "trace_series_nqx.csv":
+            "cd51e35067f57a766f9ea9e253fa8c05b7e5ec5dbbdd5436e77b83698d29743a",
+    },
+    "F1_16385": {
+        "report.json":
+            "a9d7c1cfdbce8222c635f8e93eb69b07ae03c036bf402682bb2d1e79f7505b4a",
+        "trace_conclusion.csv":
+            "4fe64a856fc91a5793b6d93e2df7e258fea69e6ef4a0a23dba76d0c33090d141",
+        "trace_cond11.csv":
+            "e704789b9686620c34b3a796e88e4b742092f1a0160a9841708453a77e1829ba",
+        "trace_series_nqx.csv":
+            "5d0a45044e877313196fad12b856f87abe603d1bca0f6b67c7b77afae04fe04b",
+    },
+    "F1_49153": {
+        "report.json":
+            "6d6fcb1603067207e2537d348753bbf5b255db6215560400794397e150db1e7b",
+        "trace_conclusion.csv":
+            "42efa33e452999ec39a38fae97bc33da64bf74119b728625899bf8cf7dae0721",
+        "trace_cond11.csv":
+            "f352bed378f972e98c83a349ea1332dea03e99432db00a098f2a333526534ebc",
+        "trace_series_nqx.csv":
+            "c9df3903c95f0e4839bae08a3c7f853bf5455c3c101a3d36efd23f7352af15d7",
+    },
+    "F2_16383": {
+        "report.json":
+            "effddd8aa8b9cb0dfa8560a6a7cf6cfa598de4eca2f2a1f1c264c1af1cf3a5c4",
+        "trace_conclusion.csv":
+            "6ea02dfaf5c02733cf69b6f658466e85efabb07413ea50b6b5d1ecdd1775520b",
+        "trace_cond11.csv":
+            "bd635c37e27d75b160c26782b6145252adb19009a43de1243db0179c3f309885",
+        "trace_cond8.csv":
+            "9576953d887644908ee78740b02415b2bca6a65b1920025d82a9e16bb43a7dc5",
+    },
+    "F2_16384": {
+        "report.json":
+            "1be1e005d77679aaa32ec5bcae4d37378b7415827b95ebed0afdf4e4a2c6c2e3",
+        "trace_conclusion.csv":
+            "7074d7101b9e0187e6782515d8b882962d032c4f65538b78220c9da6002350b2",
+        "trace_cond11.csv":
+            "a061c0f13e9bb05e13a0d47448cfd2dca8010807b23ec0e0f9d2b1df745d1101",
+        "trace_cond8.csv":
+            "444a835a7347816faa0b1a9afbe7bb6d757be82ab8cffe4e7663785bacb1ab8d",
+    },
+    "F2_16385": {
+        "report.json":
+            "0c66ff231f73e7fecca22d22658bb2c36590107a9a0d9fd5d1b0c6745ffb4ebc",
+        "trace_conclusion.csv":
+            "7c4098dee0294a39815c2ab0391ee84cd6465e35b158dbe2e29a88503c1f2fe8",
+        "trace_cond11.csv":
+            "e704789b9686620c34b3a796e88e4b742092f1a0160a9841708453a77e1829ba",
+        "trace_cond8.csv":
+            "12343da5da8b9e3c98d801cb6dad58e6229bcabf62985a32c45160e5302c041e",
+    },
+    "F2_49153": {
+        "report.json":
+            "8bcbb729e367bc5044457455fd4afb6bf53e7d63447971bccfec99745f2cd830",
+        "trace_conclusion.csv":
+            "7542a8cd9c554f8b425ab3a5ed8da3eaf6bf1a6803e2b5900485323a22820786",
+        "trace_cond11.csv":
+            "f352bed378f972e98c83a349ea1332dea03e99432db00a098f2a333526534ebc",
+        "trace_cond8.csv":
+            "98ced460f2c83cacd581d80275589ef1b49a5d1a9f7795ce1dbb7ce95620c8c3",
+    },
+    "F3_16383": {
+        "report.json":
+            "04f7acd1543c46cb501151e3789f5bf12c804cb968aa7d86dfe7b74364e8e8db",
+        "trace_conclusion.csv":
+            "5fc13b72e26be005fe1194f78654be68574a26f457b84e9b16c92a1edcd42e09",
+        "trace_cond11.csv":
+            "bd635c37e27d75b160c26782b6145252adb19009a43de1243db0179c3f309885",
+        "trace_series_nqx.csv":
+            "b1d00cb08a0cdb9c1e7df8cf9c2a9484a5872bf79afd5ab19067a566d29a0133",
+    },
+    "F3_16384": {
+        "report.json":
+            "a1c50e474f5999d5e093aba9c202ad5ccec2605a6b11a1f19f8758726cb9635d",
+        "trace_conclusion.csv":
+            "c73314f6735c2711a076467ce8252d1c6f30980463eeb7e4bb7033dc608357b0",
+        "trace_cond11.csv":
+            "a061c0f13e9bb05e13a0d47448cfd2dca8010807b23ec0e0f9d2b1df745d1101",
+        "trace_series_nqx.csv":
+            "1674596658a8fbd282b21b2f98f24eddb261b66372e6f1be58ef8f9388bac234",
+    },
+    "F3_16385": {
+        "report.json":
+            "c490fb59adcc72bc63a121309e697ad9cd47811d677056f84b8432a375e358fd",
+        "trace_conclusion.csv":
+            "c8dd000d8264c121370a7f11d0619199f027e0f80cb1aaa6c0543a08e0cd805c",
+        "trace_cond11.csv":
+            "e704789b9686620c34b3a796e88e4b742092f1a0160a9841708453a77e1829ba",
+        "trace_series_nqx.csv":
+            "56823b9b1dd4bac99321912b206727d2261a8ef4e2519b4e1e5e1390afda03ab",
+    },
+    "F3_49153": {
+        "report.json":
+            "c2e303514e34b497d628fb6d4c3a15804f6acee1f635c307dcdb412b3e3c22f3",
+        "trace_conclusion.csv":
+            "93d2d0dcb71bf37667ab9eeb8de007f5f2719a243ba6a39cc3cad77f57accb5f",
+        "trace_cond11.csv":
+            "f352bed378f972e98c83a349ea1332dea03e99432db00a098f2a333526534ebc",
+        "trace_series_nqx.csv":
+            "81bdc7ce71d643ff531ae191bff664ee2c7117705964a45c6b3224128c2ccd0a",
+    },
+    "F1_alpha_0.5_16385": {
+        "report.json":
+            "2c3809b148d16d9b6e75637f8412a324d34fdd6740a81fb60be33dd140300500",
+        "trace_conclusion.csv":
+            "3f1e02a38db10a42fc46ea71b2f52894ea4e4604562fb6396c12abbed4769f28",
+        "trace_cond11.csv":
+            "fd8fd213a7275b380d5598a1298c3b59b83d12f04b3a89479fccc37429f9411e",
+        "trace_series_nqx.csv":
+            "5d0a45044e877313196fad12b856f87abe603d1bca0f6b67c7b77afae04fe04b",
+    },
+}
+
+
+def test_block_edge_runs_are_pinned(tmp_path):
+    assert sorted(BLOCK_EDGE_CONFIGS) == sorted(BLOCK_EDGE_DIGESTS)
+    for name, obj in BLOCK_EDGE_CONFIGS.items():
+        out = tmp_path / name
+        run(ExperimentConfig.from_json(obj), out_dir=out, quiet=True)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == BLOCK_EDGE_DIGESTS[name], name
+    _announce("builtin runs at n = 2**14 - 1, 2**14, 2**14 + 1 and "
+              "3 * 2**14 + 1 byte-identical to their pinned digests")

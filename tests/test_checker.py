@@ -295,31 +295,37 @@ class TestConclusionDiagnostic:
 
 
 class TestPhiOncePerRun:
-    """The check records and the conclusion share the bundle's phi."""
+    """The check records and the conclusion share one pass over the bundle,
+    which makes each block of phi once."""
 
     @pytest.fixture
-    def phi_calls(self, monkeypatch):
-        calls = []
-        original = WeightSpec.phi_values
+    def phi_blocks(self, monkeypatch):
+        blocks = []
+        original = WeightSpec._phi_block
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
+        def counted(self, lo, hi, *args, **kwargs):
+            blocks.append((lo, hi))
+            return original(self, lo, hi, *args, **kwargs)
 
-        monkeypatch.setattr(WeightSpec, "phi_values", counted)
-        return calls
+        monkeypatch.setattr(WeightSpec, "_phi_block", counted)
+        return blocks
 
-    def test_check_and_conclusion(self, phi_calls):
-        bundle = builtin_family("F1", 256)
+    @staticmethod
+    def once_each(n):
+        return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+    def test_check_and_conclusion(self, phi_blocks):
+        n = 2 * _BLOCK + 5
+        bundle = builtin_family("F1", n)
         check_main_theorem(bundle)
         conclusion_diagnostic(bundle)
-        assert len(phi_calls) == 1
+        assert phi_blocks == self.once_each(n)
 
-    def test_experiment_run(self, phi_calls, tmp_path):
+    def test_experiment_run(self, phi_blocks, tmp_path):
         config = load_config(Path(__file__).resolve().parents[1]
                              / "configs" / "f1_main.json")
         run(config, out_dir=tmp_path, quiet=True)
-        assert len(phi_calls) == 1
+        assert phi_blocks == self.once_each(config.n)
 
 
 class TestFamilyBundle:

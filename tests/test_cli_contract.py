@@ -141,6 +141,24 @@ _DUMP_OVERFLOW = {
                  "start": 0}}
 
 
+# X = n^67.5 first overflows at index 36876, in the pass's third block, while
+# cond7 samples X at 40000 only: a role error found late in the pass still
+# comes before every record error
+_LATE_X = {
+    "mode": "check_main", "n": 40000,
+    "params": {"alpha": 1, "k": 1.5, "epsilon": 1},
+    "bundle": _bundle(**{
+        "lambda": {"family": "power_decay", "params": {"p": 2, "c0": 2}},
+        "X": {"family": "power_weight", "params": {"q": 67.5}},
+        "Q": {"family": "power_decay", "params": {"p": 3}}})}
+
+# a = n^70 overflows in the second block, X in the third: roles are
+# reported in bundle order, not in the order the pass finds them
+_LATE_A = {**_LATE_X, "bundle": {
+    **_LATE_X["bundle"],
+    "a": {"family": "power_weight", "params": {"q": 70}}}}
+
+
 _PHI_WITHOUT_FAMILY = {
     "mode": "check_main", "n": 64, "params": {"k": 1.5},
     "bundle": _bundle(weight={"kind": "explicit_phi", "phi": {}})}
@@ -188,6 +206,9 @@ def _number_paths(obj, path=()):
 @example(flip=None, slope=None, joined=True, config=_PHI_WITHOUT_FAMILY)
 # a dump whose transforms overflow warns nothing before its config error
 @example(flip=None, slope=None, joined=True, config=_DUMP_OVERFLOW)
+# roles that overflow late in the range, in one order and the other
+@example(flip=None, slope=None, joined=True, config=_LATE_X)
+@example(flip=None, slope=None, joined=True, config=_LATE_A)
 # n^150 overflows while the sequence is generated
 @example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -213,6 +234,10 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
     if config == _DUMP_OVERFLOW:
         assert err == ("config error: sequence: sequence values must be "
                        "finite\n")
+    if config in (_LATE_X, _LATE_A):
+        role = "X" if config == _LATE_X else "a"
+        assert err == (f"config error: bundle.{role}: sequence values must "
+                       "be finite\n")
     # one number field set to true, false or a numeric string: the config
     # exits 2 on that field
     paths = list(_number_paths(config))

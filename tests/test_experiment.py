@@ -623,3 +623,85 @@ class TestCli:
                      "--tolerance-slope", "0.2"])
         assert code == 2
         assert "--tolerance-slope" in capsys.readouterr().err
+
+
+# n^180 is finite up to index 51 and overflows from 52 on: with blocks of 8
+# indices, in the seventh block of a check's pass over n = 64
+_LATE = {"family": "power_weight", "params": {"q": 180}}
+_LAST = {"family": "power_weight", "params": {"q": 176}}
+
+
+def _late_bundle(**roles):
+    base = {"a": {"family": "alternating_unit"},
+            "lambda": {"family": "power_decay",
+                       "params": {"p": 2.0, "c0": 2.0}},
+            "X": _LATE,
+            "Q": {"family": "power_decay", "params": {"p": 2.5}},
+            "delta": {"family": "power_decay", "params": {"p": 1.5}},
+            "weight": {"kind": "classic"}}
+    return {key: value for key, value in {**base, **roles}.items()
+            if value is not None}
+
+
+class TestErrorOrder:
+    """Each role is made and judged a block at a time, and the errors keep
+    the order they had when each role was made whole in turn: a role's
+    non-finite value first, in bundle order, however late in the range it
+    lies; then the record errors in table order."""
+
+    @pytest.mark.parametrize("mode, params, bundle, message", [
+        # a spec or domain error of a later role waits for the earlier ones
+        ("check_main", {}, _late_bundle(a=_LATE, X={"family": "log_shift"},
+                                        **{"lambda": {"family": "nope"}}),
+         "bundle.a: sequence values must be finite"),
+        ("check_main", {}, _late_bundle(Q={"family": "power_decay"}),
+         "bundle.X: sequence values must be finite"),
+        ("check_main", {}, _late_bundle(
+            Q={"family": "power_decay", "params": {"p": 1, "c0": -3}}),
+         "bundle.X: sequence values must be finite"),
+        ("check_main", {}, _late_bundle(weight={"kind": "indexed",
+                                                "beta": -1}),
+         "bundle.X: sequence values must be finite"),
+        ("check_main", {}, {**_late_bundle(), "label": 5},
+         "bundle.X: sequence values must be finite"),
+        # and so do the checks' own preconditions
+        ("check_main", {}, _late_bundle(Q=None),
+         "bundle.X: sequence values must be finite"),
+        ("check_main", {"alpha": 1.5}, _late_bundle(),
+         "bundle.X: sequence values must be finite"),
+        ("check_theorem_a", {"alpha": 0.5}, _late_bundle(Q=None, delta=None),
+         "bundle.X: sequence values must be finite"),
+        # a record error found in the first block waits for the pass
+        ("check_main", {}, _late_bundle(
+            delta={"family": "power_decay", "params": {"p": 1, "c": -1}}),
+         "bundle.X: sequence values must be finite"),
+        ("check_main", {}, _late_bundle(
+            X={"family": "log_shift"},
+            delta={"family": "power_decay", "params": {"p": 1, "c": -1}}),
+         "bundle: delta must be positive everywhere; first non-positive "
+         "entry at index 1"),
+        # roles in bundle order, the explicit phi last
+        ("check_main", {"alpha": 0.5}, _late_bundle(a=_LATE),
+         "bundle.a: sequence values must be finite"),
+        ("check_main", {}, _late_bundle(
+            X={"family": "log_shift"},
+            weight={"kind": "explicit_phi", "phi": _LATE}),
+         "bundle.weight.phi: sequence values must be finite"),
+        # n^176 overflows from index 57 on, in the last block of the pass
+        ("check_theorem_a", {}, _late_bundle(
+            Q=None, delta=None, X={"family": "log_shift"},
+            weight={"kind": "explicit_phi", "phi": _LAST},
+            **{"lambda": _LAST}),
+         "bundle.lambda: sequence values must be finite"),
+    ])
+    def test_first_error_wins(self, tmp_path, capsys, monkeypatch, mode,
+                              params, bundle, message):
+        from summa import accumulation
+        monkeypatch.setattr(accumulation, "_BLOCK", 8)
+        cfg = tmp_path / "late.json"
+        cfg.write_text(json.dumps({"mode": mode, "n": 64, "bundle": bundle,
+                                   "params": {"k": 1.5, **params}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
