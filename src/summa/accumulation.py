@@ -36,11 +36,8 @@ varies even within one numpy call.
 
 ``compensated_cumsum`` writes every prefix sum.  ``compensated_sums_at``
 keeps only the sums at the requested checkpoints (and, on request, their
-running maximum, carried from block to block as a per-block maximum),
-stops at the last checkpoint, and can take its terms block by block from a
-callable, so a checkpoint trace never holds an n-long array of terms or
-sums.  Block sources take their indices from one reusable buffer
-(``_indices``) rather than from a fresh ``np.arange`` per block.
+running maximum, carried from block to block as a per-block maximum) and
+stops at the last checkpoint, so it holds no n-long array of sums.
 
 The same loop also runs pushed: ``_Neumaier`` and ``_SampledSums`` take
 their terms a block at a time from a caller that makes the blocks, as the
@@ -50,7 +47,7 @@ checker's one pass over a bundle does, and ``_PairwiseSum`` gives what
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Generator
 
 import numpy as np
 
@@ -110,20 +107,6 @@ def _neumaier_corrections(prev: np.ndarray, x: np.ndarray, total: np.ndarray,
     big = np.abs(prev) >= np.abs(x)
     np.subtract(np.where(big, prev, x), total, out=out)
     out += np.where(big, x, prev)
-
-
-def _indices(stop: int) -> Callable[[int, int], np.ndarray]:
-    """indices(lo, hi): the floats lo + 1 .. hi that ``np.arange(lo + 1.0,
-    hi + 1.0)`` gives (exact below 2**53), for the blocks of a loop over
-    0..stop.  They are written into one buffer that each call overwrites,
-    as ``iota + (lo + 1.0)``."""
-    size = max(1, min(_BLOCK, stop))
-    iota = np.arange(float(size))
-    out = np.empty(size)
-
-    def indices(lo: int, hi: int) -> np.ndarray:
-        return np.add(iota[:hi - lo], lo + 1.0, out=out[:hi - lo])
-    return indices
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -201,27 +184,14 @@ def compensated_sums_at(terms, checkpoints, *, running_max: bool = False
     checkpoints are strictly increasing and at least 1, and no term after
     the last checkpoint is read.  With ``running_max`` each sum is replaced
     by the largest sum up to it, as ``np.maximum.accumulate`` would give
-    (NaN propagating).  ``terms`` is an array, or a callable
-    ``terms(lo, hi, out)`` that returns terms lo..hi-1, typically written
-    into the block buffer ``out``; it is called once per block, in order,
-    outside any ``np.errstate``.
+    (NaN propagating).
     """
     sums = _SampledSums(checkpoints, running_max)
-    if callable(terms):
-        source = terms
-    else:
-        arr = np.asarray(terms, dtype=np.float64)
-        if sums.stop > arr.size:
-            raise ValueError(
-                f"checkpoint {sums.stop} exceeds {arr.size} terms")
-
-        def source(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-            return arr[lo:hi]
-    size = max(1, min(_BLOCK, sums.stop))
-    buf = np.empty(size)
-    for lo in range(0, sums.stop, size):
-        hi = min(lo + size, sums.stop)
-        sums.push(source(lo, hi, buf[:hi - lo]))
+    arr = np.asarray(terms, dtype=np.float64)
+    if sums.stop > arr.size:
+        raise ValueError(f"checkpoint {sums.stop} exceeds {arr.size} terms")
+    for lo in range(0, sums.stop, _BLOCK):
+        sums.push(arr[lo:lo + _BLOCK])
     return sums.sums
 
 

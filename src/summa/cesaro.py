@@ -15,7 +15,10 @@ the running maximum of |t_v^alpha| over v <= n for fractional alpha.
 
 Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
-a compensated product, within about half an ulp of the exact one.
+a compensated product, within about half an ulp of the exact one.  At
+alpha = 1, t is pushed a block at a time (``_RunningMeans``) by whatever
+makes the blocks: ``cesaro_t``'s own loop, or the checker's one pass over a
+bundle.  Other orders run the kernel over all N terms (``_fractional_t``).
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -36,7 +39,6 @@ range raises ``OverflowError``.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -304,39 +306,19 @@ def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
     return _kernel_dot_prefixes(kernel, x) / denom
 
 
-def _t_blocks(a: np.ndarray, alpha: float,
-              lam: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def _fractional_t(a: np.ndarray, alpha: float,
+                  lam: np.ndarray | None = None) -> np.ndarray:
     """t_1^alpha .. t_N^alpha of the terms a_1..a_N, or of a_v * lam_v when
-    ``lam`` is given, as consecutive blocks of at most ``_BLOCK`` values.
-
-    Every t is computed this way, so each has one set of bits.  At alpha =
-    1 the means are streamed (``_running_means``), so no n-long array is
-    ever held.  Other orders run the kernel over all N terms now, before
-    the caller allocates its own block buffers, and yield slices of its t.
-    A block is a view that the next one may overwrite.  A non-finite t
-    raises ``ValueError``, and so does a non-finite a_v * lam_v, with the
-    message ``RealSequence`` gives.
-    """
-    if alpha == 1.0:
-        return _running_means(a, lam)
+    ``lam`` is given, for alpha other than 1, from the kernel.  A non-finite
+    t raises ``ValueError``, and so does a non-finite a_v * lam_v, with the
+    message ``RealSequence`` gives."""
     terms = a if lam is None else a * lam
     if not np.isfinite(terms).all():
         raise ValueError(_NON_FINITE)
     t = _mean(terms * np.arange(1.0, a.size + 1.0), alpha, 1)
     if not np.isfinite(t).all():
         raise ValueError(_NON_FINITE)
-    size = accumulation._BLOCK
-    return (t[lo:lo + size] for lo in range(0, t.size, size))
-
-
-def _running_means(a: np.ndarray, lam: np.ndarray | None
-                   ) -> Iterator[np.ndarray]:
-    """``_RunningMeans`` over the blocks of a (and lam)."""
-    means = _RunningMeans(a.size)
-    size = max(1, min(accumulation._BLOCK, a.size))
-    for lo in range(0, a.size, size):
-        yield means.push(a[lo:lo + size],
-                         None if lam is None else lam[lo:lo + size])
+    return t
 
 
 class _RunningMeans:
@@ -349,49 +331,27 @@ class _RunningMeans:
     def __init__(self, n: int) -> None:
         size = max(1, min(accumulation._BLOCK, n))
         self._acc = accumulation._Neumaier(size)
-        self._v = accumulation._indices(n)
         self._x, self._t = np.empty(size), np.empty(size)
-        self._lo = 0
 
-    def push(self, a: np.ndarray, lam: np.ndarray | None = None
-             ) -> np.ndarray:
-        """The block of t for this block of a: a view that the next push
-        overwrites.  A non-finite t raises ``ValueError``."""
-        lo, m = self._lo, a.size
-        hi = self._lo = lo + m
-        x, t = self._x[:m], self._t[:m]
+    def push(self, n: np.ndarray, a: np.ndarray,
+             lam: np.ndarray | None = None) -> np.ndarray:
+        """The block of t for this block of a, whose indices are the floats
+        n: a view that the next push overwrites.  A non-finite t raises
+        ``ValueError``."""
+        x, t = self._x[:a.size], self._t[:a.size]
         if lam is None:
-            np.multiply(a, self._v(lo, hi), out=x)
+            np.multiply(a, n, out=x)
         else:
             np.multiply(a, lam, out=x)
-            np.multiply(x, self._v(lo, hi), out=x)
+            np.multiply(x, n, out=x)
         total, comp = self._acc.push(x)
         with np.errstate(invalid="ignore", over="ignore"):
             np.add(total, comp, out=t)
         # A_n^1 = n + 1
-        np.divide(t, self._v(lo + 1, hi + 1), out=t)
+        np.divide(t, np.add(n, 1.0, out=x), out=t)
         if not np.isfinite(t).all():
             raise ValueError(_NON_FINITE)
         return t
-
-
-def _w_blocks(a: np.ndarray, alpha: float) -> Iterator[np.ndarray]:
-    """w_1^alpha .. w_N^alpha of the terms a_1..a_N, block by block as
-    ``_t_blocks`` yields t, for a trace that takes the abs of its values:
-    at alpha = 1 the blocks are t itself, whose abs is w, and below 1 the
-    running max of |t| is carried from block to block."""
-    blocks = _t_blocks(a, alpha)
-    if alpha == 1.0:
-        return blocks
-
-    def running_max() -> Iterator[np.ndarray]:
-        peak = 0.0
-        for t in blocks:
-            w = np.maximum.accumulate(np.abs(t))
-            np.maximum(w, peak, out=w)
-            peak = w[-1]
-            yield w
-    return running_max()
 
 
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
@@ -415,12 +375,14 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    blocks = _t_blocks(a.range_view(1, n_last), alpha)
-    t = np.empty(n_last)  # after the fractional kernel has run
-    lo = 0
-    for block in blocks:
-        t[lo:lo + block.size] = block
-        lo += block.size
+    a = a.range_view(1, n_last)
+    if alpha != 1.0:
+        return _adopt(1, _fractional_t(a, alpha))
+    t = np.empty(n_last)
+    means, size = _RunningMeans(n_last), accumulation._BLOCK
+    for lo in range(0, n_last, size):
+        hi = min(lo + size, n_last)
+        t[lo:hi] = means.push(np.arange(lo + 1.0, hi + 1.0), a[lo:hi])
     return _adopt(1, t)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _PairwiseSum, _SampledSums
-from .cesaro import _RunningMeans, _t_blocks, _w_blocks
+from .cesaro import _fractional_t, _RunningMeans
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
@@ -250,10 +250,12 @@ class FamilyBundle:
         return self.weight.phi_values(self.n, self.params.k,
                                       beta_default=self.params.beta)
 
-    def _roles(self) -> list[RealSequence | None]:
+    def _roles(self) -> dict[str, RealSequence | None]:
         """The sequences whose non-finite values are errors, in the order
-        they are reported: a, lambda, X, Q, delta and an explicit phi."""
-        return [self.a, self.lam, self.X, self.Q, self.delta, self.weight.phi]
+        they are reported: a, lambda, X, Q, delta and an explicit phi, each
+        under the name of its field of a pass block."""
+        return {"a": self.a, "lam": self.lam, "X": self.X, "Q": self.Q,
+                "delta": self.delta, "phi": self.weight.phi}
 
 
 @dataclass(frozen=True)
@@ -312,18 +314,19 @@ def _pass_fail(condition: str, passed: bool, notes: str,
 
 
 class _Block(NamedTuple):
-    """One block of a pass: indices lo + 1..hi of every role (Q and delta
-    None when the bundle has none), phi as |phi_n|."""
+    """One block of a pass: indices lo + 1..hi, as the floats n, and those
+    values of every role (Q and delta None when the bundle has none), phi
+    as |phi_n|."""
 
     lo: int
     hi: int
+    n: np.ndarray
+    phi: np.ndarray
     a: np.ndarray
     lam: np.ndarray
     X: np.ndarray
-    Q: np.ndarray | None
-    delta: np.ndarray | None
-    phi: np.ndarray
-
+    Q: np.ndarray | None = None
+    delta: np.ndarray | None = None
 
 # a record builder: sent the pass's blocks, then None; returns the record
 _Step = Generator[None, "_Block | None", object]
@@ -381,7 +384,8 @@ class _Context:
         builder still running; a role's non-finite value is raised once
         every block has been read."""
         b = self.bundle
-        roles = b._roles()
+        roles = [(name, seq) for name, seq in b._roles().items()
+                 if seq is not None]
         steps = [build(self, name) for name, build in table]
         # started last to first: at fractional orders cond11 and the
         # conclusion run the kernel as they start, before the other
@@ -392,12 +396,12 @@ class _Context:
         size = accumulation._BLOCK
         for lo in range(0, b.n, size):
             hi = min(lo + size, b.n)
-            block = _Block(lo, hi,
-                           *(None if seq is None else seq._block(lo, hi)
-                             for seq in roles[:-1]),
-                           b.weight._phi_block(lo, hi, k, beta))
-            for r, seq in enumerate(roles[:failed]):
-                if seq is not None and not np.isfinite(block[2 + r]).all():
+            block = _Block(lo, hi, np.arange(lo + 1.0, hi + 1.0),
+                           b.weight._phi_block(lo, hi, k, beta),
+                           **{name: seq._block(lo, hi)
+                              for name, seq in roles if name != "phi"})
+            for r, (name, _) in enumerate(roles[:failed]):
+                if not np.isfinite(getattr(block, name)).all():
                     failed = r
                     break
             for i, step in enumerate(steps):
@@ -406,7 +410,7 @@ class _Context:
         results = [_advance(step, None) if result is _LIVE else result
                    for step, result in zip(steps, results)]
         if failed < len(roles):
-            raise roles[failed]._failure()
+            raise roles[failed][1]._failure()
         return results
 
     def growth_record(self, condition: str, trace: CheckpointTrace,
@@ -518,7 +522,7 @@ def _series_nqx(ctx: _Context, name: str) -> _Step:
     sums = _SampledSums(ctx.checkpoints)
     total = _PairwiseSum(0, ctx.bundle.n)
     while (block := (yield)) is not None:
-        terms = np.arange(block.lo + 1.0, block.hi + 1.0) * block.Q * block.X
+        terms = block.n * block.Q * block.X
         sums.push(terms)
         total.push(block.lo, np.abs(terms))
     return ctx.partial_sum_record(
@@ -570,17 +574,21 @@ def _means(bundle: FamilyBundle, maximal: bool
     """The block of t of a_n * lambda_n for each pass block, or of w of a_n
     when ``maximal`` (w is |t| at alpha = 1, and the trace takes the abs).
     At alpha = 1 the means are pushed block by block; other orders gather
-    a (and lambda) whole for the kernel now, and hand out its blocks."""
+    a (and lambda) whole for the kernel now, and hand out slices of its t,
+    made w in place."""
     alpha, n = bundle.params.alpha, bundle.n
     if alpha == 1.0:
         means = _RunningMeans(n)
         if maximal:
-            return lambda block: means.push(block.a)
-        return lambda block: means.push(block.a, block.lam)
+            return lambda block: means.push(block.n, block.a)
+        return lambda block: means.push(block.n, block.a, block.lam)
     a = bundle.a._block(0, n)
-    blocks = (_w_blocks(a, alpha) if maximal
-              else _t_blocks(a, alpha, bundle.lam._block(0, n)))
-    return lambda block: next(blocks)
+    if maximal:
+        t = _fractional_t(a, alpha)
+        np.maximum.accumulate(np.abs(t, out=t), out=t)
+    else:
+        t = _fractional_t(a, alpha, bundle.lam._block(0, n))
+    return lambda block: t[block.lo:block.hi]
 
 
 def _cond11(ctx: _Context, name: str) -> _Step:
@@ -590,7 +598,7 @@ def _cond11(ctx: _Context, name: str) -> _Step:
     idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
     X = np.empty(idx.size)
     while (block := (yield)) is not None:
-        trace.push(block.phi, w(block))
+        trace.push(block.n, block.phi, w(block))
         _sample(idx, block, block.X, X)
     trace = dataclasses.replace(trace.trace(), reference=X)
     ctx.traces[name] = trace
@@ -602,7 +610,7 @@ def _conclusion(ctx: _Context, name: str) -> _Step:
     t = _means(ctx.bundle, maximal=False)
     trace = _PowerTrace(ctx.bundle.params.k, ctx.checkpoints)
     while (block := (yield)) is not None:
-        trace.push(block.phi, t(block))
+        trace.push(block.n, block.phi, t(block))
     return trace.trace()
 
 
@@ -650,10 +658,10 @@ def check_main_theorem(bundle: FamilyBundle,
     not they pass.
     """
     if bundle.Q is None or bundle.delta is None:
-        _verify(bundle._roles())  # a role's error comes first
+        _verify(bundle._roles().values())  # a role's error comes first
         raise ValueError("main-theorem bundle requires Q and delta")
     if not (0.0 < bundle.params.alpha <= 1.0):
-        _verify(bundle._roles())
+        _verify(bundle._roles().values())
         raise ValueError("main theorem requires 0 < alpha <= 1")
     return _run_table("main", _MAIN_TABLE, bundle, checkpoints, tolerances)
 
@@ -667,10 +675,10 @@ def check_theorem_a(bundle: FamilyBundle,
     must run at alpha = 1.
     """
     if bundle.Q is not None or bundle.delta is not None:
-        _verify(bundle._roles())  # a role's error comes first
+        _verify(bundle._roles().values())  # a role's error comes first
         raise ValueError("theorem-A bundle must not carry Q or delta")
     if bundle.params.alpha != 1.0:
-        _verify(bundle._roles())
+        _verify(bundle._roles().values())
         raise ValueError("theorem A operates at alpha = 1")
     return _run_table("theorem_a", _THEOREM_A_TABLE, bundle, checkpoints,
                       tolerances)

@@ -605,8 +605,9 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     ``out_dir`` beats the config's own ``out`` field; default is the
     current directory, created only once the run has computed everything
     that can fail, so a run that fails leaves no directory behind.  The
-    CSV files render block by block as they are written.  Summary goes to
-    standard output unless ``quiet``.
+    CSV files render block by block as they are written.  A directory or
+    artifact that cannot be written is a ``ConfigError`` on ``out``.
+    Summary goes to standard output unless ``quiet``.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
 
@@ -618,11 +619,17 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     files["report.json"] = [json.dumps(report.to_json(), indent=2,
                                        sort_keys=True).encode() + b"\n"]
     # the CSV blocks render as they are written: their columns are finite,
-    # so nothing past this point can fail on the config
-    out.mkdir(parents=True, exist_ok=True)
-    for name, blocks in files.items():
-        with open(out / name, "wb") as f:
-            f.writelines(blocks)
+    # so past this point only the output directory can fail
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, blocks in files.items():
+            path = out / name
+            with open(path, "wb") as f:
+                f.writelines(blocks)
+    except OSError as e:
+        raise ConfigError("out", f"cannot write {path}: {e.strerror or e}"
+                          ) from e
 
     if not quiet:
         print("\n".join(_summary_lines(report)))

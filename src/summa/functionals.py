@@ -16,7 +16,8 @@ sums at caller-chosen checkpoints.  Every checkpoint list in the package,
 config grids included, goes through ``validate_checkpoints``.  For the
 checker's pass over a bundle, a weight also gives |phi_n| a block at a time
 (``WeightSpec._phi_block``), and ``_PowerTrace`` takes a trace's values
-block by block.
+block by block as the pass pushes them; ``weighted_power_trace`` pushes
+the blocks of whole arrays.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import accumulation
-from .accumulation import _indices, _SampledSums, compensated_sums_at
+from .accumulation import _SampledSums, compensated_sums_at
 from .cesaro import cesaro_t
 from .sequences import CesaroParams, RealSequence
 
@@ -183,19 +184,19 @@ class FunctionalTrace(CheckpointTrace):
 
 
 class _PowerTrace:
-    """The sums of ``weighted_power_trace``, fed phi and the values a block
-    at a time (``push``, blocks in order, each at most ``_BLOCK`` long);
-    blocks past the last checkpoint are ignored."""
+    """The sums of ``weighted_power_trace``, fed the indices n, phi and the
+    values a block at a time (``push``, blocks in order, each at most
+    ``_BLOCK`` long); values past the last checkpoint are ignored."""
 
     def __init__(self, k: float, checkpoints: tuple[int, ...]) -> None:
         self._k, self._cps = k, checkpoints
         self._sums = _SampledSums(checkpoints, running_max=True)
-        self._n = _indices(self._sums.stop)
         self._terms = np.empty(max(1, min(accumulation._BLOCK,
                                           self._sums.stop)))
         self._lo = 0
 
-    def push(self, phi: np.ndarray, values: np.ndarray) -> None:
+    def push(self, n: np.ndarray, phi: np.ndarray, values: np.ndarray
+             ) -> None:
         lo = self._lo
         hi = self._lo = lo + values.size
         if lo >= self._sums.stop:
@@ -204,7 +205,7 @@ class _PowerTrace:
         out = self._terms[:hi - lo]
         np.multiply(phi[:hi - lo], values[:hi - lo], out=out)
         np.abs(out, out=out)
-        out /= self._n(lo, hi)
+        out /= n[:hi - lo]
         self._sums.push(np.power(out, self._k, out=out))
 
     def trace(self) -> FunctionalTrace:
@@ -221,60 +222,20 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
 
     Shared workhorse: the functional proper feeds it t, the hypothesis
     checks feed it the maximal sequence w.  ``values`` is an array aligned
-    with phi, or an iterator of consecutive blocks that together hold
-    values_1 .. values_N, N = len(phi), such as the Cesaro streams yield.
-    Each block is read before the next is drawn, and every block is drawn,
-    those past the last checkpoint included, so that whatever checks the
-    source makes on its blocks all run.
+    with phi.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if isinstance(values, Iterator):
-        blocks = values
-    else:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != phi.shape:
-            raise ValueError("values and phi must align")
-        blocks = iter((values,))
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != phi.shape:
+        raise ValueError("values and phi must align")
     if k < 1.0:
         raise ValueError("k must be at least 1")
     cps = validate_checkpoints(checkpoints, phi.size)
     trace = _PowerTrace(k, cps)
-    size = max(1, min(accumulation._BLOCK, cps[-1]))
-    out = np.empty(size)
-    head, drawn = np.empty(0), 0
-
-    def draw() -> np.ndarray:
-        nonlocal drawn
-        block = next(blocks, None)
-        if block is None:
-            raise ValueError("values and phi must align")
-        drawn += block.size
-        return block
-
-    def read(m: int) -> np.ndarray:
-        """The next m values: requests come in order and cover the values
-        in turn, so they are read off the blocks as they come."""
-        nonlocal head
-        if not head.size:
-            head = draw()
-        if head.size >= m:  # one block holds them: a view, no copy
-            view, head = head[:m], head[m:]
-            return view
-        filled = 0
-        while filled < m:  # each piece is copied before the next block
-            if not head.size:
-                head = draw()
-            take = min(m - filled, head.size)
-            out[filled:filled + take] = head[:take]
-            head, filled = head[take:], filled + take
-        return out[:m]
-
+    size = accumulation._BLOCK
     for lo in range(0, cps[-1], size):
         hi = min(lo + size, cps[-1])
-        trace.push(phi[lo:hi], read(hi - lo))
-    drawn += sum(block.size for block in blocks)
-    if drawn != phi.size:
-        raise ValueError("values and phi must align")
+        trace.push(np.arange(lo + 1.0, hi + 1.0), phi[lo:hi], values[lo:hi])
     return trace.trace()
 
 

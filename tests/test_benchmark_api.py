@@ -1,0 +1,56 @@
+"""The names of summa that the benchmark reads must stay.
+
+``perfbench`` times each per-layer metric ``<module>.<function>.<self_s|
+calls|elements>`` in ``BENCHMARK.json`` from a span that its tracer wraps
+around every function a module lists in ``__all__``, and its scripts
+import some names of summa directly.  A change that drops or hides one of
+them breaks the benchmark without failing any other test.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# what perfbench's scripts import today; the parse below must find them all
+IMPORTED = {
+    ("experiment", "run"), ("experiment", "builtin_family"),
+    ("experiment", "ExperimentConfig"), ("sequences", "materialize"),
+    ("sequences", "SequenceSpec"), ("sequences", "RealSequence"),
+    ("cesaro", "cesaro_t"), ("checker", "dyadic_checkpoints"),
+    ("oracle", "rational_cesaro_coefficients"), ("oracle", "_weights_cached"),
+}
+
+
+def benchmark_names():
+    """(module, name) pairs: the functions of the per-layer metrics, and
+    every name a perfbench script imports from a summa module."""
+    names = set()
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    for metric in bench["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("self_s", "calls", "elements"):
+            names.add((parts[0], parts[1]))
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("summa.")):
+                module = node.module.split(".", 1)[1]
+                names.update((module, alias.name) for alias in node.names)
+    return names
+
+
+def test_benchmark_names_exist_and_public_functions_are_exported():
+    names = benchmark_names()
+    assert IMPORTED <= names
+    assert ("accumulation", "compensated_cumsum") in names
+    for module_name, name in sorted(names):
+        module = importlib.import_module(f"summa.{module_name}")
+        assert hasattr(module, name), f"summa.{module_name}.{name} is gone"
+        value = getattr(module, name)
+        if inspect.isfunction(value) and not name.startswith("_"):
+            assert name in module.__all__, (
+                f"summa.{module_name}.{name} is not in __all__")

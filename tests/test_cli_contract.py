@@ -360,3 +360,32 @@ def test_t_overflow_past_the_last_checkpoint(monkeypatch, config, block):
         err = _assert_contract(["run", str(path), f"--out={tmp}/out"],
                                Path(tmp) / "out")
     assert err == "config error: bundle: sequence values must be finite\n"
+
+
+@pytest.mark.parametrize("argv, blocked, message", [
+    # the output directory is an existing file
+    (["run", "{config}", "--out={tmp}/file"], "file",
+     "cannot write {tmp}/file: File exists"),
+    # a parent of the output directory is a file
+    (["oracle", "--seed", "1", "--trials", "1", "--out={tmp}/file/sub"],
+     "file", "cannot write {tmp}/file/sub: Not a directory"),
+    # report.json is a directory: written last, after the trace CSVs
+    (["run", "{config}", "--out={tmp}/out"], "out/report.json",
+     "cannot write {tmp}/out/report.json: Is a directory"),
+], ids=["out_is_a_file", "parent_is_a_file", "report_is_a_directory"])
+def test_unusable_output_is_a_config_error(argv, blocked, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(
+            {"mode": "check_main", "family": "F1", "n": 16}))
+        if blocked == "file":
+            (Path(tmp) / "file").write_text("")
+        else:
+            (Path(tmp) / blocked).mkdir(parents=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([a.format(config=config, tmp=tmp) for a in argv])
+    assert code == 2
+    assert stderr.getvalue() == (
+        f"config error: out: {message.format(tmp=tmp)}\n")
+    assert stdout.getvalue() == ""

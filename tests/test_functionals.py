@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summa import accumulation
 from summa.accumulation import _BLOCK, compensated_cumsum
 from summa.cesaro import cesaro_t
 from summa.functionals import (FunctionalTrace, WeightKind, WeightSpec,
@@ -89,14 +90,6 @@ class TestWeightedPowerTrace:
         with pytest.raises(ValueError):
             weighted_power_trace(np.ones(3), 1.5, np.ones(4), (1,))
 
-    @pytest.mark.parametrize("blocks", [
-        # blocks that stop short of phi, within or past the checkpoints,
-        # or run on beyond it
-        [np.ones(2), np.ones(1)], [np.ones(1)], [np.ones(4), np.ones(1)]])
-    def test_blocks_misaligned(self, blocks):
-        with pytest.raises(ValueError, match="align"):
-            weighted_power_trace(iter(blocks), 1.5, np.ones(4), (1, 2))
-
     def test_k_domain(self):
         with pytest.raises(ValueError):
             weighted_power_trace(np.ones(3), 0.5, np.ones(3), (1,))
@@ -129,11 +122,17 @@ class TestSampledTrace:
         phi = np.power(np.arange(1.0, self.N + 1.0), 1.0 - 1.0 / 1.5)
         return values, phi
 
-    @pytest.mark.parametrize("k", [1.0, 1.5, 3.7])
-    def test_matches_full_array_trace(self, k):
+    # the trace's blocks of 1 and 7 values cut the checkpoints' stretches
+    # anywhere; the default block keeps the ids of the k alone
+    @pytest.mark.parametrize("k, block", [
+        pytest.param(k, block, id=str(k) if block == _BLOCK
+                     else f"{k}-block{block}")
+        for block in (_BLOCK, 1, 7) for k in (1.0, 1.5, 3.7)])
+    def test_matches_full_array_trace(self, monkeypatch, k, block):
         values, phi = self.inputs()
         n = np.arange(1.0, self.N + 1.0)
         ref = monotone_partials(np.power(np.abs(phi * values) / n, k))
+        monkeypatch.setattr(accumulation, "_BLOCK", block)
         got = weighted_power_trace(values, k, phi, self.CPS).partial_sums
         idx = np.asarray(self.CPS) - 1
         assert got.tobytes() == ref[idx].tobytes()
@@ -162,17 +161,6 @@ class TestSampledTrace:
         ref = monotone_partials(np.power(tm, k) / n)
         assert (rep.classic_direct_trace.partial_sums.tobytes()
                 == ref.tobytes())
-
-
-    def test_blocks_of_any_length(self):
-        # an iterator's blocks need not match the trace's own blocks
-        values, phi = self.inputs()
-        cuts = [0, 3, 4, 999, _BLOCK + 2, _BLOCK + 3, 2 * _BLOCK + 3, self.N]
-        blocks = iter([values[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
-        got = weighted_power_trace(blocks, 1.5, phi, self.CPS).partial_sums
-        assert got.tobytes() == weighted_power_trace(
-            values, 1.5, phi, self.CPS).partial_sums.tobytes()
-
 
 class TestReductionIdentity:
     def test_beta_zero_collapses_indexed_to_classic(self):
