@@ -15,10 +15,10 @@ the running maximum of |t_v^alpha| over v <= n for fractional alpha.
 
 Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
-a compensated product, within about half an ulp of the exact one.  At
-alpha = 1, t is pushed a block at a time (``_RunningMeans``) by whatever
-makes the blocks: ``cesaro_t``'s own loop, or the checker's one pass over a
-bundle.  Other orders run the kernel over all N terms (``_fractional_t``).
+a compensated product, within about half an ulp of the exact one.  ``_t``
+is t at every order, over all N terms; at alpha = 1 the checker's one pass
+over a bundle instead pushes t a block at a time (``_RunningMeans``), which
+gives the same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -306,12 +306,11 @@ def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
     return _kernel_dot_prefixes(kernel, x) / denom
 
 
-def _fractional_t(a: np.ndarray, alpha: float,
-                  lam: np.ndarray | None = None) -> np.ndarray:
+def _t(a: np.ndarray, alpha: float,
+       lam: np.ndarray | None = None) -> np.ndarray:
     """t_1^alpha .. t_N^alpha of the terms a_1..a_N, or of a_v * lam_v when
-    ``lam`` is given, for alpha other than 1, from the kernel.  A non-finite
-    t raises ``ValueError``, and so does a non-finite a_v * lam_v, with the
-    message ``RealSequence`` gives."""
+    ``lam`` is given.  A non-finite t raises ``ValueError``, and so does a
+    non-finite a_v * lam_v, with the message ``RealSequence`` gives."""
     terms = a if lam is None else a * lam
     if not np.isfinite(terms).all():
         raise ValueError(_NON_FINITE)
@@ -375,15 +374,7 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    a = a.range_view(1, n_last)
-    if alpha != 1.0:
-        return _adopt(1, _fractional_t(a, alpha))
-    t = np.empty(n_last)
-    means, size = _RunningMeans(n_last), accumulation._BLOCK
-    for lo in range(0, n_last, size):
-        hi = min(lo + size, n_last)
-        t[lo:hi] = means.push(np.arange(lo + 1.0, hi + 1.0), a[lo:hi])
-    return _adopt(1, t)
+    return _adopt(1, _t(a.range_view(1, n_last), alpha))
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:

@@ -47,14 +47,13 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import accumulation
 from .accumulation import _PairwiseSum, _SampledSums
-from .cesaro import _fractional_t, _RunningMeans
+from .cesaro import _RunningMeans, _t
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
@@ -212,9 +211,10 @@ class FamilyBundle:
 
     ``lam`` is the factor sequence (serialized under the key "lambda"; the
     Python name avoids the keyword).  Q and delta are only present for the
-    eight-hypothesis theorem.  The checks read every sequence, phi included,
-    a block at a time, so a bundle of generated sequences is never made
-    whole by them; ``values`` and ``phi`` make it whole on first read.
+    eight-hypothesis theorem.  An explicit phi must cover indices 1..N.
+    The checks read every sequence, phi included, a block at a time, so a
+    bundle of generated sequences is never made whole by them; a sequence's
+    ``values`` make it whole on first read.
     """
 
     label: str
@@ -239,16 +239,11 @@ class FamilyBundle:
             if len(seq) != n:
                 raise ValueError(f"bundle sequence {name!r} has length "
                                  f"{len(seq)}, expected {n}")
+        self.weight._require(n)
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """|phi_n| for n = 1..N, made at first use."""
-        return self.weight.phi_values(self.n, self.params.k,
-                                      beta_default=self.params.beta)
 
     def _roles(self) -> dict[str, RealSequence | None]:
         """The sequences whose non-finite values are errors, in the order
@@ -373,7 +368,8 @@ class _Context:
     def of(cls, bundle: FamilyBundle, checkpoints: Sequence[int] | None,
            tolerances: Tolerances | None) -> "_Context":
         """Defaults filled in: the dyadic grid over 1..n, default knobs."""
-        cps = checkpoints or dyadic_checkpoints(bundle.n)
+        cps = (dyadic_checkpoints(bundle.n) if checkpoints is None
+               else checkpoints)
         return cls(bundle=bundle,
                    checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
                    tol=tolerances or Tolerances())
@@ -396,8 +392,8 @@ class _Context:
         size = accumulation._BLOCK
         for lo in range(0, b.n, size):
             hi = min(lo + size, b.n)
-            block = _Block(lo, hi, np.arange(lo + 1.0, hi + 1.0),
-                           b.weight._phi_block(lo, hi, k, beta),
+            n = np.arange(lo + 1.0, hi + 1.0)
+            block = _Block(lo, hi, n, b.weight._phi_block(lo, n, k, beta),
                            **{name: seq._block(lo, hi)
                               for name, seq in roles if name != "phi"})
             for r, (name, _) in enumerate(roles[:failed]):
@@ -551,14 +547,11 @@ def _weight_monotone(ctx: _Context, name: str) -> _Step:
     # (iii) n^(epsilon-k) |phi_n|^k non-increasing
     params = ctx.bundle.params
     eps, k = params.epsilon, params.k
-    first, phi = yield from _relay(
+    first, non_finite = yield from _relay(
         _weight_steps(eps, k, ctx.tol.weight_rel_tol), "phi")
     notes = f"epsilon={eps:.6g}"
-    if first is not None:
-        with np.errstate(all="ignore"):
-            term = np.power(float(first), eps - k) * np.power(phi, k)
-        if not np.isfinite(term):
-            notes += " non-finite value at first_violation"
+    if non_finite:
+        notes += " non-finite value at first_violation"
     return _pass_fail(name, first is None, notes, first)
 
 
@@ -584,10 +577,10 @@ def _means(bundle: FamilyBundle, maximal: bool
         return lambda block: means.push(block.n, block.a, block.lam)
     a = bundle.a._block(0, n)
     if maximal:
-        t = _fractional_t(a, alpha)
+        t = _t(a, alpha)
         np.maximum.accumulate(np.abs(t, out=t), out=t)
     else:
-        t = _fractional_t(a, alpha, bundle.lam._block(0, n))
+        t = _t(a, alpha, bundle.lam._block(0, n))
     return lambda block: t[block.lo:block.hi]
 
 

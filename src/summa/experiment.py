@@ -13,7 +13,9 @@ from the float columns of the traces and the transforms):
 
 ``_csv`` yields a file's bytes a block of ``_CSV_ROWS`` rows at a time,
 each block one ``rendering.render_rows`` call, and ``run`` writes each
-block as it comes: no CSV file's whole text is ever held.
+block as it comes: no CSV file's whole text is ever held.  Each file is
+written under a temporary name and renamed into place once every file is
+written, so a run that cannot write one of them leaves none.
 
 Bundles, builtin or from a config, are made of generated sequences: each
 role (and ``default_majorant``'s Q) makes its values a block at a time,
@@ -27,6 +29,7 @@ would have raised them.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -606,7 +609,8 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     current directory, created only once the run has computed everything
     that can fail, so a run that fails leaves no directory behind.  The
     CSV files render block by block as they are written.  A directory or
-    artifact that cannot be written is a ``ConfigError`` on ``out``.
+    artifact that cannot be written is a ``ConfigError`` on ``out``, and
+    leaves none of the run's files behind.
     Summary goes to standard output unless ``quiet``.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
@@ -619,15 +623,23 @@ def run(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> RunRepor
     files["report.json"] = [json.dumps(report.to_json(), indent=2,
                                        sort_keys=True).encode() + b"\n"]
     # the CSV blocks render as they are written: their columns are finite,
-    # so past this point only the output directory can fail
-    path = out
+    # so past this point only the output directory can fail.  Each file is
+    # renamed into place only once every one is written
+    path, written, placed = out, [], 0
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, blocks in files.items():
-            path = out / name
-            with open(path, "wb") as f:
+            path, tmp = out / name, out / f".{name}.tmp"
+            with open(tmp, "wb") as f:
+                written.append((tmp, path))
                 f.writelines(blocks)
+        for tmp, path in written:
+            tmp.replace(path)
+            placed += 1
     except OSError as e:
+        for i, (tmp, final) in enumerate(written):
+            with contextlib.suppress(OSError):
+                (final if i < placed else tmp).unlink()
         raise ConfigError("out", f"cannot write {path}: {e.strerror or e}"
                           ) from e
 

@@ -85,19 +85,25 @@ class WeightSpec:
         """
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
+        self._require(n_max)
+        return self._phi_block(0, np.arange(1.0, n_max + 1.0), k,
+                               beta_default)
+
+    def _require(self, n_max: int) -> None:
+        """Refuse an explicit phi that stops before index n_max."""
         if self.phi is not None and self.phi.end_index < n_max:
             raise ValueError(f"explicit phi covers only indices up to "
                              f"{self.phi.end_index}, need {n_max}")
-        return self._phi_block(0, n_max, k, beta_default)
 
-    def _phi_block(self, lo: int, hi: int, k: float,
+    def _phi_block(self, lo: int, n: np.ndarray, k: float,
                    beta_default: float = 0.0) -> np.ndarray:
-        """|phi_n| for n = lo + 1..hi, the same bits as those entries of
-        ``phi_values``; an explicit phi is not checked for finiteness."""
+        """|phi_n| for the indices n = lo + 1..lo + n.size, given as the
+        floats n: the same bits as those entries of ``phi_values``; an
+        explicit phi is not checked for finiteness."""
         if self.phi is not None:
             first = self.phi.start_index
-            return np.abs(self.phi._block(lo + 1 - first, hi + 1 - first))
-        n = np.arange(lo + 1.0, hi + 1.0)
+            return np.abs(self.phi._block(lo + 1 - first,
+                                          lo + n.size + 1 - first))
         if self.kind is WeightKind.CLASSIC:
             return np.power(n, 1.0 - 1.0 / k)
         beta = self.beta if self.beta is not None else float(beta_default)

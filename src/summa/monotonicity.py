@@ -10,6 +10,8 @@ in order (``None`` ends them) that carries what the next block needs (the
 last value or two, a running maximum, the first violation) and returns the
 verdict.  The checker's pass over a bundle sends them its blocks; the public
 functions send their whole arrays as one block, which gives the same bits.
+So no check holds an n-long array of its own: the almost-increasing witness
+keeps inf_ratio, not the running maximum it is taken against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Generator
 import numpy as np
 
 from .accumulation import _PairwiseSum
-from .sequences import RealSequence, _adopt
+from .sequences import RealSequence
 
 __all__ = [
     "QuasiMonotoneVerdict",
@@ -136,18 +138,15 @@ def _quasi_monotone_steps(length: int, start: int
 
 @dataclass(frozen=True)
 class AlmostIncreasingWitness:
-    """Sandwich witness A * c_n <= b_n <= B * c_n with c the running max.
+    """Sandwich witness inf_ratio * c_n <= b_n <= c_n, c the running max.
 
-    c is non-decreasing by construction, B = 1 exactly (b_n <= c_n always),
-    and A = inf_ratio = min_n b_n / c_n.  inf_ratio stuck near zero as the
-    range grows is the signature of a sequence that is not almost
-    increasing.
+    c_n = max_(v<=n) b_v is non-decreasing, and inf_ratio = min_n b_n / c_n
+    is the largest constant that fits below; c itself is not kept.
+    inf_ratio stuck near zero as the range grows is the signature of a
+    sequence that is not almost increasing.
     """
 
-    c: RealSequence
     inf_ratio: float
-    A: float
-    B: float
     floor: float
     almost_increasing_at_scale: bool
 
@@ -167,16 +166,8 @@ def almost_increasing_diagnostic(b: RealSequence,
     if bad is not None:
         raise ValueError(f"b must be positive everywhere; first non-positive "
                          f"entry at index {b.start_index + bad}")
-    cvals = np.maximum.accumulate(b.values)
-    # sandwich sanity: b <= c exactly, and inf_ratio * c <= b up to one
-    # rounding of the product
-    assert np.all(b.values <= cvals)
-    assert np.all(inf_ratio * cvals <= b.values * (1.0 + 4.0 * np.finfo(float).eps))
     return AlmostIncreasingWitness(
-        c=_adopt(b.start_index, cvals),
         inf_ratio=inf_ratio,
-        A=inf_ratio,
-        B=1.0,
         floor=float(floor),
         almost_increasing_at_scale=bool(inf_ratio > floor),
     )
@@ -223,13 +214,13 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
 
 def _weight_steps(epsilon: float, k: float, rel_tol: float
                   ) -> Generator[None, np.ndarray | None,
-                                 tuple[int | None, float | None]]:
+                                 tuple[int | None, bool]]:
     """``power_weight_monotonicity_check`` as a block step, sent |phi|'s
-    blocks: returns the first violation and phi there (None, None when
-    there is none).  The last term of a block is carried, and its rise is
-    judged with the next block."""
-    lo, prev, prev_phi = 0, _EMPTY, _EMPTY
-    first = phi_first = None
+    blocks: returns the first violation (None when there is none) and
+    whether the term there is non-finite.  The last term of a block is
+    carried, and its rise is judged with the next block."""
+    lo, prev = 0, _EMPTY
+    first, non_finite = None, False
     while (phi := (yield)) is not None:
         hi, base = lo + phi.size, lo - prev.size
         if first is None:
@@ -251,8 +242,7 @@ def _weight_steps(epsilon: float, k: float, rel_tol: float
             bad[:-1] |= rise > slack
             if np.any(bad):
                 j = int(np.argmax(bad))
-                first = base + j + 1
-                phi_first = np.concatenate((prev_phi, phi))[j]
-            prev, prev_phi = seq[-1:], phi[-1:]
+                first, non_finite = base + j + 1, not np.isfinite(seq[j])
+            prev = seq[-1:]
         lo = hi
-    return first, phi_first
+    return first, non_finite

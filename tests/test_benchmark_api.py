@@ -54,3 +54,26 @@ def test_benchmark_names_exist_and_public_functions_are_exported():
         if inspect.isfunction(value) and not name.startswith("_"):
             assert name in module.__all__, (
                 f"summa.{module_name}.{name} is not in __all__")
+
+
+def traced_modules():
+    """``MODULES`` of perfbench/tracing.py, read from its source."""
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == ["MODULES"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no MODULES")
+
+
+def test_traced_modules_export_only_names_they_define():
+    # the tracer getattr()s every name in each traced module's __all__, so
+    # a stale entry breaks every traced benchmark pass
+    modules = traced_modules()
+    assert "accumulation" in modules and "checker" in modules
+    for module_name in modules:
+        module = importlib.import_module(f"summa.{module_name}")
+        missing = [name for name in module.__all__
+                   if not hasattr(module, name)]
+        assert not missing, f"summa.{module_name}.__all__ names {missing}"

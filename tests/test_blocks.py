@@ -104,8 +104,8 @@ def test_power_weight_phi_blocks_match_whole(weight, exponent):
     whole = np.power(np.arange(1.0, N + 1.0), exponent)
     assert weight.phi_values(N, 1.5, beta_default=0.25).tobytes() \
         == whole.tobytes()
-    assert_blocks_match(lambda lo, hi: weight._phi_block(lo, hi, 1.5, 0.25),
-                        whole)
+    assert_blocks_match(lambda lo, hi: weight._phi_block(
+        lo, np.arange(lo + 1.0, hi + 1.0), 1.5, 0.25), whole)
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -116,8 +116,8 @@ def test_explicit_phi_blocks_match_whole(start):
         weight = WeightSpec(kind=WeightKind.EXPLICIT_PHI, phi=phi)
         whole = np.abs(materialize(spec).values[1 - start:])
         assert weight.phi_values(N, 1.5).tobytes() == whole.tobytes()
-        assert_blocks_match(lambda lo, hi: weight._phi_block(lo, hi, 1.5),
-                            whole)
+        assert_blocks_match(lambda lo, hi: weight._phi_block(
+            lo, np.arange(lo + 1.0, hi + 1.0), 1.5), whole)
 
 
 class TestBlockSequence:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,14 @@ from summa import accumulation, cesaro
 from summa.accumulation import _BLOCK, compensated_cumsum, compensated_sums_at
 from summa.cesaro import cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
-                           FamilyBundle, GrowthVerdict, Tolerances,
-                           check_main_theorem, check_theorem_a,
-                           conclusion_diagnostic, dyadic_checkpoints,
-                           growth_diagnostic)
+                           FamilyBundle, GrowthVerdict, Tolerances, _Context,
+                           _weight_monotone, check_main_theorem,
+                           check_theorem_a, conclusion_diagnostic,
+                           dyadic_checkpoints, growth_diagnostic)
 from summa.experiment import builtin_family, load_config, run
 from summa.functionals import (CheckpointTrace, FunctionalTrace, WeightKind,
                                WeightSpec)
+from summa.monotonicity import _weight_steps
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
@@ -303,9 +305,9 @@ class TestPhiOncePerRun:
         blocks = []
         original = WeightSpec._phi_block
 
-        def counted(self, lo, hi, *args, **kwargs):
-            blocks.append((lo, hi))
-            return original(self, lo, hi, *args, **kwargs)
+        def counted(self, lo, n, *args, **kwargs):
+            blocks.append((lo, lo + n.size))
+            return original(self, lo, n, *args, **kwargs)
 
         monkeypatch.setattr(WeightSpec, "_phi_block", counted)
         return blocks
@@ -347,6 +349,154 @@ class TestFamilyBundle:
                          weight=WeightSpec(kind=WeightKind.CLASSIC),
                          params=CesaroParams())
 
+    @pytest.mark.parametrize("n, length, start", [
+        (100, 50, 1), (100, 99, 1), (100, 60, 0),
+        # ends inside the pass's last block
+        (_BLOCK + 5, _BLOCK + 2, 1)])
+    def test_explicit_phi_must_cover_the_bundle(self, n, length, start):
+        bundle = builtin_family("F1", n)
+        weight = WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                            phi=RealSequence(start, np.ones(length)))
+        end = start + length - 1
+        with pytest.raises(ValueError, match=rf"^explicit phi covers only "
+                           rf"indices up to {end}, need {n}$"):
+            dataclasses.replace(bundle, weight=weight)
+        # the message phi_values gives
+        with pytest.raises(ValueError, match=rf"up to {end}, need {n}$"):
+            weight.phi_values(n, bundle.params.k)
+
+    @pytest.mark.parametrize("length, start", [(100, 1), (101, 0), (150, 1)])
+    def test_explicit_phi_covering_the_bundle(self, length, start):
+        bundle = dataclasses.replace(
+            builtin_family("F1", 100),
+            weight=WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                              phi=RealSequence(start, np.ones(length))))
+        assert [r.condition for r in check_main_theorem(bundle).records] \
+            == list(MAIN_CONDITIONS)
+
+
+class TestCheckpointArgument:
+    """The default grid stands in only for checkpoints=None: an empty grid
+    is refused, and an array is read as the tuple of its values."""
+
+    @staticmethod
+    def bundles(n):
+        main = builtin_family("F1", n)
+        return [(check_main_theorem, main),
+                (check_theorem_a,
+                 dataclasses.replace(main, Q=None, delta=None)),
+                (conclusion_diagnostic, main)]
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([], dtype=int)])
+    def test_empty_grid_is_refused(self, empty):
+        for check, bundle in self.bundles(64):
+            with pytest.raises(ValueError,
+                               match="^at least 4 checkpoints required$"):
+                check(bundle, empty)
+
+    @staticmethod
+    def result(check, bundle, cps):
+        out = check(bundle, cps)
+        if check is conclusion_diagnostic:
+            trace, diag = out
+            return trace.partial_sums.tobytes(), diag.to_json()
+        return out.to_json(), {name: t.partial_sums.tobytes()
+                               for name, t in out.traces.items()}
+
+    @pytest.mark.parametrize("cps", [(8, 16, 32, 64), (1, 5, 9, 40, 63)])
+    def test_array_grid_is_the_tuple(self, cps):
+        for (check, bundle), (_, fresh) in zip(self.bundles(64),
+                                                self.bundles(64)):
+            assert (self.result(check, bundle, np.array(cps))
+                    == self.result(check, fresh, cps))
+
+
+def reference_weight_record(phi, eps, k, rel_tol=1e-12):
+    """weight_monotone's first_violation and notes as they were made from
+    the whole-array check's index, with the term there recomputed in scalar
+    arithmetic to see whether it is finite."""
+    n = np.arange(1.0, phi.size + 1.0)
+    with np.errstate(all="ignore"):
+        seq = np.power(n, eps - k) * np.power(phi, k)
+        rise = seq[1:] - seq[:-1]
+        slack = rel_tol * np.maximum(np.abs(seq[1:]), np.abs(seq[:-1]))
+    bad = ~np.isfinite(seq)
+    bad[:-1] |= rise > slack
+    notes = f"epsilon={eps:.6g}"
+    if not np.any(bad):
+        return None, notes
+    first = int(np.argmax(bad)) + 1
+    with np.errstate(all="ignore"):
+        term = np.power(float(first), eps - k) * np.power(phi[first - 1], k)
+    if not np.isfinite(term):
+        notes += " non-finite value at first_violation"
+    return first, notes
+
+
+def weight_cases(n):
+    """(phi, epsilon, k): finite weights whose powers overflow, rise or
+    turn 0 * inf into NaN, at indices on both sides of block edges."""
+    classic = np.power(np.arange(1.0, n + 1.0), 1.0 - 1.0 / 1.5)
+    cases = [(classic, 1.0, 1.5), (classic * 1e250, 1.0, 1.5),
+             (np.arange(1.0, n + 1.0), 1.0, 1e308)]
+    # offset j is the last of a block of 7 or of _BLOCK, or the first after
+    for j in (6, 7, 13, _BLOCK - 1, _BLOCK, n - 2, n - 1):
+        if j >= n:
+            continue
+        # the term at index j (offset j - 1) rises past its slack into the
+        # next one: a finite term at first_violation
+        rises = classic.copy()
+        rises[j:] *= 1.1
+        # every term from offset j on overflows, so the rise into the first
+        # of them is within its infinite slack: first_violation is offset
+        # j, non-finite, and its successor overflows too
+        overflows = classic.copy()
+        overflows[j:] = 1e250
+        cases += [(rises, 1.0, 1.5), (overflows, 1.0, 1.5)]
+    return cases
+
+
+class TestWeightMonotoneNote:
+    """The record flags a non-finite term at first_violation from the term
+    the block step already computed, as the scalar recompute did."""
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_matches_the_scalar_recompute(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(accumulation, "_BLOCK", block)
+        n = _BLOCK + 3 if block is None else 22
+        flagged = 0
+        for phi, eps, k in weight_cases(n):
+            bundle = dataclasses.replace(
+                builtin_family("F1", n),
+                weight=WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                                  phi=RealSequence(1, phi)),
+                params=CesaroParams(k=k, epsilon=eps))
+            ctx = _Context.of(bundle, None, None)
+            [record] = ctx.run((("weight_monotone", _weight_monotone),))
+            want = reference_weight_record(phi, eps, k)
+            assert (record.first_violation, record.notes) == want
+            flagged += "non-finite" in want[1]
+        assert flagged >= 3
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_block_step_on_non_finite_weights(self, block):
+        phis = [np.array([1.0, np.inf, 1.0, 1.0]),
+                np.array([np.nan, 1.0, 1.0]),
+                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf]),
+                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.1, np.nan]),
+                np.arange(1.0, 30.0)]
+        for phi in phis:
+            for eps, k in ((1.0, 1.0), (1.0, 1.5), (1.0, 1e308)):
+                first, notes = reference_weight_record(phi, eps, k)
+                steps = _weight_steps(eps, k, 1e-12)
+                next(steps)
+                for lo in range(0, phi.size, block):
+                    steps.send(phi[lo:lo + block])
+                with pytest.raises(StopIteration) as done:
+                    steps.send(None)
+                assert done.value.value == (first, "non-finite" in notes)
+
 
 def full_array_t(a, alpha):
     """t_1^alpha .. t_N^alpha of the terms a_1..a_N by the full-array
@@ -370,7 +520,8 @@ class TestStreamedTraces:
     @staticmethod
     def assert_traces_match(n, alpha):
         bundle = builtin_family("F1", n, {"alpha": alpha})
-        phi, k = bundle.phi, bundle.params.k
+        k = bundle.params.k
+        phi = bundle.weight.phi_values(n, k, beta_default=bundle.params.beta)
         for cps in (None, (1, 2, 3, n // 2 + 1)):
             grid = cps or dyadic_checkpoints(n)
             t = full_array_t(bundle.a.values, alpha)

@@ -372,7 +372,11 @@ def test_t_overflow_past_the_last_checkpoint(monkeypatch, config, block):
     # report.json is a directory: written last, after the trace CSVs
     (["run", "{config}", "--out={tmp}/out"], "out/report.json",
      "cannot write {tmp}/out/report.json: Is a directory"),
-], ids=["out_is_a_file", "parent_is_a_file", "report_is_a_directory"])
+    # a trace CSV is a directory, with another trace CSV before it
+    (["run", "{config}", "--out={tmp}/out"], "out/trace_cond11.csv",
+     "cannot write {tmp}/out/trace_cond11.csv: Is a directory"),
+], ids=["out_is_a_file", "parent_is_a_file", "report_is_a_directory",
+        "trace_is_a_directory"])
 def test_unusable_output_is_a_config_error(argv, blocked, message):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -382,9 +386,12 @@ def test_unusable_output_is_a_config_error(argv, blocked, message):
             (Path(tmp) / "file").write_text("")
         else:
             (Path(tmp) / blocked).mkdir(parents=True)
+        before = sorted(Path(tmp).rglob("*"))
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main([a.format(config=config, tmp=tmp) for a in argv])
+        # no file of the run is left, not even a temporary one
+        assert sorted(Path(tmp).rglob("*")) == before
     assert code == 2
     assert stderr.getvalue() == (
         f"config error: out: {message.format(tmp=tmp)}\n")
