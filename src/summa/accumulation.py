@@ -216,7 +216,8 @@ def _pairwise(length: int) -> Generator[int, float, float]:
 class _PairwiseSum:
     """``np.sum(values[start:start + length])``, bit for bit, from the values
     pushed a block at a time (``push(lo, block)`` with block holding
-    values[lo:lo + block.size], blocks in order and contiguous).  A leaf
+    values[lo:lo + block.size], blocks in order, each starting at or before
+    the first value not yet pushed; values pushed twice count once).  A leaf
     that spans blocks is copied together; ``total`` is set once the range
     has been pushed."""
 

@@ -295,12 +295,16 @@ def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
         out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
 
     At alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so the
-    numerator is a compensated cumulative sum; every other alpha is
-    checked by ``cesaro_coefficients`` before the kernel runs.
+    numerator is a compensated cumulative sum, divided in place a block of
+    indices at a time; every other alpha is checked by
+    ``cesaro_coefficients`` before the kernel runs.
     """
     if alpha == 1.0:
-        return compensated_cumsum(x) / np.arange(first + 1.0,
-                                                 first + x.size + 1.0)
+        out = compensated_cumsum(x)
+        for lo in range(0, out.size, accumulation._BLOCK):
+            part = out[lo:lo + accumulation._BLOCK]
+            part /= np.arange(first + lo + 1.0, first + lo + part.size + 1.0)
+        return out
     denom = cesaro_coefficients(alpha, first + x.size - 1)[first:]
     kernel = _binomial_weights(alpha - 1.0, x.size - 1)
     return _kernel_dot_prefixes(kernel, x) / denom

@@ -20,10 +20,11 @@ Each theorem is one ordered table of (condition, record builder) pairs;
 MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  A check
 is one pass over the bundle in blocks of ``accumulation._BLOCK`` indices
 (``_Context.run``): each block of a, lambda, X, Q, delta and phi is made
-once, from the role's own block source, and sent to every builder, a
-generator that carries what the next block needs (the last value or two, a
-running maximum, compensated sums sampled at the checkpoints, the first
-violation) and returns its record when the blocks end.  The conclusion's
+once, from the role's own block source, as a window from two indices
+before the block, which holds every difference across its edge.  The block
+goes to every builder, a generator that carries only what no window holds
+(a running maximum, sampled compensated sums, the first violation) and
+returns its record when the blocks end.  The conclusion's
 trace rides in the same pass and is kept on the bundle for
 ``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
 fractional orders gather a and a_n * lambda_n whole for the kernel.
@@ -311,7 +312,8 @@ def _pass_fail(condition: str, passed: bool, notes: str,
 class _Block(NamedTuple):
     """One block of a pass: indices lo + 1..hi, as the floats n, and those
     values of every role (Q and delta None when the bundle has none), phi
-    as |phi_n|."""
+    as |phi_n|: views into ``window``, the same fields from index
+    max(lo - 2, 0) + 1, which holds every difference that ends here."""
 
     lo: int
     hi: int
@@ -322,11 +324,11 @@ class _Block(NamedTuple):
     X: np.ndarray
     Q: np.ndarray | None = None
     delta: np.ndarray | None = None
+    window: "_Block | None" = None
 
 # a record builder: sent the pass's blocks, then None; returns the record
 _Step = Generator[None, "_Block | None", object]
 _LIVE = object()
-_EMPTY = np.empty(0)
 
 
 def _advance(step: _Step, block: _Block | None) -> object:
@@ -376,9 +378,9 @@ class _Context:
 
     def run(self, table) -> list:
         """One pass over the bundle: each builder's record, or the exception
-        it raised.  Each role block is made once, checked and sent to every
-        builder still running; a role's non-finite value is raised once
-        every block has been read."""
+        it raised.  Each block's window of every role is made once, its
+        block checked and sent to every builder still running; a role's
+        non-finite value is raised once every block has been read."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
@@ -391,11 +393,14 @@ class _Context:
         k, beta = b.params.k, b.params.beta
         size = accumulation._BLOCK
         for lo in range(0, b.n, size):
-            hi = min(lo + size, b.n)
-            n = np.arange(lo + 1.0, hi + 1.0)
-            block = _Block(lo, hi, n, b.weight._phi_block(lo, n, k, beta),
-                           **{name: seq._block(lo, hi)
-                              for name, seq in roles if name != "phi"})
+            hi, start = min(lo + size, b.n), max(lo - 2, 0)
+            n = np.arange(start + 1.0, hi + 1.0)
+            window = _Block(start, hi, n,
+                            b.weight._phi_block(start, n, k, beta),
+                            **{name: seq._block(start, hi)
+                               for name, seq in roles if name != "phi"})
+            block = _Block(lo, hi, *(None if v is None else v[lo - start:]
+                                     for v in window[2:-1]), window)
             for r, (name, _) in enumerate(roles[:failed]):
                 if not np.isfinite(getattr(block, name)).all():
                     failed = r
@@ -430,12 +435,12 @@ class _Context:
 
 
 def _relay(steps: Generator, *roles: str):
-    """Send a monotonicity block step the named roles of each block (one
-    array, or a tuple of them); return its verdict."""
+    """Send a monotonicity block step each block's window: its indices n
+    and the named roles; return its verdict."""
     next(steps)
     while (block := (yield)) is not None:
-        parts = tuple(getattr(block, role) for role in roles)
-        steps.send(parts if len(parts) > 1 else parts[0])
+        w = block.window
+        steps.send((w.n, *(getattr(w, role) for role in roles)))
     try:
         steps.send(None)
     except StopIteration as done:
@@ -445,22 +450,21 @@ def _relay(steps: Generator, *roles: str):
 def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
     bad, inf_ratio = yield from _relay(_inf_ratio_steps(), "X")
     if bad is not None:
-        return _pass_fail(name, False, "X must be positive", bad + 1)
+        return _pass_fail(name, False, "X must be positive", bad)
     floor = ctx.tol.inf_ratio_floor
     return _pass_fail(name, inf_ratio > floor,
                       f"inf_ratio={inf_ratio:.6g} floor={floor:.6g}")
 
 
 def _x_non_decreasing(ctx: _Context, name: str) -> _Step:
-    first, prev = None, _EMPTY
+    first = None
     while (block := (yield)) is not None:
         if first is None:
-            X = np.concatenate((prev, block.X))
-            bad = block.X <= 0.0
-            bad[bad.size - (X.size - 1):] |= X[1:] < X[:-1]
+            w = block.window
+            bad = w.X <= 0.0
+            bad[1:] |= w.X[1:] < w.X[:-1]
             if np.any(bad):
-                first = block.lo + 1 + int(np.argmax(bad))
-            prev = X[-1:]
+                first = int(w.n[np.argmax(bad)])
     return _pass_fail(name, first is None, "X positive and non-decreasing",
                       first)
 
@@ -480,22 +484,19 @@ def _cond7(ctx: _Context, name: str) -> _Step:
 
 def _majorant(ctx: _Context, name: str) -> _Step:
     # |D lambda| <= |Q| on every index where the difference exists
-    first, non_finite, lam, Q = None, False, _EMPTY, _EMPTY
+    first, non_finite = None, False
     while (block := (yield)) is not None:
         if first is not None:
             continue
-        base = block.lo - lam.size  # offset of the first value below
-        lam = np.concatenate((lam, block.lam))
-        Q = np.concatenate((Q, block.Q))
+        w = block.window
         with np.errstate(over="ignore"):
-            dlam = np.abs(lam[:-1] - lam[1:])
-        qhead = np.abs(Q[:-1])
+            dlam = np.abs(w.lam[:-1] - w.lam[1:])
+        qhead = np.abs(w.Q[:-1])
         bad = ~(np.isfinite(dlam) & np.isfinite(qhead))
         mask = (dlam > qhead) | bad
         if np.any(mask):
             j = int(np.argmax(mask))
-            first, non_finite = base + j + 1, bool(bad[j])
-        lam, Q = lam[-1:], Q[-1:]
+            first, non_finite = int(w.n[j]), bool(bad[j])
     notes = f"checked indices 1..{ctx.bundle.n - 1}"
     if non_finite:
         notes += " non-finite value at first_violation"
@@ -527,18 +528,15 @@ def _series_nqx(ctx: _Context, name: str) -> _Step:
 
 
 def _cond8(ctx: _Context, name: str) -> _Step:
-    # (ii) sum of v * X_v * |D^2 lambda_v| over v = 1..N-2, own dyadic grid
+    # (ii) sum of v * X_v * |D^2 lambda_v| over v = 1..N-2, own dyadic grid;
+    # each window's second differences are those that end in its block
     size = ctx.bundle.n - 2
     cps = dyadic_checkpoints(size)
-    sums, lam, X = _SampledSums(cps), _EMPTY, _EMPTY
+    sums = _SampledSums(cps)
     while (block := (yield)) is not None:
-        base = block.lo - lam.size  # offset of the first value below
-        lam = np.concatenate((lam, block.lam))
-        X = np.concatenate((X, block.X))
-        d2 = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
-        sums.push(np.arange(base + 1.0, base + 1.0 + d2.size)
-                  * X[:d2.size] * np.abs(d2))
-        lam, X = lam[-2:], X[-2:]
+        w = block.window
+        d2 = w.lam[:-2] - 2.0 * w.lam[1:-1] + w.lam[2:]
+        sums.push(w.n[:-2] * w.X[:-2] * np.abs(d2))
     return ctx.partial_sum_record(
         name, sums.sums, cps, notes=f"second differences over 1..{size}")
 

@@ -5,11 +5,11 @@ on the stored prefix and is explicit about that in its field names
 (``holds_on_range``, ``almost_increasing_at_scale``).  Differences follow
 the package convention  (D b)_n = b_n - b_(n+1).
 
-Each check is a private block step: a generator sent the sequence's blocks
-in order (``None`` ends them) that carries what the next block needs (the
-last value or two, a running maximum, the first violation) and returns the
-verdict.  The checker's pass over a bundle sends them its blocks; the public
-functions send their whole arrays as one block, which gives the same bits.
+Each check is a private block step: a generator sent windows in order
+(``None`` ends them), the indices n as floats and the values there, that
+returns the verdict.  The checker's pass sends each block with the two
+values before it, so a step carries only a running maximum, sums or the
+first violation; the public functions send one window, with the same bits.
 So no check holds an n-long array of its own: the almost-increasing witness
 keeps inf_ratio, not the running maximum it is taken against.
 """
@@ -33,13 +33,12 @@ __all__ = [
     "power_weight_monotonicity_check",
 ]
 
-_EMPTY = np.empty(0)
 
-
-def _drive(steps: Generator, block):
-    """Send ``block`` to a block step as its only block; return its verdict."""
+def _drive(steps: Generator, start: int, *values: np.ndarray):
+    """The verdict of a block step sent ``values`` from index ``start``."""
     next(steps)
-    steps.send(block)
+    steps.send((np.arange(start, start + values[0].size, dtype=np.float64),
+                *values))
     try:
         steps.send(None)
     except StopIteration as done:
@@ -80,49 +79,44 @@ def quasi_monotone_check(b: RealSequence, delta: RealSequence) -> QuasiMonotoneV
                          f"[{delta.start_index}, {delta.end_index}]")
     # delta_N is never read: the last difference is at index N - 1
     dvals = np.append(delta.range_view(lo, hi), 1.0)
-    return _drive(_quasi_monotone_steps(len(b), lo), (b.values, dvals))
+    return _drive(_quasi_monotone_steps(len(b), lo), lo, b.values, dvals)
 
 
 def _quasi_monotone_steps(length: int, start: int
                           ) -> Generator[None, tuple | None,
                                          QuasiMonotoneVerdict]:
-    """``quasi_monotone_check`` as a block step, sent (b, delta) blocks
-    aligned on b's ``length`` values from index ``start``.  The trend means
-    are np.mean's bits (``_PairwiseSum``); a non-positive delta raises when
-    its block comes."""
+    """``quasi_monotone_check`` as a block step, sent (n, b, delta)
+    windows of b's ``length`` values from index ``start``.  The trend means
+    are np.mean's bits (``_PairwiseSum``); a non-positive delta raises
+    with the first window that holds b's difference at its index."""
     quarter = length // 4
     head = _PairwiseSum(0, quarter)
     tail = _PairwiseSum(length - quarter, quarter)
-    lo, prev_b, prev_d = 0, _EMPTY, _EMPTY
     first_violation = last_not_positive = None
-    while (blocks := (yield)) is not None:
-        b, d = blocks
-        base = start + lo - prev_b.size  # index of the first carried value
-        eb, dvals = np.concatenate((prev_b, b)), np.concatenate((prev_d, d))
-        dvals = dvals[:-1]
-        if np.any(dvals <= 0.0):
-            bad = base + int(np.argmax(dvals <= 0.0))
+    while (window := (yield)) is not None:
+        n, b, d = window
+        if np.any(d[:-1] <= 0.0):
+            bad = int(n[np.argmax(d[:-1] <= 0.0)])
             raise ValueError(f"delta must be positive everywhere; first "
                              f"non-positive entry at index {bad}")
-        bad_mask = eb[:-1] - eb[1:] < -dvals
+        bad_mask = b[:-1] - b[1:] < -d[:-1]
         if first_violation is None and np.any(bad_mask):
-            first_violation = base + int(np.argmax(bad_mask))
+            first_violation = int(n[np.argmax(bad_mask)])
         not_pos = np.nonzero(~(b > 0.0))[0]
         if not_pos.size:
-            last_not_positive = lo + int(not_pos[-1])
+            last_not_positive = int(n[not_pos[-1]])
         mags = np.abs(b)
-        head.push(lo, mags)
-        tail.push(lo, mags)
-        prev_b, prev_d = b[-1:], d[-1:]
-        lo += b.size
+        offset = int(n[0]) - start
+        head.push(offset, mags)
+        tail.push(offset, mags)
 
     if last_not_positive is None:
         positivity_from = start
-    elif last_not_positive == length - 1:
+    elif last_not_positive == start + length - 1:
         positivity_from = None
     else:
         # first index of the longest all-positive suffix
-        positivity_from = start + last_not_positive + 1
+        positivity_from = last_not_positive + 1
 
     trend_ratio = None
     if quarter >= 1:
@@ -160,12 +154,13 @@ def almost_increasing_diagnostic(b: RealSequence,
     zero at every scale, so any fixed positive floor eventually separates
     the two classes.
     """
-    if not (isinstance(floor, (int, float)) and math.isfinite(floor) and floor > 0.0):
+    if (isinstance(floor, bool) or not isinstance(floor, (int, float))
+            or not (math.isfinite(floor) and floor > 0.0)):
         raise ValueError("floor must be a positive finite number")
-    bad, inf_ratio = _drive(_inf_ratio_steps(), b.values)
+    bad, inf_ratio = _drive(_inf_ratio_steps(), b.start_index, b.values)
     if bad is not None:
         raise ValueError(f"b must be positive everywhere; first non-positive "
-                         f"entry at index {b.start_index + bad}")
+                         f"entry at index {bad}")
     return AlmostIncreasingWitness(
         inf_ratio=inf_ratio,
         floor=float(floor),
@@ -173,22 +168,25 @@ def almost_increasing_diagnostic(b: RealSequence,
     )
 
 
-def _inf_ratio_steps() -> Generator[None, np.ndarray | None,
+def _inf_ratio_steps() -> Generator[None, tuple | None,
                                     tuple[int | None, float]]:
-    """Block step sent b's blocks: returns the offset of the first
+    """Block step sent (n, b) windows: returns the index of the first
     non-positive value (None when all are positive) and, if there is none,
     inf_ratio, the least b_n / max_(v<=n) b_v, with the running max
-    carried from block to block."""
-    lo, peak, low, bad = 0, -np.inf, np.inf, None
-    while (b := (yield)) is not None:
+    carried from window to window.  A window's values at indices already
+    seen are skipped."""
+    last, peak, low, bad = -np.inf, -np.inf, np.inf, None
+    while (window := (yield)) is not None:
+        n, b = window
+        fresh = int(np.searchsorted(n, last, side="right"))
+        n, b, last = n[fresh:], b[fresh:], n[-1]
         if bad is None and np.any(b <= 0.0):
-            bad = lo + int(np.argmax(b <= 0.0))
+            bad = int(n[np.argmax(b <= 0.0)])
         elif bad is None:
             c = np.maximum.accumulate(b)
             np.maximum(c, peak, out=c)
             peak = c[-1]
             low = min(low, float(np.min(b / c)))
-        lo += b.size
     return bad, low
 
 
@@ -205,34 +203,33 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 1 or phi.size < 2:
         raise ValueError("need at least two weight values")
+    if not all(math.isfinite(v) for v in (epsilon, k, rel_tol)):
+        raise ValueError("epsilon, k and rel_tol must be finite")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if k < 1.0:
         raise ValueError("k must be at least 1")
-    return _drive(_weight_steps(epsilon, k, rel_tol), phi)[0]
+    return _drive(_weight_steps(epsilon, k, rel_tol), 1, phi)[0]
 
 
 def _weight_steps(epsilon: float, k: float, rel_tol: float
-                  ) -> Generator[None, np.ndarray | None,
+                  ) -> Generator[None, tuple | None,
                                  tuple[int | None, bool]]:
-    """``power_weight_monotonicity_check`` as a block step, sent |phi|'s
-    blocks: returns the first violation (None when there is none) and
-    whether the term there is non-finite.  The last term of a block is
-    carried, and its rise is judged with the next block."""
-    lo, prev = 0, _EMPTY
+    """``power_weight_monotonicity_check`` as a block step, sent (n, |phi|)
+    windows: returns the first violation (None when there is none) and
+    whether the term there is non-finite.  A term's rise into the next is
+    judged in the first window that holds both."""
     first, non_finite = None, False
-    while (phi := (yield)) is not None:
-        hi, base = lo + phi.size, lo - prev.size
+    while (window := (yield)) is not None:
         if first is None:
-            # float arrays of the block's length, reused in place
+            n, phi = window
+            # float arrays of the window's length, reused in place
             with np.errstate(all="ignore"):
-                seq = np.arange(lo + 1.0, hi + 1.0)
-                np.power(seq, epsilon - k, out=seq)
+                seq = np.power(n, epsilon - k)
                 tmp = np.abs(phi)
                 np.power(tmp, k, out=tmp)
                 seq *= tmp
-                seq = np.concatenate((prev, seq))
-                tmp = np.abs(seq)
+                np.abs(seq, out=tmp)
                 slack = np.maximum(tmp[1:], tmp[:-1])
                 slack *= rel_tol
                 rise = np.subtract(seq[1:], seq[:-1], out=tmp[:-1])
@@ -242,7 +239,5 @@ def _weight_steps(epsilon: float, k: float, rel_tol: float
             bad[:-1] |= rise > slack
             if np.any(bad):
                 j = int(np.argmax(bad))
-                first, non_finite = base + j + 1, not np.isfinite(seq[j])
-            prev = seq[-1:]
-        lo = hi
+                first, non_finite = int(n[j]), not np.isfinite(seq[j])
     return first, non_finite

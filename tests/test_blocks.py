@@ -242,10 +242,10 @@ def _reports(bundle, check):
     return report.to_json(), conclusion.to_json(), traces
 
 
-@pytest.mark.parametrize("block", [1, 3, 8, 100])
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 100])
 def test_records_do_not_depend_on_the_block_size(monkeypatch, block):
-    # the pass's carried state (last values, running maxima, first
-    # violations, sampled sums, pairwise leaves) joins blocks seamlessly
+    # the pass's windows and carried state (running maxima, first
+    # violations, sampled sums, pairwise leaves) join blocks seamlessly
     n = 3 * 100 + 7
     bundle = _bundle_with_violations(n)
     whole = _reports(bundle, check_main_theorem)
@@ -265,6 +265,54 @@ def test_records_do_not_depend_on_the_block_size(monkeypatch, block):
         == whole_a
 
 
+def _bundle_with_violations_at(n, p):
+    """A main-theorem bundle whose element-wise records first fail at
+    index p: X dips, |D lambda| beats Q, Q rises past delta and the weight
+    term rises there, and lambda_p is raised so that D^2 lambda is large
+    at p - 2..p."""
+    idx = np.arange(1.0, n + 1.0)
+    X = np.log(idx + 2.0)
+    X[p - 1] *= 0.5
+    lam = np.power(idx + 2.0, -2.0)
+    lam[p - 1] += 1e-4
+    Q = np.abs(lam - np.append(lam[1:], 0.0)) + np.power(idx + 1.0, -3.0)
+    Q[p - 1] = 1e-12
+    Q[p] = Q[p - 1] + 1.0
+    phi = np.power(idx, 1.0 - 1.0 / 1.5)
+    phi[p] *= 1.5
+    seq = lambda values: RealSequence(1, values)  # noqa: E731
+    return FamilyBundle(label="seam", a=seq(np.cos(idx)), lam=seq(lam),
+                        X=seq(X), Q=seq(Q),
+                        delta=seq(np.power(idx + 1.0, -1.5)),
+                        weight=WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                                          phi=seq(phi)),
+                        params=CesaroParams(alpha=1.0, k=1.5))
+
+
+@pytest.mark.parametrize("p", [99, 100, 101])
+def test_violations_at_a_window_seam(monkeypatch, p):
+    # with blocks of 100, the block of indices 101..200 is read with 99 and
+    # 100 before it: a violation on either window value or on the block's
+    # first index is found once, at its own index
+    n = 3 * 100 + 7
+    main = _reports(_bundle_with_violations_at(n, p), check_main_theorem)
+    first = {r["condition"]: r["first_violation"] for r in main[0]["records"]}
+    assert (first["majorant"], first["quasi_monotone"],
+            first["weight_monotone"]) == (p, p, p)
+    theorem_a = dataclasses.replace(_bundle_with_violations_at(n, p),
+                                    Q=None, delta=None)
+    whole_a = _reports(theorem_a, check_theorem_a)
+    first = {r["condition"]: r["first_violation"]
+             for r in whole_a[0]["records"]}
+    assert (first["X_class"], first["weight_monotone"]) == (p, p)
+    monkeypatch.setattr(accumulation, "_BLOCK", 100)
+    assert _reports(_bundle_with_violations_at(n, p),
+                    check_main_theorem) == main
+    assert _reports(dataclasses.replace(_bundle_with_violations_at(n, p),
+                                        Q=None, delta=None),
+                    check_theorem_a) == whole_a
+
+
 @pytest.mark.parametrize("size", [1000, _BLOCK])
 def test_quasi_monotone_trend_over_pairwise_leaves(size):
     # quarters longer than a pairwise leaf: np.mean's bits from blocks
@@ -275,10 +323,14 @@ def test_quasi_monotone_trend_over_pairwise_leaves(size):
     quarter = n // 4
     expect = (float(np.mean(np.abs(b[-quarter:])))
               / float(np.mean(np.abs(b[:quarter]))))
+    idx = np.arange(1.0, n + 1.0)
     steps = _quasi_monotone_steps(n, 1)
     next(steps)
+    # windows as the pass sends them: each block with the two values
+    # before it, which the pairwise leaves must not count twice
     for lo in range(0, n, size):
-        steps.send((b[lo:lo + size], delta[lo:lo + size]))
+        start, hi = max(lo - 2, 0), lo + size
+        steps.send((idx[start:hi], b[start:hi], delta[start:hi]))
     with pytest.raises(StopIteration) as done:
         steps.send(None)
     verdict = done.value.value

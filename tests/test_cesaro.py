@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summa import cesaro
+from summa.accumulation import compensated_cumsum
 from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
                           _round_rows, cesaro_coefficients, cesaro_sigma,
                           cesaro_t, w_sequence)
@@ -155,6 +157,29 @@ class TestT:
         b = cesaro_t(RealSequence(1, 2.0 * u), 0.5).values
         combo = cesaro_t(RealSequence(1, c1 * u + c2 * (2.0 * u)), 0.5).values
         assert np.allclose(combo, c1 * a + c2 * b, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("transform", ["sigma", "t"])
+def test_alpha_one_means_divide_in_place(transform):
+    # the compensated sums are divided a block of indices at a time, into
+    # the result: the terms and the result are the only n-long arrays, and
+    # the bits are those of one whole-array division
+    a = RealSequence(0, 1.0 - 2.0 * (np.arange((1 << 20) + 1) & 1))
+    fn = cesaro_sigma if transform == "sigma" else cesaro_t
+    tracemalloc.start()
+    try:
+        out = fn(a, 1.0).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.nbytes, (peak, out.nbytes)
+    if transform == "sigma":
+        sums = compensated_cumsum(compensated_cumsum(a.values))
+        want = sums / np.arange(1.0, a.values.size + 1.0)
+    else:
+        terms = a.values[1:] * np.arange(1.0, a.values.size)
+        want = compensated_cumsum(terms) / np.arange(2.0, a.values.size + 1.0)
+    assert out.tobytes() == want.tobytes()
 
 
 class TestTermIdentity:

@@ -298,7 +298,8 @@ class TestConclusionDiagnostic:
 
 class TestPhiOncePerRun:
     """The check records and the conclusion share one pass over the bundle,
-    which makes each block of phi once."""
+    which makes phi once for each block, over the block's window: the
+    block with the two indices before it."""
 
     @pytest.fixture
     def phi_blocks(self, monkeypatch):
@@ -314,7 +315,8 @@ class TestPhiOncePerRun:
 
     @staticmethod
     def once_each(n):
-        return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+        return [(max(lo - 2, 0), min(lo + _BLOCK, n))
+                for lo in range(0, n, _BLOCK)]
 
     def test_check_and_conclusion(self, phi_blocks):
         n = 2 * _BLOCK + 5
@@ -491,8 +493,12 @@ class TestWeightMonotoneNote:
                 first, notes = reference_weight_record(phi, eps, k)
                 steps = _weight_steps(eps, k, 1e-12)
                 next(steps)
+                n = np.arange(1.0, phi.size + 1.0)
+                # windows as the pass sends them: each block with the two
+                # values before it
                 for lo in range(0, phi.size, block):
-                    steps.send(phi[lo:lo + block])
+                    start, hi = max(lo - 2, 0), lo + block
+                    steps.send((n[start:hi], phi[start:hi]))
                 with pytest.raises(StopIteration) as done:
                     steps.send(None)
                 assert done.value.value == (first, "non-finite" in notes)

@@ -101,6 +101,12 @@ class TestAlmostIncreasing:
         with pytest.raises(ValueError):
             almost_increasing_diagnostic(_seq([1.0, 2.0]), floor=0.0)
 
+    @pytest.mark.parametrize("floor", [True, False])
+    def test_boolean_floor_refused(self, floor):
+        # True is not the floor 1.0
+        with pytest.raises(ValueError, match="floor must be a positive"):
+            almost_increasing_diagnostic(_seq([1.0, 2.0]), floor=floor)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.001, 1000), min_size=2, max_size=100),
            st.floats(0.01, 100))
@@ -148,6 +154,16 @@ class TestPowerWeightMonotonicity:
         with pytest.raises(ValueError):
             power_weight_monotonicity_check(np.ones(5), 1.0, 0.5)
 
+    @pytest.mark.parametrize("epsilon, k, rel_tol", [
+        (math.nan, 1.5, 1e-12), (math.inf, 1.5, 1e-12),
+        (1.0, math.nan, 1e-12), (1.0, math.inf, 1e-12),
+        (1.0, 1.5, math.nan), (1.0, 1.5, math.inf)])
+    def test_non_finite_parameters_refused(self, epsilon, k, rel_tol):
+        # not the "violation" at index 2 that NaN arithmetic reports
+        phi = np.power(np.arange(1.0, 6.0), 1.0 - 1.0 / 1.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            power_weight_monotonicity_check(phi, epsilon, k, rel_tol)
+
 
 def reference_power_weight_monotonicity_check(phi, epsilon, k, rel_tol=1e-12):
     """The check as first written, one fresh array per step: the reference
@@ -155,6 +171,8 @@ def reference_power_weight_monotonicity_check(phi, epsilon, k, rel_tol=1e-12):
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 1 or phi.size < 2:
         raise ValueError("need at least two weight values")
+    if not all(math.isfinite(v) for v in (epsilon, k, rel_tol)):
+        raise ValueError("epsilon, k and rel_tol must be finite")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if k < 1.0:
