@@ -43,6 +43,20 @@ The same loop also runs pushed: ``_Neumaier`` and ``_SampledSums`` take
 their terms a block at a time from a caller that makes the blocks, as the
 checker's one pass over a bundle does, and ``_PairwiseSum`` gives what
 ``np.sum`` gives over a range of values that arrive in blocks.
+
+A pushed accumulator carries one chain of sums or two independent ones
+(lanes), by the shape of its buffers: (m,) for one lane, (m, 2) for two,
+lane j in column j.  The two scans of a two-lane block run once each, on
+the buffer viewed as m complex128 values: numpy adds complex numbers as two
+float additions, real part to real part and imaginary to imaginary, with no
+rescaling or special case at zeros, infinities or NaN, so each lane gets
+the bits of its own float scan (pinned in ``tests/test_accumulation.py``).
+Only addition is componentwise: complex multiplication mixes the parts
+(0 * inf, signed zeros), so every other step runs on the float view.  A
+block is redone in both lanes when either lane's compensation comes out
+non-finite.  That is bit-safe: a lane whose compensation stays finite had
+only finite TwoSum steps, on which the redo gives the same bits.  The
+scans are latency-bound, so two lanes cost little more than one.
 """
 
 from __future__ import annotations
@@ -57,32 +71,50 @@ __all__ = ["compensated_cumsum", "compensated_sums_at"]
 # no faster
 _BLOCK = 1 << 14
 
+
+def _lane_buffer(size: int, lanes: int) -> np.ndarray:
+    """An empty buffer of ``size`` values in each of ``lanes`` (1 or 2)
+    lanes: shape (size,) for one lane, (size, 2) for two."""
+    return np.empty((size,) if lanes == 1 else (size, lanes))
+
+
+def _lanes(buf: np.ndarray) -> list[np.ndarray]:
+    """The lanes of a block buffer, each a 1-D view: a 1-D buffer is one
+    lane, an (m, 2) buffer two, lane j its column j."""
+    return [buf] if buf.ndim == 1 else list(buf.T)
+
+
 class _Neumaier:
     """The loop's running sums, fed a block of at most ``size`` terms at a
-    time; the total and the compensation carry from block to block."""
+    time in each of ``lanes`` (1 or 2) independent chains; the total and
+    the compensation carry from block to block."""
 
-    def __init__(self, size: int) -> None:
-        self._running = np.empty(size + 1)
-        self._comp = np.empty(size + 1)
-        self._spare = np.empty(size)
+    def __init__(self, size: int, lanes: int = 1) -> None:
+        self._running = _lane_buffer(size + 1, lanes)
+        self._comp = _lane_buffer(size + 1, lanes)
+        self._spare = _lane_buffer(size, lanes)
         self._running[0] = self._comp[0] = 0.0
         self._m = 0
+        # what np.add.accumulate scans: two lanes as one complex128 array
+        self._scans = [buf if lanes == 1 else buf.view(np.complex128)[:, 0]
+                       for buf in (self._running, self._comp)]
 
     def push(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(total, comp)`` after each term of x: ``total[j]`` and
-        ``comp[j]`` are the loop's running sum and running compensation
-        after term j of this block, so the compensated prefix sum is
-        ``total[j] + comp[j]``.  Both are views into buffers that the next
-        push overwrites."""
-        m, running, comp = x.size, self._running, self._comp
+        """``(total, comp)`` after each term of x, x of shape (m,) for one
+        lane and (m, 2) for two: ``total[j]`` and ``comp[j]`` are the
+        loop's running sum and running compensation after term j of this
+        block, so the compensated prefix sum is ``total[j] + comp[j]``.
+        Both are views into buffers that the next push overwrites."""
+        m, running, comp = len(x), self._running, self._comp
         running[0], comp[0] = running[self._m], comp[self._m]
         self._m = m
         run, err, back = running[:m + 1], comp[1:m + 1], self._spare[:m]
+        scan_run, scan_comp = (s[:m + 1] for s in self._scans)
         with np.errstate(invalid="ignore", over="ignore"):
             # run[0] is the total before this block and run[j + 1] the
             # loop's `total` after term j
             run[1:] = x
-            np.add.accumulate(run, out=run)
+            np.add.accumulate(scan_run, out=scan_run)
             prev, total = run[:-1], run[1:]
             # TwoSum: back = total - prev, err = (prev - (total - back))
             # + (x - back)
@@ -91,13 +123,24 @@ class _Neumaier:
             np.subtract(prev, err, out=err)
             np.subtract(x, back, out=back)
             err += back
-            np.add.accumulate(comp[:m + 1], out=comp[:m + 1])
-            if not np.isfinite(comp[m]):
+            np.add.accumulate(scan_comp, out=scan_comp)
+            if not np.isfinite(comp[m]).all():
                 # a step met an overflow, an inf or a NaN: redo the block
-                # with the loop's own correction
+                # with the loop's own correction, in both lanes (a lane
+                # whose compensation stayed finite gets the same bits)
                 _neumaier_corrections(prev, x, total, err)
-                np.add.accumulate(comp[:m + 1], out=comp[:m + 1])
+                np.add.accumulate(scan_comp, out=scan_comp)
         return total, err
+
+    def sums(self, lane: int = 0) -> np.ndarray:
+        """The compensated prefix sums ``total + comp`` of one lane after
+        the last push, contiguous, in the scratch buffer that the next push
+        or call overwrites."""
+        m = self._m
+        run, err = (_lanes(buf[1:m + 1])[lane]
+                    for buf in (self._running, self._comp))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.add(run, err, out=self._spare.reshape(-1)[:m])
 
 
 def _neumaier_corrections(prev: np.ndarray, x: np.ndarray, total: np.ndarray,
@@ -127,33 +170,36 @@ def compensated_cumsum(values) -> np.ndarray:
 
 
 class _SampledSums:
-    """``compensated_sums_at`` fed its terms a block at a time.
+    """``compensated_sums_at`` fed its terms a block at a time, in one or
+    two lanes (``_Neumaier``).
 
-    ``push(x)`` takes the next x.size terms, at most ``_BLOCK``; terms past
-    the last checkpoint are ignored.  ``sums`` holds the result once the
-    terms up to the last checkpoint have all been pushed.
+    ``push(x)`` takes the next len(x) terms, at most ``_BLOCK``, of every
+    lane; terms past the last checkpoint are ignored.  ``sums`` holds the
+    result, one column per lane when there are two, once the terms up to
+    the last checkpoint have all been pushed.
     """
 
-    def __init__(self, checkpoints, running_max: bool = False) -> None:
+    def __init__(self, checkpoints, running_max: bool = False,
+                 lanes: int = 1) -> None:
         idx = np.asarray(checkpoints, dtype=np.int64) - 1
         if idx.size and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
             raise ValueError(
                 "checkpoints must be strictly increasing and >= 1")
-        self.sums = np.empty(idx.size)
+        self.sums = _lane_buffer(idx.size, lanes)
         self.stop = int(idx[-1]) + 1 if idx.size else 0
         size = max(1, min(_BLOCK, self.stop))
         self._idx, self._running_max = idx, running_max
-        self._acc = _Neumaier(size)
-        self._block = np.empty(size) if running_max else None
+        self._acc = _Neumaier(size, lanes)
         self._lo = self._first = 0
-        # running maximum of every sum before the current block.  A prefix
-        # sum is never -0.0 (the loop starts from +0.0), so equal sums are
-        # equal bits and the order in which maxima are taken cannot show
-        self._peak = np.float64(-np.inf)
+        # running maximum of every sum before the current block, per lane.
+        # A prefix sum is never -0.0 (the loop starts from +0.0), so equal
+        # sums are equal bits and the order in which maxima are taken
+        # cannot show
+        self._peak = np.full(lanes, -np.inf)
 
     def push(self, x: np.ndarray) -> None:
         lo = self._lo
-        m = min(x.size, self.stop - lo)
+        m = min(len(x), self.stop - lo)
         if m <= 0:
             return
         self._lo = lo + m
@@ -161,19 +207,20 @@ class _SampledSums:
         first = self._first
         last = self._first = int(np.searchsorted(self._idx, lo + m))
         local = self._idx[first:last] - lo
-        out = self.sums
         with np.errstate(invalid="ignore", over="ignore"):
             if not self._running_max:
-                np.add(total[local], comp[local], out=out[first:last])
+                np.add(total[local], comp[local], out=self.sums[first:last])
                 return
-            block = np.add(total, comp, out=self._block[:m])
-            if local.size:
-                # maxima of the stretches that end at each sampled index
-                starts = np.concatenate(([0], local[:-1] + 1))
-                seg = np.maximum.reduceat(block[:local[-1] + 1], starts)
-                seg[0] = np.maximum(seg[0], self._peak)
-                np.maximum.accumulate(seg, out=out[first:last])
-            self._peak = np.maximum(self._peak, block.max())
+            for lane, out in enumerate(_lanes(self.sums)):
+                block = self._acc.sums(lane)
+                if local.size:
+                    # maxima of the stretches that end at each sampled
+                    # index
+                    starts = np.concatenate(([0], local[:-1] + 1))
+                    seg = np.maximum.reduceat(block[:local[-1] + 1], starts)
+                    seg[0] = np.maximum(seg[0], self._peak[lane])
+                    np.maximum.accumulate(seg, out=out[first:last])
+                self._peak[lane] = np.maximum(self._peak[lane], block.max())
 
 
 def compensated_sums_at(terms, checkpoints, *, running_max: bool = False

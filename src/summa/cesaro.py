@@ -17,8 +17,9 @@ Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
 a compensated product, within about half an ulp of the exact one.  ``_t``
 is t at every order, over all N terms; at alpha = 1 the checker's one pass
-over a bundle instead pushes t a block at a time (``_RunningMeans``), which
-gives the same bits.
+over a bundle instead pushes t a block at a time (``_RunningMeans``, t of
+a_n and of a_n * lambda_n as two lanes of one accumulator), which gives the
+same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -325,35 +326,40 @@ def _t(a: np.ndarray, alpha: float,
 
 
 class _RunningMeans:
-    """t_n^1, the compensated sum of v * a_v (v * (a_v * lam_v)) over
-    v <= n, divided by n + 1, for the blocks of a (and lam) pushed in order,
-    each at most ``_BLOCK`` long.  The terms are formed per block, outside
-    any ``np.errstate``; any non-finite term leaves t non-finite from there
-    on, so checking t checks the terms too."""
+    """t_n^1, the compensated sum of v * a_v over v <= n divided by n + 1,
+    for the blocks of a and lam pushed in order, each at most ``_BLOCK``
+    long.  Each entry of ``factored`` is a lane (one or two, run as the
+    lanes of one ``accumulation._Neumaier``): lane j takes the terms
+    v * a_v, or v * (a_v * lam_v) where factored[j].  Any non-finite term
+    leaves its lane's t non-finite from there on, so checking t checks the
+    terms too."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, factored: tuple[bool, ...]) -> None:
         size = max(1, min(accumulation._BLOCK, n))
-        self._acc = accumulation._Neumaier(size)
-        self._x, self._t = np.empty(size), np.empty(size)
+        lanes = len(factored)
+        self._acc = accumulation._Neumaier(size, lanes)
+        self._x = accumulation._lane_buffer(size, lanes)
+        self._t = np.empty((lanes, size))
+        self._factored = factored
 
-    def push(self, n: np.ndarray, a: np.ndarray,
-             lam: np.ndarray | None = None) -> np.ndarray:
-        """The block of t for this block of a, whose indices are the floats
-        n: a view that the next push overwrites.  A non-finite t raises
-        ``ValueError``."""
-        x, t = self._x[:a.size], self._t[:a.size]
-        if lam is None:
-            np.multiply(a, n, out=x)
-        else:
-            np.multiply(a, lam, out=x)
-            np.multiply(x, n, out=x)
-        total, comp = self._acc.push(x)
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.add(total, comp, out=t)
-        # A_n^1 = n + 1
-        np.divide(t, np.add(n, 1.0, out=x), out=t)
-        if not np.isfinite(t).all():
-            raise ValueError(_NON_FINITE)
+    def push(self, n: np.ndarray, a: np.ndarray, lam: np.ndarray
+             ) -> np.ndarray:
+        """The block of t for this block of a and lam, whose indices are
+        the floats n: row j is lane j's, a view that the next push
+        overwrites."""
+        m = a.size
+        x, t = self._x[:m], self._t[:, :m]
+        for col, factored in zip(accumulation._lanes(x), self._factored):
+            if factored:
+                np.multiply(a, lam, out=col)
+                np.multiply(col, n, out=col)
+            else:
+                np.multiply(a, n, out=col)
+        self._acc.push(x)
+        # A_n^1 = n + 1, into x's first m values, free once x is summed
+        n1 = np.add(n, 1.0, out=self._x.reshape(-1)[:m])
+        for lane, row in enumerate(t):
+            np.divide(self._acc.sums(lane), n1, out=row)
         return t
 
 

@@ -29,6 +29,14 @@ trace rides in the same pass and is kept on the bundle for
 ``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
 fractional orders gather a and a_n * lambda_n whole for the kernel.
 
+cond11 and the conclusion apply one functional to two means, w of a_n and
+t of a_n * lambda_n, so they take their traces as the two lanes of one
+accumulator (``_MeanTraces``, one per pass): each block's terms sit side by
+side in an (m, 2) buffer, whose accumulate scans run once as complex128
+(``accumulation``: complex addition is two float additions, so each lane
+has the bits of its own scan).  A lane whose mean goes non-finite raises
+in its own builder, and the other lane runs on.
+
 Errors keep the order of a bundle whose roles were made whole before the
 check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
 in that order) is raised first, after the pass has read every block; then
@@ -48,7 +56,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +67,7 @@ from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
                            _weight_steps)
-from .sequences import CesaroParams, RealSequence, _verify
+from .sequences import _NON_FINITE, CesaroParams, RealSequence, _verify
 
 __all__ = [
     "GrowthVerdict",
@@ -365,6 +373,8 @@ class _Context:
     checkpoints: tuple[int, ...]
     tol: Tolerances
     traces: dict = field(default_factory=dict)
+    # the traces cond11 and the conclusion share, made by each run
+    means: _MeanTraces | None = None
 
     @classmethod
     def of(cls, bundle: FamilyBundle, checkpoints: Sequence[int] | None,
@@ -384,6 +394,7 @@ class _Context:
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
+        self.means = _MeanTraces(b, self.checkpoints)
         steps = [build(self, name) for name, build in table]
         # started last to first: at fractional orders cond11 and the
         # conclusion run the kernel as they start, before the other
@@ -560,49 +571,88 @@ def _param_gate(ctx: _Context, name: str) -> _Step:
     return _pass_fail(name, gate > 1.0, f"k*alpha+epsilon={gate:.6g}")
 
 
-def _means(bundle: FamilyBundle, maximal: bool
-           ) -> Callable[[_Block], np.ndarray]:
-    """The block of t of a_n * lambda_n for each pass block, or of w of a_n
-    when ``maximal`` (w is |t| at alpha = 1, and the trace takes the abs).
-    At alpha = 1 the means are pushed block by block; other orders gather
-    a (and lambda) whole for the kernel now, and hand out slices of its t,
-    made w in place."""
-    alpha, n = bundle.params.alpha, bundle.n
-    if alpha == 1.0:
-        means = _RunningMeans(n)
-        if maximal:
-            return lambda block: means.push(block.n, block.a)
-        return lambda block: means.push(block.n, block.a, block.lam)
-    a = bundle.a._block(0, n)
-    if maximal:
-        t = _t(a, alpha)
-        np.maximum.accumulate(np.abs(t, out=t), out=t)
-    else:
-        t = _t(a, alpha, bundle.lam._block(0, n))
-    return lambda block: t[block.lo:block.hi]
+class _MeanTraces:
+    """The power traces sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of cond11,
+    whose means are w of a_n, and of the conclusion, whose means are t of
+    a_n * lambda_n.  Each of their builders joins as a lane of one
+    ``_PowerTrace``: a check runs both, ``conclusion_diagnostic`` alone the
+    conclusion's.  Each block is pushed once, by whichever builder is sent
+    it first, under ``np.errstate(all="ignore")``, so a lane's overflow is
+    never another builder's error.  At alpha = 1 the means are pushed as
+    the lanes of one ``_RunningMeans`` too (w is |t| there, and the trace
+    takes the abs); other orders make a lane's means whole for the kernel
+    as its builder joins, so the kernel's error is that builder's."""
+
+    def __init__(self, bundle: FamilyBundle,
+                 checkpoints: tuple[int, ...]) -> None:
+        self._bundle, self._cps = bundle, checkpoints
+        self._maximal: list[bool] = []
+        self._whole: list[np.ndarray] = []  # each lane's means, alpha < 1
+        self._trace = self._means = None  # made at the first push
+        self._lo = -1  # the block last pushed
+        self._finite: list[bool] = []
+
+    def join(self, maximal: bool) -> int:
+        """A new lane, of w of a_n when ``maximal`` and of t of
+        a_n * lambda_n otherwise: its index.  Lanes join before the first
+        push."""
+        b = self._bundle
+        alpha, n = b.params.alpha, b.n
+        if alpha != 1.0:
+            a = b.a._block(0, n)
+            if maximal:
+                t = _t(a, alpha)
+                np.maximum.accumulate(np.abs(t, out=t), out=t)
+            else:
+                t = _t(a, alpha, b.lam._block(0, n))
+            self._whole.append(t)
+        self._maximal.append(maximal)
+        return len(self._maximal) - 1
+
+    def push(self, block: _Block, lane: int) -> None:
+        """Push this block unless another lane's builder has; a non-finite
+        t in ``lane`` raises ``ValueError``."""
+        if block.lo != self._lo:
+            self._lo = block.lo
+            if self._trace is None:
+                b = self._bundle
+                self._trace = _PowerTrace(b.params.k, self._cps,
+                                          len(self._maximal))
+                if b.params.alpha == 1.0:
+                    self._means = _RunningMeans(
+                        b.n, tuple(not m for m in self._maximal))
+            with np.errstate(all="ignore"):
+                values = ([v[block.lo:block.hi] for v in self._whole]
+                          if self._means is None else
+                          self._means.push(block.n, block.a, block.lam))
+                self._trace.push(block.n, block.phi, *values)
+            self._finite = [bool(np.isfinite(v).all()) for v in values]
+        if not self._finite[lane]:
+            raise ValueError(_NON_FINITE)
+
+    def trace(self, lane: int) -> FunctionalTrace:
+        return self._trace.trace(lane)
 
 
 def _cond11(ctx: _Context, name: str) -> _Step:
     # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w made block by block
-    w = _means(ctx.bundle, maximal=True)
-    trace = _PowerTrace(ctx.bundle.params.k, ctx.checkpoints)
+    lane = ctx.means.join(maximal=True)
     idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
     X = np.empty(idx.size)
     while (block := (yield)) is not None:
-        trace.push(block.n, block.phi, w(block))
+        ctx.means.push(block, lane)
         _sample(idx, block, block.X, X)
-    trace = dataclasses.replace(trace.trace(), reference=X)
+    trace = dataclasses.replace(ctx.means.trace(lane), reference=X)
     ctx.traces[name] = trace
     return ctx.growth_record(name, trace, notes="trace relative to X")
 
 
 def _conclusion(ctx: _Context, name: str) -> _Step:
     # the weighted functional of t for a_n * lambda_n
-    t = _means(ctx.bundle, maximal=False)
-    trace = _PowerTrace(ctx.bundle.params.k, ctx.checkpoints)
+    lane = ctx.means.join(maximal=False)
     while (block := (yield)) is not None:
-        trace.push(block.n, block.phi, t(block))
-    return trace.trace()
+        ctx.means.push(block, lane)
+    return ctx.means.trace(lane)
 
 
 _MAIN_TABLE = (

@@ -16,8 +16,9 @@ sums at caller-chosen checkpoints.  Every checkpoint list in the package,
 config grids included, goes through ``validate_checkpoints``.  For the
 checker's pass over a bundle, a weight also gives |phi_n| a block at a time
 (``WeightSpec._phi_block``), and ``_PowerTrace`` takes a trace's values
-block by block as the pass pushes them; ``weighted_power_trace`` pushes
-the blocks of whole arrays.
+block by block as the pass pushes them, for one trace or for two that
+share phi and their accumulate scans (lanes); ``weighted_power_trace``
+pushes the blocks of whole arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import accumulation
-from .accumulation import _SampledSums, compensated_sums_at
+from .accumulation import (_SampledSums, _lane_buffer, _lanes,
+                           compensated_sums_at)
 from .cesaro import cesaro_t
 from .sequences import CesaroParams, RealSequence
 
@@ -191,35 +193,45 @@ class FunctionalTrace(CheckpointTrace):
 
 class _PowerTrace:
     """The sums of ``weighted_power_trace``, fed the indices n, phi and the
-    values a block at a time (``push``, blocks in order, each at most
-    ``_BLOCK`` long); values past the last checkpoint are ignored."""
+    values of each of ``lanes`` (1 or 2) traces a block at a time
+    (``push``, blocks in order, each at most ``_BLOCK`` long); values past
+    the last checkpoint are ignored.  The lanes share phi and every
+    accumulate scan (``accumulation._Neumaier``)."""
 
-    def __init__(self, k: float, checkpoints: tuple[int, ...]) -> None:
+    def __init__(self, k: float, checkpoints: tuple[int, ...],
+                 lanes: int = 1) -> None:
         self._k, self._cps = k, checkpoints
-        self._sums = _SampledSums(checkpoints, running_max=True)
-        self._terms = np.empty(max(1, min(accumulation._BLOCK,
-                                          self._sums.stop)))
+        self._sums = _SampledSums(checkpoints, running_max=True, lanes=lanes)
+        size = max(1, min(accumulation._BLOCK, self._sums.stop))
+        self._terms = _lane_buffer(size, lanes)
+        self._scratch = np.empty(size)
         self._lo = 0
 
-    def push(self, n: np.ndarray, phi: np.ndarray, values: np.ndarray
+    def push(self, n: np.ndarray, phi: np.ndarray, *values: np.ndarray
              ) -> None:
+        """One block of values for each lane, in lane order."""
         lo = self._lo
-        hi = self._lo = lo + values.size
+        hi = self._lo = lo + values[0].size
         if lo >= self._sums.stop:
             return
-        hi = min(hi, self._sums.stop)
-        out = self._terms[:hi - lo]
-        np.multiply(phi[:hi - lo], values[:hi - lo], out=out)
+        m = min(hi, self._sums.stop) - lo
+        out, scratch = self._terms[:m], self._scratch[:m]
+        # lane by lane, each op reading contiguous operands: broadcasting
+        # over the (m, 2) buffer, or an op in place on one of its columns,
+        # is far slower.  |phi v| / n is |phi v / n|, since dividing by
+        # n > 0 rounds symmetrically
+        for col, v in zip(_lanes(out), values):
+            np.multiply(phi[:m], v[:m], out=scratch)
+            np.divide(scratch, n[:m], out=col)
         np.abs(out, out=out)
-        out /= n[:hi - lo]
         self._sums.push(np.power(out, self._k, out=out))
 
-    def trace(self) -> FunctionalTrace:
+    def trace(self, lane: int = 0) -> FunctionalTrace:
         # compensated prefixes of non-negative terms can dip by one ulp;
         # the running max restores exact monotonicity without moving any
         # value beyond that ulp
         return FunctionalTrace(checkpoints=self._cps,
-                               partial_sums=self._sums.sums)
+                               partial_sums=_lanes(self._sums.sums)[lane])
 
 
 def weighted_power_trace(values, k: float, phi: np.ndarray,

@@ -152,9 +152,11 @@ def almost_increasing_diagnostic(b: RealSequence,
     Requires b positive.  The verdict compares inf_ratio against ``floor``:
     a genuine almost-increasing sequence keeps inf_ratio bounded away from
     zero at every scale, so any fixed positive floor eventually separates
-    the two classes.
+    the two classes.  The floor is a Python or numpy real number, not a
+    boolean.
     """
-    if (isinstance(floor, bool) or not isinstance(floor, (int, float))
+    if (isinstance(floor, bool)
+            or not isinstance(floor, (int, float, np.integer, np.floating))
             or not (math.isfinite(floor) and floor > 0.0)):
         raise ValueError("floor must be a positive finite number")
     bad, inf_ratio = _drive(_inf_ratio_steps(), b.start_index, b.values)
@@ -195,8 +197,9 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
     """First index n where (n^(epsilon-k) |phi_n|^k) increases, else None.
 
     ``phi`` holds |phi_n| for n = 1..len(phi).  The comparison allows a
-    relative slack ``rel_tol`` so that analytically constant sequences
-    (classic weights with epsilon = 1) are not failed on rounding noise.
+    relative slack ``rel_tol`` >= 0 so that analytically constant
+    sequences (classic weights with epsilon = 1) are not failed on rounding
+    noise.
     An entry that is not finite (a power overflowed) is a violation at its
     own index, found without floating-point warnings.
     """
@@ -209,6 +212,9 @@ def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
         raise ValueError("epsilon must be positive")
     if k < 1.0:
         raise ValueError("k must be at least 1")
+    if rel_tol < 0.0:
+        # a negative slack would fail an exactly constant term
+        raise ValueError("rel_tol must not be negative")
     return _drive(_weight_steps(epsilon, k, rel_tol), 1, phi)[0]
 
 

@@ -116,6 +116,40 @@ def test_numpy_accumulate_is_left_to_right():
     assert np.add.accumulate(x).tolist() == [1.0] * x.size
 
 
+_DBL_MAX = np.finfo(np.float64).max
+# one lane's values: any float, and the ones whose sums round to a signed
+# zero, stay subnormal or overflow
+lane_values = st.one_of(
+    spread, specials, st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.ldexp(1.0, -1060),
+                     -math.ldexp(1.0, -1060), _DBL_MAX, -_DBL_MAX,
+                     _DBL_MAX / 2]))
+
+
+def lane_pairs(max_size=80):
+    """Two lanes of terms of one length, as (lane 0, lane 1) pairs."""
+    return st.lists(st.tuples(lane_values, lane_values), max_size=max_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_pairs())
+@example([(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+@example([(_DBL_MAX, math.nan), (_DBL_MAX, 1.0), (-math.inf, -_DBL_MAX)])
+def test_complex_accumulate_is_the_float_accumulate_of_each_lane(pairs):
+    # the two-lane accumulators scan an (m, 2) buffer as complex128: complex
+    # addition adds real and imaginary parts as two float additions, so each
+    # lane must get the bits of its own float scan, signs of zero included
+    x = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    want = x.copy()
+    scan = x.view(np.complex128)[:, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add.accumulate(scan, out=scan)
+        for j in (0, 1):
+            want[:, j] = np.add.accumulate(want[:, j].copy())
+    for j in (0, 1):
+        np.testing.assert_array_equal(bits(x[:, j]), bits(want[:, j]))
+
+
 def specials_at_edges(x):
     """A copy of x with -0.0, ±inf and NaN placed on and next to the block
     edges."""
@@ -158,7 +192,6 @@ def test_bit_identical_at_any_block_size(block, values):
 # Odd multiples of 2**970, half an ulp of DBL_MAX, added to +-DBL_MAX make
 # the rounding ties after which total - prev overflows; ``ties`` draws
 # only those, since few lists of the other values hit one
-_DBL_MAX = np.finfo(np.float64).max
 near_overflow = st.sampled_from([
     s * v for s in (1.0, -1.0)
     for v in (_DBL_MAX, _DBL_MAX / 2, 1.7e308,
@@ -234,3 +267,72 @@ class TestSampledSums:
     def test_bad_checkpoints(self, cps):
         with pytest.raises(ValueError):
             compensated_sums_at(np.ones(3), cps)
+
+
+def assert_two_lanes_match_one(pairs, block):
+    """A two-lane ``_Neumaier`` and ``_SampledSums(running_max=True)`` fed
+    blocks of ``block`` (lane 0, lane 1) terms against one one-lane
+    accumulator per lane: every running sum, compensation and sampled sum
+    bit for bit."""
+    x = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    n = len(x)
+    size = max(1, min(block, n))
+    cps = np.unique(np.clip([1, *range(block, n + block + 1, block), n],
+                            1, max(n, 1)))
+    two = accumulation._Neumaier(size, 2)
+    one = [accumulation._Neumaier(size) for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulation, "_BLOCK", block)
+        sampled_two = accumulation._SampledSums(cps, True, 2)
+        sampled_one = [accumulation._SampledSums(cps, True) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo in range(0, n, size):
+            total, comp = two.push(x[lo:lo + size])
+            sampled_two.push(x[lo:lo + size])
+            for j in (0, 1):
+                lane = x[lo:lo + size, j].copy()
+                want = one[j].push(lane)
+                sampled_one[j].push(lane)
+                np.testing.assert_array_equal(bits(total[:, j]),
+                                              bits(want[0]))
+                np.testing.assert_array_equal(bits(comp[:, j]), bits(want[1]))
+                np.testing.assert_array_equal(bits(two.sums(j)),
+                                              bits(one[j].sums()))
+    for j in (0, 1):
+        if n:
+            np.testing.assert_array_equal(bits(sampled_two.sums[:, j]),
+                                          bits(sampled_one[j].sums))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 7]), st.one_of(
+    lane_pairs(40),
+    st.lists(st.tuples(near_overflow, near_overflow), max_size=12),
+))
+# lane 1 meets the TwoSum overflow of test_guarded_two_sum_near_overflow in
+# the first block of 7, whose compensation goes non-finite, so both lanes
+# are redone with Neumaier's branch; lane 0 stays finite throughout
+@example(7, list(zip([1.0, 2.0 ** -60, -1.0, 3.0, 2.0 ** -70, 5.0, -2.0],
+                     [-(2.0 ** 970)] * 3 + [_DBL_MAX, 1.0, 2.0, 3.0])))
+def test_two_lanes_equal_two_single_lanes(block, pairs):
+    assert_two_lanes_match_one(pairs, block)
+
+
+@pytest.mark.parametrize("block", [1, 7, B])
+def test_two_lanes_where_one_overflows(block):
+    # lane 1's sums overflow in the middle of the second block, and a
+    # spurious TwoSum overflow sits in its first block; lane 0 stays
+    # finite, and the redo of lane 1's blocks must leave its bits alone
+    n = 2 * B + 5 if block == B else 60
+    rng = np.random.default_rng(n)
+    x0 = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-60, 61, n))
+    x1 = rng.standard_normal(n)
+    x1[1:5] = [-(2.0 ** 970)] * 3 + [_DBL_MAX]
+    x1[5] = 2.0 ** 970 * 3  # back to a small total
+    mid = n // 2 + block // 2
+    x1[mid:mid + 2] = _DBL_MAX
+    assert_two_lanes_match_one(np.stack([x0, x1], axis=1), block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(np.cumsum(x0)).all()
+        assert not np.isfinite(np.cumsum(x1)[-1])

@@ -553,3 +553,73 @@ class TestStreamedTraces:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_real_block(self, alpha, offset):
         self.assert_traces_match(_BLOCK + offset, alpha)
+
+
+def one_lane_non_finite(n, p, lane):
+    """F1 with a_p and lambda_p set so that only t of a (lane "w": p * a_p
+    overflows, p * (a_p * lambda_p) does not) or only t of a_n * lambda_n
+    (lane "t": a_p * lambda_p overflows, p * a_p does not) goes non-finite
+    from index p on."""
+    bundle = builtin_family("F1", n)
+    a, lam = bundle.a.values.copy(), bundle.lam.values.copy()
+    a[p - 1], lam[p - 1] = (1e307, 1e-200) if lane == "w" else (1e200, 1e200)
+    return dataclasses.replace(bundle, a=RealSequence(1, a),
+                               lam=RealSequence(1, lam))
+
+
+def outcome(call):
+    """What a check returns, as bytes and JSON, or the error it raises."""
+    try:
+        out = call()
+    except ValueError as e:
+        return ValueError, str(e)
+    if isinstance(out, tuple):  # conclusion_diagnostic
+        return out[0].partial_sums.tobytes(), out[1].to_json()
+    return out.to_json(), {name: t.partial_sums.tobytes()
+                           for name, t in out.traces.items()}
+
+
+class TestOneLaneNonFinite:
+    """cond11 and the conclusion take their traces in one pass; where only
+    one of their means goes non-finite, that one raises and the other's
+    trace is still the full-array formula's, as in a pass of its own."""
+
+    N = 2 * _BLOCK + 5
+
+    @pytest.mark.parametrize("lane", ["w", "t"])
+    # mid-block, the last index of the first block, the first of the second
+    @pytest.mark.parametrize("p", [_BLOCK // 2 + 3, _BLOCK, _BLOCK + 1])
+    def test_the_other_lane_runs_on(self, lane, p):
+        bundle = one_lane_non_finite(self.N, p, lane)
+        k = bundle.params.k
+        phi = bundle.weight.phi_values(self.N, k,
+                                       beta_default=bundle.params.beta)
+        grid = dyadic_checkpoints(self.N)
+        a, lam = bundle.a.values, bundle.lam.values
+        # under the errstate a `summa run` sets
+        with np.errstate(all="ignore"):
+            w, t = full_array_t(a, 1.0), full_array_t(a * lam, 1.0)
+            assert np.isfinite((w if lane == "t" else t)[p - 1:]).all()
+            assert not np.isfinite((w if lane == "w" else t)[p - 1:]).any()
+            assert np.isfinite(w[:p - 1]).all()
+            assert np.isfinite(t[:p - 1]).all()
+            check = outcome(lambda: check_main_theorem(bundle))
+            conclusion = outcome(lambda: conclusion_diagnostic(bundle))
+            fresh = one_lane_non_finite(self.N, p, lane)
+            alone = outcome(lambda: conclusion_diagnostic(fresh))
+            if lane == "t":
+                cond11 = full_array_trace(np.abs(w), k, phi, grid)
+                with_x = dataclasses.replace(
+                    FunctionalTrace(grid, cond11),
+                    reference=bundle.X.values[np.array(grid) - 1])
+                assert check[1]["cond11"] == cond11.tobytes()
+                record = {r["condition"]: r for r in check[0]["records"]}
+                assert record["cond11"]["verdict"] == growth_diagnostic(
+                    with_x).verdict.value
+                assert conclusion == alone == (
+                    ValueError, "sequence values must be finite")
+            else:
+                assert check == (ValueError, "sequence values must be finite")
+                want = full_array_trace(t, k, phi, grid).tobytes()
+                assert conclusion[0] == alone[0] == want
+                assert conclusion == alone

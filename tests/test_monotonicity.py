@@ -101,9 +101,25 @@ class TestAlmostIncreasing:
         with pytest.raises(ValueError):
             almost_increasing_diagnostic(_seq([1.0, 2.0]), floor=0.0)
 
-    @pytest.mark.parametrize("floor", [True, False])
+    @pytest.mark.parametrize("floor", [True, False, np.True_, np.False_])
     def test_boolean_floor_refused(self, floor):
         # True is not the floor 1.0
+        with pytest.raises(ValueError, match="floor must be a positive"):
+            almost_increasing_diagnostic(_seq([1.0, 2.0]), floor=floor)
+
+    @pytest.mark.parametrize("floor, verdict", [
+        (np.float32(1e-6), True), (np.float32(0.75), False),
+        (np.int64(1), False)])
+    def test_numpy_floor_accepted(self, floor, verdict):
+        # inf_ratio of 1, 2, 1.5 is 0.75
+        w = almost_increasing_diagnostic(_seq([1.0, 2.0, 1.5]), floor=floor)
+        assert w.floor == float(floor) and type(w.floor) is float
+        assert w.almost_increasing_at_scale is verdict
+
+    @pytest.mark.parametrize("floor", [np.float32(0.0), np.float32(-1.0),
+                                       np.float32(np.inf), np.float32(np.nan),
+                                       np.int64(0), np.int64(-3)])
+    def test_numpy_floor_refused(self, floor):
         with pytest.raises(ValueError, match="floor must be a positive"):
             almost_increasing_diagnostic(_seq([1.0, 2.0]), floor=floor)
 
@@ -164,6 +180,13 @@ class TestPowerWeightMonotonicity:
         with pytest.raises(ValueError, match="must be finite"):
             power_weight_monotonicity_check(phi, epsilon, k, rel_tol)
 
+    def test_negative_rel_tol_refused(self):
+        # a negative slack would fail the exactly constant term at index 1
+        with pytest.raises(ValueError, match="^rel_tol must not be negative$"):
+            power_weight_monotonicity_check(np.ones(5), 1.0, 1.0, -1.0)
+        assert power_weight_monotonicity_check(np.ones(5), 1.0, 1.0, 0.0) \
+            is None
+
 
 def reference_power_weight_monotonicity_check(phi, epsilon, k, rel_tol=1e-12):
     """The check as first written, one fresh array per step: the reference
@@ -177,6 +200,8 @@ def reference_power_weight_monotonicity_check(phi, epsilon, k, rel_tol=1e-12):
         raise ValueError("epsilon must be positive")
     if k < 1.0:
         raise ValueError("k must be at least 1")
+    if rel_tol < 0.0:
+        raise ValueError("rel_tol must not be negative")
     n = np.arange(1.0, phi.size + 1.0)
     with np.errstate(all="ignore"):
         seq = np.power(n, epsilon - k) * np.power(np.abs(phi), k)
@@ -213,7 +238,7 @@ WEIGHTS = st.one_of(
                                                  allow_infinity=True)),
        st.one_of(st.floats(1.0, 4.0), st.floats(1.0, 1e308),
                  st.floats(allow_nan=True, allow_infinity=True)),
-       st.one_of(st.just(1e-12), st.floats(0.0, 1.0)))
+       st.one_of(st.just(1e-12), st.floats(0.0, 1.0), st.floats(-1.0, 0.0)))
 @example(np.arange(1.0, 7.0), 1.0, 1e308, 1e-12)  # 0 * inf from n = 2
 @example(np.array([1.0, np.nan, 1.0]), 1.0, 1.0, 1e-12)
 @example(np.array([1e300, 1e300, 1e-300]), 1.0, 2.0, 1e-12)
