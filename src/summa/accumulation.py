@@ -7,9 +7,10 @@ n*eps relative accuracy there, which is visible at the tolerances this
 package promises, so running sums are Neumaier-compensated (Neumaier, ZAMM
 54, 1974; error stays at a few ulp of the true prefix regardless of length).
 
-Both entry points run one private kernel (``_Neumaier``) over blocks of
-``_BLOCK`` terms, so every temporary is a block-sized buffer that stays in
-cache and is reused from block to block.  Within a block the running sums are
+``compensated_cumsum`` writes every prefix sum.  It runs a private kernel
+(``_Neumaier``) over blocks of ``_BLOCK`` terms, so every temporary is a
+block-sized buffer that stays in cache and is reused from block to block.
+Within a block the running sums are
 ``np.add.accumulate`` seeded with the total carried from the block before,
 which adds strictly left to right as the textbook per-element loop does
 (kept as the reference in ``tests/test_accumulation.py``); each step's
@@ -34,15 +35,13 @@ NaN outputs sit at the same indices as the loop's; their sign bit is not
 part of the contract, since which operand's NaN an addition propagates
 varies even within one numpy call.
 
-``compensated_cumsum`` writes every prefix sum.  ``compensated_sums_at``
-keeps only the sums at the requested checkpoints (and, on request, their
-running maximum, carried from block to block as a per-block maximum) and
-stops at the last checkpoint, so it holds no n-long array of sums.
-
 The same loop also runs pushed: ``_Neumaier`` and ``_SampledSums`` take
 their terms a block at a time from a caller that makes the blocks, as the
-checker's one pass over a bundle does, and ``_PairwiseSum`` gives what
-``np.sum`` gives over a range of values that arrive in blocks.
+checker's one pass over a bundle does.  ``_SampledSums`` keeps only the
+sums at the requested checkpoints (and, on request, their running maximum,
+carried from block to block as a per-block maximum) and ignores terms past
+the last checkpoint, so it holds no n-long array of sums.  ``_PairwiseSum``
+gives what ``np.sum`` gives over a range of values that arrive in blocks.
 
 A pushed accumulator carries one chain of sums or two independent ones
 (lanes), by the shape of its buffers: (m,) for one lane, (m, 2) for two,
@@ -65,7 +64,7 @@ from typing import Generator
 
 import numpy as np
 
-__all__ = ["compensated_cumsum", "compensated_sums_at"]
+__all__ = ["compensated_cumsum"]
 
 # terms per block: at n = 1e6, 2**12, 2**13 and 2**16 were slower and 2**15
 # no faster
@@ -132,6 +131,11 @@ class _Neumaier:
                 np.add.accumulate(scan_comp, out=scan_comp)
         return total, err
 
+    def restart(self, lane: int) -> None:
+        """Carry zeros into ``lane``'s next push (its sums go unread)."""
+        for buf in (self._running, self._comp):
+            _lanes(buf)[lane][self._m] = 0.0
+
     def sums(self, lane: int = 0) -> np.ndarray:
         """The compensated prefix sums ``total + comp`` of one lane after
         the last push, contiguous, in the scratch buffer that the next push
@@ -170,8 +174,11 @@ def compensated_cumsum(values) -> np.ndarray:
 
 
 class _SampledSums:
-    """``compensated_sums_at`` fed its terms a block at a time, in one or
-    two lanes (``_Neumaier``).
+    """The compensated sum of the first c terms for each checkpoint c
+    (``compensated_cumsum(terms)[c - 1]``), fed the terms a block at a
+    time, in one or two lanes (``_Neumaier``).  With ``running_max`` each
+    sum is replaced by the largest sum up to it, as
+    ``np.maximum.accumulate`` would give (NaN propagating).
 
     ``push(x)`` takes the next len(x) terms, at most ``_BLOCK``, of every
     lane; terms past the last checkpoint are ignored.  ``sums`` holds the
@@ -221,25 +228,6 @@ class _SampledSums:
                     seg[0] = np.maximum(seg[0], self._peak[lane])
                     np.maximum.accumulate(seg, out=out[first:last])
                 self._peak[lane] = np.maximum(self._peak[lane], block.max())
-
-
-def compensated_sums_at(terms, checkpoints, *, running_max: bool = False
-                        ) -> np.ndarray:
-    """The compensated sum of the first c terms for each checkpoint c.
-
-    That is ``compensated_cumsum(terms)[c - 1]``, without the n-long arrays;
-    checkpoints are strictly increasing and at least 1, and no term after
-    the last checkpoint is read.  With ``running_max`` each sum is replaced
-    by the largest sum up to it, as ``np.maximum.accumulate`` would give
-    (NaN propagating).
-    """
-    sums = _SampledSums(checkpoints, running_max)
-    arr = np.asarray(terms, dtype=np.float64)
-    if sums.stop > arr.size:
-        raise ValueError(f"checkpoint {sums.stop} exceeds {arr.size} terms")
-    for lo in range(0, sums.stop, _BLOCK):
-        sums.push(arr[lo:lo + _BLOCK])
-    return sums.sums
 
 
 # a range this long or shorter is one np.add.reduce call in ``_PairwiseSum``

@@ -362,6 +362,10 @@ class _RunningMeans:
             np.divide(self._acc.sums(lane), n1, out=row)
         return t
 
+    def restart(self, lane: int) -> None:
+        """Sum ``lane`` from zero again (``_Neumaier.restart``)."""
+        self._acc.restart(lane)
+
 
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """Order-alpha Cesaro means sigma_0^alpha .. sigma_N^alpha of the partial sums.

@@ -103,7 +103,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            v = float(getattr(self, f.name))
+            v = getattr(self, f.name)
+            # True is not the tolerance 1.0
+            v = math.nan if isinstance(v, (bool, np.bool_)) else float(v)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{f.name} tolerance must be positive and finite")
             object.__setattr__(self, f.name, v)
@@ -581,7 +583,8 @@ class _MeanTraces:
     never another builder's error.  At alpha = 1 the means are pushed as
     the lanes of one ``_RunningMeans`` too (w is |t| there, and the trace
     takes the abs); other orders make a lane's means whole for the kernel
-    as its builder joins, so the kernel's error is that builder's."""
+    as its builder joins, so the kernel's error is that builder's.  A lane
+    whose t goes non-finite raises, and sums from zero from then on."""
 
     def __init__(self, bundle: FamilyBundle,
                  checkpoints: tuple[int, ...]) -> None:
@@ -627,6 +630,11 @@ class _MeanTraces:
                           self._means.push(block.n, block.a, block.lam))
                 self._trace.push(block.n, block.phi, *values)
             self._finite = [bool(np.isfinite(v).all()) for v in values]
+            for dead, finite in enumerate(self._finite):
+                if not finite:  # else every later block is redone
+                    self._trace.restart(dead)
+                    if self._means is not None:
+                        self._means.restart(dead)
         if not self._finite[lane]:
             raise ValueError(_NON_FINITE)
 

@@ -31,10 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import accumulation
-from .accumulation import (_SampledSums, _lane_buffer, _lanes,
-                           compensated_sums_at)
-from .cesaro import cesaro_t
-from .sequences import CesaroParams, RealSequence
+from .accumulation import _SampledSums, _lane_buffer, _lanes
+from .sequences import RealSequence
 
 __all__ = [
     "WeightKind",
@@ -42,8 +40,6 @@ __all__ = [
     "CheckpointTrace",
     "FunctionalTrace",
     "weighted_power_trace",
-    "ReductionIdentityReport",
-    "reduction_identity_check",
 ]
 
 
@@ -79,18 +75,6 @@ class WeightSpec:
             if kind is not WeightKind.INDEXED:
                 raise ValueError("beta applies to the indexed weight only")
 
-    def phi_values(self, n_max: int, k: float, beta_default: float = 0.0) -> np.ndarray:
-        """|phi_n| for n = 1..n_max.  Complex-valued weights from the parent
-
-        definition are represented by their moduli; nothing downstream ever
-        uses more than |phi_n|.
-        """
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        self._require(n_max)
-        return self._phi_block(0, np.arange(1.0, n_max + 1.0), k,
-                               beta_default)
-
     def _require(self, n_max: int) -> None:
         """Refuse an explicit phi that stops before index n_max."""
         if self.phi is not None and self.phi.end_index < n_max:
@@ -100,8 +84,9 @@ class WeightSpec:
     def _phi_block(self, lo: int, n: np.ndarray, k: float,
                    beta_default: float = 0.0) -> np.ndarray:
         """|phi_n| for the indices n = lo + 1..lo + n.size, given as the
-        floats n: the same bits as those entries of ``phi_values``; an
-        explicit phi is not checked for finiteness."""
+        floats n.  Complex-valued weights from the parent definition are
+        represented by their moduli; nothing downstream ever uses more than
+        |phi_n|.  An explicit phi is not checked for finiteness."""
         if self.phi is not None:
             first = self.phi.start_index
             return np.abs(self.phi._block(lo + 1 - first,
@@ -226,6 +211,10 @@ class _PowerTrace:
         np.abs(out, out=out)
         self._sums.push(np.power(out, self._k, out=out))
 
+    def restart(self, lane: int) -> None:
+        """Sum ``lane`` from zero again (``_Neumaier.restart``)."""
+        self._sums._acc.restart(lane)
+
     def trace(self, lane: int = 0) -> FunctionalTrace:
         # compensated prefixes of non-negative terms can dip by one ulp;
         # the running max restores exact monotonicity without moving any
@@ -238,9 +227,9 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
                          checkpoints: Sequence[int]) -> FunctionalTrace:
     """Trace of sum_n n^(-k) |phi_n * values_n|^k, values indexed from 1.
 
-    Shared workhorse: the functional proper feeds it t, the hypothesis
-    checks feed it the maximal sequence w.  ``values`` is an array aligned
-    with phi.
+    ``values`` is an array aligned with phi.  The checker's pass pushes
+    its t and w blocks into the same ``_PowerTrace`` instead, so the two
+    give the same bits.
     """
     phi = np.asarray(phi, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -255,69 +244,3 @@ def weighted_power_trace(values, k: float, phi: np.ndarray,
         hi = min(lo + size, cps[-1])
         trace.push(np.arange(lo + 1.0, hi + 1.0), phi[lo:hi], values[lo:hi])
     return trace.trace()
-
-
-@dataclass(frozen=True)
-class ReductionIdentityReport:
-    """Named-weight traces next to their direct reduced forms.
-
-    The deviations are term-wise: max over n of the relative gap between the
-    phi-form term and the reduced-form term.  Both classic pairs and indexed
-    pairs agree analytically; the report measures the floating-point gap.
-    """
-
-    m: int
-    k: float
-    beta: float
-    classic_trace: FunctionalTrace
-    classic_direct_trace: FunctionalTrace
-    indexed_trace: FunctionalTrace
-    indexed_direct_trace: FunctionalTrace
-    max_rel_dev_classic: float
-    max_rel_dev_indexed: float
-
-
-def _max_rel_deviation(x: np.ndarray, y: np.ndarray) -> float:
-    scale = np.maximum(np.abs(x), np.abs(y))
-    diff = np.abs(x - y)
-    mask = scale > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(diff[mask] / scale[mask]))
-
-
-def reduction_identity_check(a: RealSequence, params: CesaroParams,
-                             m: int) -> ReductionIdentityReport:
-    """Check both named-weight reductions term-by-term out to index m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    t = cesaro_t(a, params.alpha)
-    if len(t) < m:
-        raise ValueError(f"t prefix has length {len(t)}, need {m}")
-    k, beta = params.k, params.beta
-    n = np.arange(1.0, m + 1.0)
-    tm = np.abs(t.values[:m])
-
-    phi_classic = np.power(n, 1.0 - 1.0 / k)
-    terms_classic = np.power(phi_classic * tm / n, k)
-    terms_eq_classic = np.power(tm, k) / n
-
-    phi_indexed = np.power(n, beta + 1.0 - 1.0 / k)
-    terms_indexed = np.power(phi_indexed * tm / n, k)
-    terms_eq_indexed = np.power(n, beta * k - 1.0) * np.power(tm, k)
-
-    cps = tuple(range(1, m + 1))
-
-    def trace(terms: np.ndarray) -> FunctionalTrace:
-        sums = compensated_sums_at(terms, cps, running_max=True)
-        return FunctionalTrace(checkpoints=cps, partial_sums=sums)
-
-    return ReductionIdentityReport(
-        m=m, k=k, beta=beta,
-        classic_trace=trace(terms_classic),
-        classic_direct_trace=trace(terms_eq_classic),
-        indexed_trace=trace(terms_indexed),
-        indexed_direct_trace=trace(terms_eq_indexed),
-        max_rel_dev_classic=_max_rel_deviation(terms_classic, terms_eq_classic),
-        max_rel_dev_indexed=_max_rel_deviation(terms_indexed, terms_eq_indexed),
-    )

@@ -2,47 +2,28 @@
 
 Nothing here proves an asymptotic property; every check reports what holds
 on the stored prefix and is explicit about that in its field names
-(``holds_on_range``, ``almost_increasing_at_scale``).  Differences follow
+(``holds_on_range``).  Differences follow
 the package convention  (D b)_n = b_n - b_(n+1).
 
 Each check is a private block step: a generator sent windows in order
 (``None`` ends them), the indices n as floats and the values there, that
-returns the verdict.  The checker's pass sends each block with the two
-values before it, so a step carries only a running maximum, sums or the
-first violation; the public functions send one window, with the same bits.
-So no check holds an n-long array of its own: the almost-increasing witness
-keeps inf_ratio, not the running maximum it is taken against.
+returns the verdict.  The checker's pass is their one driver: it sends each
+block with the two values before it, so a step carries only a running
+maximum, sums or the first violation, never an n-long array.  It takes
+epsilon, k, the floor and the slack from ``CesaroParams`` and
+``Tolerances``, which refuse values a step could not judge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
 
 from .accumulation import _PairwiseSum
-from .sequences import RealSequence
 
-__all__ = [
-    "QuasiMonotoneVerdict",
-    "AlmostIncreasingWitness",
-    "quasi_monotone_check",
-    "almost_increasing_diagnostic",
-    "power_weight_monotonicity_check",
-]
-
-
-def _drive(steps: Generator, start: int, *values: np.ndarray):
-    """The verdict of a block step sent ``values`` from index ``start``."""
-    next(steps)
-    steps.send((np.arange(start, start + values[0].size, dtype=np.float64),
-                *values))
-    try:
-        steps.send(None)
-    except StopIteration as done:
-        return done.value
+__all__ = ["QuasiMonotoneVerdict"]
 
 
 @dataclass(frozen=True)
@@ -65,30 +46,14 @@ class QuasiMonotoneVerdict:
     trend_ratio: float | None
 
 
-def quasi_monotone_check(b: RealSequence, delta: RealSequence) -> QuasiMonotoneVerdict:
-    """Check (D b)_n >= -delta_n wherever both sides are stored.
-
-    ``delta`` must be positive and must cover every index where the
-    difference of ``b`` exists (b.start_index .. b.end_index - 1).
-    """
-    if len(b) < 2:
-        raise ValueError("need at least two values to difference b")
-    lo, hi = b.start_index, b.end_index - 1
-    if delta.start_index > lo or delta.end_index < hi:
-        raise ValueError(f"delta must cover indices [{lo}, {hi}], got "
-                         f"[{delta.start_index}, {delta.end_index}]")
-    # delta_N is never read: the last difference is at index N - 1
-    dvals = np.append(delta.range_view(lo, hi), 1.0)
-    return _drive(_quasi_monotone_steps(len(b), lo), lo, b.values, dvals)
-
-
 def _quasi_monotone_steps(length: int, start: int
                           ) -> Generator[None, tuple | None,
                                          QuasiMonotoneVerdict]:
-    """``quasi_monotone_check`` as a block step, sent (n, b, delta)
-    windows of b's ``length`` values from index ``start``.  The trend means
-    are np.mean's bits (``_PairwiseSum``); a non-positive delta raises
-    with the first window that holds b's difference at its index."""
+    """Check (D b)_n >= -delta_n wherever b's difference exists: a block
+    step sent (n, b, delta) windows of b's ``length`` values from index
+    ``start``, delta aligned with b (its last value is never read).  The
+    trend means are np.mean's bits (``_PairwiseSum``); a non-positive delta
+    raises with the first window that holds b's difference at its index."""
     quarter = length // 4
     head = _PairwiseSum(0, quarter)
     tail = _PairwiseSum(length - quarter, quarter)
@@ -130,53 +95,14 @@ def _quasi_monotone_steps(length: int, start: int
                                 trend_ratio=trend_ratio)
 
 
-@dataclass(frozen=True)
-class AlmostIncreasingWitness:
-    """Sandwich witness inf_ratio * c_n <= b_n <= c_n, c the running max.
-
-    c_n = max_(v<=n) b_v is non-decreasing, and inf_ratio = min_n b_n / c_n
-    is the largest constant that fits below; c itself is not kept.
-    inf_ratio stuck near zero as the range grows is the signature of a
-    sequence that is not almost increasing.
-    """
-
-    inf_ratio: float
-    floor: float
-    almost_increasing_at_scale: bool
-
-
-def almost_increasing_diagnostic(b: RealSequence,
-                                 floor: float = 1e-6) -> AlmostIncreasingWitness:
-    """Witness construction for the almost-increasing class on a prefix.
-
-    Requires b positive.  The verdict compares inf_ratio against ``floor``:
-    a genuine almost-increasing sequence keeps inf_ratio bounded away from
-    zero at every scale, so any fixed positive floor eventually separates
-    the two classes.  The floor is a Python or numpy real number, not a
-    boolean.
-    """
-    if (isinstance(floor, bool)
-            or not isinstance(floor, (int, float, np.integer, np.floating))
-            or not (math.isfinite(floor) and floor > 0.0)):
-        raise ValueError("floor must be a positive finite number")
-    bad, inf_ratio = _drive(_inf_ratio_steps(), b.start_index, b.values)
-    if bad is not None:
-        raise ValueError(f"b must be positive everywhere; first non-positive "
-                         f"entry at index {bad}")
-    return AlmostIncreasingWitness(
-        inf_ratio=inf_ratio,
-        floor=float(floor),
-        almost_increasing_at_scale=bool(inf_ratio > floor),
-    )
-
-
 def _inf_ratio_steps() -> Generator[None, tuple | None,
                                     tuple[int | None, float]]:
-    """Block step sent (n, b) windows: returns the index of the first
-    non-positive value (None when all are positive) and, if there is none,
-    inf_ratio, the least b_n / max_(v<=n) b_v, with the running max
-    carried from window to window.  A window's values at indices already
-    seen are skipped."""
+    """The almost-increasing witness, a block step sent (n, b) windows:
+    returns the index of the first non-positive value (None when all are
+    positive) and, if there is none, inf_ratio, the least
+    b_n / max_(v<=n) b_v (near zero at scale: not almost increasing), with
+    the running max carried from window to window.  A window's values at
+    indices already seen are skipped."""
     last, peak, low, bad = -np.inf, -np.inf, np.inf, None
     while (window := (yield)) is not None:
         n, b = window
@@ -192,39 +118,15 @@ def _inf_ratio_steps() -> Generator[None, tuple | None,
     return bad, low
 
 
-def power_weight_monotonicity_check(phi: np.ndarray, epsilon: float, k: float,
-                                    rel_tol: float = 1e-12) -> int | None:
-    """First index n where (n^(epsilon-k) |phi_n|^k) increases, else None.
-
-    ``phi`` holds |phi_n| for n = 1..len(phi).  The comparison allows a
-    relative slack ``rel_tol`` >= 0 so that analytically constant
-    sequences (classic weights with epsilon = 1) are not failed on rounding
-    noise.
-    An entry that is not finite (a power overflowed) is a violation at its
-    own index, found without floating-point warnings.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim != 1 or phi.size < 2:
-        raise ValueError("need at least two weight values")
-    if not all(math.isfinite(v) for v in (epsilon, k, rel_tol)):
-        raise ValueError("epsilon, k and rel_tol must be finite")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if k < 1.0:
-        raise ValueError("k must be at least 1")
-    if rel_tol < 0.0:
-        # a negative slack would fail an exactly constant term
-        raise ValueError("rel_tol must not be negative")
-    return _drive(_weight_steps(epsilon, k, rel_tol), 1, phi)[0]
-
-
 def _weight_steps(epsilon: float, k: float, rel_tol: float
                   ) -> Generator[None, tuple | None,
                                  tuple[int | None, bool]]:
-    """``power_weight_monotonicity_check`` as a block step, sent (n, |phi|)
-    windows: returns the first violation (None when there is none) and
-    whether the term there is non-finite.  A term's rise into the next is
-    judged in the first window that holds both."""
+    """The first n where (n^(epsilon-k) |phi_n|^k) rises by more than
+    ``rel_tol`` relative (rounding noise of a constant term), or is not
+    finite: a block step sent (n, |phi|) windows that returns that index
+    (None when there is none) and whether the term there is non-finite.
+    A term's rise into the next is judged in the first window that holds
+    both."""
     first, non_finite = None, False
     while (window := (yield)) is not None:
         if first is None:

@@ -1,4 +1,4 @@
-"""Indexed real sequences, the generator family catalog, and forward differences.
+"""Indexed real sequences, the generator family catalog, and shared parameters.
 
 Every object downstream of this module works on finite prefixes of infinite
 sequences.  A ``RealSequence`` pins the absolute index of its first element so
@@ -33,7 +33,6 @@ __all__ = [
     "CesaroParams",
     "FAMILIES",
     "materialize",
-    "forward_difference",
 ]
 
 
@@ -69,15 +68,6 @@ class RealSequence:
     def end_index(self) -> int:
         """Absolute index of the last stored element."""
         return self.start_index + len(self) - 1
-
-    def value_at(self, n: int) -> float:
-        if n < self.start_index or n > self.end_index:
-            raise IndexError(f"index {n} outside stored range "
-                             f"[{self.start_index}, {self.end_index}]")
-        return float(self.values[n - self.start_index])
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start_index, self.end_index + 1)
 
     def range_view(self, lo: int, hi: int) -> np.ndarray:
         """Values for absolute indices lo..hi inclusive."""
@@ -294,23 +284,6 @@ def _generated(spec: SequenceSpec,
     make = _family_blocks(spec)
     make(0, 1)
     return _BlockSequence(spec.start, spec.n, make, error)
-
-
-def forward_difference(seq: RealSequence, order: int = 1) -> RealSequence:
-    """Difference with the convention  (D u)_n = u_n - u_(n+1).
-
-    Order 2 applies the same convention twice:
-    (D^2 u)_n = u_n - 2 u_(n+1) + u_(n+2).  The result keeps the input's
-    start index and is shorter by ``order`` entries.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if len(seq) <= order:
-        raise ValueError(f"sequence too short for order-{order} difference")
-    vals = seq.values
-    for _ in range(order):
-        vals = vals[:-1] - vals[1:]
-    return _adopt(seq.start_index, vals)
 
 
 @dataclass(frozen=True)

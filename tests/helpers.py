@@ -1,0 +1,79 @@
+"""Test-side drivers of the private steps that the checker's pass runs, for
+tests that check one step against a reference: a monotonicity step sent
+windows of aligned values, ``_SampledSums`` pushed blocks of terms, a
+weight's |phi| read as one block; and the two term forms of each named
+weight, which the reduction identities compare."""
+
+import numpy as np
+
+from summa import accumulation
+from summa.accumulation import compensated_cumsum
+from summa.functionals import WeightKind, WeightSpec
+
+
+def drive(steps, start, *values, block=None):
+    """The verdict of a monotonicity block step sent ``values``, aligned
+    arrays from index ``start``, in blocks of ``block`` values (one block
+    when None), each block with the two values before it as the pass sends
+    them."""
+    size = values[0].size
+    n = np.arange(start, start + size, dtype=np.float64)
+    block = block or max(size, 1)
+    next(steps)
+    for lo in range(0, size, block):
+        window = slice(max(lo - 2, 0), lo + block)
+        steps.send((n[window], *(v[window] for v in values)))
+    try:
+        steps.send(None)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("the step did not return its verdict")
+
+
+def monotone_partials(terms):
+    """The full-array running max of compensated prefix sums: what a
+    sampled trace must reproduce bit for bit."""
+    return np.maximum.accumulate(compensated_cumsum(terms))
+
+
+def sampled_sums(terms, checkpoints, running_max=False):
+    """What ``_SampledSums`` holds once ``terms`` are pushed in blocks of
+    ``accumulation._BLOCK``: the compensated sum of the first c terms for
+    each checkpoint c (their running maximum with ``running_max``)."""
+    sums = accumulation._SampledSums(checkpoints, running_max)
+    terms = np.asarray(terms, dtype=np.float64)
+    assert sums.stop <= terms.size, "a checkpoint lies past the terms"
+    size = accumulation._BLOCK
+    for lo in range(0, terms.size, size):
+        sums.push(terms[lo:lo + size])
+    return sums.sums
+
+
+def phi_of(spec, n_max, k, beta_default=0.0):
+    """|phi_n| for n = 1..n_max as the checker's pass reads it: refused if
+    an explicit phi stops short, else one block."""
+    spec._require(n_max)
+    return spec._phi_block(0, np.arange(1.0, n_max + 1.0), k, beta_default)
+
+
+def reduced_terms(t, k, beta):
+    """The phi-form terms n^(-k) |phi_n t_n|^k of the classic and of the
+    indexed weight, each next to its reduced form: n^(-1) |t_n|^k and
+    n^(beta k - 1) |t_n|^k."""
+    n = np.arange(1.0, t.size + 1.0)
+    tm = np.abs(t)
+    classic = phi_of(WeightSpec(kind=WeightKind.CLASSIC), t.size, k)
+    indexed = phi_of(WeightSpec(kind=WeightKind.INDEXED, beta=beta), t.size,
+                     k)
+    return ((np.power(classic * tm / n, k), np.power(tm, k) / n),
+            (np.power(indexed * tm / n, k),
+             np.power(n, beta * k - 1.0) * np.power(tm, k)))
+
+
+def max_rel_deviation(x, y):
+    """The largest relative gap between x and y where either is non-zero."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    mask = scale > 0.0
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(np.abs(x - y)[mask] / scale[mask]))

@@ -15,15 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from summa.cesaro import cesaro_coefficients, cesaro_sigma, cesaro_t
-from summa.checker import (MAIN_CONDITIONS, GrowthVerdict, check_main_theorem,
-                           conclusion_diagnostic, dyadic_checkpoints,
-                           growth_diagnostic)
+from summa.checker import (MAIN_CONDITIONS, GrowthVerdict, Tolerances,
+                           check_main_theorem, conclusion_diagnostic,
+                           dyadic_checkpoints, growth_diagnostic)
 from summa.experiment import (ExperimentConfig, builtin_family, load_config,
                               run)
-from summa.functionals import CheckpointTrace, reduction_identity_check
-from summa.monotonicity import almost_increasing_diagnostic
+from summa.functionals import CheckpointTrace
+from summa.monotonicity import _inf_ratio_steps
 from summa.oracle import rational_cesaro_coefficients, run_all_suites
-from summa.sequences import CesaroParams, SequenceSpec, materialize
+from summa.sequences import SequenceSpec, materialize
+
+from helpers import drive, max_rel_deviation, reduced_terms
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -98,14 +100,13 @@ def test_term_identity_across_families():
 
 
 def test_reduction_identities_term_wise():
-    params = CesaroParams(alpha=1.0, k=1.5, beta=0.2)
     for family, fparams in (("alternating_unit", {}),
                             ("power_decay", {"p": 1.0})):
         a = materialize(SequenceSpec(family=family, n=10000, params=fparams,
                                      start=1))
-        rep = reduction_identity_check(a, params, 10000)
-        assert rep.max_rel_dev_classic <= 1e-12
-        assert rep.max_rel_dev_indexed <= 1e-12
+        t = cesaro_t(a, 1.0).values
+        for phi_form, reduced in reduced_terms(t, k=1.5, beta=0.2):
+            assert max_rel_deviation(phi_form, reduced) <= 1e-12
     _announce("named-weight reductions term-wise (m<=1e4, rel<=1e-12)")
 
 
@@ -126,12 +127,12 @@ def test_oracle_suites_clean_and_deterministic():
 def test_almost_increasing_fixture():
     bump = materialize(SequenceSpec(family="almost_inc_example", n=1000,
                                     start=1))
-    diag = almost_increasing_diagnostic(bump)
-    assert abs(diag.inf_ratio - math.exp(-2.0)) <= 1e-3
-    assert diag.almost_increasing_at_scale
+    _, inf_ratio = drive(_inf_ratio_steps(), 1, bump.values)
+    assert abs(inf_ratio - math.exp(-2.0)) <= 1e-3
+    assert inf_ratio > Tolerances().inf_ratio_floor
 
     monotone = materialize(SequenceSpec(family="log_shift", n=1000, start=1))
-    assert almost_increasing_diagnostic(monotone).inf_ratio == 1.0
+    assert drive(_inf_ratio_steps(), 1, monotone.values)[1] == 1.0
     _announce("almost-increasing witness: n*e^((-1)^n) near e^-2, "
               "monotone at 1")
 

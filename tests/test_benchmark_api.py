@@ -4,13 +4,15 @@
 calls|elements>`` in ``BENCHMARK.json`` from a span that its tracer wraps
 around every function a module lists in ``__all__``, and its scripts
 import some names of summa directly.  A change that drops or hides one of
-them breaks the benchmark without failing any other test.
+them breaks the benchmark without failing any other test.  A public
+function of a traced module that nothing but tests calls is refused too.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -77,3 +79,54 @@ def test_traced_modules_export_only_names_they_define():
         missing = [name for name in module.__all__
                    if not hasattr(module, name)]
         assert not missing, f"summa.{module_name}.__all__ names {missing}"
+
+
+def references_in_src():
+    """(name, enclosing) for every name that code in src/summa refers to
+    (an ast Name or Attribute), enclosing the (module, name) pairs of the
+    function definitions it sits in; a docstring or an __all__ entry is a
+    string, not a reference."""
+    refs = []
+
+    def visit(node, module, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {(module, node.name)}
+        if isinstance(node, ast.Name):
+            refs.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, enclosing)
+
+    for path in sorted((REPO / "src" / "summa").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, frozenset())
+    return refs
+
+
+def test_traced_public_functions_have_callers_outside_tests():
+    # a public function that only tests call is a second entry point
+    # beside the one the system runs: it goes, or something calls it.  A
+    # reference counts from outside the function's own definition, and not
+    # from a function that is itself uncalled
+    refs = references_in_src()
+    bench_text = "\n".join(
+        path.read_text() for path in [
+            *sorted((REPO / "perfbench").glob("*.py")),
+            REPO / "perfbench" / "catalog.json", REPO / "BENCHMARK.json"])
+    public = []
+    for module_name in traced_modules():
+        module = importlib.import_module(f"summa.{module_name}")
+        public += [(module_name, name) for name in module.__all__
+                   if inspect.isfunction(getattr(module, name))
+                   and getattr(module, name).__module__ == module.__name__
+                   and not re.search(rf"\b{name}\b", bench_text)]
+    uncalled = set(public)
+    while True:
+        still = {(module, name) for module, name in uncalled
+                 if not any(ref == name and (module, name) not in enclosing
+                            and not enclosing & uncalled
+                            for ref, enclosing in refs)}
+        if still == uncalled:
+            break
+        uncalled = still
+    assert not uncalled, f"only tests call {sorted(uncalled)}"

@@ -26,10 +26,11 @@ from summa.checker import (FamilyBundle, check_main_theorem, check_theorem_a,
                            conclusion_diagnostic)
 from summa.experiment import builtin_family, default_majorant
 from summa.functionals import WeightKind, WeightSpec
-from summa.monotonicity import _quasi_monotone_steps, quasi_monotone_check
+from summa.monotonicity import _quasi_monotone_steps
 from summa.sequences import (FAMILIES, CesaroParams, RealSequence,
-                             SequenceSpec, _generated, forward_difference,
-                             materialize)
+                             SequenceSpec, _generated, materialize)
+
+from helpers import drive, phi_of
 
 N = 2 * _BLOCK + 3
 
@@ -87,8 +88,8 @@ def test_default_majorant_blocks_match_whole(family, params):
     lam = materialize(SequenceSpec(family=family, n=N + 1, params=params,
                                    start=1))
     # the whole-array formula: |D lambda_n| + (n + 1)^-3
-    dlam = forward_difference(lam)
-    whole = np.abs(dlam.values) + np.power(dlam.indices() + 1.0, -3.0)
+    dlam = lam.values[:-1] - lam.values[1:]
+    whole = np.abs(dlam) + np.power(np.arange(1, N + 1) + 1.0, -3.0)
     assert_blocks_match(default_majorant(lam)._block, whole)
     lazy = _generated(SequenceSpec(family=family, n=N + 1, params=params,
                                    start=1))
@@ -102,7 +103,7 @@ def test_default_majorant_blocks_match_whole(family, params):
 ])
 def test_power_weight_phi_blocks_match_whole(weight, exponent):
     whole = np.power(np.arange(1.0, N + 1.0), exponent)
-    assert weight.phi_values(N, 1.5, beta_default=0.25).tobytes() \
+    assert phi_of(weight, N, 1.5, beta_default=0.25).tobytes() \
         == whole.tobytes()
     assert_blocks_match(lambda lo, hi: weight._phi_block(
         lo, np.arange(lo + 1.0, hi + 1.0), 1.5, 0.25), whole)
@@ -115,7 +116,7 @@ def test_explicit_phi_blocks_match_whole(start):
     for phi in (materialize(spec), _generated(spec)):
         weight = WeightSpec(kind=WeightKind.EXPLICIT_PHI, phi=phi)
         whole = np.abs(materialize(spec).values[1 - start:])
-        assert weight.phi_values(N, 1.5).tobytes() == whole.tobytes()
+        assert phi_of(weight, N, 1.5).tobytes() == whole.tobytes()
         assert_blocks_match(lambda lo, hi: weight._phi_block(
             lo, np.arange(lo + 1.0, hi + 1.0), 1.5), whole)
 
@@ -323,17 +324,7 @@ def test_quasi_monotone_trend_over_pairwise_leaves(size):
     quarter = n // 4
     expect = (float(np.mean(np.abs(b[-quarter:])))
               / float(np.mean(np.abs(b[:quarter]))))
-    idx = np.arange(1.0, n + 1.0)
-    steps = _quasi_monotone_steps(n, 1)
-    next(steps)
     # windows as the pass sends them: each block with the two values
     # before it, which the pairwise leaves must not count twice
-    for lo in range(0, n, size):
-        start, hi = max(lo - 2, 0), lo + size
-        steps.send((idx[start:hi], b[start:hi], delta[start:hi]))
-    with pytest.raises(StopIteration) as done:
-        steps.send(None)
-    verdict = done.value.value
+    verdict = drive(_quasi_monotone_steps(n, 1), 1, b, delta, block=size)
     assert verdict.trend_ratio == expect
-    assert verdict == quasi_monotone_check(RealSequence(1, b),
-                                           RealSequence(1, delta))

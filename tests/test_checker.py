@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from summa import accumulation, cesaro
-from summa.accumulation import _BLOCK, compensated_cumsum, compensated_sums_at
+from summa.accumulation import _BLOCK, compensated_cumsum
 from summa.cesaro import cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
                            FamilyBundle, GrowthVerdict, Tolerances, _Context,
@@ -18,6 +18,8 @@ from summa.functionals import (CheckpointTrace, FunctionalTrace, WeightKind,
 from summa.monotonicity import _weight_steps
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
+
+from helpers import monotone_partials, phi_of
 
 
 class TestDyadicCheckpoints:
@@ -363,9 +365,9 @@ class TestFamilyBundle:
         with pytest.raises(ValueError, match=rf"^explicit phi covers only "
                            rf"indices up to {end}, need {n}$"):
             dataclasses.replace(bundle, weight=weight)
-        # the message phi_values gives
+        # the message phi_of gives, as the pass reads the weight
         with pytest.raises(ValueError, match=rf"up to {end}, need {n}$"):
-            weight.phi_values(n, bundle.params.k)
+            phi_of(weight, n, bundle.params.k)
 
     @pytest.mark.parametrize("length, start", [(100, 1), (101, 0), (150, 1)])
     def test_explicit_phi_covering_the_bundle(self, length, start):
@@ -395,6 +397,13 @@ class TestCheckpointArgument:
             with pytest.raises(ValueError,
                                match="^at least 4 checkpoints required$"):
                 check(bundle, empty)
+
+    def test_checkpoint_past_n_is_refused(self):
+        # the pass reads no term past n, so no checkpoint may lie there
+        for check, bundle in self.bundles(64):
+            with pytest.raises(ValueError, match="^checkpoint 65 exceeds "
+                               "available prefix length 64$"):
+                check(bundle, (1, 2, 3, 65))
 
     @staticmethod
     def result(check, bundle, cps):
@@ -515,7 +524,7 @@ def full_array_trace(values, k, phi, checkpoints):
     """The weighted power trace with every n-long array held whole."""
     n = np.arange(1.0, phi.size + 1.0)
     terms = np.power(np.abs(phi * values) / n, k)
-    return compensated_sums_at(terms, checkpoints, running_max=True)
+    return monotone_partials(terms)[np.asarray(checkpoints) - 1]
 
 
 class TestStreamedTraces:
@@ -527,7 +536,7 @@ class TestStreamedTraces:
     def assert_traces_match(n, alpha):
         bundle = builtin_family("F1", n, {"alpha": alpha})
         k = bundle.params.k
-        phi = bundle.weight.phi_values(n, k, beta_default=bundle.params.beta)
+        phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
         for cps in (None, (1, 2, 3, n // 2 + 1)):
             grid = cps or dyadic_checkpoints(n)
             t = full_array_t(bundle.a.values, alpha)
@@ -592,8 +601,8 @@ class TestOneLaneNonFinite:
     def test_the_other_lane_runs_on(self, lane, p):
         bundle = one_lane_non_finite(self.N, p, lane)
         k = bundle.params.k
-        phi = bundle.weight.phi_values(self.N, k,
-                                       beta_default=bundle.params.beta)
+        phi = phi_of(bundle.weight, self.N, k,
+                     beta_default=bundle.params.beta)
         grid = dyadic_checkpoints(self.N)
         a, lam = bundle.a.values, bundle.lam.values
         # under the errstate a `summa run` sets
@@ -623,3 +632,33 @@ class TestOneLaneNonFinite:
                 want = full_array_trace(t, k, phi, grid).tobytes()
                 assert conclusion[0] == alone[0] == want
                 assert conclusion == alone
+
+
+def test_a_dead_lane_is_not_redone(monkeypatch):
+    # the conclusion's t goes non-finite at index 100 (a_100 * lambda_100
+    # overflows); its lane then carries zeros, so later blocks are not redone
+    # with Neumaier's branch, while cond11's lane runs on with its own bits
+    n = 1 << 17
+    bundle = builtin_family("F1", n)
+    a, lam = bundle.a.values.copy(), bundle.lam.values.copy()
+    a[99] = lam[99] = 1e200
+    bundle = dataclasses.replace(bundle, a=RealSequence(1, a),
+                                 lam=RealSequence(1, lam))
+    calls = []
+    redo = accumulation._neumaier_corrections
+    monkeypatch.setattr(accumulation, "_neumaier_corrections",
+                        lambda *args: calls.append(1) or redo(*args))
+    with np.errstate(all="ignore"):  # as `summa run` sets it
+        report = check_main_theorem(bundle)
+        with pytest.raises(ValueError, match="^sequence values must be "
+                           "finite$"):
+            conclusion_diagnostic(bundle)
+        w = np.abs(full_array_t(a, 1.0))
+    # once in the running means' block, once in the trace's
+    assert len(calls) <= 2
+    assert [r.condition for r in report.records if not r.passed] \
+        == ["majorant"]
+    k, grid = bundle.params.k, dyadic_checkpoints(n)
+    phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
+    assert (report.traces["cond11"].partial_sums.tobytes()
+            == full_array_trace(w, k, phi, grid).tobytes())

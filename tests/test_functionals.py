@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summa import accumulation
-from summa.accumulation import _BLOCK, compensated_cumsum
+from summa.accumulation import _BLOCK
 from summa.cesaro import cesaro_t
 from summa.functionals import (FunctionalTrace, WeightKind, WeightSpec,
-                               reduction_identity_check, weighted_power_trace)
-from summa.sequences import CesaroParams, RealSequence
+                               weighted_power_trace)
+from summa.sequences import RealSequence
 
-
-def monotone_partials(terms):
-    """The full-array running max of compensated prefix sums: what a
-    sampled trace must reproduce bit for bit."""
-    return np.maximum.accumulate(compensated_cumsum(terms))
+from helpers import (max_rel_deviation, monotone_partials, phi_of,
+                     reduced_terms)
 
 
 class TestWeightSpec:
@@ -32,23 +29,23 @@ class TestWeightSpec:
 
     def test_classic_values(self):
         spec = WeightSpec(kind=WeightKind.CLASSIC)
-        phi = spec.phi_values(4, k=2.0)
+        phi = phi_of(spec, 4, k=2.0)
         assert np.allclose(phi, np.sqrt([1, 2, 3, 4]), rtol=1e-15)
 
     def test_indexed_values_and_fallback(self):
         spec = WeightSpec(kind=WeightKind.INDEXED, beta=0.5)
-        phi = spec.phi_values(3, k=2.0)
+        phi = phi_of(spec, 3, k=2.0)
         assert np.allclose(phi, np.power([1, 2, 3], 1.0), rtol=1e-15)
         fallback = WeightSpec(kind=WeightKind.INDEXED)
-        phi = fallback.phi_values(3, k=2.0, beta_default=0.5)
+        phi = phi_of(fallback, 3, k=2.0, beta_default=0.5)
         assert np.allclose(phi, np.power([1, 2, 3], 1.0), rtol=1e-15)
 
     def test_explicit_coverage_and_abs(self):
         phi = RealSequence(1, np.array([-1.0, 2.0, -3.0]))
         spec = WeightSpec(kind=WeightKind.EXPLICIT_PHI, phi=phi)
-        assert np.array_equal(spec.phi_values(3, k=1.5), [1.0, 2.0, 3.0])
+        assert np.array_equal(phi_of(spec, 3, k=1.5), [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            spec.phi_values(4, k=1.5)
+            phi_of(spec, 4, k=1.5)
 
     def test_explicit_must_cover_from_one(self):
         phi = RealSequence(2, np.array([1.0, 1.0]))
@@ -151,45 +148,38 @@ class TestSampledTrace:
                 weighted_power_trace(values, 1.5, phi, self.CPS)
 
     def test_reduction_traces_match_full_array(self):
+        # the classic weight's trace at every index, of t from cesaro_t
         rng = np.random.default_rng(3)
         a = RealSequence(1, rng.standard_normal(self.N))
         k = 1.5
-        rep = reduction_identity_check(a, CesaroParams(alpha=1.0, k=k),
-                                       self.N)
-        tm = np.abs(cesaro_t(a, 1.0).values)
+        t = cesaro_t(a, 1.0).values
         n = np.arange(1.0, self.N + 1.0)
-        ref = monotone_partials(np.power(tm, k) / n)
-        assert (rep.classic_direct_trace.partial_sums.tobytes()
-                == ref.tobytes())
+        phi = phi_of(WeightSpec(kind=WeightKind.CLASSIC), self.N, k)
+        ref = monotone_partials(np.power(np.abs(phi * t) / n, k))
+        got = weighted_power_trace(t, k, phi, range(1, self.N + 1))
+        assert got.partial_sums.tobytes() == ref.tobytes()
+
 
 class TestReductionIdentity:
     def test_beta_zero_collapses_indexed_to_classic(self):
-        rng = np.random.default_rng(4)
-        a = RealSequence(1, rng.standard_normal(100))
-        rep = reduction_identity_check(a, CesaroParams(alpha=1.0, k=1.5), 100)
-        assert np.array_equal(rep.indexed_trace.partial_sums,
-                              rep.classic_trace.partial_sums)
+        m, k = 100, 1.5
+        indexed = phi_of(WeightSpec(kind=WeightKind.INDEXED, beta=0.0), m, k)
+        classic = phi_of(WeightSpec(kind=WeightKind.CLASSIC), m, k)
+        assert indexed.tobytes() == classic.tobytes()
 
     def test_all_zero_input(self):
-        a = RealSequence(1, np.zeros(50))
-        rep = reduction_identity_check(a, CesaroParams(alpha=1.0, k=2.0), 50)
-        for trace in (rep.classic_trace, rep.classic_direct_trace,
-                      rep.indexed_trace, rep.indexed_direct_trace):
+        t = cesaro_t(RealSequence(1, np.zeros(50)), 1.0).values
+        cps = range(1, 51)
+        for spec in (WeightSpec(kind=WeightKind.CLASSIC),
+                     WeightSpec(kind=WeightKind.INDEXED, beta=0.5)):
+            trace = weighted_power_trace(t, 2.0, phi_of(spec, 50, 2.0), cps)
             assert np.array_equal(trace.partial_sums, np.zeros(50))
-        assert rep.max_rel_dev_classic == 0.0
-        assert rep.max_rel_dev_indexed == 0.0
+        for phi_form, reduced in reduced_terms(t, 2.0, 0.5):
+            assert max_rel_deviation(phi_form, reduced) == 0.0
 
     def test_deviation_small_on_random_input(self):
         rng = np.random.default_rng(9)
         a = RealSequence(1, rng.standard_normal(500))
-        rep = reduction_identity_check(
-            a, CesaroParams(alpha=0.5, k=1.5, beta=0.2), 500)
-        assert rep.max_rel_dev_classic < 1e-12
-        assert rep.max_rel_dev_indexed < 1e-12
-
-    def test_m_bounds(self):
-        a = RealSequence(1, np.ones(10))
-        with pytest.raises(ValueError):
-            reduction_identity_check(a, CesaroParams(), 11)
-        with pytest.raises(ValueError):
-            reduction_identity_check(a, CesaroParams(), 0)
+        t = cesaro_t(a, 0.5).values
+        for phi_form, reduced in reduced_terms(t, 1.5, 0.2):
+            assert max_rel_deviation(phi_form, reduced) < 1e-12

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from summa.cesaro import cesaro_t
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
-                             forward_difference, materialize)
+                             materialize)
 
 
 class TestRealSequence:
@@ -38,25 +37,23 @@ class TestRealSequence:
         assert values.flags.writeable
 
     def test_adopted_values_checked_and_read_only(self):
-        # generated and differenced values are taken over without a copy,
-        # with the constructor's checks
+        # generated values and transform results are taken over without a
+        # copy, with the constructor's checks
         seq = materialize(SequenceSpec("power_decay", n=4, params={"p": 1.0},
                                        start=1))
-        for s in (seq, forward_difference(seq)):
+        for s in (seq, cesaro_t(seq, 1.0)):
             assert not s.values.flags.writeable
-        big = RealSequence(0, np.array([1e308, -1e308]))
+        big = RealSequence(1, np.array([1e308, 1e308]))
         with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                        match="finite"):
-            forward_difference(big)
+            cesaro_t(big, 1.0)
 
     def test_indexing(self):
         seq = RealSequence(3, np.array([10.0, 20.0, 30.0]))
         assert seq.end_index == 5
-        assert seq.value_at(4) == 20.0
-        assert list(seq.indices()) == [3, 4, 5]
         assert list(seq.range_view(4, 5)) == [20.0, 30.0]
         with pytest.raises(IndexError):
-            seq.value_at(2)
+            seq.range_view(2, 4)
         with pytest.raises(IndexError):
             seq.range_view(3, 6)
 
@@ -142,41 +139,6 @@ class TestSequenceSpec:
     def test_resolved_params_fills_defaults(self):
         spec = SequenceSpec("power_decay", n=3, params={"p": 1.0})
         assert spec.resolved_params() == {"c": 1.0, "c0": 1.0, "p": 1.0}
-
-
-class TestForwardDifference:
-    def test_convention(self):
-        # (D u)_n = u_n - u_(n+1)
-        u = RealSequence(1, np.array([5.0, 3.0, 2.0]))
-        d = forward_difference(u)
-        assert d.start_index == 1
-        assert list(d.values) == [2.0, 1.0]
-
-    def test_second_order(self):
-        u = RealSequence(0, np.array([1.0, 4.0, 9.0, 16.0]))
-        d2 = forward_difference(u, order=2)
-        assert d2.start_index == 0
-        assert list(d2.values) == [2.0, 2.0]
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            forward_difference(RealSequence(0, np.array([1.0])))
-
-    def test_bad_order(self):
-        u = RealSequence(0, np.array([1.0, 2.0, 3.0, 4.0]))
-        with pytest.raises(ValueError):
-            forward_difference(u, order=3)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=30),
-           st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=30))
-    def test_additive(self, xs, ys):
-        m = min(len(xs), len(ys))
-        u = RealSequence(0, np.array(xs[:m]))
-        v = RealSequence(0, np.array(ys[:m]))
-        both = forward_difference(RealSequence(0, u.values + v.values))
-        separate = forward_difference(u).values + forward_difference(v).values
-        assert np.allclose(both.values, separate, rtol=1e-9, atol=1e-9)
 
 
 class TestCesaroParams:
