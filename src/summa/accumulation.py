@@ -38,10 +38,9 @@ varies even within one numpy call.
 The same loop also runs pushed: ``_Neumaier`` and ``_SampledSums`` take
 their terms a block at a time from a caller that makes the blocks, as the
 checker's one pass over a bundle does.  ``_SampledSums`` keeps only the
-sums at the requested checkpoints (and, on request, their running maximum,
-carried from block to block as a per-block maximum) and ignores terms past
-the last checkpoint, so it holds no n-long array of sums.  ``_PairwiseSum``
-gives what ``np.sum`` gives over a range of values that arrive in blocks.
+sums at the requested checkpoints and ignores terms past the last
+checkpoint, so it holds no n-long array of sums.  ``_PairwiseSum`` gives
+what ``np.sum`` gives over a range of values that arrive in blocks.
 
 A pushed accumulator carries one chain of sums or two independent ones
 (lanes), by the shape of its buffers: (m,) for one lane, (m, 2) for two,
@@ -176,9 +175,8 @@ def compensated_cumsum(values) -> np.ndarray:
 class _SampledSums:
     """The compensated sum of the first c terms for each checkpoint c
     (``compensated_cumsum(terms)[c - 1]``), fed the terms a block at a
-    time, in one or two lanes (``_Neumaier``).  With ``running_max`` each
-    sum is replaced by the largest sum up to it, as
-    ``np.maximum.accumulate`` would give (NaN propagating).
+    time, in one or two lanes (``_Neumaier``), on a validated grid: at
+    least one checkpoint, strictly increasing from 1 on.
 
     ``push(x)`` takes the next len(x) terms, at most ``_BLOCK``, of every
     lane; terms past the last checkpoint are ignored.  ``sums`` holds the
@@ -186,23 +184,12 @@ class _SampledSums:
     the last checkpoint have all been pushed.
     """
 
-    def __init__(self, checkpoints, running_max: bool = False,
-                 lanes: int = 1) -> None:
-        idx = np.asarray(checkpoints, dtype=np.int64) - 1
-        if idx.size and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
-            raise ValueError(
-                "checkpoints must be strictly increasing and >= 1")
-        self.sums = _lane_buffer(idx.size, lanes)
-        self.stop = int(idx[-1]) + 1 if idx.size else 0
-        size = max(1, min(_BLOCK, self.stop))
-        self._idx, self._running_max = idx, running_max
-        self._acc = _Neumaier(size, lanes)
+    def __init__(self, checkpoints, lanes: int = 1) -> None:
+        self._idx = np.asarray(checkpoints, dtype=np.int64) - 1
+        self.sums = _lane_buffer(self._idx.size, lanes)
+        self.stop = int(self._idx[-1]) + 1
+        self._acc = _Neumaier(min(_BLOCK, self.stop), lanes)
         self._lo = self._first = 0
-        # running maximum of every sum before the current block, per lane.
-        # A prefix sum is never -0.0 (the loop starts from +0.0), so equal
-        # sums are equal bits and the order in which maxima are taken
-        # cannot show
-        self._peak = np.full(lanes, -np.inf)
 
     def push(self, x: np.ndarray) -> None:
         lo = self._lo
@@ -215,19 +202,7 @@ class _SampledSums:
         last = self._first = int(np.searchsorted(self._idx, lo + m))
         local = self._idx[first:last] - lo
         with np.errstate(invalid="ignore", over="ignore"):
-            if not self._running_max:
-                np.add(total[local], comp[local], out=self.sums[first:last])
-                return
-            for lane, out in enumerate(_lanes(self.sums)):
-                block = self._acc.sums(lane)
-                if local.size:
-                    # maxima of the stretches that end at each sampled
-                    # index
-                    starts = np.concatenate(([0], local[:-1] + 1))
-                    seg = np.maximum.reduceat(block[:local[-1] + 1], starts)
-                    seg[0] = np.maximum(seg[0], self._peak[lane])
-                    np.maximum.accumulate(seg, out=out[first:last])
-                self._peak[lane] = np.maximum(self._peak[lane], block.max())
+            np.add(total[local], comp[local], out=self.sums[first:last])
 
 
 # a range this long or shorter is one np.add.reduce call in ``_PairwiseSum``
@@ -251,10 +226,9 @@ def _pairwise(length: int) -> Generator[int, float, float]:
 class _PairwiseSum:
     """``np.sum(values[start:start + length])``, bit for bit, from the values
     pushed a block at a time (``push(lo, block)`` with block holding
-    values[lo:lo + block.size], blocks in order, each starting at or before
-    the first value not yet pushed; values pushed twice count once).  A leaf
-    that spans blocks is copied together; ``total`` is set once the range
-    has been pushed."""
+    values[lo:lo + block.size], blocks in order with no gap between them;
+    values before ``start`` are skipped).  A leaf that spans blocks is
+    copied together; ``total`` is set once the range has been pushed."""
 
     def __init__(self, start: int, length: int) -> None:
         self.total = None if length else 0.0

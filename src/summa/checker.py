@@ -67,7 +67,8 @@ from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
                            _weight_steps)
-from .sequences import _NON_FINITE, CesaroParams, RealSequence, _verify
+from .sequences import (_NON_FINITE, CesaroParams, RealSequence, _real,
+                        _verify)
 
 __all__ = [
     "GrowthVerdict",
@@ -103,9 +104,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            # True is not the tolerance 1.0
-            v = math.nan if isinstance(v, (bool, np.bool_)) else float(v)
+            v = _real(getattr(self, f.name))
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{f.name} tolerance must be positive and finite")
             object.__setattr__(self, f.name, v)
@@ -118,7 +117,7 @@ class Tolerances:
         extra = set(obj) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown tolerance fields: {sorted(extra)}")
-        return cls(**{k: float(v) for k, v in obj.items()})
+        return cls(**obj)
 
 
 # seven checkpoints: enough for a stable tail fit while keeping trace files
@@ -447,21 +446,8 @@ class _Context:
         return self.growth_record(condition, trace, notes=notes)
 
 
-def _relay(steps: Generator, *roles: str):
-    """Send a monotonicity block step each block's window: its indices n
-    and the named roles; return its verdict."""
-    next(steps)
-    while (block := (yield)) is not None:
-        w = block.window
-        steps.send((w.n, *(getattr(w, role) for role in roles)))
-    try:
-        steps.send(None)
-    except StopIteration as done:
-        return done.value
-
-
 def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
-    bad, inf_ratio = yield from _relay(_inf_ratio_steps(), "X")
+    bad, inf_ratio = yield from _inf_ratio_steps()
     if bad is not None:
         return _pass_fail(name, False, "X must be positive", bad)
     floor = ctx.tol.inf_ratio_floor
@@ -517,8 +503,7 @@ def _majorant(ctx: _Context, name: str) -> _Step:
 
 
 def _quasi_monotone(ctx: _Context, name: str) -> _Step:
-    qm = yield from _relay(_quasi_monotone_steps(ctx.bundle.n, 1),
-                           "Q", "delta")
+    qm = yield from _quasi_monotone_steps(ctx.bundle.n)
     return _pass_fail(
         name, qm.holds_on_range and qm.positivity_from is not None,
         f"positivity_from={qm.positivity_from} "
@@ -558,8 +543,8 @@ def _weight_monotone(ctx: _Context, name: str) -> _Step:
     # (iii) n^(epsilon-k) |phi_n|^k non-increasing
     params = ctx.bundle.params
     eps, k = params.epsilon, params.k
-    first, non_finite = yield from _relay(
-        _weight_steps(eps, k, ctx.tol.weight_rel_tol), "phi")
+    first, non_finite = yield from _weight_steps(eps, k,
+                                                 ctx.tol.weight_rel_tol)
     notes = f"epsilon={eps:.6g}"
     if non_finite:
         notes += " non-finite value at first_violation"

@@ -5,23 +5,26 @@ on the stored prefix and is explicit about that in its field names
 (``holds_on_range``).  Differences follow
 the package convention  (D b)_n = b_n - b_(n+1).
 
-Each check is a private block step: a generator sent windows in order
-(``None`` ends them), the indices n as floats and the values there, that
-returns the verdict.  The checker's pass is their one driver: it sends each
-block with the two values before it, so a step carries only a running
-maximum, sums or the first violation, never an n-long array.  It takes
-epsilon, k, the floor and the slack from ``CesaroParams`` and
-``Tolerances``, which refuse values a step could not judge.
+Each check is a private block step, a generator that only the checker's
+pass runs: it is sent each block (``checker._Block``) and then None, and
+returns the verdict.  It judges values on the block and differences on
+the block's window, which adds the two values before it, so it carries only
+a running maximum, sums or the first violation.  It takes epsilon, k, the
+floor and the slack from ``CesaroParams`` and ``Tolerances``, which refuse
+values a step could not judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
 from .accumulation import _PairwiseSum
+
+if TYPE_CHECKING:
+    from .checker import _Block
 
 __all__ = ["QuasiMonotoneVerdict"]
 
@@ -46,38 +49,37 @@ class QuasiMonotoneVerdict:
     trend_ratio: float | None
 
 
-def _quasi_monotone_steps(length: int, start: int
-                          ) -> Generator[None, tuple | None,
+def _quasi_monotone_steps(length: int
+                          ) -> Generator[None, _Block | None,
                                          QuasiMonotoneVerdict]:
-    """Check (D b)_n >= -delta_n wherever b's difference exists: a block
-    step sent (n, b, delta) windows of b's ``length`` values from index
-    ``start``, delta aligned with b (its last value is never read).  The
-    trend means are np.mean's bits (``_PairwiseSum``); a non-positive delta
-    raises with the first window that holds b's difference at its index."""
+    """Check (D Q)_n >= -delta_n wherever Q's difference exists, on the
+    blocks' Q and delta (``length`` values from index 1; delta's last value
+    is never read).  The trend means are np.mean's bits (``_PairwiseSum``);
+    a non-positive delta raises with the first window that holds Q's
+    difference at its index."""
     quarter = length // 4
     head = _PairwiseSum(0, quarter)
     tail = _PairwiseSum(length - quarter, quarter)
     first_violation = last_not_positive = None
-    while (window := (yield)) is not None:
-        n, b, d = window
-        if np.any(d[:-1] <= 0.0):
-            bad = int(n[np.argmax(d[:-1] <= 0.0)])
+    while (block := (yield)) is not None:
+        w = block.window
+        if np.any(w.delta[:-1] <= 0.0):
+            bad = int(w.n[np.argmax(w.delta[:-1] <= 0.0)])
             raise ValueError(f"delta must be positive everywhere; first "
                              f"non-positive entry at index {bad}")
-        bad_mask = b[:-1] - b[1:] < -d[:-1]
+        bad_mask = w.Q[:-1] - w.Q[1:] < -w.delta[:-1]
         if first_violation is None and np.any(bad_mask):
-            first_violation = int(n[np.argmax(bad_mask)])
-        not_pos = np.nonzero(~(b > 0.0))[0]
+            first_violation = int(w.n[np.argmax(bad_mask)])
+        not_pos = np.nonzero(~(block.Q > 0.0))[0]
         if not_pos.size:
-            last_not_positive = int(n[not_pos[-1]])
-        mags = np.abs(b)
-        offset = int(n[0]) - start
-        head.push(offset, mags)
-        tail.push(offset, mags)
+            last_not_positive = int(block.n[not_pos[-1]])
+        mags = np.abs(block.Q)
+        head.push(block.lo, mags)
+        tail.push(block.lo, mags)
 
     if last_not_positive is None:
-        positivity_from = start
-    elif last_not_positive == start + length - 1:
+        positivity_from = 1
+    elif last_not_positive == length:
         positivity_from = None
     else:
         # first index of the longest all-positive suffix
@@ -95,42 +97,37 @@ def _quasi_monotone_steps(length: int, start: int
                                 trend_ratio=trend_ratio)
 
 
-def _inf_ratio_steps() -> Generator[None, tuple | None,
+def _inf_ratio_steps() -> Generator[None, _Block | None,
                                     tuple[int | None, float]]:
-    """The almost-increasing witness, a block step sent (n, b) windows:
-    returns the index of the first non-positive value (None when all are
-    positive) and, if there is none, inf_ratio, the least
-    b_n / max_(v<=n) b_v (near zero at scale: not almost increasing), with
-    the running max carried from window to window.  A window's values at
-    indices already seen are skipped."""
-    last, peak, low, bad = -np.inf, -np.inf, np.inf, None
-    while (window := (yield)) is not None:
-        n, b = window
-        fresh = int(np.searchsorted(n, last, side="right"))
-        n, b, last = n[fresh:], b[fresh:], n[-1]
-        if bad is None and np.any(b <= 0.0):
-            bad = int(n[np.argmax(b <= 0.0)])
+    """The almost-increasing witness of the blocks' X: returns the index of
+    the first non-positive value (None when all are positive) and, if there
+    is none, inf_ratio, the least X_n / max_(v<=n) X_v (near zero at scale:
+    not almost increasing), with the running max carried from block to
+    block."""
+    peak, low, bad = -np.inf, np.inf, None
+    while (block := (yield)) is not None:
+        if bad is None and np.any(block.X <= 0.0):
+            bad = int(block.n[np.argmax(block.X <= 0.0)])
         elif bad is None:
-            c = np.maximum.accumulate(b)
+            c = np.maximum.accumulate(block.X)
             np.maximum(c, peak, out=c)
             peak = c[-1]
-            low = min(low, float(np.min(b / c)))
+            low = min(low, float(np.min(block.X / c)))
     return bad, low
 
 
 def _weight_steps(epsilon: float, k: float, rel_tol: float
-                  ) -> Generator[None, tuple | None,
+                  ) -> Generator[None, _Block | None,
                                  tuple[int | None, bool]]:
     """The first n where (n^(epsilon-k) |phi_n|^k) rises by more than
     ``rel_tol`` relative (rounding noise of a constant term), or is not
-    finite: a block step sent (n, |phi|) windows that returns that index
-    (None when there is none) and whether the term there is non-finite.
-    A term's rise into the next is judged in the first window that holds
-    both."""
+    finite, phi the blocks' |phi|: returns that index (None when there is
+    none) and whether the term there is non-finite.  A term's rise into the
+    next is judged in the first window that holds both."""
     first, non_finite = None, False
-    while (window := (yield)) is not None:
+    while (block := (yield)) is not None:
         if first is None:
-            n, phi = window
+            n, phi = block.window.n, block.window.phi
             # float arrays of the window's length, reused in place
             with np.errstate(all="ignore"):
                 seq = np.power(n, epsilon - k)

@@ -97,12 +97,6 @@ class RationalSequence:
     def end_index(self) -> int:
         return self.start_index + len(self.values) - 1
 
-    def value_at(self, n: int) -> Fraction:
-        if n < self.start_index or n > self.end_index:
-            raise IndexError(f"index {n} outside stored range "
-                             f"[{self.start_index}, {self.end_index}]")
-        return self.values[n - self.start_index]
-
 
 @functools.lru_cache(maxsize=None)
 def _weights_cached(order: Fraction, n_max: int) -> tuple[Fraction, ...]:

@@ -19,6 +19,7 @@ read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -286,6 +287,17 @@ def _generated(spec: SequenceSpec,
     return _BlockSequence(spec.start, spec.n, make, error)
 
 
+def _real(value) -> float:
+    """``value`` as a float, or NaN unless it is a real number that a float
+    holds: numpy scalars are, bools (True is not the parameter 1.0) and
+    strings are not."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return float(value) if real else math.nan
+    except OverflowError:  # an integer or fraction too large
+        return math.nan
+
+
 @dataclass(frozen=True)
 class CesaroParams:
     """Shared transform/functional parameters.
@@ -303,10 +315,10 @@ class CesaroParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "k", "beta", "epsilon"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            v = _real(getattr(self, name))
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite real number")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         if self.alpha <= -1.0:
             raise ValueError("alpha must exceed -1")
         if self.k < 1.0:
@@ -325,4 +337,4 @@ class CesaroParams:
         extra = set(obj) - {"alpha", "k", "beta", "epsilon"}
         if extra:
             raise ValueError(f"unknown parameter fields: {sorted(extra)}")
-        return cls(**{k: float(v) for k, v in obj.items()})
+        return cls(**obj)

@@ -1,28 +1,34 @@
 """Test-side drivers of the private steps that the checker's pass runs, for
 tests that check one step against a reference: a monotonicity step sent
-windows of aligned values, ``_SampledSums`` pushed blocks of terms, a
-weight's |phi| read as one block; and the two term forms of each named
-weight, which the reduction identities compare."""
+the pass's blocks of aligned values, ``_SampledSums`` pushed blocks of
+terms, a weight's |phi| read as one block; and the two term forms of each
+named weight, which the reduction identities compare."""
 
 import numpy as np
 
 from summa import accumulation
 from summa.accumulation import compensated_cumsum
+from summa.checker import _Block
 from summa.functionals import WeightKind, WeightSpec
 
 
-def drive(steps, start, *values, block=None):
-    """The verdict of a monotonicity block step sent ``values``, aligned
-    arrays from index ``start``, in blocks of ``block`` values (one block
-    when None), each block with the two values before it as the pass sends
-    them."""
-    size = values[0].size
-    n = np.arange(start, start + size, dtype=np.float64)
+def drive(steps, *, block=None, **roles):
+    """The verdict of a monotonicity block step sent ``roles``, aligned
+    arrays from index 1 named by their ``_Block`` field (X, phi, Q,
+    delta), in blocks of ``block`` values (one block when None), each with
+    its window from the two values before it, as the pass sends them."""
+    size = len(next(iter(roles.values())))
+    n = np.arange(1.0, size + 1.0)
     block = block or max(size, 1)
+    fields = dict.fromkeys(("phi", "a", "lam", "X"))
     next(steps)
     for lo in range(0, size, block):
-        window = slice(max(lo - 2, 0), lo + block)
-        steps.send((n[window], *(v[window] for v in values)))
+        hi, start = min(lo + block, size), max(lo - 2, 0)
+        window = _Block(start, hi, n[start:hi],
+                        **{**fields, **{name: v[start:hi]
+                                        for name, v in roles.items()}})
+        steps.send(_Block(lo, hi, *(None if v is None else v[lo - start:]
+                                    for v in window[2:-1]), window))
     try:
         steps.send(None)
     except StopIteration as done:
@@ -30,17 +36,19 @@ def drive(steps, start, *values, block=None):
     raise AssertionError("the step did not return its verdict")
 
 
-def monotone_partials(terms):
-    """The full-array running max of compensated prefix sums: what a
-    sampled trace must reproduce bit for bit."""
-    return np.maximum.accumulate(compensated_cumsum(terms))
+def monotone_partials(terms, checkpoints):
+    """The compensated prefix sums of ``terms`` at the checkpoints, through
+    a running max over them: what a sampled trace must reproduce bit for
+    bit."""
+    cps = np.asarray(checkpoints) - 1
+    return np.maximum.accumulate(compensated_cumsum(terms)[cps])
 
 
-def sampled_sums(terms, checkpoints, running_max=False):
+def sampled_sums(terms, checkpoints):
     """What ``_SampledSums`` holds once ``terms`` are pushed in blocks of
     ``accumulation._BLOCK``: the compensated sum of the first c terms for
-    each checkpoint c (their running maximum with ``running_max``)."""
-    sums = accumulation._SampledSums(checkpoints, running_max)
+    each checkpoint c."""
+    sums = accumulation._SampledSums(checkpoints)
     terms = np.asarray(terms, dtype=np.float64)
     assert sums.stop <= terms.size, "a checkpoint lies past the terms"
     size = accumulation._BLOCK

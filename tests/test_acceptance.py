@@ -127,12 +127,12 @@ def test_oracle_suites_clean_and_deterministic():
 def test_almost_increasing_fixture():
     bump = materialize(SequenceSpec(family="almost_inc_example", n=1000,
                                     start=1))
-    _, inf_ratio = drive(_inf_ratio_steps(), 1, bump.values)
+    _, inf_ratio = drive(_inf_ratio_steps(), X=bump.values)
     assert abs(inf_ratio - math.exp(-2.0)) <= 1e-3
     assert inf_ratio > Tolerances().inf_ratio_floor
 
     monotone = materialize(SequenceSpec(family="log_shift", n=1000, start=1))
-    assert drive(_inf_ratio_steps(), 1, monotone.values)[1] == 1.0
+    assert drive(_inf_ratio_steps(), X=monotone.values)[1] == 1.0
     _announce("almost-increasing witness: n*e^((-1)^n) near e^-2, "
               "monotone at 1")
 

@@ -65,14 +65,10 @@ def assert_sampled_matches(values, ref):
     edges = np.arange(0, ref.size + block, block)
     idx = np.unique(np.clip(np.concatenate(
         ([0, ref.size - 1], edges - 1, edges, edges + 1)), 0, ref.size - 1))
-    # np.maximum, unlike Python's max, propagates NaN
-    peak = np.maximum.accumulate(ref)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         at = sampled_sums(values, idx + 1)
-        at_max = sampled_sums(values, idx + 1, running_max=True)
     np.testing.assert_array_equal(bits(at), bits(ref[idx]))
-    np.testing.assert_array_equal(bits(at_max), bits(peak[idx]))
 
 
 spread = st.builds(math.ldexp,
@@ -233,9 +229,6 @@ class TestSampledSums:
         full = compensated_cumsum(x)
         np.testing.assert_array_equal(bits(sampled_sums(x, idx + 1)),
                                       bits(full[idx]))
-        np.testing.assert_array_equal(
-            bits(sampled_sums(x, idx + 1, running_max=True)),
-            bits(np.maximum.accumulate(full)[idx]))
 
     def test_stops_at_last_index(self):
         # the terms after the last checkpoint are NaN: none is read, so the
@@ -243,13 +236,11 @@ class TestSampledSums:
         x = np.full(2 * B, np.nan)
         x[:B + 1] = 1.0
         assert sampled_sums(x, [B + 1]).tolist() == [B + 1.0]
-        assert sampled_sums(x, [1, B + 1],
-                                   running_max=True).tolist() == [1.0, B + 1.0]
+        assert sampled_sums(x, [1, B + 1]).tolist() == [1.0, B + 1.0]
 
     def test_overflow_mid_block(self):
         # the sums overflow in the middle of the second block and stay
-        # non-finite; the running max follows the reference's np.maximum,
-        # not Python's max, which would drop a NaN
+        # non-finite
         x = self.terms()
         x[B + 100:B + 102] = 1.7e308
         idx = np.array([B - 1, B + 99, B + 100, B + 101, self.N - 1])
@@ -258,24 +249,12 @@ class TestSampledSums:
         assert not np.any(np.isfinite(full[B + 101:]))
         np.testing.assert_array_equal(bits(sampled_sums(x, idx + 1)),
                                       bits(full[idx]))
-        np.testing.assert_array_equal(
-            bits(sampled_sums(x, idx + 1, running_max=True)),
-            bits(np.maximum.accumulate(full)[idx]))
-
-    def test_no_checkpoints(self):
-        assert sampled_sums(np.ones(3), []).shape == (0,)
-
-    @pytest.mark.parametrize("cps", [[0], [2, 2], [3, 1]])
-    def test_bad_checkpoints(self, cps):
-        with pytest.raises(ValueError):
-            sampled_sums(np.ones(3), cps)
 
 
 def assert_two_lanes_match_one(pairs, block):
-    """A two-lane ``_Neumaier`` and ``_SampledSums(running_max=True)`` fed
-    blocks of ``block`` (lane 0, lane 1) terms against one one-lane
-    accumulator per lane: every running sum, compensation and sampled sum
-    bit for bit."""
+    """A two-lane ``_Neumaier`` and ``_SampledSums`` fed blocks of
+    ``block`` (lane 0, lane 1) terms against one one-lane accumulator per
+    lane: every running sum, compensation and sampled sum bit for bit."""
     x = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     n = len(x)
     size = max(1, min(block, n))
@@ -285,8 +264,8 @@ def assert_two_lanes_match_one(pairs, block):
     one = [accumulation._Neumaier(size) for _ in range(2)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulation, "_BLOCK", block)
-        sampled_two = accumulation._SampledSums(cps, True, 2)
-        sampled_one = [accumulation._SampledSums(cps, True) for _ in range(2)]
+        sampled_two = accumulation._SampledSums(cps, 2)
+        sampled_one = [accumulation._SampledSums(cps) for _ in range(2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lo in range(0, n, size):

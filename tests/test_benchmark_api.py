@@ -9,6 +9,7 @@ function of a traced module that nothing but tests calls is refused too.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -83,31 +84,55 @@ def test_traced_modules_export_only_names_they_define():
 
 def references_in_src():
     """(name, enclosing) for every name that code in src/summa refers to
-    (an ast Name or Attribute), enclosing the (module, name) pairs of the
-    function definitions it sits in; a docstring or an __all__ entry is a
-    string, not a reference."""
+    (an ast Name or Attribute), enclosing the (module, qualified name)
+    pairs of the function definitions it sits in, a method's as
+    ``Class.method``; a docstring or an __all__ entry is a string, not a
+    reference."""
     refs = []
 
-    def visit(node, module, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            enclosing = enclosing | {(module, node.name)}
+    def visit(node, module, scope, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                enclosing = enclosing | {(module, scope)}
+            scope += "."
         if isinstance(node, ast.Name):
             refs.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
             refs.append((node.attr, enclosing))
         for child in ast.iter_child_nodes(node):
-            visit(child, module, enclosing)
+            visit(child, module, scope, enclosing)
 
     for path in sorted((REPO / "src" / "summa").glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, frozenset())
+        visit(ast.parse(path.read_text()), path.stem, "", frozenset())
     return refs
 
 
+def public_api(module):
+    """The qualified names of a module's public functions, and of the
+    public methods and properties of its public classes, defined there."""
+    names = []
+    for name in module.__all__:
+        value = getattr(module, name)
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            names.append(name)
+        elif inspect.isclass(value):
+            names += [f"{name}.{attr}" for attr, member in vars(value).items()
+                      if not attr.startswith("_") and (
+                          inspect.isfunction(member) or isinstance(
+                              member, (property, functools.cached_property,
+                                       classmethod, staticmethod)))]
+    return names
+
+
 def test_traced_public_functions_have_callers_outside_tests():
-    # a public function that only tests call is a second entry point
-    # beside the one the system runs: it goes, or something calls it.  A
-    # reference counts from outside the function's own definition, and not
-    # from a function that is itself uncalled
+    # a public function or method that only tests call is a second entry
+    # point beside the one the system runs: it goes, or something calls
+    # it.  A reference counts from outside the definition's own body, and
+    # not from a function that is itself uncalled
     refs = references_in_src()
     bench_text = "\n".join(
         path.read_text() for path in [
@@ -116,14 +141,14 @@ def test_traced_public_functions_have_callers_outside_tests():
     public = []
     for module_name in traced_modules():
         module = importlib.import_module(f"summa.{module_name}")
-        public += [(module_name, name) for name in module.__all__
-                   if inspect.isfunction(getattr(module, name))
-                   and getattr(module, name).__module__ == module.__name__
-                   and not re.search(rf"\b{name}\b", bench_text)]
+        public += [(module_name, name) for name in public_api(module)
+                   if not re.search(rf"\b{name.split('.')[-1]}\b",
+                                    bench_text)]
     uncalled = set(public)
     while True:
         still = {(module, name) for module, name in uncalled
-                 if not any(ref == name and (module, name) not in enclosing
+                 if not any(ref == name.split(".")[-1]
+                            and (module, name) not in enclosing
                             and not enclosing & uncalled
                             for ref, enclosing in refs)}
         if still == uncalled:

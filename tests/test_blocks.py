@@ -324,7 +324,7 @@ def test_quasi_monotone_trend_over_pairwise_leaves(size):
     quarter = n // 4
     expect = (float(np.mean(np.abs(b[-quarter:])))
               / float(np.mean(np.abs(b[:quarter]))))
-    # windows as the pass sends them: each block with the two values
-    # before it, which the pairwise leaves must not count twice
-    verdict = drive(_quasi_monotone_steps(n, 1), 1, b, delta, block=size)
+    # blocks as the pass sends them: the means read each block, never the
+    # two values its window repeats
+    verdict = drive(_quasi_monotone_steps(n), Q=b, delta=delta, block=size)
     assert verdict.trend_ratio == expect

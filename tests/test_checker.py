@@ -19,7 +19,7 @@ from summa.monotonicity import _weight_steps
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
-from helpers import monotone_partials, phi_of
+from helpers import drive, monotone_partials, phi_of
 
 
 class TestDyadicCheckpoints:
@@ -110,6 +110,17 @@ class TestTolerances:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             Tolerances.from_json({"slope": 0.1, "grit": 1.0})
+
+    @pytest.mark.parametrize("value", [
+        True, np.True_, "0.5", None, pytest.param(10 ** 400, id="10**400")])
+    def test_refuses_what_is_not_a_real_number(self, value):
+        # from_json passes the value through, so the one check sees it
+        for name in ("slope", "ratio", "inf_ratio_floor", "weight_rel_tol"):
+            for make in (lambda: Tolerances(**{name: value}),
+                         lambda: Tolerances.from_json({name: value})):
+                with pytest.raises(ValueError, match=f"^{name} tolerance "
+                                   "must be positive and finite$"):
+                    make()
 
 
 class TestCheckMainTheorem:
@@ -398,6 +409,14 @@ class TestCheckpointArgument:
                                match="^at least 4 checkpoints required$"):
                 check(bundle, empty)
 
+    @pytest.mark.parametrize("head", [[0], [2, 2], [3, 1]])
+    def test_unordered_grid_is_refused(self, head):
+        # each check's one validator refuses it, not the sums it feeds
+        for check, bundle in self.bundles(64):
+            with pytest.raises(ValueError, match="^checkpoints must be "
+                               "strictly increasing and >= 1$"):
+                check(bundle, (*head, 16, 32, 64))
+
     def test_checkpoint_past_n_is_refused(self):
         # the pass reads no term past n, so no checkpoint may lie there
         for check, bundle in self.bundles(64):
@@ -500,17 +519,9 @@ class TestWeightMonotoneNote:
         for phi in phis:
             for eps, k in ((1.0, 1.0), (1.0, 1.5), (1.0, 1e308)):
                 first, notes = reference_weight_record(phi, eps, k)
-                steps = _weight_steps(eps, k, 1e-12)
-                next(steps)
-                n = np.arange(1.0, phi.size + 1.0)
-                # windows as the pass sends them: each block with the two
-                # values before it
-                for lo in range(0, phi.size, block):
-                    start, hi = max(lo - 2, 0), lo + block
-                    steps.send((n[start:hi], phi[start:hi]))
-                with pytest.raises(StopIteration) as done:
-                    steps.send(None)
-                assert done.value.value == (first, "non-finite" in notes)
+                assert (drive(_weight_steps(eps, k, 1e-12), phi=phi,
+                              block=block)
+                        == (first, "non-finite" in notes))
 
 
 def full_array_t(a, alpha):
@@ -521,10 +532,13 @@ def full_array_t(a, alpha):
 
 
 def full_array_trace(values, k, phi, checkpoints):
-    """The weighted power trace with every n-long array held whole."""
+    """The weighted power trace with every n-long array held whole.  Its
+    compensated prefix sums never decrease, so the running max over the
+    checkpoints moves no sum, as it moved none over every index."""
     n = np.arange(1.0, phi.size + 1.0)
     terms = np.power(np.abs(phi * values) / n, k)
-    return monotone_partials(terms)[np.asarray(checkpoints) - 1]
+    assert np.all(np.diff(compensated_cumsum(terms)) >= 0.0)
+    return monotone_partials(terms, checkpoints)
 
 
 class TestStreamedTraces:

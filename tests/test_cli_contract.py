@@ -301,6 +301,30 @@ def test_malformed_flags(args, message):
         assert not out.exists()
 
 
+# values that the config walk lets through to a parameter or tolerance
+# field but that are not real numbers a float holds: each is refused by the
+# field's own check, never converted first
+@pytest.mark.parametrize("value", [
+    None, [1], {}, pytest.param(10 ** 400, id="10**400")])
+@pytest.mark.parametrize("config, message", [
+    ({"mode": "check_main", "n": 64, "bundle": _bundle(),
+      "params": {"k": 1.5, "epsilon": "{value}"}},
+     "params: epsilon must be a finite real number"),
+    ({"mode": "check_main", "n": 64, "family": "F1",
+      "tolerances": {"slope": "{value}"}},
+     "tolerances: slope tolerance must be positive and finite"),
+])
+def test_parameters_that_are_not_reals(config, message, value):
+    config = json.loads(json.dumps(config).replace('"{value}"',
+                                                   json.dumps(value)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        assert (_assert_contract(["run", str(path), f"--out={out}"], out)
+                == f"config error: {message}\n")
+
+
 def _assert_contract(argv, out):
     """Run ``summa`` on argv, check the exit status, stderr and the report
     in ``out``, and return stderr."""

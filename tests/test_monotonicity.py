@@ -22,12 +22,12 @@ def quasi_monotone(b, delta):
     difference exists (the pass's delta has one more value, never read)."""
     b = np.asarray(b, dtype=np.float64)
     delta = np.append(np.asarray(delta, dtype=np.float64), 1.0)
-    return drive(_quasi_monotone_steps(b.size, 1), 1, b, delta)
+    return drive(_quasi_monotone_steps(b.size), Q=b, delta=delta)
 
 
 def witness(b):
     """(first non-positive index or None, inf_ratio) of b from index 1."""
-    return drive(_inf_ratio_steps(), 1, np.asarray(b, dtype=np.float64))
+    return drive(_inf_ratio_steps(), X=np.asarray(b, dtype=np.float64))
 
 
 def x_class(X, tolerances=None):
@@ -41,7 +41,7 @@ def x_class(X, tolerances=None):
 def first_rise(phi, epsilon, k, rel_tol=1e-12):
     """First violation of the weight monotonicity step over |phi| from 1."""
     phi = np.asarray(phi, dtype=np.float64)
-    return drive(_weight_steps(epsilon, k, rel_tol), 1, phi)[0]
+    return drive(_weight_steps(epsilon, k, rel_tol), phi=phi)[0]
 
 
 class TestQuasiMonotone:

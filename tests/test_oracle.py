@@ -266,12 +266,13 @@ def ref_rational_cesaro_t(a, alpha, n):
     if a.start_index > 1 or a.end_index < n:
         raise ValueError(f"a must cover indices 1..{n}")
     kernel = _weights_cached(alpha - 1, n - 1)
+    av = dict(enumerate(a.values, a.start_index))  # av[v] is a_v
     denom = rational_cesaro_coefficients(alpha, n)
     out = []
     for m in range(1, n + 1):
         acc = Fraction(0)
         for v in range(1, m + 1):
-            acc += kernel[m - v] * v * a.value_at(v)
+            acc += kernel[m - v] * v * av[v]
         out.append(acc / denom[m])
     return tuple(out)
 
@@ -287,21 +288,23 @@ def ref_abel_identity_check(a, lam, alpha, n):
     if lam.start_index > 1 or lam.end_index < n:
         raise ValueError(f"lambda must cover indices 1..{n}")
     kernel = _weights_cached(alpha - 1, n - 1)
+    av = dict(enumerate(a.values, a.start_index))  # av[v] is a_v
+    lv = dict(enumerate(lam.values, lam.start_index))
 
     lhs = Fraction(0)
     for v in range(1, n + 1):
-        lhs += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
+        lhs += kernel[n - v] * v * av[v] * lv[v]
 
     prefix = Fraction(0)
     rhs = Fraction(0)
     u_last = Fraction(0)
     for v in range(1, n + 1):
-        prefix += kernel[n - v] * v * a.value_at(v)
+        prefix += kernel[n - v] * v * av[v]
         if v < n:
-            rhs += (lam.value_at(v) - lam.value_at(v + 1)) * prefix
+            rhs += (lv[v] - lv[v + 1]) * prefix
         else:
             u_last = prefix
-    rhs += lam.value_at(n) * u_last
+    rhs += lv[n] * u_last
 
     return AbelIdentityResult(equal=(lhs == rhs), lhs=lhs, rhs=rhs)
 
@@ -315,12 +318,13 @@ def ref_lemma1_check(a, alpha, n, v):
     if a.start_index > 0 or a.end_index < v:
         raise ValueError(f"a must cover indices 0..{v}")
     kernel = _weights_cached(alpha - 1, n)
+    av = dict(enumerate(a.values, a.start_index))  # av[v] is a_v
 
-    lhs = abs(sum((kernel[n - p] * a.value_at(p) for p in range(v + 1)),
+    lhs = abs(sum((kernel[n - p] * av[p] for p in range(v + 1)),
                   Fraction(0)))
     rhs = Fraction(0)
     for m in range(1, v + 1):
-        inner = sum((kernel[m - p] * a.value_at(p) for p in range(m + 1)),
+        inner = sum((kernel[m - p] * av[p] for p in range(m + 1)),
                     Fraction(0))
         rhs = max(rhs, abs(inner))
     return LemmaBoundResult(holds=(lhs <= rhs), lhs=lhs, rhs=rhs)
@@ -341,18 +345,20 @@ def ref_decomposition_bound_check(a, lam, alpha, n, k=2.0):
 
     coeffs = rational_cesaro_coefficients(alpha, n)
     kernel = _weights_cached(alpha - 1, n - 1)
+    av = dict(enumerate(a.values, a.start_index))  # av[v] is a_v
+    lv = dict(enumerate(lam.values, lam.start_index))
     t = ref_rational_cesaro_t(a, alpha, n)
     w = _w_exact(t, alpha)
 
     T = Fraction(0)
     for v in range(1, n + 1):
-        T += kernel[n - v] * v * a.value_at(v) * lam.value_at(v)
+        T += kernel[n - v] * v * av[v] * lv[v]
     T /= coeffs[n]
 
-    dlam = [lam.value_at(v) - lam.value_at(v + 1) for v in range(1, n)]
+    dlam = [lv[v] - lv[v + 1] for v in range(1, n)]
     T1 = sum((coeffs[v] * w[v - 1] * abs(dlam[v - 1]) for v in range(1, n)),
              Fraction(0)) / coeffs[n]
-    T2 = abs(lam.value_at(n)) * w[n - 1]
+    T2 = abs(lv[n]) * w[n - 1]
     holds = abs(T) <= T1 + T2
 
     if k > 1.0 and n > 1:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,26 @@ class TestCesaroParams:
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ValueError):
             CesaroParams(**kwargs)
+
+    # True is not the order 1.0, nor "0.5" the order 0.5; 10**400 is too
+    # large for a float
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, np.False_, "0.5", "2", None,
+        pytest.param(10 ** 400, id="10**400")])
+    def test_refuses_what_is_not_a_real_number(self, value):
+        for name in ("alpha", "k", "beta", "epsilon"):
+            for make in (lambda: CesaroParams(**{name: value}),
+                         lambda: CesaroParams.from_json({name: value})):
+                with pytest.raises(ValueError, match=f"^{name} must be a "
+                                   "finite real number$"):
+                    make()
+
+    @pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2),
+                                       Fraction(2)])
+    def test_takes_real_numbers_of_any_type(self, value):
+        for params in (CesaroParams(k=value),
+                       CesaroParams.from_json({"k": value})):
+            assert params.k == 2.0 and type(params.k) is float
 
     def test_json_round_trip(self):
         p = CesaroParams(alpha=0.5, k=1.5, beta=0.2, epsilon=1.0)
