@@ -17,9 +17,8 @@ Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
 a compensated product, within about half an ulp of the exact one.  ``_t``
 is t at every order, over all N terms; at alpha = 1 the checker's one pass
-over a bundle instead pushes t a block at a time (``_RunningMeans``, t of
-a_n and of a_n * lambda_n as two lanes of one accumulator), which gives the
-same bits.
+over a bundle instead sums t a block at a time (``checker._MeanTraces``),
+with the same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -311,60 +310,15 @@ def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
     return _kernel_dot_prefixes(kernel, x) / denom
 
 
-def _t(a: np.ndarray, alpha: float,
-       lam: np.ndarray | None = None) -> np.ndarray:
-    """t_1^alpha .. t_N^alpha of the terms a_1..a_N, or of a_v * lam_v when
-    ``lam`` is given.  A non-finite t raises ``ValueError``, and so does a
-    non-finite a_v * lam_v, with the message ``RealSequence`` gives."""
-    terms = a if lam is None else a * lam
+def _t(terms: np.ndarray, alpha: float) -> np.ndarray:
+    """t_1^alpha .. t_N^alpha of the terms a_1..a_N.  A non-finite term or
+    t raises ``ValueError``, with the message ``RealSequence`` gives."""
     if not np.isfinite(terms).all():
         raise ValueError(_NON_FINITE)
-    t = _mean(terms * np.arange(1.0, a.size + 1.0), alpha, 1)
+    t = _mean(terms * np.arange(1.0, terms.size + 1.0), alpha, 1)
     if not np.isfinite(t).all():
         raise ValueError(_NON_FINITE)
     return t
-
-
-class _RunningMeans:
-    """t_n^1, the compensated sum of v * a_v over v <= n divided by n + 1,
-    for the blocks of a and lam pushed in order, each at most ``_BLOCK``
-    long.  Each entry of ``factored`` is a lane (one or two, run as the
-    lanes of one ``accumulation._Neumaier``): lane j takes the terms
-    v * a_v, or v * (a_v * lam_v) where factored[j].  Any non-finite term
-    leaves its lane's t non-finite from there on, so checking t checks the
-    terms too."""
-
-    def __init__(self, n: int, factored: tuple[bool, ...]) -> None:
-        size = max(1, min(accumulation._BLOCK, n))
-        lanes = len(factored)
-        self._acc = accumulation._Neumaier(size, lanes)
-        self._x = accumulation._lane_buffer(size, lanes)
-        self._t = np.empty((lanes, size))
-        self._factored = factored
-
-    def push(self, n: np.ndarray, a: np.ndarray, lam: np.ndarray
-             ) -> np.ndarray:
-        """The block of t for this block of a and lam, whose indices are
-        the floats n: row j is lane j's, a view that the next push
-        overwrites."""
-        m = a.size
-        x, t = self._x[:m], self._t[:, :m]
-        for col, factored in zip(accumulation._lanes(x), self._factored):
-            if factored:
-                np.multiply(a, lam, out=col)
-                np.multiply(col, n, out=col)
-            else:
-                np.multiply(a, n, out=col)
-        self._acc.push(x)
-        # A_n^1 = n + 1, into x's first m values, free once x is summed
-        n1 = np.add(n, 1.0, out=self._x.reshape(-1)[:m])
-        for lane, row in enumerate(t):
-            np.divide(self._acc.sums(lane), n1, out=row)
-        return t
-
-    def restart(self, lane: int) -> None:
-        """Sum ``lane`` from zero again (``_Neumaier.restart``)."""
-        self._acc.restart(lane)
 
 
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:

@@ -30,12 +30,13 @@ trace rides in the same pass and is kept on the bundle for
 fractional orders gather a and a_n * lambda_n whole for the kernel.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
-t of a_n * lambda_n, so they take their traces as the two lanes of one
-accumulator (``_MeanTraces``, one per pass): each block's terms sit side by
-side in an (m, 2) buffer, whose accumulate scans run once as complex128
-(``accumulation``: complex addition is two float additions, so each lane
-has the bits of its own scan).  A lane whose mean goes non-finite raises
-in its own builder, and the other lane runs on.
+t of a_n * lambda_n, so their traces are the two lanes of one accumulator
+(``_MeanTraces``), which the pass owns: it pushes each block once, after
+the builders, and the two builders only join a lane and read its trace.
+Each block's terms sit side by side in an (m, 2) buffer, whose accumulate
+scans run once as complex128 (``accumulation``: complex addition is two
+float additions, so each lane has the bits of its own scan).  A lane whose
+mean goes non-finite raises when its builder reads it; the other runs on.
 
 Errors keep the order of a bundle whose roles were made whole before the
 check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _PairwiseSum, _SampledSums
-from .cesaro import _RunningMeans, _t
+from .cesaro import _t
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
@@ -390,8 +391,9 @@ class _Context:
     def run(self, table) -> list:
         """One pass over the bundle: each builder's record, or the exception
         it raised.  Each block's window of every role is made once, its
-        block checked and sent to every builder still running; a role's
-        non-finite value is raised once every block has been read."""
+        block checked, sent to every builder still running and then pushed
+        into the shared means; a role's non-finite value is raised once
+        every block has been read."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
@@ -420,6 +422,7 @@ class _Context:
             for i, step in enumerate(steps):
                 if results[i] is _LIVE:
                     results[i] = _advance(step, block)
+            self.means.push(block)
         results = [_advance(step, None) if result is _LIVE else result
                    for step, result in zip(steps, results)]
         if failed < len(roles):
@@ -436,12 +439,9 @@ class _Context:
             passed=diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT,
             slope=diag.slope, notes=(notes + " " + extra).strip())
 
-    def partial_sum_record(self, condition: str, sums: np.ndarray,
-                           checkpoints: tuple[int, ...],
-                           notes: str) -> ConditionRecord:
-        """Growth record of partial sums sampled on a checkpoint grid; the
-        sums become the condition's trace."""
-        trace = CheckpointTrace(checkpoints, sums)
+    def traced_record(self, condition: str, trace: CheckpointTrace,
+                      notes: str) -> ConditionRecord:
+        """Growth record of ``trace``, which becomes the condition's trace."""
         self.traces[condition] = trace
         return self.growth_record(condition, trace, notes=notes)
 
@@ -520,8 +520,8 @@ def _series_nqx(ctx: _Context, name: str) -> _Step:
         terms = block.n * block.Q * block.X
         sums.push(terms)
         total.push(block.lo, np.abs(terms))
-    return ctx.partial_sum_record(
-        name, sums.sums, ctx.checkpoints,
+    return ctx.traced_record(
+        name, CheckpointTrace(ctx.checkpoints, sums.sums),
         notes=f"abs_variant_total={float(total.total):.9g}")
 
 
@@ -535,8 +535,8 @@ def _cond8(ctx: _Context, name: str) -> _Step:
         w = block.window
         d2 = w.lam[:-2] - 2.0 * w.lam[1:-1] + w.lam[2:]
         sums.push(w.n[:-2] * w.X[:-2] * np.abs(d2))
-    return ctx.partial_sum_record(
-        name, sums.sums, cps, notes=f"second differences over 1..{size}")
+    return ctx.traced_record(name, CheckpointTrace(cps, sums.sums),
+                             notes=f"second differences over 1..{size}")
 
 
 def _weight_monotone(ctx: _Context, name: str) -> _Step:
@@ -561,24 +561,27 @@ def _param_gate(ctx: _Context, name: str) -> _Step:
 class _MeanTraces:
     """The power traces sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of cond11,
     whose means are w of a_n, and of the conclusion, whose means are t of
-    a_n * lambda_n.  Each of their builders joins as a lane of one
-    ``_PowerTrace``: a check runs both, ``conclusion_diagnostic`` alone the
-    conclusion's.  Each block is pushed once, by whichever builder is sent
-    it first, under ``np.errstate(all="ignore")``, so a lane's overflow is
-    never another builder's error.  At alpha = 1 the means are pushed as
-    the lanes of one ``_RunningMeans`` too (w is |t| there, and the trace
-    takes the abs); other orders make a lane's means whole for the kernel
-    as its builder joins, so the kernel's error is that builder's.  A lane
-    whose t goes non-finite raises, and sums from zero from then on."""
+    a_n * lambda_n: the lanes of one ``_PowerTrace``, which each builder
+    joins as it starts and reads when the blocks end (a check runs both,
+    ``conclusion_diagnostic`` the conclusion's alone).  The pass pushes each
+    block once, after the other builders, whose role blocks are then still
+    in cache (pushed before them, a check at n = 1e6 ran 2 % slower), under
+    ``np.errstate(all="ignore")``, so a lane's overflow is never another
+    builder's error.  At alpha = 1 a push sums the means as the lanes of one
+    ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
+    abs); other orders make a lane's means whole for the kernel as it
+    joins, so the kernel's error is its builder's.  A lane whose means go
+    non-finite is dead: it sums from zero from then on, so later blocks are
+    not redone, and reading its trace raises.  Once every lane is dead, or
+    none joined, a push does nothing."""
 
     def __init__(self, bundle: FamilyBundle,
                  checkpoints: tuple[int, ...]) -> None:
         self._bundle, self._cps = bundle, checkpoints
         self._maximal: list[bool] = []
         self._whole: list[np.ndarray] = []  # each lane's means, alpha < 1
-        self._trace = self._means = None  # made at the first push
-        self._lo = -1  # the block last pushed
-        self._finite: list[bool] = []
+        self._dead: set[int] = set()
+        self._trace = self._acc = None  # made at the first push
 
     def join(self, maximal: bool) -> int:
         """A new lane, of w of a_n when ``maximal`` and of t of
@@ -592,59 +595,72 @@ class _MeanTraces:
                 t = _t(a, alpha)
                 np.maximum.accumulate(np.abs(t, out=t), out=t)
             else:
-                t = _t(a, alpha, b.lam._block(0, n))
+                t = _t(a * b.lam._block(0, n), alpha)
             self._whole.append(t)
         self._maximal.append(maximal)
         return len(self._maximal) - 1
 
-    def push(self, block: _Block, lane: int) -> None:
-        """Push this block unless another lane's builder has; a non-finite
-        t in ``lane`` raises ``ValueError``."""
-        if block.lo != self._lo:
-            self._lo = block.lo
-            if self._trace is None:
-                b = self._bundle
-                self._trace = _PowerTrace(b.params.k, self._cps,
-                                          len(self._maximal))
-                if b.params.alpha == 1.0:
-                    self._means = _RunningMeans(
-                        b.n, tuple(not m for m in self._maximal))
-            with np.errstate(all="ignore"):
-                values = ([v[block.lo:block.hi] for v in self._whole]
-                          if self._means is None else
-                          self._means.push(block.n, block.a, block.lam))
-                self._trace.push(block.n, block.phi, *values)
-            self._finite = [bool(np.isfinite(v).all()) for v in values]
-            for dead, finite in enumerate(self._finite):
-                if not finite:  # else every later block is redone
-                    self._trace.restart(dead)
-                    if self._means is not None:
-                        self._means.restart(dead)
-        if not self._finite[lane]:
-            raise ValueError(_NON_FINITE)
+    def push(self, block: _Block) -> None:
+        b, lanes, m = self._bundle, len(self._maximal), block.a.size
+        if len(self._dead) == lanes:
+            return
+        if self._trace is None:
+            self._trace = _PowerTrace(b.params.k, self._cps, lanes)
+            if b.params.alpha == 1.0:
+                size = min(accumulation._BLOCK, b.n)
+                self._acc = accumulation._Neumaier(size, lanes)
+                self._x = accumulation._lane_buffer(size, lanes)
+                self._t = np.empty((lanes, size))
+        with np.errstate(all="ignore"):
+            if self._acc is None:
+                values = [v[block.lo:block.hi] for v in self._whole]
+            else:  # t_n^1: sum v * a_v or v * (a_v * lambda_v), / (n + 1)
+                x, values = self._x[:m], self._t[:, :m]
+                for col, maximal in zip(accumulation._lanes(x),
+                                        self._maximal):
+                    if maximal:
+                        np.multiply(block.a, block.n, out=col)
+                    else:
+                        np.multiply(block.a, block.lam, out=col)
+                        np.multiply(col, block.n, out=col)
+                self._acc.push(x)
+                # A_n^1 = n + 1, into x's first m values, free once x is summed
+                n1 = np.add(block.n, 1.0, out=self._x.reshape(-1)[:m])
+                for lane, row in enumerate(values):
+                    np.divide(self._acc.sums(lane), n1, out=row)
+            self._trace.push(block.n, block.phi, *values)
+        # a non-finite term leaves its lane's t non-finite from there on
+        for lane, v in enumerate(values):
+            if not np.isfinite(v).all():  # else every later block is redone
+                self._dead.add(lane)
+                self._trace.restart(lane)
+                if self._acc is not None:
+                    self._acc.restart(lane)
 
     def trace(self, lane: int) -> FunctionalTrace:
+        """The lane's trace once every block is pushed; a dead lane raises
+        ``ValueError``."""
+        if lane in self._dead:
+            raise ValueError(_NON_FINITE)
         return self._trace.trace(lane)
 
 
 def _cond11(ctx: _Context, name: str) -> _Step:
-    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w made block by block
+    # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w summed by the pass
     lane = ctx.means.join(maximal=True)
     idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
     X = np.empty(idx.size)
     while (block := (yield)) is not None:
-        ctx.means.push(block, lane)
         _sample(idx, block, block.X, X)
     trace = dataclasses.replace(ctx.means.trace(lane), reference=X)
-    ctx.traces[name] = trace
-    return ctx.growth_record(name, trace, notes="trace relative to X")
+    return ctx.traced_record(name, trace, notes="trace relative to X")
 
 
 def _conclusion(ctx: _Context, name: str) -> _Step:
-    # the weighted functional of t for a_n * lambda_n
+    # the weighted functional of t for a_n * lambda_n, summed by the pass
     lane = ctx.means.join(maximal=False)
-    while (block := (yield)) is not None:
-        ctx.means.push(block, lane)
+    while (yield) is not None:
+        pass
     return ctx.means.trace(lane)
 
 

@@ -63,6 +63,8 @@ __all__ = [
 
 MODES = ("check_main", "check_theorem_a", "oracle", "transform_dump")
 BUILTIN_FAMILY_NAMES = ("F1", "F2", "F3")
+# a check's pass holds indices as float64, exact up to 2**53
+_MAX_N = 2 ** 53
 
 _CONFIG_FIELDS = {"mode", "n", "family", "overrides", "bundle", "params",
                   "checkpoints", "tolerances", "seed", "trials", "sequence",
@@ -174,6 +176,9 @@ class ExperimentConfig:
             n = obj.get("n")
             if not isinstance(n, int) or n < n_min:
                 raise ConfigError("n", f"must be an integer >= {n_min}")
+            if n > _MAX_N:
+                raise ConfigError("n", "must be at most 2**53: past it, "
+                                  "float64 indices are not exact")
             kw["n"] = n
 
             family = obj.get("family")
@@ -190,15 +195,17 @@ class ExperimentConfig:
                 overrides = obj.get("overrides", {})
                 if not isinstance(overrides, dict):
                     raise ConfigError("overrides", "must be an object")
-                for key, val in overrides.items():
+                for key in overrides:
                     if key not in _OVERRIDE_KEYS:
                         raise ConfigError(
                             f"overrides.{key}",
                             f"unknown; choices: {', '.join(sorted(_OVERRIDE_KEYS))}")
-                    if not isinstance(val, (int, float)):
-                        raise ConfigError(f"overrides.{key}", "must be a number")
                 kw["family"] = family
-                kw["overrides"] = {k: float(v) for k, v in overrides.items()}
+                try:
+                    checked = CesaroParams(**overrides)
+                except ValueError as e:
+                    raise ConfigError("overrides", str(e)) from e
+                kw["overrides"] = {k: getattr(checked, k) for k in overrides}
             else:
                 _forbid(obj, mode, "overrides")
                 if not isinstance(bundle, dict):
@@ -323,11 +330,9 @@ def _weight_from_spec(spec: dict, role) -> WeightSpec:
     if kind is WeightKind.EXPLICIT_PHI:
         return WeightSpec(kind=kind,
                           phi=role(spec["phi"], "bundle.weight.phi"))
-    beta = spec.get("beta")
     try:
-        return WeightSpec(kind=kind,
-                          beta=None if beta is None else float(beta))
-    except (TypeError, ValueError) as e:
+        return WeightSpec(kind=kind, beta=spec.get("beta"))
+    except ValueError as e:
         raise ConfigError("bundle.weight.beta", str(e)) from e
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _SampledSums, _lane_buffer, _lanes
-from .sequences import RealSequence
+from .sequences import RealSequence, _real
 
 __all__ = [
     "WeightKind",
@@ -69,7 +70,7 @@ class WeightSpec:
         elif self.phi is not None:
             raise ValueError(f"{kind.value} weight takes no explicit phi")
         if self.beta is not None:
-            beta = float(self.beta)
+            beta = _real(self.beta)
             if not math.isfinite(beta) or beta < 0.0:
                 raise ValueError("beta must be finite and non-negative")
             object.__setattr__(self, "beta", beta)
@@ -106,9 +107,14 @@ def validate_checkpoints(checkpoints: Sequence[int], limit: int | None = None,
     Checkpoints are strictly increasing indices >= 1, at least ``at_least``
     of them and none above ``limit`` when one is given.  ``dyadic`` grids
     (the ``checkpoints`` field of a config) must lie within 1..limit and
-    halve exactly: each checkpoint is the next one // 2.
+    halve exactly: each checkpoint is the next one // 2.  numpy integers
+    are integers; floats and booleans are not.
     """
-    cps = tuple(int(c) for c in checkpoints)
+    cps = tuple(checkpoints)
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+               for c in cps):
+        raise ValueError("checkpoints must be integers")
+    cps = tuple(int(c) for c in cps)
     if len(cps) < at_least:
         raise ValueError("at least one checkpoint required" if at_least == 1
                          else f"at least {at_least} checkpoints required")

@@ -217,9 +217,13 @@ class SequenceSpec:
         if not isinstance(self.start, int) or self.start < 0:
             raise ValueError("start must be a non-negative integer")
         _, schema = FAMILIES[self.family]
-        for key in self.params:
+        for key, value in self.params.items():
             if key not in schema:
                 raise ValueError(f"family {self.family!r} has no parameter {key!r}")
+            # a float, inf and NaN too, or a finite real number a float holds
+            if not (isinstance(value, float) or math.isfinite(_real(value))):
+                raise ValueError(f"family {self.family!r} parameter {key!r} "
+                                 "must be a real number")
         for key, default in schema.items():
             if default is None and key not in self.params:
                 raise ValueError(f"family {self.family!r} requires parameter {key!r}")

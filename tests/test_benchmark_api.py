@@ -5,7 +5,8 @@ calls|elements>`` in ``BENCHMARK.json`` from a span that its tracer wraps
 around every function a module lists in ``__all__``, and its scripts
 import some names of summa directly.  A change that drops or hides one of
 them breaks the benchmark without failing any other test.  A public
-function of a traced module that nothing but tests calls is refused too.
+function of a traced module that nothing but tests calls is refused too,
+and so is a private definition of summa that nothing in it refers to.
 """
 
 import ast
@@ -155,3 +156,48 @@ def test_traced_public_functions_have_callers_outside_tests():
             break
         uncalled = still
     assert not uncalled, f"only tests call {sorted(uncalled)}"
+
+
+def private_definitions():
+    """(module, name) of every top-level private function, class and
+    assigned name in src/summa, dunder names aside."""
+    defs = set()
+    for path in sorted((REPO / "src" / "summa").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            defs.update((path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__"))
+    return defs
+
+
+def test_private_definitions_are_referenced_in_src():
+    # a private helper that its last user left behind is dead code.  As
+    # for the public functions above, a reference counts from outside the
+    # definition's own body (a class's methods included), and not from a
+    # definition that is itself unreferenced
+    refs = references_in_src()
+
+    def inside(enclosing, definition):
+        module, name = definition
+        return any(m == module and (q == name or q.startswith(f"{name}."))
+                   for m, q in enclosing)
+
+    unreferenced = private_definitions()
+    assert ("checker", "_MeanTraces") in unreferenced  # the parse finds them
+    while True:
+        still = {(module, name) for module, name in unreferenced
+                 if not any(ref == name and not any(
+                     inside(enclosing, d) for d in unreferenced)
+                     for ref, enclosing in refs)}
+        if still == unreferenced:
+            break
+        unreferenced = still
+    assert not unreferenced, f"nothing in src refers to {sorted(unreferenced)}"

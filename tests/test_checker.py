@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from summa import accumulation, cesaro
+from summa import accumulation, cesaro, functionals
 from summa.accumulation import _BLOCK, compensated_cumsum
 from summa.cesaro import cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
@@ -392,7 +392,8 @@ class TestFamilyBundle:
 
 class TestCheckpointArgument:
     """The default grid stands in only for checkpoints=None: an empty grid
-    is refused, and an array is read as the tuple of its values."""
+    is refused, an array is read as the tuple of its values, and an entry
+    that is not an integer is refused."""
 
     @staticmethod
     def bundles(n):
@@ -416,6 +417,17 @@ class TestCheckpointArgument:
             with pytest.raises(ValueError, match="^checkpoints must be "
                                "strictly increasing and >= 1$"):
                 check(bundle, (*head, 16, 32, 64))
+
+    @pytest.mark.parametrize("cps", [
+        (1.5, 8.2, 16.9, 32.1, 64.0), (8.0, 16.0, 32.0, 64.0),
+        np.array([8.0, 16.0, 32.0, 64.0]), (True, 2, 3, 4),
+        (np.True_, 2, 3, 4)])
+    def test_non_integer_grid_is_refused(self, cps):
+        # int() would truncate 1.5 to 1 and read True as 1
+        for check, bundle in self.bundles(64):
+            with pytest.raises(ValueError,
+                               match="^checkpoints must be integers$"):
+                check(bundle, cps)
 
     def test_checkpoint_past_n_is_refused(self):
         # the pass reads no term past n, so no checkpoint may lie there
@@ -676,3 +688,29 @@ def test_a_dead_lane_is_not_redone(monkeypatch):
     phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
     assert (report.traces["cond11"].partial_sums.tobytes()
             == full_array_trace(w, k, phi, grid).tobytes())
+
+
+def test_dead_lanes_end_the_means(monkeypatch):
+    # 100 * a_100 (cond11's w) and a_100 * lambda_100 (the conclusion's t)
+    # both overflow in the first block: once both lanes are dead the pass
+    # sums no later block of the means, so the error costs one block
+    n = 1 << 17
+    bundle = builtin_family("F1", n)
+    a, lam = bundle.a.values.copy(), bundle.lam.values.copy()
+    a[99], lam[99] = 1e307, 1e10
+    bundle = dataclasses.replace(bundle, a=RealSequence(1, a),
+                                 lam=RealSequence(1, lam))
+    pushes, redos = [], []
+    push = functionals._PowerTrace.push
+    monkeypatch.setattr(functionals._PowerTrace, "push",
+                        lambda *args: pushes.append(1) or push(*args))
+    redo = accumulation._neumaier_corrections
+    monkeypatch.setattr(accumulation, "_neumaier_corrections",
+                        lambda *args: redos.append(1) or redo(*args))
+    with np.errstate(all="ignore"):  # as `summa run` sets it
+        with pytest.raises(ValueError, match="^sequence values must be "
+                           "finite$"):
+            check_main_theorem(bundle)
+    assert len(pushes) == 1
+    # once in the running means' block, once in the trace's
+    assert len(redos) <= 2

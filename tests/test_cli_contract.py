@@ -301,9 +301,9 @@ def test_malformed_flags(args, message):
         assert not out.exists()
 
 
-# values that the config walk lets through to a parameter or tolerance
-# field but that are not real numbers a float holds: each is refused by the
-# field's own check, never converted first
+# values that the config walk lets through to a parameter, tolerance or
+# family parameter field but that are not real numbers a float holds: each
+# is refused by the field's own check, never converted first
 @pytest.mark.parametrize("value", [
     None, [1], {}, pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("config, message", [
@@ -313,16 +313,45 @@ def test_malformed_flags(args, message):
     ({"mode": "check_main", "n": 64, "family": "F1",
       "tolerances": {"slope": "{value}"}},
      "tolerances: slope tolerance must be positive and finite"),
+    ({"mode": "check_main", "n": 64, "family": "F1",
+      "overrides": {"k": "{value}"}},
+     "overrides: k must be a finite real number"),
+    ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+      "bundle": _bundle(**{"lambda": {"family": "power_decay",
+                                      "params": {"p": "{value}"}}})},
+     "bundle.lambda: family 'power_decay' parameter 'p' must be a real "
+     "number"),
+    ({"mode": "transform_dump",
+      "sequence": {"family": "power_weight", "params": {"q": "{value}"},
+                   "n": 8}},
+     "sequence: family 'power_weight' parameter 'q' must be a real number"),
 ])
 def test_parameters_that_are_not_reals(config, message, value):
     config = json.loads(json.dumps(config).replace('"{value}"',
                                                    json.dumps(value)))
+    assert _run_config(config) == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    # beta is not in the test above, where None would be no beta at all
+    ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
+      "bundle": _bundle(weight={"kind": "indexed", "beta": 10 ** 400})},
+     "bundle.weight.beta: beta must be finite and non-negative"),
+    # a pass's indices are float64, exact up to 2**53
+    ({"mode": "check_main", "family": "F1", "n": 10 ** 22},
+     "n: must be at most 2**53: past it, float64 indices are not exact"),
+])
+def test_integers_too_large_for_a_float(config, message):
+    assert _run_config(config) == f"config error: {message}\n"
+
+
+def _run_config(config):
+    """``summa run`` on ``config`` under the contract: its stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
-        assert (_assert_contract(["run", str(path), f"--out={out}"], out)
-                == f"config error: {message}\n")
+        return _assert_contract(["run", str(path), f"--out={out}"], out)
 
 
 def _assert_contract(argv, out):

@@ -96,6 +96,14 @@ class TestConfigValidation:
         assert _cfg({"mode": "check_theorem_a", "family": "F2",
                      "n": 10}).n == 10
 
+    @pytest.mark.parametrize("mode", ["check_main", "check_theorem_a"])
+    def test_n_stops_where_float_indices_stop_being_exact(self, mode):
+        # a pass holds its indices as float64: 2**53 + 1 is not one
+        assert _cfg({"mode": mode, "family": "F2", "n": 2 ** 53}).n == 2 ** 53
+        e = _err({"mode": mode, "family": "F2", "n": 2 ** 53 + 1})
+        assert str(e) == ("n: must be at most 2**53: past it, float64 "
+                          "indices are not exact")
+
     def test_family_bundle_exclusive(self):
         assert _err({"mode": "check_main", "n": 64}).pointer == "family"
         e = _err({"mode": "check_main", "n": 64, "family": "F1",

@@ -7,7 +7,7 @@ from summa import accumulation
 from summa.accumulation import _BLOCK
 from summa.cesaro import cesaro_t
 from summa.functionals import (FunctionalTrace, WeightKind, WeightSpec,
-                               weighted_power_trace)
+                               validate_checkpoints, weighted_power_trace)
 from summa.sequences import RealSequence
 
 from helpers import (max_rel_deviation, monotone_partials, phi_of,
@@ -26,6 +26,14 @@ class TestWeightSpec:
     def test_beta_non_negative(self):
         with pytest.raises(ValueError):
             WeightSpec(kind=WeightKind.INDEXED, beta=-0.5)
+
+    # float() reads True as 1.0 and overflows on 10**400
+    @pytest.mark.parametrize("beta", [
+        True, np.True_, "0.5", [1], pytest.param(10 ** 400, id="10**400")])
+    def test_beta_that_is_not_a_real_number(self, beta):
+        with pytest.raises(ValueError, match="^beta must be finite and "
+                           "non-negative$"):
+            WeightSpec(kind=WeightKind.INDEXED, beta=beta)
 
     def test_classic_values(self):
         spec = WeightSpec(kind=WeightKind.CLASSIC)
@@ -51,6 +59,13 @@ class TestWeightSpec:
         phi = RealSequence(2, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             WeightSpec(kind=WeightKind.EXPLICIT_PHI, phi=phi)
+
+
+def test_numpy_integer_checkpoints_are_ints():
+    cps = validate_checkpoints((np.int32(1), np.uint8(2), np.int64(3), 4),
+                               at_least=4)
+    assert cps == (1, 2, 3, 4)
+    assert all(type(c) is int for c in cps)
 
 
 class TestFunctionalTrace:

@@ -137,6 +137,23 @@ class TestSequenceSpec:
             SequenceSpec.from_json({"family": "log_shift", "n": 3,
                                     "start": 0, "params": {}, "mode": "x"})
 
+    # float() reads True as 1.0 and "2" as 2.0, and overflows on 10**400
+    @pytest.mark.parametrize("value", [
+        True, np.True_, "2", None, [1],
+        pytest.param(10 ** 400, id="10**400")])
+    def test_refuses_params_that_are_not_real_numbers(self, value):
+        with pytest.raises(ValueError, match="^family 'power_decay' "
+                           "parameter 'p' must be a real number$"):
+            SequenceSpec("power_decay", n=3, params={"p": value})
+
+    @pytest.mark.parametrize("value", [
+        np.int64(2), Fraction(2), math.inf, math.nan])
+    def test_params_of_any_real_type(self, value):
+        # inf and NaN are floats: what the family makes of them is
+        # checked as its values are
+        spec = SequenceSpec("power_decay", n=3, params={"p": value})
+        assert type(spec.resolved_params()["p"]) is float
+
     def test_resolved_params_fills_defaults(self):
         spec = SequenceSpec("power_decay", n=3, params={"p": 1.0})
         assert spec.resolved_params() == {"c": 1.0, "c0": 1.0, "p": 1.0}
