@@ -16,9 +16,9 @@ the running maximum of |t_v^alpha| over v <= n for fractional alpha.
 Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
 a compensated product, within about half an ulp of the exact one.  ``_t``
-is t at every order, over all N terms; at alpha = 1 the checker's one pass
-over a bundle instead sums t a block at a time (``checker._MeanTraces``),
-with the same bits.
+is t at every order, over all N terms, of one or more lanes of terms in one
+call; at alpha = 1 the checker's one pass over a bundle instead sums t a
+block at a time (``checker._MeanTraces``), with the same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -31,9 +31,13 @@ exact integer convolution (float-FFT integer multiplication: C. Percival,
 numbers", Math. Comp. 72, 2003).  A row's groups, int64 values below
 2**51, are carried into base-2**b digits and rounded once in int64
 arithmetic, to nearest with ties to even, subnormal results included, so
-the output does not depend on how the FFT rounds.  A non-finite operand
-raises ``ValueError``, and a row whose exact sum lies beyond the float
-range raises ``OverflowError``.
+the output does not depend on how the FFT rounds.  One call takes one or
+more operands of the kernel's size: the coefficients and the kernel are
+made once, the kernel is sliced once per slice width and each of its
+slices transformed once, and each operand keeps its own slices, width,
+exponent and rounding.  A non-finite operand is a ``ValueError``, and a
+row whose exact sum lies beyond the float range an ``OverflowError``, of
+that operand alone.
 """
 
 from __future__ import annotations
@@ -209,18 +213,102 @@ def _round_rows(values: list[np.ndarray], b: int, s: int) -> np.ndarray:
     return out
 
 
-def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[n] = sum_(i=0..n) kernel[n-i] * x[i]: the exact sum, rounded once.
+class _SlicedKernel:
+    """The kernel split into b-bit slices (``_slices``), their norms, and
+    the spectra of those that some operand has used, each transformed
+    once; a slice is dropped once it is transformed."""
 
-    Raises ValueError for a non-finite operand and OverflowError for a row
-    whose exact sum lies beyond the float range.  An exactly zero row is +0.
+    def __init__(self, kernel: np.ndarray, b: int, length: int) -> None:
+        self.b, self.length = b, length
+        self.e, self.slices = _slices(kernel, b)
+        self.norms = [math.sqrt(np.dot(c, c)) for c in self.slices]
+        self.spectra: dict[int, np.ndarray] = {}
+
+    def transform(self, i: int) -> None:
+        if i not in self.spectra:
+            self.spectra[i] = np.fft.rfft(self.slices[i], self.length)
+            self.slices[i] = None
+
+
+def _rows_at_width(kernel: _SlicedKernel, x: np.ndarray, growth: float,
+                   last: bool) -> np.ndarray | None:
+    """x's rows through the kernel's slices, at their width b; None where
+    the certificate or the FFT check fails at b.  Raises OverflowError for
+    a row beyond the float range.
+
+    x's slices pair with the kernel's by weight into groups.  Each slice is
+    transformed at the first group that uses it, and x's spectra are
+    dropped after the last; the kernel's are, too, where x is the ``last``
+    operand at this width, else a later operand reuses them.
     """
-    size = x.size
-    if not (np.isfinite(kernel).all() and np.isfinite(x).all()):
-        raise ValueError("Cesaro sums need finite terms")
-    if not (kernel.any() and x.any()):
-        return np.zeros(size)
-    fft = np.fft
+    b, size, length = kernel.b, x.size, kernel.length
+    ex, xs = _slices(x, b)
+    norm_k, norm_x = kernel.norms, [math.sqrt(np.dot(c, c)) for c in xs]
+    groups = [[(i, g - i) for i in range(max(0, g - len(xs) + 1),
+                                         min(len(norm_k), g + 1))
+               if norm_k[i] and norm_x[g - i]]
+              for g in range(len(norm_k) + len(xs) - 1)]
+    if max(sum(norm_k[i] * norm_x[j] for i, j in pairs)
+           * (growth + _EPS * len(pairs)) for pairs in groups) >= 0.25:
+        return None
+    last_k, last_x = {}, {}
+    for g, pairs in enumerate(groups):
+        for i, j in pairs:
+            last_k[i] = last_x[j] = g
+    spec, values, worst = {}, [], 0.0
+    for g, pairs in enumerate(groups):
+        if not pairs:  # no pair of non-zero slices has this weight
+            values.append(np.zeros(size, dtype=np.int64))
+            continue
+        for i, j in pairs:
+            kernel.transform(i)
+            if j not in spec:
+                spec[j] = np.fft.rfft(xs[j], length)
+                xs[j] = None
+        (i, j), *rest = pairs
+        acc = kernel.spectra[i] * spec[j]
+        for i, j in rest:
+            acc += kernel.spectra[i] * spec[j]
+        c = np.fft.irfft(acc, length)[:size]
+        del acc
+        v = np.rint(c)
+        c -= v
+        worst = max(worst, float(np.abs(c, out=c).max()))
+        del c
+        values.append(v.astype(np.int64))
+        for j in [j for j in spec if last_x[j] == g]:
+            del spec[j]
+        if last:
+            for i in [i for i in kernel.spectra if last_k.get(i) == g]:
+                del kernel.spectra[i]
+    if worst >= 0.25:
+        return None
+    return _round_rows(values, b, kernel.e + ex - b * (len(groups) + 1))
+
+
+def _kernel_dot_prefixes(kernel: np.ndarray, *xs: np.ndarray) -> list:
+    """out[n] = sum_(i=0..n) kernel[n-i] * x[i] for each operand x, every
+    one of the kernel's size: the exact sum, rounded once.
+
+    Each entry is its operand's rows or what it raised: ValueError for a
+    non-finite operand (or kernel), OverflowError for a row whose exact sum
+    lies beyond the float range, FloatingPointError where the transforms
+    miss at every slice width.  An exactly zero row is +0.  The kernel is
+    sliced once per slice width and each of its slices transformed once,
+    for every operand that width serves; an operand whose certificate or
+    FFT check fails at a width retries alone at a narrower one.  Its rows
+    are exact, so they depend on neither the width nor the other operands.
+    """
+    size = kernel.size
+    out: list = [None] * len(xs)
+    todo = []
+    for i, x in enumerate(xs):
+        if not (np.isfinite(kernel).all() and np.isfinite(x).all()):
+            out[i] = ValueError("Cesaro sums need finite terms")
+        elif kernel.any() and x.any():
+            todo.append(i)
+        else:
+            out[i] = np.zeros(size)
     # a cyclic length of 2**a or 3 * 2**a, at least 2 * size - 1, wraps no
     # product into rows 0..size-1
     length = 1 << (2 * size - 2).bit_length()
@@ -245,80 +333,83 @@ def _kernel_dot_prefixes(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     # the largest that one pair of such slices allows.
     growth = _EPS * (13 * (length - 1).bit_length() + 3)
     for b in range(int(math.log2(0.25 / (size * growth))) // 2, 0, -1):
-        (ek, ks), (ex, xs) = _slices(kernel, b), _slices(x, b)
-        norm_k = [math.sqrt(np.dot(c, c)) for c in ks]
-        norm_x = [math.sqrt(np.dot(c, c)) for c in xs]
-        groups = [[(i, g - i) for i in range(max(0, g - len(xs) + 1),
-                                             min(len(ks), g + 1))
-                   if norm_k[i] and norm_x[g - i]]
-                  for g in range(len(ks) + len(xs) - 1)]
-        if max(sum(norm_k[i] * norm_x[j] for i, j in pairs)
-               * (growth + _EPS * len(pairs)) for pairs in groups) >= 0.25:
-            continue
-        # a group's pair (i, j) takes slices i and nk + j.  Each slice is
-        # transformed at the first group that uses it and its spectrum is
-        # dropped after the last one
-        nk = len(ks)
-        slices = ks + xs
-        del ks, xs
-        last = {}
-        for g, pairs in enumerate(groups):
-            for i, j in pairs:
-                last[i] = last[nk + j] = g
-        spec = {}
-        values, worst = [], 0.0
-        for g, pairs in enumerate(groups):
-            if not pairs:  # no pair of non-zero slices has this weight
-                values.append(np.zeros(size, dtype=np.int64))
-                continue
-            for i, j in pairs:
-                for t in (i, nk + j):
-                    if t not in spec:
-                        spec[t] = fft.rfft(slices[t], length)
-                        slices[t] = None
-            c = fft.irfft(sum(spec[i] * spec[nk + j] for i, j in pairs),
-                          length)[:size]
-            v = np.rint(c)
-            worst = max(worst, float(np.abs(c - v).max()))
-            values.append(v.astype(np.int64))
-            for t in [t for t in spec if last[t] == g]:
-                del spec[t]
-        if worst < 0.25:
-            return _round_rows(values, b, ek + ex - b * (len(groups) + 1))
-    raise FloatingPointError("FFT error of 1/4 or more at every slice width")
+        if not todo:
+            break
+        sliced, retry = _SlicedKernel(kernel, b, length), []
+        for i in todo:
+            try:
+                out[i] = _rows_at_width(sliced, xs[i], growth, i == todo[-1])
+            except OverflowError as e:
+                out[i] = e
+            if out[i] is None:
+                retry.append(i)
+        todo = retry
+    for i in todo:
+        out[i] = FloatingPointError(
+            "FFT error of 1/4 or more at every slice width")
+    return out
 
 
-def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
+def _settled(result):
+    """``result``, raised where it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
     """Order-alpha means of the terms x_0, x_1, .. of indices first,
-    first + 1, ..:
+    first + 1, .. of each operand x in ``xs``, all of one size:
 
         out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
 
-    At alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so the
-    numerator is a compensated cumulative sum, divided in place a block of
-    indices at a time; every other alpha is checked by
-    ``cesaro_coefficients`` before the kernel runs.
+    Each entry is its operand's means or what the kernel raised for it.  At
+    alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so a numerator
+    is a compensated cumulative sum, divided in place a block of indices at
+    a time.  Every other alpha is checked by ``cesaro_coefficients``; its
+    coefficients and kernel are made once, and one kernel call serves every
+    operand.
     """
     if alpha == 1.0:
-        out = compensated_cumsum(x)
-        for lo in range(0, out.size, accumulation._BLOCK):
-            part = out[lo:lo + accumulation._BLOCK]
-            part /= np.arange(first + lo + 1.0, first + lo + part.size + 1.0)
+        out = [compensated_cumsum(x) for x in xs]
+        for sums in out:
+            for lo in range(0, sums.size, accumulation._BLOCK):
+                part = sums[lo:lo + accumulation._BLOCK]
+                part /= np.arange(first + lo + 1.0,
+                                  first + lo + part.size + 1.0)
         return out
-    denom = cesaro_coefficients(alpha, first + x.size - 1)[first:]
-    kernel = _binomial_weights(alpha - 1.0, x.size - 1)
-    return _kernel_dot_prefixes(kernel, x) / denom
+    if not xs:
+        return []
+    size = xs[0].size
+    denom = cesaro_coefficients(alpha, first + size - 1)[first:]
+    kernel = _binomial_weights(alpha - 1.0, size - 1)
+    return [r if isinstance(r, Exception) else np.divide(r, denom, out=r)
+            for r in _kernel_dot_prefixes(kernel, *xs)]
 
 
-def _t(terms: np.ndarray, alpha: float) -> np.ndarray:
-    """t_1^alpha .. t_N^alpha of the terms a_1..a_N.  A non-finite term or
-    t raises ``ValueError``, with the message ``RealSequence`` gives."""
-    if not np.isfinite(terms).all():
-        raise ValueError(_NON_FINITE)
-    t = _mean(terms * np.arange(1.0, terms.size + 1.0), alpha, 1)
-    if not np.isfinite(t).all():
-        raise ValueError(_NON_FINITE)
-    return t
+def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
+    """The order-alpha means of one operand (``_means``), whose error is
+    raised."""
+    return _settled(_means([x], alpha, first)[0])
+
+
+def _t(lanes: list[np.ndarray], alpha: float) -> list:
+    """t_1^alpha .. t_N^alpha of each lane's terms a_1..a_N, all lanes of
+    one size, through one ``_means`` call: each lane's t or what it raised.
+    A non-finite term or t is a ``ValueError`` with the message
+    ``RealSequence`` gives."""
+    finite = [bool(np.isfinite(terms).all()) for terms in lanes]
+    n = np.arange(1.0, lanes[0].size + 1.0)
+    xs = [terms * n for terms, ok in zip(lanes, finite) if ok]
+    del n  # held through the means, it would be one more n-long array
+    means = iter(_means(xs, alpha, 1))
+    out = []
+    for ok in finite:
+        t = next(means) if ok else ValueError(_NON_FINITE)
+        if not (isinstance(t, Exception) or np.isfinite(t).all()):
+            t = ValueError(_NON_FINITE)
+        out.append(t)
+    return out
 
 
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
@@ -342,7 +433,7 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    return _adopt(1, _t(a.range_view(1, n_last), alpha))
+    return _adopt(1, _settled(_t([a.range_view(1, n_last)], alpha)[0]))
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:

@@ -27,16 +27,19 @@ goes to every builder, a generator that carries only what no window holds
 returns its record when the blocks end.  The conclusion's
 trace rides in the same pass and is kept on the bundle for
 ``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
-fractional orders gather a and a_n * lambda_n whole for the kernel.
+at fractional orders the means of a and of a_n * lambda_n are made whole
+before the first block, in one kernel call.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
 t of a_n * lambda_n, so their traces are the two lanes of one accumulator
-(``_MeanTraces``), which the pass owns: it pushes each block once, after
-the builders, and the two builders only join a lane and read its trace.
+(``_MeanTraces``), which the pass owns: it starts them once every builder
+has started, then pushes each block once, after the builders, and the two
+builders only join a lane and read its trace.
 Each block's terms sit side by side in an (m, 2) buffer, whose accumulate
 scans run once as complex128 (``accumulation``: complex addition is two
 float additions, so each lane has the bits of its own scan).  A lane whose
-mean goes non-finite raises when its builder reads it; the other runs on.
+mean goes non-finite, or whose operand the fractional kernel refuses,
+raises its error when its builder reads it; the other runs on.
 
 Errors keep the order of a bundle whose roles were made whole before the
 check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
@@ -63,7 +66,7 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _PairwiseSum, _SampledSums
-from .cesaro import _t
+from .cesaro import _settled, _t
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
@@ -353,12 +356,6 @@ def _advance(step: _Step, block: _Block | None) -> object:
     return _LIVE
 
 
-def _settled(result: object):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _sample(idx: np.ndarray, block: _Block, values: np.ndarray,
             out: np.ndarray) -> None:
     """out[i] = the value at 0-based position idx[i], for the positions
@@ -390,19 +387,22 @@ class _Context:
 
     def run(self, table) -> list:
         """One pass over the bundle: each builder's record, or the exception
-        it raised.  Each block's window of every role is made once, its
-        block checked, sent to every builder still running and then pushed
-        into the shared means; a role's non-finite value is raised once
-        every block has been read."""
+        it raised.  Every builder starts, then the shared means.  Each
+        block's window of every role is made once, its block checked, sent
+        to every builder still running and then pushed into the shared
+        means; a role's non-finite value is raised once every block has
+        been read."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
         self.means = _MeanTraces(b, self.checkpoints)
         steps = [build(self, name) for name, build in table]
-        # started last to first: at fractional orders cond11 and the
-        # conclusion run the kernel as they start, before the other
-        # builders hold their block buffers
-        results = [_advance(step, None) for step in steps[::-1]][::-1]
+        results = [_advance(step, None) for step in steps]
+        # cond11 and the conclusion join their lanes as they start, so the
+        # means start once every builder has.  At fractional orders that is
+        # the kernel call, the pass's peak at large n; what the other
+        # builders hold by then is their block buffers, under 1 MiB at any n
+        self.means.start()
         failed = len(roles)  # the first role, in order, found non-finite
         k, beta = b.params.k, b.params.beta
         size = accumulation._BLOCK
@@ -563,54 +563,63 @@ class _MeanTraces:
     whose means are w of a_n, and of the conclusion, whose means are t of
     a_n * lambda_n: the lanes of one ``_PowerTrace``, which each builder
     joins as it starts and reads when the blocks end (a check runs both,
-    ``conclusion_diagnostic`` the conclusion's alone).  The pass pushes each
-    block once, after the other builders, whose role blocks are then still
-    in cache (pushed before them, a check at n = 1e6 ran 2 % slower), under
+    ``conclusion_diagnostic`` the conclusion's alone).  The pass starts the
+    sums once every lane has joined, then pushes each block once, after the
+    other builders, whose role blocks are then still in cache (pushed
+    before them, a check at n = 1e6 ran 2 % slower).  Both run under
     ``np.errstate(all="ignore")``, so a lane's overflow is never another
-    builder's error.  At alpha = 1 a push sums the means as the lanes of one
-    ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
-    abs); other orders make a lane's means whole for the kernel as it
-    joins, so the kernel's error is its builder's.  A lane whose means go
-    non-finite is dead: it sums from zero from then on, so later blocks are
-    not redone, and reading its trace raises.  Once every lane is dead, or
-    none joined, a push does nothing."""
+    builder's error.  At alpha = 1 a push sums the means as the lanes of
+    one ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
+    abs).  Other orders make every lane's means whole as the sums start, in
+    one kernel call (``cesaro._t``), so the coefficients and the kernel's
+    slices and spectra are made once for both lanes.  A lane is dead where
+    its means go non-finite, or where the kernel refused it: it sums from
+    zero again, or sums zeros, so later blocks are not redone, and reading
+    its trace raises its error.  Once every lane is dead, or none joined, a
+    push does nothing."""
 
     def __init__(self, bundle: FamilyBundle,
                  checkpoints: tuple[int, ...]) -> None:
         self._bundle, self._cps = bundle, checkpoints
         self._maximal: list[bool] = []
         self._whole: list[np.ndarray] = []  # each lane's means, alpha < 1
-        self._dead: set[int] = set()
-        self._trace = self._acc = None  # made at the first push
+        self._dead: dict[int, Exception] = {}  # a dead lane's error
+        self._acc = None  # the running sums, alpha = 1
 
     def join(self, maximal: bool) -> int:
         """A new lane, of w of a_n when ``maximal`` and of t of
-        a_n * lambda_n otherwise: its index.  Lanes join before the first
-        push."""
-        b = self._bundle
-        alpha, n = b.params.alpha, b.n
-        if alpha != 1.0:
-            a = b.a._block(0, n)
-            if maximal:
-                t = _t(a, alpha)
-                np.maximum.accumulate(np.abs(t, out=t), out=t)
-            else:
-                t = _t(a * b.lam._block(0, n), alpha)
-            self._whole.append(t)
+        a_n * lambda_n otherwise: its index.  Lanes join before ``start``."""
         self._maximal.append(maximal)
         return len(self._maximal) - 1
 
+    def start(self) -> None:
+        """The sums of every lane joined, and at fractional orders their
+        means, before the first push."""
+        b, lanes, n = self._bundle, len(self._maximal), self._bundle.n
+        if not lanes:
+            return
+        self._trace = _PowerTrace(b.params.k, self._cps, lanes)
+        if b.params.alpha == 1.0:
+            size = min(accumulation._BLOCK, n)
+            self._acc = accumulation._Neumaier(size, lanes)
+            self._x = accumulation._lane_buffer(size, lanes)
+            self._t = np.empty((lanes, size))
+            return
+        with np.errstate(all="ignore"):
+            a, lam = b.a._block(0, n), b.lam._block(0, n)
+            self._whole = _t([a if maximal else a * lam
+                              for maximal in self._maximal], b.params.alpha)
+        for lane, t in enumerate(self._whole):
+            if isinstance(t, Exception):
+                self._dead[lane] = t
+                self._whole[lane] = np.broadcast_to(0.0, n)
+            elif self._maximal[lane]:
+                np.maximum.accumulate(np.abs(t, out=t), out=t)
+
     def push(self, block: _Block) -> None:
-        b, lanes, m = self._bundle, len(self._maximal), block.a.size
+        lanes, m = len(self._maximal), block.a.size
         if len(self._dead) == lanes:
             return
-        if self._trace is None:
-            self._trace = _PowerTrace(b.params.k, self._cps, lanes)
-            if b.params.alpha == 1.0:
-                size = min(accumulation._BLOCK, b.n)
-                self._acc = accumulation._Neumaier(size, lanes)
-                self._x = accumulation._lane_buffer(size, lanes)
-                self._t = np.empty((lanes, size))
         with np.errstate(all="ignore"):
             if self._acc is None:
                 values = [v[block.lo:block.hi] for v in self._whole]
@@ -630,18 +639,18 @@ class _MeanTraces:
                     np.divide(self._acc.sums(lane), n1, out=row)
             self._trace.push(block.n, block.phi, *values)
         # a non-finite term leaves its lane's t non-finite from there on
+        # (alpha = 1 only: at other orders ``_t`` refused such a lane)
         for lane, v in enumerate(values):
             if not np.isfinite(v).all():  # else every later block is redone
-                self._dead.add(lane)
+                self._dead[lane] = ValueError(_NON_FINITE)
                 self._trace.restart(lane)
-                if self._acc is not None:
-                    self._acc.restart(lane)
+                self._acc.restart(lane)
 
     def trace(self, lane: int) -> FunctionalTrace:
         """The lane's trace once every block is pushed; a dead lane raises
-        ``ValueError``."""
+        its error."""
         if lane in self._dead:
-            raise ValueError(_NON_FINITE)
+            raise self._dead[lane]
         return self._trace.trace(lane)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -86,9 +87,11 @@ _NUMBER_OBJECTS = {"params", "overrides", "tolerances"}
 
 
 def _refuse_non_numbers(obj: dict) -> None:
-    """Refuse true and false anywhere in a config, and strings in number
-    fields: no field takes a boolean, Python reads them as the numbers 1
-    and 0, and ``float`` reads "0.5" as 0.5.  (A stack, not recursion.)"""
+    """Refuse true and false anywhere in a config, and strings, NaN and
+    +-inf in number fields: no field takes a boolean, Python reads them as
+    the numbers 1 and 0, ``float`` reads "0.5" as 0.5, and ``json`` reads
+    NaN and Infinity, which a report that echoes them would write back as
+    no JSON.  (A stack, not recursion.)"""
     stack = [(key, key in _NUMBER_KEYS, value) for key, value in obj.items()]
     while stack:
         pointer, number, value = stack.pop()
@@ -96,6 +99,8 @@ def _refuse_non_numbers(obj: dict) -> None:
             raise ConfigError(pointer, "must not be a boolean")
         if number and isinstance(value, str):
             raise ConfigError(pointer, "must be a number")
+        if number and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(pointer, "must be a finite number")
         if isinstance(value, dict):
             numbers = pointer.rsplit(".", 1)[-1] in _NUMBER_OBJECTS
             stack.extend((f"{pointer}.{k}", numbers or k in _NUMBER_KEYS, v)

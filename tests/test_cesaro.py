@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from summa import cesaro
 from summa.accumulation import compensated_cumsum
 from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
-                          _round_rows, cesaro_coefficients, cesaro_sigma,
-                          cesaro_t, w_sequence)
+                          _round_rows, _settled, cesaro_coefficients,
+                          cesaro_sigma, cesaro_t, w_sequence)
 from summa.experiment import ExperimentConfig, builtin_family, run
 from summa.oracle import rational_cesaro_coefficients
 from summa.sequences import RealSequence
@@ -257,6 +257,29 @@ def outcome(fn, *args):
             return type(e)
 
 
+def attempt(fn, *args):
+    """What ``fn`` returns, or the ``OverflowError`` or ``ValueError`` it
+    raised: the kernel's entry for one operand."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as e:
+        return e
+
+
+def entry(result):
+    """A kernel entry as ``outcome`` gives it: output bits, or the type of
+    the error."""
+    if isinstance(result, Exception):
+        return type(result)
+    return result.view(np.int64).tolist()
+
+
+def dot_prefixes(kernel, x):
+    """The kernel's rows of one operand, its error raised."""
+    [rows] = _kernel_dot_prefixes(kernel, x)
+    return _settled(rows)
+
+
 def dot_prefix_input(size, kind, seed):
     rng = np.random.default_rng(seed)
     signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
@@ -306,6 +329,51 @@ def dot_prefix_cases(draw):
             max_size=3)):
         x[pos % size] = value
     return _binomial_weights(alpha - 1.0, size - 1), x
+
+
+# a mantissa of all ones: each of its slices at any width is full
+FULL = 2.0 - 2.0 ** -52
+
+
+def operand(size, kind, seed):
+    """An operand of the multi-operand kernel: the kinds of
+    ``dot_prefix_input``, all zeros, or "full": +-FULL alternating, which
+    cancels pairwise and, against the kernel of FULL entries, needs a
+    narrower slice width than most other kinds."""
+    if kind == "all_zero":
+        return np.zeros(size)
+    if kind == "full":
+        return np.where(np.arange(size) % 2 == 0, FULL, -FULL)
+    return dot_prefix_input(size, kind, seed)
+
+
+def kernel_widths(monkeypatch):
+    """The slice width of each operand's rounding, in the order they are
+    rounded."""
+    widths, round_rows = [], cesaro._round_rows
+    monkeypatch.setattr(cesaro, "_round_rows", lambda values, b, s:
+                        widths.append(b) or round_rows(values, b, s))
+    return widths
+
+
+@st.composite
+def operand_sets(draw):
+    """A kernel, A^(alpha - 1) or all FULL, and two or three operands of its
+    size, each of any kind and scaled by its own power of two (from the
+    subnormal range to near overflow, so exponents lie far apart)."""
+    size = draw(st.integers(1, 600))
+    kernel = (np.full(size, FULL) if draw(st.booleans()) else
+              _binomial_weights(draw(st.sampled_from([-0.75, -0.5, 0.0])),
+                                size - 1))
+    xs = []
+    for _ in range(draw(st.integers(2, 3))):
+        x = operand(size, draw(st.sampled_from(
+            ["spread", "alternating", "ties", "absorbed", "zeros", "unit",
+             "all_zero", "full"])), draw(st.integers(0, 2 ** 32)))
+        with np.errstate(all="ignore"):
+            xs.append(np.ldexp(x, draw(st.sampled_from(
+                [-1060, -900, -300, 0, 300, 700, 800]))))
+    return kernel, xs
 
 
 def round_rows_reference(values, b, s):
@@ -382,7 +450,7 @@ class TestKernelDotPrefixes:
     @given(dot_prefix_cases())
     def test_bit_identical_to_fsum_rows(self, case):
         kernel, x = case
-        assert outcome(_kernel_dot_prefixes, kernel, x) == \
+        assert outcome(dot_prefixes, kernel, x) == \
             outcome(exact_rows, kernel, x)
 
     @pytest.mark.parametrize("x, error", [
@@ -395,7 +463,7 @@ class TestKernelDotPrefixes:
         with pytest.raises(error):
             exact_rows(kernel, x)
         with pytest.raises(error):
-            _kernel_dot_prefixes(kernel, x)
+            dot_prefixes(kernel, x)
 
     # Row 3 of each case is (kernel[3], kernel[2], kernel[1], kernel[0]) with
     # x all ones, so the shorter rows before it leave out its leading terms.
@@ -423,7 +491,7 @@ class TestKernelDotPrefixes:
             assert not fsum_overflows
         ref = outcome(exact_rows, kernel, x)
         assert isinstance(ref, list)
-        assert outcome(_kernel_dot_prefixes, kernel, x) == ref
+        assert outcome(dot_prefixes, kernel, x) == ref
 
     # Rows 0..n-1 of each case have the all-ones kernel, so row n is
     # x[0] + .. + x[n].
@@ -461,7 +529,7 @@ class TestKernelDotPrefixes:
     ])
     def test_edge_rows_match_fsum(self, x):
         kernel, x = np.ones(len(x)), np.array(x)
-        assert outcome(_kernel_dot_prefixes, kernel, x) == \
+        assert outcome(dot_prefixes, kernel, x) == \
             outcome(exact_rows, kernel, x)
 
     def test_benchmark_ties_match_fsum(self):
@@ -472,7 +540,7 @@ class TestKernelDotPrefixes:
         factored = bundle.a.values * bundle.lam.values
         x = factored * np.arange(1.0, factored.size + 1.0)
         kernel = _binomial_weights(-0.5, x.size - 1)
-        assert outcome(_kernel_dot_prefixes, kernel[:8], x[:8]) == \
+        assert outcome(dot_prefixes, kernel[:8], x[:8]) == \
             outcome(exact_rows, kernel[:8], x[:8])
 
     @pytest.mark.parametrize("row_chunk", [cesaro._ROW_CHUNK, 65536, 1000])
@@ -484,7 +552,7 @@ class TestKernelDotPrefixes:
         x = dot_prefix_input(65536, "unit", 0)
         kernel = _binomial_weights(-0.5, x.size - 1)
         rows = [0, 1, 2, 999, 1000, 4095, 32768, 65533, 65534, 65535]
-        assert _kernel_dot_prefixes(kernel, x)[rows].tolist() == \
+        assert dot_prefixes(kernel, x)[rows].tolist() == \
             exact_rows(kernel, x, rows).tolist()
 
     # One example per edge: 53-bit ties either way and just above, 2**62 - 1
@@ -515,28 +583,135 @@ class TestKernelDotPrefixes:
             assert outcome(_round_rows, *stack) == \
                 outcome(round_rows_reference, *stack)
 
-    @pytest.mark.parametrize("noisy_calls", [1, None])
-    def test_fft_error_never_returned(self, monkeypatch, noisy_calls):
+    @settings(max_examples=80, deadline=None)
+    @given(operand_sets())
+    def test_operands_match_one_operand_calls(self, case):
+        # one call over several operands: each entry has the bits of a call
+        # of its own and of the exact rows, or the same error
+        kernel, xs = case
+        with np.errstate(all="ignore"):
+            rows = _kernel_dot_prefixes(kernel, *xs)
+        assert len(rows) == len(xs)
+        for got, x in zip(rows, xs):
+            assert entry(got) == outcome(dot_prefixes, kernel, x) == \
+                outcome(exact_rows, kernel, x)
+
+    @pytest.mark.parametrize("size", [(1 << 14) - 1, (1 << 14) + 1])
+    @pytest.mark.parametrize("full_kernel", [False, True])
+    def test_operands_at_block_edges(self, monkeypatch, size, full_kernel):
+        # operands of far-apart exponents, an all-zero one and a cancelling
+        # one; with the FULL kernel the cancelling one needs a narrower
+        # width than the others, which round at the first width tried
+        kernel = (np.full(size, FULL) if full_kernel
+                  else _binomial_weights(-0.5, size - 1))
+        xs = [operand(size, "unit", 0),
+              np.ldexp(operand(size, "alternating", 1), -900),
+              operand(size, "all_zero", 2),
+              np.ldexp(operand(size, "full", 3), 700)]
+        alone = [dot_prefixes(kernel, x) for x in xs]
+        widths = kernel_widths(monkeypatch)
+        rows = _kernel_dot_prefixes(kernel, *xs)
+        if full_kernel:
+            assert widths[-1] < widths[0] == widths[1]
+        else:
+            assert len(set(widths)) == 1
+        sample = [0, 1, 2, size // 2, size - 2, size - 1]
+        for got, want, x in zip(rows, alone, xs):
+            assert got.tobytes() == want.tobytes()
+            assert got[sample].tolist() == exact_rows(kernel, x, sample).tolist()
+        assert not rows[2].any()
+
+    def test_a_narrower_operand_retries_alone(self, monkeypatch):
+        # the cancelling operand fails the certificate at the first width;
+        # the other is rounded there, and only the kernel is sliced again
+        size = 300
+        kernel = np.full(size, FULL)
+        xs = [operand(size, "full", 0), operand(size, "unit", 0)]
+        sliced, slices = [], cesaro._slices
+        monkeypatch.setattr(cesaro, "_slices", lambda v, b:
+                            sliced.append((v is kernel, b)) or slices(v, b))
+        widths = kernel_widths(monkeypatch)
+        rows = _kernel_dot_prefixes(kernel, *xs)
+        b = widths[0]
+        assert widths == [b, b - 1]
+        assert sliced == [(True, b), (False, b), (False, b),
+                          (True, b - 1), (False, b - 1)]
+        for got, x in zip(rows, xs):
+            assert got.tolist() == exact_rows(kernel, x).tolist()
+
+    @pytest.mark.parametrize("bad, error", [
+        ([1e308, 1e308, -1e308, 1.0], OverflowError),
+        ([1.0, math.inf, -math.inf, 2.0], ValueError),
+        ([math.nan, 0.0, 0.0, 0.0], ValueError),
+    ])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_an_error_stays_with_its_operand(self, bad, error, where):
+        kernel = np.ones(4)
+        xs = [np.array([1.0, 2.0 ** -53, 2.0 ** -200, 3.0]),
+              np.array([MAX / 4, MAX / 4, -MAX / 4, 5e-324])]
+        xs.insert(where, np.array(bad))
+        rows = _kernel_dot_prefixes(kernel, *xs)
+        for i, (got, x) in enumerate(zip(rows, xs)):
+            if i == where:
+                assert isinstance(got, error)
+            else:
+                assert got.tobytes() == dot_prefixes(kernel, x).tobytes()
+                assert got.tolist() == exact_rows(kernel, x).tolist()
+
+    def test_a_non_finite_kernel_refuses_every_operand(self):
+        rows = _kernel_dot_prefixes(np.array([1.0, math.nan]),
+                                    np.ones(2), np.zeros(2))
+        assert [type(r) for r in rows] == [ValueError, ValueError]
+
+    @pytest.mark.parametrize("noisy", ["first", "second", "every"])
+    def test_fft_error_never_returned(self, monkeypatch, noisy):
         # an inverse transform 0.3 off an integer fails the check: the
-        # kernel retries with narrower slices, and raises if every width fails
+        # kernel retries that operand alone with narrower slices, and gives
+        # it a FloatingPointError if every width fails.  The noise falls in
+        # the first group of the first operand, of the second one (after
+        # the first operand's groups at the first width), or everywhere;
+        # the other operand's rows are those of a call of its own
+        xs = [dot_prefix_input(300, "unit", 0),
+              dot_prefix_input(300, "alternating", 1)]
+        kernel = _binomial_weights(-0.5, xs[0].size - 1)
         irfft, calls = np.fft.irfft, []
 
-        def noisy(*args, **kwargs):
+        def counted(*args, **kwargs):
             calls.append(1)
-            out = irfft(*args, **kwargs)
-            if noisy_calls is None or len(calls) <= noisy_calls:
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        alone = [dot_prefixes(kernel, xs[0])]
+        first = 1 if noisy == "first" else len(calls) + 1
+        alone.append(dot_prefixes(kernel, xs[1]))
+        del calls[:]
+
+        def noisy_irfft(*args, **kwargs):
+            out = counted(*args, **kwargs)
+            if noisy == "every" or len(calls) == first:
                 out[0] += 0.3
             return out
 
-        monkeypatch.setattr(np.fft, "irfft", noisy)
-        x = dot_prefix_input(300, "unit", 0)
-        kernel = _binomial_weights(-0.5, x.size - 1)
-        if noisy_calls is None:
+        monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
+        widths, sliced, slices = kernel_widths(monkeypatch), [], cesaro._slices
+        monkeypatch.setattr(cesaro, "_slices", lambda v, b: sliced.append(
+            [x is v for x in xs].index(True) if v is not kernel else None)
+            or slices(v, b))
+        if noisy == "every":
             with pytest.raises(FloatingPointError):
-                _kernel_dot_prefixes(kernel, x)
-        else:
-            assert _kernel_dot_prefixes(kernel, x).tolist() == \
+                dot_prefixes(kernel, xs[0])
+            rows = _kernel_dot_prefixes(kernel, *xs)
+            assert [type(r) for r in rows] == [FloatingPointError] * 2
+            return
+        rows = _kernel_dot_prefixes(kernel, *xs)
+        assert widths[1] == widths[0] - 1
+        # the kernel and then only the noisy operand are sliced again
+        assert sliced[3:] == [None, 0 if noisy == "first" else 1]
+        for got, want, x in zip(rows, alone, xs):
+            assert got.tolist() == want.tolist() == \
                 exact_rows(kernel, x).tolist()
+        del calls[:]
+        assert dot_prefixes(kernel, xs[0]).tolist() == alone[0].tolist()
 
     def test_numpy_facts_the_kernel_relies_on(self):
         # frexp: |v| < 2**e, for subnormals and exact powers of two too
@@ -588,9 +763,9 @@ def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
     }
     calls = []
 
-    def reference(kernel, x):
-        calls.append(x.size)
-        return exact_rows(kernel, x)
+    def reference(kernel, *xs):
+        calls.append(len(xs))
+        return [attempt(exact_rows, kernel, x) for x in xs]
 
     for side in ("shipped", "reference"):
         if side == "reference":

@@ -606,8 +606,8 @@ def outcome(call):
     """What a check returns, as bytes and JSON, or the error it raises."""
     try:
         out = call()
-    except ValueError as e:
-        return ValueError, str(e)
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
     if isinstance(out, tuple):  # conclusion_diagnostic
         return out[0].partial_sums.tobytes(), out[1].to_json()
     return out.to_json(), {name: t.partial_sums.tobytes()
@@ -658,6 +658,85 @@ class TestOneLaneNonFinite:
                 want = full_array_trace(t, k, phi, grid).tobytes()
                 assert conclusion[0] == alone[0] == want
                 assert conclusion == alone
+
+
+def fractional_lane_error(n, p, lane, kind):
+    """F1 at alpha = 1/2 with a and lambda set at p (and at p + 1 for
+    "overflow") so that the kernel refuses only the operand of w (lane
+    "w": v * a_v) or of t (lane "t": v * a_v * lambda_v).  At "inf" that
+    operand or its terms are non-finite (``one_lane_non_finite``); at
+    "overflow" it is 1.5e308 at p and p + 1, finite, but its row p + 1 sums
+    to 2.25e308, beyond the float range."""
+    if kind == "inf":
+        bundle = one_lane_non_finite(n, p, lane)
+    else:
+        bundle = builtin_family("F1", n)
+        a, lam = bundle.a.values.copy(), bundle.lam.values.copy()
+        for v in (p, p + 1):
+            lam[v - 1] = 1e-200 if lane == "w" else 1e300
+            a[v - 1] = (1.5e308 if lane == "w" else 1.5e8) / v
+        bundle = dataclasses.replace(bundle, a=RealSequence(1, a),
+                                     lam=RealSequence(1, lam))
+    return dataclasses.replace(bundle, params=dataclasses.replace(
+        bundle.params, alpha=0.5))
+
+
+@pytest.mark.parametrize("lane", ["w", "t"])
+@pytest.mark.parametrize("kind, error", [
+    ("inf", {"w": (ValueError, "Cesaro sums need finite terms"),
+             "t": (ValueError, "sequence values must be finite")}),
+    ("overflow", dict.fromkeys("wt", (
+        OverflowError, "a Cesaro sum overflows the float range"))),
+])
+@pytest.mark.parametrize("p", [_BLOCK // 2 + 3, _BLOCK, _BLOCK + 1])
+def test_fractional_lane_errors_stay_in_their_lane(lane, kind, error, p):
+    # at alpha = 1/2 the kernel refuses one lane's means: that lane's
+    # builder raises the kernel's error, and the other lane's trace is the
+    # one its own mean gives, in a check and in a conclusion of its own
+    n = 2 * _BLOCK + 5
+    bundle = fractional_lane_error(n, p, lane, kind)
+    k = bundle.params.k
+    phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
+    grid = dyadic_checkpoints(n)
+    a, lam = bundle.a.values, bundle.lam.values
+    with np.errstate(all="ignore"):  # as `summa run` sets it
+        check = outcome(lambda: check_main_theorem(bundle))
+        conclusion = outcome(lambda: conclusion_diagnostic(bundle))
+        fresh = fractional_lane_error(n, p, lane, kind)
+        alone = outcome(lambda: conclusion_diagnostic(fresh))
+        if lane == "t":
+            w = np.maximum.accumulate(np.abs(full_array_t(a, 0.5)))
+            assert check[1]["cond11"] == full_array_trace(
+                w, k, phi, grid).tobytes()
+            assert conclusion == alone == error["t"]
+        else:
+            assert check == error["w"]
+            t = full_array_t(a * lam, 0.5)
+            assert conclusion[0] == full_array_trace(t, k, phi,
+                                                     grid).tobytes()
+            assert conclusion == alone
+
+
+def test_one_kernel_per_check(monkeypatch):
+    # at alpha = 1/2 cond11 and the conclusion share one kernel call: one
+    # A^alpha for the denominators, one A^(alpha - 1) kernel, sliced once
+    bundle = builtin_family("F1", 4096, {"alpha": 0.5})
+    orders, kernels, sliced = [], [], []
+    weights, slices = cesaro._binomial_weights, cesaro._slices
+
+    def spy_weights(order, n_max):
+        out = weights(order, n_max)
+        orders.append(order)
+        kernels.append(out)
+        return out
+
+    monkeypatch.setattr(cesaro, "_binomial_weights", spy_weights)
+    monkeypatch.setattr(cesaro, "_slices", lambda v, b: sliced.append(
+        any(v is k for k in kernels)) or slices(v, b))
+    check_main_theorem(bundle)
+    conclusion_diagnostic(bundle)
+    assert sorted(orders) == [-0.5, 0.5]
+    assert sliced.count(True) == 1
 
 
 def test_a_dead_lane_is_not_redone(monkeypatch):

@@ -19,6 +19,7 @@ at the field.
 import copy
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -164,6 +165,17 @@ _PHI_WITHOUT_FAMILY = {
     "bundle": _bundle(weight={"kind": "explicit_phi", "phi": {}})}
 
 
+# the shipped custom bundle with Q = power_decay {p: 0, c0: NaN} and with
+# c0 = Infinity: Q_n = 1 either way, so the check would run and echo the
+# parameter into report.json as NaN or Infinity, which are not JSON
+_SHIPPED = json.loads((Path(__file__).parents[1] / "configs"
+                       / "custom_bundle.json").read_text())
+_NAN_C0, _INF_C0 = (
+    {**_SHIPPED, "bundle": {**_SHIPPED["bundle"], "Q": {
+        "family": "power_decay", "params": {"p": 0, "c0": c0}}}}
+    for c0 in (math.nan, math.inf))
+
+
 def _number_paths(obj, path=()):
     """Paths to the number fields of a config, in document order."""
     if isinstance(obj, dict):
@@ -209,6 +221,9 @@ def _number_paths(obj, path=()):
 # roles that overflow late in the range, in one order and the other
 @example(flip=None, slope=None, joined=True, config=_LATE_X)
 @example(flip=None, slope=None, joined=True, config=_LATE_A)
+# a non-finite family parameter is refused with its field
+@example(flip=None, slope=None, joined=True, config=_NAN_C0)
+@example(flip=None, slope=None, joined=True, config=_INF_C0)
 # n^150 overflows while the sequence is generated
 @example(flip=None, slope=None, joined=True,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
@@ -234,6 +249,9 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
     if config == _DUMP_OVERFLOW:
         assert err == ("config error: sequence: sequence values must be "
                        "finite\n")
+    if config is _NAN_C0 or config is _INF_C0:
+        assert err == ("config error: bundle.Q.params.c0: must be a finite "
+                       "number\n")
     if config in (_LATE_X, _LATE_A):
         role = "X" if config == _LATE_X else "a"
         assert err == (f"config error: bundle.{role}: sequence values must "

@@ -222,6 +222,17 @@ class TestConfigValidation:
         assert e.pointer == pointer
         assert str(e) == f"{pointer}: must be a number"
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("obj, pointer", [
+        case for case in _BOOLEAN_FIELDS if case[1] != "checkpoints"])
+    def test_non_finite_numbers_are_refused(self, obj, pointer, value):
+        # json reads NaN and Infinity, and a report that echoed them would
+        # not be JSON; a non-finite checkpoint is not an integer already
+        text = json.dumps(obj).replace("true", value).replace("false", value)
+        e = _err(json.loads(text))
+        assert e.pointer == pointer
+        assert str(e) == f"{pointer}: must be a finite number"
+
     def test_boolean_tolerance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "f1.json"
         cfg.write_text(json.dumps({"mode": "check_main", "family": "F1",
