@@ -84,8 +84,14 @@ def _binomial_weights(order: float, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be non-negative")
     out = np.empty(n_max + 1, dtype=np.float64)
     out[0] = 1.0
-    if n_max >= 1:
-        j = np.arange(1.0, n_max + 1.0)
+    # in blocks, so every temporary is block-sized: the product and the
+    # sum of rel carry into each block as the seed of its first element,
+    # and cumprod and cumsum run strictly left to right, so the bits are
+    # those of one pass over all n_max factors
+    last_p, last_sum = 1.0, None
+    for start in range(1, n_max + 1, accumulation._BLOCK):
+        j = np.arange(float(start),
+                      float(min(start + accumulation._BLOCK, n_max + 1)))
         with np.errstate(all="ignore"):
             # the factor (order + j) / j is f * (1 + d): s + es = order + j
             # (TwoSum), and s - f * j is exact, the remainder of the division
@@ -98,13 +104,19 @@ def _binomial_weights(order: float, n_max: int) -> np.ndarray:
             # step j rounds p_(j-1) * f_j = p_j + e_j, so the exact product
             # is p_n * prod(1 + e_j / p_j) * prod(1 + d_j); the products of
             # the small terms are their sums to far below an ulp
-            p = np.cumprod(f)
-            e = _two_product(np.concatenate(([1.0], p[:-1])), f)[1]
+            # q[i] is the product before factor j[i], q[i + 1] the one after
+            q = np.cumprod(np.concatenate(([last_p], f)))
+            p = q[1:]
+            e = _two_product(q[:-1], f)[1]
             rel = e / p + d
             # a zero factor (order -1) leaves exact zeros, and an overflowing
             # product stays non-finite
             rel[~np.isfinite(rel)] = 0.0
-            out[1:] = np.where(np.isfinite(p), p + p * np.cumsum(rel), p)
+            if last_sum is not None:
+                rel[0] += last_sum
+            np.add.accumulate(rel, out=rel)
+            out[start:start + j.size] = np.where(np.isfinite(p), p + p * rel, p)
+        last_p, last_sum = p[-1], rel[-1]
     return out
 
 

@@ -32,11 +32,17 @@ rational.  Every
 returned rational is built once, by ``Fraction(numerator, denominator)``.
 It is the same rational that step-by-step ``Fraction`` arithmetic gives,
 and every comparison is made between integers over one positive common
-denominator, so every verdict is the same as well.  The suites draw each
-random rational as an index into a table of the 171 values Fraction(p, q),
-p in -9..9 and q in 1..9, from the two calls rng.randint(-9, 9) and
-rng.randint(1, 9): a seed gives the inputs that building Fraction(p, q)
-from those draws would.
+denominator, so every verdict is the same as well.
+
+Draw contract: every integer the suites draw (n, v, an alpha's index, a
+table index) comes from ``_below``, which makes the same ``getrandbits``
+calls that ``randint`` and ``choice`` make, and every float is
+``a + (b - a) * rng.random()``, which is ``uniform(a, b)``.  Each random
+rational is an index into a table of the 171 values Fraction(p, q), p in
+-9..9 and q in 1..9, drawn as randint(-9, 9) and then randint(1, 9) would
+draw p and q.  So a seed gives the inputs, and leaves the generator in the
+state, that the ``randint``, ``choice`` and ``uniform`` calls and building
+Fraction(p, q) from them would.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ __all__ = [
 # and decomposition require
 _ALPHA_POOL = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4), Fraction(1))
+_FRACTION_ONLY = {Fraction}
 
 
 @dataclass(frozen=True)
@@ -84,11 +91,14 @@ class RationalSequence:
     def __post_init__(self) -> None:
         if not isinstance(self.start_index, int) or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
-        vals = tuple([v if type(v) is Fraction else Fraction(v)
-                      for v in self.values])
+        vals = self.values
+        # the suites' inputs are already tuples of Fractions: keep them
+        if type(vals) is not tuple or {*map(type, vals)} != _FRACTION_ONLY:
+            vals = tuple([v if type(v) is Fraction else Fraction(v)
+                          for v in vals])
+            object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("values must be non-empty")
-        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -294,6 +304,8 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
         raise ValueError(f"a must cover indices 1..{n}")
     if lam.start_index > 1 or lam.end_index < n:
         raise ValueError(f"lambda must cover indices 1..{n}")
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     if k < 1.0:
         raise ValueError("k must be at least 1")
 
@@ -356,7 +368,9 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
 
 
 def power_inequality_check(x: float, y: float, k: float) -> bool:
-    """|x + y|^k <= 2^k (|x|^k + |y|^k) for k >= 1."""
+    """|x + y|^k <= 2^k (|x|^k + |y|^k) for finite x, y and k >= 1."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(k)):
+        raise ValueError("x, y and k must be finite")
     if k < 1.0:
         raise ValueError("k must be at least 1")
     return abs(x + y) ** k <= 2.0 ** k * (abs(x) ** k + abs(y) ** k)
@@ -379,9 +393,31 @@ class OracleSuiteReport:
 _DRAWS = tuple([Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)])
 
 
+def _below(bits, width: int) -> int:
+    """rng.randrange(width), width >= 1, from ``bits = rng.getrandbits``
+    with the calls CPython's ``Random._randbelow`` makes: getrandbits(k),
+    k = width.bit_length(), until a draw falls below width.  So
+    ``a + _below(bits, b - a + 1)`` is rng.randint(a, b), and
+    ``seq[_below(bits, len(seq))]`` is rng.choice(seq), with the same
+    generator state after it."""
+    k = width.bit_length()
+    r = bits(k)
+    while r >= width:
+        r = bits(k)
+    return r
+
+
 def _random_rational(rng: random.Random) -> Fraction:
     """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), from the table."""
-    return _DRAWS[9 * rng.randint(-9, 9) + rng.randint(1, 9) + 80]
+    # 9 (p + 9) + (q - 1) = 9 p + q + 80
+    bits = rng.getrandbits
+    return _DRAWS[9 * _below(bits, 19) + _below(bits, 9)]
+
+
+def _positive_count(name: str, value) -> None:
+    """Refuse a count that is not an int >= 1 (a bool is refused too)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _run_suite(check: str, seed: int, trials: int,
@@ -392,6 +428,7 @@ def _run_suite(check: str, seed: int, trials: int,
     statement holds, else the input as JSON: Fractions as ``str``, floats as
     drawn.  The report keeps the first such input.
     """
+    _positive_count("trials", trials)
     rng = random.Random(seed)
     violations = 0
     first_input = None
@@ -409,15 +446,18 @@ def _run_suite(check: str, seed: int, trials: int,
 def run_abel_suite(seed: int, trials: int = 200,
                    max_n: int = 20) -> OracleSuiteReport:
     """Random integer sequences; the rearrangement must hold exactly."""
+    _positive_count("max_n", max_n)
     alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
     def trial(rng):
-        n = rng.randint(1, max_n)
-        a = RationalSequence(1, tuple([_DRAWS[9 * rng.randint(-9, 9) + 81]
+        bits = rng.getrandbits
+        n = 1 + _below(bits, max_n)
+        # Fraction(randint(-9, 9)) sits at 9 (p + 9)
+        a = RationalSequence(1, tuple([_DRAWS[9 * _below(bits, 19)]
                                        for _ in range(n)]))
-        lam = RationalSequence(1, tuple([_DRAWS[9 * rng.randint(-9, 9) + 81]
+        lam = RationalSequence(1, tuple([_DRAWS[9 * _below(bits, 19)]
                                          for _ in range(n)]))
-        alpha = rng.choice(alphas)
+        alpha = alphas[_below(bits, len(alphas))]
         if abel_identity_check(a, lam, alpha, n).equal:
             return None
         return {"a": list(map(str, a.values)),
@@ -436,14 +476,16 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     with a free a_0 the inequality is simply false (a_0 = -8/3, a_1 = 1,
     alpha = 1/2, n = 2, v = 1 gives 1/2 on the left, 1/3 on the right).
     """
+    _positive_count("max_n", max_n)
     zero = [Fraction(0)]
 
     def trial(rng):
-        n = rng.randint(1, max_n)
-        v = rng.randint(1, n)
+        bits = rng.getrandbits
+        n = 1 + _below(bits, max_n)
+        v = 1 + _below(bits, n)
         a = RationalSequence(0, tuple(zero + [_random_rational(rng)
                                               for _ in range(v)]))
-        alpha = rng.choice(_ALPHA_POOL)
+        alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
         if lemma1_check(a, alpha, n, v).holds:
             return None
         return {"a": list(map(str, a.values)), "alpha": str(alpha),
@@ -455,13 +497,16 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
 def run_decomposition_suite(seed: int, trials: int = 1000,
                             max_n: int = 15) -> OracleSuiteReport:
     """Random rational inputs against the exact two-term bound."""
+    _positive_count("max_n", max_n)
+
     def trial(rng):
-        n = rng.randint(1, max_n)
+        bits = rng.getrandbits
+        n = 1 + _below(bits, max_n)
         a = RationalSequence(1, tuple([_random_rational(rng)
                                        for _ in range(n)]))
         lam = RationalSequence(1, tuple([_random_rational(rng)
                                          for _ in range(n)]))
-        alpha = rng.choice(_ALPHA_POOL)
+        alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
         result = decomposition_bound_check(a, lam, alpha, n)
         if result.holds and result.holder_holds:
             return None
@@ -475,9 +520,11 @@ def run_decomposition_suite(seed: int, trials: int = 1000,
 def run_power_inequality_suite(seed: int,
                                trials: int = 10_000) -> OracleSuiteReport:
     def trial(rng):
-        x = rng.uniform(-10.0, 10.0)
-        y = rng.uniform(-10.0, 10.0)
-        k = rng.uniform(1.0, 4.0)
+        # rng.uniform(a, b) is a + (b - a) * rng.random()
+        u = rng.random
+        x = -10.0 + 20.0 * u()
+        y = -10.0 + 20.0 * u()
+        k = 1.0 + 3.0 * u()
         if power_inequality_check(x, y, k):
             return None
         return {"x": x, "y": y, "k": k}
@@ -491,7 +538,7 @@ def run_all_suites(seed: int, trials: int | None = None) -> list[OracleSuiteRepo
     ``trials`` overrides every suite's trial count when given (handy for
     smoke runs); None keeps the per-suite defaults.
     """
-    kw = {} if trials is None else {"trials": int(trials)}
+    kw = {} if trials is None else {"trials": trials}
     suites = (run_abel_suite, run_lemma1_suite, run_decomposition_suite,
               run_power_inequality_suite)
     return [suite((seed + 1000003 * i) % 2 ** 64, **kw)

@@ -80,6 +80,52 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             cesaro_coefficients(-1.0, 5)
 
+    @pytest.mark.parametrize("n_max", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                                       3 * (1 << 14) + 5])
+    @pytest.mark.parametrize("order", [-1.0, -0.75, -0.5, 0.25, 0.5, 1.0,
+                                       110.0])
+    def test_blocked_weights_equal_one_pass(self, order, n_max):
+        # the weights are computed in blocks of 2**14 factors; the bits are
+        # those of one pass over every factor.  At order 110 the product
+        # overflows in the second block
+        got = _binomial_weights(order, n_max)
+        want = one_pass_binomial_weights(order, n_max)
+        assert got.tobytes() == want.tobytes()
+        if order == 110.0 and n_max > 2 << 14:
+            first_inf = int(np.argmax(np.isinf(got)))
+            assert (1 << 14) < first_inf < 2 << 14
+
+    def test_weights_memory_is_block_sized(self):
+        tracemalloc.start()
+        try:
+            out = _binomial_weights(-0.5, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes, (peak, out.nbytes)
+
+
+def one_pass_binomial_weights(order: float, n_max: int) -> np.ndarray:
+    # the compensated product in one pass over all n_max factors, with
+    # n_max-long temporaries: the reference the blocked weights reproduce
+    out = np.empty(n_max + 1, dtype=np.float64)
+    out[0] = 1.0
+    if n_max >= 1:
+        j = np.arange(1.0, n_max + 1.0)
+        with np.errstate(all="ignore"):
+            s = order + j
+            z = s - order
+            es = (order - (s - z)) + (j - z)
+            f = s / j
+            hi, lo = cesaro._two_product(f, j)
+            d = ((s - hi) - lo + es) / (f * j)
+            p = np.cumprod(f)
+            e = cesaro._two_product(np.concatenate(([1.0], p[:-1])), f)[1]
+            rel = e / p + d
+            rel[~np.isfinite(rel)] = 0.0
+            out[1:] = np.where(np.isfinite(p), p + p * np.cumsum(rel), p)
+    return out
+
 
 class TestSigma:
     def test_alternating_hand_values(self):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,3 +580,166 @@ def test_oracle_reports_byte_identical_with_fraction_loops(tmp_path,
         for path in shipped:
             assert path.read_bytes() == (
                 tmp_path / "reference" / label / path.name).read_bytes()
+
+
+# The suites' trial draws as randint, choice and uniform make them: the
+# reference the suites' own draws must reproduce, input for input and
+# generator state for generator state.
+
+def ref_abel_inputs(rng, max_n=20):
+    n = rng.randint(1, max_n)
+    a = RationalSequence(1, tuple(F(rng.randint(-9, 9)) for _ in range(n)))
+    lam = RationalSequence(1, tuple(F(rng.randint(-9, 9))
+                                    for _ in range(n)))
+    return a, lam, rng.choice((F(1, 4), F(1, 2), F(1))), n
+
+
+def ref_lemma1_inputs(rng, max_n=12):
+    n = rng.randint(1, max_n)
+    v = rng.randint(1, n)
+    a = RationalSequence(0, (F(0),) + tuple(
+        F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(v)))
+    return a, rng.choice(_ALPHA_POOL), n, v
+
+
+def ref_decomposition_inputs(rng, max_n=15):
+    n = rng.randint(1, max_n)
+    a = RationalSequence(1, tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(n)))
+    lam = RationalSequence(1, tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
+                                    for _ in range(n)))
+    return a, lam, rng.choice(_ALPHA_POOL), n
+
+
+def ref_power_inputs(rng):
+    return (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+            rng.uniform(1.0, 4.0))
+
+
+# suite, the check it calls, a passing result, the reference draws
+DRAWN_SUITES = {
+    "abel": (run_abel_suite, "abel_identity_check",
+             AbelIdentityResult(True, F(0), F(0)), ref_abel_inputs),
+    "lemma1": (run_lemma1_suite, "lemma1_check",
+               LemmaBoundResult(True, F(0), F(0)), ref_lemma1_inputs),
+    "decomposition": (run_decomposition_suite, "decomposition_bound_check",
+                      DecompositionResult(F(0), F(0), F(0), True,
+                                          0.0, 0.0, True),
+                      ref_decomposition_inputs),
+    "power_inequality": (run_power_inequality_suite, "power_inequality_check",
+                         True, ref_power_inputs),
+}
+
+
+def exact_inputs(args):
+    """Every input with its type: sequences by start index and values,
+    floats by their exact hex form."""
+    out = []
+    for x in args:
+        if isinstance(x, RationalSequence):
+            out.append((x.start_index, [(type(v), v) for v in x.values]))
+        else:
+            out.append((type(x), x.hex() if isinstance(x, float) else x))
+    return out
+
+
+def assert_suite_draws_like_reference(monkeypatch, name, seed, **kw):
+    """Run a suite with its check replaced by a recorder that, at every
+    trial, draws the reference inputs from a generator of its own and
+    compares them, and the two generators' states, with what the suite
+    drew; then compare the states after the suite."""
+    suite, check, passing, reference = DRAWN_SUITES[name]
+    made = []
+
+    class Tracked(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    ref_rng = random.Random(seed)
+    ref_kw = {"max_n": kw["max_n"]} if "max_n" in kw else {}
+    checked = []
+
+    def recorder(*args):
+        trial = len(checked)
+        want = reference(ref_rng, **ref_kw)
+        assert exact_inputs(args) == exact_inputs(want), trial
+        assert made[-1].getstate() == ref_rng.getstate(), trial
+        checked.append(trial)
+        return passing
+
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=Tracked))
+    monkeypatch.setattr(oracle, check, recorder)
+    rep = suite(seed, **kw)
+    assert len(checked) == rep.trials and len(made) == 1
+    assert made[0].getstate() == ref_rng.getstate()
+
+
+class TestSuiteDraws:
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    @pytest.mark.parametrize("name", list(DRAWN_SUITES))
+    def test_default_trials_draw_the_reference_inputs(self, monkeypatch,
+                                                      name, seed):
+        assert_suite_draws_like_reference(monkeypatch, name, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 30),
+           max_n=st.integers(1, 40), name=st.sampled_from(list(DRAWN_SUITES)))
+    def test_any_seed_draws_the_reference_inputs(self, seed, trials, max_n,
+                                                 name):
+        kw = {"trials": trials}
+        if name != "power_inequality":
+            kw["max_n"] = max_n
+        with pytest.MonkeyPatch.context() as mp:
+            assert_suite_draws_like_reference(mp, name, seed, **kw)
+
+
+class TestSuiteArguments:
+    @pytest.mark.parametrize("trials", [0, -5, True, False, 2.7, 3.0, "4",
+                                        None])
+    @pytest.mark.parametrize("suite", [run_abel_suite, run_lemma1_suite,
+                                       run_decomposition_suite,
+                                       run_power_inequality_suite])
+    def test_trials_must_be_a_positive_int(self, suite, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            suite(1, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -5, True, 2.7])
+    def test_all_suites_pass_trials_through(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_all_suites(1, trials=trials)
+
+    @pytest.mark.parametrize("max_n", [0, -1, True, 2.5, 3.0])
+    @pytest.mark.parametrize("suite", [run_abel_suite, run_lemma1_suite,
+                                       run_decomposition_suite])
+    def test_max_n_must_be_a_positive_int(self, suite, max_n):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            suite(1, trials=1, max_n=max_n)
+
+    def test_one_trial_and_max_n_one(self):
+        reps = [run_abel_suite(3, trials=1, max_n=1),
+                run_lemma1_suite(3, trials=1, max_n=1),
+                run_decomposition_suite(3, trials=1, max_n=1)]
+        assert [(r.trials, r.violations) for r in reps] == [(1, 0)] * 3
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_decomposition_refuses_non_finite_k(self, k):
+        with pytest.raises(ValueError, match="k must be finite"):
+            decomposition_bound_check(_rat([1, 2, -1]), _rat([3, 1, 2]),
+                                      F(1, 2), 3, k=k)
+
+    @pytest.mark.parametrize("x, y, k", [
+        (1.0, 2.0, math.nan), (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf),
+        (math.nan, 2.0, 2.0), (1.0, math.inf, 2.0), (-math.inf, 1.0, 1.0)])
+    def test_power_check_refuses_non_finite_inputs(self, x, y, k):
+        with pytest.raises(ValueError, match="must be finite"):
+            power_inequality_check(x, y, k)
+
+    def test_finite_k_below_one_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            decomposition_bound_check(_rat([1]), _rat([1]), F(1, 2), 1,
+                                      k=0.5)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            power_inequality_check(1.0, 2.0, 0.5)
