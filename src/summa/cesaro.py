@@ -35,7 +35,8 @@ the output does not depend on how the FFT rounds.  One call takes one or
 more operands of the kernel's size: the coefficients and the kernel are
 made once, the kernel is sliced once per slice width and each of its
 slices transformed once, and each operand keeps its own slices, width,
-exponent and rounding.  A non-finite operand is a ``ValueError``, and a
+exponent and rounding, and leaves the call's operand list once its rows
+are settled.  A non-finite operand is a ``ValueError``, and a
 row whose exact sum lies beyond the float range an ``OverflowError``, of
 that operand alone.
 """
@@ -298,9 +299,12 @@ def _rows_at_width(kernel: _SlicedKernel, x: np.ndarray, growth: float,
     return _round_rows(values, b, kernel.e + ex - b * (len(groups) + 1))
 
 
-def _kernel_dot_prefixes(kernel: np.ndarray, *xs: np.ndarray) -> list:
-    """out[n] = sum_(i=0..n) kernel[n-i] * x[i] for each operand x, every
-    one of the kernel's size: the exact sum, rounded once.
+def _kernel_dot_prefixes(kernel: np.ndarray, xs: list) -> list:
+    """out[n] = sum_(i=0..n) kernel[n-i] * x[i] for each operand x in
+    ``xs``, every one of the kernel's size: the exact sum, rounded once.
+    Each entry of ``xs`` is set to None as soon as its operand's rows or
+    error are settled, so an operand is freed before the next one's rows
+    start unless the caller holds it.
 
     Each entry is its operand's rows or what it raised: ValueError for a
     non-finite operand (or kernel), OverflowError for a row whose exact sum
@@ -314,13 +318,15 @@ def _kernel_dot_prefixes(kernel: np.ndarray, *xs: np.ndarray) -> list:
     size = kernel.size
     out: list = [None] * len(xs)
     todo = []
-    for i, x in enumerate(xs):
-        if not (np.isfinite(kernel).all() and np.isfinite(x).all()):
+    for i in range(len(xs)):
+        if not (np.isfinite(kernel).all() and np.isfinite(xs[i]).all()):
             out[i] = ValueError("Cesaro sums need finite terms")
-        elif kernel.any() and x.any():
+        elif kernel.any() and xs[i].any():
             todo.append(i)
+            continue
         else:
             out[i] = np.zeros(size)
+        xs[i] = None  # settled
     # a cyclic length of 2**a or 3 * 2**a, at least 2 * size - 1, wraps no
     # product into rows 0..size-1
     length = 1 << (2 * size - 2).bit_length()
@@ -353,12 +359,15 @@ def _kernel_dot_prefixes(kernel: np.ndarray, *xs: np.ndarray) -> list:
                 out[i] = _rows_at_width(sliced, xs[i], growth, i == todo[-1])
             except OverflowError as e:
                 out[i] = e
-            if out[i] is None:
+            if out[i] is None:  # kept for the narrower width
                 retry.append(i)
+            else:
+                xs[i] = None
         todo = retry
     for i in todo:
         out[i] = FloatingPointError(
             "FFT error of 1/4 or more at every slice width")
+        xs[i] = None
     return out
 
 
@@ -371,7 +380,8 @@ def _settled(result):
 
 def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
     """Order-alpha means of the terms x_0, x_1, .. of indices first,
-    first + 1, .. of each operand x in ``xs``, all of one size:
+    first + 1, .. of each operand x in ``xs``, all of one size (at
+    fractional orders the kernel call empties ``xs`` as it goes):
 
         out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
 
@@ -396,7 +406,7 @@ def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
     denom = cesaro_coefficients(alpha, first + size - 1)[first:]
     kernel = _binomial_weights(alpha - 1.0, size - 1)
     return [r if isinstance(r, Exception) else np.divide(r, denom, out=r)
-            for r in _kernel_dot_prefixes(kernel, *xs)]
+            for r in _kernel_dot_prefixes(kernel, xs)]
 
 
 def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
@@ -409,11 +419,14 @@ def _t(lanes: list[np.ndarray], alpha: float) -> list:
     """t_1^alpha .. t_N^alpha of each lane's terms a_1..a_N, all lanes of
     one size, through one ``_means`` call: each lane's t or what it raised.
     A non-finite term or t is a ``ValueError`` with the message
-    ``RealSequence`` gives."""
+    ``RealSequence`` gives.  The lanes are dropped once the terms n * a_n
+    are made, so a lane the caller does not hold is freed before the
+    kernel call."""
     finite = [bool(np.isfinite(terms).all()) for terms in lanes]
     n = np.arange(1.0, lanes[0].size + 1.0)
     xs = [terms * n for terms, ok in zip(lanes, finite) if ok]
-    del n  # held through the means, it would be one more n-long array
+    # held through the means, each would be one more n-long array
+    del n, lanes
     means = iter(_means(xs, alpha, 1))
     out = []
     for ok in finite:

@@ -22,19 +22,20 @@ is one pass over the bundle in blocks of ``accumulation._BLOCK`` indices
 (``_Context.run``): each block of a, lambda, X, Q, delta and phi is made
 once, from the role's own block source, as a window from two indices
 before the block, which holds every difference across its edge.  The block
-goes to every builder, a generator that carries only what no window holds
-(a running maximum, sampled compensated sums, the first violation) and
-returns its record when the blocks end.  The conclusion's
-trace rides in the same pass and is kept on the bundle for
+goes to every builder still running, a generator that carries only what no
+window holds (a running maximum, sampled compensated sums) and returns its
+record as soon as its verdict is known: a pointwise record at its first
+violation, a scale record when the blocks end.  The pass takes the
+conclusion's trace beside the table and keeps it on the bundle for
 ``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
 at fractional orders the means of a and of a_n * lambda_n are made whole
 before the first block, in one kernel call.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
 t of a_n * lambda_n, so their traces are the two lanes of one accumulator
-(``_MeanTraces``), which the pass owns: it starts them once every builder
-has started, then pushes each block once, after the builders, and the two
-builders only join a lane and read its trace.
+(``_MeanTraces``), which the pass owns: cond11 joins its lane as it starts,
+the pass joins the conclusion's once every builder has started and starts
+the sums, then pushes each block once, after the builders.
 Each block's terms sit side by side in an (m, 2) buffer, whose accumulate
 scans run once as complex128 (``accumulation``: complex addition is two
 float additions, so each lane has the bits of its own scan).  A lane whose
@@ -339,7 +340,7 @@ class _Block(NamedTuple):
     delta: np.ndarray | None = None
     window: "_Block | None" = None
 
-# a record builder: sent the pass's blocks, then None; returns the record
+# a record builder: sent blocks until it returns its record (None: no more)
 _Step = Generator[None, "_Block | None", object]
 _LIVE = object()
 
@@ -385,23 +386,25 @@ class _Context:
                    checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
                    tol=tolerances or Tolerances())
 
-    def run(self, table) -> list:
+    def run(self, table) -> tuple[list, object]:
         """One pass over the bundle: each builder's record, or the exception
-        it raised.  Every builder starts, then the shared means.  Each
-        block's window of every role is made once, its block checked, sent
-        to every builder still running and then pushed into the shared
-        means; a role's non-finite value is raised once every block has
-        been read."""
+        it raised, and the conclusion's trace, or the exception reading it
+        raised.  Every builder starts, then the conclusion's lane joins and
+        the shared means start.  Each block's window of every role is made
+        once, its block checked, sent to every builder still running and
+        then pushed into the shared means; a role's non-finite value is
+        raised once every block has been read."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
         self.means = _MeanTraces(b, self.checkpoints)
         steps = [build(self, name) for name, build in table]
         results = [_advance(step, None) for step in steps]
-        # cond11 and the conclusion join their lanes as they start, so the
-        # means start once every builder has.  At fractional orders that is
-        # the kernel call, the pass's peak at large n; what the other
-        # builders hold by then is their block buffers, under 1 MiB at any n
+        # cond11 joins its lane as it starts, so the lanes are [w, t] (or
+        # [t]).  The means start once every builder has: at fractional
+        # orders that is the kernel call, the pass's peak at large n; what
+        # the builders hold by then is their block buffers, under 1 MiB
+        lane = self.means.join(maximal=False)
         self.means.start()
         failed = len(roles)  # the first role, in order, found non-finite
         k, beta = b.params.k, b.params.beta
@@ -427,7 +430,11 @@ class _Context:
                    for step, result in zip(steps, results)]
         if failed < len(roles):
             raise roles[failed][1]._failure()
-        return results
+        try:
+            conclusion = self.means.trace(lane)
+        except Exception as e:  # raised where the conclusion is read
+            conclusion = e
+        return results, conclusion
 
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
@@ -456,16 +463,14 @@ def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
 
 
 def _x_non_decreasing(ctx: _Context, name: str) -> _Step:
-    first = None
+    notes = "X positive and non-decreasing"
     while (block := (yield)) is not None:
-        if first is None:
-            w = block.window
-            bad = w.X <= 0.0
-            bad[1:] |= w.X[1:] < w.X[:-1]
-            if np.any(bad):
-                first = int(w.n[np.argmax(bad)])
-    return _pass_fail(name, first is None, "X positive and non-decreasing",
-                      first)
+        w = block.window
+        bad = w.X <= 0.0
+        bad[1:] |= w.X[1:] < w.X[:-1]
+        if np.any(bad):
+            return _pass_fail(name, False, notes, int(w.n[np.argmax(bad)]))
+    return _pass_fail(name, True, notes)
 
 
 def _cond7(ctx: _Context, name: str) -> _Step:
@@ -483,10 +488,8 @@ def _cond7(ctx: _Context, name: str) -> _Step:
 
 def _majorant(ctx: _Context, name: str) -> _Step:
     # |D lambda| <= |Q| on every index where the difference exists
-    first, non_finite = None, False
+    notes = f"checked indices 1..{ctx.bundle.n - 1}"
     while (block := (yield)) is not None:
-        if first is not None:
-            continue
         w = block.window
         with np.errstate(over="ignore"):
             dlam = np.abs(w.lam[:-1] - w.lam[1:])
@@ -495,19 +498,19 @@ def _majorant(ctx: _Context, name: str) -> _Step:
         mask = (dlam > qhead) | bad
         if np.any(mask):
             j = int(np.argmax(mask))
-            first, non_finite = int(w.n[j]), bool(bad[j])
-    notes = f"checked indices 1..{ctx.bundle.n - 1}"
-    if non_finite:
-        notes += " non-finite value at first_violation"
-    return _pass_fail(name, first is None, notes, first)
+            if bad[j]:
+                notes += " non-finite value at first_violation"
+            return _pass_fail(name, False, notes, int(w.n[j]))
+    return _pass_fail(name, True, notes)
 
 
 def _quasi_monotone(ctx: _Context, name: str) -> _Step:
-    qm = yield from _quasi_monotone_steps(ctx.bundle.n)
+    first, positive_from, trend_ratio = yield from _quasi_monotone_steps(
+        ctx.bundle.n)
     return _pass_fail(
-        name, qm.holds_on_range and qm.positivity_from is not None,
-        f"positivity_from={qm.positivity_from} "
-        f"trend_ratio={_fmt(qm.trend_ratio)}", qm.first_violation)
+        name, first is None and positive_from is not None,
+        f"positivity_from={positive_from} trend_ratio={_fmt(trend_ratio)}",
+        first)
 
 
 def _series_nqx(ctx: _Context, name: str) -> _Step:
@@ -561,12 +564,14 @@ def _param_gate(ctx: _Context, name: str) -> _Step:
 class _MeanTraces:
     """The power traces sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of cond11,
     whose means are w of a_n, and of the conclusion, whose means are t of
-    a_n * lambda_n: the lanes of one ``_PowerTrace``, which each builder
-    joins as it starts and reads when the blocks end (a check runs both,
-    ``conclusion_diagnostic`` the conclusion's alone).  The pass starts the
-    sums once every lane has joined, then pushes each block once, after the
-    other builders, whose role blocks are then still in cache (pushed
-    before them, a check at n = 1e6 ran 2 % slower).  Both run under
+    a_n * lambda_n: the lanes of one ``_PowerTrace``.  cond11's builder
+    joins its lane as it starts and reads it when the blocks end; the pass
+    joins the conclusion's once every builder has started and reads it
+    after the last push (a check runs both, ``conclusion_diagnostic`` the
+    conclusion's alone).  The pass starts the sums once every lane has
+    joined, then pushes each block once, after the builders, whose role
+    blocks are then still in cache (pushed before them, a check at
+    n = 1e6 ran 2 % slower).  Both run under
     ``np.errstate(all="ignore")``, so a lane's overflow is never another
     builder's error.  At alpha = 1 a push sums the means as the lanes of
     one ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
@@ -575,8 +580,8 @@ class _MeanTraces:
     slices and spectra are made once for both lanes.  A lane is dead where
     its means go non-finite, or where the kernel refused it: it sums from
     zero again, or sums zeros, so later blocks are not redone, and reading
-    its trace raises its error.  Once every lane is dead, or none joined, a
-    push does nothing."""
+    its trace raises its error.  Once every lane is dead, a push does
+    nothing."""
 
     def __init__(self, bundle: FamilyBundle,
                  checkpoints: tuple[int, ...]) -> None:
@@ -596,8 +601,6 @@ class _MeanTraces:
         """The sums of every lane joined, and at fractional orders their
         means, before the first push."""
         b, lanes, n = self._bundle, len(self._maximal), self._bundle.n
-        if not lanes:
-            return
         self._trace = _PowerTrace(b.params.k, self._cps, lanes)
         if b.params.alpha == 1.0:
             size = min(accumulation._BLOCK, n)
@@ -665,14 +668,6 @@ def _cond11(ctx: _Context, name: str) -> _Step:
     return ctx.traced_record(name, trace, notes="trace relative to X")
 
 
-def _conclusion(ctx: _Context, name: str) -> _Step:
-    # the weighted functional of t for a_n * lambda_n, summed by the pass
-    lane = ctx.means.join(maximal=False)
-    while (yield) is not None:
-        pass
-    return ctx.means.trace(lane)
-
-
 _MAIN_TABLE = (
     ("X_class", _x_almost_increasing),
     ("cond7", _cond7),
@@ -698,7 +693,7 @@ def _run_table(theorem: str, table: tuple, bundle: FamilyBundle,
                checkpoints: Sequence[int] | None,
                tolerances: Tolerances | None) -> HypothesisReport:
     ctx = _Context.of(bundle, checkpoints, tolerances)
-    *results, conclusion = ctx.run((*table, ("conclusion", _conclusion)))
+    results, conclusion = ctx.run(table)
     # the conclusion's trace (or its error), for conclusion_diagnostic
     object.__setattr__(bundle, "_conclusion", (ctx.checkpoints, conclusion))
     records = tuple(_settled(result) for result in results)
@@ -760,6 +755,6 @@ def conclusion_diagnostic(bundle: FamilyBundle,
     if done is not None and done[0] == ctx.checkpoints:
         result = done[1]
     else:
-        [result] = ctx.run((("conclusion", _conclusion),))
+        _, result = ctx.run(())
     trace = _settled(result)
     return trace, growth_diagnostic(trace, ctx.tol)

@@ -368,12 +368,21 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
 
 
 def power_inequality_check(x: float, y: float, k: float) -> bool:
-    """|x + y|^k <= 2^k (|x|^k + |y|^k) for finite x, y and k >= 1."""
+    """|x + y|^k <= 2^k (|x|^k + |y|^k) for finite x, y and k >= 1.
+
+    Compared as (|x + y| / 2)^k <= |x|^k + |y|^k on x and y scaled by the
+    power of two that puts max(|x|, |y|) in [1/2, 1): every base is then
+    below 1, so no power overflows, and the left base is at most
+    max(|x|, |y|), so a power that underflows to zero cannot reverse the
+    verdict.
+    """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(k)):
         raise ValueError("x, y and k must be finite")
     if k < 1.0:
         raise ValueError("k must be at least 1")
-    return abs(x + y) ** k <= 2.0 ** k * (abs(x) ** k + abs(y) ** k)
+    e = math.frexp(max(abs(x), abs(y)))[1]
+    x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+    return (abs(x + y) / 2.0) ** k <= abs(x) ** k + abs(y) ** k
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,21 @@ def drive(steps, *, block=None, **roles):
     """The verdict of a monotonicity block step sent ``roles``, aligned
     arrays from index 1 named by their ``_Block`` field (X, phi, Q,
     delta), in blocks of ``block`` values (one block when None), each with
-    its window from the two values before it, as the pass sends them."""
+    its window from the two values before it, as the pass sends them: until
+    the step returns, which it may do before the blocks end."""
     size = len(next(iter(roles.values())))
     n = np.arange(1.0, size + 1.0)
     block = block or max(size, 1)
     fields = dict.fromkeys(("phi", "a", "lam", "X"))
     next(steps)
-    for lo in range(0, size, block):
-        hi, start = min(lo + block, size), max(lo - 2, 0)
-        window = _Block(start, hi, n[start:hi],
-                        **{**fields, **{name: v[start:hi]
-                                        for name, v in roles.items()}})
-        steps.send(_Block(lo, hi, *(None if v is None else v[lo - start:]
-                                    for v in window[2:-1]), window))
     try:
+        for lo in range(0, size, block):
+            hi, start = min(lo + block, size), max(lo - 2, 0)
+            window = _Block(start, hi, n[start:hi],
+                            **{**fields, **{name: v[start:hi]
+                                            for name, v in roles.items()}})
+            steps.send(_Block(lo, hi, *(None if v is None else v[lo - start:]
+                                        for v in window[2:-1]), window))
         steps.send(None)
     except StopIteration as done:
         return done.value

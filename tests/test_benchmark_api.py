@@ -158,6 +158,53 @@ def test_traced_public_functions_have_callers_outside_tests():
     assert not uncalled, f"only tests call {sorted(uncalled)}"
 
 
+def references_by_definition():
+    """(module, top, name) for every name that code in src/summa refers to
+    (an ast Name or Attribute, annotations included), top the name of the
+    module-level function or class it sits in (None at module level)."""
+    refs = []
+    for path in sorted((REPO / "src" / "summa").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            top = (node.name if isinstance(node, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else None)
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name):
+                    refs.append((path.stem, top, child.id))
+                elif isinstance(child, ast.Attribute):
+                    refs.append((path.stem, top, child.attr))
+    return refs
+
+
+def test_traced_public_classes_are_used_by_public_code():
+    # a public class that only private code builds or reads is a public
+    # name with no public use: it goes, or the private code returns plain
+    # values.  A use counts from a public function or class of src other
+    # than the class itself (an annotation is a use), or from perfbench
+    refs = references_by_definition()
+    bench_text = "\n".join(
+        path.read_text() for path in [
+            *sorted((REPO / "perfbench").glob("*.py")),
+            REPO / "perfbench" / "catalog.json", REPO / "BENCHMARK.json"])
+    classes, unused = 0, []
+    for module_name in traced_modules():
+        module = importlib.import_module(f"summa.{module_name}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if not (inspect.isclass(value)
+                    and value.__module__ == module.__name__):
+                continue
+            classes += 1
+            if not (re.search(rf"\b{name}\b", bench_text) or any(
+                    ref == name and top is not None
+                    and not top.startswith("_")
+                    and (mod, top) != (module_name, name)
+                    for mod, top, ref in refs)):
+                unused.append(f"{module_name}.{name}")
+    assert classes >= 5  # the scan finds them
+    assert not unused, f"no public code uses {unused}"
+
+
 def private_definitions():
     """(module, name) of every top-level private function, class and
     assigned name in src/summa, dunder names aside."""

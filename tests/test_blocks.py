@@ -326,5 +326,6 @@ def test_quasi_monotone_trend_over_pairwise_leaves(size):
               / float(np.mean(np.abs(b[:quarter]))))
     # blocks as the pass sends them: the means read each block, never the
     # two values its window repeats
-    verdict = drive(_quasi_monotone_steps(n), Q=b, delta=delta, block=size)
-    assert verdict.trend_ratio == expect
+    _, _, trend_ratio = drive(_quasi_monotone_steps(n), Q=b, delta=delta,
+                              block=size)
+    assert trend_ratio == expect

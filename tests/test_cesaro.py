@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -322,7 +323,7 @@ def entry(result):
 
 def dot_prefixes(kernel, x):
     """The kernel's rows of one operand, its error raised."""
-    [rows] = _kernel_dot_prefixes(kernel, x)
+    [rows] = _kernel_dot_prefixes(kernel, [x])
     return _settled(rows)
 
 
@@ -636,7 +637,7 @@ class TestKernelDotPrefixes:
         # of its own and of the exact rows, or the same error
         kernel, xs = case
         with np.errstate(all="ignore"):
-            rows = _kernel_dot_prefixes(kernel, *xs)
+            rows = _kernel_dot_prefixes(kernel, [*xs])
         assert len(rows) == len(xs)
         for got, x in zip(rows, xs):
             assert entry(got) == outcome(dot_prefixes, kernel, x) == \
@@ -656,7 +657,7 @@ class TestKernelDotPrefixes:
               np.ldexp(operand(size, "full", 3), 700)]
         alone = [dot_prefixes(kernel, x) for x in xs]
         widths = kernel_widths(monkeypatch)
-        rows = _kernel_dot_prefixes(kernel, *xs)
+        rows = _kernel_dot_prefixes(kernel, [*xs])
         if full_kernel:
             assert widths[-1] < widths[0] == widths[1]
         else:
@@ -677,7 +678,7 @@ class TestKernelDotPrefixes:
         monkeypatch.setattr(cesaro, "_slices", lambda v, b:
                             sliced.append((v is kernel, b)) or slices(v, b))
         widths = kernel_widths(monkeypatch)
-        rows = _kernel_dot_prefixes(kernel, *xs)
+        rows = _kernel_dot_prefixes(kernel, [*xs])
         b = widths[0]
         assert widths == [b, b - 1]
         assert sliced == [(True, b), (False, b), (False, b),
@@ -696,7 +697,7 @@ class TestKernelDotPrefixes:
         xs = [np.array([1.0, 2.0 ** -53, 2.0 ** -200, 3.0]),
               np.array([MAX / 4, MAX / 4, -MAX / 4, 5e-324])]
         xs.insert(where, np.array(bad))
-        rows = _kernel_dot_prefixes(kernel, *xs)
+        rows = _kernel_dot_prefixes(kernel, [*xs])
         for i, (got, x) in enumerate(zip(rows, xs)):
             if i == where:
                 assert isinstance(got, error)
@@ -706,8 +707,55 @@ class TestKernelDotPrefixes:
 
     def test_a_non_finite_kernel_refuses_every_operand(self):
         rows = _kernel_dot_prefixes(np.array([1.0, math.nan]),
-                                    np.ones(2), np.zeros(2))
+                                    [np.ones(2), np.zeros(2)])
         assert [type(r) for r in rows] == [ValueError, ValueError]
+
+    def test_each_operand_is_freed_once_settled(self, monkeypatch):
+        # against the FULL kernel the "full" operand retries at a narrower
+        # width and keeps its entry until then; every other entry is freed
+        # as soon as its rows (or, for the zero one, its zeros) are settled,
+        # so no operand is alive when a later one's rows start
+        size = 300
+        kernel = np.full(size, FULL)
+        xs = [operand(size, "unit", 0), operand(size, "all_zero", 0),
+              operand(size, "full", 0), operand(size, "unit", 1)]
+        want = [exact_rows(kernel, x).tolist() for x in xs]
+        refs = [weakref.ref(x) for x in xs]
+        calls, rows_at_width = [], cesaro._rows_at_width
+
+        def spy(sliced, x, growth, last):
+            calls.append(([r() is x for r in refs].index(True),
+                          [r() is None for r in refs]))
+            return rows_at_width(sliced, x, growth, last)
+
+        monkeypatch.setattr(cesaro, "_rows_at_width", spy)
+        rows = _kernel_dot_prefixes(kernel, xs)
+        assert calls == [(0, [False, True, False, False]),
+                         (2, [True, True, False, False]),
+                         (3, [True, True, False, False]),
+                         (2, [True, True, False, True])]
+        assert xs == [None] * 4
+        assert [r() for r in refs] == [None] * 4
+        assert [r.tolist() for r in rows] == want
+
+    def test_t_frees_its_lanes_before_the_kernel_call(self, monkeypatch):
+        # the lanes (a and a * lambda in a check) are gone once _t has made
+        # n * a_n, and operand 0 is gone before operand 1's rows start
+        a = operand(300, "unit", 0)
+        want = [cesaro._t([a], 0.5)[0], cesaro._t([-2.0 * a], 0.5)[0]]
+        lanes = [[a.copy(), -2.0 * a]]  # only _t holds the inner list
+        refs = [weakref.ref(lane) for lane in lanes[0]]
+        calls, rows_at_width = [], cesaro._rows_at_width
+
+        def spy(sliced, x, growth, last):
+            calls.append([r() is None for r in refs])
+            refs.append(weakref.ref(x))
+            return rows_at_width(sliced, x, growth, last)
+
+        monkeypatch.setattr(cesaro, "_rows_at_width", spy)
+        got = cesaro._t(lanes.pop(), 0.5)
+        assert calls == [[True, True], [True, True, True]]
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
 
     @pytest.mark.parametrize("noisy", ["first", "second", "every"])
     def test_fft_error_never_returned(self, monkeypatch, noisy):
@@ -746,10 +794,10 @@ class TestKernelDotPrefixes:
         if noisy == "every":
             with pytest.raises(FloatingPointError):
                 dot_prefixes(kernel, xs[0])
-            rows = _kernel_dot_prefixes(kernel, *xs)
+            rows = _kernel_dot_prefixes(kernel, [*xs])
             assert [type(r) for r in rows] == [FloatingPointError] * 2
             return
-        rows = _kernel_dot_prefixes(kernel, *xs)
+        rows = _kernel_dot_prefixes(kernel, [*xs])
         assert widths[1] == widths[0] - 1
         # the kernel and then only the noisy operand are sliced again
         assert sliced[3:] == [None, 0 if noisy == "first" else 1]
@@ -809,7 +857,7 @@ def test_outputs_byte_identical_with_fsum_reference(tmp_path, monkeypatch):
     }
     calls = []
 
-    def reference(kernel, *xs):
+    def reference(kernel, xs):
         calls.append(len(xs))
         return [attempt(exact_rows, kernel, x) for x in xs]
 

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from summa import accumulation, cesaro, functionals
+from summa import accumulation, cesaro, checker, functionals
 from summa.accumulation import _BLOCK, compensated_cumsum
 from summa.cesaro import cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
@@ -515,7 +516,7 @@ class TestWeightMonotoneNote:
                                   phi=RealSequence(1, phi)),
                 params=CesaroParams(k=k, epsilon=eps))
             ctx = _Context.of(bundle, None, None)
-            [record] = ctx.run((("weight_monotone", _weight_monotone),))
+            [record], _ = ctx.run((("weight_monotone", _weight_monotone),))
             want = reference_weight_record(phi, eps, k)
             assert (record.first_violation, record.notes) == want
             flagged += "non-finite" in want[1]
@@ -793,3 +794,115 @@ def test_dead_lanes_end_the_means(monkeypatch):
     assert len(pushes) == 1
     # once in the running means' block, once in the trace's
     assert len(redos) <= 2
+
+
+def blocks_per_builder(monkeypatch, check, bundle):
+    """The check's report, and how many blocks the pass sent each record
+    builder, by the builder's function name."""
+    counts, advance = collections.Counter(), checker._advance
+
+    def counted(step, block):
+        if block is not None:
+            counts[step.gi_code.co_name] += 1
+        return advance(step, block)
+
+    monkeypatch.setattr(checker, "_advance", counted)
+    return check(bundle), dict(counts)
+
+
+class TestRecordsReturnAtTheirVerdict:
+    """A pointwise record returns at its first violation, so the pass sends
+    it no later block; the scale records and the quasi-monotone record,
+    whose trend reads every block, get them all."""
+
+    N = 3 * _BLOCK
+
+    def test_majorant_and_weight_fail_in_the_first_block(self, monkeypatch):
+        bundle = builtin_family("F1", self.N)
+        phi = np.ones(self.N)
+        phi[2] = 10.0  # n^(1 - k) |phi_n|^k rises into index 3
+        bundle = dataclasses.replace(
+            bundle, Q=RealSequence(1, np.full(self.N, 1e-30)),
+            weight=WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                              phi=RealSequence(1, phi)))
+        report, counts = blocks_per_builder(monkeypatch, check_main_theorem,
+                                            bundle)
+        assert counts == {"_x_almost_increasing": 3, "_cond7": 3,
+                          "_majorant": 1, "_quasi_monotone": 3,
+                          "_series_nqx": 3, "_weight_monotone": 1,
+                          "_cond11": 3}
+        record = {r.condition: r for r in report.records}
+        assert (record["majorant"].passed,
+                record["majorant"].first_violation) == (False, 1)
+        assert (record["weight_monotone"].passed,
+                record["weight_monotone"].first_violation) == (False, 2)
+        assert record["quasi_monotone"].passed
+
+    def test_x_class_and_weight_fail_in_the_first_block(self, monkeypatch):
+        bundle = builtin_family("F2", self.N)
+        X, phi = bundle.X.values.copy(), np.ones(self.N)
+        X[5], phi[2] = X[4] / 2.0, 10.0
+        bundle = dataclasses.replace(
+            bundle, X=RealSequence(1, X),
+            weight=WeightSpec(kind=WeightKind.EXPLICIT_PHI,
+                              phi=RealSequence(1, phi)))
+        report, counts = blocks_per_builder(monkeypatch, check_theorem_a,
+                                            bundle)
+        assert counts == {"_x_non_decreasing": 1, "_cond7": 3, "_cond8": 3,
+                          "_weight_monotone": 1, "_cond11": 3}
+        record = {r.condition: r for r in report.records}
+        assert record["X_class"].first_violation == 6
+        assert record["weight_monotone"].first_violation == 2
+
+    def test_x_class_stops_at_a_non_positive_x(self, monkeypatch):
+        bundle = builtin_family("F1", self.N)
+        X = bundle.X.values.copy()
+        X[_BLOCK + 7] = -1.0
+        bundle = dataclasses.replace(bundle, X=RealSequence(1, X))
+        report, counts = blocks_per_builder(monkeypatch, check_main_theorem,
+                                            bundle)
+        assert counts["_x_almost_increasing"] == 2
+        assert counts["_cond7"] == 3
+        assert report.records[0].first_violation == _BLOCK + 8
+
+
+class TestConclusionBesideTheTable:
+    def test_run_returns_the_conclusion_beside_the_records(self):
+        bundle = builtin_family("F1", 4096)
+        ctx = _Context.of(bundle, None, None)
+        records, conclusion = ctx.run(checker._MAIN_TABLE)
+        assert [r.condition for r in records] == list(MAIN_CONDITIONS)
+        alone, _ = conclusion_diagnostic(builtin_family("F1", 4096))
+        assert conclusion.partial_sums.tobytes() == \
+            alone.partial_sums.tobytes()
+        records, again = _Context.of(bundle, None, None).run(())
+        assert records == []
+        assert (again.partial_sums.tobytes()
+                == conclusion.partial_sums.tobytes())
+
+    def test_the_conclusion_error_is_returned(self):
+        # a_n * lambda_n overflows and n * a_n does not: the records are
+        # made and the conclusion is the error its lane raised
+        n = 64
+        bundle = dataclasses.replace(
+            builtin_family("F1", n), a=RealSequence(1, np.full(n, 1e300)),
+            lam=RealSequence(1, np.full(n, 1e10)),
+            params=CesaroParams(k=1.0))
+        with np.errstate(all="ignore"):
+            records, conclusion = _Context.of(bundle, None, None).run(
+                checker._MAIN_TABLE)
+        assert all(isinstance(r, checker.ConditionRecord) for r in records)
+        assert isinstance(conclusion, ValueError)
+        assert str(conclusion) == "sequence values must be finite"
+
+    def test_conclusion_after_a_check_makes_no_second_pass(self,
+                                                           monkeypatch):
+        bundle = builtin_family("F1", 4096)
+        tables, run_table = [], _Context.run
+        monkeypatch.setattr(_Context, "run", lambda ctx, table: tables.append(
+            len(table)) or run_table(ctx, table))
+        check_main_theorem(bundle)
+        trace, _ = conclusion_diagnostic(bundle)
+        assert tables == [len(MAIN_CONDITIONS)]
+        conclusion_diagnostic(bundle, checkpoints=(512, 1024, 2048, 4096))
+        assert tables == [len(MAIN_CONDITIONS), 0]

@@ -18,8 +18,9 @@ from helpers import drive
 
 
 def quasi_monotone(b, delta):
-    """The quasi-monotone verdict on b from index 1, delta given where b's
-    difference exists (the pass's delta has one more value, never read)."""
+    """(first_violation, positivity_from, trend_ratio) of b from index 1,
+    delta given where b's difference exists (the pass's delta has one more
+    value, never read)."""
     b = np.asarray(b, dtype=np.float64)
     delta = np.append(np.asarray(delta, dtype=np.float64), 1.0)
     return drive(_quasi_monotone_steps(b.size), Q=b, delta=delta)
@@ -46,27 +47,27 @@ def first_rise(phi, epsilon, k, rel_tol=1e-12):
 
 class TestQuasiMonotone:
     def test_decreasing_positive_holds(self):
-        v = quasi_monotone([1.0, 0.5, 0.25, 0.125], [0.01, 0.01, 0.01])
-        assert v.holds_on_range
-        assert v.first_violation is None
-        assert v.positivity_from == 1
+        first, positive_from, _ = quasi_monotone([1.0, 0.5, 0.25, 0.125],
+                                                 [0.01, 0.01, 0.01])
+        assert first is None
+        assert positive_from == 1
 
     def test_violation_index(self):
         # index 2 rises by 2, far beyond delta
-        v = quasi_monotone([1.0, 1.0, 3.0, 2.0], [0.1, 0.1, 0.1])
-        assert not v.holds_on_range
-        assert v.first_violation == 2
+        first, _, _ = quasi_monotone([1.0, 1.0, 3.0, 2.0], [0.1, 0.1, 0.1])
+        assert first == 2
 
     def test_small_rises_within_delta_pass(self):
-        assert quasi_monotone([1.0, 1.05, 1.0], [0.1, 0.1]).holds_on_range
+        assert quasi_monotone([1.0, 1.05, 1.0], [0.1, 0.1])[0] is None
 
     def test_positivity_from_suffix(self):
-        v = quasi_monotone([1.0, -1.0, 2.0, 1.0], [10.0, 10.0, 10.0])
-        assert v.positivity_from == 3
+        _, positive_from, _ = quasi_monotone([1.0, -1.0, 2.0, 1.0],
+                                             [10.0, 10.0, 10.0])
+        assert positive_from == 3
 
     def test_positivity_none_when_tail_not_positive(self):
-        v = quasi_monotone([1.0, 2.0, -1.0], [10.0, 10.0])
-        assert v.positivity_from is None
+        _, positive_from, _ = quasi_monotone([1.0, 2.0, -1.0], [10.0, 10.0])
+        assert positive_from is None
 
     def test_delta_must_cover_and_be_positive(self):
         # the pass's delta is a bundle role, which must cover 1..n
@@ -77,8 +78,9 @@ class TestQuasiMonotone:
             quasi_monotone([1.0, 0.5, 0.25], [0.1, 0.0])
 
     def test_trend_ratio_decay(self):
-        v = quasi_monotone(1.0 / np.arange(1.0, 101.0), np.full(99, 1e-9))
-        assert v.trend_ratio is not None and v.trend_ratio < 0.1
+        _, _, trend_ratio = quasi_monotone(1.0 / np.arange(1.0, 101.0),
+                                           np.full(99, 1e-9))
+        assert trend_ratio is not None and trend_ratio < 0.1
 
 
 class TestAlmostIncreasing:

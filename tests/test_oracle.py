@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +27,7 @@ from summa.oracle import (_ALPHA_POOL, AbelIdentityResult,
 from summa.sequences import RealSequence
 
 F = Fraction
+MAX = sys.float_info.max
 
 
 def _rat(values, start=1):
@@ -177,6 +180,23 @@ class TestPowerInequality:
     def test_k_domain(self):
         with pytest.raises(ValueError):
             power_inequality_check(1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("x, y, k", [
+        (1e300, 1e300, 4.0), (1e200, -1e200, 2.0), (1.0, 1.0, 2000.0),
+        (0.5, 0.25, 1100.0), (MAX, MAX, 1.0), (MAX, -MAX, 1e308),
+        (-MAX, 5e-324, 3.5), (5e-324, 5e-324, 1.0), (0.0, -0.0, 1e300)])
+    def test_large_inputs_and_orders_give_a_verdict(self, x, y, k):
+        # the powers of x, y and 2 overflowed here for large |x|, |y| or k
+        assert power_inequality_check(x, y, k) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           y=st.floats(allow_nan=False, allow_infinity=False),
+           k=st.integers(1, 6))
+    def test_verdict_matches_exact_rationals(self, x, y, k):
+        fx, fy = F(x), F(y)
+        exact = abs(fx + fy) ** k <= 2 ** k * (abs(fx) ** k + abs(fy) ** k)
+        assert power_inequality_check(x, y, float(k)) is exact
 
     def test_suite_is_clean(self):
         rep = run_power_inequality_suite(11, trials=2000)
@@ -743,3 +763,102 @@ class TestNonFiniteArguments:
                                       k=0.5)
         with pytest.raises(ValueError, match="^k must be at least 1$"):
             power_inequality_check(1.0, 2.0, 0.5)
+
+
+# Mutants: each check with one plausible bug in the step of the proof it
+# replays, patched in through the module global that its suite calls.  A
+# suite earns its zero only if it reports violations for each of them at
+# its default trials.
+
+def lemma1_mutant(order, last_m):
+    """lemma1_check, step by step in Fractions, with the kernel of order
+    ``order(alpha)`` and the rhs max over 1 <= m <= ``last_m(v)``."""
+    def check(a, alpha, n, v):
+        kernel = rational_cesaro_coefficients(order(F(alpha)), n)
+        lhs = abs(sum((kernel[n - p] * a.values[p] for p in range(v + 1)),
+                      F(0)))
+        rhs = max((abs(sum((kernel[m - p] * a.values[p]
+                            for p in range(m + 1)), F(0)))
+                   for m in range(1, last_m(v) + 1)), default=F(0))
+        return LemmaBoundResult(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+    return check
+
+
+def abel_u_to_v_minus_one(a, lam, alpha, n):
+    """abel_identity_check with U_v summed over p = 1..v-1."""
+    kernel = rational_cesaro_coefficients(F(alpha) - 1, n - 1)
+    terms = [kernel[n - v] * v * a.values[v - 1] for v in range(1, n + 1)]
+    lv = lam.values
+    lhs = sum(map(mul, terms, lv), F(0))
+    u = [sum(terms[:v - 1], F(0)) for v in range(1, n + 1)]
+    rhs = sum(((lv[v - 1] - lv[v]) * u[v - 1] for v in range(1, n)), F(0))
+    rhs += lv[n - 1] * u[n - 1]
+    return AbelIdentityResult(equal=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
+def decomposition_mutant(bound):
+    """decomposition_bound_check whose verdict compares |T| with
+    ``bound(result, a, lam, alpha, n)`` in place of T1 + T2."""
+    def check(a, lam, alpha, n, k=2.0):
+        result = decomposition_bound_check(a, lam, alpha, n, k)
+        return dataclasses.replace(
+            result, holds=abs(result.T) <= bound(result, a, lam, alpha, n))
+    return check
+
+
+def bound_with_w_as_abs_t(result, a, lam, alpha, n):
+    """T1 + T2 with w_v = |t_v|, the running maximum left out."""
+    t = rational_cesaro_t(a, alpha, n)
+    big_a = rational_cesaro_coefficients(alpha, n)
+    lv = lam.values
+    t1 = sum((big_a[v] * abs(t[v - 1]) * abs(lv[v - 1] - lv[v])
+              for v in range(1, n)), F(0)) / big_a[n]
+    return t1 + abs(lv[n - 1]) * abs(t[n - 1])
+
+
+# mutant -> (the check it replaces, the mutant)
+MUTANTS = {
+    "lemma1_max_without_m_eq_v": (
+        "lemma1_check", lemma1_mutant(lambda alpha: alpha - 1,
+                                      lambda v: v - 1)),
+    "lemma1_kernel_of_order_alpha": (
+        "lemma1_check", lemma1_mutant(lambda alpha: alpha, lambda v: v)),
+    "abel_u_to_v_minus_one": ("abel_identity_check", abel_u_to_v_minus_one),
+    "decomposition_without_t2": (
+        "decomposition_bound_check",
+        decomposition_mutant(lambda r, *args: r.T1)),
+    "decomposition_bound_times_nine_tenths": (
+        "decomposition_bound_check",
+        decomposition_mutant(lambda r, *args: F(9, 10) * (r.T1 + r.T2))),
+    "decomposition_w_without_running_max": (
+        "decomposition_bound_check",
+        decomposition_mutant(bound_with_w_as_abs_t)),
+}
+# check -> (its suite, the shipped check, whether a result holds as the
+# suite counts it, the check's arguments from a report's input)
+MUTATED_SUITES = {
+    "abel_identity_check": (
+        run_abel_suite, abel_identity_check, lambda r: r.equal,
+        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"])),
+    "lemma1_check": (
+        run_lemma1_suite, lemma1_check, lambda r: r.holds,
+        lambda d: (_rat(d["a"], start=0), F(d["alpha"]), d["n"], d["v"])),
+    "decomposition_bound_check": (
+        run_decomposition_suite, decomposition_bound_check,
+        lambda r: r.holds and r.holder_holds,
+        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"])),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_suites_catch_each_mutant(monkeypatch, name):
+    # at seed 42 and default trials; the first violating input, fed back,
+    # fails the mutant again and passes the shipped check
+    check, mutant = MUTANTS[name]
+    suite, shipped, holds, arguments = MUTATED_SUITES[check]
+    monkeypatch.setattr(oracle, check, mutant)
+    rep = suite(42)
+    assert rep.violations >= 1
+    args = arguments(rep.first_violation_input)
+    assert not holds(mutant(*args))
+    assert holds(shipped(*args))
