@@ -21,15 +21,17 @@ MAIN_CONDITIONS and THEOREM_A_CONDITIONS are their first columns.  A check
 is one pass over the bundle in blocks of ``accumulation._BLOCK`` indices
 (``_Context.run``): each block of a, lambda, X, Q, delta and phi is made
 once, from the role's own block source, as a window from two indices
-before the block, which holds every difference across its edge.  The block
-goes to every builder still running, a generator that carries only what no
-window holds (a running maximum, sampled compensated sums) and returns its
-record as soon as its verdict is known: a pointwise record at its first
-violation, a scale record when the blocks end.  The pass takes the
-conclusion's trace beside the table and keeps it on the bundle for
-``conclusion_diagnostic``.  At alpha = 1 the pass holds no n-long array;
-at fractional orders the means of a and of a_n * lambda_n are made whole
-before the first block, in one kernel call.
+before the block, which holds every difference across its edge
+(differences follow the package convention (D b)_n = b_n - b_(n+1)).  The
+block goes to every builder still running: one generator per record, which
+carries only what no window holds (a running maximum, sampled compensated
+sums) and returns its ``ConditionRecord`` as soon as its verdict is known,
+a pointwise record at its first violation, a scale record and the
+quasi-monotone record (whose trend reads every block) when the blocks end.
+The pass takes the conclusion's trace beside the table and keeps it on
+the bundle for ``conclusion_diagnostic``.  At alpha = 1 the pass holds no
+n-long array; at fractional orders the means of a and of a_n * lambda_n
+are made whole before the first block, in one kernel call.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
 t of a_n * lambda_n, so their traces are the two lanes of one accumulator
@@ -45,7 +47,9 @@ raises its error when its builder reads it; the other runs on.
 Errors keep the order of a bundle whose roles were made whole before the
 check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
 in that order) is raised first, after the pass has read every block; then
-the first record error in table order.
+the first record error in table order.  A trace whose sums overflowed, or
+whose reference X underflowed to zero, is refused with the name of its
+record (or ``conclusion``) before the message; a lane's error is not.
 
 Every O(.) statement, the conclusion included, is judged at scale from a
 CheckpointTrace by a log-log slope fit over the tail of a geometric
@@ -70,8 +74,6 @@ from .accumulation import _PairwiseSum, _SampledSums
 from .cesaro import _settled, _t
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
-from .monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
-                           _weight_steps)
 from .sequences import (_NON_FINITE, CesaroParams, RealSequence, _real,
                         _verify)
 
@@ -323,6 +325,16 @@ def _pass_fail(condition: str, passed: bool, notes: str,
                            first_violation=first_violation, notes=notes)
 
 
+def _named(name: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError it raises prefixed with
+    ``name``: a trace that a record's arithmetic overflowed is refused under
+    the record's name."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
 class _Block(NamedTuple):
     """One block of a pass: indices lo + 1..hi, as the floats n, and those
     values of every role (Q and delta None when the bundle has none), phi
@@ -431,7 +443,7 @@ class _Context:
         if failed < len(roles):
             raise roles[failed][1]._failure()
         try:
-            conclusion = self.means.trace(lane)
+            conclusion = self.means.trace(lane, "conclusion")
         except Exception as e:  # raised where the conclusion is read
             conclusion = e
         return results, conclusion
@@ -454,12 +466,21 @@ class _Context:
 
 
 def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
-    bad, inf_ratio = yield from _inf_ratio_steps()
-    if bad is not None:
-        return _pass_fail(name, False, "X must be positive", bad)
+    # X positive, with inf_ratio, the least X_n / max_(v<=n) X_v, above the
+    # floor (near zero at scale: not almost increasing); the running max is
+    # carried from block to block
+    peak, low = -np.inf, np.inf
+    while (block := (yield)) is not None:
+        if np.any(block.X <= 0.0):
+            return _pass_fail(name, False, "X must be positive",
+                              int(block.n[np.argmax(block.X <= 0.0)]))
+        c = np.maximum.accumulate(block.X)
+        np.maximum(c, peak, out=c)
+        peak = c[-1]
+        low = min(low, float(np.min(block.X / c)))
     floor = ctx.tol.inf_ratio_floor
-    return _pass_fail(name, inf_ratio > floor,
-                      f"inf_ratio={inf_ratio:.6g} floor={floor:.6g}")
+    return _pass_fail(name, low > floor,
+                      f"inf_ratio={_fmt(low)} floor={_fmt(floor)}")
 
 
 def _x_non_decreasing(ctx: _Context, name: str) -> _Step:
@@ -505,8 +526,40 @@ def _majorant(ctx: _Context, name: str) -> _Step:
 
 
 def _quasi_monotone(ctx: _Context, name: str) -> _Step:
-    first, positive_from, trend_ratio = yield from _quasi_monotone_steps(
-        ctx.bundle.n)
+    # delta-quasi-monotone Q: Q_n > 0 from positivity_from on and
+    # (D Q)_n >= -delta_n wherever the difference exists (delta's last value
+    # is never read); a non-positive delta raises in the first window that
+    # holds Q's difference at its index.  trend_ratio, the mean of |Q| over
+    # the last quarter over that of the first (np.mean's bits), is a decay
+    # diagnostic only, never a proof of Q_n -> 0
+    length = ctx.bundle.n
+    quarter = length // 4
+    head = _PairwiseSum(0, quarter)
+    tail = _PairwiseSum(length - quarter, quarter)
+    first, last_not_positive = None, 0
+    while (block := (yield)) is not None:
+        w = block.window
+        if np.any(w.delta[:-1] <= 0.0):
+            bad = int(w.n[np.argmax(w.delta[:-1] <= 0.0)])
+            raise ValueError(f"delta must be positive everywhere; first "
+                             f"non-positive entry at index {bad}")
+        bad_mask = w.Q[:-1] - w.Q[1:] < -w.delta[:-1]
+        if first is None and np.any(bad_mask):
+            first = int(w.n[np.argmax(bad_mask)])
+        not_pos = np.nonzero(~(block.Q > 0.0))[0]
+        if not_pos.size:
+            last_not_positive = int(block.n[not_pos[-1]])
+        mags = np.abs(block.Q)
+        head.push(block.lo, mags)
+        tail.push(block.lo, mags)
+    # the first index of the longest all-positive suffix, if any
+    positive_from = (last_not_positive + 1 if last_not_positive < length
+                     else None)
+    trend_ratio = None
+    if quarter >= 1:
+        head_mean = float(head.total / quarter)
+        tail_mean = float(tail.total / quarter)
+        trend_ratio = tail_mean / head_mean if head_mean > 0.0 else None
     return _pass_fail(
         name, first is None and positive_from is not None,
         f"positivity_from={positive_from} trend_ratio={_fmt(trend_ratio)}",
@@ -524,7 +577,7 @@ def _series_nqx(ctx: _Context, name: str) -> _Step:
         sums.push(terms)
         total.push(block.lo, np.abs(terms))
     return ctx.traced_record(
-        name, CheckpointTrace(ctx.checkpoints, sums.sums),
+        name, _named(name, CheckpointTrace, ctx.checkpoints, sums.sums),
         notes=f"abs_variant_total={float(total.total):.9g}")
 
 
@@ -538,20 +591,41 @@ def _cond8(ctx: _Context, name: str) -> _Step:
         w = block.window
         d2 = w.lam[:-2] - 2.0 * w.lam[1:-1] + w.lam[2:]
         sums.push(w.n[:-2] * w.X[:-2] * np.abs(d2))
-    return ctx.traced_record(name, CheckpointTrace(cps, sums.sums),
+    return ctx.traced_record(name, _named(name, CheckpointTrace, cps,
+                                          sums.sums),
                              notes=f"second differences over 1..{size}")
 
 
 def _weight_monotone(ctx: _Context, name: str) -> _Step:
-    # (iii) n^(epsilon-k) |phi_n|^k non-increasing
+    # (iii) n^(epsilon-k) |phi_n|^k non-increasing: a term that rises by
+    # more than weight_rel_tol relative (rounding noise of a constant term)
+    # into the next, judged in the first window that holds both, or that is
+    # not finite, is a violation
     params = ctx.bundle.params
-    eps, k = params.epsilon, params.k
-    first, non_finite = yield from _weight_steps(eps, k,
-                                                 ctx.tol.weight_rel_tol)
+    eps, k, rel_tol = params.epsilon, params.k, ctx.tol.weight_rel_tol
     notes = f"epsilon={eps:.6g}"
-    if non_finite:
-        notes += " non-finite value at first_violation"
-    return _pass_fail(name, first is None, notes, first)
+    while (block := (yield)) is not None:
+        n, phi = block.window.n, block.window.phi
+        # float arrays of the window's length, reused in place
+        with np.errstate(all="ignore"):
+            seq = np.power(n, eps - k)
+            tmp = np.abs(phi)
+            np.power(tmp, k, out=tmp)
+            seq *= tmp
+            np.abs(seq, out=tmp)
+            slack = np.maximum(tmp[1:], tmp[:-1])
+            slack *= rel_tol
+            rise = np.subtract(seq[1:], seq[:-1], out=tmp[:-1])
+        # comparisons with NaN are False, so non-finite entries are flagged
+        # on their own
+        bad = ~np.isfinite(seq)
+        bad[:-1] |= rise > slack
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            if not np.isfinite(seq[j]):
+                notes += " non-finite value at first_violation"
+            return _pass_fail(name, False, notes, int(n[j]))
+    return _pass_fail(name, True, notes)
 
 
 def _param_gate(ctx: _Context, name: str) -> _Step:
@@ -649,12 +723,13 @@ class _MeanTraces:
                 self._trace.restart(lane)
                 self._acc.restart(lane)
 
-    def trace(self, lane: int) -> FunctionalTrace:
-        """The lane's trace once every block is pushed; a dead lane raises
-        its error."""
+    def trace(self, lane: int, name: str) -> FunctionalTrace:
+        """The lane's trace once every block is pushed: a dead lane raises
+        its error, a trace refused (its sums overflowed) raises under
+        ``name``."""
         if lane in self._dead:
             raise self._dead[lane]
-        return self._trace.trace(lane)
+        return _named(name, self._trace.trace, lane)
 
 
 def _cond11(ctx: _Context, name: str) -> _Step:
@@ -664,7 +739,8 @@ def _cond11(ctx: _Context, name: str) -> _Step:
     X = np.empty(idx.size)
     while (block := (yield)) is not None:
         _sample(idx, block, block.X, X)
-    trace = dataclasses.replace(ctx.means.trace(lane), reference=X)
+    trace = _named(name, dataclasses.replace, ctx.means.trace(lane, name),
+                   reference=X)
     return ctx.traced_record(name, trace, notes="trace relative to X")
 
 

@@ -91,10 +91,15 @@ def _refuse_non_numbers(obj: dict) -> None:
     +-inf in number fields: no field takes a boolean, Python reads them as
     the numbers 1 and 0, ``float`` reads "0.5" as 0.5, and ``json`` reads
     NaN and Infinity, which a report that echoes them would write back as
-    no JSON.  (A stack, not recursion.)"""
+    no JSON.  The objects of number fields must be objects: ``dict`` reads
+    a list of [name, value] pairs too, whose values this walk would not
+    see.  (A stack, not recursion.)"""
     stack = [(key, key in _NUMBER_KEYS, value) for key, value in obj.items()]
     while stack:
         pointer, number, value = stack.pop()
+        numbers = pointer.rsplit(".", 1)[-1] in _NUMBER_OBJECTS
+        if numbers and not isinstance(value, dict):
+            raise ConfigError(pointer, "must be an object")
         if isinstance(value, bool):
             raise ConfigError(pointer, "must not be a boolean")
         if number and isinstance(value, str):
@@ -102,7 +107,6 @@ def _refuse_non_numbers(obj: dict) -> None:
         if number and isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(pointer, "must be a finite number")
         if isinstance(value, dict):
-            numbers = pointer.rsplit(".", 1)[-1] in _NUMBER_OBJECTS
             stack.extend((f"{pointer}.{k}", numbers or k in _NUMBER_KEYS, v)
                          for k, v in value.items())
         elif isinstance(value, list):
@@ -198,8 +202,6 @@ class ExperimentConfig:
                         f"unknown; choices: {', '.join(BUILTIN_FAMILY_NAMES)}")
                 _forbid(obj, mode, "params")
                 overrides = obj.get("overrides", {})
-                if not isinstance(overrides, dict):
-                    raise ConfigError("overrides", "must be an object")
                 for key in overrides:
                     if key not in _OVERRIDE_KEYS:
                         raise ConfigError(

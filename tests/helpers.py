@@ -1,40 +1,66 @@
-"""Test-side drivers of the private steps that the checker's pass runs, for
-tests that check one step against a reference: a monotonicity step sent
+"""Test-side drivers of the private pieces that the checker's pass runs,
+for tests that check one piece against a reference: a record builder sent
 the pass's blocks of aligned values, ``_SampledSums`` pushed blocks of
 terms, a weight's |phi| read as one block; and the two term forms of each
 named weight, which the reduction identities compare."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 
-from summa import accumulation
+from summa import accumulation, checker
 from summa.accumulation import compensated_cumsum
-from summa.checker import _Block
+from summa.checker import Tolerances, _Block
 from summa.functionals import WeightKind, WeightSpec
+from summa.sequences import CesaroParams
 
 
-def drive(steps, *, block=None, **roles):
-    """The verdict of a monotonicity block step sent ``roles``, aligned
-    arrays from index 1 named by their ``_Block`` field (X, phi, Q,
-    delta), in blocks of ``block`` values (one block when None), each with
-    its window from the two values before it, as the pass sends them: until
-    the step returns, which it may do before the blocks end."""
+def drive(build, *, block=None, params=None, tolerances=None, **roles):
+    """The record that the record builder ``build`` returns when sent
+    ``roles``, aligned arrays from index 1 named by their ``_Block`` field
+    (X, phi, Q, delta), in blocks of ``block`` values (one block when None),
+    each with its window from the two values before it, as the pass sends
+    them: until the builder returns, which it may do before the blocks end.
+    The builder reads a stand-in context: the bundle's length n, ``params``
+    and ``tolerances`` (``CesaroParams()`` and ``Tolerances()`` when None),
+    which may be any object with the fields the builder reads, so that a
+    test can give it values that those classes refuse."""
     size = len(next(iter(roles.values())))
+    ctx = SimpleNamespace(
+        bundle=SimpleNamespace(n=size, params=params or CesaroParams()),
+        tol=tolerances or Tolerances())
     n = np.arange(1.0, size + 1.0)
     block = block or max(size, 1)
     fields = dict.fromkeys(("phi", "a", "lam", "X"))
-    next(steps)
+    builder = build(ctx, "record")
+    next(builder)
     try:
         for lo in range(0, size, block):
             hi, start = min(lo + block, size), max(lo - 2, 0)
             window = _Block(start, hi, n[start:hi],
                             **{**fields, **{name: v[start:hi]
                                             for name, v in roles.items()}})
-            steps.send(_Block(lo, hi, *(None if v is None else v[lo - start:]
-                                        for v in window[2:-1]), window))
-        steps.send(None)
+            builder.send(_Block(lo, hi, *(None if v is None
+                                          else v[lo - start:]
+                                          for v in window[2:-1]), window))
+        builder.send(None)
     except StopIteration as done:
         return done.value
-    raise AssertionError("the step did not return its verdict")
+    raise AssertionError("the builder did not return its record")
+
+
+def notes(record):
+    """The name=value words of a record's notes, values as text."""
+    return dict(word.split("=", 1) for word in record.notes.split()
+                if "=" in word)
+
+
+def full_notes():
+    """While entered, records write the floats of their notes that
+    ``checker._fmt`` formats (inf_ratio, trend_ratio) as ``repr``, every
+    bit, for a test to read back."""
+    return mock.patch.object(checker, "_fmt", repr)
 
 
 def monotone_partials(terms, checkpoints):

@@ -16,16 +16,16 @@ import numpy as np
 
 from summa.cesaro import cesaro_coefficients, cesaro_sigma, cesaro_t
 from summa.checker import (MAIN_CONDITIONS, GrowthVerdict, Tolerances,
-                           check_main_theorem, conclusion_diagnostic,
-                           dyadic_checkpoints, growth_diagnostic)
+                           _x_almost_increasing, check_main_theorem,
+                           conclusion_diagnostic, dyadic_checkpoints,
+                           growth_diagnostic)
 from summa.experiment import (ExperimentConfig, builtin_family, load_config,
                               run)
 from summa.functionals import CheckpointTrace
-from summa.monotonicity import _inf_ratio_steps
 from summa.oracle import rational_cesaro_coefficients, run_all_suites
 from summa.sequences import SequenceSpec, materialize
 
-from helpers import drive, max_rel_deviation, reduced_terms
+from helpers import drive, full_notes, max_rel_deviation, notes, reduced_terms
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -127,12 +127,16 @@ def test_oracle_suites_clean_and_deterministic():
 def test_almost_increasing_fixture():
     bump = materialize(SequenceSpec(family="almost_inc_example", n=1000,
                                     start=1))
-    _, inf_ratio = drive(_inf_ratio_steps(), X=bump.values)
+    monotone = materialize(SequenceSpec(family="log_shift", n=1000, start=1))
+    with full_notes():
+        bumped = drive(_x_almost_increasing, X=bump.values)
+        flat = drive(_x_almost_increasing, X=monotone.values)
+    inf_ratio = float(notes(bumped)["inf_ratio"])
     assert abs(inf_ratio - math.exp(-2.0)) <= 1e-3
     assert inf_ratio > Tolerances().inf_ratio_floor
+    assert bumped.passed
 
-    monotone = materialize(SequenceSpec(family="log_shift", n=1000, start=1))
-    assert drive(_inf_ratio_steps(), X=monotone.values)[1] == 1.0
+    assert float(notes(flat)["inf_ratio"]) == 1.0
     _announce("almost-increasing witness: n*e^((-1)^n) near e^-2, "
               "monotone at 1")
 

@@ -22,15 +22,14 @@ import pytest
 
 from summa import accumulation
 from summa.accumulation import _BLOCK
-from summa.checker import (FamilyBundle, check_main_theorem, check_theorem_a,
-                           conclusion_diagnostic)
+from summa.checker import (FamilyBundle, _quasi_monotone, check_main_theorem,
+                           check_theorem_a, conclusion_diagnostic)
 from summa.experiment import builtin_family, default_majorant
 from summa.functionals import WeightKind, WeightSpec
-from summa.monotonicity import _quasi_monotone_steps
 from summa.sequences import (FAMILIES, CesaroParams, RealSequence,
                              SequenceSpec, _generated, materialize)
 
-from helpers import drive, phi_of
+from helpers import drive, full_notes, notes, phi_of
 
 N = 2 * _BLOCK + 3
 
@@ -326,6 +325,6 @@ def test_quasi_monotone_trend_over_pairwise_leaves(size):
               / float(np.mean(np.abs(b[:quarter]))))
     # blocks as the pass sends them: the means read each block, never the
     # two values its window repeats
-    _, _, trend_ratio = drive(_quasi_monotone_steps(n), Q=b, delta=delta,
-                              block=size)
-    assert trend_ratio == expect
+    with full_notes():
+        record = drive(_quasi_monotone, Q=b, delta=delta, block=size)
+    assert float(notes(record)["trend_ratio"]) == expect

@@ -16,7 +16,6 @@ from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
 from summa.experiment import builtin_family, load_config, run
 from summa.functionals import (CheckpointTrace, FunctionalTrace, WeightKind,
                                WeightSpec)
-from summa.monotonicity import _weight_steps
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
@@ -501,7 +500,7 @@ def weight_cases(n):
 
 class TestWeightMonotoneNote:
     """The record flags a non-finite term at first_violation from the term
-    the block step already computed, as the scalar recompute did."""
+    its block loop already computed, as the scalar recompute did."""
 
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_matches_the_scalar_recompute(self, monkeypatch, block):
@@ -523,7 +522,7 @@ class TestWeightMonotoneNote:
         assert flagged >= 3
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
-    def test_block_step_on_non_finite_weights(self, block):
+    def test_record_on_non_finite_weights(self, block):
         phis = [np.array([1.0, np.inf, 1.0, 1.0]),
                 np.array([np.nan, 1.0, 1.0]),
                 np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf]),
@@ -531,10 +530,10 @@ class TestWeightMonotoneNote:
                 np.arange(1.0, 30.0)]
         for phi in phis:
             for eps, k in ((1.0, 1.0), (1.0, 1.5), (1.0, 1e308)):
-                first, notes = reference_weight_record(phi, eps, k)
-                assert (drive(_weight_steps(eps, k, 1e-12), phi=phi,
-                              block=block)
-                        == (first, "non-finite" in notes))
+                record = drive(_weight_monotone, phi=phi, block=block,
+                               params=CesaroParams(epsilon=eps, k=k))
+                assert ((record.first_violation, record.notes)
+                        == reference_weight_record(phi, eps, k))
 
 
 def full_array_t(a, alpha):

@@ -13,7 +13,9 @@ option.  Malformed flags and values are config errors too.  No config field
 takes JSON ``true`` or ``false``, which Python reads as 1 and 0, and no
 number field takes a string such as ``"0.5"``, which ``float`` reads as a
 number: setting any number field to either is a config error that points
-at the field.
+at the field.  A ``params`` or ``tolerances`` field must be an object: a
+list of [name, value] pairs, which ``dict`` would read, or any other value
+is a config error that points at the field.
 """
 
 import copy
@@ -176,6 +178,49 @@ _NAN_C0, _INF_C0 = (
     for c0 in (math.nan, math.inf))
 
 
+# the same Q with its parameters as a list of [name, value] pairs, which
+# the number check would not look into
+_LIST_INF_C0 = {**_SHIPPED, "bundle": {**_SHIPPED["bundle"], "Q": {
+    "family": "power_decay", "params": [["p", 0], ["c0", math.inf]]}}}
+_DUMP_LIST_INF_C0 = {
+    "mode": "transform_dump",
+    "sequence": {"family": "power_decay",
+                 "params": [["p", 1], ["c0", math.inf]], "n": 8}}
+_TOLERANCES_INT, _TOLERANCES_STR = ({**_SHIPPED, "tolerances": value}
+                                    for value in (5, "abc"))
+
+# a record's arithmetic overflows, or X underflows to 0 at a checkpoint:
+# the config error names the record
+_N64 = {"mode": "check_main", "n": 64, "params": {"k": 1.5}}
+_Q_OVERFLOW = {**_N64, "bundle": _bundle(Q={
+    "family": "power_decay", "params": {"p": 0, "c": 1e306}})}
+_LAMBDA_OVERFLOW = {**_N64, "bundle": _bundle(**{"lambda": {
+    "family": "power_decay", "params": {"p": 0, "c": 1e306}}})}
+_BETA_OVERFLOW = {**_N64, "params": {"k": 1.5, "beta": 1e300},
+                  "bundle": _bundle(weight={"kind": "indexed"})}
+_X_UNDERFLOW = {**_N64, "bundle": _bundle(X={
+    "family": "power_decay", "params": {"p": 1, "c": 5e-324}})}
+
+# configs and the one line each writes to stderr, exactly
+_STDERR = [
+    (_PHI_WITHOUT_FAMILY, "bundle.weight.phi.family: required"),
+    (_DUMP_OVERFLOW, "sequence: sequence values must be finite"),
+    # a non-finite family parameter is refused with its field
+    (_NAN_C0, "bundle.Q.params.c0: must be a finite number"),
+    (_INF_C0, "bundle.Q.params.c0: must be a finite number"),
+    (_LATE_X, "bundle.X: sequence values must be finite"),
+    (_LATE_A, "bundle.a: sequence values must be finite"),
+    (_LIST_INF_C0, "bundle.Q.params: must be an object"),
+    (_DUMP_LIST_INF_C0, "sequence.params: must be an object"),
+    (_TOLERANCES_INT, "tolerances: must be an object"),
+    (_TOLERANCES_STR, "tolerances: must be an object"),
+    (_Q_OVERFLOW, "bundle: series_nQX: partial sums must be finite"),
+    (_LAMBDA_OVERFLOW, "bundle: conclusion: partial sums must be finite"),
+    (_BETA_OVERFLOW, "bundle: cond11: partial sums must be finite"),
+    (_X_UNDERFLOW, "bundle: cond11: reference entries must be non-zero"),
+]
+
+
 def _number_paths(obj, path=()):
     """Paths to the number fields of a config, in document order."""
     if isinstance(obj, dict):
@@ -185,51 +230,88 @@ def _number_paths(obj, path=()):
         yield path
 
 
+def _object_paths(obj, path=()):
+    """Paths to the params and tolerances fields of a config, in document
+    order."""
+    for key, value in obj.items():
+        if key in ("params", "tolerances"):
+            yield path + (key,)
+        elif isinstance(value, dict):
+            yield from _object_paths(value, path + (key,))
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
        joined=st.booleans(),
        flip=st.one_of(st.none(), st.tuples(
            st.integers(0, 63),
-           st.one_of(st.booleans(), st.sampled_from(["1", "0.5", "-2e3"])))))
+           st.one_of(st.booleans(), st.sampled_from(["1", "0.5", "-2e3"])))),
+       # a params or tolerances field (a top-level tolerances, added when
+       # the config has none, among them) as its [name, value] pairs or as
+       # a value that is no object
+       unshape=st.one_of(st.none(), st.tuples(
+           st.integers(0, 63),
+           st.sampled_from(["pairs", 5, 1.5, "abc", None, [], [1]]))))
 # a negative slope in exponent form, as its own token, reaches the validator
-@example(flip=None, slope=-1e-05, joined=False,
+@example(flip=None, slope=-1e-05, joined=False, unshape=None,
          config={"mode": "check_main", "family": "F1", "n": 16})
 # Q_n X_n n overflows, so the series_nQX partial sums are nan
-@example(flip=None, slope=None, joined=True,
-         config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
-                 "bundle": _bundle(Q={"family": "power_decay",
-                                      "params": {"p": 0, "c": 1e306}})})
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_Q_OVERFLOW)
 # the factored mean a_n lambda_n overflows inside the conclusion's trace
-@example(flip=None, slope=None, joined=True,
-         config={"mode": "check_main", "n": 64, "params": {"k": 1.5},
-                 "bundle": _bundle(**{"lambda": {
-                     "family": "power_decay",
-                     "params": {"p": 0, "c": 1e306}}})})
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_LAMBDA_OVERFLOW)
+# the indexed weight n^(1e300) overflows inside cond11's trace
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_BETA_OVERFLOW)
+# X_n underflows to 0, so cond11's trace has a zero reference
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_X_UNDERFLOW)
 # v * a_v overflows: the fractional kernel refuses a non-finite term
-@example(flip=None, slope=None, joined=True,
+@example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
 # |lambda_n| X_n overflows, so cond7 samples inf: a config error that
 # names cond7, no NaN
-@example(flip=None, slope=None, joined=True, config=_COND7_OVERFLOW)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_COND7_OVERFLOW)
 # phi without a family is refused like a role without one
-@example(flip=None, slope=None, joined=True, config=_PHI_WITHOUT_FAMILY)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_PHI_WITHOUT_FAMILY)
 # a dump whose transforms overflow warns nothing before its config error
-@example(flip=None, slope=None, joined=True, config=_DUMP_OVERFLOW)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DUMP_OVERFLOW)
 # roles that overflow late in the range, in one order and the other
-@example(flip=None, slope=None, joined=True, config=_LATE_X)
-@example(flip=None, slope=None, joined=True, config=_LATE_A)
+@example(flip=None, slope=None, joined=True, unshape=None, config=_LATE_X)
+@example(flip=None, slope=None, joined=True, unshape=None, config=_LATE_A)
 # a non-finite family parameter is refused with its field
-@example(flip=None, slope=None, joined=True, config=_NAN_C0)
-@example(flip=None, slope=None, joined=True, config=_INF_C0)
+@example(flip=None, slope=None, joined=True, unshape=None, config=_NAN_C0)
+@example(flip=None, slope=None, joined=True, unshape=None, config=_INF_C0)
+# and so is a parameter list, or tolerances that are no object
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_LIST_INF_C0)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DUMP_LIST_INF_C0)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_TOLERANCES_INT)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_TOLERANCES_STR)
+# the top-level params, and phi's (the fifth of params, lambda's, Q's,
+# delta's and phi's), as [name, value] pairs
+@example(flip=None, slope=None, joined=True, unshape=(0, "pairs"),
+         config=_BETA_OVERFLOW)
+@example(flip=None, slope=None, joined=True, unshape=(4, "pairs"),
+         config={**_N64, "bundle": _bundle(weight={
+             "kind": "explicit_phi",
+             "phi": {"family": "power_weight", "params": {"q": 0.5}}})})
 # n^150 overflows while the sequence is generated
-@example(flip=None, slope=None, joined=True,
+@example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_weight", "params": {"q": 150}}})})
-def test_exit_status_stderr_and_report(config, slope, joined, flip):
+def test_exit_status_stderr_and_report(config, slope, joined, flip, unshape):
     flags = [] if slope is None else _flag("--tolerance-slope", repr(slope),
                                            joined)
 
@@ -244,18 +326,9 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
     err = run(config)
     if config == _COND7_OVERFLOW:
         assert err.startswith("config error: ") and "cond7" in err
-    if config == _PHI_WITHOUT_FAMILY:
-        assert err == "config error: bundle.weight.phi.family: required\n"
-    if config == _DUMP_OVERFLOW:
-        assert err == ("config error: sequence: sequence values must be "
-                       "finite\n")
-    if config is _NAN_C0 or config is _INF_C0:
-        assert err == ("config error: bundle.Q.params.c0: must be a finite "
-                       "number\n")
-    if config in (_LATE_X, _LATE_A):
-        role = "X" if config == _LATE_X else "a"
-        assert err == (f"config error: bundle.{role}: sequence values must "
-                       "be finite\n")
+    for pinned, message in _STDERR:
+        if config is pinned:
+            assert err == f"config error: {message}\n"
     # one number field set to true, false or a numeric string: the config
     # exits 2 on that field
     paths = list(_number_paths(config))
@@ -271,6 +344,23 @@ def test_exit_status_stderr_and_report(config, slope, joined, flip):
         message = ("must be a number" if isinstance(value, str)
                    else "must not be a boolean")
         assert run(flipped) == f"config error: {pointer}: {message}\n"
+    # one params or tolerances field that is no object: the config exits 2
+    # on that field
+    if unshape is not None:
+        index, value = unshape
+        paths = list(_object_paths(config))
+        if ("tolerances",) not in paths:
+            paths.append(("tolerances",))
+        *parents, key = paths[index % len(paths)]
+        unshaped = copy.deepcopy(config)
+        node = unshaped
+        for name in parents:
+            node = node[name]
+        if value == "pairs":
+            value = [[name, v] for name, v in node.get(key, {}).items()]
+        node[key] = value
+        pointer = ".".join([*parents, key])
+        assert run(unshaped) == f"config error: {pointer}: must be an object\n"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

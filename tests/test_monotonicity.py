@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,28 +8,42 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from summa.checker import Tolerances, check_main_theorem
+from summa.checker import (Tolerances, _quasi_monotone, _weight_monotone,
+                           _x_almost_increasing, check_main_theorem)
 from summa.experiment import builtin_family
-from summa.monotonicity import (_inf_ratio_steps, _quasi_monotone_steps,
-                                _weight_steps)
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
-from helpers import drive
+from helpers import drive, full_notes, notes
 
 
 def quasi_monotone(b, delta):
     """(first_violation, positivity_from, trend_ratio) of b from index 1,
     delta given where b's difference exists (the pass's delta has one more
-    value, never read)."""
+    value, never read), trend_ratio in full."""
     b = np.asarray(b, dtype=np.float64)
     delta = np.append(np.asarray(delta, dtype=np.float64), 1.0)
-    return drive(_quasi_monotone_steps(b.size), Q=b, delta=delta)
+    with full_notes():
+        record = drive(_quasi_monotone, Q=b, delta=delta)
+    words = notes(record)
+    positive_from = (None if words["positivity_from"] == "None"
+                     else int(words["positivity_from"]))
+    trend_ratio = (None if words["trend_ratio"] == "None"
+                   else float(words["trend_ratio"]))
+    assert record.passed == (record.first_violation is None
+                             and positive_from is not None)
+    return record.first_violation, positive_from, trend_ratio
 
 
 def witness(b):
-    """(first non-positive index or None, inf_ratio) of b from index 1."""
-    return drive(_inf_ratio_steps(), X=np.asarray(b, dtype=np.float64))
+    """(first non-positive index or None, inf_ratio in full or None) of b
+    from index 1: the record gives no inf_ratio once X is not positive."""
+    with full_notes():
+        record = drive(_x_almost_increasing,
+                       X=np.asarray(b, dtype=np.float64))
+    inf_ratio = notes(record).get("inf_ratio")
+    return (record.first_violation,
+            None if inf_ratio is None else float(inf_ratio))
 
 
 def x_class(X, tolerances=None):
@@ -40,9 +55,13 @@ def x_class(X, tolerances=None):
 
 
 def first_rise(phi, epsilon, k, rel_tol=1e-12):
-    """First violation of the weight monotonicity step over |phi| from 1."""
+    """First violation of the weight monotonicity record over |phi| from 1,
+    epsilon, k and rel_tol as given, unvalidated."""
     phi = np.asarray(phi, dtype=np.float64)
-    return drive(_weight_steps(epsilon, k, rel_tol), phi=phi)[0]
+    return drive(_weight_monotone, phi=phi,
+                 params=SimpleNamespace(epsilon=epsilon, k=k),
+                 tolerances=SimpleNamespace(weight_rel_tol=rel_tol)
+                 ).first_violation
 
 
 class TestQuasiMonotone:
@@ -114,7 +133,7 @@ class TestAlmostIncreasing:
 
     def test_requires_positive(self):
         # the first non-positive value is reported, and no inf_ratio
-        assert witness([1.0, 0.0, 2.0]) == (2, np.inf)
+        assert witness([1.0, 0.0, 2.0]) == (2, None)
         # index 3 is off the checkpoints, where cond11 divides by X
         record = x_class([1.0, 2.0, 0.0, *range(3, 16)])
         assert (record.passed, record.first_violation, record.notes) \
@@ -189,7 +208,7 @@ class TestPowerWeightMonotonicity:
         assert first_rise(n, 1.0, 1e308) == 2
 
     # the pass takes epsilon and k from CesaroParams and the slack from
-    # Tolerances, which refuse what the step could not judge
+    # Tolerances, which refuse what the record could not judge
     def test_validation(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             CesaroParams(epsilon=0.0, k=1.5)
@@ -217,7 +236,7 @@ class TestPowerWeightMonotonicity:
 
 def reference_weight_step(phi, epsilon, k, rel_tol=1e-12):
     """The weight check as first written, one fresh array per step: the
-    reference its in-place block step must match on every input, the
+    reference its in-place record must match on every input, the
     parameters that CesaroParams and Tolerances refuse included."""
     phi = np.asarray(phi, dtype=np.float64)
     n = np.arange(1.0, phi.size + 1.0)
