@@ -394,3 +394,87 @@ def test_block_edge_runs_are_pinned(tmp_path):
         assert digests == BLOCK_EDGE_DIGESTS[name], name
     _announce("builtin runs at n = 2**14 - 1, 2**14, 2**14 + 1 and "
               "3 * 2**14 + 1 byte-identical to their pinned digests")
+
+
+# sha256 of every artifact of runs far past one block: the three builtin
+# checks of the scale benchmark at n = 1e6, and a custom bundle at
+# 3 * 2**17 + 5 (not a multiple of 2**14) with a decaying Q and config
+# checkpoints that end below n, so that its unjudged figures (trend_ratio
+# over quarters that span blocks, abs_variant_total over the terms past the
+# last checkpoint) are pinned where they sum many blocks
+LARGE_N_CONFIGS = {
+    "F1_1000000": {"mode": "check_main", "family": "F1", "n": 10**6},
+    "F2_1000000": {"mode": "check_theorem_a", "family": "F2", "n": 10**6},
+    "F3_1000000": {"mode": "check_main", "family": "F3", "n": 10**6},
+    "custom_393221": {
+        "mode": "check_main",
+        "n": 3 * (1 << 17) + 5,
+        "checkpoints": [4000, 8000, 16000, 32000, 64000, 128000, 256000],
+        "bundle": {
+            "label": "decaying-majorant",
+            "a": {"family": "alternating_unit"},
+            "lambda": {"family": "power_decay",
+                       "params": {"p": 2.0, "c0": 2.0}},
+            "X": {"family": "log_shift"},
+            "Q": {"family": "power_decay", "params": {"p": 2.5, "c0": 1.0}},
+            "delta": {"family": "power_decay",
+                      "params": {"p": 1.5, "c0": 1.0}},
+            "weight": {"kind": "indexed", "beta": 0.0},
+        },
+        "params": {"alpha": 1.0, "k": 2.0, "beta": 0.0, "epsilon": 1.0},
+    },
+}
+LARGE_N_DIGESTS = {
+    "F1_1000000": {
+        "report.json":
+            "adc14fe62df319d6d0e9edb9715116474843c369f6c3471b3d31365d4b6e0306",
+        "trace_conclusion.csv":
+            "7d09d704b09be2919f177b36d31afaf5fdbc1018cb97fe60765d162d6873aa3c",
+        "trace_cond11.csv":
+            "cab0a3235b9f4098496b6ab7e3615e1badc2a6626bb066955512c4b32dd7b3a2",
+        "trace_series_nqx.csv":
+            "3bacf73b004f0c00876cd76cd735b646b95c3840901d4358ccdda36d521f3a80",
+    },
+    "F2_1000000": {
+        "report.json":
+            "4a80856f796d370c6dd288b6f2ebccea9f6a51b3e15cbe41a3d0858823409834",
+        "trace_conclusion.csv":
+            "889cd0fd69ea4438e2dd947bc4af1663287081169759b3f68ab7eb256b9d0c63",
+        "trace_cond11.csv":
+            "cab0a3235b9f4098496b6ab7e3615e1badc2a6626bb066955512c4b32dd7b3a2",
+        "trace_cond8.csv":
+            "002630981ea81ca08ea1cfa030e5e79942601c9f10bb21d4cc8422a3101b5600",
+    },
+    "F3_1000000": {
+        "report.json":
+            "04ffc36cf72a635e876119ddcf3dc2be699bf9ffeb5bf5a8e8184822847d4f89",
+        "trace_conclusion.csv":
+            "ebc32a5f764054c3fd92ed4b5a0419dca0f6c2e852bc813f63d69dbbcb5f96d0",
+        "trace_cond11.csv":
+            "cab0a3235b9f4098496b6ab7e3615e1badc2a6626bb066955512c4b32dd7b3a2",
+        "trace_series_nqx.csv":
+            "fb6f7f45c7339312f52f8fdb6cc52f30766ed06f8cacb45bf3606f3623fd7f20",
+    },
+    "custom_393221": {
+        "report.json":
+            "fe13e6d89bcb9081b0e0703ed5731b3e4f609e01320eeb7f75b95b5a3bcfd44d",
+        "trace_conclusion.csv":
+            "aa8136d5336af85bbeea1e931e8e94cacc08f156e2d57dd4b9af19bbf91b57c3",
+        "trace_cond11.csv":
+            "35ff5f7faf8c26738669d1a818d780d639b167c65b9e8518cd14ff77e4150023",
+        "trace_series_nqx.csv":
+            "98cf8e5d8ef362b79a7a4f9c5bd6aa41e98262cda63cf2ed226ed2be20e1ad3e",
+    },
+}
+
+
+def test_large_n_runs_are_pinned(tmp_path):
+    assert sorted(LARGE_N_CONFIGS) == sorted(LARGE_N_DIGESTS)
+    for name, obj in LARGE_N_CONFIGS.items():
+        out = tmp_path / name
+        run(ExperimentConfig.from_json(obj), out_dir=out, quiet=True)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == LARGE_N_DIGESTS[name], name
+    _announce("builtin checks at n = 1e6 and a custom bundle at "
+              "3 * 2**17 + 5 byte-identical to their pinned digests")
