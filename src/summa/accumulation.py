@@ -39,8 +39,7 @@ The same loop also runs pushed: ``_Neumaier`` and ``_SampledSums`` take
 their terms a block at a time from a caller that makes the blocks, as the
 checker's one pass over a bundle does.  ``_SampledSums`` keeps only the
 sums at the requested checkpoints and ignores terms past the last
-checkpoint, so it holds no n-long array of sums.  ``_PairwiseSum`` gives
-what ``np.sum`` gives over a range of values that arrive in blocks.
+checkpoint, so it holds no n-long array of sums.
 
 A pushed accumulator carries one chain of sums or two independent ones
 (lanes), by the shape of its buffers: (m,) for one lane, (m, 2) for two,
@@ -58,8 +57,6 @@ scans are latency-bound, so two lanes cost little more than one.
 """
 
 from __future__ import annotations
-
-from typing import Generator
 
 import numpy as np
 
@@ -204,55 +201,3 @@ class _SampledSums:
         with np.errstate(invalid="ignore", over="ignore"):
             np.add(total[local], comp[local], out=self.sums[first:last])
 
-
-# a range this long or shorter is one np.add.reduce call in ``_PairwiseSum``
-_LEAF = 1 << 14
-
-
-def _pairwise(length: int) -> Generator[int, float, float]:
-    """The sum of a range as numpy's pairwise ``np.add.reduce`` forms it,
-    from the sums of its leaves: yields each leaf's length in order, is sent
-    that leaf's np.add.reduce, and returns the total.  numpy splits a range
-    longer than a leaf at half its length rounded down to a multiple of 8
-    and adds the two halves' sums; within a leaf it does the same."""
-    if length <= _LEAF:
-        return (yield length)
-    half = length // 2
-    half -= half % 8
-    head = yield from _pairwise(half)
-    return head + (yield from _pairwise(length - half))
-
-
-class _PairwiseSum:
-    """``np.sum(values[start:start + length])``, bit for bit, from the values
-    pushed a block at a time (``push(lo, block)`` with block holding
-    values[lo:lo + block.size], blocks in order with no gap between them;
-    values before ``start`` are skipped).  A leaf that spans blocks is
-    copied together; ``total`` is set once the range has been pushed."""
-
-    def __init__(self, start: int, length: int) -> None:
-        self.total = None if length else 0.0
-        self._tree = _pairwise(length)
-        self._pos = start  # first value not yet summed
-        self._need = next(self._tree) if length else 0
-        self._buf = np.empty(min(length, _LEAF))
-        self._held = 0  # values of the current leaf copied into _buf
-
-    def push(self, lo: int, block: np.ndarray) -> None:
-        end = lo + block.size
-        while self._need and self._pos < end:
-            take = min(self._need - self._held, end - self._pos)
-            part = block[self._pos - lo:self._pos - lo + take]
-            self._pos += take
-            if take == self._need:  # the whole leaf sits in this block
-                leaf = part
-            else:
-                self._buf[self._held:self._held + take] = part
-                self._held += take
-                if self._held < self._need:
-                    return
-                leaf, self._held = self._buf[:self._need], 0
-            try:
-                self._need = self._tree.send(np.add.reduce(leaf))
-            except StopIteration as done:
-                self.total, self._need = done.value, 0

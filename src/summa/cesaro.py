@@ -385,7 +385,9 @@ def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
 
         out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
 
-    Each entry is its operand's means or what the kernel raised for it.  At
+    Each entry is its operand's means or what the kernel raised for it; at
+    fractional orders a non-finite operand is refused with the message
+    ``RealSequence`` gives, as its non-finite means are at alpha = 1.  At
     alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so a numerator
     is a compensated cumulative sum, divided in place a block of indices at
     a time.  Every other alpha is checked by ``cesaro_coefficients``; its
@@ -403,10 +405,13 @@ def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
     if not xs:
         return []
     size = xs[0].size
+    finite = [bool(np.isfinite(x).all()) for x in xs]
     denom = cesaro_coefficients(alpha, first + size - 1)[first:]
     kernel = _binomial_weights(alpha - 1.0, size - 1)
-    return [r if isinstance(r, Exception) else np.divide(r, denom, out=r)
-            for r in _kernel_dot_prefixes(kernel, xs)]
+    return [ValueError(_NON_FINITE) if not ok
+            else r if isinstance(r, Exception)
+            else np.divide(r, denom, out=r)
+            for ok, r in zip(finite, _kernel_dot_prefixes(kernel, xs))]
 
 
 def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
@@ -419,24 +424,26 @@ def _t(lanes: list[np.ndarray], alpha: float) -> list:
     """t_1^alpha .. t_N^alpha of each lane's terms a_1..a_N, all lanes of
     one size, through one ``_means`` call: each lane's t or what it raised.
     A non-finite term or t is a ``ValueError`` with the message
-    ``RealSequence`` gives.  The lanes are dropped once the terms n * a_n
-    are made, so a lane the caller does not hold is freed before the
-    kernel call."""
-    finite = [bool(np.isfinite(terms).all()) for terms in lanes]
-    n = np.arange(1.0, lanes[0].size + 1.0)
-    xs = [terms * n for terms, ok in zip(lanes, finite) if ok]
-    # held through the means, each would be one more n-long array
-    del n, lanes
-    means = iter(_means(xs, alpha, 1))
-    out = []
-    for ok in finite:
-        t = next(means) if ok else ValueError(_NON_FINITE)
-        if not (isinstance(t, Exception) or np.isfinite(t).all()):
-            t = ValueError(_NON_FINITE)
-        out.append(t)
+    ``RealSequence`` gives; an n * a_n that overflows warns nothing.  The
+    lanes are dropped once the terms n * a_n are made, so a lane the caller
+    does not hold is freed before the kernel call."""
+    with np.errstate(all="ignore"):
+        finite = [bool(np.isfinite(terms).all()) for terms in lanes]
+        n = np.arange(1.0, lanes[0].size + 1.0)
+        xs = [terms * n for terms, ok in zip(lanes, finite) if ok]
+        # held through the means, each would be one more n-long array
+        del n, lanes
+        means = iter(_means(xs, alpha, 1))
+        out = []
+        for ok in finite:
+            t = next(means) if ok else ValueError(_NON_FINITE)
+            if not (isinstance(t, Exception) or np.isfinite(t).all()):
+                t = ValueError(_NON_FINITE)
+            out.append(t)
     return out
 
 
+@np.errstate(all="ignore")
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """Order-alpha Cesaro means sigma_0^alpha .. sigma_N^alpha of the partial sums.
 

@@ -51,6 +51,11 @@ the first record error in table order.  A trace whose sums overflowed, or
 whose reference X underflowed to zero, is refused with the name of its
 record (or ``conclusion``) before the message; a lane's error is not.
 
+The pass runs under one ``np.errstate(all="ignore")``: arithmetic that
+overflows warns nowhere in it, and surfaces as a non-finite value that a
+record, a trace or a lane refuses, so a caller sees the error and no
+RuntimeWarning.
+
 Every O(.) statement, the conclusion included, is judged at scale from a
 CheckpointTrace by a log-log slope fit over the tail of a geometric
 checkpoint grid; every pointwise statement is checked element-wise with
@@ -70,7 +75,7 @@ from typing import Generator, NamedTuple, Sequence
 import numpy as np
 
 from . import accumulation
-from .accumulation import _PairwiseSum, _SampledSums
+from .accumulation import _SampledSums
 from .cesaro import _settled, _t
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
@@ -172,6 +177,7 @@ class GrowthDiagnostic:
         }
 
 
+@np.errstate(all="ignore")
 def growth_diagnostic(trace: CheckpointTrace,
                       tolerances: Tolerances | None = None) -> GrowthDiagnostic:
     """Judge boundedness-at-scale of a checkpointed trace.
@@ -398,6 +404,7 @@ class _Context:
                    checkpoints=validate_checkpoints(cps, bundle.n, at_least=4),
                    tol=tolerances or Tolerances())
 
+    @np.errstate(all="ignore")
     def run(self, table) -> tuple[list, object]:
         """One pass over the bundle: each builder's record, or the exception
         it raised, and the conclusion's trace, or the exception reading it
@@ -405,7 +412,8 @@ class _Context:
         the shared means start.  Each block's window of every role is made
         once, its block checked, sent to every builder still running and
         then pushed into the shared means; a role's non-finite value is
-        raised once every block has been read."""
+        raised once every block has been read.  The pass is the one
+        ``np.errstate`` scope of a check (see the module docstring)."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
@@ -512,8 +520,7 @@ def _majorant(ctx: _Context, name: str) -> _Step:
     notes = f"checked indices 1..{ctx.bundle.n - 1}"
     while (block := (yield)) is not None:
         w = block.window
-        with np.errstate(over="ignore"):
-            dlam = np.abs(w.lam[:-1] - w.lam[1:])
+        dlam = np.abs(w.lam[:-1] - w.lam[1:])
         qhead = np.abs(w.Q[:-1])
         bad = ~(np.isfinite(dlam) & np.isfinite(qhead))
         mask = (dlam > qhead) | bad
@@ -530,19 +537,24 @@ def _quasi_monotone(ctx: _Context, name: str) -> _Step:
     # (D Q)_n >= -delta_n wherever the difference exists (delta's last value
     # is never read); a non-positive delta raises in the first window that
     # holds Q's difference at its index.  trend_ratio, the mean of |Q| over
-    # the last quarter over that of the first (np.mean's bits), is a decay
-    # diagnostic only, never a proof of Q_n -> 0
+    # the last quarter over that of the first, is a decay diagnostic only,
+    # never a proof of Q_n -> 0.  A quarter's sum adds, left to right, the
+    # np.add.reduce of its part of each block: np.mean's bits when the
+    # quarter lies in one block (every n <= 2**14).  Its terms are
+    # non-negative, and each goes through at most 32 roundings in a block's
+    # np.add.reduce (numpy's pairwise sum) and one per block after it, so
+    # the sum is within about (blocks + 32) * 2**-53 relative of the exact
+    # one
     length = ctx.bundle.n
     quarter = length // 4
-    head = _PairwiseSum(0, quarter)
-    tail = _PairwiseSum(length - quarter, quarter)
+    head = tail = 0.0
     first, last_not_positive = None, 0
     while (block := (yield)) is not None:
         w = block.window
         if np.any(w.delta[:-1] <= 0.0):
             bad = int(w.n[np.argmax(w.delta[:-1] <= 0.0)])
-            raise ValueError(f"delta must be positive everywhere; first "
-                             f"non-positive entry at index {bad}")
+            raise ValueError(f"{name}: delta must be positive everywhere; "
+                             f"first non-positive entry at index {bad}")
         bad_mask = w.Q[:-1] - w.Q[1:] < -w.delta[:-1]
         if first is None and np.any(bad_mask):
             first = int(w.n[np.argmax(bad_mask)])
@@ -550,15 +562,15 @@ def _quasi_monotone(ctx: _Context, name: str) -> _Step:
         if not_pos.size:
             last_not_positive = int(block.n[not_pos[-1]])
         mags = np.abs(block.Q)
-        head.push(block.lo, mags)
-        tail.push(block.lo, mags)
+        head += np.add.reduce(mags[:max(quarter - block.lo, 0)])
+        tail += np.add.reduce(mags[max(length - quarter - block.lo, 0):])
     # the first index of the longest all-positive suffix, if any
     positive_from = (last_not_positive + 1 if last_not_positive < length
                      else None)
     trend_ratio = None
     if quarter >= 1:
-        head_mean = float(head.total / quarter)
-        tail_mean = float(tail.total / quarter)
+        head_mean = float(head / quarter)
+        tail_mean = float(tail / quarter)
         trend_ratio = tail_mean / head_mean if head_mean > 0.0 else None
     return _pass_fail(
         name, first is None and positive_from is not None,
@@ -567,18 +579,20 @@ def _quasi_monotone(ctx: _Context, name: str) -> _Step:
 
 
 def _series_nqx(ctx: _Context, name: str) -> _Step:
-    # partial sums of n * Q_n * X_n, judged on their tail; the
-    # absolute-value variant (np.sum's bits) is reported alongside for
-    # signed majorants
+    # partial sums of n * Q_n * X_n, judged on their tail.  For signed
+    # majorants abs_variant_total, the sum of |n Q_n X_n| over every index,
+    # is reported alongside: the np.add.reduce of each block's terms added
+    # left to right, np.sum's bits for n <= 2**14 and within the bound of
+    # quasi_monotone's quarter sums
     sums = _SampledSums(ctx.checkpoints)
-    total = _PairwiseSum(0, ctx.bundle.n)
+    total = 0.0
     while (block := (yield)) is not None:
         terms = block.n * block.Q * block.X
         sums.push(terms)
-        total.push(block.lo, np.abs(terms))
+        total += np.add.reduce(np.abs(terms))
     return ctx.traced_record(
         name, _named(name, CheckpointTrace, ctx.checkpoints, sums.sums),
-        notes=f"abs_variant_total={float(total.total):.9g}")
+        notes=f"abs_variant_total={float(total):.9g}")
 
 
 def _cond8(ctx: _Context, name: str) -> _Step:
@@ -607,15 +621,14 @@ def _weight_monotone(ctx: _Context, name: str) -> _Step:
     while (block := (yield)) is not None:
         n, phi = block.window.n, block.window.phi
         # float arrays of the window's length, reused in place
-        with np.errstate(all="ignore"):
-            seq = np.power(n, eps - k)
-            tmp = np.abs(phi)
-            np.power(tmp, k, out=tmp)
-            seq *= tmp
-            np.abs(seq, out=tmp)
-            slack = np.maximum(tmp[1:], tmp[:-1])
-            slack *= rel_tol
-            rise = np.subtract(seq[1:], seq[:-1], out=tmp[:-1])
+        seq = np.power(n, eps - k)
+        tmp = np.abs(phi)
+        np.power(tmp, k, out=tmp)
+        seq *= tmp
+        np.abs(seq, out=tmp)
+        slack = np.maximum(tmp[1:], tmp[:-1])
+        slack *= rel_tol
+        rise = np.subtract(seq[1:], seq[:-1], out=tmp[:-1])
         # comparisons with NaN are False, so non-finite entries are flagged
         # on their own
         bad = ~np.isfinite(seq)
@@ -645,10 +658,10 @@ class _MeanTraces:
     conclusion's alone).  The pass starts the sums once every lane has
     joined, then pushes each block once, after the builders, whose role
     blocks are then still in cache (pushed before them, a check at
-    n = 1e6 ran 2 % slower).  Both run under
-    ``np.errstate(all="ignore")``, so a lane's overflow is never another
-    builder's error.  At alpha = 1 a push sums the means as the lanes of
-    one ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
+    n = 1e6 ran 2 % slower).  Both run in the pass's ``np.errstate``
+    scope, so a lane's overflow is neither a warning nor another builder's
+    error.  At alpha = 1 a push sums the means as the lanes of one
+    ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
     abs).  Other orders make every lane's means whole as the sums start, in
     one kernel call (``cesaro._t``), so the coefficients and the kernel's
     slices and spectra are made once for both lanes.  A lane is dead where
@@ -682,10 +695,9 @@ class _MeanTraces:
             self._x = accumulation._lane_buffer(size, lanes)
             self._t = np.empty((lanes, size))
             return
-        with np.errstate(all="ignore"):
-            a, lam = b.a._block(0, n), b.lam._block(0, n)
-            self._whole = _t([a if maximal else a * lam
-                              for maximal in self._maximal], b.params.alpha)
+        a, lam = b.a._block(0, n), b.lam._block(0, n)
+        self._whole = _t([a if maximal else a * lam
+                          for maximal in self._maximal], b.params.alpha)
         for lane, t in enumerate(self._whole):
             if isinstance(t, Exception):
                 self._dead[lane] = t
@@ -697,24 +709,22 @@ class _MeanTraces:
         lanes, m = len(self._maximal), block.a.size
         if len(self._dead) == lanes:
             return
-        with np.errstate(all="ignore"):
-            if self._acc is None:
-                values = [v[block.lo:block.hi] for v in self._whole]
-            else:  # t_n^1: sum v * a_v or v * (a_v * lambda_v), / (n + 1)
-                x, values = self._x[:m], self._t[:, :m]
-                for col, maximal in zip(accumulation._lanes(x),
-                                        self._maximal):
-                    if maximal:
-                        np.multiply(block.a, block.n, out=col)
-                    else:
-                        np.multiply(block.a, block.lam, out=col)
-                        np.multiply(col, block.n, out=col)
-                self._acc.push(x)
-                # A_n^1 = n + 1, into x's first m values, free once x is summed
-                n1 = np.add(block.n, 1.0, out=self._x.reshape(-1)[:m])
-                for lane, row in enumerate(values):
-                    np.divide(self._acc.sums(lane), n1, out=row)
-            self._trace.push(block.n, block.phi, *values)
+        if self._acc is None:
+            values = [v[block.lo:block.hi] for v in self._whole]
+        else:  # t_n^1: sum v * a_v or v * (a_v * lambda_v), / (n + 1)
+            x, values = self._x[:m], self._t[:, :m]
+            for col, maximal in zip(accumulation._lanes(x), self._maximal):
+                if maximal:
+                    np.multiply(block.a, block.n, out=col)
+                else:
+                    np.multiply(block.a, block.lam, out=col)
+                    np.multiply(col, block.n, out=col)
+            self._acc.push(x)
+            # A_n^1 = n + 1, into x's first m values, free once x is summed
+            n1 = np.add(block.n, 1.0, out=self._x.reshape(-1)[:m])
+            for lane, row in enumerate(values):
+                np.divide(self._acc.sums(lane), n1, out=row)
+        self._trace.push(block.n, block.phi, *values)
         # a non-finite term leaves its lane's t non-finite from there on
         # (alpha = 1 only: at other orders ``_t`` refused such a lane)
         for lane, v in enumerate(values):

@@ -532,10 +532,9 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     # or from math.fsum (OverflowError): the bundle cannot be judged.  A
     # role's non-finite values are a ConfigError that names the role
     try:
-        with np.errstate(all="ignore"):
-            report = check(bundle, config.checkpoints, config.tolerances)
-            trace, conclusion = conclusion_diagnostic(
-                bundle, config.checkpoints, config.tolerances)
+        report = check(bundle, config.checkpoints, config.tolerances)
+        trace, conclusion = conclusion_diagnostic(
+            bundle, config.checkpoints, config.tolerances)
     except ConfigError:
         raise
     except (ValueError, OverflowError) as e:
@@ -571,12 +570,11 @@ def _run_transform_dump(config: ExperimentConfig
     # as in a check, arithmetic that overflows surfaces as a non-finite
     # transform (ValueError) or from math.fsum (OverflowError)
     try:
-        with np.errstate(all="ignore"):
-            seq = materialize(config.sequence)
-            sigma = cesaro_sigma(seq, alpha).values
-            t = cesaro_t(seq, alpha)
-            # w is defined for 0 < alpha <= 1 only
-            w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
+        seq = materialize(config.sequence)
+        sigma = cesaro_sigma(seq, alpha).values
+        t = cesaro_t(seq, alpha)
+        # w is defined for 0 < alpha <= 1 only
+        w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
     except (ValueError, OverflowError) as e:
         raise ConfigError("sequence", str(e)) from e
     files = {"transforms.csv": _csv(

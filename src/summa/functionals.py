@@ -232,6 +232,7 @@ class _PowerTrace:
                                    _lanes(self._sums.sums)[lane]))
 
 
+@np.errstate(all="ignore")
 def weighted_power_trace(values, k: float, phi: np.ndarray,
                          checkpoints: Sequence[int]) -> FunctionalTrace:
     """Trace of sum_n n^(-k) |phi_n * values_n|^k, values indexed from 1.

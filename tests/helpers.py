@@ -16,35 +16,39 @@ from summa.functionals import WeightKind, WeightSpec
 from summa.sequences import CesaroParams
 
 
-def drive(build, *, block=None, params=None, tolerances=None, **roles):
+def drive(build, *, block=None, params=None, tolerances=None,
+          checkpoints=None, **roles):
     """The record that the record builder ``build`` returns when sent
     ``roles``, aligned arrays from index 1 named by their ``_Block`` field
     (X, phi, Q, delta), in blocks of ``block`` values (one block when None),
     each with its window from the two values before it, as the pass sends
-    them: until the builder returns, which it may do before the blocks end.
-    The builder reads a stand-in context: the bundle's length n, ``params``
-    and ``tolerances`` (``CesaroParams()`` and ``Tolerances()`` when None),
-    which may be any object with the fields the builder reads, so that a
-    test can give it values that those classes refuse."""
+    them, under the ``np.errstate`` that the pass sets: until the builder
+    returns, which it may do before the blocks end.  The builder reads a
+    context of ``checkpoints`` and ``tolerances`` whose bundle is a
+    stand-in: its length n and ``params``.  ``params`` and ``tolerances``
+    (``CesaroParams()`` and ``Tolerances()`` when None) may be any object
+    with the fields the builder reads, so that a test can give it values
+    that those classes refuse."""
     size = len(next(iter(roles.values())))
-    ctx = SimpleNamespace(
+    ctx = checker._Context(
         bundle=SimpleNamespace(n=size, params=params or CesaroParams()),
-        tol=tolerances or Tolerances())
+        checkpoints=checkpoints, tol=tolerances or Tolerances())
     n = np.arange(1.0, size + 1.0)
     block = block or max(size, 1)
     fields = dict.fromkeys(("phi", "a", "lam", "X"))
     builder = build(ctx, "record")
-    next(builder)
     try:
-        for lo in range(0, size, block):
-            hi, start = min(lo + block, size), max(lo - 2, 0)
-            window = _Block(start, hi, n[start:hi],
-                            **{**fields, **{name: v[start:hi]
-                                            for name, v in roles.items()}})
-            builder.send(_Block(lo, hi, *(None if v is None
-                                          else v[lo - start:]
-                                          for v in window[2:-1]), window))
-        builder.send(None)
+        with np.errstate(all="ignore"):
+            next(builder)
+            for lo in range(0, size, block):
+                hi, start = min(lo + block, size), max(lo - 2, 0)
+                window = _Block(start, hi, n[start:hi],
+                                **{**fields, **{name: v[start:hi]
+                                                for name, v in roles.items()}})
+                builder.send(_Block(lo, hi, *(None if v is None
+                                              else v[lo - start:]
+                                              for v in window[2:-1]), window))
+            builder.send(None)
     except StopIteration as done:
         return done.value
     raise AssertionError("the builder did not return its record")

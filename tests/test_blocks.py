@@ -11,10 +11,12 @@ length of the array it sits in.  The tests below pin that, as
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,9 @@ import pytest
 
 from summa import accumulation
 from summa.accumulation import _BLOCK
-from summa.checker import (FamilyBundle, _quasi_monotone, check_main_theorem,
-                           check_theorem_a, conclusion_diagnostic)
+from summa.checker import (FamilyBundle, _quasi_monotone, _series_nqx,
+                           check_main_theorem, check_theorem_a,
+                           conclusion_diagnostic, dyadic_checkpoints)
 from summa.experiment import builtin_family, default_majorant
 from summa.functionals import WeightKind, WeightSpec
 from summa.sequences import (FAMILIES, CesaroParams, RealSequence,
@@ -313,18 +316,53 @@ def test_violations_at_a_window_seam(monkeypatch, p):
                     check_theorem_a) == whole_a
 
 
+def block_sum(values, lo, hi, size):
+    """values[lo:hi] summed as a record sums it from blocks of ``size``:
+    the np.add.reduce of the range's part of each block, added left to
+    right; and the number of those parts."""
+    cuts = [lo, *range((lo // size + 1) * size, hi, size), hi]
+    total = 0.0
+    for start, stop in zip(cuts, cuts[1:]):
+        total += np.add.reduce(values[start:stop])
+    return total, len(cuts) - 1
+
+
+@pytest.mark.parametrize("n", [_BLOCK, 4 * _BLOCK + 4099])
 @pytest.mark.parametrize("size", [1000, _BLOCK])
-def test_quasi_monotone_trend_over_pairwise_leaves(size):
-    # quarters longer than a pairwise leaf: np.mean's bits from blocks
-    n = 4 * _BLOCK + 4099
+def test_unjudged_figures_sum_their_blocks(n, size):
+    # trend_ratio's quarter sums and abs_variant_total add, left to right,
+    # each block's np.add.reduce of its part of the range: bit for bit, within
+    # (parts + 32) * 2**-53 relative of the exact sums (at most 32 roundings
+    # in numpy's pairwise sum of a part, one per part after it), and
+    # np.mean's and np.sum's bits where the range lies in one block
     rng = np.random.default_rng(7)
-    b = rng.standard_normal(n) * np.power(np.arange(1.0, n + 1.0), -0.5)
-    delta = np.full(n, 10.0)
-    quarter = n // 4
-    expect = (float(np.mean(np.abs(b[-quarter:])))
-              / float(np.mean(np.abs(b[:quarter]))))
-    # blocks as the pass sends them: the means read each block, never the
-    # two values its window repeats
+    idx = np.arange(1.0, n + 1.0)
+    Q = rng.standard_normal(n) * np.power(idx, -0.5)
+    X = np.log(idx + 2.0)
+    mags, quarter = np.abs(Q), n // 4
+    head, head_parts = block_sum(mags, 0, quarter, size)
+    tail, tail_parts = block_sum(mags, n - quarter, n, size)
+    expect = float(tail / quarter) / float(head / quarter)
     with full_notes():
-        record = drive(_quasi_monotone, Q=b, delta=delta, block=size)
+        record = drive(_quasi_monotone, Q=Q, delta=np.full(n, 10.0),
+                       block=size)
     assert float(notes(record)["trend_ratio"]) == expect
+    exact = Fraction(math.fsum(mags[-quarter:])) / Fraction(
+        math.fsum(mags[:quarter]))
+    # each fsum and each of the three divisions adds half an ulp
+    bound = (head_parts + tail_parts + 64 + 5) * 2.0 ** -53
+    assert abs(Fraction(expect) / exact - 1) <= bound
+
+    # the checkpoints end below n: the total covers every index
+    terms = np.abs(idx * Q * X)
+    total, parts = block_sum(terms, 0, n, size)
+    record = drive(_series_nqx, Q=Q, X=X, block=size,
+                   checkpoints=dyadic_checkpoints(n // 2))
+    assert notes(record)["abs_variant_total"] == f"{float(total):.9g}"
+    exact = math.fsum(terms)
+    assert abs(total - exact) <= (parts + 32) * 2.0 ** -53 * exact
+
+    if n <= size:
+        assert expect == (float(np.mean(mags[-quarter:]))
+                          / float(np.mean(mags[:quarter])))
+        assert total == np.sum(terms)

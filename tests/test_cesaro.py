@@ -206,6 +206,28 @@ class TestT:
         assert np.allclose(combo, c1 * a + c2 * b, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("transform, seq, alpha", [
+    # n * a_n overflows from n = 18 on
+    (cesaro_t, RealSequence(1, np.full(64, 1e307)), 1.0),
+    # a row over A_n^(-1/2) < 1 overflows
+    (cesaro_sigma, RealSequence(0, np.full(16, 1e307)), -0.5),
+], ids=["t", "sigma"])
+def test_overflowing_terms_raise_and_never_warn(transform, seq, alpha):
+    # refused, with no RuntimeWarning
+    with pytest.raises(ValueError, match="^sequence values must be finite$"):
+        transform(seq, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("transform", [cesaro_sigma, cesaro_t])
+def test_overflowing_operand_has_one_message_at_every_order(transform,
+                                                            alpha):
+    # finite values whose partial sums and n * a_n overflow
+    seq = RealSequence(0, np.full(16, 1e308))
+    with pytest.raises(ValueError, match="^sequence values must be finite$"):
+        transform(seq, alpha)
+
+
 @pytest.mark.parametrize("transform", ["sigma", "t"])
 def test_alpha_one_means_divide_in_place(transform):
     # the compensated sums are divided a block of indices at a time, into

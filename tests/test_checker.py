@@ -631,40 +631,40 @@ class TestOneLaneNonFinite:
                      beta_default=bundle.params.beta)
         grid = dyadic_checkpoints(self.N)
         a, lam = bundle.a.values, bundle.lam.values
-        # under the errstate a `summa run` sets
+        # the reference formula overflows where the lane goes non-finite
         with np.errstate(all="ignore"):
             w, t = full_array_t(a, 1.0), full_array_t(a * lam, 1.0)
-            assert np.isfinite((w if lane == "t" else t)[p - 1:]).all()
-            assert not np.isfinite((w if lane == "w" else t)[p - 1:]).any()
-            assert np.isfinite(w[:p - 1]).all()
-            assert np.isfinite(t[:p - 1]).all()
-            check = outcome(lambda: check_main_theorem(bundle))
-            conclusion = outcome(lambda: conclusion_diagnostic(bundle))
-            fresh = one_lane_non_finite(self.N, p, lane)
-            alone = outcome(lambda: conclusion_diagnostic(fresh))
-            if lane == "t":
-                cond11 = full_array_trace(np.abs(w), k, phi, grid)
-                with_x = dataclasses.replace(
-                    FunctionalTrace(grid, cond11),
-                    reference=bundle.X.values[np.array(grid) - 1])
-                assert check[1]["cond11"] == cond11.tobytes()
-                record = {r["condition"]: r for r in check[0]["records"]}
-                assert record["cond11"]["verdict"] == growth_diagnostic(
-                    with_x).verdict.value
-                assert conclusion == alone == (
-                    ValueError, "sequence values must be finite")
-            else:
-                assert check == (ValueError, "sequence values must be finite")
-                want = full_array_trace(t, k, phi, grid).tobytes()
-                assert conclusion[0] == alone[0] == want
-                assert conclusion == alone
+        assert np.isfinite((w if lane == "t" else t)[p - 1:]).all()
+        assert not np.isfinite((w if lane == "w" else t)[p - 1:]).any()
+        assert np.isfinite(w[:p - 1]).all()
+        assert np.isfinite(t[:p - 1]).all()
+        check = outcome(lambda: check_main_theorem(bundle))
+        conclusion = outcome(lambda: conclusion_diagnostic(bundle))
+        fresh = one_lane_non_finite(self.N, p, lane)
+        alone = outcome(lambda: conclusion_diagnostic(fresh))
+        if lane == "t":
+            cond11 = full_array_trace(np.abs(w), k, phi, grid)
+            with_x = dataclasses.replace(
+                FunctionalTrace(grid, cond11),
+                reference=bundle.X.values[np.array(grid) - 1])
+            assert check[1]["cond11"] == cond11.tobytes()
+            record = {r["condition"]: r for r in check[0]["records"]}
+            assert record["cond11"]["verdict"] == growth_diagnostic(
+                with_x).verdict.value
+            assert conclusion == alone == (
+                ValueError, "sequence values must be finite")
+        else:
+            assert check == (ValueError, "sequence values must be finite")
+            want = full_array_trace(t, k, phi, grid).tobytes()
+            assert conclusion[0] == alone[0] == want
+            assert conclusion == alone
 
 
 def fractional_lane_error(n, p, lane, kind):
     """F1 at alpha = 1/2 with a and lambda set at p (and at p + 1 for
-    "overflow") so that the kernel refuses only the operand of w (lane
-    "w": v * a_v) or of t (lane "t": v * a_v * lambda_v).  At "inf" that
-    operand or its terms are non-finite (``one_lane_non_finite``); at
+    "overflow") so that only the operand of w (lane "w": v * a_v) or of t
+    (lane "t": v * a_v * lambda_v) is refused.  At "inf" that operand or
+    its terms are non-finite (``one_lane_non_finite``); at
     "overflow" it is 1.5e308 at p and p + 1, finite, but its row p + 1 sums
     to 2.25e308, beyond the float range."""
     if kind == "inf":
@@ -683,38 +683,37 @@ def fractional_lane_error(n, p, lane, kind):
 
 @pytest.mark.parametrize("lane", ["w", "t"])
 @pytest.mark.parametrize("kind, error", [
-    ("inf", {"w": (ValueError, "Cesaro sums need finite terms"),
-             "t": (ValueError, "sequence values must be finite")}),
+    # a non-finite operand is refused as a non-finite sequence is
+    ("inf", dict.fromkeys("wt", (ValueError,
+                                 "sequence values must be finite"))),
     ("overflow", dict.fromkeys("wt", (
         OverflowError, "a Cesaro sum overflows the float range"))),
 ])
 @pytest.mark.parametrize("p", [_BLOCK // 2 + 3, _BLOCK, _BLOCK + 1])
 def test_fractional_lane_errors_stay_in_their_lane(lane, kind, error, p):
-    # at alpha = 1/2 the kernel refuses one lane's means: that lane's
-    # builder raises the kernel's error, and the other lane's trace is the
-    # one its own mean gives, in a check and in a conclusion of its own
+    # at alpha = 1/2 one lane's means are refused: that lane's builder
+    # raises the error, and the other lane's trace is the one its own mean
+    # gives, in a check and in a conclusion of its own
     n = 2 * _BLOCK + 5
     bundle = fractional_lane_error(n, p, lane, kind)
     k = bundle.params.k
     phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
     grid = dyadic_checkpoints(n)
     a, lam = bundle.a.values, bundle.lam.values
-    with np.errstate(all="ignore"):  # as `summa run` sets it
-        check = outcome(lambda: check_main_theorem(bundle))
-        conclusion = outcome(lambda: conclusion_diagnostic(bundle))
-        fresh = fractional_lane_error(n, p, lane, kind)
-        alone = outcome(lambda: conclusion_diagnostic(fresh))
-        if lane == "t":
-            w = np.maximum.accumulate(np.abs(full_array_t(a, 0.5)))
-            assert check[1]["cond11"] == full_array_trace(
-                w, k, phi, grid).tobytes()
-            assert conclusion == alone == error["t"]
-        else:
-            assert check == error["w"]
-            t = full_array_t(a * lam, 0.5)
-            assert conclusion[0] == full_array_trace(t, k, phi,
-                                                     grid).tobytes()
-            assert conclusion == alone
+    check = outcome(lambda: check_main_theorem(bundle))
+    conclusion = outcome(lambda: conclusion_diagnostic(bundle))
+    fresh = fractional_lane_error(n, p, lane, kind)
+    alone = outcome(lambda: conclusion_diagnostic(fresh))
+    if lane == "t":
+        w = np.maximum.accumulate(np.abs(full_array_t(a, 0.5)))
+        assert check[1]["cond11"] == full_array_trace(
+            w, k, phi, grid).tobytes()
+        assert conclusion == alone == error["t"]
+    else:
+        assert check == error["w"]
+        t = full_array_t(a * lam, 0.5)
+        assert conclusion[0] == full_array_trace(t, k, phi, grid).tobytes()
+        assert conclusion == alone
 
 
 def test_one_kernel_per_check(monkeypatch):
@@ -753,12 +752,10 @@ def test_a_dead_lane_is_not_redone(monkeypatch):
     redo = accumulation._neumaier_corrections
     monkeypatch.setattr(accumulation, "_neumaier_corrections",
                         lambda *args: calls.append(1) or redo(*args))
-    with np.errstate(all="ignore"):  # as `summa run` sets it
-        report = check_main_theorem(bundle)
-        with pytest.raises(ValueError, match="^sequence values must be "
-                           "finite$"):
-            conclusion_diagnostic(bundle)
-        w = np.abs(full_array_t(a, 1.0))
+    report = check_main_theorem(bundle)
+    with pytest.raises(ValueError, match="^sequence values must be finite$"):
+        conclusion_diagnostic(bundle)
+    w = np.abs(full_array_t(a, 1.0))
     # once in the running means' block, once in the trace's
     assert len(calls) <= 2
     assert [r.condition for r in report.records if not r.passed] \
@@ -786,10 +783,8 @@ def test_dead_lanes_end_the_means(monkeypatch):
     redo = accumulation._neumaier_corrections
     monkeypatch.setattr(accumulation, "_neumaier_corrections",
                         lambda *args: redos.append(1) or redo(*args))
-    with np.errstate(all="ignore"):  # as `summa run` sets it
-        with pytest.raises(ValueError, match="^sequence values must be "
-                           "finite$"):
-            check_main_theorem(bundle)
+    with pytest.raises(ValueError, match="^sequence values must be finite$"):
+        check_main_theorem(bundle)
     assert len(pushes) == 1
     # once in the running means' block, once in the trace's
     assert len(redos) <= 2
@@ -887,9 +882,8 @@ class TestConclusionBesideTheTable:
             builtin_family("F1", n), a=RealSequence(1, np.full(n, 1e300)),
             lam=RealSequence(1, np.full(n, 1e10)),
             params=CesaroParams(k=1.0))
-        with np.errstate(all="ignore"):
-            records, conclusion = _Context.of(bundle, None, None).run(
-                checker._MAIN_TABLE)
+        records, conclusion = _Context.of(bundle, None, None).run(
+            checker._MAIN_TABLE)
         assert all(isinstance(r, checker.ConditionRecord) for r in records)
         assert isinstance(conclusion, ValueError)
         assert str(conclusion) == "sequence values must be finite"
@@ -905,3 +899,38 @@ class TestConclusionBesideTheTable:
         assert tables == [len(MAIN_CONDITIONS)]
         conclusion_diagnostic(bundle, checkpoints=(512, 1024, 2048, 4096))
         assert tables == [len(MAIN_CONDITIONS), 0]
+
+
+_SIGNS = np.where(np.arange(64) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("check, family, roles, message", [
+    # n * Q_n * X_n overflows
+    (check_main_theorem, "F1", {"Q": np.full(64, 1e306)},
+     "series_nQX: partial sums must be finite"),
+    # lambda's second differences overflow
+    (check_theorem_a, "F2", {"lam": 1e306 * _SIGNS},
+     "cond8: partial sums must be finite"),
+    # |lambda_n| X_n overflows at the checkpoints
+    (check_main_theorem, "F1", {"lam": np.full(64, 1e200),
+                                "X": np.full(64, 1e200)},
+     "cond7: sampled values must be finite"),
+    # Q's differences overflow in quasi_monotone, its series after them
+    (check_main_theorem, "F1", {"Q": 1e308 * _SIGNS},
+     "series_nQX: partial sums must be finite"),
+], ids=["series_nQX", "cond8", "cond7", "quasi_monotone"])
+def test_overflow_raises_and_never_warns(check, family, roles, message):
+    # a library caller gets the record's error, no RuntimeWarning (which
+    # this suite turns into an error in its place)
+    bundle = dataclasses.replace(
+        builtin_family(family, 64),
+        **{name: RealSequence(1, v) for name, v in roles.items()})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(bundle)
+
+
+def test_growth_diagnostic_never_warns():
+    # last / mid overflows: a verdict, with no RuntimeWarning
+    trace = CheckpointTrace((1, 2, 4, 8, 16, 32),
+                            np.array([1.0, 1.0, 1.0, 1e-300, 1.0, 1e300]))
+    assert growth_diagnostic(trace).verdict is GrowthVerdict.GROWTH_DETECTED

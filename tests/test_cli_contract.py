@@ -200,6 +200,21 @@ _BETA_OVERFLOW = {**_N64, "params": {"k": 1.5, "beta": 1e300},
                   "bundle": _bundle(weight={"kind": "indexed"})}
 _X_UNDERFLOW = {**_N64, "bundle": _bundle(X={
     "family": "power_decay", "params": {"p": 1, "c": 5e-324}})}
+# a record's own error names the record too
+_DELTA_ZERO = {**_N64, "bundle": _bundle(delta={
+    "family": "power_decay", "params": {"p": 1, "c": 0}})}
+
+# finite values whose n * a_n overflows: refused as a non-finite sequence
+# at every order, in a check (from n = 1798 on) and in a dump (whose partial
+# sums overflow first)
+_A_TERMS_OVERFLOW = {"mode": "check_main", "n": 4096,
+                     "params": {"alpha": 0.5, "k": 1.5},
+                     "bundle": _bundle(a={"family": "power_decay",
+                                          "params": {"p": 0, "c": 1e305}})}
+_DUMP_TERMS_OVERFLOW = {
+    "mode": "transform_dump", "params": {"alpha": 0.5},
+    "sequence": {"family": "power_decay", "params": {"p": 0, "c": 1e308},
+                 "n": 16, "start": 0}}
 
 # configs and the one line each writes to stderr, exactly
 _STDERR = [
@@ -218,6 +233,10 @@ _STDERR = [
     (_LAMBDA_OVERFLOW, "bundle: conclusion: partial sums must be finite"),
     (_BETA_OVERFLOW, "bundle: cond11: partial sums must be finite"),
     (_X_UNDERFLOW, "bundle: cond11: reference entries must be non-zero"),
+    (_DELTA_ZERO, "bundle: quasi_monotone: delta must be positive "
+                  "everywhere; first non-positive entry at index 1"),
+    (_A_TERMS_OVERFLOW, "bundle: sequence values must be finite"),
+    (_DUMP_TERMS_OVERFLOW, "sequence: sequence values must be finite"),
 ]
 
 
@@ -267,7 +286,15 @@ def _object_paths(obj, path=()):
 # X_n underflows to 0, so cond11's trace has a zero reference
 @example(flip=None, slope=None, joined=True, unshape=None,
          config=_X_UNDERFLOW)
-# v * a_v overflows: the fractional kernel refuses a non-finite term
+# a zero delta, refused under its record's name
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DELTA_ZERO)
+# n * a_n overflows at alpha = 1/2, in a check and in a dump
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_A_TERMS_OVERFLOW)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DUMP_TERMS_OVERFLOW)
+# v * a_v overflows: the means of a non-finite operand are refused
 @example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},

@@ -697,8 +697,8 @@ class TestErrorOrder:
         ("check_main", {}, _late_bundle(
             X={"family": "log_shift"},
             delta={"family": "power_decay", "params": {"p": 1, "c": -1}}),
-         "bundle: delta must be positive everywhere; first non-positive "
-         "entry at index 1"),
+         "bundle: quasi_monotone: delta must be positive everywhere; first "
+         "non-positive entry at index 1"),
         # roles in bundle order, the explicit phi last
         ("check_main", {"alpha": 0.5}, _late_bundle(a=_LATE),
          "bundle.a: sequence values must be finite"),

@@ -199,3 +199,9 @@ class TestReductionIdentity:
         t = cesaro_t(a, 0.5).values
         for phi_form, reduced in reduced_terms(t, 1.5, 0.2):
             assert max_rel_deviation(phi_form, reduced) < 1e-12
+
+
+def test_overflowing_terms_raise_and_never_warn():
+    # n^(-3) (1e200)^3 overflows: refused, with no RuntimeWarning
+    with pytest.raises(ValueError, match="^partial sums must be finite$"):
+        weighted_power_trace(np.full(8, 1e200), 3.0, np.ones(8), (4, 8))
