@@ -158,7 +158,7 @@ class GrowthDiagnostic:
     reference when it has one.  ``slope`` is fitted on the upper
     half of the checkpoints; None when too few positive values remain to
     fit.  ``last_mid_ratio`` is values[-1]/values[mid]; None when the mid
-    value is zero but the last is not.
+    value is zero but the last is not, or when the quotient overflows.
     """
 
     checkpoints: tuple[int, ...]
@@ -211,6 +211,10 @@ def growth_diagnostic(trace: CheckpointTrace,
 
     if mags[mid] > 0.0:
         ratio = float(mags[-1] / mags[mid])
+        # a quotient that overflows is reported as None, since JSON holds
+        # no inf; the verdict is the same, as inf never passed the ratio test
+        if not math.isfinite(ratio):
+            ratio = None
     elif mags[-1] == 0.0:
         ratio = 1.0
     else:

@@ -1,4 +1,7 @@
-"""Command-line front end: run configs, list families, drive the oracles."""
+"""Command-line front end: run configs, list families, drive the oracles.
+
+Like ``experiment``, it imports only the standard library at load time,
+so ``summa family`` and ``summa oracle`` never load numpy."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import dataclasses
 import re
 import sys
 
-from .checker import Tolerances
 from .experiment import (ConfigError, ExperimentConfig, family_catalog_lines,
                          load_config, run)
 
@@ -71,6 +73,7 @@ def _cmd_run(args) -> int:
         if config.mode not in ("check_main", "check_theorem_a"):
             raise ConfigError("--tolerance-slope",
                               f"does not apply to mode {config.mode!r}")
+        from .checker import Tolerances
         base = config.tolerances or Tolerances()
         try:
             tolerances = dataclasses.replace(base, slope=args.tolerance_slope)

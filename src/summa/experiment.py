@@ -25,6 +25,15 @@ parameter and domain errors are raised as the bundle is made, and its
 non-finite values by the check's pass, each after any non-finite value of
 an earlier role: the order in which making each role whole, in turn,
 would have raised them.
+
+The module imports only the standard library at load time; each mode
+loads what it runs, inside the functions that run it.  Parsing or running
+a check or a dump loads the float engine (numpy, ``sequences``,
+``functionals``, ``checker``, ``cesaro``, ``accumulation`` and
+``rendering``), the whole of it as such a config is parsed, and only an
+oracle run loads ``oracle``.  So the oracle
+mode and the family catalog import no numpy, and no float mode imports
+the oracle.
 """
 
 from __future__ import annotations
@@ -35,20 +44,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__
-from .cesaro import cesaro_sigma, cesaro_t, w_sequence
-from .checker import (FamilyBundle, GrowthVerdict, Tolerances,
-                      check_main_theorem, check_theorem_a,
-                      conclusion_diagnostic)
-from .functionals import WeightKind, WeightSpec, validate_checkpoints
-from .oracle import run_all_suites
-from .rendering import render_rows
-from .sequences import (CesaroParams, RealSequence, SequenceSpec,
-                        _BlockSequence, _generated, _verify, materialize)
+
+if TYPE_CHECKING:
+    from .checker import FamilyBundle, Tolerances
+    from .functionals import WeightSpec
+    from .sequences import CesaroParams, RealSequence, SequenceSpec
 
 __all__ = [
     "ConfigError",
@@ -119,6 +122,15 @@ def _forbid(obj: dict, mode: str, *keys: str) -> None:
             raise ConfigError(key, f"not allowed in mode {mode!r}")
 
 
+def _load_float_engine() -> None:
+    """Import the whole float engine: ``checker`` brings numpy,
+    ``accumulation``, ``sequences``, ``functionals`` and ``cesaro``, and
+    ``rendering`` is the CSV writer's.  Parsing a check or dump config
+    calls it, so the run that follows imports nothing and its time is its
+    own work."""
+    from . import checker, rendering  # noqa: F401
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed, validated run description; round-trips through JSON."""
@@ -163,6 +175,8 @@ class ExperimentConfig:
         mode = obj.get("mode")
         if mode not in MODES:
             raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
+        if mode != "oracle":
+            _load_float_engine()
 
         out = obj.get("out")
         if out is not None and not isinstance(out, str):
@@ -178,6 +192,9 @@ class ExperimentConfig:
         kw: dict = {"mode": mode, "seed": seed, "out": out}
 
         if mode in ("check_main", "check_theorem_a"):
+            from .checker import Tolerances
+            from .functionals import validate_checkpoints
+            from .sequences import CesaroParams
             _forbid(obj, mode, "trials", "sequence")
             # cond8's own grid over the n - 2 second differences needs four
             # checkpoints, hence a larger minimum for theorem A
@@ -256,6 +273,7 @@ class ExperimentConfig:
             kw["trials"] = trials
 
         else:  # transform_dump
+            from .sequences import CesaroParams, SequenceSpec
             _forbid(obj, mode, "n", "family", "overrides", "bundle",
                     "checkpoints", "tolerances", "trials")
             if "sequence" not in obj:
@@ -282,6 +300,7 @@ _ROLE_FIELDS = {"family", "params"}
 
 def _validate_bundle_spec(bundle: dict, mode: str) -> None:
     """Structural check only; materialization errors surface at build time."""
+    from .functionals import WeightKind
     allowed = {"label", "a", "lambda", "X", "weight", "Q", "delta"}
     for key in bundle:
         if key not in allowed:
@@ -323,6 +342,7 @@ def _validate_role(spec, pointer: str) -> None:
 
 
 def _role(spec: dict, n: int, pointer: str) -> RealSequence:
+    from .sequences import SequenceSpec, _generated
     try:
         return _generated(
             SequenceSpec(family=spec["family"], n=n,
@@ -333,6 +353,7 @@ def _role(spec: dict, n: int, pointer: str) -> RealSequence:
 
 
 def _weight_from_spec(spec: dict, role) -> WeightSpec:
+    from .functionals import WeightKind, WeightSpec
     kind = WeightKind(spec["kind"])
     if kind is WeightKind.EXPLICIT_PHI:
         return WeightSpec(kind=kind,
@@ -344,6 +365,8 @@ def _weight_from_spec(spec: dict, role) -> WeightSpec:
 
 
 def _bundle_from_spec(spec: dict, n: int, params: CesaroParams) -> FamilyBundle:
+    from .checker import FamilyBundle
+    from .sequences import _verify
     made: list[RealSequence] = []
 
     def role(role_spec: dict, pointer: str) -> RealSequence:
@@ -381,6 +404,9 @@ def default_majorant(lam_extended: RealSequence) -> RealSequence:
     convenience, not the best majorant for a given lambda.  Q is made a
     block at a time, each from lambda's block and the value after it.
     """
+    import numpy as np
+
+    from .sequences import _BlockSequence
     if len(lam_extended) <= 1:
         raise ValueError("sequence too short for order-1 difference")
     start = lam_extended.start_index
@@ -393,6 +419,7 @@ def default_majorant(lam_extended: RealSequence) -> RealSequence:
 
 
 def _seq(family: str, n: int, params: dict | None = None) -> RealSequence:
+    from .sequences import SequenceSpec, _generated
     return _generated(SequenceSpec(family=family, n=n, params=params or {},
                                    start=1))
 
@@ -416,6 +443,9 @@ def builtin_family(name: str, N: int, overrides: dict | None = None) -> FamilyBu
                          f"(choices: {', '.join(BUILTIN_FAMILY_NAMES)})")
     if N < 8:
         raise ValueError("builtin families need N >= 8")
+    from .checker import FamilyBundle
+    from .functionals import WeightKind, WeightSpec
+    from .sequences import CesaroParams, _BlockSequence
 
     a = _seq("alternating_unit", N)
     X = _seq("log_shift", N)
@@ -499,6 +529,9 @@ def _csv(header: str, index, columns) -> Iterator[bytes]:
     cells left blank, or None for an all-blank column.  Each block of
     ``_CSV_ROWS`` rows is one ``render_rows`` call.
     """
+    import numpy as np
+
+    from .rendering import render_rows
     rows = len(index)
     index = np.asarray(index)
     yield header.encode() + b"\n"
@@ -518,6 +551,8 @@ _Files = dict[str, Iterable[bytes]]
 
 
 def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
+    from .checker import (GrowthVerdict, check_main_theorem, check_theorem_a,
+                          conclusion_diagnostic)
     if config.family is not None:
         bundle = builtin_family(config.family, config.n, config.overrides)
     else:
@@ -559,6 +594,7 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
 
 
 def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, _Files]:
+    from .oracle import run_all_suites
     suites = run_all_suites(config.seed, config.trials)
     clean = all(s.violations == 0 for s in suites)
     return {"suites": [s.to_json() for s in suites]}, 0 if clean else 1, {}
@@ -566,6 +602,10 @@ def _run_oracle(config: ExperimentConfig) -> tuple[dict, int, _Files]:
 
 def _run_transform_dump(config: ExperimentConfig
                         ) -> tuple[dict, int, _Files]:
+    import numpy as np
+
+    from .cesaro import cesaro_sigma, cesaro_t, w_sequence
+    from .sequences import CesaroParams, materialize
     alpha = (config.params or CesaroParams()).alpha
     # as in a check, arithmetic that overflows surfaces as a non-finite
     # transform (ValueError) or from math.fsum (OverflowError)

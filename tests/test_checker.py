@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -934,3 +935,14 @@ def test_growth_diagnostic_never_warns():
     trace = CheckpointTrace((1, 2, 4, 8, 16, 32),
                             np.array([1.0, 1.0, 1.0, 1e-300, 1.0, 1e300]))
     assert growth_diagnostic(trace).verdict is GrowthVerdict.GROWTH_DETECTED
+
+
+def test_overflowed_ratio_is_reported_as_none():
+    # last / mid overflows to inf, which JSON cannot hold; the verdict is
+    # the one an infinite ratio gave, since the slope alone decides it
+    trace = CheckpointTrace((1, 2, 4, 8, 16, 32),
+                            np.array([1.0, 1.0, 1.0, 1e-300, 1.0, 1e300]))
+    diag = growth_diagnostic(trace)
+    assert diag.last_mid_ratio is None
+    assert diag.verdict is GrowthVerdict.GROWTH_DETECTED
+    json.dumps(diag.to_json(), allow_nan=False)

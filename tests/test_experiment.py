@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ from summa.functionals import CheckpointTrace
 from summa.rendering import render_number
 from summa.sequences import SequenceSpec, materialize
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+REPO = Path(__file__).resolve().parents[1]
+CONFIG_DIR = REPO / "configs"
 
 
 def _cfg(obj):
@@ -724,3 +728,122 @@ class TestErrorOrder:
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+# the float engine: what a check or a dump runs, and the oracle never does
+_FLOAT_ENGINE = {"numpy", "summa.accumulation", "summa.cesaro",
+                 "summa.checker", "summa.functionals", "summa.rendering",
+                 "summa.sequences"}
+
+_SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
+
+# appended to each script: its result and the modules it loaded
+_REPORT = """
+import json, sys
+print(json.dumps({"result": result, "loaded": sorted(
+    name for name in sys.modules
+    if name == "numpy" or name.startswith("summa."))}))
+"""
+
+
+def _fresh(tmp_path, script):
+    """Run ``script``, which sets ``result``, in a fresh interpreter with
+    ``tmp_path`` as its working directory; return its result, the summa
+    and numpy modules it loaded, and its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script + _REPORT],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    last = json.loads(done.stdout.splitlines()[-1])
+    return last["result"], set(last["loaded"]), done.stderr
+
+
+class TestModeScopedImports:
+    """Each mode loads what it runs: the oracle mode and the family catalog
+    no numpy and no float engine, a float mode no oracle.  Each public
+    callable of ``experiment`` works as the first call of an interpreter,
+    before any other has loaded what it needs."""
+
+    @pytest.mark.parametrize("script, oracle", [
+        ("from summa.cli import main\n"
+         "result = main(['family', '--list'])", False),
+        ("from summa.cli import main\n"
+         "result = main(['oracle', '--seed', '1', '--trials', '3',"
+         " '--out', 'out', '--quiet'])", True),
+        ("from summa.experiment import ExperimentConfig, run\n"
+         "config = ExperimentConfig.from_json("
+         "{'mode': 'oracle', 'seed': 1, 'trials': 3})\n"
+         "result = run(config, out_dir='out', quiet=True).exit_status", True),
+    ], ids=["family_list", "oracle_cli", "oracle_config"])
+    def test_oracle_and_catalog_load_no_float_engine(self, tmp_path, script,
+                                                     oracle):
+        result, loaded, _ = _fresh(tmp_path, script)
+        assert result == 0
+        assert not loaded & _FLOAT_ENGINE, sorted(loaded & _FLOAT_ENGINE)
+        assert ("summa.oracle" in loaded) is oracle
+
+    @pytest.mark.parametrize("config", [
+        {"mode": "check_main", "family": "F1", "n": 1024},
+        {"mode": "check_theorem_a", "family": "F2", "n": 1024},
+        {"mode": "transform_dump",
+         "sequence": {"family": "alternating_unit", "n": 9, "start": 0}},
+    ], ids=lambda config: config["mode"])
+    def test_float_modes_load_no_oracle(self, tmp_path, config):
+        # the parse loads the whole float engine, and the run no module (at
+        # alpha = 1: numpy loads numpy.fft on its first use)
+        result, loaded, _ = _fresh(tmp_path, (
+            "import sys\n"
+            "from summa.experiment import ExperimentConfig, run\n"
+            f"config = ExperimentConfig.from_json({config!r})\n"
+            "parsed = set(sys.modules)\n"
+            "result = [run(config, out_dir='out', quiet=True).exit_status,\n"
+            "          sorted(set(sys.modules) - parsed)]"))
+        assert result == [0, []]
+        assert "summa.oracle" not in loaded
+        assert _FLOAT_ENGINE <= loaded
+
+    @pytest.mark.parametrize("script, expected", [
+        ("from summa.experiment import builtin_family\n"
+         "bundle = builtin_family('F1', 64)\n"
+         "result = [bundle.label, len(bundle.Q.values)]", ["F1", 64]),
+        ("import numpy as np\n"
+         "from summa.sequences import RealSequence\n"
+         "from summa.experiment import default_majorant\n"
+         "Q = default_majorant(RealSequence(1, np.array([1.0, 0.5, 0.25])))\n"
+         "result = Q.values.tolist()", [0.5 + 2.0 ** -3, 0.25 + 3.0 ** -3]),
+        ("from summa.experiment import family_catalog_lines\n"
+         "result = [line[:2] for line in family_catalog_lines()]",
+         ["F1", "F2", "F3"]),
+        ("from summa.experiment import load_config\n"
+         f"result = [load_config(p).mode for p in {list(map(str, _SHIPPED))}]",
+         [json.loads(p.read_text())["mode"] for p in _SHIPPED]),
+        ("from summa.experiment import ExperimentConfig, run\n"
+         "config = ExperimentConfig(mode='check_main', n=1024, family='F1')\n"
+         "result = run(config, out_dir='out', quiet=True).exit_status", 0),
+        ("from summa.experiment import ExperimentConfig, run\n"
+         "config = ExperimentConfig(mode='oracle', seed=1, trials=3)\n"
+         "result = run(config, out_dir='out', quiet=True).exit_status", 0),
+    ], ids=["builtin_family", "default_majorant", "family_catalog_lines",
+            "load_config", "run_check", "run_oracle"])
+    def test_public_callables_work_as_the_first_call(self, tmp_path, script,
+                                                     expected):
+        assert _fresh(tmp_path, script)[0] == expected
+
+    def test_slope_tolerance_in_a_fresh_interpreter(self, tmp_path):
+        # Tolerances loads only where --tolerance-slope needs it
+        result, loaded, err = _fresh(tmp_path, (
+            "from summa.cli import main\n"
+            f"result = main(['run', {str(CONFIG_DIR / 'f1_main.json')!r},"
+            " '--tolerance-slope', '0.2', '--out', 'out', '--quiet'])"))
+        assert (result, err) == (0, "")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["tolerances"]["slope"] == 0.2
+        result, loaded, err = _fresh(tmp_path, (
+            "from summa.cli import main\n"
+            f"result = main(['run', {str(CONFIG_DIR / 'oracle_default.json')!r},"
+            " '--tolerance-slope', '0.2', '--out', 'oracle', '--quiet'])"))
+        assert result == 2
+        assert err == ("config error: --tolerance-slope: does not apply to "
+                       "mode 'oracle'\n")
+        assert not loaded & _FLOAT_ENGINE
+        assert not (tmp_path / "oracle").exists()
