@@ -215,6 +215,11 @@ _DUMP_TERMS_OVERFLOW = {
     "mode": "transform_dump", "params": {"alpha": 0.5},
     "sequence": {"family": "power_decay", "params": {"p": 0, "c": 1e308},
                  "n": 16, "start": 0}}
+# finite terms whose Cesaro kernel A^(alpha - 1) overflows: the kernel, not
+# the sequence, is refused
+_DUMP_KERNEL_OVERFLOW = {
+    "mode": "transform_dump", "params": {"alpha": 1e300},
+    "sequence": {"family": "alternating_unit", "n": 8, "start": 0}}
 
 # configs and the one line each writes to stderr, exactly
 _STDERR = [
@@ -237,6 +242,7 @@ _STDERR = [
                   "everywhere; first non-positive entry at index 1"),
     (_A_TERMS_OVERFLOW, "bundle: sequence values must be finite"),
     (_DUMP_TERMS_OVERFLOW, "sequence: sequence values must be finite"),
+    (_DUMP_KERNEL_OVERFLOW, "sequence: Cesaro sums need finite terms"),
 ]
 
 
@@ -294,6 +300,9 @@ def _object_paths(obj, path=()):
          config=_A_TERMS_OVERFLOW)
 @example(flip=None, slope=None, joined=True, unshape=None,
          config=_DUMP_TERMS_OVERFLOW)
+# alpha = 1e300 overflows the kernel of finite terms
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DUMP_KERNEL_OVERFLOW)
 # v * a_v overflows: the means of a non-finite operand are refused
 @example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 16,
