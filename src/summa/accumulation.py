@@ -132,16 +132,6 @@ class _Neumaier:
         for buf in (self._running, self._comp):
             _lanes(buf)[lane][self._m] = 0.0
 
-    def sums(self, lane: int = 0) -> np.ndarray:
-        """The compensated prefix sums ``total + comp`` of one lane after
-        the last push, contiguous, in the scratch buffer that the next push
-        or call overwrites."""
-        m = self._m
-        run, err = (_lanes(buf[1:m + 1])[lane]
-                    for buf in (self._running, self._comp))
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.add(run, err, out=self._spare.reshape(-1)[:m])
-
 
 def _neumaier_corrections(prev: np.ndarray, x: np.ndarray, total: np.ndarray,
                           out: np.ndarray) -> None:

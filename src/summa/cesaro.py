@@ -36,9 +36,10 @@ more operands of the kernel's size: the coefficients and the kernel are
 made once, the kernel is sliced once per slice width and each of its
 slices transformed once, and each operand keeps its own slices, width,
 exponent and rounding, and leaves the call's operand list once its rows
-are settled.  A non-finite operand is a ``ValueError``, and a
-row whose exact sum lies beyond the float range an ``OverflowError``, of
-that operand alone.
+are settled.  It is the one finiteness gate of the fractional means: a
+non-finite operand is a ``ValueError`` as in ``RealSequence``, else a
+non-finite kernel one of its own, and a row beyond the float range an
+``OverflowError``, each of that operand alone.
 """
 
 from __future__ import annotations
@@ -307,19 +308,23 @@ def _kernel_dot_prefixes(kernel: np.ndarray, xs: list) -> list:
     start unless the caller holds it.
 
     Each entry is its operand's rows or what it raised: ValueError for a
-    non-finite operand (or kernel), OverflowError for a row whose exact sum
-    lies beyond the float range, FloatingPointError where the transforms
-    miss at every slice width.  An exactly zero row is +0.  The kernel is
+    non-finite operand (``_NON_FINITE``, tested first) or else a non-finite
+    kernel ("Cesaro sums need finite terms", tested once per call),
+    OverflowError for a row whose exact sum lies beyond the float range,
+    FloatingPointError where the transforms miss at every slice width.  An exactly zero row is +0.  The kernel is
     sliced once per slice width and each of its slices transformed once,
     for every operand that width serves; an operand whose certificate or
     FFT check fails at a width retries alone at a narrower one.  Its rows
     are exact, so they depend on neither the width nor the other operands.
     """
     size = kernel.size
+    finite_kernel = bool(np.isfinite(kernel).all())
     out: list = [None] * len(xs)
     todo = []
     for i in range(len(xs)):
-        if not (np.isfinite(kernel).all() and np.isfinite(xs[i]).all()):
+        if not np.isfinite(xs[i]).all():
+            out[i] = ValueError(_NON_FINITE)
+        elif not finite_kernel:
             out[i] = ValueError("Cesaro sums need finite terms")
         elif kernel.any() and xs[i].any():
             todo.append(i)
@@ -385,9 +390,8 @@ def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
 
         out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
 
-    Each entry is its operand's means or what the kernel raised for it; at
-    fractional orders a non-finite operand is refused with the message
-    ``RealSequence`` gives, as its non-finite means are at alpha = 1.  At
+    Each entry is its operand's means or what the kernel, the one
+    finiteness gate, raised for it; nothing here scans an operand.  At
     alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so a numerator
     is a compensated cumulative sum, divided in place a block of indices at
     a time.  Every other alpha is checked by ``cesaro_coefficients``; its
@@ -402,45 +406,28 @@ def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
                 part /= np.arange(first + lo + 1.0,
                                   first + lo + part.size + 1.0)
         return out
-    if not xs:
-        return []
     size = xs[0].size
-    finite = [bool(np.isfinite(x).all()) for x in xs]
     denom = cesaro_coefficients(alpha, first + size - 1)[first:]
     kernel = _binomial_weights(alpha - 1.0, size - 1)
-    return [ValueError(_NON_FINITE) if not ok
-            else r if isinstance(r, Exception)
-            else np.divide(r, denom, out=r)
-            for ok, r in zip(finite, _kernel_dot_prefixes(kernel, xs))]
-
-
-def _mean(x: np.ndarray, alpha: float, first: int) -> np.ndarray:
-    """The order-alpha means of one operand (``_means``), whose error is
-    raised."""
-    return _settled(_means([x], alpha, first)[0])
+    return [r if isinstance(r, Exception) else np.divide(r, denom, out=r)
+            for r in _kernel_dot_prefixes(kernel, xs)]
 
 
 def _t(lanes: list[np.ndarray], alpha: float) -> list:
     """t_1^alpha .. t_N^alpha of each lane's terms a_1..a_N, all lanes of
     one size, through one ``_means`` call: each lane's t or what it raised.
-    A non-finite term or t is a ``ValueError`` with the message
-    ``RealSequence`` gives; an n * a_n that overflows warns nothing.  The
+    A non-finite n * a_n (refused by the kernel at fractional orders) or t
+    (alpha = 1 and alpha < 0 can give one) is a ``ValueError`` with the
+    message ``RealSequence`` gives; an n * a_n that overflows warns nothing.  The
     lanes are dropped once the terms n * a_n are made, so a lane the caller
     does not hold is freed before the kernel call."""
     with np.errstate(all="ignore"):
-        finite = [bool(np.isfinite(terms).all()) for terms in lanes]
         n = np.arange(1.0, lanes[0].size + 1.0)
-        xs = [terms * n for terms, ok in zip(lanes, finite) if ok]
+        xs = [terms * n for terms in lanes]
         # held through the means, each would be one more n-long array
         del n, lanes
-        means = iter(_means(xs, alpha, 1))
-        out = []
-        for ok in finite:
-            t = next(means) if ok else ValueError(_NON_FINITE)
-            if not (isinstance(t, Exception) or np.isfinite(t).all()):
-                t = ValueError(_NON_FINITE)
-            out.append(t)
-    return out
+        return [t if isinstance(t, Exception) or np.isfinite(t).all()
+                else ValueError(_NON_FINITE) for t in _means(xs, alpha, 1)]
 
 
 @np.errstate(all="ignore")
@@ -451,7 +438,8 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
-    return _adopt(0, _mean(compensated_cumsum(a.values), alpha, 0))
+    return _adopt(0, _settled(_means([compensated_cumsum(a.values)], alpha,
+                                     0)[0]))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:

@@ -723,11 +723,12 @@ class _MeanTraces:
                 else:
                     np.multiply(block.a, block.lam, out=col)
                     np.multiply(col, block.n, out=col)
-            self._acc.push(x)
+            total, comp = self._acc.push(x)
             # A_n^1 = n + 1, into x's first m values, free once x is summed
             n1 = np.add(block.n, 1.0, out=self._x.reshape(-1)[:m])
-            for lane, row in enumerate(values):
-                np.divide(self._acc.sums(lane), n1, out=row)
+            # lane j's total + comp, from column j (or all of a single lane)
+            np.add(total.T, comp.T, out=values)
+            values /= n1
         self._trace.push(block.n, block.phi, *values)
         # a non-finite term leaves its lane's t non-finite from there on
         # (alpha = 1 only: at other orders ``_t`` refused such a lane)

@@ -732,6 +732,14 @@ class TestKernelDotPrefixes:
                                     [np.ones(2), np.zeros(2)])
         assert [type(r) for r in rows] == [ValueError, ValueError]
 
+    def test_a_non_finite_operand_is_refused_before_the_kernel(self):
+        # the one finiteness gate: an operand's own message comes first,
+        # the kernel's only for a finite operand
+        rows = _kernel_dot_prefixes(np.array([1.0, math.inf]),
+                                    [np.array([math.nan, 1.0]), np.ones(2)])
+        assert [str(r) for r in rows] == ["sequence values must be finite",
+                                          "Cesaro sums need finite terms"]
+
     def test_each_operand_is_freed_once_settled(self, monkeypatch):
         # against the FULL kernel the "full" operand retries at a narrower
         # width and keeps its entry until then; every other entry is freed

@@ -541,7 +541,7 @@ def full_array_t(a, alpha):
     """t_1^alpha .. t_N^alpha of the terms a_1..a_N by the full-array
     formula that ``cesaro_t`` used before the means were streamed: x =
     v * a_v whole, then the order-alpha mean of all of x."""
-    return cesaro._mean(a * np.arange(1.0, a.size + 1.0), alpha, 1)
+    return cesaro._means([a * np.arange(1.0, a.size + 1.0)], alpha, 1)[0]
 
 
 def full_array_trace(values, k, phi, checkpoints):
