@@ -507,11 +507,13 @@ class RunReport:
 def load_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("$", f"cannot read {path}: {e}") from e
+    # JSONDecodeError is a ValueError, as is an integer literal over the
+    # int-string limit; arrays nested too deep raise RecursionError
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError("$", f"invalid JSON: {e}") from e
     return ExperimentConfig.from_json(obj)
 
@@ -564,15 +566,16 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     check = (check_main_theorem if config.mode == "check_main"
              else check_theorem_a)
     # arithmetic that overflows surfaces as a non-finite trace (ValueError)
-    # or from math.fsum (OverflowError): the bundle cannot be judged.  A
-    # role's non-finite values are a ConfigError that names the role
+    # or from math.fsum (OverflowError), and an n too large for memory as a
+    # MemoryError: the bundle cannot be judged.  A role's non-finite values
+    # are a ConfigError that names the role
     try:
         report = check(bundle, config.checkpoints, config.tolerances)
         trace, conclusion = conclusion_diagnostic(
             bundle, config.checkpoints, config.tolerances)
     except ConfigError:
         raise
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError, MemoryError) as e:
         raise ConfigError("bundle", str(e)) from e
 
     traces = {**report.traces, "conclusion": trace}
@@ -608,14 +611,15 @@ def _run_transform_dump(config: ExperimentConfig
     from .sequences import CesaroParams, materialize
     alpha = (config.params or CesaroParams()).alpha
     # as in a check, arithmetic that overflows surfaces as a non-finite
-    # transform (ValueError) or from math.fsum (OverflowError)
+    # transform (ValueError) or from math.fsum (OverflowError), and an n
+    # too large for memory as a MemoryError
     try:
         seq = materialize(config.sequence)
         sigma = cesaro_sigma(seq, alpha).values
         t = cesaro_t(seq, alpha)
         # w is defined for 0 < alpha <= 1 only
         w = w_sequence(t, alpha).values if 0.0 < alpha <= 1.0 else None
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError, MemoryError) as e:
         raise ConfigError("sequence", str(e)) from e
     files = {"transforms.csv": _csv(
         "n,a,sigma,t,w", np.arange(seq.start_index, seq.end_index + 1),

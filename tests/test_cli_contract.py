@@ -15,13 +15,17 @@ number field takes a string such as ``"0.5"``, which ``float`` reads as a
 number: setting any number field to either is a config error that points
 at the field.  A ``params`` or ``tolerances`` field must be an object: a
 list of [name, value] pairs, which ``dict`` would read, or any other value
-is a config error that points at the field.
+is a config error that points at the field.  A config file that no JSON
+reader takes, and a run too large for memory, are config errors too.
 """
 
 import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -593,3 +597,60 @@ def test_unusable_output_is_a_config_error(argv, blocked, message):
     assert stderr.getvalue() == (
         f"config error: out: {message.format(tmp=tmp)}\n")
     assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "cannot read"),
+    # CPython refuses to read an integer of more than 4300 digits
+    (b'{"mode": "check_main", "family": "F1", "n": ' + b"9" * 5000 + b"}",
+     "invalid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+], ids=["not_utf8", "int_over_4300_digits", "nested_100000_deep"])
+def test_unreadable_config_file(data, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(data)
+        out = Path(tmp) / "out"
+        err = _assert_contract(["run", str(path), f"--out={out}"], out)
+    assert err.startswith(f"config error: $: {message}")
+
+
+# summa run with its address space capped at 1 GiB, so an n-long array at
+# n = 2**28 (2 GiB) cannot be made whatever the host's overcommit policy,
+# and none is ever allocated
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from summa.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"mode": "check_main", "family": "F1", "n": 2 ** 28,
+      "overrides": {"alpha": 0.5}},
+     "config error: bundle: Unable to allocate "),
+    ({"mode": "transform_dump",
+      "sequence": {"family": "alternating_unit", "n": 2 ** 28}},
+     "config error: sequence: Unable to allocate "),
+    # the cap leaves room for a shipped config
+    (json.loads((Path(__file__).parents[1] / "configs"
+                 / "f1_main.json").read_text()), None),
+], ids=["check", "dump", "shipped"])
+def test_run_too_large_for_memory(tmp_path, config, message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _CAPPED, "run", str(path),
+                           f"--out={out}", "--quiet"],
+                          env=env, capture_output=True, text=True)
+    if message is None:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (out / "report.json").is_file()
+    else:
+        assert done.returncode == 2
+        assert done.stderr.startswith(message)
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
