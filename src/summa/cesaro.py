@@ -438,8 +438,8 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
-    return _adopt(0, _settled(_means([compensated_cumsum(a.values)], alpha,
-                                     0)[0]))
+    [sigma] = _means([compensated_cumsum(a.values)], alpha, 0)
+    return _adopt(0, _settled(sigma))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
