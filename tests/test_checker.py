@@ -8,7 +8,7 @@ import pytest
 
 from summa import accumulation, cesaro, checker, functionals
 from summa.accumulation import _BLOCK, compensated_cumsum
-from summa.cesaro import cesaro_t, w_sequence
+from summa.cesaro import cesaro_coefficients, cesaro_t, w_sequence
 from summa.checker import (MAIN_CONDITIONS, THEOREM_A_CONDITIONS,
                            FamilyBundle, GrowthVerdict, Tolerances, _Context,
                            _weight_monotone, check_main_theorem,
@@ -538,10 +538,17 @@ class TestWeightMonotoneNote:
 
 
 def full_array_t(a, alpha):
-    """t_1^alpha .. t_N^alpha of the terms a_1..a_N by the full-array
-    formula that ``cesaro_t`` used before the means were streamed: x =
-    v * a_v whole, then the order-alpha mean of all of x."""
-    return cesaro._means([a * np.arange(1.0, a.size + 1.0)], alpha, 1)[0]
+    """t_1^alpha .. t_N^alpha of the terms a_1..a_N with every n-long array
+    held whole: x = v * a_v, then at alpha = 1 its compensated prefix sums
+    over A_n^1 = n + 1, else its exact rows through the kernel A^(alpha-1)
+    over A_n^alpha.  Both sums are pinned against references of their own
+    (``tests/test_accumulation.py``, ``tests/test_cesaro.py``)."""
+    x = a * np.arange(1.0, a.size + 1.0)
+    if alpha == 1.0:
+        return compensated_cumsum(x) / np.arange(2.0, a.size + 2.0)
+    kernel = cesaro_coefficients(alpha - 1.0, a.size - 1)
+    [rows] = cesaro._kernel_dot_prefixes(kernel, [x])
+    return rows / cesaro_coefficients(alpha, a.size)[1:]
 
 
 def full_array_trace(values, k, phi, checkpoints):
@@ -560,8 +567,12 @@ class TestStreamedTraces:
     trace) bit for bit at every block size."""
 
     @staticmethod
-    def assert_traces_match(n, alpha):
+    def assert_traces_match(n, alpha, a=None):
+        """F1's traces at n and alpha, with its a_1..a_n replaced by ``a``
+        when given, against the full-array formula."""
         bundle = builtin_family("F1", n, {"alpha": alpha})
+        if a is not None:
+            bundle = dataclasses.replace(bundle, a=RealSequence(1, a))
         k = bundle.params.k
         phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
         for cps in (None, (1, 2, 3, n // 2 + 1)):
@@ -589,6 +600,20 @@ class TestStreamedTraces:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_real_block(self, alpha, offset):
         self.assert_traces_match(_BLOCK + offset, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    @pytest.mark.parametrize("block", [7, _BLOCK])
+    def test_decaying_means(self, monkeypatch, alpha, block):
+        # F1's own |t^alpha| never decreases, so its w^alpha is |t^alpha|.
+        # For a_n = (-1)^n / n, |t^alpha| decays like n^(-alpha), so w^alpha
+        # is the running max of |t^alpha|, here carried across block edges
+        n = 4096
+        v = np.arange(1.0, n + 1.0)
+        a = np.where(v % 2 == 0, 1.0, -1.0) / v
+        t = np.abs(full_array_t(a, alpha))
+        assert np.any(np.maximum.accumulate(t) > t)
+        monkeypatch.setattr(accumulation, "_BLOCK", block)
+        self.assert_traces_match(n, alpha, a)
 
 
 def one_lane_non_finite(n, p, lane):
