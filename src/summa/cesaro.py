@@ -15,10 +15,12 @@ the running maximum of |t_v^alpha| over v <= n for fractional alpha.
 
 Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
-a compensated product, within about half an ulp of the exact one.  ``_t``
-is t at every order, over all N terms, of one or more lanes of terms in one
-call; at alpha = 1 the checker's one pass over a bundle instead sums t a
-block at a time (``checker._MeanTraces``), with the same bits.
+a compensated product, within about half an ulp of the exact one.  Every
+mean is handed out a block at a time by one source (``_MeanSource``), of
+one or two lanes of terms, at every order: ``cesaro_sigma`` and
+``cesaro_t`` drain one lane, and the checker's one pass over a bundle reads
+w of a_n and t of a_n * lambda_n from two lanes of one source, so both get
+the same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
 sum_(i=0..n) kernel[n-i] * x[i] is the exact sum of the products of the
@@ -45,6 +47,7 @@ non-finite kernel one of its own, and a row beyond the float range an
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -383,54 +386,97 @@ def _settled(result):
     return result
 
 
-def _means(xs: list[np.ndarray], alpha: float, first: int) -> list:
-    """Order-alpha means of the terms x_0, x_1, .. of indices first,
-    first + 1, .. of each operand x in ``xs``, all of one size (at
-    fractional orders the kernel call empties ``xs`` as it goes):
+class _MeanSource:
+    """Order-alpha means of one or two lanes of terms, handed out a block
+    at a time.  A lane's terms are x_0, x_1, .. of indices first,
+    first + 1, .., and its means
 
-        out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha
+        out[n] = sum_(i=0..n) A_(n-i)^(alpha-1) x_i / A_(first+n)^alpha,
 
-    Each entry is its operand's means or what the kernel, the one
-    finiteness gate, raised for it; nothing here scans an operand.  At
-    alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so a numerator
-    is a compensated cumulative sum, divided in place a block of indices at
-    a time.  Every other alpha is checked by ``cesaro_coefficients``; its
-    coefficients and kernel are made once, and one kernel call serves every
-    operand.
-    """
-    if alpha == 1.0:
-        out = [compensated_cumsum(x) for x in xs]
-        for sums in out:
-            for lo in range(0, sums.size, accumulation._BLOCK):
-                part = sums[lo:lo + accumulation._BLOCK]
-                part /= np.arange(first + lo + 1.0,
-                                  first + lo + part.size + 1.0)
-        return out
-    size = xs[0].size
-    denom = cesaro_coefficients(alpha, first + size - 1)[first:]
-    kernel = _binomial_weights(alpha - 1.0, size - 1)
-    return [r if isinstance(r, Exception) else np.divide(r, denom, out=r)
-            for r in _kernel_dot_prefixes(kernel, xs)]
+    t^alpha for first = 1 and x_i = (i + 1) a_(i+1).  A ``maximal`` lane
+    hands out w^alpha instead: |t| at alpha = 1, else the running max of
+    |t|, carried from block to block (max is exact, so the bits are those
+    of one whole-array max).  ``terms(lo, hi, out, *args)`` writes each
+    lane's x_lo..x_(hi-1) into ``out``, one array per lane.
 
+    At alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so each push
+    sums the block's terms as the lanes of one ``accumulation._Neumaier``
+    and divides.  Every other alpha is checked by ``cesaro_coefficients``,
+    and the means are made whole as the source starts: the coefficients and
+    the kernel once, and one kernel call (``_kernel_dot_prefixes``, the one
+    finiteness gate of the operands) for every lane; a push hands out
+    slices.
 
-def _t(lanes: list[np.ndarray], alpha: float) -> list:
-    """t_1^alpha .. t_N^alpha of each lane's terms a_1..a_N, all lanes of
-    one size, through one ``_means`` call: each lane's t or what it raised.
-    A non-finite n * a_n (refused by the kernel at fractional orders) or t
-    (alpha = 1 and alpha < 0 can give one) is a ``ValueError`` with the
-    message ``RealSequence`` gives; an n * a_n that overflows warns nothing.  The
-    lanes are dropped once the terms n * a_n are made, so a lane the caller
-    does not hold is freed before the kernel call."""
-    with np.errstate(all="ignore"):
-        n = np.arange(1.0, lanes[0].size + 1.0)
-        xs = [terms * n for terms in lanes]
-        # held through the means, each would be one more n-long array
-        del n, lanes
-        return [t if isinstance(t, Exception) or np.isfinite(t).all()
-                else ValueError(_NON_FINITE) for t in _means(xs, alpha, 1)]
+    A lane is dead where the kernel refused its operand or its means went
+    non-finite: ``dead`` holds its error, and the lane hands out zeros from
+    then on, so no later block of a caller's sums is redone."""
+
+    def __init__(self, alpha: float, n: int, terms,
+                 maximal: Sequence[bool] = (False,), first: int = 1) -> None:
+        lanes, size = len(maximal), min(accumulation._BLOCK, n)
+        self._maximal, self._first, self._terms = maximal, first, terms
+        self._whole, self.dead = None, {}
+        if alpha == 1.0:
+            self._acc = accumulation._Neumaier(size, lanes)
+            self._x = accumulation._lane_buffer(size, lanes)
+            self._out = np.empty((lanes, size))
+            return
+        self._denom = cesaro_coefficients(alpha, first + n - 1)[first:]
+        xs = [np.empty(n) for _ in maximal]
+        terms(0, n, xs)
+        kernel = _binomial_weights(alpha - 1.0, n - 1)
+        self._whole = _kernel_dot_prefixes(kernel, xs)
+        self.dead = {lane: rows for lane, rows in enumerate(self._whole)
+                     if isinstance(rows, Exception)}
+
+    def push(self, lo: int, hi: int, *args) -> list[np.ndarray]:
+        """Each lane's means of indices lo..hi-1, the block after the last
+        one pushed; ``args`` go to ``terms``.  The values are views that the
+        next push may overwrite."""
+        if self._whole is None:
+            x = self._x[:hi - lo]
+            self._terms(lo, hi, accumulation._lanes(x), *args)
+            total, comp = self._acc.push(x)
+            # lane j's total + comp, from column j (or all of a single lane)
+            values = list(np.add(total.T, comp.T, out=self._out[:, :hi - lo]))
+            denom = np.arange(self._first + lo + 1.0, self._first + hi + 1.0)
+        else:
+            values = [None if lane in self.dead else rows[lo:hi]
+                      for lane, rows in enumerate(self._whole)]
+            denom = self._denom[lo:hi]
+        for lane, v in enumerate(values):
+            if lane not in self.dead:
+                v /= denom
+                if self._maximal[lane]:
+                    np.abs(v, out=v)
+                    if self._whole is not None:  # from the last block's w
+                        w = self._whole[lane][max(lo - 1, 0):hi]
+                        np.maximum.accumulate(w, out=w)
+                if not np.isfinite(v).all():
+                    self.dead[lane] = ValueError(_NON_FINITE)
+                    if self._whole is None:
+                        # the lane sums from zero again, else every later
+                        # block would be redone
+                        self._acc.restart(lane)
+            if lane in self.dead:
+                values[lane] = np.zeros(hi - lo)
+        return values
 
 
 @np.errstate(all="ignore")
+def _means(alpha: float, n: int, terms, first: int) -> np.ndarray:
+    """One lane's means (``_MeanSource``) over all n indices, or its error
+    raised.  Arithmetic that overflows warns nothing: it leaves a
+    non-finite term or mean, which is the lane's error."""
+    source, out = _MeanSource(alpha, n, terms, first=first), np.empty(n)
+    for lo in range(0, n, accumulation._BLOCK):
+        hi = min(lo + accumulation._BLOCK, n)
+        out[lo:hi] = source.push(lo, hi)[0]
+        if source.dead:
+            raise source.dead[0]
+    return out
+
+
 def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """Order-alpha Cesaro means sigma_0^alpha .. sigma_N^alpha of the partial sums.
 
@@ -438,8 +484,11 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     """
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
-    [sigma] = _means([compensated_cumsum(a.values)], alpha, 0)
-    return _adopt(0, _settled(sigma))
+    s = compensated_cumsum(a.values)
+
+    def sums(lo, hi, out):
+        out[0][:] = s[lo:hi]
+    return _adopt(0, _means(alpha, s.size, sums, 0))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
@@ -453,7 +502,11 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     n_last = a.end_index
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
-    return _adopt(1, _settled(_t([a.range_view(1, n_last)], alpha)[0]))
+    values = a.range_view(1, n_last)
+
+    def terms(lo, hi, out):  # v * a_v
+        np.multiply(values[lo:hi], np.arange(lo + 1.0, hi + 1.0), out=out[0])
+    return _adopt(1, _means(alpha, n_last, terms, 1))
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:

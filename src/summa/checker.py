@@ -29,18 +29,21 @@ sums) and returns its ``ConditionRecord`` as soon as its verdict is known,
 a pointwise record at its first violation, a scale record and the
 quasi-monotone record (whose trend reads every block) when the blocks end.
 The pass takes the conclusion's trace beside the table and keeps it on
-the bundle for ``conclusion_diagnostic``.  At alpha = 1 the pass holds no
-n-long array; at fractional orders the means of a and of a_n * lambda_n
-are made whole before the first block, in one kernel call.
+the bundle for ``conclusion_diagnostic``.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
 t of a_n * lambda_n, so their traces are the two lanes of one accumulator
 (``_MeanTraces``), which the pass owns: cond11 joins its lane as it starts,
 the pass joins the conclusion's once every builder has started and starts
-the sums, then pushes each block once, after the builders.
-Each block's terms sit side by side in an (m, 2) buffer, whose accumulate
-scans run once as complex128 (``accumulation``: complex addition is two
-float additions, so each lane has the bits of its own scan).  A lane whose
+the sums, then pushes each block once, after the builders.  The means
+themselves are the two lanes of one ``cesaro._MeanSource``, which holds
+every order's arithmetic: the checker hands it each block's terms and
+feeds the trace what it hands back, and tests no alpha.  At alpha = 1 the
+pass holds no n-long array; at other orders the source makes both means
+whole before the first block, in one kernel call.  Each block's
+terms and sums sit side by side in (m, 2) buffers, whose accumulate scans
+run once as complex128 (``accumulation``: complex addition is two float
+additions, so each lane has the bits of its own scan).  A lane whose
 mean goes non-finite, or whose operand the fractional kernel refuses,
 raises its error when its builder reads it; the other runs on.
 
@@ -76,11 +79,10 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _SampledSums
-from .cesaro import _settled, _t
+from .cesaro import _MeanSource, _settled
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
-from .sequences import (_NON_FINITE, CesaroParams, RealSequence, _real,
-                        _verify)
+from .sequences import CesaroParams, RealSequence, _real, _verify
 
 __all__ = [
     "GrowthVerdict",
@@ -655,32 +657,24 @@ def _param_gate(ctx: _Context, name: str) -> _Step:
 class _MeanTraces:
     """The power traces sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of cond11,
     whose means are w of a_n, and of the conclusion, whose means are t of
-    a_n * lambda_n: the lanes of one ``_PowerTrace``.  cond11's builder
-    joins its lane as it starts and reads it when the blocks end; the pass
-    joins the conclusion's once every builder has started and reads it
-    after the last push (a check runs both, ``conclusion_diagnostic`` the
-    conclusion's alone).  The pass starts the sums once every lane has
+    a_n * lambda_n: the lanes of one ``_PowerTrace``, fed by the lanes of
+    one ``cesaro._MeanSource``.  cond11's builder joins its lane as it
+    starts and reads it when the blocks end; the pass joins the
+    conclusion's once every builder has started and reads it after the
+    last push (a check runs both, ``conclusion_diagnostic`` the
+    conclusion's alone).  The pass starts the means once every lane has
     joined, then pushes each block once, after the builders, whose role
-    blocks are then still in cache (pushed before them, a check at
-    n = 1e6 ran 2 % slower).  Both run in the pass's ``np.errstate``
-    scope, so a lane's overflow is neither a warning nor another builder's
-    error.  At alpha = 1 a push sums the means as the lanes of one
-    ``accumulation._Neumaier`` (w is |t| there, and the trace takes the
-    abs).  Other orders make every lane's means whole as the sums start, in
-    one kernel call (``cesaro._t``), so the coefficients and the kernel's
-    slices and spectra are made once for both lanes.  A lane is dead where
-    its means go non-finite, or where the kernel refused it: it sums from
-    zero again, or sums zeros, so later blocks are not redone, and reading
-    its trace raises its error.  Once every lane is dead, a push does
-    nothing."""
+    blocks are then still in cache (pushed before them, a check at n = 1e6
+    ran 2 % slower); the means take their terms from that block.  Both run
+    in the pass's ``np.errstate`` scope, so a lane's overflow is neither a
+    warning nor another builder's error.  A dead lane (its error in the
+    source's ``dead``) sums zeros, and reading its trace raises its error.
+    Once every lane is dead, a push does nothing."""
 
     def __init__(self, bundle: FamilyBundle,
                  checkpoints: tuple[int, ...]) -> None:
         self._bundle, self._cps = bundle, checkpoints
         self._maximal: list[bool] = []
-        self._whole: list[np.ndarray] = []  # each lane's means, alpha < 1
-        self._dead: dict[int, Exception] = {}  # a dead lane's error
-        self._acc = None  # the running sums, alpha = 1
 
     def join(self, maximal: bool) -> int:
         """A new lane, of w of a_n when ``maximal`` and of t of
@@ -689,61 +683,38 @@ class _MeanTraces:
         return len(self._maximal) - 1
 
     def start(self) -> None:
-        """The sums of every lane joined, and at fractional orders their
-        means, before the first push."""
-        b, lanes, n = self._bundle, len(self._maximal), self._bundle.n
-        self._trace = _PowerTrace(b.params.k, self._cps, lanes)
-        if b.params.alpha == 1.0:
-            size = min(accumulation._BLOCK, n)
-            self._acc = accumulation._Neumaier(size, lanes)
-            self._x = accumulation._lane_buffer(size, lanes)
-            self._t = np.empty((lanes, size))
-            return
-        a, lam = b.a._block(0, n), b.lam._block(0, n)
-        self._whole = _t([a if maximal else a * lam
-                          for maximal in self._maximal], b.params.alpha)
-        for lane, t in enumerate(self._whole):
-            if isinstance(t, Exception):
-                self._dead[lane] = t
-                self._whole[lane] = np.broadcast_to(0.0, n)
-            elif self._maximal[lane]:
-                np.maximum.accumulate(np.abs(t, out=t), out=t)
+        """The sums and the means of every lane joined, before the first
+        push."""
+        b, maximal = self._bundle, self._maximal
+        self._trace = _PowerTrace(b.params.k, self._cps, len(maximal))
+
+        # not a method: that would tie the source and this object in a
+        # cycle, whose buffers only the cyclic collector frees
+        def terms(lo, hi, out, block=None):
+            """Each lane's terms v * a_v (maximal) or v * (a_v * lambda_v),
+            v = lo + 1..hi, into ``out``: from the pass's ``block``, or from
+            the roles where there is none (every index, before the first
+            block)."""
+            a, lam, n = ((b.a._block(lo, hi), b.lam._block(lo, hi),
+                          np.arange(lo + 1.0, hi + 1.0)) if block is None
+                         else (block.a, block.lam, block.n))
+            for col, w in zip(out, maximal):
+                np.multiply(a if w else np.multiply(a, lam, out=col), n,
+                            out=col)
+        self._source = _MeanSource(b.params.alpha, b.n, terms, maximal)
 
     def push(self, block: _Block) -> None:
-        lanes, m = len(self._maximal), block.a.size
-        if len(self._dead) == lanes:
+        if len(self._source.dead) == len(self._maximal):
             return
-        if self._acc is None:
-            values = [v[block.lo:block.hi] for v in self._whole]
-        else:  # t_n^1: sum v * a_v or v * (a_v * lambda_v), / (n + 1)
-            x, values = self._x[:m], self._t[:, :m]
-            for col, maximal in zip(accumulation._lanes(x), self._maximal):
-                if maximal:
-                    np.multiply(block.a, block.n, out=col)
-                else:
-                    np.multiply(block.a, block.lam, out=col)
-                    np.multiply(col, block.n, out=col)
-            total, comp = self._acc.push(x)
-            # A_n^1 = n + 1, into x's first m values, free once x is summed
-            n1 = np.add(block.n, 1.0, out=self._x.reshape(-1)[:m])
-            # lane j's total + comp, from column j (or all of a single lane)
-            np.add(total.T, comp.T, out=values)
-            values /= n1
-        self._trace.push(block.n, block.phi, *values)
-        # a non-finite term leaves its lane's t non-finite from there on
-        # (alpha = 1 only: at other orders ``_t`` refused such a lane)
-        for lane, v in enumerate(values):
-            if not np.isfinite(v).all():  # else every later block is redone
-                self._dead[lane] = ValueError(_NON_FINITE)
-                self._trace.restart(lane)
-                self._acc.restart(lane)
+        self._trace.push(block.n, block.phi,
+                         *self._source.push(block.lo, block.hi, block))
 
     def trace(self, lane: int, name: str) -> FunctionalTrace:
         """The lane's trace once every block is pushed: a dead lane raises
         its error, a trace refused (its sums overflowed) raises under
         ``name``."""
-        if lane in self._dead:
-            raise self._dead[lane]
+        if lane in self._source.dead:
+            raise self._source.dead[lane]
         return _named(name, self._trace.trace, lane)
 
 

@@ -218,10 +218,6 @@ class _PowerTrace:
         np.abs(out, out=out)
         self._sums.push(np.power(out, self._k, out=out))
 
-    def restart(self, lane: int) -> None:
-        """Sum ``lane`` from zero again (``_Neumaier.restart``)."""
-        self._sums._acc.restart(lane)
-
     def trace(self, lane: int = 0) -> FunctionalTrace:
         # the running max guards FunctionalTrace's non-decreasing check.  It
         # has moved no sum: no compensated prefix of non-negative terms was

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from summa import cesaro
+from summa import cesaro, checker
 from summa.accumulation import compensated_cumsum
 from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
                           _round_rows, _settled, cesaro_coefficients,
@@ -769,13 +769,22 @@ class TestKernelDotPrefixes:
         assert [r.tolist() for r in rows] == want
 
     def test_t_frees_its_lanes_before_the_kernel_call(self, monkeypatch):
-        # the lanes (a and a * lambda in a check) are gone once _t has made
-        # n * a_n, and operand 0 is gone before operand 1's rows start
-        a = operand(300, "unit", 0)
-        want = [cesaro._t([a], 0.5)[0], cesaro._t([-2.0 * a], 0.5)[0]]
-        lanes = [[a.copy(), -2.0 * a]]  # only _t holds the inner list
-        refs = [weakref.ref(lane) for lane in lanes[0]]
-        calls, rows_at_width = [], cesaro._rows_at_width
+        # a check's lanes, its blocks of a and lambda (all n indices at
+        # fractional orders), are gone once the means' terms v * a_v and
+        # v * a_v * lambda_v are made, and operand 0 is gone before operand
+        # 1's rows start
+        n, alpha = 300, 0.5
+        bundle = builtin_family("F1", n, {"alpha": alpha})
+        a = bundle.a.values
+        want = [w_sequence(cesaro_t(bundle.a, alpha), alpha).values,
+                cesaro_t(RealSequence(1, a * bundle.lam.values), alpha).values]
+        refs, calls, rows_at_width = [], [], cesaro._rows_at_width
+        for cls in {type(bundle.a), type(bundle.lam)}:
+            def spied(seq, lo, hi, block=cls._block):
+                out = block(seq, lo, hi)
+                refs.append(weakref.ref(out))
+                return out
+            monkeypatch.setattr(cls, "_block", spied)
 
         def spy(sliced, x, growth, last):
             calls.append([r() is None for r in refs])
@@ -783,8 +792,12 @@ class TestKernelDotPrefixes:
             return rows_at_width(sliced, x, growth, last)
 
         monkeypatch.setattr(cesaro, "_rows_at_width", spy)
-        got = cesaro._t(lanes.pop(), 0.5)
+        means = checker._MeanTraces(bundle, (1, 2, 3, n))
+        means.join(maximal=True)
+        means.join(maximal=False)
+        means.start()
         assert calls == [[True, True], [True, True, True]]
+        got = means._source.push(0, n)
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
 
     @pytest.mark.parametrize("noisy", ["first", "second", "every"])
