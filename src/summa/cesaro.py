@@ -41,7 +41,11 @@ exponent and rounding, and leaves the call's operand list once its rows
 are settled.  It is the one finiteness gate of the fractional means: a
 non-finite operand is a ``ValueError`` as in ``RealSequence``, else a
 non-finite kernel one of its own, and a row beyond the float range an
-``OverflowError``, each of that operand alone.
+``OverflowError``, each of that operand alone.  Where the denominators
+A_n^alpha overflow (a large alpha), ``_MeanSource`` runs no kernel: an
+operand that is not finite keeps that message, and a finite one is refused
+with an error that names alpha.  Below that overflow the kernel is finite,
+since |A_m^(alpha-1)| <= max(A_m^alpha, 1).
 """
 
 from __future__ import annotations
@@ -405,7 +409,8 @@ class _MeanSource:
     and the means are made whole as the source starts: the coefficients and
     the kernel once, and one kernel call (``_kernel_dot_prefixes``, the one
     finiteness gate of the operands) for every lane; a push hands out
-    slices.
+    slices.  Where A^alpha overflows (a large alpha), no kernel runs: a
+    lane of finite terms is refused with an error that names alpha.
 
     A lane is dead where the kernel refused its operand or its means went
     non-finite: ``dead`` holds its error, and the lane hands out zeros from
@@ -424,8 +429,16 @@ class _MeanSource:
         self._denom = cesaro_coefficients(alpha, first + n - 1)[first:]
         xs = [np.empty(n) for _ in maximal]
         terms(0, n, xs)
-        kernel = _binomial_weights(alpha - 1.0, n - 1)
-        self._whole = _kernel_dot_prefixes(kernel, xs)
+        over = ~np.isfinite(self._denom)
+        if over.any():  # no kernel call; an operand's own error comes first
+            error = ValueError(f"alpha={alpha:g}: the Cesaro coefficients "
+                               f"A_n^alpha overflow from n = "
+                               f"{first + int(np.argmax(over))}")
+            self._whole = [error if np.isfinite(x).all()
+                           else ValueError(_NON_FINITE) for x in xs]
+        else:  # A_m^(alpha-1) <= max(A_m^alpha, 1), so the kernel is finite
+            kernel = _binomial_weights(alpha - 1.0, n - 1)
+            self._whole = _kernel_dot_prefixes(kernel, xs)
         self.dead = {lane: rows for lane, rows in enumerate(self._whole)
                      if isinstance(rows, Exception)}
 

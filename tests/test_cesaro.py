@@ -228,6 +228,28 @@ def test_overflowing_operand_has_one_message_at_every_order(transform,
         transform(seq, alpha)
 
 
+@pytest.mark.parametrize("transform", [cesaro_sigma, cesaro_t])
+def test_overflowing_coefficients_are_refused_with_alpha(transform):
+    # A_n^150 overflows from n = 6333 while the kernel A^149 stays finite to
+    # n = 6496: the means are refused, not divided by inf into zeros
+    seq = RealSequence(0, np.full(6340, 1e-300))
+    with pytest.raises(ValueError, match=r"^alpha=150: the Cesaro "
+                       r"coefficients A_n\^alpha overflow from n = 6333$"):
+        transform(seq, 150.0)
+
+
+def test_an_operand_error_comes_before_the_coefficients():
+    # as from the kernel: a non-finite operand's own message first, the
+    # coefficients' only for a finite operand (A_2^1e300 overflows)
+    def terms(lo, hi, out):
+        out[0][:], out[1][:] = math.nan, 1.0
+
+    source = cesaro._MeanSource(1e300, 8, terms, (False, False))
+    assert [str(source.dead[lane]) for lane in (0, 1)] == [
+        "sequence values must be finite",
+        "alpha=1e+300: the Cesaro coefficients A_n^alpha overflow from n = 2"]
+
+
 @pytest.mark.parametrize("transform", ["sigma", "t"])
 def test_alpha_one_means_divide_in_place(transform):
     # the compensated sums are divided a block of indices at a time, into

@@ -219,11 +219,18 @@ _DUMP_TERMS_OVERFLOW = {
     "mode": "transform_dump", "params": {"alpha": 0.5},
     "sequence": {"family": "power_decay", "params": {"p": 0, "c": 1e308},
                  "n": 16, "start": 0}}
-# finite terms whose Cesaro kernel A^(alpha - 1) overflows: the kernel, not
-# the sequence, is refused
+# finite terms whose Cesaro coefficients A^alpha overflow: alpha, not the
+# sequence, is refused, whether the kernel A^(alpha - 1) overflows too
+# (alpha = 1e300) or stays finite (alpha = 150, whose means were divided by
+# inf into zeros from n = 6333 on)
 _DUMP_KERNEL_OVERFLOW = {
     "mode": "transform_dump", "params": {"alpha": 1e300},
     "sequence": {"family": "alternating_unit", "n": 8, "start": 0}}
+_DUMP_COEFFICIENT_OVERFLOW = {
+    "mode": "transform_dump",
+    "sequence": {"family": "power_decay", "params": {"p": 0, "c": 1e-300},
+                 "n": 6340, "start": 0},
+    "params": {"alpha": 150, "k": 1.5, "beta": 0.0, "epsilon": 1.0}}
 
 # configs and the one line each writes to stderr, exactly
 _STDERR = [
@@ -246,7 +253,11 @@ _STDERR = [
                   "everywhere; first non-positive entry at index 1"),
     (_A_TERMS_OVERFLOW, "bundle: sequence values must be finite"),
     (_DUMP_TERMS_OVERFLOW, "sequence: sequence values must be finite"),
-    (_DUMP_KERNEL_OVERFLOW, "sequence: Cesaro sums need finite terms"),
+    (_DUMP_KERNEL_OVERFLOW, "sequence: alpha=1e+300: the Cesaro coefficients "
+                            "A_n^alpha overflow from n = 2"),
+    (_DUMP_COEFFICIENT_OVERFLOW, "sequence: alpha=150: the Cesaro "
+                                 "coefficients A_n^alpha overflow from "
+                                 "n = 6333"),
 ]
 
 
@@ -304,9 +315,11 @@ def _object_paths(obj, path=()):
          config=_A_TERMS_OVERFLOW)
 @example(flip=None, slope=None, joined=True, unshape=None,
          config=_DUMP_TERMS_OVERFLOW)
-# alpha = 1e300 overflows the kernel of finite terms
+# alpha = 1e300 and alpha = 150 overflow the coefficients of finite terms
 @example(flip=None, slope=None, joined=True, unshape=None,
          config=_DUMP_KERNEL_OVERFLOW)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_DUMP_COEFFICIENT_OVERFLOW)
 # v * a_v overflows: the means of a non-finite operand are refused
 @example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 16,
