@@ -250,6 +250,37 @@ def test_an_operand_error_comes_before_the_coefficients():
         "alpha=1e+300: the Cesaro coefficients A_n^alpha overflow from n = 2"]
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("p", [0, 1])
+def test_t_and_w_follow_their_closed_forms(p, alpha):
+    # a_v = (-1)^v v^(-p).  The numerator of t_n is the n-th coefficient of
+    # (1 - x)^(-alpha) g(x), g(x) = sum v a_v x^v = -x / (1 + x)^(2 - p),
+    # and A_n^alpha ~ n^alpha / Gamma(1 + alpha).  g's pole at x = -1
+    # gives the leading term (-1)^n 2^(-alpha) Gamma(1 + alpha)
+    # n^(1 - alpha - p), and the branch point of (1 - x)^(-alpha) at x = 1
+    # gives alpha g(1) / n, with g(1) = -1/4 (p = 0) or -1/2 (p = 1)
+    # (singularity analysis: Flajolet and Sedgewick, Analytic
+    # Combinatorics, ch. VI).  The next term is the leading one times
+    # -alpha^2 / (2n) (p = 0) or -alpha (alpha + 1) / (2n) (p = 1), below
+    # 1/n in size for alpha <= 3/4, and the terms after it are O(n^-2)
+    # relative; the tolerance, 2/n of the leading term, is twice that
+    # bound.  Leaving out alpha g(1) / n misses by up to 4.3e-2 of the
+    # leading term (p = 1, alpha = 3/4)
+    n = 1 << 16
+    v = np.arange(1.0, n + 1.0)
+    a = RealSequence(1, np.where(v % 2 == 0, 1.0, -1.0) / v ** p)
+    t = cesaro_t(a, alpha)
+    g1 = -0.25 if p == 0 else -0.5
+    for m in (n - 1, n):
+        lead = ((-1) ** m * 2.0 ** -alpha * math.gamma(1.0 + alpha)
+                * m ** (1.0 - alpha - p))
+        assert abs(t.values[m - 1] - (lead + alpha * g1 / m)) <= 2 / m * abs(
+            lead), m
+    if p == 1:
+        # |t| decays from |t_1| = 1 / (1 + alpha), so that is w at every n
+        assert w_sequence(t, alpha).values[-1] == 1 / (1 + alpha)
+
+
 @pytest.mark.parametrize("transform", ["sigma", "t"])
 def test_alpha_one_means_divide_in_place(transform):
     # the compensated sums are divided a block of indices at a time, into

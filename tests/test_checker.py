@@ -198,6 +198,23 @@ class TestCheckMainTheorem:
         with pytest.raises(ValueError, match="0 < alpha <= 1"):
             check_main_theorem(bundle)
 
+    def test_x_class_carries_its_running_max_across_a_block_edge(self):
+        # X = log(n + 2) up to index 2**14, the last of the first block,
+        # then 1e-8: X_n / max_(v<=n) X_v drops to 1e-8 / log(2**14 + 2)
+        # only where the first block's max reaches the second block
+        n = _BLOCK + 64
+        f1 = builtin_family("F1", n)
+        idx = np.arange(1.0, n + 1.0)
+        X = np.where(idx <= _BLOCK, np.log(idx + 2.0), 1e-8)
+        bundle = dataclasses.replace(
+            f1, X=RealSequence(1, X),
+            **{name: RealSequence(1, getattr(f1, name).values)
+               for name in ("a", "lam", "Q", "delta")})
+        report = check_main_theorem(bundle)
+        rec = next(r for r in report.records if r.condition == "X_class")
+        assert not rec.passed
+        assert rec.notes == "inf_ratio=1.03048e-09 floor=1e-06"
+
     def test_report_serialization(self):
         report = check_main_theorem(builtin_family("F1", 256))
         obj = report.to_json()
