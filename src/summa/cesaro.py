@@ -17,9 +17,12 @@ Everything here is double precision; alpha = 1 collapses to O(N) compensated
 cumulative sums since the kernel A^0 is identically 1.  The coefficients are
 a compensated product, within about half an ulp of the exact one.  Every
 mean is handed out a block at a time by one source (``_MeanSource``), of
-one or two lanes of terms, at every order: ``cesaro_sigma`` and
-``cesaro_t`` drain one lane, and the checker's one pass over a bundle reads
-w of a_n and t of a_n * lambda_n from two lanes of one source, so both get
+one or two lanes of terms, at every order.  The source forms each lane's
+terms itself, as the product of the lane's factors: a sequence's blocks,
+a slice of an array, or the indices v (``_indices``).  ``cesaro_sigma``
+and ``cesaro_t`` drain one lane, of s_v and of v * a_v, and the checker's
+one pass over a bundle reads w of a_n and t of a_n * lambda_n from two
+lanes of one source, of v * a_v and of v * a_v * lambda_v, so both get
 the same bits.
 
 Fractional orders convolve in O(N log N), and each inner sum
@@ -390,6 +393,12 @@ def _settled(result):
     return result
 
 
+def _indices(lo: int, hi: int) -> np.ndarray:
+    """The indices lo + 1..hi of offsets lo..hi-1, as floats: the v of
+    v * a_v."""
+    return np.arange(lo + 1.0, hi + 1.0)
+
+
 class _MeanSource:
     """Order-alpha means of one or two lanes of terms, handed out a block
     at a time.  A lane's terms are x_0, x_1, .. of indices first,
@@ -400,35 +409,39 @@ class _MeanSource:
     t^alpha for first = 1 and x_i = (i + 1) a_(i+1).  A ``maximal`` lane
     hands out w^alpha instead: |t| at alpha = 1, else the running max of
     |t|, carried from block to block (max is exact, so the bits are those
-    of one whole-array max).  ``terms(lo, hi, out, *args)`` writes each
-    lane's x_lo..x_(hi-1) into ``out``, one array per lane.
+    of one whole-array max).  A lane is a tuple of factors ``f(lo, hi)``,
+    each giving its values at offsets lo..hi-1 (a role's ``_block``, a
+    slice of an array, ``_indices``), and its terms x_lo..x_(hi-1) are
+    their product, left to right.  Each distinct factor is read once per
+    block, so a factor that two lanes share is made once.
 
     At alpha = 1 the kernel A^0 is all ones and A_m^1 = m + 1, so each push
-    sums the block's terms as the lanes of one ``accumulation._Neumaier``
-    and divides.  Every other alpha is checked by ``cesaro_coefficients``,
-    and the means are made whole as the source starts: the coefficients and
-    the kernel once, and one kernel call (``_kernel_dot_prefixes``, the one
-    finiteness gate of the operands) for every lane; a push hands out
-    slices.  Where A^alpha overflows (a large alpha), no kernel runs: a
-    lane of finite terms is refused with an error that names alpha.
+    forms the block's terms and sums them as the lanes of one
+    ``accumulation._Neumaier``, then divides.  Every other alpha is checked
+    by ``cesaro_coefficients``, and the means are made whole as the source
+    starts: the terms of every index, the coefficients and the kernel once,
+    and one kernel call (``_kernel_dot_prefixes``, the one finiteness gate
+    of the operands) for every lane; a push hands out slices.  Where
+    A^alpha overflows (a large alpha), no kernel runs: a lane of finite
+    terms is refused with an error that names alpha.
 
     A lane is dead where the kernel refused its operand or its means went
     non-finite: ``dead`` holds its error, and the lane hands out zeros from
     then on, so no later block of a caller's sums is redone."""
 
-    def __init__(self, alpha: float, n: int, terms,
+    def __init__(self, alpha: float, n: int, lanes: list[tuple],
                  maximal: Sequence[bool] = (False,), first: int = 1) -> None:
-        lanes, size = len(maximal), min(accumulation._BLOCK, n)
-        self._maximal, self._first, self._terms = maximal, first, terms
+        size = min(accumulation._BLOCK, n)
+        self._lanes, self._maximal, self._first = lanes, maximal, first
         self._whole, self.dead = None, {}
         if alpha == 1.0:
-            self._acc = accumulation._Neumaier(size, lanes)
-            self._x = accumulation._lane_buffer(size, lanes)
-            self._out = np.empty((lanes, size))
+            self._acc = accumulation._Neumaier(size, len(lanes))
+            self._x = accumulation._lane_buffer(size, len(lanes))
+            self._out = np.empty((len(lanes), size))
             return
         self._denom = cesaro_coefficients(alpha, first + n - 1)[first:]
-        xs = [np.empty(n) for _ in maximal]
-        terms(0, n, xs)
+        xs = [np.empty(n) for _ in lanes]
+        self._terms(0, n, xs)
         over = ~np.isfinite(self._denom)
         if over.any():  # no kernel call; an operand's own error comes first
             error = ValueError(f"alpha={alpha:g}: the Cesaro coefficients "
@@ -442,13 +455,25 @@ class _MeanSource:
         self.dead = {lane: rows for lane, rows in enumerate(self._whole)
                      if isinstance(rows, Exception)}
 
-    def push(self, lo: int, hi: int, *args) -> list[np.ndarray]:
+    def _terms(self, lo: int, hi: int, out: list[np.ndarray]) -> None:
+        """Each lane's terms x_lo..x_(hi-1) into ``out``, one array per
+        lane: its factors' blocks multiplied left to right, a single one
+        copied.  The blocks are freed on return."""
+        blocks = {f: f(lo, hi) for f in dict.fromkeys(sum(self._lanes, ()))}
+        for lane, x in zip(self._lanes, out):
+            head, *rest = (blocks[f] for f in lane)
+            if not rest:
+                x[:] = head
+            for f in rest:
+                head = np.multiply(head, f, out=x)
+
+    def push(self, lo: int, hi: int) -> list[np.ndarray]:
         """Each lane's means of indices lo..hi-1, the block after the last
-        one pushed; ``args`` go to ``terms``.  The values are views that the
-        next push may overwrite."""
+        one pushed.  The values are views that the next push may
+        overwrite."""
         if self._whole is None:
             x = self._x[:hi - lo]
-            self._terms(lo, hi, accumulation._lanes(x), *args)
+            self._terms(lo, hi, accumulation._lanes(x))
             total, comp = self._acc.push(x)
             # lane j's total + comp, from column j (or all of a single lane)
             values = list(np.add(total.T, comp.T, out=self._out[:, :hi - lo]))
@@ -477,11 +502,12 @@ class _MeanSource:
 
 
 @np.errstate(all="ignore")
-def _means(alpha: float, n: int, terms, first: int) -> np.ndarray:
-    """One lane's means (``_MeanSource``) over all n indices, or its error
-    raised.  Arithmetic that overflows warns nothing: it leaves a
-    non-finite term or mean, which is the lane's error."""
-    source, out = _MeanSource(alpha, n, terms, first=first), np.empty(n)
+def _means(alpha: float, n: int, factors: tuple, first: int) -> np.ndarray:
+    """The means (``_MeanSource``) of one lane, of terms the product of
+    ``factors``, over all n indices, or its error raised.  Arithmetic that
+    overflows warns nothing: it leaves a non-finite term or mean, which is
+    the lane's error."""
+    source, out = _MeanSource(alpha, n, [factors], first=first), np.empty(n)
     for lo in range(0, n, accumulation._BLOCK):
         hi = min(lo + accumulation._BLOCK, n)
         out[lo:hi] = source.push(lo, hi)[0]
@@ -498,10 +524,7 @@ def cesaro_sigma(a: RealSequence, alpha: float) -> RealSequence:
     if a.start_index != 0:
         raise ValueError("cesaro_sigma requires a sequence starting at index 0")
     s = compensated_cumsum(a.values)
-
-    def sums(lo, hi, out):
-        out[0][:] = s[lo:hi]
-    return _adopt(0, _means(alpha, s.size, sums, 0))
+    return _adopt(0, _means(alpha, s.size, (lambda lo, hi: s[lo:hi],), 0))
 
 
 def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
@@ -516,10 +539,8 @@ def cesaro_t(a: RealSequence, alpha: float) -> RealSequence:
     if n_last < 1:
         raise ValueError("cesaro_t needs at least one term with index >= 1")
     values = a.range_view(1, n_last)
-
-    def terms(lo, hi, out):  # v * a_v
-        np.multiply(values[lo:hi], np.arange(lo + 1.0, hi + 1.0), out=out[0])
-    return _adopt(1, _means(alpha, n_last, terms, 1))
+    return _adopt(1, _means(alpha, n_last,
+                            (lambda lo, hi: values[lo:hi], _indices), 1))
 
 
 def w_sequence(t: RealSequence, alpha: float) -> RealSequence:

@@ -32,20 +32,23 @@ The pass takes the conclusion's trace beside the table and keeps it on
 the bundle for ``conclusion_diagnostic``.
 
 cond11 and the conclusion apply one functional to two means, w of a_n and
-t of a_n * lambda_n, so their traces are the two lanes of one accumulator
-(``_MeanTraces``), which the pass owns: cond11 joins its lane as it starts,
-the pass joins the conclusion's once every builder has started and starts
-the sums, then pushes each block once, after the builders.  The means
-themselves are the two lanes of one ``cesaro._MeanSource``, which holds
-every order's arithmetic: the checker hands it each block's terms and
-feeds the trace what it hands back, and tests no alpha.  At alpha = 1 the
-pass holds no n-long array; at other orders the source makes both means
-whole before the first block, in one kernel call.  Each block's
-terms and sums sit side by side in (m, 2) buffers, whose accumulate scans
-run once as complex128 (``accumulation``: complex addition is two float
-additions, so each lane has the bits of its own scan).  A lane whose
-mean goes non-finite, or whose operand the fractional kernel refuses,
-raises its error when its builder reads it; the other runs on.
+t of a_n * lambda_n, so their traces are the two lanes of one power trace,
+fed by the two lanes of one ``cesaro._MeanSource``.  The pass makes both
+once every builder has started: lane 0 is cond11's w, lane 1 the
+conclusion's t, and a pass with no table (``conclusion_diagnostic``'s own)
+has the t lane alone.  It pushes each block once, after the builders, and
+cond11 and the pass read their traces (``_Context.mean_trace``) when the
+blocks end.  The source holds every order's arithmetic and forms the
+terms v * a_v and v * a_v * lambda_v itself, from the roles' blocks and
+``cesaro._indices``: the checker names the factors, feeds the trace what
+the source hands back, and tests no alpha.  At alpha = 1 the pass holds
+no n-long array; at other orders the source makes both means whole
+before the first block, in one kernel call.  Each block's terms and sums
+sit side by side in (m, 2) buffers, whose accumulate scans run once as
+complex128 (``accumulation``: complex addition is two float additions,
+so each lane has the bits of its own scan).  A lane whose mean goes
+non-finite, or whose operand the fractional kernel refuses, raises its
+error when its builder reads it; the other runs on.
 
 Errors keep the order of a bundle whose roles were made whole before the
 check: a role's non-finite value (a, lambda, X, Q, delta, an explicit phi,
@@ -79,7 +82,7 @@ import numpy as np
 
 from . import accumulation
 from .accumulation import _SampledSums
-from .cesaro import _MeanSource, _settled
+from .cesaro import _indices, _MeanSource, _settled
 from .functionals import (CheckpointTrace, FunctionalTrace, WeightSpec,
                           _PowerTrace, validate_checkpoints)
 from .sequences import CesaroParams, RealSequence, _real, _verify
@@ -397,8 +400,9 @@ class _Context:
     checkpoints: tuple[int, ...]
     tol: Tolerances
     traces: dict = field(default_factory=dict)
-    # the traces cond11 and the conclusion share, made by each run
-    means: _MeanTraces | None = None
+    # the means and their power traces, made by each run (``mean_trace``)
+    _source: _MeanSource | None = None
+    _trace: _PowerTrace | None = None
 
     @classmethod
     def of(cls, bundle: FamilyBundle, checkpoints: Sequence[int] | None,
@@ -414,24 +418,27 @@ class _Context:
     def run(self, table) -> tuple[list, object]:
         """One pass over the bundle: each builder's record, or the exception
         it raised, and the conclusion's trace, or the exception reading it
-        raised.  Every builder starts, then the conclusion's lane joins and
-        the shared means start.  Each block's window of every role is made
-        once, its block checked, sent to every builder still running and
-        then pushed into the shared means; a role's non-finite value is
-        raised once every block has been read.  The pass is the one
+        raised.  Every builder starts, then the means.  Each block's window
+        of every role is made once, its block checked, sent to every builder
+        still running and then pushed into the means; a role's non-finite
+        value is raised once every block has been read.  The pass is the one
         ``np.errstate`` scope of a check (see the module docstring)."""
         b = self.bundle
         roles = [(name, seq) for name, seq in b._roles().items()
                  if seq is not None]
-        self.means = _MeanTraces(b, self.checkpoints)
         steps = [build(self, name) for name, build in table]
         results = [_advance(step, None) for step in steps]
-        # cond11 joins its lane as it starts, so the lanes are [w, t] (or
-        # [t]).  The means start once every builder has: at fractional
-        # orders that is the kernel call, the pass's peak at large n; what
-        # the builders hold by then is their block buffers, under 1 MiB
-        lane = self.means.join(maximal=False)
-        self.means.start()
+        # lane 0 is cond11's w of a_n, lane 1 the conclusion's t of
+        # a_n * lambda_n; a pass with no table (conclusion_diagnostic's
+        # own) has the t lane alone.  The means start once every builder
+        # has: at fractional orders that is the kernel call, the pass's
+        # peak at large n; what the builders hold by then is their block
+        # buffers, under 1 MiB
+        w, t = (b.a._block, _indices), (b.a._block, b.lam._block, _indices)
+        lanes = [w, t] if table else [t]
+        self._source = _MeanSource(b.params.alpha, b.n, lanes,
+                                   [lane is w for lane in lanes])
+        self._trace = _PowerTrace(b.params.k, self.checkpoints, len(lanes))
         failed = len(roles)  # the first role, in order, found non-finite
         k, beta = b.params.k, b.params.beta
         size = accumulation._BLOCK
@@ -451,16 +458,32 @@ class _Context:
             for i, step in enumerate(steps):
                 if results[i] is _LIVE:
                     results[i] = _advance(step, block)
-            self.means.push(block)
+            # after the builders, whose role blocks are then still in cache
+            # (pushed before them, a check at n = 1e6 ran 2 % slower).  The
+            # source reads a's and lambda's blocks again, as views of this
+            # window, since a generated sequence keeps its last block.  Once
+            # every lane is dead no push is needed
+            if len(self._source.dead) < len(lanes):
+                self._trace.push(block.n, block.phi,
+                                 *self._source.push(lo, hi))
         results = [_advance(step, None) if result is _LIVE else result
                    for step, result in zip(steps, results)]
         if failed < len(roles):
             raise roles[failed][1]._failure()
         try:
-            conclusion = self.means.trace(lane, "conclusion")
+            conclusion = self.mean_trace(len(lanes) - 1, "conclusion")
         except Exception as e:  # raised where the conclusion is read
             conclusion = e
         return results, conclusion
+
+    def mean_trace(self, lane: int, name: str) -> FunctionalTrace:
+        """The power trace sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of the
+        means of ``lane`` once every block is pushed: a dead lane (its
+        error in the source's ``dead``) raises its error, a trace refused
+        (its sums overflowed) raises under ``name``."""
+        if lane in self._source.dead:
+            raise self._source.dead[lane]
+        return _named(name, self._trace.trace, lane)
 
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
@@ -654,78 +677,13 @@ def _param_gate(ctx: _Context, name: str) -> _Step:
     return _pass_fail(name, gate > 1.0, f"k*alpha+epsilon={gate:.6g}")
 
 
-class _MeanTraces:
-    """The power traces sum_(n<=m) n^(-k) (|phi_n| mean_n)^k of cond11,
-    whose means are w of a_n, and of the conclusion, whose means are t of
-    a_n * lambda_n: the lanes of one ``_PowerTrace``, fed by the lanes of
-    one ``cesaro._MeanSource``.  cond11's builder joins its lane as it
-    starts and reads it when the blocks end; the pass joins the
-    conclusion's once every builder has started and reads it after the
-    last push (a check runs both, ``conclusion_diagnostic`` the
-    conclusion's alone).  The pass starts the means once every lane has
-    joined, then pushes each block once, after the builders, whose role
-    blocks are then still in cache (pushed before them, a check at n = 1e6
-    ran 2 % slower); the means take their terms from that block.  Both run
-    in the pass's ``np.errstate`` scope, so a lane's overflow is neither a
-    warning nor another builder's error.  A dead lane (its error in the
-    source's ``dead``) sums zeros, and reading its trace raises its error.
-    Once every lane is dead, a push does nothing."""
-
-    def __init__(self, bundle: FamilyBundle,
-                 checkpoints: tuple[int, ...]) -> None:
-        self._bundle, self._cps = bundle, checkpoints
-        self._maximal: list[bool] = []
-
-    def join(self, maximal: bool) -> int:
-        """A new lane, of w of a_n when ``maximal`` and of t of
-        a_n * lambda_n otherwise: its index.  Lanes join before ``start``."""
-        self._maximal.append(maximal)
-        return len(self._maximal) - 1
-
-    def start(self) -> None:
-        """The sums and the means of every lane joined, before the first
-        push."""
-        b, maximal = self._bundle, self._maximal
-        self._trace = _PowerTrace(b.params.k, self._cps, len(maximal))
-
-        # not a method: that would tie the source and this object in a
-        # cycle, whose buffers only the cyclic collector frees
-        def terms(lo, hi, out, block=None):
-            """Each lane's terms v * a_v (maximal) or v * (a_v * lambda_v),
-            v = lo + 1..hi, into ``out``: from the pass's ``block``, or from
-            the roles where there is none (every index, before the first
-            block)."""
-            a, lam, n = ((b.a._block(lo, hi), b.lam._block(lo, hi),
-                          np.arange(lo + 1.0, hi + 1.0)) if block is None
-                         else (block.a, block.lam, block.n))
-            for col, w in zip(out, maximal):
-                np.multiply(a if w else np.multiply(a, lam, out=col), n,
-                            out=col)
-        self._source = _MeanSource(b.params.alpha, b.n, terms, maximal)
-
-    def push(self, block: _Block) -> None:
-        if len(self._source.dead) == len(self._maximal):
-            return
-        self._trace.push(block.n, block.phi,
-                         *self._source.push(block.lo, block.hi, block))
-
-    def trace(self, lane: int, name: str) -> FunctionalTrace:
-        """The lane's trace once every block is pushed: a dead lane raises
-        its error, a trace refused (its sums overflowed) raises under
-        ``name``."""
-        if lane in self._source.dead:
-            raise self._source.dead[lane]
-        return _named(name, self._trace.trace, lane)
-
-
 def _cond11(ctx: _Context, name: str) -> _Step:
     # sum_(n<=m) n^(-k) (w_n |phi_n|)^k = O(X_m), w summed by the pass
-    lane = ctx.means.join(maximal=True)
     idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
     X = np.empty(idx.size)
     while (block := (yield)) is not None:
         _sample(idx, block, block.X, X)
-    trace = _named(name, dataclasses.replace, ctx.means.trace(lane, name),
+    trace = _named(name, dataclasses.replace, ctx.mean_trace(0, name),
                    reference=X)
     return ctx.traced_record(name, trace, notes="trace relative to X")
 

@@ -241,10 +241,9 @@ def test_overflowing_coefficients_are_refused_with_alpha(transform):
 def test_an_operand_error_comes_before_the_coefficients():
     # as from the kernel: a non-finite operand's own message first, the
     # coefficients' only for a finite operand (A_2^1e300 overflows)
-    def terms(lo, hi, out):
-        out[0][:], out[1][:] = math.nan, 1.0
-
-    source = cesaro._MeanSource(1e300, 8, terms, (False, False))
+    lanes = [(lambda lo, hi: np.full(hi - lo, math.nan),),
+             (lambda lo, hi: np.ones(hi - lo),)]
+    source = cesaro._MeanSource(1e300, 8, lanes, (False, False))
     assert [str(source.dead[lane]) for lane in (0, 1)] == [
         "sequence values must be finite",
         "alpha=1e+300: the Cesaro coefficients A_n^alpha overflow from n = 2"]
@@ -845,13 +844,17 @@ class TestKernelDotPrefixes:
             return rows_at_width(sliced, x, growth, last)
 
         monkeypatch.setattr(cesaro, "_rows_at_width", spy)
-        means = checker._MeanTraces(bundle, (1, 2, 3, n))
-        means.join(maximal=True)
-        means.join(maximal=False)
-        means.start()
+        pushed, push = [], cesaro._MeanSource.push
+
+        def spied_push(*args):
+            out = push(*args)
+            pushed.append([t.tobytes() for t in out])
+            return out
+
+        monkeypatch.setattr(cesaro._MeanSource, "push", spied_push)
+        checker.check_main_theorem(bundle, (1, 2, 3, n))
         assert calls == [[True, True], [True, True, True]]
-        got = means._source.push(0, n)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        assert pushed == [[t.tobytes() for t in want]]
 
     @pytest.mark.parametrize("noisy", ["first", "second", "every"])
     def test_fft_error_never_returned(self, monkeypatch, noisy):
