@@ -329,6 +329,9 @@ def _validate_bundle_spec(bundle: dict, mode: str) -> None:
             raise ConfigError(f"bundle.weight.{key}", "unknown field")
     if "phi" in weight:
         _validate_role(weight["phi"], "bundle.weight.phi")
+        if weight["kind"] != WeightKind.EXPLICIT_PHI.value:
+            raise ConfigError("bundle.weight.phi",
+                              f"{weight['kind']} weight takes no explicit phi")
     elif weight["kind"] == WeightKind.EXPLICIT_PHI.value:
         raise ConfigError("bundle.weight.phi", "required for explicit_phi")
 
@@ -353,14 +356,11 @@ def _role(spec: dict, n: int, pointer: str) -> RealSequence:
 
 
 def _weight_from_spec(spec: dict, role) -> WeightSpec:
-    from .functionals import WeightKind, WeightSpec
-    kind = WeightKind(spec["kind"])
-    if kind is WeightKind.EXPLICIT_PHI:
-        return WeightSpec(kind=kind,
-                          phi=role(spec["phi"], "bundle.weight.phi"))
+    from .functionals import WeightSpec
+    phi = role(spec["phi"], "bundle.weight.phi") if "phi" in spec else None
     try:
-        return WeightSpec(kind=kind, beta=spec.get("beta"))
-    except ValueError as e:
+        return WeightSpec(kind=spec["kind"], phi=phi, beta=spec.get("beta"))
+    except ValueError as e:  # phi is settled by _validate_bundle_spec
         raise ConfigError("bundle.weight.beta", str(e)) from e
 
 

@@ -232,6 +232,17 @@ _DUMP_COEFFICIENT_OVERFLOW = {
                  "n": 6340, "start": 0},
     "params": {"alpha": 150, "k": 1.5, "beta": 0.0, "epsilon": 1.0}}
 
+# a weight field that the kind has no use for is refused, not ignored: phi
+# beside a named power form (even one that would not build, power_decay
+# without p), beta beside an explicit phi
+_CLASSIC_PHI, _INDEXED_PHI, _EXPLICIT_BETA = (
+    {**_SHIPPED, "n": 64, "params": {"alpha": 1, "k": 2},
+     "bundle": {**_SHIPPED["bundle"], "weight": weight}}
+    for weight in ({"kind": "classic", "phi": {"family": "power_decay"}},
+                   {"kind": "indexed", "phi": {"family": "power_decay"}},
+                   {"kind": "explicit_phi", "beta": -5.0,
+                    "phi": {"family": "power_weight", "params": {"q": 0.5}}}))
+
 # configs and the one line each writes to stderr, exactly
 _STDERR = [
     (_PHI_WITHOUT_FAMILY, "bundle.weight.phi.family: required"),
@@ -258,6 +269,10 @@ _STDERR = [
     (_DUMP_COEFFICIENT_OVERFLOW, "sequence: alpha=150: the Cesaro "
                                  "coefficients A_n^alpha overflow from "
                                  "n = 6333"),
+    (_CLASSIC_PHI, "bundle.weight.phi: classic weight takes no explicit phi"),
+    (_INDEXED_PHI, "bundle.weight.phi: indexed weight takes no explicit phi"),
+    (_EXPLICIT_BETA, "bundle.weight.beta: beta must be finite and "
+                     "non-negative"),
 ]
 
 
@@ -359,6 +374,13 @@ def _object_paths(obj, path=()):
          config={**_N64, "bundle": _bundle(weight={
              "kind": "explicit_phi",
              "phi": {"family": "power_weight", "params": {"q": 0.5}}})})
+# weight fields that the kind has no use for
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_CLASSIC_PHI)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_INDEXED_PHI)
+@example(flip=None, slope=None, joined=True, unshape=None,
+         config=_EXPLICIT_BETA)
 # n^150 overflows while the sequence is generated
 @example(flip=None, slope=None, joined=True, unshape=None,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
