@@ -419,9 +419,10 @@ class _MeanSource:
     forms the block's terms and sums them as the lanes of one
     ``accumulation._Neumaier``, then divides.  Every other alpha is checked
     by ``cesaro_coefficients``, and the means are made whole as the source
-    starts: the terms of every index, the coefficients and the kernel once,
-    and one kernel call (``_kernel_dot_prefixes``, the one finiteness gate
-    of the operands) for every lane; a push hands out slices.  Where
+    starts: the terms of every index (a block at a time, so that no role
+    keeps more than a block), the coefficients and the kernel once, and one
+    kernel call (``_kernel_dot_prefixes``, the one finiteness gate of the
+    operands) for every lane; a push hands out slices.  Where
     A^alpha overflows (a large alpha), no kernel runs: a lane of finite
     terms is refused with an error that names alpha.
 
@@ -441,7 +442,9 @@ class _MeanSource:
             return
         self._denom = cesaro_coefficients(alpha, first + n - 1)[first:]
         xs = [np.empty(n) for _ in lanes]
-        self._terms(0, n, xs)
+        for lo in range(0, n, accumulation._BLOCK):  # a role keeps one block
+            hi = min(lo + accumulation._BLOCK, n)
+            self._terms(lo, hi, [x[lo:hi] for x in xs])
         over = ~np.isfinite(self._denom)
         if over.any():  # no kernel call; an operand's own error comes first
             error = ValueError(f"alpha={alpha:g}: the Cesaro coefficients "

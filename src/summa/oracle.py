@@ -18,31 +18,31 @@ Randomized suites hammer each statement over seeded input distributions
 and report violation counts; a correct implementation reports zero.
 
 Exactness contract: the API takes and returns ``Fraction`` values, but the
-inner sums run over Python integers.  alpha enters as its numerator and
-denominator; each kernel table A_j^(alpha-1) is kept, cached by those two
-ints and the length, as integer numerators K_j over the lcm L of its
-denominators, each input sequence as integer numerators over the lcm of
-its denominators, so an inner sum is one integer dot product, and
-A_m^alpha = sum_(j<=m) A_j^(alpha-1) is a prefix sum of the K_j.  The
-means t_m and the maximal sequence w_m of the decomposition are integer
-pairs (numerator, positive denominator) over one common scale, their
-running maximum taken by cross-multiplication, and its Hoelder floats are
-int / int divisions, correctly rounded like ``float()`` of the same
-rational.  Every
-returned rational is built once, by ``Fraction(numerator, denominator)``.
-It is the same rational that step-by-step ``Fraction`` arithmetic gives,
-and every comparison is made between integers over one positive common
-denominator, so every verdict is the same as well.
+inner sums run over Python integers.  Each kernel table A_j^(alpha-1) is
+cached, by alpha's numerator and denominator and the length, as integer
+numerators K_j over the lcm L of its denominators, and each input sequence
+is held as integer numerators over one scale: an inner sum is one integer
+dot product and A_m^alpha a prefix sum of the K_j.  The means t_m and w_m
+are integer pairs (numerator, positive denominator), compared by
+cross-multiplication.  Each lemma has one integer core (``_lemma1``,
+``_decomposition``); its public check validates, scales the inputs by the
+lcm of their denominators, calls the core and builds each rational it
+returns once, by ``Fraction(numerator, denominator)``.  Every comparison
+is between integers over one positive common denominator, so any positive
+scale gives the verdicts and rationals of step-by-step ``Fraction``
+arithmetic; the Hoelder floats, int / int divisions, are correctly rounded
+like ``float()`` of the same rational.
 
 Draw contract: every integer the suites draw (n, v, an alpha's index, a
-table index) comes from ``_below``, which makes the same ``getrandbits``
-calls that ``randint`` and ``choice`` make, and every float is
-``a + (b - a) * rng.random()``, which is ``uniform(a, b)``.  Each random
-rational is an index into a table of the 171 values Fraction(p, q), p in
--9..9 and q in 1..9, drawn as randint(-9, 9) and then randint(1, 9) would
-draw p and q.  So a seed gives the inputs, and leaves the generator in the
-state, that the ``randint``, ``choice`` and ``uniform`` calls and building
-Fraction(p, q) from them would.
+table index) comes from ``_below``, which makes the ``getrandbits`` calls
+of ``randint`` and ``choice``, and every float is ``a + (b - a) *
+rng.random()``, which is ``uniform(a, b)``.  A random rational is an index
+into the table of Fraction(p, q), p in -9..9 and q in 1..9, drawn as
+randint(-9, 9) and then randint(1, 9) would draw p and q.  So a seed gives
+the inputs, and the generator state, of those calls.  The lemma1 and
+decomposition suites take each rational as its numerator over the fixed
+scale 2520 = lcm(1..9) (``_NUM``) and call the cores: a trial makes no
+Fraction, lcm or result.
 """
 
 from __future__ import annotations
@@ -55,30 +55,18 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-__all__ = [
-    "RationalSequence",
-    "rational_cesaro_coefficients",
-    "rational_cesaro_t",
-    "AbelIdentityResult",
-    "abel_identity_check",
-    "LemmaBoundResult",
-    "lemma1_check",
-    "DecompositionResult",
-    "decomposition_bound_check",
-    "power_inequality_check",
-    "OracleSuiteReport",
-    "run_abel_suite",
-    "run_lemma1_suite",
-    "run_decomposition_suite",
-    "run_power_inequality_suite",
-    "run_all_suites",
-]
+__all__ = ["RationalSequence", "rational_cesaro_coefficients",
+           "rational_cesaro_t", "AbelIdentityResult", "abel_identity_check",
+           "LemmaBoundResult", "lemma1_check", "DecompositionResult",
+           "decomposition_bound_check", "power_inequality_check",
+           "OracleSuiteReport", "run_abel_suite", "run_lemma1_suite",
+           "run_decomposition_suite", "run_power_inequality_suite",
+           "run_all_suites"]
 
 # alpha values the randomized suites draw from; all in (0, 1] as the lemma
 # and decomposition require
 _ALPHA_POOL = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4), Fraction(1))
-_FRACTION_ONLY = {Fraction}
 
 
 @dataclass(frozen=True)
@@ -91,12 +79,9 @@ class RationalSequence:
     def __post_init__(self) -> None:
         if not isinstance(self.start_index, int) or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
-        vals = self.values
-        # the suites' inputs are already tuples of Fractions: keep them
-        if type(vals) is not tuple or {*map(type, vals)} != _FRACTION_ONLY:
-            vals = tuple([v if type(v) is Fraction else Fraction(v)
-                          for v in vals])
-            object.__setattr__(self, "values", vals)
+        vals = tuple([v if type(v) is Fraction else Fraction(v)
+                      for v in self.values])
+        object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("values must be non-empty")
 
@@ -116,15 +101,7 @@ def _weights_cached(order: Fraction, n_max: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _ratio(alpha) -> tuple[int, int]:
-    """alpha's numerator and positive denominator, in lowest terms."""
-    if type(alpha) is not Fraction:
-        alpha = Fraction(alpha)
-    return alpha.as_integer_ratio()
-
-
-# keyed by alpha = num/den as two ints, which hash and compare far faster
-# than the Fraction alpha - 1 the table is built from
+# keyed by alpha's two ints, which hash far faster than the Fraction alpha - 1
 @functools.lru_cache(maxsize=None)
 def _kernel_integers(num: int, den: int,
                      n_max: int) -> tuple[tuple[int, ...], int]:
@@ -139,14 +116,15 @@ def _kernel_integers(num: int, den: int,
 
 def _scaled_integers(values) -> tuple[list[int], int]:
     """Integers X_i and a scale D with values[i] = X_i / D."""
-    # lists rather than generators here, in the hot tuples below and in the
-    # suites' random inputs: CPython allocates a tuple built from a generator
-    # at a guessed size and resizes it, so every such tuple freed stays on a
-    # free list of its final size, which over an oracle run adds up to half a
-    # MiB of peak memory
+    # lists, not generators: resized tuples pile up on free lists (peak RSS)
     ratios = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*[q for _, q in ratios])
     return [p * (scale // q) for p, q in ratios], scale
+
+
+def _covers(name: str, seq: RationalSequence, lo: int, hi: int) -> None:
+    if seq.start_index > lo or seq.end_index < hi:
+        raise ValueError(f"{name} must cover indices {lo}..{hi}")
 
 
 def _covering(seq: RationalSequence, n: int) -> tuple[Fraction, ...]:
@@ -157,12 +135,9 @@ def _covering(seq: RationalSequence, n: int) -> tuple[Fraction, ...]:
 def _t_ratios(kernel: tuple[int, ...], terms: list[int]) -> list[tuple[int, int]]:
     """Pairs (r_m, s_m), s_m > 0, with t_m^alpha = r_m / (s_m D) for
     m = 1..n, from the kernel of ``_kernel_integers(num, den, n)`` and the
-    integers v X_v, v = 1..n, of a_v = X_v / D.
-
-    s_m = sum_(j<=m) K_j is L A_m^alpha, since A_m^alpha is the sum of
-    A_j^(alpha-1) over j <= m; so t_m, the kernel sum over L D divided by
-    A_m^alpha, is r_m / (s_m D).
-    """
+    integers v X_v, v = 1..n, of a_v = X_v / D.  s_m = sum_(j<=m) K_j is
+    L A_m^alpha, so t_m, the kernel sum over L D divided by A_m^alpha, is
+    r_m / (s_m D)."""
     n = len(terms)
     sums = list(itertools.accumulate(reversed(kernel)))
     # kernel[n + 1 - m:] starts at K_(m-1)
@@ -175,6 +150,7 @@ def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction,
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError("alpha must exceed -1")
+    _integers(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     return _weights_cached(alpha, n_max)
@@ -182,13 +158,13 @@ def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction,
 
 def rational_cesaro_t(a: RationalSequence, alpha: Fraction, n: int) -> tuple[Fraction, ...]:
     """Exact t_1^alpha .. t_n^alpha of a; a must cover indices 1..n."""
-    num, den = _ratio(alpha)
+    num, den = Fraction(alpha).as_integer_ratio()
     if num <= -den:
         raise ValueError("alpha must exceed -1")
+    _integers(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if a.start_index > 1 or a.end_index < n:
-        raise ValueError(f"a must cover indices 1..{n}")
+    _covers("a", a, 1, n)
     kernel, _ = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(_covering(a, n))
     t = _t_ratios(kernel, [v * x for v, x in enumerate(xs, start=1)])
@@ -211,15 +187,14 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
     with U_v = sum_(p=1..v) A_(n-p)^(alpha-1) p a_p.  The two are equal for
     every choice of inputs; any inequality is an implementation bug.
     """
-    num, den = _ratio(alpha)
+    num, den = Fraction(alpha).as_integer_ratio()
     if num <= -den:
         raise ValueError("alpha must exceed -1")
+    _integers(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if a.start_index > 1 or a.end_index < n:
-        raise ValueError(f"a must cover indices 1..{n}")
-    if lam.start_index > 1 or lam.end_index < n:
-        raise ValueError(f"lambda must cover indices 1..{n}")
+    _covers("a", a, 1, n)
+    _covers("lambda", lam, 1, n)
     kernel, scale = _kernel_integers(num, den, n - 1)
     xs, x_scale = _scaled_integers(_covering(a, n))
     ys, y_scale = _scaled_integers(_covering(lam, n))
@@ -248,23 +223,29 @@ def lemma1_check(a: RationalSequence, alpha: Fraction, n: int,
     lhs = |sum_(p=0..v) A_(n-p)^(alpha-1) a_p|
     rhs = max over 1 <= m <= v of |sum_(p=0..m) A_(m-p)^(alpha-1) a_p|
     """
-    num, den = _ratio(alpha)
+    num, den = Fraction(alpha).as_integer_ratio()
     if not (0 < num <= den):
         raise ValueError("the bound requires 0 < alpha <= 1")
+    _integers(n=n, v=v)
     if not (1 <= v <= n):
         raise ValueError("need 1 <= v <= n")
-    if a.start_index > 0 or a.end_index < v:
-        raise ValueError(f"a must cover indices 0..{v}")
+    _covers("a", a, 0, v)
     kernel, scale = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(a.values[:v + 1])
-    # both sides over the positive scale L * Dx: compare the numerators.
+    holds, lhs, rhs = _lemma1(kernel, n, xs)
+    scale *= x_scale
+    return LemmaBoundResult(holds, Fraction(lhs, scale), Fraction(rhs, scale))
+
+
+def _lemma1(kernel: tuple[int, ...], n: int,
+            xs: list[int]) -> tuple[bool, int, int]:
+    """Lemma 1's verdict and its two sides' numerators over L D, from
+    ``_kernel_integers(num, den, n)`` and a_p = X_p / D, p = 0..v."""
     # kernel runs K_n, K_(n-1), ..; kernel[n - m:] starts at K_m
     lhs = abs(sum(map(mul, kernel, xs)))
     rhs = max([abs(sum(map(mul, kernel[n - m:], xs)))
-               for m in range(1, v + 1)])
-    scale *= x_scale
-    return LemmaBoundResult(holds=(lhs <= rhs), lhs=Fraction(lhs, scale),
-                            rhs=Fraction(rhs, scale))
+               for m in range(1, len(xs))])
+    return lhs <= rhs, lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -295,32 +276,46 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
     T_n1 = (1/A_n^alpha) sum_(v=1..n-1) A_v^alpha w_v^alpha |D lambda_v|,
     T_n2 = |lambda_n| w_n^alpha.
     """
-    num, den = _ratio(alpha)
+    num, den = Fraction(alpha).as_integer_ratio()
     if not (0 < num <= den):
         raise ValueError("the decomposition requires 0 < alpha <= 1")
+    _integers(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if a.start_index > 1 or a.end_index < n:
-        raise ValueError(f"a must cover indices 1..{n}")
-    if lam.start_index > 1 or lam.end_index < n:
-        raise ValueError(f"lambda must cover indices 1..{n}")
+    _covers("a", a, 1, n)
+    _covers("lambda", lam, 1, n)
+    if type(k) is bool:
+        raise ValueError(f"k must be a number, got {k!r}")
     if not math.isfinite(k):
         raise ValueError("k must be finite")
     if k < 1.0:
         raise ValueError("k must be at least 1")
-
     kernel, k_scale = _kernel_integers(num, den, n)
     xs, x_scale = _scaled_integers(_covering(a, n))
     ys, y_scale = _scaled_integers(_covering(lam, n))
+    T, T1, T2, *rest = _decomposition(kernel, k_scale, xs, x_scale, ys,
+                                      y_scale, k)
+    return DecompositionResult(Fraction(*T), Fraction(*T1), Fraction(*T2),
+                               *rest)
+
+
+def _decomposition(kernel: tuple[int, ...], k_scale: int, xs: list[int],
+                   x_scale: int, ys: list[int], y_scale: int,
+                   k: float) -> tuple:
+    """``DecompositionResult``'s fields, T, T1 and T2 as (numerator,
+    denominator), from ``_kernel_integers(num, den, n)``, a_v = X_v / Dx
+    and lambda_v = Y_v / Dy, v = 1..n."""
+    n = len(xs)
     terms = [v * x for v, x in enumerate(xs, start=1)]
     t = _t_ratios(kernel, terms)
-    # w_m as pairs (r, s) worth r / (s Dx) like t_m: the running maximum of
-    # |t_m| by cross-multiplication, or |t_m| itself at alpha = 1
+    # w_m as pairs (r, s) worth r / (s Dx) like t_m: the running max of
+    # |t_m|, or |t_m| at alpha = 1, where K_1 / K_0 = A_1^(alpha-1) is 1
     w = []
     best_r, best_s = 0, 1
+    alpha_one = kernel[-2] == kernel[-1]
     for r, s in t:
         r = abs(r)
-        if num == den or r * best_s > best_r * s:
+        if alpha_one or r * best_s > best_r * s:
             best_r, best_s = r, s
         w.append((best_r, best_s))
     # A_v^alpha = c_v / L with c_v the s of t_v (see _t_ratios); T, T1 and
@@ -330,24 +325,18 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
 
     # T = sum_v K_(n-v) v X_v Y_v / (c_n Dx Dy)
     s_t = sum(map(mul, kernel[1:], map(mul, terms, ys)))
-    T = Fraction(s_t, c_n * scale)
-
     # |D lambda_v| Dy, and L A_v w_v = e_v / (f_v Dx) summed over the lcm M
     # of the f_v: T1 = s_num / (M c_n Dx Dy)
     dlam = [abs(d) for d in map(sub, ys, ys[1:])]
     aw = [(c * r, s) for (_, c), (r, s) in zip(t[:-1], w)]
     m_scale = math.lcm(*[f for _, f in aw])
     s_num = sum([e * (m_scale // f) * d for (e, f), d in zip(aw, dlam)])
-    T1 = Fraction(s_num, m_scale * c_n * scale)
     # T2 = |lambda_n| w_n
     w_r, w_s = w[-1]
     lam_w = abs(ys[-1]) * w_r
-    T2 = Fraction(lam_w, w_s * scale)
     # |T| <= T1 + T2, both sides times c_n M w_s Dx Dy > 0
     holds = abs(s_t) * m_scale * w_s <= s_num * w_s + lam_w * c_n * m_scale
 
-    # int / int is correctly rounded, so each float equals float() of the
-    # same rational
     if k > 1.0 and n > 1:
         kp = k / (k - 1.0)
         dl = [d / y_scale for d in dlam]
@@ -360,11 +349,9 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
     else:
         holder_lhs = s_num / (m_scale * k_scale * scale)  # T1 A_n
         holder_rhs = holder_lhs
-    holder_holds = holder_lhs <= holder_rhs * (1.0 + 1e-12)
-
-    return DecompositionResult(T=T, T1=T1, T2=T2, holds=holds,
-                               holder_lhs=holder_lhs, holder_rhs=holder_rhs,
-                               holder_holds=holder_holds)
+    return ((s_t, c_n * scale), (s_num, m_scale * c_n * scale),
+            (lam_w, w_s * scale), holds, holder_lhs, holder_rhs,
+            holder_lhs <= holder_rhs * (1.0 + 1e-12))
 
 
 def power_inequality_check(x: float, y: float, k: float) -> bool:
@@ -397,18 +384,20 @@ class OracleSuiteReport:
         return asdict(self)
 
 
-# every value _random_rational draws: Fraction(p, q) at index 9 p + q + 80
-# for p in -9..9 and q in 1..9, so Fraction(p) sits at 9 p + 81
+# every rational the suites draw: Fraction(p, q) at index 9 p + q + 80 for
+# p in -9..9 and q in 1..9 (Fraction(p) at 9 p + 81), and in _NUM its
+# numerator over lcm(1..9)
 _DRAWS = tuple([Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)])
+_SCALE = 2520
+_NUM = tuple([p * (_SCALE // q) for p in range(-9, 10) for q in range(1, 10)])
 
 
 def _below(bits, width: int) -> int:
     """rng.randrange(width), width >= 1, from ``bits = rng.getrandbits``
-    with the calls CPython's ``Random._randbelow`` makes: getrandbits(k),
-    k = width.bit_length(), until a draw falls below width.  So
-    ``a + _below(bits, b - a + 1)`` is rng.randint(a, b), and
-    ``seq[_below(bits, len(seq))]`` is rng.choice(seq), with the same
-    generator state after it."""
+    with the calls of CPython's ``Random._randbelow``: getrandbits(k),
+    k = width.bit_length(), until a draw is below width.  So randint(a, b)
+    is ``a + _below(bits, b - a + 1)`` and choice(seq) is
+    ``seq[_below(bits, len(seq))]``, to the generator state."""
     k = width.bit_length()
     r = bits(k)
     while r >= width:
@@ -416,11 +405,21 @@ def _below(bits, width: int) -> int:
     return r
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), from the table."""
+def _random_numerator(bits) -> int:
+    """2520 Fraction(randint(-9, 9), randint(1, 9)), from rng.getrandbits."""
     # 9 (p + 9) + (q - 1) = 9 p + q + 80
-    bits = rng.getrandbits
-    return _DRAWS[9 * _below(bits, 19) + _below(bits, 9)]
+    return _NUM[9 * _below(bits, 19) + _below(bits, 9)]
+
+
+def _strs(numerators: list[int]) -> list[str]:
+    return [str(Fraction(x, _SCALE)) for x in numerators]
+
+
+def _integers(**named) -> None:
+    """Refuse an argument that is not an int (a bool is refused too)."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _positive_count(name: str, value) -> None:
@@ -462,10 +461,10 @@ def run_abel_suite(seed: int, trials: int = 200,
         bits = rng.getrandbits
         n = 1 + _below(bits, max_n)
         # Fraction(randint(-9, 9)) sits at 9 (p + 9)
-        a = RationalSequence(1, tuple([_DRAWS[9 * _below(bits, 19)]
-                                       for _ in range(n)]))
-        lam = RationalSequence(1, tuple([_DRAWS[9 * _below(bits, 19)]
-                                         for _ in range(n)]))
+        a = RationalSequence(1, [_DRAWS[9 * _below(bits, 19)]
+                                 for _ in range(n)])
+        lam = RationalSequence(1, [_DRAWS[9 * _below(bits, 19)]
+                                   for _ in range(n)])
         alpha = alphas[_below(bits, len(alphas))]
         if abel_identity_check(a, lam, alpha, n).equal:
             return None
@@ -486,19 +485,17 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     alpha = 1/2, n = 2, v = 1 gives 1/2 on the left, 1/3 on the right).
     """
     _positive_count("max_n", max_n)
-    zero = [Fraction(0)]
 
     def trial(rng):
         bits = rng.getrandbits
         n = 1 + _below(bits, max_n)
         v = 1 + _below(bits, n)
-        a = RationalSequence(0, tuple(zero + [_random_rational(rng)
-                                              for _ in range(v)]))
+        xs = [0] + [_random_numerator(bits) for _ in range(v)]
         alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
-        if lemma1_check(a, alpha, n, v).holds:
+        kernel, _ = _kernel_integers(*alpha.as_integer_ratio(), n)
+        if _lemma1(kernel, n, xs)[0]:
             return None
-        return {"a": list(map(str, a.values)), "alpha": str(alpha),
-                "n": n, "v": v}
+        return {"a": _strs(xs), "alpha": str(alpha), "n": n, "v": v}
 
     return _run_suite("lemma1_bound", seed, trials, trial)
 
@@ -511,17 +508,16 @@ def run_decomposition_suite(seed: int, trials: int = 1000,
     def trial(rng):
         bits = rng.getrandbits
         n = 1 + _below(bits, max_n)
-        a = RationalSequence(1, tuple([_random_rational(rng)
-                                       for _ in range(n)]))
-        lam = RationalSequence(1, tuple([_random_rational(rng)
-                                         for _ in range(n)]))
+        xs = [_random_numerator(bits) for _ in range(n)]
+        ys = [_random_numerator(bits) for _ in range(n)]
         alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
-        result = decomposition_bound_check(a, lam, alpha, n)
-        if result.holds and result.holder_holds:
+        kernel, scale = _kernel_integers(*alpha.as_integer_ratio(), n)
+        *_, holds, _, _, holder_holds = _decomposition(
+            kernel, scale, xs, _SCALE, ys, _SCALE, 2.0)
+        if holds and holder_holds:
             return None
-        return {"a": list(map(str, a.values)),
-                "lambda": list(map(str, lam.values)),
-                "alpha": str(alpha), "n": n}
+        return {"a": _strs(xs), "lambda": _strs(ys), "alpha": str(alpha),
+                "n": n}
 
     return _run_suite("decomposition_bound", seed, trials, trial)
 
@@ -529,7 +525,6 @@ def run_decomposition_suite(seed: int, trials: int = 1000,
 def run_power_inequality_suite(seed: int,
                                trials: int = 10_000) -> OracleSuiteReport:
     def trial(rng):
-        # rng.uniform(a, b) is a + (b - a) * rng.random()
         u = rng.random
         x = -10.0 + 20.0 * u()
         y = -10.0 + 20.0 * u()

@@ -30,7 +30,8 @@ from summa.checker import (FamilyBundle, _quasi_monotone, _series_nqx,
 from summa.experiment import builtin_family, default_majorant
 from summa.functionals import WeightKind, WeightSpec
 from summa.sequences import (FAMILIES, CesaroParams, RealSequence,
-                             SequenceSpec, _generated, materialize)
+                             SequenceSpec, _BlockSequence, _generated,
+                             materialize)
 
 from helpers import drive, full_notes, notes, phi_of
 
@@ -182,6 +183,18 @@ def test_check_memory_does_not_grow_with_n(family):
     # the pass holds O(block) memory: 16 times the indices, not a MiB more
     small, large = traced_peak(family, 1 << 18), traced_peak(family, 1 << 22)
     assert large - small < 1 << 20, (small, large)
+
+
+def test_fractional_check_leaves_one_window_per_role():
+    # at 0 < alpha < 1 the means' terms are formed a block at a time, so
+    # after the check a and lambda keep the window the pass last read, as X,
+    # Q and delta do, not all n values
+    bundle = builtin_family("F1", 1 << 16, {"alpha": 0.5})
+    check_main_theorem(bundle)
+    kept = {role: len(seq._last[2]) for role, seq in vars(bundle).items()
+            if isinstance(seq, _BlockSequence)}
+    assert set(kept) == {"a", "lam", "X", "Q", "delta"}
+    assert set(kept.values()) == {kept["X"]} and kept["X"] <= _BLOCK + 2, kept
 
 
 REPO = Path(__file__).resolve().parents[1]

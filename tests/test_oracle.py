@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from operator import mul
@@ -17,7 +18,8 @@ from summa.cesaro import cesaro_t
 from summa.experiment import ExperimentConfig, run
 from summa.oracle import (_ALPHA_POOL, AbelIdentityResult,
                           DecompositionResult, LemmaBoundResult,
-                          RationalSequence, _weights_cached,
+                          OracleSuiteReport, RationalSequence,
+                          _kernel_integers, _weights_cached,
                           abel_identity_check, decomposition_bound_check,
                           lemma1_check, power_inequality_check,
                           rational_cesaro_coefficients, rational_cesaro_t,
@@ -228,18 +230,18 @@ class TestSuitePlumbing:
         assert set(rep) == {"check", "trials", "violations",
                             "first_violation_input", "seed"}
 
+    # the function each suite calls: the lemma1 and decomposition suites
+    # call the integer cores, the others the public checks
     @pytest.mark.parametrize("check, failing, suite, kw, first", [
         ("abel_identity_check",
          lambda *args: AbelIdentityResult(False, F(0), F(1)),
          run_abel_suite, {"max_n": 4},
          {"a": ["9", "8"], "lambda": ["-5", "2"], "alpha": "1", "n": 2}),
-        ("lemma1_check",
-         lambda *args: LemmaBoundResult(False, F(1), F(0)),
+        ("_lemma1", lambda *args: (False, 1, 0),
          run_lemma1_suite, {"max_n": 3},
          {"a": ["0", "1/4"], "alpha": "1", "n": 1, "v": 1}),
-        ("decomposition_bound_check",
-         lambda *args: DecompositionResult(F(1), F(0), F(0), False,
-                                           0.0, 0.0, True),
+        ("_decomposition",
+         lambda *args: ((1, 1), (0, 1), (0, 1), False, 0.0, 0.0, True),
          run_decomposition_suite, {"max_n": 3},
          {"a": ["1"], "lambda": ["-5/6"], "alpha": "3/4", "n": 1}),
         ("power_inequality_check", lambda *args: False,
@@ -517,13 +519,21 @@ class TestIntegerFirstPaths:
                 got = oracle._DRAWS[9 * p + q + 80]
                 assert type(got) is F and got == F(p, q)
 
+    def test_numerators_over_the_fixed_scale(self):
+        # lcm(1..9) = 2520 clears every denominator of the table
+        assert oracle._SCALE == 2520 == math.lcm(*range(1, 10))
+        assert len(oracle._NUM) == len(oracle._DRAWS) == 171
+        for num, x in zip(oracle._NUM, oracle._DRAWS):
+            assert type(num) is int and num == x * 2520
+
     def test_draws_follow_the_fraction_stream(self):
         # the table draw makes the generator calls that building the
         # Fraction makes, so every seed keeps its inputs
         for seed in range(1000):
             table, built = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert oracle._random_rational(table) == F(
+                got = oracle._random_numerator(table.getrandbits)
+                assert type(got) is int and got == 2520 * F(
                     built.randint(-9, 9), built.randint(1, 9))
             assert table.getstate() == built.getstate()
 
@@ -552,6 +562,36 @@ class TestIntegerFirstPaths:
         assert outcome(decomposition_bound_check, *args, k) == \
             outcome(ref_decomposition_bound_check, *args, k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 15), v=st.integers(1, 15),
+           idx=st.lists(st.integers(0, 170), min_size=31, max_size=31),
+           alpha=st.sampled_from(_ALPHA_POOL),
+           k=st.sampled_from([1.0, 1.5, 2.0, 3.7]))
+    def test_cores_judge_alike_at_the_fixed_and_the_lcm_scale(self, n, v, idx,
+                                                              alpha, k):
+        # every positive scale gives the same integer comparisons, so the
+        # suites' fixed scale 2520 judges table draws as the lcm scale of
+        # the public checks does, to the rationals and the Hoelder bits
+        kernel, scale = _kernel_integers(*alpha.as_integer_ratio(), n)
+        draws = [oracle._DRAWS[i] for i in idx]
+        fixed = [oracle._NUM[i] for i in idx]
+        v = min(v, n)
+        xs, d = oracle._scaled_integers(draws[:v + 1])
+        at_fixed = oracle._lemma1(kernel, n, fixed[:v + 1])
+        at_lcm = oracle._lemma1(kernel, n, xs)
+        assert at_fixed[0] is at_lcm[0]
+        assert [F(x, scale * 2520) for x in at_fixed[1:]] == \
+            [F(x, scale * d) for x in at_lcm[1:]]
+
+        def rebuilt(result):
+            return [F(*pair) for pair in result[:3]] + fields(result[3:])
+
+        xs, dx = oracle._scaled_integers(draws[:n])
+        ys, dy = oracle._scaled_integers(draws[15:15 + n])
+        assert rebuilt(oracle._decomposition(
+            kernel, scale, fixed[:n], 2520, fixed[15:15 + n], 2520, k)) == \
+            rebuilt(oracle._decomposition(kernel, scale, xs, dx, ys, dy, k))
+
     @pytest.mark.parametrize("alpha", [1, 0.5, "1/3", F(3, 4)])
     def test_alpha_of_any_rational_type(self, alpha):
         a, lam = _rat([F(1, 3), -2, F(5, 7)]), _rat([2, F(-1, 6), 1])
@@ -563,43 +603,6 @@ class TestIntegerFirstPaths:
         for name, args in cases.items():
             assert outcome(getattr(oracle, name), *args) == \
                 outcome(REFERENCES[name], *args), name
-
-
-def test_oracle_reports_byte_identical_with_fraction_loops(tmp_path,
-                                                           monkeypatch):
-    runs = {"s0": (0, 50), "s42": (42, None), "s20260815": (20260815, 50),
-            "smax": (2 ** 64 - 1, 50)}
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    exits = {}
-    for side in ("shipped", "reference"):
-        if side == "reference":
-            for name, fn in REFERENCES.items():
-                monkeypatch.setattr(oracle, name, counted(name, fn))
-        for label, (seed, trials) in runs.items():
-            obj = {"mode": "oracle", "seed": seed}
-            if trials is not None:
-                obj["trials"] = trials
-            exits[side, label] = run(ExperimentConfig.from_json(obj),
-                                     out_dir=tmp_path / side / label,
-                                     quiet=True).exit_status
-    # the suites call all but rational_cesaro_t, which the reference
-    # decomposition check calls itself
-    assert set(calls) == set(REFERENCES) - {"rational_cesaro_t"}
-    for label in runs:
-        assert exits["shipped", label] == exits["reference", label]
-        shipped = sorted((tmp_path / "shipped" / label).iterdir())
-        assert [p.name for p in shipped] == sorted(
-            p.name for p in (tmp_path / "reference" / label).iterdir())
-        for path in shipped:
-            assert path.read_bytes() == (
-                tmp_path / "reference" / label / path.name).read_bytes()
 
 
 # The suites' trial draws as randint, choice and uniform make them: the
@@ -636,31 +639,129 @@ def ref_power_inputs(rng):
             rng.uniform(1.0, 4.0))
 
 
-# suite, the check it calls, a passing result, the reference draws
-DRAWN_SUITES = {
-    "abel": (run_abel_suite, "abel_identity_check",
-             AbelIdentityResult(True, F(0), F(0)), ref_abel_inputs),
-    "lemma1": (run_lemma1_suite, "lemma1_check",
-               LemmaBoundResult(True, F(0), F(0)), ref_lemma1_inputs),
-    "decomposition": (run_decomposition_suite, "decomposition_bound_check",
-                      DecompositionResult(F(0), F(0), F(0), True,
-                                          0.0, 0.0, True),
-                      ref_decomposition_inputs),
-    "power_inequality": (run_power_inequality_suite, "power_inequality_check",
-                         True, ref_power_inputs),
+def ref_suite(check, default_trials, draw, judge, report):
+    """A suite as the randint, choice and uniform draws of ``draw`` and the
+    verdicts of ``judge`` make it, the first violation's input as
+    ``report`` writes it."""
+    def suite(seed, trials=default_trials):
+        rng = random.Random(seed)
+        failed = [args for args in (draw(rng) for _ in range(trials))
+                  if not judge(*args)]
+        return OracleSuiteReport(check, trials, len(failed),
+                                 report(*failed[0]) if failed else None, seed)
+    return suite
+
+
+def ref_decomposition_holds(*args):
+    result = ref_decomposition_bound_check(*args)
+    return result.holds and result.holder_holds
+
+
+def sequences_report(a, lam, alpha, n):
+    return {"a": [str(x) for x in a.values],
+            "lambda": [str(x) for x in lam.values], "alpha": str(alpha),
+            "n": n}
+
+
+# each suite of summa.oracle, from the reference draws and the Fraction loops
+REFERENCE_SUITES = {
+    "run_abel_suite": ref_suite(
+        "abel_identity", 200, ref_abel_inputs,
+        lambda *args: ref_abel_identity_check(*args).equal, sequences_report),
+    "run_lemma1_suite": ref_suite(
+        "lemma1_bound", 10_000, ref_lemma1_inputs,
+        lambda *args: ref_lemma1_check(*args).holds,
+        lambda a, alpha, n, v: {"a": [str(x) for x in a.values],
+                                "alpha": str(alpha), "n": n, "v": v}),
+    "run_decomposition_suite": ref_suite(
+        "decomposition_bound", 1000, ref_decomposition_inputs,
+        ref_decomposition_holds, sequences_report),
+    "run_power_inequality_suite": ref_suite(
+        "power_inequality", 10_000, ref_power_inputs, power_inequality_check,
+        lambda x, y, k: {"x": x, "y": y, "k": k}),
 }
 
 
-def exact_inputs(args):
-    """Every input with its type: sequences by start index and values,
+def test_oracle_reports_byte_identical_with_fraction_loops(tmp_path,
+                                                           monkeypatch):
+    runs = {"s0": (0, 50), "s42": (42, None), "s20260815": (20260815, 50),
+            "smax": (2 ** 64 - 1, 50)}
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    exits = {}
+    for side in ("shipped", "reference"):
+        if side == "reference":
+            for name, fn in REFERENCE_SUITES.items():
+                monkeypatch.setattr(oracle, name, counted(name, fn))
+        for label, (seed, trials) in runs.items():
+            obj = {"mode": "oracle", "seed": seed}
+            if trials is not None:
+                obj["trials"] = trials
+            exits[side, label] = run(ExperimentConfig.from_json(obj),
+                                     out_dir=tmp_path / side / label,
+                                     quiet=True).exit_status
+    # every reference suite ran in every run
+    assert sorted(calls) == sorted(list(REFERENCE_SUITES) * len(runs))
+    for label in runs:
+        assert exits["shipped", label] == exits["reference", label]
+        shipped = sorted((tmp_path / "shipped" / label).iterdir())
+        assert [p.name for p in shipped] == sorted(
+            p.name for p in (tmp_path / "reference" / label).iterdir())
+        for path in shipped:
+            assert path.read_bytes() == (
+                tmp_path / "reference" / label / path.name).read_bytes()
+
+
+def numerators(seq):
+    """2520 x for each value x of seq, as ints: 2520 = lcm(1..9) clears
+    every denominator a suite draws."""
+    scaled = [x * 2520 for x in seq.values]
+    assert all(x.denominator == 1 for x in scaled)
+    return [x.numerator for x in scaled]
+
+
+def lemma1_core_args(a, alpha, n, v):
+    """What the lemma1 suite hands its core for lemma1_check's arguments."""
+    return _kernel_integers(*alpha.as_integer_ratio(), n)[0], n, numerators(a)
+
+
+def decomposition_core_args(a, lam, alpha, n):
+    """What the decomposition suite hands its core for
+    decomposition_bound_check's arguments, at its k = 2."""
+    kernel, scale = _kernel_integers(*alpha.as_integer_ratio(), n)
+    return kernel, scale, numerators(a), 2520, numerators(lam), 2520, 2.0
+
+
+# suite, the function it calls, a passing result, the reference draws, and
+# the function's arguments from the reference inputs
+DRAWN_SUITES = {
+    "abel": (run_abel_suite, "abel_identity_check",
+             AbelIdentityResult(True, F(0), F(0)), ref_abel_inputs,
+             lambda *args: args),
+    "lemma1": (run_lemma1_suite, "_lemma1", (True, 0, 0), ref_lemma1_inputs,
+               lemma1_core_args),
+    "decomposition": (run_decomposition_suite, "_decomposition",
+                      ((0, 1), (0, 1), (0, 1), True, 0.0, 0.0, True),
+                      ref_decomposition_inputs, decomposition_core_args),
+    "power_inequality": (run_power_inequality_suite, "power_inequality_check",
+                         True, ref_power_inputs, lambda *args: args),
+}
+
+
+def exact(x):
+    """x with its type and, in a sequence, list or tuple, each item's;
     floats by their exact hex form."""
-    out = []
-    for x in args:
-        if isinstance(x, RationalSequence):
-            out.append((x.start_index, [(type(v), v) for v in x.values]))
-        else:
-            out.append((type(x), x.hex() if isinstance(x, float) else x))
-    return out
+    if isinstance(x, RationalSequence):
+        return x.start_index, exact(x.values)
+    if isinstance(x, (list, tuple)):
+        return type(x), [exact(v) for v in x]
+    return type(x), x.hex() if isinstance(x, float) else x
 
 
 def assert_suite_draws_like_reference(monkeypatch, name, seed, **kw):
@@ -668,7 +769,7 @@ def assert_suite_draws_like_reference(monkeypatch, name, seed, **kw):
     trial, draws the reference inputs from a generator of its own and
     compares them, and the two generators' states, with what the suite
     drew; then compare the states after the suite."""
-    suite, check, passing, reference = DRAWN_SUITES[name]
+    suite, check, passing, reference, arguments = DRAWN_SUITES[name]
     made = []
 
     class Tracked(random.Random):
@@ -682,8 +783,8 @@ def assert_suite_draws_like_reference(monkeypatch, name, seed, **kw):
 
     def recorder(*args):
         trial = len(checked)
-        want = reference(ref_rng, **ref_kw)
-        assert exact_inputs(args) == exact_inputs(want), trial
+        want = arguments(*reference(ref_rng, **ref_kw))
+        assert exact(args) == exact(want), trial
         assert made[-1].getstate() == ref_rng.getstate(), trial
         checked.append(trial)
         return passing
@@ -765,10 +866,44 @@ class TestNonFiniteArguments:
             power_inequality_check(1.0, 2.0, 0.5)
 
 
+A3, LAM3 = _rat([1, -2, 3]), _rat([2, F(1, 2), -1])
+A03 = _rat([0, 1, -2, 3], start=0)
+COUNTS = {
+    "rational_cesaro_coefficients": (
+        "n_max", lambda x: rational_cesaro_coefficients(F(1, 2), x)),
+    "rational_cesaro_t": ("n", lambda x: rational_cesaro_t(A3, F(1, 2), x)),
+    "abel_identity_check": (
+        "n", lambda x: abel_identity_check(A3, LAM3, F(1, 2), x)),
+    "lemma1_check_n": ("n", lambda x: lemma1_check(A03, F(1, 2), x, 1)),
+    "lemma1_check_v": ("v", lambda x: lemma1_check(A03, F(1, 2), 3, x)),
+    "decomposition_bound_check": (
+        "n", lambda x: decomposition_bound_check(A3, LAM3, F(1, 2), x)),
+}
+
+
+class TestIntegerArguments:
+    # a count that is not an int is refused with its name: 3.0 ended in a
+    # TypeError, and True ran as 1
+    @pytest.mark.parametrize("value", [3.0, True])
+    @pytest.mark.parametrize("case", list(COUNTS))
+    def test_a_count_must_be_an_int(self, case, value):
+        name, call = COUNTS[case]
+        call(3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            call(value)
+
+    def test_k_must_not_be_a_bool(self):
+        # it ran as k = 1.0
+        with pytest.raises(ValueError, match="^k must be a number, got True$"):
+            decomposition_bound_check(A3, LAM3, F(1, 2), 3, k=True)
+
+
 # Mutants: each check with one plausible bug in the step of the proof it
-# replays, patched in through the module global that its suite calls.  A
-# suite earns its zero only if it reports violations for each of them at
-# its default trials.
+# replays, patched in through the module global that its suite calls (for
+# lemma1 and the decomposition, the integer core, through an adapter that
+# rebuilds the check's arguments).  A suite earns its zero only if it
+# reports violations for each of them at its default trials.
 
 def lemma1_mutant(order, last_m):
     """lemma1_check, step by step in Fractions, with the kernel of order
@@ -797,10 +932,10 @@ def abel_u_to_v_minus_one(a, lam, alpha, n):
 
 
 def decomposition_mutant(bound):
-    """decomposition_bound_check whose verdict compares |T| with
-    ``bound(result, a, lam, alpha, n)`` in place of T1 + T2."""
+    """The Fraction-loop decomposition check whose verdict compares |T|
+    with ``bound(result, a, lam, alpha, n)`` in place of T1 + T2."""
     def check(a, lam, alpha, n, k=2.0):
-        result = decomposition_bound_check(a, lam, alpha, n, k)
+        result = ref_decomposition_bound_check(a, lam, alpha, n, k)
         return dataclasses.replace(
             result, holds=abs(result.T) <= bound(result, a, lam, alpha, n))
     return check
@@ -808,7 +943,7 @@ def decomposition_mutant(bound):
 
 def bound_with_w_as_abs_t(result, a, lam, alpha, n):
     """T1 + T2 with w_v = |t_v|, the running maximum left out."""
-    t = rational_cesaro_t(a, alpha, n)
+    t = ref_rational_cesaro_t(a, alpha, n)
     big_a = rational_cesaro_coefficients(alpha, n)
     lv = lam.values
     t1 = sum((big_a[v] * abs(t[v - 1]) * abs(lv[v - 1] - lv[v])
@@ -816,48 +951,78 @@ def bound_with_w_as_abs_t(result, a, lam, alpha, n):
     return t1 + abs(lv[n - 1]) * abs(t[n - 1])
 
 
-# mutant -> (the check it replaces, the mutant)
+def alpha_of(kernel):
+    """alpha from a kernel of ``_kernel_integers``: K_1 / K_0 is
+    A_1^(alpha-1) = alpha."""
+    return F(kernel[-2], kernel[-1])
+
+
+def lemma1_at_core(check):
+    """``check``, a lemma1_check, called as the suite calls ``_lemma1``;
+    the sides it returns are Fractions, which the suite does not read."""
+    def core(kernel, n, xs):
+        a = RationalSequence(0, [F(x, 2520) for x in xs])
+        result = check(a, alpha_of(kernel), n, len(xs) - 1)
+        return result.holds, result.lhs, result.rhs
+    return core
+
+
+def decomposition_at_core(check):
+    """``check``, a decomposition_bound_check, called as the suite calls
+    ``_decomposition``; T, T1 and T2 come back as Fractions, which the
+    suite does not read."""
+    def core(kernel, k_scale, xs, x_scale, ys, y_scale, k):
+        a = RationalSequence(1, [F(x, x_scale) for x in xs])
+        lam = RationalSequence(1, [F(y, y_scale) for y in ys])
+        return dataclasses.astuple(check(a, lam, alpha_of(kernel), len(xs),
+                                         k))
+    return core
+
+
+# mutant -> (the function its suite calls, the mutant)
 MUTANTS = {
     "lemma1_max_without_m_eq_v": (
-        "lemma1_check", lemma1_mutant(lambda alpha: alpha - 1,
-                                      lambda v: v - 1)),
+        "_lemma1", lemma1_mutant(lambda alpha: alpha - 1, lambda v: v - 1)),
     "lemma1_kernel_of_order_alpha": (
-        "lemma1_check", lemma1_mutant(lambda alpha: alpha, lambda v: v)),
+        "_lemma1", lemma1_mutant(lambda alpha: alpha, lambda v: v)),
     "abel_u_to_v_minus_one": ("abel_identity_check", abel_u_to_v_minus_one),
     "decomposition_without_t2": (
-        "decomposition_bound_check",
-        decomposition_mutant(lambda r, *args: r.T1)),
+        "_decomposition", decomposition_mutant(lambda r, *args: r.T1)),
     "decomposition_bound_times_nine_tenths": (
-        "decomposition_bound_check",
+        "_decomposition",
         decomposition_mutant(lambda r, *args: F(9, 10) * (r.T1 + r.T2))),
     "decomposition_w_without_running_max": (
-        "decomposition_bound_check",
-        decomposition_mutant(bound_with_w_as_abs_t)),
+        "_decomposition", decomposition_mutant(bound_with_w_as_abs_t)),
 }
-# check -> (its suite, the shipped check, whether a result holds as the
-# suite counts it, the check's arguments from a report's input)
+# the function a suite calls -> (the suite, the shipped check, whether a
+# result holds as the suite counts it, the check's arguments from a report's
+# input, the mutant as the suite calls it)
 MUTATED_SUITES = {
     "abel_identity_check": (
         run_abel_suite, abel_identity_check, lambda r: r.equal,
-        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"])),
-    "lemma1_check": (
+        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"]),
+        lambda check: check),
+    "_lemma1": (
         run_lemma1_suite, lemma1_check, lambda r: r.holds,
-        lambda d: (_rat(d["a"], start=0), F(d["alpha"]), d["n"], d["v"])),
-    "decomposition_bound_check": (
+        lambda d: (_rat(d["a"], start=0), F(d["alpha"]), d["n"], d["v"]),
+        lemma1_at_core),
+    "_decomposition": (
         run_decomposition_suite, decomposition_bound_check,
         lambda r: r.holds and r.holder_holds,
-        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"])),
+        lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"]),
+        decomposition_at_core),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_suites_catch_each_mutant(monkeypatch, name):
+def test_suites_catch_each_mutant(name):
     # at seed 42 and default trials; the first violating input, fed back,
     # fails the mutant again and passes the shipped check
-    check, mutant = MUTANTS[name]
-    suite, shipped, holds, arguments = MUTATED_SUITES[check]
-    monkeypatch.setattr(oracle, check, mutant)
-    rep = suite(42)
+    called, mutant = MUTANTS[name]
+    suite, shipped, holds, arguments, as_called = MUTATED_SUITES[called]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, called, as_called(mutant))
+        rep = suite(42)
     assert rep.violations >= 1
     args = arguments(rep.first_violation_input)
     assert not holds(mutant(*args))
