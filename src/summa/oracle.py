@@ -1,48 +1,49 @@
 """Exact rational verification of the proof-step identities and bounds.
 
-The float engine can only ever show approximate agreement; this module
-reruns the algebra that the factor-theorem proof leans on in exact
-``fractions.Fraction`` arithmetic, where an identity either holds
-bit-for-bit or is refuted by a concrete counterexample:
+Where the float engine shows approximate agreement, this module reruns the
+algebra of the factor-theorem proof exactly: each statement holds bit for
+bit or is refuted by a counterexample:
 
-  * the summation-by-parts rearrangement of the factored mean
+  * summation by parts on the factored mean
     T_n = (1/A_n) sum_(v=1..n) A_(n-v)^(alpha-1) v a_v lambda_v,
   * the kernel bound |sum_(p=0..v) A_(n-p)^(alpha-1) a_p|
         <= max_(1<=m<=v) |sum_(p=0..m) A_(m-p)^(alpha-1) a_p|
     for 0 < alpha <= 1,
   * the two-term decomposition |T_n| <= T_n1 + T_n2 built from the maximal
     sequence w and |D lambda|,
-  * the elementary power bound |x + y|^k <= 2^k (|x|^k + |y|^k).
+  * the power bound |x + y|^k <= 2^k (|x|^k + |y|^k).
 
-Randomized suites hammer each statement over seeded input distributions
-and report violation counts; a correct implementation reports zero.
+Seeded suites hammer each statement and count violations; correct code
+reports zero.
 
-Exactness contract: the API takes and returns ``Fraction`` values, but the
-inner sums run over Python integers.  Each kernel table A_j^(alpha-1) is
-cached, by alpha's numerator and denominator and the length, as integer
-numerators K_j over the lcm L of its denominators, and each input sequence
-is held as integer numerators over one scale: an inner sum is one integer
-dot product and A_m^alpha a prefix sum of the K_j.  The means t_m and w_m
-are integer pairs (numerator, positive denominator), compared by
-cross-multiplication.  Each lemma has one integer core (``_lemma1``,
-``_decomposition``); its public check validates, scales the inputs by the
-lcm of their denominators, calls the core and builds each rational it
-returns once, by ``Fraction(numerator, denominator)``.  Every comparison
-is between integers over one positive common denominator, so any positive
-scale gives the verdicts and rationals of step-by-step ``Fraction``
-arithmetic; the Hoelder floats, int / int divisions, are correctly rounded
-like ``float()`` of the same rational.
+Exactness: the API takes and returns ``Fraction`` values; the sums run
+over ints.  A kernel table A_j^(alpha-1) is cached, by alpha's numerator,
+denominator and length, as integers K_j over the lcm L of its
+denominators, and each input is integers over one scale: an inner sum is
+an integer dot product, A_m^alpha a prefix sum of the K_j, and t_m and
+w_m pairs (numerator, denominator > 0) compared by cross-multiplying.
+Each lemma has one integer core (``_lemma1``, ``_decomposition``), which
+its public check calls on inputs scaled by the lcm of their denominators.
+Every comparison is between integers over one positive denominator, so
+any positive scale gives the verdicts and rationals of step-by-step
+Fraction arithmetic; the Hoelder floats, int / int divisions, round like
+``float()`` of the same rational.
 
-Draw contract: every integer the suites draw (n, v, an alpha's index, a
-table index) comes from ``_below``, which makes the ``getrandbits`` calls
-of ``randint`` and ``choice``, and every float is ``a + (b - a) *
-rng.random()``, which is ``uniform(a, b)``.  A random rational is an index
-into the table of Fraction(p, q), p in -9..9 and q in 1..9, drawn as
-randint(-9, 9) and then randint(1, 9) would draw p and q.  So a seed gives
-the inputs, and the generator state, of those calls.  The lemma1 and
-decomposition suites take each rational as its numerator over the fixed
-scale 2520 = lcm(1..9) (``_NUM``) and call the cores: a trial makes no
-Fraction, lcm or result.
+Argument gate: a bad argument is a ``ValueError`` that names it, raised
+before any arithmetic.  ``_alpha`` parses alpha (what ``Fraction`` takes,
+but no bool) and checks its bound; ``_over_one_to_n`` then checks n and
+the spans (``_span``) of a statement over indices 1..n.  ``_integers``
+and ``_reals`` refuse counts and reals of the wrong type.
+
+Draw contract: every integer the suites draw comes from ``_below``, which
+makes the ``getrandbits`` calls of ``randint`` and ``choice``, and every
+float is ``a + (b - a) * rng.random()``, which is ``uniform(a, b)``.  A
+random rational indexes the table of Fraction(p, q), p in -9..9 and q in
+1..9, as randint(-9, 9) and randint(1, 9) would draw p and q.  So a seed
+gives the inputs, and the generator state, of those calls.  The Abel,
+lemma1 and decomposition suites draw n in 1..20, 1..12 and 1..15; the
+last two take each rational as its numerator over 2520 = lcm(1..9)
+(``_NUM``) and call the cores, making no Fraction per trial.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -63,8 +65,8 @@ __all__ = ["RationalSequence", "rational_cesaro_coefficients",
            "run_decomposition_suite", "run_power_inequality_suite",
            "run_all_suites"]
 
-# alpha values the randomized suites draw from; all in (0, 1] as the lemma
-# and decomposition require
+# the alphas the suites draw; all in (0, 1] as the lemma and decomposition
+# require
 _ALPHA_POOL = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
@@ -77,9 +79,9 @@ class RationalSequence:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.start_index, int) or self.start_index < 0:
+        if type(self.start_index) is not int or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
-        vals = tuple([v if type(v) is Fraction else Fraction(v)
+        vals = tuple([v if type(v) is Fraction else _rational("values", v)
                       for v in self.values])
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
@@ -106,8 +108,7 @@ def _weights_cached(order: Fraction, n_max: int) -> tuple[Fraction, ...]:
 def _kernel_integers(num: int, den: int,
                      n_max: int) -> tuple[tuple[int, ...], int]:
     """Integers K_j and a scale L with A_j^(alpha-1) = K_j / L, alpha =
-    num/den, listed from j = n_max down to j = 0: the order in which every
-    sum below walks them."""
+    num/den, from j = n_max down to 0, the order the sums walk them."""
     weights = _weights_cached(Fraction(num - den, den), n_max)
     scale = math.lcm(*[w.denominator for w in weights])
     return tuple([w.numerator * (scale // w.denominator)
@@ -122,22 +123,50 @@ def _scaled_integers(values) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in ratios], scale
 
 
-def _covers(name: str, seq: RationalSequence, lo: int, hi: int) -> None:
+def _rational(name: str, value) -> Fraction:
+    """value as a Fraction; refuses a bool and what Fraction refuses."""
+    if type(value) is not bool:
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a rational number, got {value!r}")
+
+
+def _alpha(alpha, statement: str | None = None) -> tuple[int, int]:
+    """alpha's numerator and denominator; alpha > -1, or 0 < alpha <= 1
+    for the ``statement`` that requires it."""
+    num, den = _rational("alpha", alpha).as_integer_ratio()
+    if statement is None:
+        if num <= -den:
+            raise ValueError("alpha must exceed -1")
+    elif not 0 < num <= den:
+        raise ValueError(f"the {statement} requires 0 < alpha <= 1")
+    return num, den
+
+
+def _span(name: str, seq: RationalSequence, lo: int, hi: int) -> tuple:
+    """seq's values at indices lo..hi."""
     if seq.start_index > lo or seq.end_index < hi:
         raise ValueError(f"{name} must cover indices {lo}..{hi}")
+    return seq.values[lo - seq.start_index:hi + 1 - seq.start_index]
 
 
-def _covering(seq: RationalSequence, n: int) -> tuple[Fraction, ...]:
-    """Values at indices 1..n of a sequence starting at index 0 or 1."""
-    return seq.values[1 - seq.start_index:n + 1 - seq.start_index]
+def _over_one_to_n(alpha, n: int, statement: str | None, *seqs) -> tuple:
+    """alpha's numerator and denominator, then the values at 1..n of a (and
+    lambda); checks alpha, then n, then the spans."""
+    num, den = _alpha(alpha, statement)
+    _integers(n=n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return num, den, *[_span(*p, 1, n) for p in zip(("a", "lambda"), seqs)]
 
 
 def _t_ratios(kernel: tuple[int, ...], terms: list[int]) -> list[tuple[int, int]]:
-    """Pairs (r_m, s_m), s_m > 0, with t_m^alpha = r_m / (s_m D) for
-    m = 1..n, from the kernel of ``_kernel_integers(num, den, n)`` and the
-    integers v X_v, v = 1..n, of a_v = X_v / D.  s_m = sum_(j<=m) K_j is
-    L A_m^alpha, so t_m, the kernel sum over L D divided by A_m^alpha, is
-    r_m / (s_m D)."""
+    """Pairs (r_m, s_m), s_m > 0, with t_m^alpha = r_m / (s_m D), m = 1..n,
+    from the kernel of ``_kernel_integers(num, den, n)`` and v X_v, v =
+    1..n, for a_v = X_v / D: s_m = sum_(j<=m) K_j is L A_m^alpha, and r_m
+    the kernel sum over L D."""
     n = len(terms)
     sums = list(itertools.accumulate(reversed(kernel)))
     # kernel[n + 1 - m:] starts at K_(m-1)
@@ -147,26 +176,18 @@ def _t_ratios(kernel: tuple[int, ...], terms: list[int]) -> list[tuple[int, int]
 
 def rational_cesaro_coefficients(alpha: Fraction, n_max: int) -> tuple[Fraction, ...]:
     """Exact A_0^alpha .. A_n_max^alpha; alpha must be a rational > -1."""
-    alpha = Fraction(alpha)
-    if alpha <= -1:
-        raise ValueError("alpha must exceed -1")
+    num, den = _alpha(alpha)
     _integers(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _weights_cached(alpha, n_max)
+    return _weights_cached(Fraction(num, den), n_max)
 
 
 def rational_cesaro_t(a: RationalSequence, alpha: Fraction, n: int) -> tuple[Fraction, ...]:
     """Exact t_1^alpha .. t_n^alpha of a; a must cover indices 1..n."""
-    num, den = Fraction(alpha).as_integer_ratio()
-    if num <= -den:
-        raise ValueError("alpha must exceed -1")
-    _integers(n=n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _covers("a", a, 1, n)
+    num, den, a_n = _over_one_to_n(alpha, n, None, a)
     kernel, _ = _kernel_integers(num, den, n)
-    xs, x_scale = _scaled_integers(_covering(a, n))
+    xs, x_scale = _scaled_integers(a_n)
     t = _t_ratios(kernel, [v * x for v, x in enumerate(xs, start=1)])
     return tuple([Fraction(r, s * x_scale) for r, s in t])
 
@@ -187,17 +208,10 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
     with U_v = sum_(p=1..v) A_(n-p)^(alpha-1) p a_p.  The two are equal for
     every choice of inputs; any inequality is an implementation bug.
     """
-    num, den = Fraction(alpha).as_integer_ratio()
-    if num <= -den:
-        raise ValueError("alpha must exceed -1")
-    _integers(n=n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _covers("a", a, 1, n)
-    _covers("lambda", lam, 1, n)
+    num, den, a_n, lam_n = _over_one_to_n(alpha, n, None, a, lam)
     kernel, scale = _kernel_integers(num, den, n - 1)
-    xs, x_scale = _scaled_integers(_covering(a, n))
-    ys, y_scale = _scaled_integers(_covering(lam, n))
+    xs, x_scale = _scaled_integers(a_n)
+    ys, y_scale = _scaled_integers(lam_n)
     # everything below is scaled by L * Dx * Dy; U_v by L * Dx only
     weighted = list(map(mul, kernel,
                         [v * x for v, x in enumerate(xs, start=1)]))
@@ -205,8 +219,8 @@ def abel_identity_check(a: RationalSequence, lam: RationalSequence,
     u = list(itertools.accumulate(weighted))
     rhs = sum(map(mul, map(sub, ys, ys[1:]), u)) + ys[-1] * u[-1]
     scale *= x_scale * y_scale
-    return AbelIdentityResult(equal=(lhs == rhs), lhs=Fraction(lhs, scale),
-                              rhs=Fraction(rhs, scale))
+    return AbelIdentityResult(lhs == rhs, Fraction(lhs, scale),
+                              Fraction(rhs, scale))
 
 
 @dataclass(frozen=True)
@@ -223,15 +237,12 @@ def lemma1_check(a: RationalSequence, alpha: Fraction, n: int,
     lhs = |sum_(p=0..v) A_(n-p)^(alpha-1) a_p|
     rhs = max over 1 <= m <= v of |sum_(p=0..m) A_(m-p)^(alpha-1) a_p|
     """
-    num, den = Fraction(alpha).as_integer_ratio()
-    if not (0 < num <= den):
-        raise ValueError("the bound requires 0 < alpha <= 1")
+    num, den = _alpha(alpha, "bound")
     _integers(n=n, v=v)
     if not (1 <= v <= n):
         raise ValueError("need 1 <= v <= n")
-    _covers("a", a, 0, v)
     kernel, scale = _kernel_integers(num, den, n)
-    xs, x_scale = _scaled_integers(a.values[:v + 1])
+    xs, x_scale = _scaled_integers(_span("a", a, 0, v))
     holds, lhs, rhs = _lemma1(kernel, n, xs)
     scale *= x_scale
     return LemmaBoundResult(holds, Fraction(lhs, scale), Fraction(rhs, scale))
@@ -250,13 +261,13 @@ def _lemma1(kernel: tuple[int, ...], n: int,
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Exact two-term bound on the factored mean, plus a finite Hoelder check.
+    """Exact two-term bound on the factored mean, plus a Hoelder check.
 
-    T is the factored mean itself; T1 and T2 are the maximal-sequence
-    bounds on its two summation-by-parts pieces.  The Hoelder fields verify
-    sum u_v g_v <= (sum u_v^k)^(1/k) (sum g_v^k')^(1/k') in floating point
-    for the split u_v = A_v w_v |D lambda_v|^(1/k), g_v = |D lambda_v|^(1/k')
-    actually used to estimate T1.
+    T is the factored mean; T1 and T2 bound its two summation-by-parts
+    pieces through the maximal sequence.  The Hoelder fields check
+    sum u_v g_v <= (sum u_v^k)^(1/k) (sum g_v^k')^(1/k') in floats for the
+    split u_v = A_v w_v |D lambda_v|^(1/k), g_v = |D lambda_v|^(1/k') that
+    estimates T1.
     """
 
     T: Fraction
@@ -276,25 +287,15 @@ def decomposition_bound_check(a: RationalSequence, lam: RationalSequence,
     T_n1 = (1/A_n^alpha) sum_(v=1..n-1) A_v^alpha w_v^alpha |D lambda_v|,
     T_n2 = |lambda_n| w_n^alpha.
     """
-    num, den = Fraction(alpha).as_integer_ratio()
-    if not (0 < num <= den):
-        raise ValueError("the decomposition requires 0 < alpha <= 1")
-    _integers(n=n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _covers("a", a, 1, n)
-    _covers("lambda", lam, 1, n)
-    if type(k) is bool:
-        raise ValueError(f"k must be a number, got {k!r}")
+    num, den, a_n, lam_n = _over_one_to_n(alpha, n, "decomposition", a, lam)
+    _reals(k=k)
     if not math.isfinite(k):
         raise ValueError("k must be finite")
     if k < 1.0:
         raise ValueError("k must be at least 1")
     kernel, k_scale = _kernel_integers(num, den, n)
-    xs, x_scale = _scaled_integers(_covering(a, n))
-    ys, y_scale = _scaled_integers(_covering(lam, n))
-    T, T1, T2, *rest = _decomposition(kernel, k_scale, xs, x_scale, ys,
-                                      y_scale, k)
+    T, T1, T2, *rest = _decomposition(kernel, k_scale, *_scaled_integers(a_n),
+                                      *_scaled_integers(lam_n), k)
     return DecompositionResult(Fraction(*T), Fraction(*T1), Fraction(*T2),
                                *rest)
 
@@ -358,11 +359,11 @@ def power_inequality_check(x: float, y: float, k: float) -> bool:
     """|x + y|^k <= 2^k (|x|^k + |y|^k) for finite x, y and k >= 1.
 
     Compared as (|x + y| / 2)^k <= |x|^k + |y|^k on x and y scaled by the
-    power of two that puts max(|x|, |y|) in [1/2, 1): every base is then
-    below 1, so no power overflows, and the left base is at most
-    max(|x|, |y|), so a power that underflows to zero cannot reverse the
-    verdict.
+    power of two that puts max(|x|, |y|) in [1/2, 1): every base is below
+    1, so no power overflows, and the left base is at most max(|x|, |y|),
+    so a power underflowing to zero cannot reverse the verdict.
     """
+    _reals(x=x, y=y, k=k)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(k)):
         raise ValueError("x, y and k must be finite")
     if k < 1.0:
@@ -394,9 +395,9 @@ _NUM = tuple([p * (_SCALE // q) for p in range(-9, 10) for q in range(1, 10)])
 
 def _below(bits, width: int) -> int:
     """rng.randrange(width), width >= 1, from ``bits = rng.getrandbits``
-    with the calls of CPython's ``Random._randbelow``: getrandbits(k),
-    k = width.bit_length(), until a draw is below width.  So randint(a, b)
-    is ``a + _below(bits, b - a + 1)`` and choice(seq) is
+    as CPython's ``Random._randbelow`` calls it: getrandbits(k), k =
+    width.bit_length(), until a draw is below width.  So randint(a, b) is
+    ``a + _below(bits, b - a + 1)`` and choice(seq) is
     ``seq[_below(bits, len(seq))]``, to the generator state."""
     k = width.bit_length()
     r = bits(k)
@@ -422,21 +423,32 @@ def _integers(**named) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _positive_count(name: str, value) -> None:
-    """Refuse a count that is not an int >= 1 (a bool is refused too)."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _reals(**named) -> None:
+    """Refuse an argument that is not a real number (a bool is refused too)."""
+    for name, value in named.items():
+        if type(value) is not float and (
+                type(value) is bool or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an int in 0..2**64 - 1."""
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be an integer in 0..2**64 - 1, "
+                         f"got {seed!r}")
 
 
 def _run_suite(check: str, seed: int, trials: int,
                trial) -> OracleSuiteReport:
     """Run ``trial`` ``trials`` times on one generator seeded with ``seed``.
 
-    A trial draws its input from the generator and returns None when the
-    statement holds, else the input as JSON: Fractions as ``str``, floats as
-    drawn.  The report keeps the first such input.
+    A trial draws its input and returns None when the statement holds, else
+    the input as JSON (Fractions as ``str``, floats as drawn); the report
+    keeps the first.
     """
-    _positive_count("trials", trials)
+    _check_seed(seed)
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = random.Random(seed)
     violations = 0
     first_input = None
@@ -446,20 +458,16 @@ def _run_suite(check: str, seed: int, trials: int,
             violations += 1
             if first_input is None:
                 first_input = failed
-    return OracleSuiteReport(check=check, trials=trials,
-                             violations=violations,
-                             first_violation_input=first_input, seed=seed)
+    return OracleSuiteReport(check, trials, violations, first_input, seed)
 
 
-def run_abel_suite(seed: int, trials: int = 200,
-                   max_n: int = 20) -> OracleSuiteReport:
+def run_abel_suite(seed: int, trials: int = 200) -> OracleSuiteReport:
     """Random integer sequences; the rearrangement must hold exactly."""
-    _positive_count("max_n", max_n)
     alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
     def trial(rng):
         bits = rng.getrandbits
-        n = 1 + _below(bits, max_n)
+        n = 1 + _below(bits, 20)
         # Fraction(randint(-9, 9)) sits at 9 (p + 9)
         a = RationalSequence(1, [_DRAWS[9 * _below(bits, 19)]
                                  for _ in range(n)])
@@ -475,20 +483,17 @@ def run_abel_suite(seed: int, trials: int = 200,
     return _run_suite("abel_identity", seed, trials, trial)
 
 
-def run_lemma1_suite(seed: int, trials: int = 10_000,
-                     max_n: int = 12) -> OracleSuiteReport:
+def run_lemma1_suite(seed: int, trials: int = 10_000) -> OracleSuiteReport:
     """Random rational sequences against the kernel maximal bound.
 
-    The index-0 term is held at zero: the factor theorem only ever applies
-    the bound to sequences of the form (p a_p), which vanish at p = 0, and
-    with a free a_0 the inequality is simply false (a_0 = -8/3, a_1 = 1,
-    alpha = 1/2, n = 2, v = 1 gives 1/2 on the left, 1/3 on the right).
+    The index-0 term is zero: the theorem applies the bound only to (p a_p),
+    which vanishes at p = 0, and with a free a_0 it fails (a_0 = -8/3,
+    a_1 = 1, alpha = 1/2, n = 2, v = 1 give 1/2 on the left, 1/3 on the
+    right).
     """
-    _positive_count("max_n", max_n)
-
     def trial(rng):
         bits = rng.getrandbits
-        n = 1 + _below(bits, max_n)
+        n = 1 + _below(bits, 12)
         v = 1 + _below(bits, n)
         xs = [0] + [_random_numerator(bits) for _ in range(v)]
         alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
@@ -500,14 +505,12 @@ def run_lemma1_suite(seed: int, trials: int = 10_000,
     return _run_suite("lemma1_bound", seed, trials, trial)
 
 
-def run_decomposition_suite(seed: int, trials: int = 1000,
-                            max_n: int = 15) -> OracleSuiteReport:
+def run_decomposition_suite(seed: int,
+                            trials: int = 1000) -> OracleSuiteReport:
     """Random rational inputs against the exact two-term bound."""
-    _positive_count("max_n", max_n)
-
     def trial(rng):
         bits = rng.getrandbits
-        n = 1 + _below(bits, max_n)
+        n = 1 + _below(bits, 15)
         xs = [_random_numerator(bits) for _ in range(n)]
         ys = [_random_numerator(bits) for _ in range(n)]
         alpha = _ALPHA_POOL[_below(bits, len(_ALPHA_POOL))]
@@ -537,11 +540,9 @@ def run_power_inequality_suite(seed: int,
 
 
 def run_all_suites(seed: int, trials: int | None = None) -> list[OracleSuiteReport]:
-    """All four suites; suite i runs at seed + 1000003*i modulo 2**64.
-
-    ``trials`` overrides every suite's trial count when given (handy for
-    smoke runs); None keeps the per-suite defaults.
-    """
+    """All four suites, suite i at seed + 1000003*i modulo 2**64; ``trials``,
+    if given, overrides every suite's trial count."""
+    _check_seed(seed)
     kw = {} if trials is None else {"trials": trials}
     suites = (run_abel_suite, run_lemma1_suite, run_decomposition_suite,
               run_power_inequality_suite)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -16,8 +17,11 @@ from summa.cesaro import (_binomial_weights, _kernel_dot_prefixes,
                           _round_rows, _settled, cesaro_coefficients,
                           cesaro_sigma, cesaro_t, w_sequence)
 from summa.experiment import ExperimentConfig, builtin_family, run
+from summa.functionals import weighted_power_trace
 from summa.oracle import rational_cesaro_coefficients
 from summa.sequences import RealSequence
+
+from helpers import phi_of
 
 
 def product_form_coefficients(alpha: float, n_max: int) -> np.ndarray:
@@ -278,6 +282,27 @@ def test_t_and_w_follow_their_closed_forms(p, alpha):
     if p == 1:
         # |t| decays from |t_1| = 1 / (1 + alpha), so that is w at every n
         assert w_sequence(t, alpha).values[-1] == 1 / (1 + alpha)
+
+
+@pytest.mark.parametrize("n", [4096, (1 << 14) + 5])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_cond11_reads_the_closed_form_w(alpha, n):
+    # F1 with a_v = (-1)^v / v: |t_v| falls from |t_1| = 1 / (1 + alpha)
+    # (p = 1 in the closed form above), so w is that constant and cond11's
+    # trace is the power trace of a constant.  A w without its running max
+    # moves it by 67-89 %; a block window that starts at lo, not lo - 1,
+    # loses the max carried across the block edge at 2**14 + 5
+    v = np.arange(1.0, n + 1.0)
+    bundle = dataclasses.replace(
+        builtin_family("F1", n, {"alpha": alpha}),
+        a=RealSequence(1, np.where(v % 2 == 0, 1.0, -1.0) / v))
+    k = bundle.params.k
+    phi = phi_of(bundle.weight, n, k, beta_default=bundle.params.beta)
+    got = checker.check_main_theorem(bundle).traces["cond11"]
+    want = weighted_power_trace(np.full(n, 1 / (1 + alpha)), k, phi,
+                                checker.dyadic_checkpoints(n))
+    assert got.checkpoints == want.checkpoints
+    assert got.partial_sums.tobytes() == want.partial_sums.tobytes()
 
 
 @pytest.mark.parametrize("transform", ["sigma", "t"])

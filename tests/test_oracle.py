@@ -232,31 +232,33 @@ class TestSuitePlumbing:
 
     # the function each suite calls: the lemma1 and decomposition suites
     # call the integer cores, the others the public checks
-    @pytest.mark.parametrize("check, failing, suite, kw, first", [
+    @pytest.mark.parametrize("check, failing, suite, first", [
         ("abel_identity_check",
          lambda *args: AbelIdentityResult(False, F(0), F(1)),
-         run_abel_suite, {"max_n": 4},
-         {"a": ["9", "8"], "lambda": ["-5", "2"], "alpha": "1", "n": 2}),
+         run_abel_suite,
+         {"a": ["9", "8", "-5", "2", "6", "9", "-7", "-9"],
+          "lambda": ["6", "-1", "8", "-2", "-3", "6", "8", "8"],
+          "alpha": "1/2", "n": 8}),
         ("_lemma1", lambda *args: (False, 1, 0),
-         run_lemma1_suite, {"max_n": 3},
-         {"a": ["0", "1/4"], "alpha": "1", "n": 1, "v": 1}),
+         run_lemma1_suite,
+         {"a": ["0", "1/4", "9/2"], "alpha": "3/4", "n": 4, "v": 2}),
         ("_decomposition",
          lambda *args: ((1, 1), (0, 1), (0, 1), False, 0.0, 0.0, True),
-         run_decomposition_suite, {"max_n": 3},
-         {"a": ["1"], "lambda": ["-5/6"], "alpha": "3/4", "n": 1}),
+         run_decomposition_suite,
+         {"a": ["1", "-5/6", "3", "-9/8"],
+          "lambda": ["-1/9", "-1/2", "2/3", "1"], "alpha": "2/3", "n": 4}),
         ("power_inequality_check", lambda *args: False,
-         run_power_inequality_suite, {},
+         run_power_inequality_suite,
          {"x": -5.240707458162173, "y": 0.8845845059190367,
           "k": 2.1098654996442376}),
     ], ids=["abel", "lemma1", "decomposition", "power_inequality"])
     def test_violations_counted_and_first_input_kept(self, monkeypatch, check,
-                                                     failing, suite, kw,
-                                                     first):
+                                                     failing, suite, first):
         # a check that fails on every input: every trial is a violation and
         # the report keeps the first trial's input, Fractions as str and
         # floats as drawn
         monkeypatch.setattr(oracle, check, failing)
-        rep = suite(3, trials=4, **kw)
+        rep = suite(3, trials=4)
         assert rep.violations == rep.trials == 4
         assert rep.first_violation_input == first
         assert json.loads(json.dumps(rep.to_json())) == {
@@ -609,24 +611,24 @@ class TestIntegerFirstPaths:
 # reference the suites' own draws must reproduce, input for input and
 # generator state for generator state.
 
-def ref_abel_inputs(rng, max_n=20):
-    n = rng.randint(1, max_n)
+def ref_abel_inputs(rng):
+    n = rng.randint(1, 20)
     a = RationalSequence(1, tuple(F(rng.randint(-9, 9)) for _ in range(n)))
     lam = RationalSequence(1, tuple(F(rng.randint(-9, 9))
                                     for _ in range(n)))
     return a, lam, rng.choice((F(1, 4), F(1, 2), F(1))), n
 
 
-def ref_lemma1_inputs(rng, max_n=12):
-    n = rng.randint(1, max_n)
+def ref_lemma1_inputs(rng):
+    n = rng.randint(1, 12)
     v = rng.randint(1, n)
     a = RationalSequence(0, (F(0),) + tuple(
         F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(v)))
     return a, rng.choice(_ALPHA_POOL), n, v
 
 
-def ref_decomposition_inputs(rng, max_n=15):
-    n = rng.randint(1, max_n)
+def ref_decomposition_inputs(rng):
+    n = rng.randint(1, 15)
     a = RationalSequence(1, tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
                                   for _ in range(n)))
     lam = RationalSequence(1, tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
@@ -778,12 +780,11 @@ def assert_suite_draws_like_reference(monkeypatch, name, seed, **kw):
             made.append(self)
 
     ref_rng = random.Random(seed)
-    ref_kw = {"max_n": kw["max_n"]} if "max_n" in kw else {}
     checked = []
 
     def recorder(*args):
         trial = len(checked)
-        want = arguments(*reference(ref_rng, **ref_kw))
+        want = arguments(*reference(ref_rng))
         assert exact(args) == exact(want), trial
         assert made[-1].getstate() == ref_rng.getstate(), trial
         checked.append(trial)
@@ -805,14 +806,10 @@ class TestSuiteDraws:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 30),
-           max_n=st.integers(1, 40), name=st.sampled_from(list(DRAWN_SUITES)))
-    def test_any_seed_draws_the_reference_inputs(self, seed, trials, max_n,
-                                                 name):
-        kw = {"trials": trials}
-        if name != "power_inequality":
-            kw["max_n"] = max_n
+           name=st.sampled_from(list(DRAWN_SUITES)))
+    def test_any_seed_draws_the_reference_inputs(self, seed, trials, name):
         with pytest.MonkeyPatch.context() as mp:
-            assert_suite_draws_like_reference(mp, name, seed, **kw)
+            assert_suite_draws_like_reference(mp, name, seed, trials=trials)
 
 
 class TestSuiteArguments:
@@ -830,18 +827,22 @@ class TestSuiteArguments:
         with pytest.raises(ValueError, match="trials must be an integer"):
             run_all_suites(1, trials=trials)
 
-    @pytest.mark.parametrize("max_n", [0, -1, True, 2.5, 3.0])
+    # a seed the config would refuse: "x" and 1.5 ran and were reported
+    @pytest.mark.parametrize("seed", ["x", 1.5, None, True, -1, 2 ** 64])
     @pytest.mark.parametrize("suite", [run_abel_suite, run_lemma1_suite,
-                                       run_decomposition_suite])
-    def test_max_n_must_be_a_positive_int(self, suite, max_n):
-        with pytest.raises(ValueError, match="max_n must be an integer"):
-            suite(1, trials=1, max_n=max_n)
+                                       run_decomposition_suite,
+                                       run_power_inequality_suite])
+    def test_seed_must_be_a_u64_int(self, suite, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in 0..2**64 - 1, got {seed!r}")):
+            suite(seed, trials=1)
 
-    def test_one_trial_and_max_n_one(self):
-        reps = [run_abel_suite(3, trials=1, max_n=1),
-                run_lemma1_suite(3, trials=1, max_n=1),
-                run_decomposition_suite(3, trials=1, max_n=1)]
-        assert [(r.trials, r.violations) for r in reps] == [(1, 0)] * 3
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -1, 2 ** 64])
+    def test_all_suites_check_the_seed_before_deriving_theirs(self, seed):
+        # the modulo would map -1 and 2**64 into range, and 1.5 to a float
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in 0..2**64 - 1, got {seed!r}")):
+            run_all_suites(seed, trials=1)
 
 
 class TestNonFiniteArguments:
@@ -897,6 +898,65 @@ class TestIntegerArguments:
         # it ran as k = 1.0
         with pytest.raises(ValueError, match="^k must be a number, got True$"):
             decomposition_bound_check(A3, LAM3, F(1, 2), 3, k=True)
+
+
+# an argument that is not a number of the kind it names: a str or None
+# ended in a TypeError, and a bool ran as 0 or 1
+NON_NUMBERS = {
+    "decomposition_k_str": (
+        lambda: decomposition_bound_check(A3, LAM3, F(1, 2), 3, k="2"),
+        "k must be a number, got '2'"),
+    "decomposition_k_none": (
+        lambda: decomposition_bound_check(A3, LAM3, F(1, 2), 3, k=None),
+        "k must be a number, got None"),
+    "power_x_str": (lambda: power_inequality_check("1", 2.0, 2.0),
+                    "x must be a number, got '1'"),
+    "power_y_none": (lambda: power_inequality_check(1.0, None, 2.0),
+                     "y must be a number, got None"),
+    "power_k_bool": (lambda: power_inequality_check(1.0, 2.0, True),
+                     "k must be a number, got True"),
+    "power_x_bool": (lambda: power_inequality_check(True, 1.0, 2.0),
+                     "x must be a number, got True"),
+    "coefficients_alpha_none": (
+        lambda: rational_cesaro_coefficients(None, 2),
+        "alpha must be a rational number, got None"),
+    "coefficients_alpha_inf": (
+        lambda: rational_cesaro_coefficients(math.inf, 2),
+        "alpha must be a rational number, got inf"),
+    "t_alpha_none": (lambda: rational_cesaro_t(A3, None, 2),
+                     "alpha must be a rational number, got None"),
+    "t_alpha_nan": (lambda: rational_cesaro_t(A3, math.nan, 2),
+                    "alpha must be a rational number, got nan"),
+    "abel_alpha_bool": (lambda: abel_identity_check(A3, LAM3, True, 3),
+                        "alpha must be a rational number, got True"),
+    "lemma1_alpha_none": (lambda: lemma1_check(A03, None, 1, 1),
+                          "alpha must be a rational number, got None"),
+    "decomposition_alpha_str": (
+        lambda: decomposition_bound_check(A3, LAM3, "x", 3),
+        "alpha must be a rational number, got 'x'"),
+    "sequence_value_none": (lambda: RationalSequence(1, [None]),
+                            "values must be a rational number, got None"),
+    "sequence_value_bool": (lambda: RationalSequence(1, [1, True]),
+                            "values must be a rational number, got True"),
+    "sequence_start_bool": (lambda: RationalSequence(True, [1]),
+                            "start_index must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMBERS))
+def test_non_numbers_are_refused_by_name(case):
+    call, message = NON_NUMBERS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_alpha_is_checked_first_and_k_last():
+    # alpha, then n, then the spans (test_same_errors), then k
+    short = _rat([1])
+    with pytest.raises(ValueError, match="^alpha must be a rational"):
+        abel_identity_check(short, short, None, 0)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        decomposition_bound_check(short, short, F(1, 2), 0, k="2")
 
 
 # Mutants: each check with one plausible bug in the step of the proof it
@@ -1012,6 +1072,23 @@ MUTATED_SUITES = {
         lambda d: (_rat(d["a"]), _rat(d["lambda"]), F(d["alpha"]), d["n"]),
         decomposition_at_core),
 }
+
+
+# the inputs on which w = |t| in place of its running max breaks the bound:
+# one in 1,000 decomposition trials at seeds 42 and 7, none at seeds 0,
+# 271828 and 20260815
+W_AS_ABS_T_INPUTS = [
+    (_rat([F(3, 2), F(5, 2), -1, F(-9, 7)]),
+     _rat([F(1, 7), F(1, 8), F(1, 7), -1]), F(1, 2), 4),
+    (_rat([-8, F(9, 7), F(9, 4)]), _rat([0, 0, F(-3, 4)]), F(1, 3), 3),
+]
+
+
+@pytest.mark.parametrize("args", W_AS_ABS_T_INPUTS)
+def test_decomposition_needs_the_running_max(args):
+    result = decomposition_bound_check(*args)
+    assert result.holds and result.holder_holds
+    assert not decomposition_mutant(bound_with_w_as_abs_t)(*args).holds
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
