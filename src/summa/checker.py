@@ -62,9 +62,12 @@ overflows warns nowhere in it, and surfaces as a non-finite value that a
 record, a trace or a lane refuses, so a caller sees the error and no
 RuntimeWarning.
 
-Every O(.) statement, the conclusion included, is judged at scale from a
-CheckpointTrace by a log-log slope fit over the tail of a geometric
-checkpoint grid; every pointwise statement is checked element-wise with
+Every O(.) statement, the conclusion and X_class's almost-increasing
+claim (max_(v<=m) X_v / X_m = O(1)) included, is judged at scale from a
+CheckpointTrace on the full halving grid n, n/2, ..., 1 by one statistic,
+gamma (``growth_diagnostic``): how fast the rises of the trace's running
+max die out along the grid, against two fixed band edges that mean the
+same at every n.  Every pointwise statement is checked element-wise with
 the first violating index reported (the majorant and weight records count
 a non-finite value as a violation).  Verdicts say what holds on the
 computed range, nothing more.
@@ -112,19 +115,27 @@ class GrowthVerdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs for the scale diagnostics; recorded verbatim in every report."""
+    """Knobs for the scale diagnostics; recorded verbatim in every report.
 
-    slope: float = 0.1
-    ratio: float = 1.5
-    inf_ratio_floor: float = 1e-6
+    ``gamma_growth`` and ``gamma_bounded`` are the band edges of
+    ``growth_diagnostic``'s gamma; ``weight_rel_tol`` is the weight record's
+    slack."""
+
+    gamma_growth: float = -0.25
+    gamma_bounded: float = -1.25
     weight_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             v = _real(getattr(self, f.name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{f.name} tolerance must be positive and finite")
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} tolerance must be finite")
             object.__setattr__(self, f.name, v)
+        if self.weight_rel_tol <= 0.0:
+            raise ValueError("weight_rel_tol tolerance must be positive")
+        if self.gamma_bounded > self.gamma_growth:
+            raise ValueError("gamma_bounded tolerance must not exceed "
+                             "gamma_growth")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -137,39 +148,35 @@ class Tolerances:
         return cls(**obj)
 
 
-# seven checkpoints: enough for a stable tail fit while keeping trace files
-# small
-_DYADIC_SPAN = 64
-
-
 def dyadic_checkpoints(n: int) -> tuple[int, ...]:
-    """Halving grid from n down to about n/64: n, n/2, n/4, ..."""
+    """The full halving grid n, n // 2, n // 4, ..., 1, in increasing order."""
     if n < 1:
         raise ValueError("n must be positive")
-    floor = max(1, n // _DYADIC_SPAN)
-    cps = []
-    m = n
-    while m >= floor:
-        cps.append(m)
-        m //= 2
-    return tuple(reversed(cps))
+    return tuple(n >> s for s in reversed(range(n.bit_length())))
+
+
+def _gamma_json(gamma: float | None) -> float | None:
+    """gamma as JSON holds it: -inf (and no fit) as null."""
+    return gamma if gamma is not None and math.isfinite(gamma) else None
 
 
 @dataclass(frozen=True)
 class GrowthDiagnostic:
-    """Log-log tail slope of checkpointed values, with its verdict.
+    """Growth statistic gamma of checkpointed values, with its verdict.
 
     ``values`` are the trace's partial sums, divided by the trace's
-    reference when it has one.  ``slope`` is fitted on the upper
-    half of the checkpoints; None when too few positive values remain to
-    fit.  ``last_mid_ratio`` is values[-1]/values[mid]; None when the mid
-    value is zero but the last is not, or when the quotient overflows.
+    reference when it has one.  ``gamma`` is -inf when the running max of
+    |values| ends flat over the fitted half, None when it rises there once,
+    at its last increment (see ``growth_diagnostic``).  ``slope``, the
+    log-log slope of |values| against the checkpoints over their upper
+    half, is reported only; None when too few positive values remain to
+    fit.
     """
 
     checkpoints: tuple[int, ...]
     values: np.ndarray
     slope: float | None
-    last_mid_ratio: float | None
+    gamma: float | None
     verdict: GrowthVerdict
 
     def to_json(self) -> dict:
@@ -177,12 +184,23 @@ class GrowthDiagnostic:
             "checkpoints": list(self.checkpoints),
             "values": [float(v) for v in self.values.tolist()],
             "slope": self.slope,
-            "last_mid_ratio": self.last_mid_ratio,
+            "gamma": _gamma_json(self.gamma),
             "verdict": self.verdict.value,
         }
 
 
-@np.errstate(all="ignore")
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float | None, int]:
+    """The least-squares slope of log y against log x over the y > 0 (None
+    when fewer than two), and their count."""
+    usable = y > 0.0
+    count = int(np.count_nonzero(usable))
+    if count < 2:
+        return None, count
+    x, y = np.log(x[usable]), np.log(y[usable])
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x)), count
+
+
 def growth_diagnostic(trace: CheckpointTrace,
                       tolerances: Tolerances | None = None) -> GrowthDiagnostic:
     """Judge boundedness-at-scale of a checkpointed trace.
@@ -190,9 +208,21 @@ def growth_diagnostic(trace: CheckpointTrace,
     The trace's partial sums are divided by its reference when it has one:
     a trace whose reference is X at the checkpoints tests sums = O(X).
 
-    bounded_consistent requires both a tail slope below the slope tolerance
-    and a last/mid ratio below the ratio tolerance; a slope at or above the
-    tolerance is growth_detected; anything else is inconclusive.
+    The verdict reads gamma, from Cauchy condensation: a sequence is
+    bounded iff its running max is, iff the rises of that max over a
+    halving grid sum.  With v_j the running max of |value| at the
+    checkpoint m_j, at j = log2 m_j (the j-th point of the full halving
+    grid, counted from 0 at m = 1), and D_j = v_(j+1) - v_j, gamma is the
+    log-log slope of D_j against j over the upper half of the increments,
+    fitted where D_j > 0: log n reads about 0, log log n about -1 and
+    2 - 1/log n about -2.  When fewer than two D_j there are positive no
+    slope fits: gamma is -inf when none is, or when one is and a zero
+    increment follows it (the max is flat after its one rise), and None
+    when the one rise is the last increment.
+
+    gamma at or above ``gamma_growth`` is growth_detected, below
+    ``gamma_bounded`` (-inf included) bounded_consistent, anything else
+    (None included) inconclusive.
     """
     tol = tolerances or Tolerances()
     cps = validate_checkpoints(trace.checkpoints, at_least=4)
@@ -201,40 +231,30 @@ def growth_diagnostic(trace: CheckpointTrace,
         vals = vals / trace.reference
 
     mags = np.abs(vals)
+    grid = np.asarray(cps, dtype=np.float64)
     mid = len(cps) // 2
-
-    tail_cp = np.asarray(cps[mid:], dtype=np.float64)
-    tail_mag = mags[mid:]
-    usable = tail_mag > 0.0
-    if int(np.count_nonzero(usable)) >= 2:
-        slope = float(np.polyfit(np.log(tail_cp[usable]),
-                                 np.log(tail_mag[usable]), 1)[0])
-    elif np.all(tail_mag == 0.0):
+    slope, usable = _loglog_slope(grid[mid:], mags[mid:])
+    if usable == 0:
         slope = 0.0
-    else:
-        slope = None
 
-    if mags[mid] > 0.0:
-        ratio = float(mags[-1] / mags[mid])
-        # a quotient that overflows is reported as None, since JSON holds
-        # no inf; the verdict is the same, as inf never passed the ratio test
-        if not math.isfinite(ratio):
-            ratio = None
-    elif mags[-1] == 0.0:
-        ratio = 1.0
-    else:
-        ratio = None
+    rises = np.diff(np.maximum.accumulate(mags))
+    half = rises.size // 2
+    rises = rises[half:]
+    gamma, usable = _loglog_slope(np.log2(grid[half:-1]), rises)
+    # no rise, or one that a flat increment follows: the max is flat at the
+    # top of the range.  One rise at the top (gamma None) tells nothing
+    if usable == 0 or (usable == 1 and rises[-1] == 0.0):
+        gamma = -math.inf
 
-    if slope is not None and slope >= tol.slope:
+    if gamma is not None and gamma >= tol.gamma_growth:
         verdict = GrowthVerdict.GROWTH_DETECTED
-    elif (slope is not None and slope < tol.slope
-          and ratio is not None and ratio < tol.ratio):
+    elif gamma is not None and gamma < tol.gamma_bounded:
         verdict = GrowthVerdict.BOUNDED_CONSISTENT
     else:
         verdict = GrowthVerdict.INCONCLUSIVE
 
     return GrowthDiagnostic(checkpoints=cps, values=vals, slope=slope,
-                            last_mid_ratio=ratio, verdict=verdict)
+                            gamma=gamma, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -289,14 +309,16 @@ class FamilyBundle:
 class ConditionRecord:
     """Verdict for one hypothesis: element-wise records use pass/fail with a
 
-    first violating index, scale records carry the growth verdict and its
-    fitted slope."""
+    first violating index, scale records carry the growth verdict, its gamma
+    (null when -inf or not fitted; the notes tell which) and the reported
+    slope."""
 
     condition: str
     verdict: str
     passed: bool
     first_violation: int | None = None
     slope: float | None = None
+    gamma: float | None = None
     notes: str = ""
 
     def to_json(self) -> dict:
@@ -488,12 +510,12 @@ class _Context:
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
         diag = growth_diagnostic(trace, self.tol)
-        extra = (f"slope={_fmt(diag.slope)} "
-                 f"last_mid_ratio={_fmt(diag.last_mid_ratio)}")
+        extra = f"gamma={_fmt(diag.gamma)} slope={_fmt(diag.slope)}"
         return ConditionRecord(
             condition=condition, verdict=diag.verdict.value,
             passed=diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT,
-            slope=diag.slope, notes=(notes + " " + extra).strip())
+            slope=diag.slope, gamma=_gamma_json(diag.gamma),
+            notes=(notes + " " + extra).strip())
 
     def traced_record(self, condition: str, trace: CheckpointTrace,
                       notes: str) -> ConditionRecord:
@@ -503,10 +525,12 @@ class _Context:
 
 
 def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
-    # X positive, with inf_ratio, the least X_n / max_(v<=n) X_v, above the
-    # floor (near zero at scale: not almost increasing); the running max is
+    # X positive, and almost increasing: r_m = max_(v<=m) X_v / X_m = O(1),
+    # sampled at the checkpoints and judged like cond7; the running max is
     # carried from block to block
-    peak, low = -np.inf, np.inf
+    idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
+    r = np.empty(idx.size)
+    peak = -np.inf
     while (block := (yield)) is not None:
         if np.any(block.X <= 0.0):
             return _pass_fail(name, False, "X must be positive",
@@ -514,10 +538,9 @@ def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
         c = np.maximum.accumulate(block.X)
         np.maximum(c, peak, out=c)
         peak = c[-1]
-        low = min(low, float(np.min(block.X / c)))
-    floor = ctx.tol.inf_ratio_floor
-    return _pass_fail(name, low > floor,
-                      f"inf_ratio={_fmt(low)} floor={_fmt(floor)}")
+        _sample(idx, block, np.divide(c, block.X, out=c), r)
+    return ctx.growth_record(name, _named(name, CheckpointTrace,
+                                          ctx.checkpoints, r))
 
 
 def _x_non_decreasing(ctx: _Context, name: str) -> _Step:
@@ -567,13 +590,13 @@ def _quasi_monotone(ctx: _Context, name: str) -> _Step:
     # is never read); a non-positive delta raises in the first window that
     # holds Q's difference at its index.  trend_ratio, the mean of |Q| over
     # the last quarter over that of the first, is a decay diagnostic only,
-    # never a proof of Q_n -> 0.  A quarter's sum adds, left to right, the
-    # np.add.reduce of its part of each block: np.mean's bits when the
-    # quarter lies in one block (every n <= 2**14).  Its terms are
-    # non-negative, and each goes through at most 32 roundings in a block's
-    # np.add.reduce (numpy's pairwise sum) and one per block after it, so
-    # the sum is within about (blocks + 32) * 2**-53 relative of the exact
-    # one
+    # never a proof of Q_n -> 0, and the notes say it is not judged.  A
+    # quarter's sum adds, left to right, the np.add.reduce of its part of
+    # each block: np.mean's bits when the quarter lies in one block (every
+    # n <= 2**14).  Its terms are non-negative, and each goes through at
+    # most 32 roundings in a block's np.add.reduce (numpy's pairwise sum)
+    # and one per block after it, so the sum is within about
+    # (blocks + 32) * 2**-53 relative of the exact one
     length = ctx.bundle.n
     quarter = length // 4
     head = tail = 0.0
@@ -603,7 +626,8 @@ def _quasi_monotone(ctx: _Context, name: str) -> _Step:
         trend_ratio = tail_mean / head_mean if head_mean > 0.0 else None
     return _pass_fail(
         name, first is None and positive_from is not None,
-        f"positivity_from={positive_from} trend_ratio={_fmt(trend_ratio)}",
+        f"positivity_from={positive_from} trend_ratio={_fmt(trend_ratio)} "
+        "(trend not judged)",
         first)
 
 

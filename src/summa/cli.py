@@ -6,8 +6,6 @@ so ``summa family`` and ``summa oracle`` never load numpy."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import re
 import sys
 
 from .experiment import (ConfigError, ExperimentConfig, family_catalog_lines,
@@ -17,17 +15,7 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its usage errors raised as ``ConfigError``, and with
-    every negative number, exponent form and -inf included, read as a value.
-    argparse reads a token that starts with "-" as a value only where its
-    ``_negative_number_matcher`` matches, and its own pattern misses -1e-05;
-    ``tests/test_cli_contract.py`` checks the replacement takes effect."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-            re.IGNORECASE)
+    """argparse with its usage errors raised as ``ConfigError``."""
 
     def error(self, message):
         raise ConfigError(self.prog, message)
@@ -44,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--out", metavar="DIR",
                        help="output directory (overrides the config's own)")
-    p_run.add_argument("--tolerance-slope", type=float, metavar="F",
-                       help="override the growth-verdict slope tolerance")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary")
 
@@ -68,19 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.tolerance_slope is not None:
-        if config.mode not in ("check_main", "check_theorem_a"):
-            raise ConfigError("--tolerance-slope",
-                              f"does not apply to mode {config.mode!r}")
-        from .checker import Tolerances
-        base = config.tolerances or Tolerances()
-        try:
-            tolerances = dataclasses.replace(base, slope=args.tolerance_slope)
-        except ValueError as e:
-            raise ConfigError("--tolerance-slope", str(e)) from e
-        config = dataclasses.replace(config, tolerances=tolerances)
-    report = run(config, out_dir=args.out, quiet=args.quiet)
+    report = run(load_config(args.config), out_dir=args.out, quiet=args.quiet)
     return report.exit_status
 
 

@@ -644,7 +644,7 @@ def _summary_lines(report: RunReport) -> list[str]:
                          f"{rec['notes']}".rstrip())
         conc = results["conclusion"]
         lines.append(f"  {'conclusion':<16} {conc['verdict']:<18} "
-                     f"slope={conc['slope']}")
+                     f"gamma={conc['gamma']} slope={conc['slope']}")
     elif "suites" in results:
         for suite in results["suites"]:
             lines.append(f"  {suite['check']:<22} trials={suite['trials']} "

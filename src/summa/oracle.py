@@ -32,8 +32,10 @@ Fraction arithmetic; the Hoelder floats, int / int divisions, round like
 Argument gate: a bad argument is a ``ValueError`` that names it, raised
 before any arithmetic.  ``_alpha`` parses alpha (what ``Fraction`` takes,
 but no bool) and checks its bound; ``_over_one_to_n`` then checks n and
-the spans (``_span``) of a statement over indices 1..n.  ``_integers``
-and ``_reals`` refuse counts and reals of the wrong type.
+the spans (``_span``, which refuses a sequence that is not a
+``RationalSequence``) of a statement over indices 1..n.  ``_integers``
+and ``_reals`` refuse counts and reals of the wrong type, ``_reals`` also
+a real too large for a float.
 
 Draw contract: every integer the suites draw comes from ``_below``, which
 makes the ``getrandbits`` calls of ``randint`` and ``choice``, and every
@@ -81,6 +83,11 @@ class RationalSequence:
     def __post_init__(self) -> None:
         if type(self.start_index) is not int or self.start_index < 0:
             raise ValueError("start_index must be a non-negative integer")
+        # a string iterates as its characters, each a numeral
+        if isinstance(self.values, (str, bytes)) or not hasattr(
+                self.values, "__iter__"):
+            raise ValueError("values must be an iterable of rationals, "
+                             f"got {type(self.values).__name__}")
         vals = tuple([v if type(v) is Fraction else _rational("values", v)
                       for v in self.values])
         object.__setattr__(self, "values", vals)
@@ -147,6 +154,9 @@ def _alpha(alpha, statement: str | None = None) -> tuple[int, int]:
 
 def _span(name: str, seq: RationalSequence, lo: int, hi: int) -> tuple:
     """seq's values at indices lo..hi."""
+    if not isinstance(seq, RationalSequence):
+        raise ValueError(f"{name} must be a RationalSequence, "
+                         f"got {type(seq).__name__}")
     if seq.start_index > lo or seq.end_index < hi:
         raise ValueError(f"{name} must cover indices {lo}..{hi}")
     return seq.values[lo - seq.start_index:hi + 1 - seq.start_index]
@@ -424,11 +434,17 @@ def _integers(**named) -> None:
 
 
 def _reals(**named) -> None:
-    """Refuse an argument that is not a real number (a bool is refused too)."""
+    """Refuse an argument that is not a real number (a bool is refused too),
+    or one too large for a float."""
     for name, value in named.items():
         if type(value) is not float and (
                 type(value) is bool or not isinstance(value, numbers.Real)):
             raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number that a float "
+                             "holds") from None
 
 
 def _check_seed(seed) -> None:

@@ -210,9 +210,8 @@ print(json.dumps({"code": code, "kib": int(hwm.split()[1])}))
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("family, code", [("F1", 0), ("F3", 0)])
+@pytest.mark.parametrize("family, code", [("F1", 0), ("F3", 1)])
 def test_cli_at_ten_million_under_100_mib(tmp_path, family, code):
-    # F3 exits 0 at this n: the known cond7 slope defect, not a pass
     config = tmp_path / "config.json"
     config.write_text(f'{{"mode": "check_main", "family": "{family}", '
                       f'"n": 10000000}}')

@@ -25,8 +25,10 @@ from helpers import drive, monotone_partials, phi_of
 
 class TestDyadicCheckpoints:
     def test_canonical_grid(self):
-        assert dyadic_checkpoints(10000) == (156, 312, 625, 1250, 2500,
-                                             5000, 10000)
+        # the full halving grid, from n down to 1
+        assert dyadic_checkpoints(10000) == (1, 2, 4, 9, 19, 39, 78, 156,
+                                             312, 625, 1250, 2500, 5000,
+                                             10000)
 
     def test_small_grid(self):
         assert dyadic_checkpoints(64) == (1, 2, 4, 8, 16, 32, 64)
@@ -45,7 +47,7 @@ class TestGrowthDiagnostic:
 
     def test_log_against_log_reference_cancels(self):
         cps = dyadic_checkpoints(4096)
-        vals = np.log(np.asarray(cps, dtype=float))
+        vals = np.log(np.asarray(cps, dtype=float) + 1.0)
         d = growth_diagnostic(CheckpointTrace(cps, vals,
                                               reference=vals.copy()))
         assert d.slope == pytest.approx(0.0, abs=1e-12)
@@ -62,7 +64,7 @@ class TestGrowthDiagnostic:
         cps = (1, 2, 4, 8)
         d = growth_diagnostic(CheckpointTrace(cps, np.zeros(4)))
         assert d.slope == 0.0
-        assert d.last_mid_ratio == 1.0
+        assert d.gamma == -np.inf
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_requires_four_checkpoints(self):
@@ -89,38 +91,140 @@ class TestGrowthDiagnostic:
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
     def test_tolerance_knobs(self):
+        # log n: gamma near 0, growth at the default edges, bounded once
+        # both edges lie above it
         cps = dyadic_checkpoints(4096)
-        trace = CheckpointTrace(cps, np.power(np.asarray(cps, dtype=float),
-                                              0.3))
+        trace = CheckpointTrace(cps, np.log(np.asarray(cps, dtype=float)))
         assert (growth_diagnostic(trace).verdict
                 is GrowthVerdict.GROWTH_DETECTED)
-        relaxed = growth_diagnostic(trace, Tolerances(slope=0.5, ratio=10.0))
+        relaxed = growth_diagnostic(
+            trace, Tolerances(gamma_growth=0.5, gamma_bounded=0.25))
         assert relaxed.verdict is GrowthVerdict.BOUNDED_CONSISTENT
+        between = growth_diagnostic(
+            trace, Tolerances(gamma_growth=0.5, gamma_bounded=-0.5))
+        assert between.verdict is GrowthVerdict.INCONCLUSIVE
+
+
+def _log_shift(m):
+    # log(m + 2), as X = log_shift: every shape below is finite from m = 1
+    return np.log(m + 2.0)
+
+
+# closed forms of m, each with the band gamma must read at every n: the
+# divergent ones growth or inconclusive, the bounded ones bounded_consistent
+# where they converge at least as fast as 1/sqrt(log n).  1 - n^-0.05 is
+# bounded, but at these n its decay cannot be told from 1/j: inconclusive
+_G, _I, _B = (GrowthVerdict.GROWTH_DETECTED, GrowthVerdict.INCONCLUSIVE,
+              GrowthVerdict.BOUNDED_CONSISTENT)
+CALIBRATION = {
+    "log n": (_log_shift, _G),
+    "n^0.01": (lambda m: np.power(m, 0.01), _G),
+    "sqrt(log n)": (lambda m: np.sqrt(_log_shift(m)), _I),
+    "log log n": (lambda m: np.log(_log_shift(m)), _I),
+    "1 - n^-0.05": (lambda m: 1.0 - np.power(m, -0.05), _I),
+    "2 - 1/sqrt(log n)": (lambda m: 2.0 - 1.0 / np.sqrt(_log_shift(m)), _B),
+    "2 - 1/log n": (lambda m: 2.0 - 1.0 / _log_shift(m), _B),
+    "2 + sin(log n)": (lambda m: 2.0 + np.sin(_log_shift(m)), _B),
+}
+
+
+@pytest.mark.parametrize("shape", list(CALIBRATION))
+def test_gamma_calibration_on_closed_forms(shape):
+    make, band = CALIBRATION[shape]
+    for n in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9):
+        cps = dyadic_checkpoints(n)
+        diag = growth_diagnostic(
+            CheckpointTrace(cps, make(np.asarray(cps, dtype=float))))
+        assert diag.verdict is band, (n, diag.gamma)
+
+
+def test_gamma_reads_the_upper_half_of_the_increments():
+    # on 1..256 the running max has 8 increments; gamma fits the last 4,
+    # those that start at m = 16, 32, 64 and 128 (j = 4, 5, 6, 7), where
+    # D_j = j^-2 here: the lower half, growing, is not read
+    cps = dyadic_checkpoints(256)
+    j = np.log2(np.asarray(cps, dtype=float))
+    rises = np.concatenate([[1.0, 10.0, 100.0, 1000.0], 1.0 / j[4:8] ** 2])
+    values = np.concatenate([[0.0], np.cumsum(rises)])
+    diag = growth_diagnostic(CheckpointTrace(cps, values))
+    assert diag.gamma == pytest.approx(-2.0, abs=1e-9)
+    assert diag.verdict is GrowthVerdict.BOUNDED_CONSISTENT
+
+
+@pytest.mark.parametrize("values, gamma, verdict", [
+    # no rise in the fitted half: the max is flat at the top
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0], -np.inf, _B),
+    # one rise that a flat increment follows: the max is flat after it
+    ([1.0, 2.0, 3.0, 3.0, 9.0, 9.0, 9.0], -np.inf, _B),
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 9.0, 9.0], -np.inf, _B),
+    # one rise at the last increment: no slope fits, and nothing is told
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 9.0], None, _I),
+    # two rises fit a slope
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0], 0.0, _G),
+])
+def test_one_rise_in_the_fitted_half(values, gamma, verdict):
+    # seven checkpoints, six increments: the fitted half is the last three
+    diag = growth_diagnostic(CheckpointTrace(dyadic_checkpoints(64),
+                                             np.array(values)))
+    assert diag.gamma == (gamma if gamma is None
+                          else pytest.approx(gamma, abs=1e-12))
+    assert diag.verdict is verdict
+
+
+def test_minus_infinity_is_written_as_null():
+    # a report must stay strict JSON: gamma = -inf (and no fit) is null, in
+    # the diagnostic and in a record; the notes tell the two apart
+    diag = growth_diagnostic(CheckpointTrace((1, 2, 4, 8), np.ones(4)))
+    assert diag.gamma == -np.inf
+    assert json.loads(json.dumps(diag.to_json(), allow_nan=False))[
+        "gamma"] is None
+    report = check_main_theorem(builtin_family("F1", 256))
+    cond7 = next(r for r in report.records if r.condition == "cond7")
+    assert cond7.gamma is None and cond7.notes.startswith("gamma=-inf ")
+    body = json.loads(json.dumps(report.to_json(), allow_nan=False))
+    assert next(r for r in body["records"]
+                if r["condition"] == "cond7")["gamma"] is None
 
 
 class TestTolerances:
     def test_round_trip(self):
-        t = Tolerances(slope=0.2, ratio=2.0, inf_ratio_floor=1e-5,
+        t = Tolerances(gamma_growth=-0.5, gamma_bounded=-2.0,
                        weight_rel_tol=1e-10)
         assert Tolerances.from_json(t.to_json()) == t
 
+    def test_three_fields(self):
+        assert Tolerances().to_json() == {"gamma_growth": -0.25,
+                                          "gamma_bounded": -1.25,
+                                          "weight_rel_tol": 1e-12}
+
     def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Tolerances(slope=0.0)
+        with pytest.raises(ValueError, match="^weight_rel_tol tolerance "
+                           "must be positive$"):
+            Tolerances(weight_rel_tol=0.0)
+
+    def test_edges_in_order(self):
+        # equal edges leave no inconclusive band, which is allowed
+        assert Tolerances(gamma_growth=-1.0, gamma_bounded=-1.0)
+        with pytest.raises(ValueError, match="^gamma_bounded tolerance must "
+                           "not exceed gamma_growth$"):
+            Tolerances(gamma_bounded=0.0)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            Tolerances.from_json({"slope": 0.1, "grit": 1.0})
+        # the slope, ratio and inf_ratio_floor knobs are gone
+        for name in ("slope", "ratio", "inf_ratio_floor"):
+            with pytest.raises(ValueError, match="^unknown tolerance fields"):
+                Tolerances.from_json({name: 0.1})
 
     @pytest.mark.parametrize("value", [
-        True, np.True_, "0.5", None, pytest.param(10 ** 400, id="10**400")])
+        True, np.True_, "0.5", None, pytest.param(10 ** 400, id="10**400"),
+        np.inf, np.nan])
     def test_refuses_what_is_not_a_real_number(self, value):
         # from_json passes the value through, so the one check sees it
-        for name in ("slope", "ratio", "inf_ratio_floor", "weight_rel_tol"):
+        for name in ("gamma_growth", "gamma_bounded", "weight_rel_tol"):
             for make in (lambda: Tolerances(**{name: value}),
                          lambda: Tolerances.from_json({name: value})):
                 with pytest.raises(ValueError, match=f"^{name} tolerance "
-                                   "must be positive and finite$"):
+                                   "must be finite$"):
                     make()
 
 
@@ -171,7 +275,8 @@ class TestCheckMainTheorem:
         import dataclasses
         base = builtin_family("F1", 256)
         lam = base.lam.values.copy()
-        lam[:2] = (1.7e308, -1.7e308)
+        # |lambda_n| X_n stays finite at the checkpoints 1 and 2 for cond7
+        lam[:2] = (1e308, -1e308)
         bundle = dataclasses.replace(base, lam=RealSequence(1, lam))
         report = check_main_theorem(bundle)
         rec = next(r for r in report.records if r.condition == "majorant")
@@ -212,8 +317,11 @@ class TestCheckMainTheorem:
                for name in ("a", "lam", "Q", "delta")})
         report = check_main_theorem(bundle)
         rec = next(r for r in report.records if r.condition == "X_class")
+        # max_(v<=m) X_v / X_m rises once, at the last checkpoint
+        assert report.checkpoints[-2] < _BLOCK < report.checkpoints[-1]
         assert not rec.passed
-        assert rec.notes == "inf_ratio=1.03048e-09 floor=1e-06"
+        assert rec.verdict == "inconclusive"
+        assert rec.notes == "gamma=none slope=2.486"
 
     def test_report_serialization(self):
         report = check_main_theorem(builtin_family("F1", 256))
@@ -221,7 +329,7 @@ class TestCheckMainTheorem:
         assert obj["theorem"] == "main"
         assert len(obj["records"]) == 8
         assert obj["checkpoints"] == list(dyadic_checkpoints(256))
-        assert obj["tolerances"]["slope"] == 0.1
+        assert obj["tolerances"]["gamma_growth"] == -0.25
 
 
 class TestCheckTheoremA:
@@ -973,18 +1081,11 @@ def test_overflow_raises_and_never_warns(check, family, roles, message):
 
 
 def test_growth_diagnostic_never_warns():
-    # last / mid overflows: a verdict, with no RuntimeWarning
-    trace = CheckpointTrace((1, 2, 4, 8, 16, 32),
-                            np.array([1.0, 1.0, 1.0, 1e-300, 1.0, 1e300]))
-    assert growth_diagnostic(trace).verdict is GrowthVerdict.GROWTH_DETECTED
-
-
-def test_overflowed_ratio_is_reported_as_none():
-    # last / mid overflows to inf, which JSON cannot hold; the verdict is
-    # the one an infinite ratio gave, since the slope alone decides it
+    # values that span the float range: a verdict, with no RuntimeWarning.
+    # The running max rises once in the fitted half, at its last increment
     trace = CheckpointTrace((1, 2, 4, 8, 16, 32),
                             np.array([1.0, 1.0, 1.0, 1e-300, 1.0, 1e300]))
     diag = growth_diagnostic(trace)
-    assert diag.last_mid_ratio is None
-    assert diag.verdict is GrowthVerdict.GROWTH_DETECTED
+    assert diag.gamma is None
+    assert diag.verdict is GrowthVerdict.INCONCLUSIVE
     json.dumps(diag.to_json(), allow_nan=False)

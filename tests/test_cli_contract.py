@@ -5,11 +5,11 @@ verdict failed) or 2 (the config cannot be run), and never raises or warns.
 Exit 2 prints exactly one ``config error:`` line and leaves no output
 directory; exits 0 and 1 print nothing to stderr and write a
 ``report.json`` that is valid JSON (no ``NaN`` or ``Infinity``).  The same
-holds for the flags: ``--tolerance-slope`` on ``summa run`` and ``--seed``
-and ``--trials`` on ``summa oracle``, negative, zero and huge values
-included, each passed either as ``--flag=VALUE`` or as two argv tokens, so
-that a negative value such as ``-1e-05`` must be read as a value, not as an
-option.  Malformed flags and values are config errors too.  No config field
+holds for the flags ``--seed`` and ``--trials`` on ``summa oracle``,
+negative, zero and huge values included, each passed either as
+``--flag=VALUE`` or as two argv tokens, so that a negative integer must be
+read as a value, not as an option.  Malformed flags and values are config
+errors too.  No config field
 takes JSON ``true`` or ``false``, which Python reads as 1 and 0, and no
 number field takes a string such as ``"0.5"``, which ``float`` reads as a
 number: setting any number field to either is a config error that points
@@ -99,10 +99,6 @@ _DUMP = st.fixed_dictionaries(
              "n": st.integers(1, 257),
              "start": st.sampled_from([0, 0, 1])}))},
     optional={"params": st.fixed_dictionaries({"alpha": _ALPHA})})
-
-_SLOPE = st.one_of(
-    st.none(), st.floats(),
-    st.sampled_from([-1.0, 0.0, 5e-324, 1e-300, 0.05, 0.3, 1e308]))
 
 # valid trial counts stay small so that the suites run quickly
 _TRIALS = st.one_of(st.integers(-(2 ** 70), 0), st.integers(1, 3),
@@ -296,8 +292,7 @@ def _object_paths(obj, path=()):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE), slope=_SLOPE,
-       joined=st.booleans(),
+@given(config=st.one_of(_CUSTOM, _BUILTIN, _DUMP, _ORACLE),
        flip=st.one_of(st.none(), st.tuples(
            st.integers(0, 63),
            st.one_of(st.booleans(), st.sampled_from(["1", "0.5", "-2e3"])))),
@@ -307,97 +302,84 @@ def _object_paths(obj, path=()):
        unshape=st.one_of(st.none(), st.tuples(
            st.integers(0, 63),
            st.sampled_from(["pairs", 5, 1.5, "abc", None, [], [1]]))))
-# a negative slope in exponent form, as its own token, reaches the validator
-@example(flip=None, slope=-1e-05, joined=False, unshape=None,
-         config={"mode": "check_main", "family": "F1", "n": 16})
 # Q_n X_n n overflows, so the series_nQX partial sums are nan
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_Q_OVERFLOW)
 # the factored mean a_n lambda_n overflows inside the conclusion's trace
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_LAMBDA_OVERFLOW)
 # the indexed weight n^(1e300) overflows inside cond11's trace
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_BETA_OVERFLOW)
 # X_n underflows to 0, so cond11's trace has a zero reference
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_X_UNDERFLOW)
 # a zero delta, refused under its record's name
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DELTA_ZERO)
 # n * a_n overflows at alpha = 1/2, in a check and in a dump
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_A_TERMS_OVERFLOW)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DUMP_TERMS_OVERFLOW)
 # alpha = 1e300 and alpha = 150 overflow the coefficients of finite terms
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DUMP_KERNEL_OVERFLOW)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DUMP_COEFFICIENT_OVERFLOW)
 # v * a_v overflows: the means of a non-finite operand are refused
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config={"mode": "check_main", "n": 16,
                  "params": {"alpha": 0.5, "k": 1.5},
                  "bundle": _bundle(a={"family": "power_decay",
                                       "params": {"p": -1, "c": 1e306}})})
 # |lambda_n| X_n overflows, so cond7 samples inf: a config error that
 # names cond7, no NaN
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_COND7_OVERFLOW)
 # phi without a family is refused like a role without one
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_PHI_WITHOUT_FAMILY)
 # a dump whose transforms overflow warns nothing before its config error
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DUMP_OVERFLOW)
 # roles that overflow late in the range, in one order and the other
-@example(flip=None, slope=None, joined=True, unshape=None, config=_LATE_X)
-@example(flip=None, slope=None, joined=True, unshape=None, config=_LATE_A)
+@example(flip=None, unshape=None, config=_LATE_X)
+@example(flip=None, unshape=None, config=_LATE_A)
 # a non-finite family parameter is refused with its field
-@example(flip=None, slope=None, joined=True, unshape=None, config=_NAN_C0)
-@example(flip=None, slope=None, joined=True, unshape=None, config=_INF_C0)
+@example(flip=None, unshape=None, config=_NAN_C0)
+@example(flip=None, unshape=None, config=_INF_C0)
 # and so is a parameter list, or tolerances that are no object
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_LIST_INF_C0)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_DUMP_LIST_INF_C0)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_TOLERANCES_INT)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_TOLERANCES_STR)
 # the top-level params, and phi's (the fifth of params, lambda's, Q's,
 # delta's and phi's), as [name, value] pairs
-@example(flip=None, slope=None, joined=True, unshape=(0, "pairs"),
+@example(flip=None, unshape=(0, "pairs"),
          config=_BETA_OVERFLOW)
-@example(flip=None, slope=None, joined=True, unshape=(4, "pairs"),
+@example(flip=None, unshape=(4, "pairs"),
          config={**_N64, "bundle": _bundle(weight={
              "kind": "explicit_phi",
              "phi": {"family": "power_weight", "params": {"q": 0.5}}})})
 # weight fields that the kind has no use for
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_CLASSIC_PHI)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_INDEXED_PHI)
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config=_EXPLICIT_BETA)
 # n^150 overflows while the sequence is generated
-@example(flip=None, slope=None, joined=True, unshape=None,
+@example(flip=None, unshape=None,
          config={"mode": "check_main", "n": 200, "params": {"k": 1.5},
                  "bundle": _bundle(**{"lambda": {
                      "family": "power_weight", "params": {"q": 150}}})})
-def test_exit_status_stderr_and_report(config, slope, joined, flip, unshape):
-    flags = [] if slope is None else _flag("--tolerance-slope", repr(slope),
-                                           joined)
-
-    def run(config):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(config))
-            out = Path(tmp) / "out"
-            return _assert_contract(["run", str(path), f"--out={out}",
-                                     *flags], out)
-
+def test_exit_status_stderr_and_report(config, flip, unshape):
+    run = _run_config
     err = run(config)
     if config == _COND7_OVERFLOW:
         assert err.startswith("config error: ") and "cond7" in err
@@ -452,17 +434,13 @@ def test_oracle_flags(seed, trials, joined):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["run", "{config}", "--tolerance-slope", "-1e-05", "--out={out}"],
-     "--tolerance-slope: slope tolerance must be positive"),
-    (["run", "{config}", "--tolerance-slope", "-inf", "--out={out}"],
-     "--tolerance-slope: slope tolerance must be positive"),
-    (["run", "{config}", "--tolerance-slope", "abc", "--out={out}"],
-     "summa run: argument --tolerance-slope: invalid float value"),
-    (["run", "{config}", "--out={out}", "--tolerance-slope"],
-     "summa run: argument --tolerance-slope: expected one argument"),
+    (["run", "{config}", "--tolerance-slope", "0.2", "--out={out}"],
+     "summa: unrecognized arguments: --tolerance-slope 0.2"),
     (["oracle", "--seed", "abc", "--out={out}"],
      "summa oracle: argument --seed: invalid int value"),
     (["oracle", "--seed", "-1e-05", "--out={out}"],
+     "summa oracle: argument --seed: expected one argument"),
+    (["oracle", "--seed=-1e-05", "--out={out}"],
      "summa oracle: argument --seed: invalid int value"),
     (["oracle", "--seed", "1", "--out={out}", "--bogus"],
      "summa: unrecognized arguments"),
@@ -494,8 +472,8 @@ def test_malformed_flags(args, message):
       "params": {"k": 1.5, "epsilon": "{value}"}},
      "params: epsilon must be a finite real number"),
     ({"mode": "check_main", "n": 64, "family": "F1",
-      "tolerances": {"slope": "{value}"}},
-     "tolerances: slope tolerance must be positive and finite"),
+      "tolerances": {"gamma_growth": "{value}"}},
+     "tolerances: gamma_growth tolerance must be finite"),
     ({"mode": "check_main", "n": 64, "family": "F1",
       "overrides": {"k": "{value}"}},
      "overrides: k must be a finite real number"),

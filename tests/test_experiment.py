@@ -45,7 +45,7 @@ _BOOLEAN_FIELDS = [
     ({"mode": "check_main", "n": 64, "bundle": _BUNDLE,
       "params": {"alpha": True}}, "params.alpha"),
     ({"mode": "check_main", "n": 64, "family": "F1",
-      "tolerances": {"slope": True}}, "tolerances.slope"),
+      "tolerances": {"gamma_growth": True}}, "tolerances.gamma_growth"),
     ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
       "bundle": {**_BUNDLE, "lambda": {"family": "power_decay",
                                        "params": {"p": True}}}},
@@ -186,7 +186,7 @@ class TestConfigValidation:
 
     def test_tolerance_pointer(self):
         e = _err({"mode": "check_main", "n": 64, "family": "F1",
-                  "tolerances": {"slope": -1.0}})
+                  "tolerances": {"weight_rel_tol": -1.0}})
         assert e.pointer == "tolerances"
 
     def test_oracle_requirements(self):
@@ -240,11 +240,12 @@ class TestConfigValidation:
     def test_boolean_tolerance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "f1.json"
         cfg.write_text(json.dumps({"mode": "check_main", "family": "F1",
-                                   "n": 64, "tolerances": {"slope": True}}))
+                                   "n": 64,
+                                   "tolerances": {"gamma_growth": True}}))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == (
-            "config error: tolerances.slope: must not be a boolean\n")
+            "config error: tolerances.gamma_growth: must not be a boolean\n")
         assert not out.exists()
 
     def test_out_must_be_string(self):
@@ -263,7 +264,7 @@ class TestConfigRoundTrip:
         cfg = _cfg({"mode": "check_main", "n": 128, "family": "F1",
                     "overrides": {"alpha": 0.5, "k": 2},
                     "checkpoints": [16, 32, 64, 128],
-                    "tolerances": {"slope": 0.2}})
+                    "tolerances": {"gamma_growth": -0.5}})
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.overrides == {"alpha": 0.5, "k": 2.0}
@@ -339,7 +340,8 @@ class TestRunCheckModes:
         lines = (tmp_path / "trace_cond11.csv").read_text().splitlines()
         assert lines[0] == "checkpoint,partial_sum,reference,ratio"
         cps = [int(row.split(",")[0]) for row in lines[1:]]
-        assert cps == [156, 312, 625, 1250, 2500, 5000, 10000]
+        assert cps == [1, 2, 4, 9, 19, 39, 78, 156, 312, 625, 1250, 2500,
+                       5000, 10000]
         assert all(len(row.split(",")) == 4 and "" not in row.split(",")
                    for row in lines[1:])
 
@@ -595,22 +597,16 @@ class TestCli:
         assert "cond7" in out and "conclusion" in out
         assert "exit_status=" in out
 
-    def test_slope_tolerance_flips_f3(self, tmp_path):
-        code = main(["run", str(CONFIG_DIR / "f3_negative.json"),
-                     "--out", str(tmp_path), "--quiet",
-                     "--tolerance-slope", "0.2"])
+    def test_band_edges_flip_f3(self, tmp_path):
+        # F3's cond7 and conclusion read gamma near 0: bounded once both
+        # band edges of the config's tolerances lie above it
+        cfg = tmp_path / "f3.json"
+        cfg.write_text(json.dumps({
+            **json.loads((CONFIG_DIR / "f3_negative.json").read_text()),
+            "tolerances": {"gamma_growth": 0.5, "gamma_bounded": 0.25}}))
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"])
         assert code == 0
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
-    def test_bad_slope_tolerance_is_config_error(self, tmp_path, capsys,
-                                                 value):
-        code = main(["run", str(CONFIG_DIR / "f1_main.json"),
-                     "--out", str(tmp_path), "--quiet",
-                     "--tolerance-slope", value])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --tolerance-slope:")
-        assert "Traceback" not in err
 
     def test_bad_dump_sequence_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "dump.json"
@@ -640,12 +636,15 @@ class TestCli:
         assert rec["first_violation"] == 2
         assert "non-finite" in rec["notes"]
 
-    def test_slope_tolerance_rejected_for_oracle(self, tmp_path, capsys):
-        code = main(["run", str(CONFIG_DIR / "oracle_default.json"),
-                     "--out", str(tmp_path), "--quiet",
+    def test_slope_flag_is_gone(self, tmp_path, capsys):
+        # the band edges are set in a config's tolerances, by no flag
+        code = main(["run", str(CONFIG_DIR / "f1_main.json"),
+                     "--out", str(tmp_path / "out"), "--quiet",
                      "--tolerance-slope", "0.2"])
         assert code == 2
-        assert "--tolerance-slope" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: summa: unrecognized arguments: --tolerance-slope")
+        assert not (tmp_path / "out").exists()
 
 
 # n^180 is finite up to index 51 and overflows from 52 on: with blocks of 8
@@ -828,22 +827,3 @@ class TestModeScopedImports:
     def test_public_callables_work_as_the_first_call(self, tmp_path, script,
                                                      expected):
         assert _fresh(tmp_path, script)[0] == expected
-
-    def test_slope_tolerance_in_a_fresh_interpreter(self, tmp_path):
-        # Tolerances loads only where --tolerance-slope needs it
-        result, loaded, err = _fresh(tmp_path, (
-            "from summa.cli import main\n"
-            f"result = main(['run', {str(CONFIG_DIR / 'f1_main.json')!r},"
-            " '--tolerance-slope', '0.2', '--out', 'out', '--quiet'])"))
-        assert (result, err) == (0, "")
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["config"]["tolerances"]["slope"] == 0.2
-        result, loaded, err = _fresh(tmp_path, (
-            "from summa.cli import main\n"
-            f"result = main(['run', {str(CONFIG_DIR / 'oracle_default.json')!r},"
-            " '--tolerance-slope', '0.2', '--out', 'oracle', '--quiet'])"))
-        assert result == 2
-        assert err == ("config error: --tolerance-slope: does not apply to "
-                       "mode 'oracle'\n")
-        assert not loaded & _FLOAT_ENGINE
-        assert not (tmp_path / "oracle").exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from summa import checker
 from summa.checker import (Tolerances, _quasi_monotone, _weight_monotone,
-                           _x_almost_increasing, check_main_theorem)
+                           _x_almost_increasing, check_main_theorem,
+                           dyadic_checkpoints)
 from summa.experiment import builtin_family
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
@@ -35,20 +38,27 @@ def quasi_monotone(b, delta):
     return record.first_violation, positive_from, trend_ratio
 
 
-def witness(b):
-    """(first non-positive index or None, inf_ratio in full or None) of b
-    from index 1: the record gives no inf_ratio once X is not positive."""
-    with full_notes():
-        record = drive(_x_almost_increasing,
-                       X=np.asarray(b, dtype=np.float64))
-    inf_ratio = notes(record).get("inf_ratio")
-    return (record.first_violation,
-            None if inf_ratio is None else float(inf_ratio))
+def witness(b, block=None):
+    """(first non-positive index or None, r or None) of b from index 1, r
+    the record's trace of max_(v<=m) b_v / b_m at the halving grid over b,
+    sent in blocks of ``block`` values (one block when None): the record
+    makes no trace once X is not positive."""
+    b = np.asarray(b, dtype=np.float64)
+    traces = []
+    judge = checker._Context.growth_record
+
+    def growth_record(ctx, name, trace, notes=""):
+        traces.append(trace.partial_sums)
+        return judge(ctx, name, trace, notes)
+    with mock.patch.object(checker._Context, "growth_record", growth_record):
+        record = drive(_x_almost_increasing, X=b, block=block,
+                       checkpoints=dyadic_checkpoints(b.size))
+    return record.first_violation, (traces[0] if traces else None)
 
 
 def x_class(X, tolerances=None):
     """The X_class record of F1 with X replaced: the almost-increasing
-    verdict at the pass's floor."""
+    verdict, judged by growth_diagnostic."""
     bundle = builtin_family("F1", len(X))
     bundle = dataclasses.replace(bundle, X=RealSequence(1, np.asarray(X)))
     return check_main_theorem(bundle, tolerances=tolerances).records[0]
@@ -105,78 +115,90 @@ class TestQuasiMonotone:
 class TestAlmostIncreasing:
     def test_non_decreasing_gives_exact_one(self):
         b = materialize(SequenceSpec("log_shift", n=1000, start=1))
-        assert witness(b.values) == (None, 1.0)
-        assert x_class(b.values).passed
+        _, r = witness(b.values)
+        assert np.array_equal(r, np.ones(r.size))
+        record = x_class(b.values)
+        assert record.passed and record.notes.startswith("gamma=-inf ")
 
-    def test_oscillating_fixture_near_e_minus_two(self):
+    def test_oscillating_fixture_near_e_squared(self):
+        # n e^((-1)^n): r is e^2 (m - 1) / m at odd m > 1 and 1 at the
+        # others, so its running max ends flat
         b = materialize(SequenceSpec("almost_inc_example", n=1000, start=1))
-        _, inf_ratio = witness(b.values)
-        assert abs(inf_ratio - math.exp(-2)) <= 1e-3
+        _, r = witness(b.values)
+        cps = np.asarray(dyadic_checkpoints(1000))
+        odd = (cps % 2 == 1) & (cps > 1)
+        assert np.allclose(r[odd], math.exp(2) * (cps[odd] - 1) / cps[odd],
+                           rtol=1e-12)
+        assert np.all(r[~odd] == 1.0)
         assert x_class(b.values).passed
 
-    def test_geometric_decay_fails_floor(self):
+    def test_geometric_decay_grows(self):
         b = np.exp(-np.arange(1.0, 101.0))
-        _, inf_ratio = witness(b)
-        assert inf_ratio < 1e-6
-        assert not x_class(b).passed
+        _, r = witness(b)
+        assert r[-1] > 1e40
+        record = x_class(b)
+        assert (record.passed, record.verdict) == (False, "growth_detected")
 
-    def test_witness_sandwich(self):
+    # in blocks of 7 values the running max must cross block edges
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_witness_sandwich(self, block):
         rng = np.random.default_rng(13)
         b = np.exp(rng.standard_normal(500) * 0.3) + 0.1
-        _, inf_ratio = witness(b)
+        _, r = witness(b, block)
         c = np.maximum.accumulate(b)
-        # inf_ratio * c <= b <= c, the first up to one rounding of the
-        # product
-        assert np.all(b <= c)
-        assert np.all(inf_ratio * c <= b * (1.0 + 4.0 * np.finfo(float).eps))
-        assert inf_ratio == np.min(b / c)
+        idx = np.asarray(dyadic_checkpoints(b.size)) - 1
+        assert np.all(r >= 1.0)
+        assert np.array_equal(r, c[idx] / b[idx])
 
     def test_requires_positive(self):
-        # the first non-positive value is reported, and no inf_ratio
+        # the first non-positive value is reported, and no trace
         assert witness([1.0, 0.0, 2.0]) == (2, None)
         # index 3 is off the checkpoints, where cond11 divides by X
         record = x_class([1.0, 2.0, 0.0, *range(3, 16)])
         assert (record.passed, record.first_violation, record.notes) \
             == (False, 3, "X must be positive")
 
-    # the pass takes its floor from Tolerances, which refuses what the
+    # the pass takes its band edges from Tolerances, which refuses what the
     # verdict could not compare against
-    def test_floor_validation(self):
+    def test_edge_validation(self):
         with pytest.raises(ValueError):
-            Tolerances(inf_ratio_floor=0.0)
+            Tolerances(gamma_bounded=0.0)
 
-    @pytest.mark.parametrize("floor", [True, False, np.True_, np.False_])
-    def test_boolean_floor_refused(self, floor):
-        # True is not the floor 1.0
-        with pytest.raises(ValueError, match="^inf_ratio_floor tolerance "
-                           "must be positive"):
-            Tolerances(inf_ratio_floor=floor)
+    @pytest.mark.parametrize("edge", [True, False, np.True_, np.False_])
+    def test_boolean_edge_refused(self, edge):
+        # True is not the edge 1.0
+        with pytest.raises(ValueError, match="^gamma_growth tolerance "
+                           "must be finite"):
+            Tolerances(gamma_growth=edge)
 
-    @pytest.mark.parametrize("floor, verdict", [
-        (np.float32(1e-6), True), (np.float32(0.75), False),
-        (np.int64(1), False)])
-    def test_numpy_floor_accepted(self, floor, verdict):
-        # inf_ratio of 1, 2, 1.5, 2, ... is 0.75
-        tol = Tolerances(inf_ratio_floor=floor)
-        assert tol.inf_ratio_floor == float(floor)
-        assert type(tol.inf_ratio_floor) is float
-        assert x_class([1.0, 2.0, 1.5, *[2.0] * 13], tol).passed is verdict
+    @pytest.mark.parametrize("growth, bounded, verdict", [
+        (np.float32(0.5), np.float32(0.25), True),
+        (np.float32(-0.25), np.float32(-1.25), False),
+        (np.int64(1), np.int64(-2), False)])
+    def test_numpy_edges_accepted(self, growth, bounded, verdict):
+        # r of 1/log(n + 2) is log(m + 2) / log(3): gamma near 0
+        tol = Tolerances(gamma_growth=growth, gamma_bounded=bounded)
+        assert (tol.gamma_growth, tol.gamma_bounded) == (float(growth),
+                                                         float(bounded))
+        assert type(tol.gamma_growth) is float
+        X = 1.0 / np.log(np.arange(1.0, 1025.0) + 2.0)
+        assert x_class(X, tol).passed is verdict
 
-    @pytest.mark.parametrize("floor", [np.float32(0.0), np.float32(-1.0),
-                                       np.float32(np.inf), np.float32(np.nan),
-                                       np.int64(0), np.int64(-3)])
-    def test_numpy_floor_refused(self, floor):
-        with pytest.raises(ValueError, match="^inf_ratio_floor tolerance "
-                           "must be positive"):
-            Tolerances(inf_ratio_floor=floor)
+    @pytest.mark.parametrize("edge", [np.float32(np.inf), np.float32(-np.inf),
+                                      np.float32(np.nan)])
+    def test_numpy_edge_refused(self, edge):
+        with pytest.raises(ValueError, match="^gamma_bounded tolerance "
+                           "must be finite"):
+            Tolerances(gamma_bounded=edge)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(0.001, 1000), min_size=2, max_size=100),
+    # eight values give the four checkpoints that a trace needs
+    @given(st.lists(st.floats(0.001, 1000), min_size=8, max_size=100),
            st.floats(0.01, 100))
     def test_scale_invariance(self, xs, c):
         r1 = witness(xs)[1]
         r2 = witness(c * np.asarray(xs))[1]
-        assert abs(r1 - r2) <= 1e-12
+        assert np.allclose(r1, r2, rtol=1e-12, atol=0.0)
 
 
 class TestPowerWeightMonotonicity:

@@ -940,6 +940,40 @@ NON_NUMBERS = {
                             "values must be a rational number, got True"),
     "sequence_start_bool": (lambda: RationalSequence(True, [1]),
                             "start_index must be a non-negative integer"),
+    # an int or a Fraction that no float holds
+    "power_k_huge": (lambda: power_inequality_check(1.0, 2.0, 10 ** 400),
+                     "k must be a number that a float holds"),
+    "power_x_huge": (lambda: power_inequality_check(10 ** 400, 2.0, 2.0),
+                     "x must be a number that a float holds"),
+    "power_y_huge_fraction": (
+        lambda: power_inequality_check(1.0, F(10 ** 400, 3), 2.0),
+        "y must be a number that a float holds"),
+    "decomposition_k_huge": (
+        lambda: decomposition_bound_check(A3, LAM3, F(1, 2), 3, k=10 ** 400),
+        "k must be a number that a float holds"),
+    # a string iterates as numerals, None not at all
+    "sequence_values_str": (lambda: RationalSequence(1, "12"),
+                            "values must be an iterable of rationals, "
+                            "got str"),
+    "sequence_values_none": (lambda: RationalSequence(1, None),
+                             "values must be an iterable of rationals, "
+                             "got NoneType"),
+    "sequence_values_int": (lambda: RationalSequence(1, 5),
+                            "values must be an iterable of rationals, "
+                            "got int"),
+    # a sequence argument that is not a RationalSequence
+    "abel_a_list": (lambda: abel_identity_check([1, 2], [1, 2], F(1, 2), 2),
+                    "a must be a RationalSequence, got list"),
+    "abel_lambda_tuple": (lambda: abel_identity_check(A3, (1, 2, 3), F(1, 2),
+                                                      3),
+                          "lambda must be a RationalSequence, got tuple"),
+    "t_a_list": (lambda: rational_cesaro_t([1, 2], F(1, 2), 2),
+                 "a must be a RationalSequence, got list"),
+    "lemma1_a_none": (lambda: lemma1_check(None, F(1, 2), 1, 1),
+                      "a must be a RationalSequence, got NoneType"),
+    "decomposition_lambda_list": (
+        lambda: decomposition_bound_check(A3, [1, 2, 3], F(1, 2), 3),
+        "lambda must be a RationalSequence, got list"),
 }
 
 
