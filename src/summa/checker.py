@@ -115,27 +115,18 @@ class GrowthVerdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs for the scale diagnostics; recorded verbatim in every report.
+    """Knobs of a check; recorded verbatim in every report.
 
-    ``gamma_growth`` and ``gamma_bounded`` are the band edges of
-    ``growth_diagnostic``'s gamma; ``weight_rel_tol`` is the weight record's
-    slack."""
+    ``weight_rel_tol`` is the weight record's slack."""
 
-    gamma_growth: float = -0.25
-    gamma_bounded: float = -1.25
     weight_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             v = _real(getattr(self, f.name))
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} tolerance must be finite")
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValueError(f"{f.name} tolerance must be positive and finite")
             object.__setattr__(self, f.name, v)
-        if self.weight_rel_tol <= 0.0:
-            raise ValueError("weight_rel_tol tolerance must be positive")
-        if self.gamma_bounded > self.gamma_growth:
-            raise ValueError("gamma_bounded tolerance must not exceed "
-                             "gamma_growth")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -201,8 +192,13 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float | None, int]:
     return float(x @ (y - y.mean()) / (x @ x)), count
 
 
-def growth_diagnostic(trace: CheckpointTrace,
-                      tolerances: Tolerances | None = None) -> GrowthDiagnostic:
+# growth_diagnostic's band edges for gamma: growth at or above the first,
+# bounded below the second
+_GAMMA_GROWTH = -0.25
+_GAMMA_BOUNDED = -1.25
+
+
+def growth_diagnostic(trace: CheckpointTrace) -> GrowthDiagnostic:
     """Judge boundedness-at-scale of a checkpointed trace.
 
     The trace's partial sums are divided by its reference when it has one:
@@ -220,11 +216,10 @@ def growth_diagnostic(trace: CheckpointTrace,
     increment follows it (the max is flat after its one rise), and None
     when the one rise is the last increment.
 
-    gamma at or above ``gamma_growth`` is growth_detected, below
-    ``gamma_bounded`` (-inf included) bounded_consistent, anything else
-    (None included) inconclusive.
+    gamma at or above -0.25 is growth_detected, below -1.25 (-inf
+    included) bounded_consistent, anything else (None included)
+    inconclusive.
     """
-    tol = tolerances or Tolerances()
     cps = validate_checkpoints(trace.checkpoints, at_least=4)
     vals = trace.partial_sums
     if trace.reference is not None:
@@ -246,9 +241,9 @@ def growth_diagnostic(trace: CheckpointTrace,
     if usable == 0 or (usable == 1 and rises[-1] == 0.0):
         gamma = -math.inf
 
-    if gamma is not None and gamma >= tol.gamma_growth:
+    if gamma is not None and gamma >= _GAMMA_GROWTH:
         verdict = GrowthVerdict.GROWTH_DETECTED
-    elif gamma is not None and gamma < tol.gamma_bounded:
+    elif gamma is not None and gamma < _GAMMA_BOUNDED:
         verdict = GrowthVerdict.BOUNDED_CONSISTENT
     else:
         verdict = GrowthVerdict.INCONCLUSIVE
@@ -509,7 +504,7 @@ class _Context:
 
     def growth_record(self, condition: str, trace: CheckpointTrace,
                       notes: str = "") -> ConditionRecord:
-        diag = growth_diagnostic(trace, self.tol)
+        diag = growth_diagnostic(trace)
         extra = f"gamma={_fmt(diag.gamma)} slope={_fmt(diag.slope)}"
         return ConditionRecord(
             condition=condition, verdict=diag.verdict.value,
@@ -526,11 +521,12 @@ class _Context:
 
 def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
     # X positive, and almost increasing: r_m = max_(v<=m) X_v / X_m = O(1),
-    # sampled at the checkpoints and judged like cond7; the running max is
-    # carried from block to block
+    # judged like cond7 on the running max of r at the checkpoints, so a dip
+    # of X between two checkpoints counts.  Both running maxima are carried
+    # from block to block; an r beyond the floats fails at its index
     idx = np.asarray(ctx.checkpoints, dtype=np.int64) - 1
     r = np.empty(idx.size)
-    peak = -np.inf
+    peak = top = -np.inf
     while (block := (yield)) is not None:
         if np.any(block.X <= 0.0):
             return _pass_fail(name, False, "X must be positive",
@@ -538,7 +534,14 @@ def _x_almost_increasing(ctx: _Context, name: str) -> _Step:
         c = np.maximum.accumulate(block.X)
         np.maximum(c, peak, out=c)
         peak = c[-1]
-        _sample(idx, block, np.divide(c, block.X, out=c), r)
+        np.divide(c, block.X, out=c)
+        c[0] = max(c[0], top)
+        np.maximum.accumulate(c, out=c)
+        if np.isinf(c[-1]):
+            return _pass_fail(name, False, "max_(v<=m) X_v / X_m overflows",
+                              int(block.n[np.argmax(np.isinf(c))]))
+        top = c[-1]
+        _sample(idx, block, c, r)
     return ctx.growth_record(name, _named(name, CheckpointTrace,
                                           ctx.checkpoints, r))
 
@@ -783,8 +786,7 @@ def check_theorem_a(bundle: FamilyBundle,
 
 
 def conclusion_diagnostic(bundle: FamilyBundle,
-                          checkpoints: Sequence[int] | None = None,
-                          tolerances: Tolerances | None = None
+                          checkpoints: Sequence[int] | None = None
                           ) -> tuple[FunctionalTrace, GrowthDiagnostic]:
     """Functional trace of the factored series a_n * lambda_n.
 
@@ -794,11 +796,11 @@ def conclusion_diagnostic(bundle: FamilyBundle,
     the same checkpoints has already taken the trace in its pass; otherwise
     a pass of its own takes it.
     """
-    ctx = _Context.of(bundle, checkpoints, tolerances)
+    ctx = _Context.of(bundle, checkpoints, None)
     done = getattr(bundle, "_conclusion", None)
     if done is not None and done[0] == ctx.checkpoints:
         result = done[1]
     else:
         _, result = ctx.run(())
     trace = _settled(result)
-    return trace, growth_diagnostic(trace, ctx.tol)
+    return trace, growth_diagnostic(trace)

@@ -571,8 +571,7 @@ def _run_check(config: ExperimentConfig) -> tuple[dict, int, _Files]:
     # are a ConfigError that names the role
     try:
         report = check(bundle, config.checkpoints, config.tolerances)
-        trace, conclusion = conclusion_diagnostic(
-            bundle, config.checkpoints, config.tolerances)
+        trace, conclusion = conclusion_diagnostic(bundle, config.checkpoints)
     except ConfigError:
         raise
     except (ValueError, OverflowError, MemoryError) as e:

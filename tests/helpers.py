@@ -1,8 +1,9 @@
 """Test-side drivers of the private pieces that the checker's pass runs,
 for tests that check one piece against a reference: a record builder sent
-the pass's blocks of aligned values, ``_SampledSums`` pushed blocks of
-terms, a weight's |phi| read as one block; and the two term forms of each
-named weight, which the reduction identities compare."""
+the pass's blocks of aligned values (the X_class record with the trace it
+judges), ``_SampledSums`` pushed blocks of terms, a weight's |phi| read as
+one block; and the two term forms of each named weight, which the
+reduction identities compare."""
 
 from types import SimpleNamespace
 from unittest import mock
@@ -54,6 +55,25 @@ def drive(build, *, block=None, params=None, tolerances=None,
     raise AssertionError("the builder did not return its record")
 
 
+def witness(X, block=None):
+    """(first violation or None, r or None) of the X_class record
+    (``_x_almost_increasing``) over X from index 1, sent in blocks of
+    ``block`` values (one block when None): r is the trace it judges, the
+    running max of max_(v<=m) X_v / X_m at the halving grid over X.  The
+    record makes no trace once it fails."""
+    X = np.asarray(X, dtype=np.float64)
+    traces = []
+    judge = checker._Context.growth_record
+
+    def growth_record(ctx, name, trace, notes=""):
+        traces.append(trace.partial_sums)
+        return judge(ctx, name, trace, notes)
+    with mock.patch.object(checker._Context, "growth_record", growth_record):
+        record = drive(checker._x_almost_increasing, X=X, block=block,
+                       checkpoints=checker.dyadic_checkpoints(X.size))
+    return record.first_violation, (traces[0] if traces else None)
+
+
 def notes(record):
     """The name=value words of a record's notes, values as text."""
     return dict(word.split("=", 1) for word in record.notes.split()
@@ -62,7 +82,7 @@ def notes(record):
 
 def full_notes():
     """While entered, records write the floats of their notes that
-    ``checker._fmt`` formats (inf_ratio, trend_ratio) as ``repr``, every
+    ``checker._fmt`` formats (trend_ratio) as ``repr``, every
     bit, for a test to read back."""
     return mock.patch.object(checker, "_fmt", repr)
 

@@ -27,7 +27,7 @@ from summa.oracle import rational_cesaro_coefficients, run_all_suites
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
-from helpers import drive, max_rel_deviation, reduced_terms
+from helpers import drive, max_rel_deviation, reduced_terms, witness
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -133,12 +133,15 @@ def test_almost_increasing_fixture():
     cps = dyadic_checkpoints(1000)
     bumped = drive(_x_almost_increasing, X=bump.values, checkpoints=cps)
     flat = drive(_x_almost_increasing, X=monotone.values, checkpoints=cps)
-    # max_(v<=m) X_v / X_m rises to e^2 (m - 1) / m at odd m and is 1 at
-    # even m: its running max ends flat on the grid, as a monotone X's is
-    assert bumped.passed and bumped.notes.startswith("gamma=-inf ")
+    # max_(v<=m) X_v / X_m is e^2 (m - 1) / m at odd m and 1 at even m: its
+    # running max rises to e^2 by ever smaller steps, bounded.  A monotone
+    # X's is 1, flat
+    _, r = witness(bump.values)
+    assert abs(r[-1] - math.exp(2)) <= 1e-2
+    assert bumped.verdict == "bounded_consistent" and bumped.gamma < -1.25
     assert flat.passed and flat.notes == "gamma=-inf slope=0"
-    _announce("almost-increasing witness: n*e^((-1)^n) and a monotone X "
-              "bounded")
+    _announce("almost-increasing witness: n*e^((-1)^n) bounded near e^2, "
+              "a monotone X flat")
 
 
 def test_f1_passes_all_records_and_conclusion():
@@ -290,25 +293,25 @@ SHIPPED_DIGESTS = {
         "transforms.csv": "b434504318592589bd9f2558e82b3d33903422e77c73d75f984fb11851fbeb06",
     },
     "custom_bundle": {
-        "report.json": "8faac0dbaf6fe312c1164e5efc3abdcc024383cfa743679a48189a1e6ef9a63d",
+        "report.json": "585d317934984489e35d678cbd3ccdfabd889b5fe8c8a9a061c0837fa238b3cc",
         "trace_conclusion.csv": "45951268a4ae93091a01732f605eb81960814355053d0d5bfe965cd1cc93b98d",
         "trace_cond11.csv": "88a97a7fcc68773ed01f77bb0fbecd57ba3eda4a16dfefc62741daf7eea5b2e1",
         "trace_series_nqx.csv": "1879a2d218b59f7ef304601a5cc84297f511419cba26b9f6d6d366dec26776db",
     },
     "f1_main": {
-        "report.json": "12f415b8a8dfc5106bb8e98b1b6bb3538cf62b0ae62041427ae549892417cb71",
+        "report.json": "d18b318d0f04cccd0eecdb12650b66c9c663f3544ad5960103075edf44a50282",
         "trace_conclusion.csv": "3ba1271a312f97f93b4025c638f1237078fdda5152ed9aca17a650c255ae3029",
         "trace_cond11.csv": "545bffb2c8c380363558b51797789fe55adfc711b962014509c759336dea3e3a",
         "trace_series_nqx.csv": "264ad1acc7a92588b2d9bca913c9dd9ff70fe4a2f4b33d1b0238820934f0d918",
     },
     "f2_theorem_a": {
-        "report.json": "0e4aad0fd7f449de4e4bf0205bf47bbc0329ddb5a296c90ae49ffd4fdbd4f207",
+        "report.json": "3edebd80d9afc17ad3a1b01627c8926bafde5a5736d5f92b3d874a0b24be148f",
         "trace_conclusion.csv": "388a5eb82a0f971e346d8df8888409cc6a6f9421083db39cb42cb7b43be4f464",
         "trace_cond11.csv": "545bffb2c8c380363558b51797789fe55adfc711b962014509c759336dea3e3a",
         "trace_cond8.csv": "583c642ec829306e326fde007773afad5bb559e236f73a3e870a6046f6fcf8d9",
     },
     "f3_negative": {
-        "report.json": "a1322fff8597dcf85db0cfaf9e249c66b79431875b03c5cc3c7ebeb097ccaef5",
+        "report.json": "3b659c887897d9aa26bc746a8d9daf2c4bc79952b9258da5cf964f0ed1654d5d",
         "trace_conclusion.csv": "ae68870445aa9c1ce9d40f9a5df8a99c5cd814857ef7a0b9312adcda31e6196a",
         "trace_cond11.csv": "545bffb2c8c380363558b51797789fe55adfc711b962014509c759336dea3e3a",
         "trace_series_nqx.csv": "47200ddfb36c72295c867f27ab0303789da02e638d348680337a0ed7cda34306",
@@ -358,7 +361,7 @@ BLOCK_EDGE_CONFIGS = {
 BLOCK_EDGE_DIGESTS = {
     "F1_16383": {
         "report.json":
-            "98ad91eeef8b05f76b3ff27bb267d55d78b17a8acd3e294ca49619d32e2ecc27",
+            "d2aa6f59e97ea83d3af0c95ea3f8e7ff4e18300dc2b789978dfd296b9e990ece",
         "trace_conclusion.csv":
             "b02704b16e053051ad7ee36e341f572c66c3c6cf396d54d8b3f156aaed2d7750",
         "trace_cond11.csv":
@@ -368,7 +371,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F1_16384": {
         "report.json":
-            "0eed172e1c30beda66277307ce7265db6529a68d9d6cf936c47b6b055833002e",
+            "53be6953b83a3e4268c65897c7f654cdf0fb82ac149af43672723b618360cd76",
         "trace_conclusion.csv":
             "22019a5eeddbad1e53ef4d63f55df6d76d6b3af7b0aa1220217a21b241c02b01",
         "trace_cond11.csv":
@@ -378,7 +381,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F1_16385": {
         "report.json":
-            "0f027a48bcd9914ef048bf7e3dc7b1882553df7ff4e4f260f52223b9e76b550a",
+            "f5959e84fddb927bede2c3a3ecc058dbb5e6c194c80e9b1abadb970933d2a97b",
         "trace_conclusion.csv":
             "1433e270f4f1d72690959b3a33503ab79f3b9d74b8dc087f27b34577c6ce760a",
         "trace_cond11.csv":
@@ -388,7 +391,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F1_49153": {
         "report.json":
-            "b045f5c6a5267dc20f9213ac16a356035847f572c1b7997b43bf7807a561b044",
+            "01763962fbfd644859e2a73e6b2d45560d4a251223b1b06586cec1b6e8b4a638",
         "trace_conclusion.csv":
             "c4dc42740e9f460775bc782dc3ffb76ab70744d9b5b94cc4959edfd5682d99f5",
         "trace_cond11.csv":
@@ -398,7 +401,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F2_16383": {
         "report.json":
-            "87678e7baebcc7616abcec35314fa82b314f59fc8a73ba7735096b5a7d5d2485",
+            "955019426aef18aadfb7834ef771a552d6b3b064f12ca7152b9a11667494ceb0",
         "trace_conclusion.csv":
             "e69a2a8e2d45bd23df084124d090cbba5e24089cf184fe4cb715ae20e0bc386a",
         "trace_cond11.csv":
@@ -408,7 +411,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F2_16384": {
         "report.json":
-            "295fd1e74a790a6296eaaf90e94733fc12cbb5e807628a60f95c2605c17ffb2d",
+            "0533dd4dd0604407b9c9b17cf818c92e950267987f51f0b48df2b98e6d043488",
         "trace_conclusion.csv":
             "e43b271aac7bee6236dee25873ecd6f7e6b9193db3a504c3c9be157d12376e0f",
         "trace_cond11.csv":
@@ -418,7 +421,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F2_16385": {
         "report.json":
-            "afbe4af2d06fcecf78de17de1e01506612562350512c219e397f078f3e2e19a1",
+            "6a9fb75592ee7ee5158fc1e9698c51f4625acfe3de092306410278d6a52ce1cc",
         "trace_conclusion.csv":
             "0cfa25d4a4899717b25a00d52b284976981da28d43feae798567592a4870b07b",
         "trace_cond11.csv":
@@ -428,7 +431,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F2_49153": {
         "report.json":
-            "c6699c27ea79406ba1450410b69c97edf53b17983d42e7de328049dca3f8f388",
+            "4600cce727113d83db516468cdeda0d840f8846e028a56903298bc53fca54a8b",
         "trace_conclusion.csv":
             "ddd1d486a08c227421b7a91d2210a766c35c5c396dbd0e1f42ead043f4430a32",
         "trace_cond11.csv":
@@ -438,7 +441,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F3_16383": {
         "report.json":
-            "75b4db443993bba277078b66905e1a31b13ee3d8a4378edda5d4b62a569f35d6",
+            "eab470eb16f7049c7d4282cf7f7c8f6468836fbae016f61c312946c32d29e197",
         "trace_conclusion.csv":
             "35724aaa477b5e8e380097039d008401377a1751107f168ab33a8cf27deda40b",
         "trace_cond11.csv":
@@ -448,7 +451,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F3_16384": {
         "report.json":
-            "5af802acabafa073a312282733456c3ca29529bd0a7d6899c7c2a91944ba9700",
+            "54406d5fe438bab7245a61dec8cf13f11dba6ee6bcac1ba07572b982e151ddb5",
         "trace_conclusion.csv":
             "bd285ef9220ac32e5f894e8fc50a96cb8545251f03a678ed43492f6217992763",
         "trace_cond11.csv":
@@ -458,7 +461,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F3_16385": {
         "report.json":
-            "91fc870bbf0006f7433eaa0b2fae3165f1f13ceedbfae2dcccd3425a896dd67b",
+            "f72beff3433b4ce39b73111685eaf2233756a0f7ccb048f1adec647056876e05",
         "trace_conclusion.csv":
             "9538a560fcbc662d65cf1459ae1ba1e69d345acc22fdbf48d52af4053b5425d5",
         "trace_cond11.csv":
@@ -468,7 +471,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F3_49153": {
         "report.json":
-            "aaf4efb38e97365fc3c222ad1192def92b063a1321d5b66ae361f1137fa07593",
+            "18936b35228dbe3bbb02f34e619a40ee80916a0903245a39e8035a134c984e5a",
         "trace_conclusion.csv":
             "d285a49fbabe72ceca876209b3026d211df36efa6c9b7427e92283f6cd445660",
         "trace_cond11.csv":
@@ -478,7 +481,7 @@ BLOCK_EDGE_DIGESTS = {
     },
     "F1_alpha_0.5_16385": {
         "report.json":
-            "07d410f346c29482833b9cd0cd1347b14628dbf27c4c338930234c79bfb11c70",
+            "cf13d67ec0b52dc59f3e9b3993b73861aa02997d4fdb87297d7e3406dca3fc50",
         "trace_conclusion.csv":
             "f754d2f2eb1f4112f91dfa7e9b5a85951f421c339ae607a25712f89362abff75",
         "trace_cond11.csv":
@@ -532,7 +535,7 @@ LARGE_N_CONFIGS = {
 LARGE_N_DIGESTS = {
     "F1_1000000": {
         "report.json":
-            "cc74cfad2f8c369be43d4fa1f7bc9e780254ff62d2ccd3cdcdf453252391e189",
+            "5d507aa090a732ada49646cb7fb9150d851f7184aca54016b0ed9d3a0b3f9d92",
         "trace_conclusion.csv":
             "ac978e71c42a2ca6a766a7305408e5b14118f5e866095be5f2a0e5c5f89c80f8",
         "trace_cond11.csv":
@@ -542,7 +545,7 @@ LARGE_N_DIGESTS = {
     },
     "F2_1000000": {
         "report.json":
-            "26932f488b16e821edb09b09853ef5cf0569b7952ecceb2a0ef5b0720bcc7f64",
+            "9946273ed7f10d63a6a8174fdcdf4f7cb94de34aa47ea984b309d0265fea8e0b",
         "trace_conclusion.csv":
             "a2767c38281ed6d22cf7ee72658dbfb66504b10b80462eb0793286cb467e37ba",
         "trace_cond11.csv":
@@ -552,7 +555,7 @@ LARGE_N_DIGESTS = {
     },
     "F3_1000000": {
         "report.json":
-            "9d1b4b097a195f5a56d338494ed7be1820154619623821a6e2dd0acb9218a955",
+            "0c7a77670d7a410c333d9538c2a2ffe85d134503b608599568af942b2f5e62cf",
         "trace_conclusion.csv":
             "a451857eabb6a71cef8829a5c9924165a814186ec7354b0bc831a583428f015d",
         "trace_cond11.csv":
@@ -562,7 +565,7 @@ LARGE_N_DIGESTS = {
     },
     "custom_393221": {
         "report.json":
-            "32a49c24df583b01390ba49be155128bc8fb112e59e13fd9792d2e683bfd62f3",
+            "878c4dee13cf0a43a22aa55a43e01704d33124827bb30f369e36cbf3eaed9e9e",
         "trace_conclusion.csv":
             "aa8136d5336af85bbeea1e931e8e94cacc08f156e2d57dd4b9af19bbf91b57c3",
         "trace_cond11.csv":

@@ -90,21 +90,6 @@ class TestGrowthDiagnostic:
         d = growth_diagnostic(trace)
         assert d.verdict is GrowthVerdict.BOUNDED_CONSISTENT
 
-    def test_tolerance_knobs(self):
-        # log n: gamma near 0, growth at the default edges, bounded once
-        # both edges lie above it
-        cps = dyadic_checkpoints(4096)
-        trace = CheckpointTrace(cps, np.log(np.asarray(cps, dtype=float)))
-        assert (growth_diagnostic(trace).verdict
-                is GrowthVerdict.GROWTH_DETECTED)
-        relaxed = growth_diagnostic(
-            trace, Tolerances(gamma_growth=0.5, gamma_bounded=0.25))
-        assert relaxed.verdict is GrowthVerdict.BOUNDED_CONSISTENT
-        between = growth_diagnostic(
-            trace, Tolerances(gamma_growth=0.5, gamma_bounded=-0.5))
-        assert between.verdict is GrowthVerdict.INCONCLUSIVE
-
-
 def _log_shift(m):
     # log(m + 2), as X = log_shift: every shape below is finite from m = 1
     return np.log(m + 2.0)
@@ -188,30 +173,23 @@ def test_minus_infinity_is_written_as_null():
 
 class TestTolerances:
     def test_round_trip(self):
-        t = Tolerances(gamma_growth=-0.5, gamma_bounded=-2.0,
-                       weight_rel_tol=1e-10)
+        t = Tolerances(weight_rel_tol=1e-10)
         assert Tolerances.from_json(t.to_json()) == t
 
-    def test_three_fields(self):
-        assert Tolerances().to_json() == {"gamma_growth": -0.25,
-                                          "gamma_bounded": -1.25,
-                                          "weight_rel_tol": 1e-12}
+    def test_one_field(self):
+        # gamma's band edges are constants of growth_diagnostic, not knobs
+        assert Tolerances().to_json() == {"weight_rel_tol": 1e-12}
 
     def test_positive_required(self):
         with pytest.raises(ValueError, match="^weight_rel_tol tolerance "
-                           "must be positive$"):
+                           "must be positive and finite$"):
             Tolerances(weight_rel_tol=0.0)
 
-    def test_edges_in_order(self):
-        # equal edges leave no inconclusive band, which is allowed
-        assert Tolerances(gamma_growth=-1.0, gamma_bounded=-1.0)
-        with pytest.raises(ValueError, match="^gamma_bounded tolerance must "
-                           "not exceed gamma_growth$"):
-            Tolerances(gamma_bounded=0.0)
-
     def test_unknown_field_rejected(self):
-        # the slope, ratio and inf_ratio_floor knobs are gone
-        for name in ("slope", "ratio", "inf_ratio_floor"):
+        # the slope, ratio and inf_ratio_floor knobs are gone, and the band
+        # edges are no knobs
+        for name in ("slope", "ratio", "inf_ratio_floor", "gamma_growth",
+                     "gamma_bounded"):
             with pytest.raises(ValueError, match="^unknown tolerance fields"):
                 Tolerances.from_json({name: 0.1})
 
@@ -220,12 +198,11 @@ class TestTolerances:
         np.inf, np.nan])
     def test_refuses_what_is_not_a_real_number(self, value):
         # from_json passes the value through, so the one check sees it
-        for name in ("gamma_growth", "gamma_bounded", "weight_rel_tol"):
-            for make in (lambda: Tolerances(**{name: value}),
-                         lambda: Tolerances.from_json({name: value})):
-                with pytest.raises(ValueError, match=f"^{name} tolerance "
-                                   "must be finite$"):
-                    make()
+        for make in (lambda: Tolerances(weight_rel_tol=value),
+                     lambda: Tolerances.from_json({"weight_rel_tol": value})):
+            with pytest.raises(ValueError, match="^weight_rel_tol tolerance "
+                               "must be positive and finite$"):
+                make()
 
 
 class TestCheckMainTheorem:
@@ -329,7 +306,7 @@ class TestCheckMainTheorem:
         assert obj["theorem"] == "main"
         assert len(obj["records"]) == 8
         assert obj["checkpoints"] == list(dyadic_checkpoints(256))
-        assert obj["tolerances"]["gamma_growth"] == -0.25
+        assert obj["tolerances"] == {"weight_rel_tol": 1e-12}
 
 
 class TestCheckTheoremA:

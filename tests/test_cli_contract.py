@@ -472,8 +472,8 @@ def test_malformed_flags(args, message):
       "params": {"k": 1.5, "epsilon": "{value}"}},
      "params: epsilon must be a finite real number"),
     ({"mode": "check_main", "n": 64, "family": "F1",
-      "tolerances": {"gamma_growth": "{value}"}},
-     "tolerances: gamma_growth tolerance must be finite"),
+      "tolerances": {"weight_rel_tol": "{value}"}},
+     "tolerances: weight_rel_tol tolerance must be positive and finite"),
     ({"mode": "check_main", "n": 64, "family": "F1",
       "overrides": {"k": "{value}"}},
      "overrides: k must be a finite real number"),

@@ -45,7 +45,7 @@ _BOOLEAN_FIELDS = [
     ({"mode": "check_main", "n": 64, "bundle": _BUNDLE,
       "params": {"alpha": True}}, "params.alpha"),
     ({"mode": "check_main", "n": 64, "family": "F1",
-      "tolerances": {"gamma_growth": True}}, "tolerances.gamma_growth"),
+      "tolerances": {"weight_rel_tol": True}}, "tolerances.weight_rel_tol"),
     ({"mode": "check_main", "n": 64, "params": {"k": 1.5},
       "bundle": {**_BUNDLE, "lambda": {"family": "power_decay",
                                        "params": {"p": True}}}},
@@ -241,11 +241,12 @@ class TestConfigValidation:
         cfg = tmp_path / "f1.json"
         cfg.write_text(json.dumps({"mode": "check_main", "family": "F1",
                                    "n": 64,
-                                   "tolerances": {"gamma_growth": True}}))
+                                   "tolerances": {"weight_rel_tol": True}}))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == (
-            "config error: tolerances.gamma_growth: must not be a boolean\n")
+            "config error: tolerances.weight_rel_tol: must not be a "
+            "boolean\n")
         assert not out.exists()
 
     def test_out_must_be_string(self):
@@ -264,7 +265,7 @@ class TestConfigRoundTrip:
         cfg = _cfg({"mode": "check_main", "n": 128, "family": "F1",
                     "overrides": {"alpha": 0.5, "k": 2},
                     "checkpoints": [16, 32, 64, 128],
-                    "tolerances": {"gamma_growth": -0.5}})
+                    "tolerances": {"weight_rel_tol": 1e-10}})
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.overrides == {"alpha": 0.5, "k": 2.0}
@@ -596,17 +597,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cond7" in out and "conclusion" in out
         assert "exit_status=" in out
-
-    def test_band_edges_flip_f3(self, tmp_path):
-        # F3's cond7 and conclusion read gamma near 0: bounded once both
-        # band edges of the config's tolerances lie above it
-        cfg = tmp_path / "f3.json"
-        cfg.write_text(json.dumps({
-            **json.loads((CONFIG_DIR / "f3_negative.json").read_text()),
-            "tolerances": {"gamma_growth": 0.5, "gamma_bounded": 0.25}}))
-        code = main(["run", str(cfg), "--out", str(tmp_path / "out"),
-                     "--quiet"])
-        assert code == 0
 
     def test_bad_dump_sequence_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "dump.json"

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,15 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from summa import checker
 from summa.checker import (Tolerances, _quasi_monotone, _weight_monotone,
-                           _x_almost_increasing, check_main_theorem,
-                           dyadic_checkpoints)
+                           check_main_theorem, dyadic_checkpoints)
 from summa.experiment import builtin_family
 from summa.sequences import (CesaroParams, RealSequence, SequenceSpec,
                              materialize)
 
-from helpers import drive, full_notes, notes
+from helpers import drive, full_notes, notes, witness
 
 
 def quasi_monotone(b, delta):
@@ -38,30 +35,12 @@ def quasi_monotone(b, delta):
     return record.first_violation, positive_from, trend_ratio
 
 
-def witness(b, block=None):
-    """(first non-positive index or None, r or None) of b from index 1, r
-    the record's trace of max_(v<=m) b_v / b_m at the halving grid over b,
-    sent in blocks of ``block`` values (one block when None): the record
-    makes no trace once X is not positive."""
-    b = np.asarray(b, dtype=np.float64)
-    traces = []
-    judge = checker._Context.growth_record
-
-    def growth_record(ctx, name, trace, notes=""):
-        traces.append(trace.partial_sums)
-        return judge(ctx, name, trace, notes)
-    with mock.patch.object(checker._Context, "growth_record", growth_record):
-        record = drive(_x_almost_increasing, X=b, block=block,
-                       checkpoints=dyadic_checkpoints(b.size))
-    return record.first_violation, (traces[0] if traces else None)
-
-
-def x_class(X, tolerances=None):
+def x_class(X):
     """The X_class record of F1 with X replaced: the almost-increasing
     verdict, judged by growth_diagnostic."""
     bundle = builtin_family("F1", len(X))
     bundle = dataclasses.replace(bundle, X=RealSequence(1, np.asarray(X)))
-    return check_main_theorem(bundle, tolerances=tolerances).records[0]
+    return check_main_theorem(bundle).records[0]
 
 
 def first_rise(phi, epsilon, k, rel_tol=1e-12):
@@ -121,16 +100,20 @@ class TestAlmostIncreasing:
         assert record.passed and record.notes.startswith("gamma=-inf ")
 
     def test_oscillating_fixture_near_e_squared(self):
-        # n e^((-1)^n): r is e^2 (m - 1) / m at odd m > 1 and 1 at the
-        # others, so its running max ends flat
+        # n e^((-1)^n): r is e^2 (v - 1) / v at odd v > 1 and 1 at the
+        # others, so its running max at m is that of the last odd v <= m,
+        # which rises to e^2 ever more slowly
         b = materialize(SequenceSpec("almost_inc_example", n=1000, start=1))
         _, r = witness(b.values)
         cps = np.asarray(dyadic_checkpoints(1000))
-        odd = (cps % 2 == 1) & (cps > 1)
-        assert np.allclose(r[odd], math.exp(2) * (cps[odd] - 1) / cps[odd],
+        odd = cps - (cps % 2 == 0)
+        late = cps > 2
+        assert np.allclose(r[late], math.exp(2) * (odd[late] - 1) / odd[late],
                            rtol=1e-12)
-        assert np.all(r[~odd] == 1.0)
-        assert x_class(b.values).passed
+        assert np.all(r[~late] == 1.0)
+        assert abs(r[-1] - math.exp(2)) <= 1e-2
+        record = x_class(b.values)
+        assert record.passed and record.gamma < -1.25
 
     def test_geometric_decay_grows(self):
         b = np.exp(-np.arange(1.0, 101.0))
@@ -138,8 +121,21 @@ class TestAlmostIncreasing:
         assert r[-1] > 1e40
         record = x_class(b)
         assert (record.passed, record.verdict) == (False, "growth_detected")
+        # on into the subnormals, r = e^(m - 1) passes the largest float at
+        # m = 711, where the record fails, with no trace to refuse
+        b = np.exp(-np.arange(1.0, 741.0))
+        assert b[-1] > 0.0
+        assert witness(b) == witness(b, 100) == (711, None)
+        # the check fails X_class there too (the index is off the grid,
+        # where cond11 divides by X), and raises nothing
+        X = np.log(np.arange(1.0, 4097.0) + 2.0)
+        X[1000] = 5e-324
+        record = x_class(X)
+        assert (record.passed, record.verdict, record.first_violation,
+                record.notes) == (False, "fail", 1001,
+                                  "max_(v<=m) X_v / X_m overflows")
 
-    # in blocks of 7 values the running max must cross block edges
+    # in blocks of 7 values both running maxima must cross block edges
     @pytest.mark.parametrize("block", [None, 7])
     def test_witness_sandwich(self, block):
         rng = np.random.default_rng(13)
@@ -147,8 +143,31 @@ class TestAlmostIncreasing:
         _, r = witness(b, block)
         c = np.maximum.accumulate(b)
         idx = np.asarray(dyadic_checkpoints(b.size)) - 1
-        assert np.all(r >= 1.0)
-        assert np.array_equal(r, c[idx] / b[idx])
+        # every ratio up to a checkpoint is read, not the checkpoint's alone
+        assert np.all(r >= c[idx] / b[idx])
+        assert np.array_equal(r, np.maximum.accumulate(c / b)[idx])
+
+    @pytest.mark.parametrize("n", [1 << 14, 1 << 18])
+    def test_dips_between_checkpoints_count(self, n):
+        # log(m + 2) but 1/m at m = 3 * 2^j, half way between two
+        # checkpoints: r is 1 at every checkpoint and grows like m log m
+        # between them
+        m = np.arange(1.0, n + 1.0)
+        X = np.log(m + 2.0)
+        dips = 3 << np.arange(n.bit_length() - 2)
+        X[dips - 1] = 1.0 / dips
+        cps = np.asarray(dyadic_checkpoints(n))
+        assert not np.isin(dips, cps).any()
+        c = np.maximum.accumulate(X)
+        assert np.all(c[cps - 1] == X[cps - 1])
+        record = x_class(X)
+        assert (record.passed, record.verdict) == (False, "growth_detected")
+        # one dip to 1e-9 in the last octave is one rise at the last
+        # increment: never bounded
+        X = np.log(m + 2.0)
+        X[3 * n // 4] = 1e-9
+        record = x_class(X)
+        assert (record.passed, record.verdict) == (False, "inconclusive")
 
     def test_requires_positive(self):
         # the first non-positive value is reported, and no trace
@@ -157,39 +176,6 @@ class TestAlmostIncreasing:
         record = x_class([1.0, 2.0, 0.0, *range(3, 16)])
         assert (record.passed, record.first_violation, record.notes) \
             == (False, 3, "X must be positive")
-
-    # the pass takes its band edges from Tolerances, which refuses what the
-    # verdict could not compare against
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            Tolerances(gamma_bounded=0.0)
-
-    @pytest.mark.parametrize("edge", [True, False, np.True_, np.False_])
-    def test_boolean_edge_refused(self, edge):
-        # True is not the edge 1.0
-        with pytest.raises(ValueError, match="^gamma_growth tolerance "
-                           "must be finite"):
-            Tolerances(gamma_growth=edge)
-
-    @pytest.mark.parametrize("growth, bounded, verdict", [
-        (np.float32(0.5), np.float32(0.25), True),
-        (np.float32(-0.25), np.float32(-1.25), False),
-        (np.int64(1), np.int64(-2), False)])
-    def test_numpy_edges_accepted(self, growth, bounded, verdict):
-        # r of 1/log(n + 2) is log(m + 2) / log(3): gamma near 0
-        tol = Tolerances(gamma_growth=growth, gamma_bounded=bounded)
-        assert (tol.gamma_growth, tol.gamma_bounded) == (float(growth),
-                                                         float(bounded))
-        assert type(tol.gamma_growth) is float
-        X = 1.0 / np.log(np.arange(1.0, 1025.0) + 2.0)
-        assert x_class(X, tol).passed is verdict
-
-    @pytest.mark.parametrize("edge", [np.float32(np.inf), np.float32(-np.inf),
-                                      np.float32(np.nan)])
-    def test_numpy_edge_refused(self, edge):
-        with pytest.raises(ValueError, match="^gamma_bounded tolerance "
-                           "must be finite"):
-            Tolerances(gamma_bounded=edge)
 
     @settings(max_examples=40, deadline=None)
     # eight values give the four checkpoints that a trace needs
